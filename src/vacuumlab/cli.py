@@ -7,7 +7,7 @@ conservation report; manifests are written atomically.  Reruns of the
 same config produce bit-identical CSV and the same config hash.
 
 Exit codes: 0 success, 1 usage/validation, 2 physics-domain abort,
-3 solver non-convergence.
+3 solver failure (non-convergence or adaptive step collapse).
 """
 
 from __future__ import annotations
@@ -45,13 +45,11 @@ from .integrate import (
 from .particle import (
     ForceModel,
     ModelKind,
-    interacting_energy,
+    INVARIANTS,
     interaction_extra_force,
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
-    qa_vector,
-    total_energy,
 )
 from .potentials import (
     LinearField,
@@ -83,13 +81,21 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _number(raw, name: str, cast=float):
+    """raw as a finite float (or int); ValidationError names the config key."""
+    try:
+        value = cast(raw)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be a finite number, got {raw!r}")
+
+
 def _vec(raw, name: str) -> Vec3:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ValidationError(f"{name} must be a 3-component list")
-    try:
-        return Vec3(float(raw[0]), float(raw[1]), float(raw[2]))
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must contain numbers") from None
+    return Vec3(_number(raw[0], name), _number(raw[1], name), _number(raw[2], name))
 
 
 @dataclass
@@ -194,9 +200,9 @@ def _normalize(data: dict) -> dict:
                 f"config key 'model' must be one of {sorted(_MODEL_KINDS)}, got {model!r}"
             )
         out["model"] = model
-        out["charge"] = float(data.get("charge", 1.0))
+        out["charge"] = _number(data.get("charge", 1.0), "charge")
         if data.get("rest_mass") is not None:
-            out["rest_mass"] = float(data["rest_mass"])
+            out["rest_mass"] = _number(data["rest_mass"], "rest_mass")
         out["field"] = _normalize_field(data.get("field"))
         initial = data.get("initial", {})
         r0 = _vec(initial.get("r", [0, 0, 0]), "initial.r")
@@ -208,13 +214,13 @@ def _normalize(data: dict) -> dict:
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
         grid = data.get("grid", {})
-        n = int(grid.get("n", 64))
+        n = _number(grid.get("n", 64), "grid.n", int)
         if n < 8:
             raise ValidationError("grid.n must be >= 8")
         out["grid"] = {
             "n": n,
-            "sigma_min": float(grid.get("sigma_min", 0.0)),
-            "sigma_max": float(grid.get("sigma_max", 1.0)),
+            "sigma_min": _number(grid.get("sigma_min", 0.0), "grid.sigma_min"),
+            "sigma_max": _number(grid.get("sigma_max", 1.0), "grid.sigma_max"),
         }
         if out["grid"]["sigma_max"] <= out["grid"]["sigma_min"]:
             raise ValidationError("grid.sigma_max must exceed grid.sigma_min")
@@ -226,8 +232,8 @@ def _normalize(data: dict) -> dict:
             "kind": ikind,
             "start": list(_vec(initial.get("start", [0, 0, 0]), "initial.start")),
             "end": list(_vec(initial.get("end", [1, 0, 0]), "initial.end")),
-            "amplitude": float(initial.get("amplitude", 0.01)),
-            "width": float(initial.get("width", 0.08)),
+            "amplitude": _number(initial.get("amplitude", 0.01), "initial.amplitude"),
+            "width": _number(initial.get("width", 0.08), "initial.width"),
             "direction": list(_vec(initial.get("direction", [0, 1, 0]), "initial.direction")),
         }
         out["integration"] = _normalize_integration(data.get("integration"))
@@ -238,13 +244,13 @@ def _normalize(data: dict) -> dict:
         grid = data.get("grid", {})
         out["problem"] = problem
         out["grid"] = {
-            "n_sigma": int(grid.get("n_sigma", 33)),
-            "n_s": int(grid.get("n_s", 33)),
+            "n_sigma": _number(grid.get("n_sigma", 33), "grid.n_sigma", int),
+            "n_s": _number(grid.get("n_s", 33), "grid.n_s", int),
         }
         if min(out["grid"]["n_sigma"], out["grid"]["n_s"]) < 5:
             raise ValidationError("conformal grids need at least 5 nodes per axis")
-        out["tol"] = float(data.get("tol", 1e-8))
-        out["max_iters"] = int(data.get("max_iters", 40000))
+        out["tol"] = _number(data.get("tol", 1e-8), "tol")
+        out["max_iters"] = _number(data.get("max_iters", 40000), "max_iters", int)
         if out["tol"] <= 0:
             raise ValidationError("tol must be positive")
     return out
@@ -260,13 +266,13 @@ def _normalize_field(raw) -> dict:
         )
     out = {"kind": fkind}
     if fkind == "uniform":
-        out["strength"] = float(raw.get("strength", -1.0))
+        out["strength"] = _number(raw.get("strength", -1.0), "field.strength")
         if out["strength"] >= 0:
             raise ValidationError("field.strength must be negative for a uniform potential")
     elif fkind in ("coulomb-static", "coulomb-comoving"):
-        out["strength"] = float(raw.get("strength", 1.0))
-        out["softening"] = float(raw.get("softening", 1e-3))
-        out["background"] = float(raw.get("background", 0.0))
+        out["strength"] = _number(raw.get("strength", 1.0), "field.strength")
+        out["softening"] = _number(raw.get("softening", 1e-3), "field.softening")
+        out["background"] = _number(raw.get("background", 0.0), "field.background")
         out["r_f0"] = list(_vec(raw.get("r_f0", [0, 0, 0]), "field.r_f0"))
         u_f = _vec(raw.get("u_f", [0, 0, 0]), "field.u_f")
         if fkind == "coulomb-static" and u_f.norm2() != 0.0:
@@ -275,23 +281,23 @@ def _normalize_field(raw) -> dict:
             raise ValidationError("field.u_f: superluminal source velocity")
         out["u_f"] = list(u_f)
     elif fkind == "linear":
-        out["w0"] = float(raw.get("w0", -1.0))
+        out["w0"] = _number(raw.get("w0", -1.0), "field.w0")
         out["gradient"] = list(_vec(raw.get("gradient", [0, 0, 0]), "field.gradient"))
     else:  # uniform-b
         out["b"] = list(_vec(raw.get("b", [0, 0, 1]), "field.b"))
-        out["wbar0"] = float(raw.get("wbar0", 0.0))
+        out["wbar0"] = _number(raw.get("wbar0", 0.0), "field.wbar0")
     return out
 
 
 def _normalize_integration(raw) -> dict:
     raw = raw or {}
     out = {
-        "step": float(raw.get("step", 1e-3)),
-        "n_steps": int(raw.get("n_steps", 1000)),
+        "step": _number(raw.get("step", 1e-3), "integration.step"),
+        "n_steps": _number(raw.get("n_steps", 1000), "integration.n_steps", int),
         "method": raw.get("method", "rk4"),
-        "rel_tol": float(raw.get("rel_tol", 1e-9)),
-        "abs_tol": float(raw.get("abs_tol", 1e-12)),
-        "audit_every": int(raw.get("audit_every", 10)),
+        "rel_tol": _number(raw.get("rel_tol", 1e-9), "integration.rel_tol"),
+        "abs_tol": _number(raw.get("abs_tol", 1e-12), "integration.abs_tol"),
+        "audit_every": _number(raw.get("audit_every", 10), "integration.audit_every", int),
         "time_axis": raw.get("time_axis", "auto"),
     }
     IntegrationParams(**out)  # validates
@@ -344,17 +350,6 @@ def build_particle_model(config: ScenarioConfig):
     return model, state, params
 
 
-def _model_energy(model: ForceModel, s) -> float:
-    wbar = model.field.wbar(s.r, s.t)
-    if model.kind is ModelKind.CLASSICAL:
-        return math.sqrt(model.rest_mass**2 + s.p.norm2()) + wbar
-    if model.kind is ModelKind.CONSTRAINED:
-        return s.extra["lambda_tdot"] * math.sqrt(1.0 - s.u.norm2())
-    if model.kind is ModelKind.VACUUM_FREE:
-        return total_energy(wbar, s.p)
-    return interacting_energy(wbar, s.p, qa_vector(model, s.r, s.t))
-
-
 # --- runners ---------------------------------------------------------------------
 
 
@@ -393,11 +388,13 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
 def _run_particle(config: ScenarioConfig, out_dir: str):
     model, state, params = build_particle_model(config)
     traj = integrate_particle(model, state, params)
+    invariants = INVARIANTS[model.kind]
+    energy_fn = invariants.get("energy") or invariants["rest_mass"]
     rows = [PARTICLE_HEADER]
     long_rows = ["step,axis,series,value"]
     for i, s in enumerate(traj.samples):
         wbar = model.field.wbar(s.r, s.t)
-        energy = _model_energy(model, s)
+        energy = energy_fn(s, model)
         rows.append(
             ",".join(
                 [str(i)]
@@ -509,27 +506,23 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
 # --- compare -----------------------------------------------------------------------
 
 
-def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t", quiet: bool = False):
-    """Integrate >= 2 particle scenarios with shared initial kinematics and diff them."""
+def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
+    """Integrate two particle scenarios with shared initial kinematics and diff them."""
     if alignment not in ("by_t", "by_tau"):
         raise ValidationError("alignment must be by_t or by_tau")
-    if len(configs) < 2:
-        raise ValidationError("compare needs at least two particle configs")
+    if len(configs) != 2:
+        raise ValidationError(f"compare needs exactly two particle configs, got {len(configs)}")
     built = []
     for cfg in configs:
         if cfg.kind != "particle":
             raise ValidationError("compare supports particle scenarios only")
         model, state, params = build_particle_model(cfg)
         built.append((cfg, model, state, params))
-    ref = built[0]
-    for other in built[1:]:
-        if list(other[2].r) != list(ref[2].r) or list(other[2].u) != list(ref[2].u):
-            raise MisalignedScenariosError("initial kinematics differ between configs")
-        if (
-            other[3].step != ref[3].step
-            or other[3].n_steps != ref[3].n_steps
-        ):
-            raise MisalignedScenariosError("integration grids differ between configs")
+    ref, other = built
+    if list(other[2].r) != list(ref[2].r) or list(other[2].u) != list(ref[2].u):
+        raise MisalignedScenariosError("initial kinematics differ between configs")
+    if other[3].step != ref[3].step or other[3].n_steps != ref[3].n_steps:
+        raise MisalignedScenariosError("integration grids differ between configs")
 
     trajectories = []
     for cfg, model, state, params in built:
@@ -544,8 +537,7 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t", quiet
         )
         trajectories.append((model, integrate_particle(model, state, params)))
 
-    ref_model, ref_traj = trajectories[0]
-    other_model, other_traj = trajectories[1]
+    (ref_model, ref_traj), (_, other_traj) = trajectories
     rows = [COMPARE_HEADER]
     axis_a = np.array(
         [s.t if alignment == "by_t" else s.tau for s in ref_traj.samples]
@@ -583,7 +575,7 @@ _AUDIT_KINDS = {
 }
 
 
-def audit_scenario(config: ScenarioConfig, nodes: int = 0, quiet: bool = False):
+def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     """Integrate a particle scenario and measure its discrete action stationarity."""
     if config.kind != "particle":
         raise ValidationError("audit supports particle scenarios only")
@@ -655,7 +647,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_run.add_argument("config")
     _add_overrides(p_run)
 
-    p_cmp = sub.add_parser("compare", help="compare >= 2 particle scenarios")
+    p_cmp = sub.add_parser("compare", help="compare two particle scenarios")
     p_cmp.add_argument("configs", nargs="+")
     p_cmp.add_argument("--alignment", choices=("by_t", "by_tau"), default="by_t")
     _add_overrides(p_cmp)
@@ -682,7 +674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_scenario(config, quiet=args.quiet)
         elif args.command == "compare":
             configs = [parse_config(c, overrides) for c in args.configs]
-            rows, _ = compare_models(configs, alignment=args.alignment, quiet=args.quiet)
+            rows, _ = compare_models(configs, alignment=args.alignment)
             out_dir = overrides["out"] or configs[0].data["output"]["directory"]
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, "compare.csv")
@@ -691,7 +683,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"wrote {path}")
         elif args.command == "audit":
             config = parse_config(args.config, overrides)
-            rows, worst, _ = audit_scenario(config, nodes=args.nodes, quiet=args.quiet)
+            rows, worst, _ = audit_scenario(config, nodes=args.nodes)
             out_dir = overrides["out"] or config.data["output"]["directory"]
             os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(out_dir, f"{config.name}_audit.csv")
@@ -706,10 +698,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ValidationError, MisalignedScenariosError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (PhysicsDomainError, StepFailureError) as exc:
+    except PhysicsDomainError as exc:
         sys.stderr.write(f"physics abort: {exc}\n")
         return 2
-    except ConvergenceError as exc:
+    except (ConvergenceError, StepFailureError) as exc:
         sys.stderr.write(f"no convergence: {exc}\n")
         return 3
 

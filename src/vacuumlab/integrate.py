@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -30,17 +30,18 @@ from .errors import (
 )
 from .geometry import Vec3, proper_time_factor
 from .particle import (
+    INVARIANTS,
     ForceModel,
     ModelKind,
     ParticleState,
+    classical_rhs,
     classical_velocity,
-    constrained_rest_mass,
-    interacting_energy,
-    interacting_hamiltonian,
+    constrained_rhs,
+    interacting_rhs,
     qa_vector,
     relative_invariant,
     total_energy,
-    vacuum_free_hamiltonian,
+    vacuum_free_rhs,
     vacuum_velocity,
 )
 
@@ -259,50 +260,32 @@ def _unpack(model: ForceModel, y, x, axis: str) -> ParticleState:
 
 def _flat_rhs(model: ForceModel, axis: str) -> Callable:
     field = model.field
-    q = model.charge
     kind = model.kind
 
-    if kind is ModelKind.CLASSICAL:
-        m0 = model.rest_mass
+    if kind is ModelKind.CONSTRAINED:
+        law = constrained_rhs
 
         def rhs(t, y):
-            from .particle import _q_em_terms
+            d1, d2, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), y[6], t)
+            return (u.x, u.y, u.z, d1.x, d1.y, d1.z, d2, proper_time_factor(u))
 
-            r = Vec3(y[0], y[1], y[2])
-            p = Vec3(y[3], y[4], y[5])
-            u = classical_velocity(m0, p)
-            qe, mag, _ = _q_em_terms(field, q, u, r, t)
-            dp = qe + mag
+        return rhs
+
+    if axis == "lab":
+        law = {
+            ModelKind.CLASSICAL: classical_rhs,
+            ModelKind.VACUUM_FREE: vacuum_free_rhs,
+            ModelKind.VACUUM_INTERACTING: interacting_rhs,
+        }[kind]
+
+        def rhs(t, y):
+            dp, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), t)
             return (u.x, u.y, u.z, dp.x, dp.y, dp.z, proper_time_factor(u))
 
         return rhs
 
-    if kind is ModelKind.CONSTRAINED:
-
-        def rhs(t, y):
-            from .particle import _q_em_terms
-
-            r = Vec3(y[0], y[1], y[2])
-            y1 = Vec3(y[3], y[4], y[5])
-            y2 = y[6]
-            u = y1 / y2
-            qe, mag, _ = _q_em_terms(field, q, u, r, t)
-            d1 = qe + mag
-            return (u.x, u.y, u.z, d1.x, d1.y, d1.z, qe.dot(u), proper_time_factor(u))
-
-        return rhs
-
+    # proper-time flows reparameterize the lab laws above in their own operation order
     if kind is ModelKind.VACUUM_FREE:
-        if axis == "lab":
-
-            def rhs(t, y):
-                r = Vec3(y[0], y[1], y[2])
-                p = Vec3(y[3], y[4], y[5])
-                u = vacuum_velocity(field.wbar(r, t), p)
-                g = field.grad_wbar(r, t)
-                return (u.x, u.y, u.z, -g.x, -g.y, -g.z, proper_time_factor(u))
-
-            return rhs
 
         def rhs(tau, y):
             r = Vec3(y[0], y[1], y[2])
@@ -324,21 +307,7 @@ def _flat_rhs(model: ForceModel, axis: str) -> Callable:
 
         return rhs
 
-    # vacuum-interacting
     u_f = model.source_velocity
-    if axis == "lab":
-
-        def rhs(t, y):
-            from .particle import _q_em_terms
-
-            r = Vec3(y[0], y[1], y[2])
-            p = Vec3(y[3], y[4], y[5])
-            u = vacuum_velocity(field.wbar(r, t), p)
-            qe, mag, fc = _q_em_terms(field, q, u, r, t)
-            dp = qe + mag + fc
-            return (u.x, u.y, u.z, dp.x, dp.y, dp.z, proper_time_factor(u))
-
-        return rhs
 
     def rhs(tau_rel, y):
         # canonical relative flow: exact reparameterization of the lab force law
@@ -358,33 +327,6 @@ def _flat_rhs(model: ForceModel, axis: str) -> Callable:
     return rhs
 
 
-_AUDITS: Dict[ModelKind, Dict[str, Callable]] = {
-    ModelKind.CLASSICAL: {
-        "energy": lambda s, m: math.sqrt(m.rest_mass**2 + s.p.norm2())
-        + m.field.wbar(s.r, s.t),
-    },
-    ModelKind.CONSTRAINED: {
-        "rest_mass": lambda s, m: constrained_rest_mass(s),
-    },
-    ModelKind.VACUUM_FREE: {
-        "hamiltonian": lambda s, m: vacuum_free_hamiltonian(m.field.wbar(s.r, s.t), s.p),
-        "energy": lambda s, m: total_energy(m.field.wbar(s.r, s.t), s.p),
-        "rest_mass": lambda s, m: -m.field.wbar(s.r, s.t) * proper_time_factor(s.u),
-    },
-    ModelKind.VACUUM_INTERACTING: {
-        "hamiltonian": lambda s, m: interacting_hamiltonian(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
-        ),
-        "energy": lambda s, m: interacting_energy(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
-        ),
-        "relative_invariant": lambda s, m: relative_invariant(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
-        ),
-    },
-}
-
-
 def integrate_particle(
     model: ForceModel, initial: ParticleState, params: IntegrationParams
 ) -> Trajectory:
@@ -396,7 +338,7 @@ def integrate_particle(
     """
     axis = _axis_for(model, params)
     rhs = _flat_rhs(model, axis)
-    audits = _AUDITS[model.kind]
+    audits = INVARIANTS[model.kind]
     x = initial.t if axis == "lab" else initial.tau
     y = _pack(model, initial, axis)
 
@@ -467,7 +409,7 @@ class StringTrajectory:
         return self.samples[-1]
 
 
-def integrate_string(state, field, params: IntegrationParams, boundary: str = "fixed-ends") -> StringTrajectory:
+def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
     """Advance a string state under the canonical flow with fixed endpoints.
 
     Audits the energy functional and the transversality defect.  Aborts
@@ -476,8 +418,6 @@ def integrate_string(state, field, params: IntegrationParams, boundary: str = "f
     """
     from . import strings
 
-    if boundary != "fixed-ends":
-        raise ValidationError("only fixed-ends boundary handling is implemented")
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")
 
@@ -539,13 +479,16 @@ class RelaxationResult:
     history: List[float] = dc_field(default_factory=list)
 
 
+# sweeps of residual history kept in RelaxationResult and ConvergenceError
+_HISTORY_TAIL = 25
+
+
 def relax_elliptic(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     xi0: np.ndarray,
     tol: float,
     max_iters: int = 20000,
     omega: Optional[float] = None,
-    history_tail: int = 25,
 ) -> RelaxationResult:
     """Checkerboard SOR sweeps driving max |residual| below tol.
 
@@ -600,7 +543,7 @@ def relax_elliptic(
         res = residual_fn(xi)
         max_res = float(np.max(np.abs(res)))
         history.append(max_res)
-        if len(history) > history_tail:
+        if len(history) > _HISTORY_TAIL:
             history.pop(0)
         if initial_res is None:
             initial_res = max_res if max_res > 0 else 1.0

@@ -9,10 +9,13 @@ Four force models share one state type:
 * interacting   dp/dt = qE + q u x B - q grad<u,A>,  p = -wbar u
 
 plus the Lorentz-type variant without the extra gradient force
-(`vacuum_lorentz_rhs`), kept for model comparison.  All right-hand sides
-are pure functions; the electromagnetic terms are assembled as q*E,
-u x (q*B) and -grad<u, q*A> so that fields whose vector potential scales
-like 1/q stay well defined for any nonzero charge.
+(`vacuum_lorentz_rhs`), kept for model comparison.  The `*_rhs` functions
+are the force laws `integrate_particle` steps in lab time: pure functions
+of (model, r, p, t) returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the
+constrained multiplier pair.  The electromagnetic terms are assembled as
+q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector potential
+scales like 1/q stay well defined for any nonzero charge.  `INVARIANTS`
+is the one table of audited quantities per model.
 
 The interacting Hamiltonian and energy implement the full expressions
 with the <p+qA, qA> cross term.  Note (verified analytically and
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from .errors import (
     DegenerateMultiplierError,
@@ -179,6 +182,12 @@ def relative_invariant(wbar: float, p: Vec3, qa: Vec3) -> float:
 # --- electromagnetic force assembly ----------------------------------------
 
 
+def _extra_force(q: float, jac, u: Vec3) -> Vec3:
+    """F_c = -q (dA)^T u from the A-Jacobian J[i, j] = dA_i / dr_j."""
+    a = jac.T @ u.as_array()
+    return Vec3(-q * a[0], -q * a[1], -q * a[2])
+
+
 def _q_em_terms(field: PotentialField, q: float, u: Vec3, r: Vec3, t: float):
     """Return (qE, u x qB, F_c) with all terms scaled by the charge."""
     g = field.grad_wbar(r, t)
@@ -190,15 +199,12 @@ def _q_em_terms(field: PotentialField, q: float, u: Vec3, r: Vec3, t: float):
         q * (jac[1, 0] - jac[0, 1]),
     )
     mag = u.cross(q_curl)
-    a = jac.T @ u.as_array()
-    fc = Vec3(-q * a[0], -q * a[1], -q * a[2])
-    return qe, mag, fc
+    return qe, mag, _extra_force(q, jac, u)
 
 
 def interaction_extra_force(q: float, u: Vec3, f: PotentialField, r: Vec3, t: float) -> Vec3:
     """F_c = -q grad<u, A> with u held fixed under the gradient."""
-    a = f.grad_vecpot(r, t).T @ u.as_array()
-    return Vec3(-q * a[0], -q * a[1], -q * a[2])
+    return _extra_force(q, f.grad_vecpot(r, t), u)
 
 
 def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
@@ -206,27 +212,26 @@ def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
     return model.charge * model.field.vecpot(r, t)
 
 
-# --- right-hand sides -------------------------------------------------------
+# --- right-hand sides (the laws integrate_particle steps in lab time) -------
 
 
-def classical_rhs(state: ParticleState, model: ForceModel):
-    """(dp/dt, dr/dt) for the classical Lorentz force; u recovered from p."""
-    u = classical_velocity(model.rest_mass, state.p)
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, state.r, state.t)
+def classical_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+    """(dp/dt, u) for the classical Lorentz force; u recovered from p."""
+    u = classical_velocity(model.rest_mass, p)
+    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
     return qe + mag, u
 
 
-def constrained_rhs(state: ParticleState, model: ForceModel):
-    """(d(l u tdot)/dt, d(l tdot)/dt, dr/dt) for the multiplier model.
+def constrained_rhs(model: ForceModel, r: Vec3, y1: Vec3, y2: float, t: float):
+    """(dy1/dt, dy2/dt, u) for the multiplier model.
 
-    The state carries y1 = l u tdot in p and y2 = l tdot in
-    extra['lambda_tdot']; u = y1/y2.
+    y1 = l u tdot and y2 = l tdot (a state keeps them in p and
+    extra['lambda_tdot']); u = y1/y2.
     """
-    y2 = state.extra.get("lambda_tdot", 0.0)
     if y2 <= 0.0:
         raise DegenerateMultiplierError(f"lambda*tdot = {y2:.6g} <= 0")
-    u = state.p / y2
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, state.r, state.t)
+    u = y1 / y2
+    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
     return qe + mag, qe.dot(u), u
 
 
@@ -236,27 +241,56 @@ def constrained_rest_mass(state: ParticleState) -> float:
     return y2 * proper_time_factor(state.u)
 
 
-def vacuum_free_rhs(state: ParticleState, model: ForceModel):
-    """(dp/dt, dr/dt): dp/dt = -grad(wbar), u = p/(-wbar)."""
-    wbar = model.field.wbar(state.r, state.t)
-    u = vacuum_velocity(wbar, state.p)
-    return -model.field.grad_wbar(state.r, state.t), u
+def vacuum_free_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+    """(dp/dt, u): dp/dt = -grad(wbar), u = p/(-wbar)."""
+    u = vacuum_velocity(model.field.wbar(r, t), p)
+    return -model.field.grad_wbar(r, t), u
 
 
-def vacuum_lorentz_rhs(state: ParticleState, model: ForceModel):
-    """(dp/dt, dr/dt) for the Lorentz-type force without the extra gradient term."""
-    wbar = model.field.wbar(state.r, state.t)
-    u = vacuum_velocity(wbar, state.p)
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, state.r, state.t)
+def vacuum_lorentz_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+    """(dp/dt, u) for the Lorentz-type force without the extra gradient term."""
+    u = vacuum_velocity(model.field.wbar(r, t), p)
+    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
     return qe + mag, u
 
 
-def interacting_rhs(state: ParticleState, model: ForceModel):
-    """(dp/dt, dr/dt) with the full force qE + q u x B - q grad<u,A>."""
-    wbar = model.field.wbar(state.r, state.t)
-    u = vacuum_velocity(wbar, state.p)
-    qe, mag, fc = _q_em_terms(model.field, model.charge, u, state.r, state.t)
+def interacting_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+    """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>."""
+    u = vacuum_velocity(model.field.wbar(r, t), p)
+    qe, mag, fc = _q_em_terms(model.field, model.charge, u, r, t)
     return qe + mag + fc, u
+
+
+# --- audited invariants -------------------------------------------------------
+
+# name -> fn(state, model) per model kind; integrate_particle audits every
+# entry, and the run CSV's energy column is the 'energy' entry ('rest_mass'
+# for the constrained model).
+INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
+    ModelKind.CLASSICAL: {
+        "energy": lambda s, m: math.sqrt(m.rest_mass**2 + s.p.norm2())
+        + m.field.wbar(s.r, s.t),
+    },
+    ModelKind.CONSTRAINED: {
+        "rest_mass": lambda s, m: constrained_rest_mass(s),
+    },
+    ModelKind.VACUUM_FREE: {
+        "hamiltonian": lambda s, m: vacuum_free_hamiltonian(m.field.wbar(s.r, s.t), s.p),
+        "energy": lambda s, m: total_energy(m.field.wbar(s.r, s.t), s.p),
+        "rest_mass": lambda s, m: -m.field.wbar(s.r, s.t) * proper_time_factor(s.u),
+    },
+    ModelKind.VACUUM_INTERACTING: {
+        "hamiltonian": lambda s, m: interacting_hamiltonian(
+            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
+        ),
+        "energy": lambda s, m: interacting_energy(
+            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
+        ),
+        "relative_invariant": lambda s, m: relative_invariant(
+            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
+        ),
+    },
+}
 
 
 # --- state constructors ------------------------------------------------------
@@ -300,7 +334,7 @@ class TwoParticleScenario:
         if self.u_f.norm2() >= 1.0:
             raise SuperluminalVelocityError("|u_f| must be < 1")
 
-    def source_spec(self, q: Optional[float] = None) -> SourceSpec:
+    def source_spec(self) -> SourceSpec:
         kind = (
             SourceKind.COULOMB_COMOVING
             if self.u_f.norm2() > 0

@@ -32,6 +32,7 @@ from .geometry import Vec3, ZERO3
 from .tolerances import DEFAULT_SOFTENING, SINGULAR_GUARD
 
 FOUR_PI = 4.0 * math.pi
+_ON_SOURCE = "unsoftened point source evaluated at its own position (t={t:.9g})"
 
 
 class SourceKind(Enum):
@@ -216,12 +217,18 @@ class CoulombField(PotentialField):
 
     def wbar(self, r, t):
         d2 = self._displacement(r, t).norm2()
-        return self.background - self.k / (FOUR_PI * math.sqrt(d2 + self.eps2))
+        try:
+            return self.background - self.k / (FOUR_PI * math.sqrt(d2 + self.eps2))
+        except ZeroDivisionError:
+            raise SingularPointError(_ON_SOURCE.format(t=t)) from None
 
     def grad_wbar(self, r, t):
         d = self._displacement(r, t)
         s = (d.norm2() + self.eps2) ** 1.5
-        return d * (self.k / (FOUR_PI * s))
+        try:
+            return d * (self.k / (FOUR_PI * s))
+        except ZeroDivisionError:
+            raise SingularPointError(_ON_SOURCE.format(t=t)) from None
 
     def dwbar_dt(self, r, t):
         return -self.grad_wbar(r, t).dot(self.u_f)

@@ -19,7 +19,6 @@ from vacuumlab.integrate import (
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
-    ParticleState,
     interaction_extra_force,
     make_classical_state,
     make_constrained_state,
@@ -126,8 +125,7 @@ def _integrate_lorentz(field, q, r0, u0, step, n):
     r, p, t = state.r, state.p, 0.0
 
     def rhs(rr, pp, tt):
-        st = ParticleState(0.0, tt, rr, pp / (-field.wbar(rr, tt)), pp)
-        dp, dr = vacuum_lorentz_rhs(st, model)
+        dp, dr = vacuum_lorentz_rhs(model, rr, pp, tt)
         return dr, dp
 
     for _ in range(n):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -140,6 +141,14 @@ def test_compare_zero_gap_for_matched_uniform_field(tmp_path):
             assert abs(float(fc)) < 1e-15
 
 
+def test_compare_rejects_three_configs(tmp_path, capsys):
+    pair = [scenario("compare_uniform_field.yaml"), scenario("compare_classical_uniform.yaml")]
+    rc = cli.main(["compare", *pair, pair[0], "--out", str(tmp_path), "--quiet"])
+    assert rc == 1
+    assert "exactly two" in capsys.readouterr().err
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_compare_rejects_mismatched_initials(tmp_path):
     cfg_a = cli.parse_config(scenario("compare_uniform_field.yaml"))
     data = yaml.safe_load(open(scenario("compare_classical_uniform.yaml")))
@@ -250,3 +259,58 @@ def test_compare_nonuniform_vecpot_fc_column(tmp_path):
     jac = model.field.grad_vecpot(s.r, s.t)
     expected = np.linalg.norm(model.charge * (jac.T @ np.array(list(s.u))))
     assert fc_vals[100] == pytest.approx(expected, rel=1e-12)
+
+
+def _always_reject(f, x, y, h, rel_tol, abs_tol):
+    return False, y, 10.0
+
+
+@pytest.mark.parametrize(
+    "edit, code, message",
+    [
+        (
+            lambda d: d.update(field={"kind": "coulomb-static", "softening": 0.0,
+                                      "background": -1.0}),
+            2,
+            "point source",
+        ),
+        (lambda d: d.update(field={"kind": "linear", "w0": math.nan}), 1, "field.w0"),
+        (lambda d: d["integration"].update(step=math.inf), 1, "integration.step"),
+        (lambda d: d.update(kind="string", grid={"n": "abc"}), 1, "grid.n"),
+        (lambda d: d["integration"].update(method="rk45"), 3, "step collapsed"),
+    ],
+    ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse"],
+)
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
+    import vacuumlab.integrate as integ
+
+    # only the rk45 case reaches the adaptive stepper, which then never accepts
+    monkeypatch.setattr(integ, "rkf45_step", _always_reject)
+    data = minimal_particle(str(tmp_path / "out"))
+    edit(data)
+    assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "name, invariant",
+    [
+        ("classical_gyro", "energy"),
+        ("constrained_uniform_e", "rest_mass"),
+        ("vacuum_free_coulomb", "energy"),
+        ("vacuum_interacting_codrift", "energy"),
+    ],
+)
+def test_csv_energy_is_the_audited_invariant(tmp_path, name, invariant):
+    rc = cli.main(["run", scenario(f"{name}.yaml"), "--out", str(tmp_path), "--steps", "20",
+                   "--quiet"])
+    assert rc == 0
+    stem = name.replace("_", "-")
+    with open(tmp_path / f"{stem}.csv") as fh:
+        fh.readline()
+        row0 = fh.readline().strip().split(",")
+    manifest = json.load(open(tmp_path / f"{stem}.manifest.json"))
+    assert float(row0[-1]) == manifest["conservation"][invariant]["initial"]

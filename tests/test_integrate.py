@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vacuumlab.errors import ConvergenceError, ValidationError
+from vacuumlab.errors import ConvergenceError, DegenerateMultiplierError, ValidationError
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import (
     IntegrationParams,
@@ -268,3 +268,12 @@ def test_step_failure_when_no_step_is_accepted(monkeypatch):
                 step=period / 20, n_steps=20, method="rk45", audit_every=5
             ),
         )
+
+
+def test_degenerate_multiplier_raised_by_the_integrated_law():
+    field = UniformField(-1.0)
+    model = ForceModel(ModelKind.CONSTRAINED, field, charge=1.0, rest_mass=1.0)
+    state = make_constrained_state(ZERO3, Vec3(0.4, 0, 0), 1.0)
+    state.extra["lambda_tdot"] = 0.0
+    with pytest.raises(DegenerateMultiplierError, match=r"\[t=0\]"):
+        integrate_particle(model, state, IntegrationParams(step=1e-3, n_steps=5))

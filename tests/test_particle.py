@@ -101,7 +101,7 @@ def test_classical_rhs_free_flight_and_push():
     field = UniformField(-1.0)
     model = ForceModel(ModelKind.CLASSICAL, field, charge=1.0, rest_mass=1.0)
     state = make_classical_state(Vec3(0, 0, 0), Vec3(0.3, 0.1, 0), 1.0)
-    dp, dr = classical_rhs(state, model)
+    dp, dr = classical_rhs(model, state.r, state.p, state.t)
     assert dp.norm() < 1e-15
     assert (dr - state.u).norm() < 1e-15
 
@@ -110,7 +110,7 @@ def test_classical_rhs_free_flight_and_push():
     lin = LinearField(-1.0, Vec3(-q * e0, 0, 0))
     model_e = ForceModel(ModelKind.CLASSICAL, lin, charge=q, rest_mass=1.0)
     rest = make_classical_state(Vec3(0, 0, 0), ZERO3, 1.0)
-    dp, _ = classical_rhs(rest, model_e)
+    dp, _ = classical_rhs(model_e, rest.r, rest.p, rest.t)
     assert (dp - Vec3(q * e0, 0, 0)).norm() < 1e-14
 
 
@@ -118,12 +118,12 @@ def test_constrained_rhs_free_and_invariant():
     field = UniformField(-1.0)
     model = ForceModel(ModelKind.CONSTRAINED, field, charge=1.0, rest_mass=1.0)
     state = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
-    d1, d2, dr = constrained_rhs(state, model)
+    d1, d2, dr = constrained_rhs(model, state.r, state.p, state.extra["lambda_tdot"], state.t)
     assert d1.norm() < 1e-15 and abs(d2) < 1e-15
     bad = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
     bad.extra["lambda_tdot"] = 0.0
     with pytest.raises(DegenerateMultiplierError):
-        constrained_rhs(bad, model)
+        constrained_rhs(model, bad.r, bad.p, bad.extra["lambda_tdot"], bad.t)
 
 
 def test_constrained_invariant_along_uniform_e_trajectory():
@@ -140,7 +140,7 @@ def test_vacuum_free_rhs_uniform_is_free_flight():
     field = UniformField(-1.5)
     model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0, 0, 0), Vec3(0.2, 0.1, -0.3))
-    dp, dr = vacuum_free_rhs(state, model)
+    dp, dr = vacuum_free_rhs(model, state.r, state.p, state.t)
     assert dp.norm() < 1e-15
     assert (dr - state.u).norm() < 1e-15
 
@@ -175,8 +175,8 @@ def test_interacting_rhs_uniform_a_reduces_to_lorentz_form():
     field = uniform_a_field(Vec3(0.1, -0.2, 0.3))
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0, u_f=ZERO3)
     state = make_vacuum_state(field, Vec3(0.6, 0.2, 0), Vec3(0.1, 0.2, -0.1))
-    dp_full, dr_full = interacting_rhs(state, model)
-    dp_lor, dr_lor = vacuum_lorentz_rhs(state, model)
+    dp_full, dr_full = interacting_rhs(model, state.r, state.p, state.t)
+    dp_lor, dr_lor = vacuum_lorentz_rhs(model, state.r, state.p, state.t)
     assert (dp_full - dp_lor).norm() < 1e-15
     assert (dr_full - dr_lor).norm() < 1e-15
     fc = interaction_extra_force(1.0, state.u, field, state.r, state.t)
@@ -194,7 +194,7 @@ def test_interacting_rhs_at_rest_is_electric_push():
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.3, 0), ZERO3)
-    dp, dr = interacting_rhs(state, model)
+    dp, dr = interacting_rhs(model, state.r, state.p, state.t)
     g = field.grad_wbar(state.r, state.t)
     qe = -1.0 * g - 1.0 * field.dvecpot_dt(state.r, state.t)
     assert (dp - qe).norm() < 1e-14
