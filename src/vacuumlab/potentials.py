@@ -92,7 +92,9 @@ class PotentialField:
 
     grad_vecpot returns the 3x3 Jacobian J[i, j] = dA_i / dr_j.
     Subclasses overriding the *_many methods get vectorized evaluation in
-    string/conformal code; the defaults loop.
+    string, conformal and least-action code; the defaults loop.  The
+    least-action oracle needs wbar_many and vecpot_many to repeat the
+    scalar forms' arithmetic exactly, so overrides keep their order.
     """
 
     def wbar(self, r: Vec3, t: float) -> float:
@@ -147,6 +149,11 @@ class PotentialField:
             [self.dwbar_dt(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
         )
 
+    def vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
+        )
+
 
 class UniformField(PotentialField):
     """Constant wbar, zero gradients, zero vector potential."""
@@ -186,6 +193,9 @@ class UniformField(PotentialField):
 
     def dwbar_dt_many(self, points, times):
         return np.zeros(len(points))
+
+    def vecpot_many(self, points, times):
+        return np.zeros((len(points), 3))
 
 
 class CoulombField(PotentialField):
@@ -274,9 +284,14 @@ class CoulombField(PotentialField):
         return self._displacement(r, t).norm()
 
     def wbar_many(self, points, times):
+        # (dx*dx + dy*dy) + dz*dz, the order of the scalar norm2
         d = points - self._source_positions(times)
-        d2 = np.einsum("ij,ij->i", d, d)
-        return self.background - self.k / (FOUR_PI * np.sqrt(d2 + self.eps2))
+        d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
+        root = np.sqrt(d2 + self.eps2)
+        if self.eps2 == 0.0 and not np.all(root):
+            t = float(np.asarray(times, dtype=float)[np.argmin(root)])
+            raise SingularPointError(_ON_SOURCE.format(t=t))
+        return self.background - self.k / (FOUR_PI * root)
 
     def grad_wbar_many(self, points, times):
         d = points - self._source_positions(times)
@@ -286,6 +301,11 @@ class CoulombField(PotentialField):
 
     def dwbar_dt_many(self, points, times):
         return -self.grad_wbar_many(points, times) @ self.u_f.as_array()
+
+    def vecpot_many(self, points, times):
+        if self.u_f.norm2() == 0.0:
+            return np.zeros((len(points), 3))
+        return (self.wbar_many(points, times) / self.q)[:, None] * self.u_f.as_array()
 
     def _source_positions(self, times):
         return self.r_f0.as_array()[None, :] + np.outer(
@@ -325,13 +345,18 @@ class LinearField(PotentialField):
         return 0.0
 
     def wbar_many(self, points, times):
-        return self.w0 + points @ self.gradient.as_array()
+        # w0 + ((gx*x + gy*y) + gz*z), the order of the scalar dot
+        gx, gy, gz = self.gradient
+        return self.w0 + ((points[:, 0] * gx + points[:, 1] * gy) + points[:, 2] * gz)
 
     def grad_wbar_many(self, points, times):
         return np.tile(self.gradient.as_array(), (len(points), 1))
 
     def dwbar_dt_many(self, points, times):
         return np.zeros(len(points))
+
+    def vecpot_many(self, points, times):
+        return np.zeros((len(points), 3))
 
 
 class UniformMagneticField(PotentialField):
@@ -365,6 +390,18 @@ class UniformMagneticField(PotentialField):
 
     def wbar_tt(self, r, t):
         return 0.0
+
+    def wbar_many(self, points, times):
+        return np.full(len(points), self.wbar0)
+
+    def vecpot_many(self, points, times):
+        # (b x r) * 0.5 component by component, as the scalar cross
+        bx, by, bz = self.b
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
+        return np.stack(
+            [(by * z - bz * y) * 0.5, (bz * x - bx * z) * 0.5, (bx * y - by * x) * 0.5],
+            axis=1,
+        )
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -239,6 +241,18 @@ def test_usage_error_exit_code_for_bad_flags():
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--no-such-flag"])
     assert err.value.code == 1
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "vacuumlab", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: vacuumlab" in proc.stdout
 
 
 def test_compare_nonuniform_vecpot_fc_column(tmp_path):

@@ -219,6 +219,34 @@ def test_vectorized_eval_matches_scalar():
         assert np.allclose(g[i], field.grad_wbar(r, times[i]).as_array(), rtol=1e-14)
         assert wt[i] == pytest.approx(field.dwbar_dt(r, times[i]), rel=1e-14, abs=1e-16)
 
+    # wbar_many and vecpot_many repeat the scalar arithmetic bit for bit,
+    # which the least-action oracle's array densities rely on
+    fields = [
+        field,
+        UniformField(-1.5),
+        coulomb(eps=0.05, background=-1.0),
+        coulomb(strength=1.3, q=0.8, eps=0.05, u_f=Vec3(0.1, 0.0, 0.15), background=-1.0),
+        LinearField(-2.0, Vec3(0.3, -0.1, 0.2)),
+        UniformMagneticField(Vec3(0.1, 0.2, 0.9), -1.0),
+        CallableField(vecpot_fn=lambda r, t: Vec3(r.y * t, -r.x, 0.5)),
+    ]
+    pts = rng.uniform(-1.5, 1.5, size=(500, 3))
+    times = rng.uniform(-1.0, 2.0, size=500)
+    for f in fields:
+        w_scalar = [f.wbar(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        a_scalar = [f.vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        assert np.array_equal(f.wbar_many(pts, times), np.array(w_scalar))
+        assert np.array_equal(f.vecpot_many(pts, times), np.array(a_scalar))
+
+
+def test_vectorized_wbar_on_unsoftened_source_raises():
+    f = coulomb(u_f=Vec3(0.2, 0.0, 0.0))
+    pts = np.array([[1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
+    with pytest.raises(SingularPointError):
+        f.wbar(Vec3(0.4, 0.0, 0.0), 2.0)
+    with pytest.raises(SingularPointError, match="t=2"):
+        f.wbar_many(pts, np.array([0.0, 2.0]))
+
 
 def test_wbar_negative_on_domain():
     f = coulomb(eps=0.05, background=-1.0)

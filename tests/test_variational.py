@@ -5,13 +5,15 @@ import pytest
 
 from vacuumlab.errors import ActionDomainError, DegenerateLagrangianError
 from vacuumlab.geometry import Vec3, ZERO3
-from vacuumlab.integrate import IntegrationParams, integrate_particle
+from vacuumlab.integrate import IntegrationParams, integrate_particle, integrate_string
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
+    make_classical_state,
     make_constrained_state,
     make_vacuum_state,
 )
+from vacuumlab.tolerances import FD_RELATIVE_STEP
 from vacuumlab.potentials import (
     LinearField,
     SourceKind,
@@ -20,11 +22,13 @@ from vacuumlab.potentials import (
     UniformMagneticField,
     build_potential,
 )
+from vacuumlab.strings import StringGrid, plucked_string
 from vacuumlab.variational import (
     DiscretePath,
     LagrangianKind,
     LagrangianSpec,
     StringWorldPath,
+    _sheet_cell_lagrangian,
     discrete_action,
     euler_lagrange_residual,
     legendre_transform_check,
@@ -110,6 +114,23 @@ def test_action_domain_error():
     path = straight_path(v=Vec3(1.2, 0, 0))  # superluminal classical path
     with pytest.raises(ActionDomainError):
         discrete_action(spec, path)
+    with pytest.raises(ActionDomainError):
+        euler_lagrange_residual(spec, path)
+    with pytest.raises(ActionDomainError):
+        _loop_el_residual(spec, path)
+
+    # constrained path whose cell 19 is spacelike: |dr/ds| = 2.5 > dt/ds = 1
+    con = LagrangianSpec(LagrangianKind.CONSTRAINED_POINT, UniformField(-1.0), m0=1.0)
+    s = np.linspace(0.0, 1.0, 41)
+    r = np.stack([0.5 * s, np.zeros_like(s), np.zeros_like(s)], axis=1)
+    r[20, 0] += 0.05
+    path = DiscretePath(s=s, r=r, t=s.copy(), lam=np.ones_like(s))
+    with pytest.raises(ActionDomainError):
+        discrete_action(con, path)
+    with pytest.raises(ActionDomainError):
+        euler_lagrange_residual(con, path)
+    with pytest.raises(ActionDomainError):
+        _loop_el_residual(con, path)
 
 
 def test_legendre_vacuum_free_matches_hamiltonian():
@@ -272,3 +293,223 @@ def test_action_stationarity_under_random_perturbations():
         # quadratic scaling: halving the amplitude quarters the action change
         assert deltas[0] / deltas[1] == pytest.approx(4.0, rel=0.25)
         assert deltas[1] < 1e-2 * 1e-2 * 50.0
+
+
+# --- reference loop oracle -------------------------------------------------------
+#
+# The node-by-node oracle with its own scalar Lagrangian densities.  The
+# library evaluates the same discrete Lagrangians colour by colour on
+# arrays in the same operation order, so the two must agree bit for bit.
+
+
+def _ref_density(spec, r, v, t, tdot, lam):
+    f = spec.field
+    kind = spec.kind
+    if kind is LagrangianKind.CLASSICAL_POINT:
+        u2 = v.norm2()
+        if u2 >= 1.0:
+            raise ActionDomainError(f"|u|^2 = {u2:.6g} >= 1 on a classical path")
+        qa = spec.charge * f.vecpot(r, t)
+        return -spec.m0 * math.sqrt(1.0 - u2) - f.wbar(r, t) + qa.dot(v)
+    if kind is LagrangianKind.CONSTRAINED_POINT:
+        mink = tdot * tdot - v.norm2()
+        if mink <= 0.0:
+            raise ActionDomainError("constrained path has <xdot,xdot> <= 0")
+        qa = spec.charge * f.vecpot(r, t)
+        return -spec.m0 - (f.wbar(r, t) * tdot - qa.dot(v)) - lam * (math.sqrt(mink) - 1.0)
+    if kind is LagrangianKind.REST_FRAME_POINT:
+        qa = spec.charge * f.vecpot(r, t)
+        return -f.wbar(r, t) * math.sqrt(1.0 + v.norm2()) + qa.dot(v)
+    if kind is LagrangianKind.VACUUM_FREE_POINT:
+        return -f.wbar(r, t) * math.sqrt(1.0 + v.norm2())
+    rel = v - spec.u_f * tdot
+    return -f.wbar(r, t) * math.sqrt(1.0 + rel.norm2())
+
+
+def _loop_cell_action(spec, r, t, lam, ds, cells):
+    total = 0.0
+    for c in cells:
+        v = Vec3(*((r[c + 1] - r[c]) / ds))
+        tdot = (t[c + 1] - t[c]) / ds
+        total += 0.5 * ds * (
+            _ref_density(spec, Vec3(*r[c]), v, float(t[c]), tdot, float(lam[c]))
+            + _ref_density(spec, Vec3(*r[c + 1]), v, float(t[c + 1]), tdot, float(lam[c + 1]))
+        )
+    return total
+
+
+def _loop_channels(spec, path):
+    t = path.s if spec.kind is LagrangianKind.CLASSICAL_POINT else path.t
+    lam = path.lam if path.lam is not None else np.zeros(path.m)
+    return t, lam
+
+
+def _loop_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
+    m, ds = path.m, path.ds
+    t, lam = _loop_channels(spec, path)
+    hp = rel_step * max(1.0, float(np.max(np.abs(path.r))))
+    r_work = path.r.copy()
+    residuals = np.zeros((m - 2, 3))
+    for j in range(1, m - 1):
+        for k in range(3):
+            orig = r_work[j, k]
+            r_work[j, k] = orig + hp
+            s_plus = _loop_cell_action(spec, r_work, t, lam, ds, (j - 1, j))
+            r_work[j, k] = orig - hp
+            s_minus = _loop_cell_action(spec, r_work, t, lam, ds, (j - 1, j))
+            r_work[j, k] = orig
+            residuals[j - 1, k] = (s_plus - s_minus) / (2.0 * hp) / ds
+    return residuals
+
+
+def _loop_sheet_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
+    nt, ns = path.tau.size, path.sigma.size
+    d_tau, d_sigma = path.d_tau, path.d_sigma
+    hp = rel_step * max(1.0, float(np.max(np.abs(path.r))))
+    work = path.r.copy()
+
+    def cells_sum(k, j):
+        block = work[k - 1 : k + 2, j - 1 : j + 2]
+        lag = _sheet_cell_lagrangian(spec, block, d_tau, d_sigma)
+        return float(np.sum(lag)) * d_tau * d_sigma
+
+    out = np.zeros((nt - 2, ns - 2, 3))
+    for k in range(1, nt - 1):
+        for j in range(1, ns - 1):
+            for c in range(3):
+                orig = work[k, j, c]
+                work[k, j, c] = orig + hp
+                sp = cells_sum(k, j)
+                work[k, j, c] = orig - hp
+                sm = cells_sum(k, j)
+                work[k, j, c] = orig
+                out[k - 1, j - 1, c] = (sp - sm) / (2.0 * hp) / (d_tau * d_sigma)
+    return out
+
+
+def _loop_resample(tau_s, values, grid):
+    out = np.empty((grid.size,) + values.shape[1:])
+    for i, target in enumerate(grid):
+        idx = int(np.searchsorted(tau_s, target))
+        i0 = min(max(idx - 2, 0), len(tau_s) - 4)
+        xs = tau_s[i0 : i0 + 4]
+        acc = np.zeros(values.shape[1:]) if values.ndim > 1 else 0.0
+        for a in range(4):
+            wgt = 1.0
+            for b in range(4):
+                if a != b:
+                    wgt *= (target - xs[b]) / (xs[a] - xs[b])
+            acc = acc + wgt * values[i0 + a]
+        out[i] = acc
+    return out
+
+
+def _soft_coulomb(u_f=ZERO3):
+    kind = SourceKind.COULOMB_COMOVING if u_f.norm2() > 0 else SourceKind.COULOMB_STATIC
+    return build_potential(SourceSpec(kind, 1.0, u_f=u_f, softening=0.05, background=-1.0), 1.0)
+
+
+def _gyro_case():
+    field = UniformMagneticField(Vec3(0, 0, 1.0), 0.0)
+    model = ForceModel(ModelKind.CLASSICAL, field, charge=1.0, rest_mass=1.0)
+    period = 2.0 * math.pi / math.sqrt(1.0 - 0.36)
+    traj = integrate_particle(
+        model,
+        make_classical_state(ZERO3, Vec3(0.6, 0, 0), 1.0),
+        IntegrationParams(step=period / 1024, n_steps=1024, audit_every=1024),
+    )
+    spec = LagrangianSpec(LagrangianKind.CLASSICAL_POINT, field, m0=1.0, charge=1.0)
+    return spec, path_from_trajectory(traj, stride=4)
+
+
+def _constrained_case():
+    lin = LinearField(-2.0, Vec3(-0.5, 0, 0))
+    model = ForceModel(ModelKind.CONSTRAINED, lin, charge=1.0, rest_mass=1.0)
+    traj = integrate_particle(
+        model,
+        make_constrained_state(ZERO3, Vec3(0.1, 0.3, 0), 1.0),
+        IntegrationParams(step=5e-4, n_steps=2000, audit_every=2000),
+    )
+    path = uniform_proper_path(traj, 160)
+    # the resample itself matches the per-target loop
+    samples = traj.samples
+    tau_s = np.array([smp.tau for smp in samples])
+    r_s = np.array([list(smp.r) for smp in samples])
+    t_s = np.array([smp.t for smp in samples])
+    lam_s = np.array(
+        [smp.extra["lambda_tdot"] * math.sqrt(1.0 - smp.u.norm2()) for smp in samples]
+    )
+    assert np.array_equal(path.r, _loop_resample(tau_s, r_s, path.s))
+    assert np.array_equal(path.t, _loop_resample(tau_s, t_s, path.s))
+    assert np.array_equal(path.lam, _loop_resample(tau_s, lam_s, path.s))
+    return LagrangianSpec(LagrangianKind.CONSTRAINED_POINT, lin, m0=1.0, charge=1.0), path
+
+
+def _orbit(field, model_kind, u0, time_axis="lab"):
+    model = ForceModel(model_kind, field, charge=1.0)
+    traj = integrate_particle(
+        model,
+        make_vacuum_state(field, Vec3(0.5, 0, 0), u0),
+        IntegrationParams(step=2.5e-4, n_steps=2000, audit_every=2000, time_axis=time_axis),
+    )
+    return path_from_trajectory(traj, stride=16)
+
+
+def _rest_frame_case():
+    u_f = Vec3(0.1, 0.0, 0.15)
+    field = _soft_coulomb(u_f)
+    path = _orbit(field, ModelKind.VACUUM_INTERACTING, Vec3(0.05, 0.37, 0.1), "proper")
+    return LagrangianSpec(LagrangianKind.REST_FRAME_POINT, field, charge=0.7), path
+
+
+def _vacuum_free_case():
+    field = _soft_coulomb()
+    path = _orbit(field, ModelKind.VACUUM_FREE, Vec3(0, 0.37, 0))
+    return LagrangianSpec(LagrangianKind.VACUUM_FREE_POINT, field), path
+
+
+def _interacting_case():
+    u_f = Vec3(0.1, 0.0, 0.15)
+    field = _soft_coulomb(u_f)
+    path = _orbit(field, ModelKind.VACUUM_INTERACTING, Vec3(0.05, 0.37, 0.1), "proper")
+    spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field, u_f=u_f)
+    return spec, path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_gyro_case, _constrained_case, _rest_frame_case, _vacuum_free_case, _interacting_case],
+    ids=[
+        "classical-gyro", "constrained-resampled", "rest-frame-comoving", "vacuum-free",
+        "interacting",
+    ],
+)
+def test_colour_batched_oracle_matches_node_loop(case):
+    spec, path = case()
+    res = euler_lagrange_residual(spec, path)
+    assert res.shape == (path.m - 2, 3)
+    assert np.array_equal(res, _loop_el_residual(spec, path))
+    t, lam = _loop_channels(spec, path)
+    loop_action = _loop_cell_action(spec, path.r, t, lam, path.ds, range(path.m - 1))
+    assert discrete_action(spec, path) == loop_action
+
+
+def test_colour_batched_sheet_oracle_matches_node_loop():
+    n = 33
+    grid = StringGrid.uniform(0.0, 1.0, n)
+    field = UniformField(-1.0)
+    state = plucked_string(grid, ZERO3, Vec3(1, 0, 0), 0.01, 0.18)
+    traj = integrate_string(
+        state, field, IntegrationParams(step=2.5e-4, n_steps=64, audit_every=64)
+    )
+    samples = traj.samples[::2]
+    sheet = StringWorldPath(
+        tau=np.array([s.tau for s in samples]),
+        sigma=grid.sigma,
+        r=np.array([s.r for s in samples]),
+    )
+    for fld in (field, LinearField(-2.0, Vec3(0.3, -0.2, 0.1))):
+        spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, fld)
+        assert np.array_equal(
+            euler_lagrange_residual(spec, sheet), _loop_sheet_el_residual(spec, sheet)
+        )
