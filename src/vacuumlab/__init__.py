@@ -69,7 +69,7 @@ from .particle import (  # noqa: F401
     rest_mass_limit_check,
     total_energy,
     vacuum_free_hamiltonian,
-    vacuum_free_rhs,
+    vacuum_rhs,
     vacuum_momentum,
 )
 from .integrate import (  # noqa: F401

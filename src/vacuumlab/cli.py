@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -526,15 +526,7 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
 
     trajectories = []
     for cfg, model, state, params in built:
-        params = IntegrationParams(
-            step=params.step,
-            n_steps=params.n_steps,
-            method=params.method,
-            rel_tol=params.rel_tol,
-            abs_tol=params.abs_tol,
-            audit_every=params.audit_every,
-            time_axis="lab",
-        )
+        params = replace(params, time_axis="lab")
         trajectories.append((model, integrate_particle(model, state, params)))
 
     (ref_model, ref_traj), (_, other_traj) = trajectories
@@ -580,7 +572,8 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     if config.kind != "particle":
         raise ValidationError("audit supports particle scenarios only")
     model, state, params = build_particle_model(config)
-    traj = integrate_particle(model, state, params)
+    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
+    traj = integrate_particle(model, state, replace(params, time_axis="auto"))
     if model.kind is ModelKind.CONSTRAINED:
         path = uniform_proper_path(traj, nodes or min(400, params.n_steps))
     else:

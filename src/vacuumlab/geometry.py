@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SuperluminalVelocityError, ZeroDirectionError
-from .tolerances import ALGEBRAIC_TOL
 
 
 class Vec3(NamedTuple):
@@ -66,11 +65,6 @@ class Vec3(NamedTuple):
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
-    @staticmethod
-    def from_iterable(values) -> "Vec3":
-        a, b, c = values
-        return Vec3(float(a), float(b), float(c))
 
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
@@ -121,11 +115,6 @@ def lab_velocity(rdot: Vec3) -> Vec3:
     return rdot / lab_time_factor(rdot)
 
 
-def proper_velocity(u: Vec3) -> Vec3:
-    """Map lab velocity dr/dt to proper-time velocity dr/dtau."""
-    return u / proper_time_factor(u)
-
-
 class Projector3:
     """Symmetric idempotent rank-2 operator removing the component along one direction."""
 
@@ -137,11 +126,6 @@ class Projector3:
     def apply(self, v: Vec3) -> Vec3:
         w = self.m @ v.as_array()
         return Vec3(w[0], w[1], w[2])
-
-    def is_projector(self, tol: float = ALGEBRAIC_TOL) -> bool:
-        sym = np.max(np.abs(self.m - self.m.T)) <= tol
-        idem = np.max(np.abs(self.m @ self.m - self.m)) <= tol
-        return bool(sym and idem)
 
     def trace(self) -> float:
         return float(np.trace(self.m))

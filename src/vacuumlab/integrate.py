@@ -9,8 +9,10 @@ audit rather than enforced by construction.
 Every integration is sequential and deterministic: fixed evaluation
 order, no parallel reductions, bit-identical reruns for identical
 inputs.  Both clocks are always co-integrated: a lab-time run
-accumulates tau through dtau = dt (1-u^2)^(1/2) and a proper-time run
-accumulates t through dt = dtau (1+rdot^2)^(1/2).
+accumulates tau through dtau = dt (1-u^2)^(1/2), and a proper-time run
+of a vacuum model steps the same law on the source frame's proper time
+x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
+dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     StepFailureError,
     ValidationError,
 )
-from .geometry import Vec3, proper_time_factor
+from .geometry import Vec3, ZERO3, proper_time_factor
 from .particle import (
     INVARIANTS,
     ForceModel,
@@ -37,11 +39,8 @@ from .particle import (
     classical_rhs,
     classical_velocity,
     constrained_rhs,
-    interacting_rhs,
     qa_vector,
-    relative_invariant,
-    total_energy,
-    vacuum_free_rhs,
+    vacuum_rhs,
     vacuum_velocity,
 )
 
@@ -218,51 +217,37 @@ def _axis_for(model: ForceModel, params: IntegrationParams) -> str:
 
 
 def _pack(model: ForceModel, state: ParticleState, axis: str):
+    # (r, P, [t,] tau) with P = p + qA for the interacting model, else p
     r, p = state.r, state.p
     if model.kind is ModelKind.CONSTRAINED:
         return (*r, *p, state.extra["lambda_tdot"], state.tau)
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        p = p + qa_vector(model, r, state.t)
     if axis == "lab":
         return (*r, *p, state.tau)
-    if model.kind is ModelKind.VACUUM_FREE:
-        return (*r, *p, state.t)
-    # interacting, proper axis: advance P = p + qA, co-integrate t and particle tau
-    qa = qa_vector(model, r, state.t)
-    return (*r, *(p + qa), state.t, state.tau)
+    return (*r, *p, state.t, state.tau)
 
 
 def _unpack(model: ForceModel, y, x, axis: str) -> ParticleState:
     r = Vec3(y[0], y[1], y[2])
+    p = Vec3(y[3], y[4], y[5])
     if model.kind is ModelKind.CONSTRAINED:
-        p = Vec3(y[3], y[4], y[5])
         y2 = y[6]
-        u = p / y2
-        return ParticleState(y[7], x, r, u, p, {"lambda_tdot": y2, "m0": model.rest_mass})
-    if axis == "lab":
-        p = Vec3(y[3], y[4], y[5])
-        tau, t = y[6], x
-    elif model.kind is ModelKind.VACUUM_FREE:
-        p = Vec3(y[3], y[4], y[5])
-        tau, t = x, y[6]
-    else:
-        t, tau = y[6], y[7]
-        big_p = Vec3(y[3], y[4], y[5])
-        p = big_p - qa_vector(model, r, t)
-        u = vacuum_velocity(model.field.wbar(r, t), p)
-        return ParticleState(tau, t, r, u, p, {"tau_rel": x})
+        return ParticleState(y[7], x, r, p / y2, p, {"lambda_tdot": y2, "m0": model.rest_mass})
     if model.kind is ModelKind.CLASSICAL:
         u = classical_velocity(model.rest_mass, p)
-        extra = {"m0": model.rest_mass}
+        return ParticleState(y[6], x, r, u, p, {"m0": model.rest_mass})
+    if axis == "lab":
+        t, tau, extra = x, y[6], {}
     else:
-        u = vacuum_velocity(model.field.wbar(r, t), p)
-        extra = {}
-    return ParticleState(tau, t, r, u, p, extra)
+        t, tau, extra = y[6], y[7], {"tau_rel": x}
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        p = p - qa_vector(model, r, t)
+    return ParticleState(tau, t, r, vacuum_velocity(model.field.wbar(r, t), p), p, extra)
 
 
 def _flat_rhs(model: ForceModel, axis: str) -> Callable:
-    field = model.field
-    kind = model.kind
-
-    if kind is ModelKind.CONSTRAINED:
+    if model.kind is ModelKind.CONSTRAINED:
         law = constrained_rhs
 
         def rhs(t, y):
@@ -271,12 +256,9 @@ def _flat_rhs(model: ForceModel, axis: str) -> Callable:
 
         return rhs
 
+    law = classical_rhs if model.kind is ModelKind.CLASSICAL else vacuum_rhs
+
     if axis == "lab":
-        law = {
-            ModelKind.CLASSICAL: classical_rhs,
-            ModelKind.VACUUM_FREE: vacuum_free_rhs,
-            ModelKind.VACUUM_INTERACTING: interacting_rhs,
-        }[kind]
 
         def rhs(t, y):
             dp, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), t)
@@ -284,45 +266,22 @@ def _flat_rhs(model: ForceModel, axis: str) -> Callable:
 
         return rhs
 
-    # proper-time flows reparameterize the lab laws above in their own operation order
-    if kind is ModelKind.VACUUM_FREE:
+    # the same law on the source frame's proper time x: dt/dx = (1 - |u - u_f|^2)^(-1/2)
+    u_f = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
 
-        def rhs(tau, y):
-            r = Vec3(y[0], y[1], y[2])
-            p = Vec3(y[3], y[4], y[5])
-            t = y[6]
-            wbar = field.wbar(r, t)
-            energy = total_energy(wbar, p)
-            g = field.grad_wbar(r, t)
-            c = wbar / energy
-            return (
-                p.x / energy,
-                p.y / energy,
-                p.z / energy,
-                c * g.x,
-                c * g.y,
-                c * g.z,
-                -wbar / energy,
-            )
-
-        return rhs
-
-    u_f = model.source_velocity
-
-    def rhs(tau_rel, y):
-        # canonical relative flow: exact reparameterization of the lab force law
-        r = Vec3(y[0], y[1], y[2])
-        big_p = Vec3(y[3], y[4], y[5])
-        t = y[6]
-        wbar = field.wbar(r, t)
-        d = relative_invariant(wbar, big_p, Vec3(0.0, 0.0, 0.0))
-        beta = -wbar / d
-        dr = big_p / d + u_f * beta
-        g = field.grad_wbar(r, t)
-        c = wbar / d
-        u = (big_p - wbar * u_f) / (-wbar)  # p/(-wbar) with p = P - qA
-        dtau_particle = beta * proper_time_factor(u)
-        return (dr.x, dr.y, dr.z, c * g.x, c * g.y, c * g.z, beta, dtau_particle)
+    def rhs(x, y):
+        dp, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), y[6])
+        rate = 1.0 / proper_time_factor(u - u_f)
+        return (
+            u.x * rate,
+            u.y * rate,
+            u.z * rate,
+            dp.x * rate,
+            dp.y * rate,
+            dp.z * rate,
+            rate,
+            proper_time_factor(u) * rate,
+        )
 
     return rhs
 

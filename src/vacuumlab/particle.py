@@ -6,16 +6,22 @@ Four force models share one state type:
 * constrained   d(l u tdot)/dt = qE + q u x B,    d(l tdot)/dt = q<E,u>
                 (multiplier form; l tdot (1-u^2)^(1/2) is the rest mass)
 * vacuum-free   dp/dt = -grad(wbar),              p = -wbar u
-* interacting   dp/dt = qE + q u x B - q grad<u,A>,  p = -wbar u
+* interacting   d(p + qA)/dt = -grad(wbar),       p = -wbar u
 
-plus the Lorentz-type variant without the extra gradient force
-(`vacuum_lorentz_rhs`), kept for model comparison.  The `*_rhs` functions
-are the force laws `integrate_particle` steps in lab time: pure functions
-of (model, r, p, t) returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the
-constrained multiplier pair.  The electromagnetic terms are assembled as
-q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector potential
-scales like 1/q stay well defined for any nonzero charge.  `INVARIANTS`
-is the one table of audited quantities per model.
+The interacting law is the Euler-Lagrange equation in the canonical
+momentum P = p + qA.  Written for p it is the paper's Lorentz-type force
+qE + q u x B - q grad<u,A>, because that force equals -grad(wbar) - q dA/dt
+along the path; `interacting_rhs` keeps this form, and
+`vacuum_lorentz_rhs` the variant without the extra gradient force, for
+model comparison and as references.  The laws `integrate_particle` steps
+are `classical_rhs`, `constrained_rhs` and `vacuum_rhs` (both vacuum
+models, qA = 0 for vacuum-free): pure functions of (model, r, p, t)
+returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the constrained
+multiplier pair, with p the canonical momentum for `vacuum_rhs`.  The
+electromagnetic terms are assembled as q*E, u x (q*B) and -grad<u, q*A>
+so that fields whose vector potential scales like 1/q stay well defined
+for any nonzero charge.  `INVARIANTS` is the one table of audited
+quantities per model.
 
 The interacting Hamiltonian and energy implement the full expressions
 with the <p+qA, qA> cross term.  Note (verified analytically and
@@ -81,13 +87,12 @@ class ParticleState:
 
 @dataclass
 class ForceModel:
-    """Model kind, its field, charge and (where needed) rest mass and source motion."""
+    """Model kind, its field, charge and (where needed) rest mass."""
 
     kind: ModelKind
     field: PotentialField
     charge: float = 1.0
     rest_mass: Optional[float] = None
-    u_f: Optional[Vec3] = None
 
     def __post_init__(self):
         if self.kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED):
@@ -96,8 +101,7 @@ class ForceModel:
 
     @property
     def source_velocity(self) -> Vec3:
-        if self.u_f is not None:
-            return self.u_f
+        """Velocity of the field's source; zero for fields without one."""
         return getattr(self.field, "u_f", ZERO3)
 
 
@@ -212,7 +216,7 @@ def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
     return model.charge * model.field.vecpot(r, t)
 
 
-# --- right-hand sides (the laws integrate_particle steps in lab time) -------
+# --- right-hand sides ------------------------------------------------------------
 
 
 def classical_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
@@ -241,10 +245,15 @@ def constrained_rest_mass(state: ParticleState) -> float:
     return y2 * proper_time_factor(state.u)
 
 
-def vacuum_free_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
-    """(dp/dt, u): dp/dt = -grad(wbar), u = p/(-wbar)."""
-    u = vacuum_velocity(model.field.wbar(r, t), p)
-    return -model.field.grad_wbar(r, t), u
+def vacuum_rhs(model: ForceModel, r: Vec3, big_p: Vec3, t: float):
+    """(dP/dt, u) of both vacuum models in the canonical momentum P = p + qA.
+
+    dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for vacuum-free.
+    """
+    field = model.field
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        big_p = big_p - qa_vector(model, r, t)
+    return -field.grad_wbar(r, t), vacuum_velocity(field.wbar(r, t), big_p)
 
 
 def vacuum_lorentz_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
@@ -352,7 +361,7 @@ class TwoParticleScenario:
     def model(self, q: Optional[float] = None) -> ForceModel:
         charge = self.q if q is None else q
         fld = build_potential(self.source_spec(), charge)
-        return ForceModel(ModelKind.VACUUM_INTERACTING, fld, charge=charge, u_f=self.u_f)
+        return ForceModel(ModelKind.VACUUM_INTERACTING, fld, charge=charge)
 
     def initial_state(self, q: Optional[float] = None) -> ParticleState:
         charge = self.q if q is None else q

@@ -219,11 +219,10 @@ class CoulombField(PotentialField):
         self.r_f0 = spec.r_f0
         self.u_f = spec.u_f
 
-    def source_position(self, t: float) -> Vec3:
-        return self.r_f0 + self.u_f * t
-
     def _displacement(self, r: Vec3, t: float) -> Vec3:
-        return r - self.source_position(t)
+        # r - (r_f0 + u_f t), written out per component: one Vec3 instead of three
+        f, u = self.r_f0, self.u_f
+        return Vec3(r.x - (f.x + u.x * t), r.y - (f.y + u.y * t), r.z - (f.z + u.z * t))
 
     def wbar(self, r, t):
         d2 = self._displacement(r, t).norm2()
@@ -234,7 +233,8 @@ class CoulombField(PotentialField):
 
     def grad_wbar(self, r, t):
         d = self._displacement(r, t)
-        s = (d.norm2() + self.eps2) ** 1.5
+        d2e = d.norm2() + self.eps2
+        s = d2e * math.sqrt(d2e)  # not ** 1.5: NumPy's power rounds differently
         try:
             return d * (self.k / (FOUR_PI * s))
         except ZeroDivisionError:
@@ -294,13 +294,17 @@ class CoulombField(PotentialField):
         return self.background - self.k / (FOUR_PI * root)
 
     def grad_wbar_many(self, points, times):
+        # the scalar grad_wbar's operation order, element by element
         d = points - self._source_positions(times)
-        d2 = np.einsum("ij,ij->i", d, d)
-        s = (d2 + self.eps2) ** 1.5
+        d2e = ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]) + self.eps2
+        s = d2e * np.sqrt(d2e)
         return d * (self.k / (FOUR_PI * s))[:, None]
 
     def dwbar_dt_many(self, points, times):
-        return -self.grad_wbar_many(points, times) @ self.u_f.as_array()
+        # -((gx*ux + gy*uy) + gz*uz), the order of the scalar dot
+        g = self.grad_wbar_many(points, times)
+        ux, uy, uz = self.u_f
+        return -((g[:, 0] * ux + g[:, 1] * uy) + g[:, 2] * uz)
 
     def vecpot_many(self, points, times):
         if self.u_f.norm2() == 0.0:

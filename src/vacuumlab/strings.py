@@ -181,29 +181,6 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
-def hamiltonian_gradient(state: StringState, field: PotentialField):
-    """Exact (dH/dr_j, dH/dp_j) of the discretized energy functional."""
-    h = state.grid.h
-    cells = _cells(state, field)
-    n = state.grid.n
-
-    dhdp = np.zeros((n, 3))
-    cp = -(h / 2.0) * cells.pbar / cells.hdens[:, None]
-    dhdp[:-1] += cp
-    dhdp[1:] += cp
-
-    dhdr = np.zeros((n, 3))
-    rp2 = np.einsum("ij,ij->i", cells.rprime, cells.rprime)
-    wcoef = (h / 2.0) * (cells.w * rp2 / cells.hdens)
-    wpart = wcoef[:, None] * cells.grad_w
-    dhdr[:-1] += wpart
-    dhdr[1:] += wpart
-    vec = (cells.w**2)[:, None] * cells.dr / (h * cells.hdens[:, None])
-    dhdr[:-1] -= vec
-    dhdr[1:] += vec
-    return dhdr, dhdp
-
-
 def _gradient_parts(state: StringState, field: PotentialField):
     """Split dp/dtau into the potential-gradient and tension pieces (density form)."""
     h = state.grid.h

@@ -4,12 +4,6 @@ Light-speed units (c = 1) throughout the package; all tolerances are
 dimensionless or in those units.
 """
 
-# Algebraic identities (projector idempotence, inner-product symmetry, ...)
-ALGEBRAIC_TOL = 1e-12
-
-# Projector spectra / eigenvalue membership in {0, 1}
-PROJECTOR_SPECTRUM_TOL = 1e-9
-
 # Default softening length for Coulomb-type potentials
 DEFAULT_SOFTENING = 1e-3
 
@@ -18,9 +12,6 @@ SINGULAR_GUARD = 1e-3
 
 # String energy-domain guard: abort when (wbar*r')^2 - p^2 < this
 ENERGY_DOMAIN_GUARD = 1e-10
-
-# Conformal gauge identity tolerance for gauge-consistent data
-GAUGE_TOL = 1e-8
 
 # Relative perturbation scale for finite-difference functional derivatives
 FD_RELATIVE_STEP = 1e-6

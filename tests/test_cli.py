@@ -328,3 +328,37 @@ def test_csv_energy_is_the_audited_invariant(tmp_path, name, invariant):
         row0 = fh.readline().strip().split(",")
     manifest = json.load(open(tmp_path / f"{stem}.manifest.json"))
     assert float(row0[-1]) == manifest["conservation"][invariant]["initial"]
+
+
+def test_audit_integrates_on_the_models_own_clock(tmp_path):
+    # the vacuum densities assume the proper-time parameter, whatever time_axis says
+    data = yaml.safe_load(open(scenario("vacuum_free_coulomb.yaml")))
+    data["integration"]["time_axis"] = "lab"
+    lab_copy = write_config(tmp_path, data)
+    audits = []
+    for path, out in ((scenario("vacuum_free_coulomb.yaml"), "shipped"), (lab_copy, "lab")):
+        rc = cli.main(["audit", path, "--out", str(tmp_path / out), "--steps", "2000", "--quiet"])
+        assert rc == 0
+        audits.append((tmp_path / out / "vacuum-free-coulomb_audit.csv").read_bytes())
+    assert audits[0] == audits[1]
+
+
+SHIPPED_RUNS = [
+    ["run", name] for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".yaml")
+] + [["compare", "compare_classical_uniform.yaml", "compare_uniform_field.yaml"]]
+
+
+@pytest.mark.parametrize(
+    "verb, names",
+    [(c[0], c[1:]) for c in SHIPPED_RUNS],
+    ids=["-".join(c).replace(".yaml", "") for c in SHIPPED_RUNS],
+)
+def test_shipped_scenarios_run_and_rerun_identically(tmp_path, verb, names):
+    outputs = []
+    for attempt in ("first", "second"):
+        out = tmp_path / attempt
+        argv = [verb, *map(scenario, names), "--out", str(out), "--steps", "20", "--quiet"]
+        assert cli.main(argv) == 0
+        csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
+        outputs.append({f: (out / f).read_bytes() for f in csvs})
+    assert outputs[0] and outputs[0] == outputs[1]

@@ -2,8 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vacuumlab.errors import ConvergenceError, DegenerateMultiplierError, ValidationError
+import vacuumlab.integrate as integ
+from vacuumlab.errors import (
+    ConvergenceError,
+    DegenerateMultiplierError,
+    PhysicsDomainError,
+    ValidationError,
+)
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import (
     IntegrationParams,
@@ -17,6 +24,7 @@ from vacuumlab.particle import (
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
+    qa_vector,
 )
 from vacuumlab.potentials import (
     SourceKind,
@@ -277,3 +285,57 @@ def test_degenerate_multiplier_raised_by_the_integrated_law():
     state.extra["lambda_tdot"] = 0.0
     with pytest.raises(DegenerateMultiplierError, match=r"\[t=0\]"):
         integrate_particle(model, state, IntegrationParams(step=1e-3, n_steps=5))
+
+
+def test_interacting_uniform_b_agrees_on_both_clocks():
+    # the proper axis steps the same law as the lab axis, magnetic force included
+    field = UniformMagneticField(Vec3(0, 0, 1), -1.0)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
+    state = make_vacuum_state(field, ZERO3, Vec3(0.3, 0, 0))
+    proper = integrate_particle(
+        model, state, IntegrationParams(step=1e-3, n_steps=2000, audit_every=100)
+    )
+    assert proper.time_axis == "proper"
+    lab = integrate_particle(
+        model, state, IntegrationParams(step=proper.final.t / 2000, n_steps=2000,
+                                        audit_every=100, time_axis="lab")
+    )
+    assert (proper.final.r - lab.final.r).norm() < 1e-9
+    assert max(abs(s.u.norm() - 0.3) for s in proper.samples) < 1e-12
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    interacting=st.booleans(),
+    moving=st.booleans(),
+    relative=st.booleans(),
+    direction=st.tuples(unit, unit, unit).filter(lambda v: sum(c * c for c in v) > 1e-6),
+    scale=st.floats(1.0 - 1e-9, 1.0 + 1e-9) | st.floats(0.9, 1.1),
+    r=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    t=st.floats(0.0, 1.0),
+)
+def test_vacuum_laws_near_the_domain_boundary(
+    interacting, moving, relative, direction, scale, r, t
+):
+    # |P - qA| near -wbar (|u| near 1), or |u - u_f| near 1 for the clock change:
+    # each right-hand side gives a finite result or a PhysicsDomainError, nothing else
+    u_f = Vec3(0.5, 0.0, -0.3) if moving else ZERO3
+    source = SourceKind.COULOMB_COMOVING if moving else SourceKind.COULOMB_STATIC
+    field = build_potential(SourceSpec(source, 1.0, u_f=u_f, softening=0.05, background=-1.0), 0.7)
+    kind = ModelKind.VACUUM_INTERACTING if interacting else ModelKind.VACUUM_FREE
+    model = ForceModel(kind, field, charge=0.7)
+    r = Vec3(*r)
+    n = Vec3(*direction)
+    v = n * (scale / n.norm()) + (u_f if relative else ZERO3)
+    big_p = v * -field.wbar(r, t)
+    if interacting:
+        big_p = big_p + qa_vector(model, r, t)
+    for axis, y in (("lab", (*r, *big_p, 0.0)), ("proper", (*r, *big_p, t, 0.0))):
+        try:
+            out = integ._flat_rhs(model, axis)(t if axis == "lab" else 0.0, y)
+        except PhysicsDomainError:
+            continue
+        assert all(math.isfinite(c) for c in out)

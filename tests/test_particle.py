@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vacuumlab.errors import (
     DegenerateMultiplierError,
@@ -29,9 +30,9 @@ from vacuumlab.particle import (
     rest_mass_limit_check,
     total_energy,
     vacuum_free_hamiltonian,
-    vacuum_free_rhs,
     vacuum_lorentz_rhs,
     vacuum_momentum,
+    vacuum_rhs,
 )
 from vacuumlab.potentials import (
     CallableField,
@@ -39,6 +40,7 @@ from vacuumlab.potentials import (
     SourceKind,
     SourceSpec,
     UniformField,
+    UniformMagneticField,
     build_potential,
 )
 
@@ -140,7 +142,7 @@ def test_vacuum_free_rhs_uniform_is_free_flight():
     field = UniformField(-1.5)
     model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0, 0, 0), Vec3(0.2, 0.1, -0.3))
-    dp, dr = vacuum_free_rhs(model, state.r, state.p, state.t)
+    dp, dr = vacuum_rhs(model, state.r, state.p, state.t)
     assert dp.norm() < 1e-15
     assert (dr - state.u).norm() < 1e-15
 
@@ -173,7 +175,7 @@ def uniform_a_field(const_a: Vec3, coulomb_kwargs=None):
 
 def test_interacting_rhs_uniform_a_reduces_to_lorentz_form():
     field = uniform_a_field(Vec3(0.1, -0.2, 0.3))
-    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0, u_f=ZERO3)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.6, 0.2, 0), Vec3(0.1, 0.2, -0.1))
     dp_full, dr_full = interacting_rhs(model, state.r, state.p, state.t)
     dp_lor, dr_lor = vacuum_lorentz_rhs(model, state.r, state.p, state.t)
@@ -199,6 +201,62 @@ def test_interacting_rhs_at_rest_is_electric_push():
     qe = -1.0 * g - 1.0 * field.dvecpot_dt(state.r, state.t)
     assert (dp - qe).norm() < 1e-14
     assert dr.norm() < 1e-15
+
+
+def moving_a_field():
+    """Softened-Coulomb wbar with a position- and time-dependent vector potential."""
+    spec = SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.05, background=-1.0)
+    base = build_potential(spec, 1.0)
+    return CallableField(
+        wbar_fn=base.wbar,
+        grad_wbar_fn=base.grad_wbar,
+        dwbar_dt_fn=base.dwbar_dt,
+        vecpot_fn=lambda r, t: Vec3(
+            0.3 * r.y * t, -0.2 * r.x + 0.1 * r.z * r.z, 0.25 * r.x * r.y + 0.1 * t
+        ),
+        grad_vecpot_fn=lambda r, t: np.array(
+            [[0.0, 0.3 * t, 0.0], [-0.2, 0.0, 0.2 * r.z], [0.25 * r.y, 0.25 * r.x, 0.0]]
+        ),
+        dvecpot_dt_fn=lambda r, t: Vec3(0.3 * r.y, 0.0, 0.1),
+    )
+
+
+IDENTITY_FIELDS = {
+    "comoving-coulomb": lambda q: build_potential(
+        SourceSpec(
+            SourceKind.COULOMB_COMOVING, 1.0, u_f=Vec3(0.2, 0.0, 0.15),
+            softening=0.05, background=-1.0,
+        ),
+        q,
+    ),
+    "uniform-b": lambda q: UniformMagneticField(Vec3(0.1, -0.3, 1.0), -1.0),
+    "moving-a": lambda q: moving_a_field(),
+}
+coords = st.floats(-1.5, 1.5)
+speeds = st.floats(-0.55, 0.55)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(IDENTITY_FIELDS)),
+    q=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+    r=st.tuples(coords, coords, coords),
+    u=st.tuples(speeds, speeds, speeds),
+    t=st.floats(0.0, 2.0),
+)
+def test_vacuum_rhs_is_the_lorentz_type_force_in_canonical_momentum(name, q, r, u, t):
+    # d(p + qA)/dt = -grad(wbar) is qE + u x qB - q grad<u,A> = dp/dt plus q dA/dt
+    field = IDENTITY_FIELDS[name](q)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=q)
+    r, u = Vec3(*r), Vec3(*u)
+    p = vacuum_momentum(field.wbar(r, t), u)
+    dp, u_lorentz = interacting_rhs(model, r, p, t)
+    dbig_p, u_canonical = vacuum_rhs(model, r, p + q * field.vecpot(r, t), t)
+    jac_u = field.grad_vecpot(r, t) @ u.as_array()
+    q_da_dt = q * (field.dvecpot_dt(r, t) + Vec3(*jac_u))
+    gap = dp - (dbig_p - q_da_dt)
+    assert gap.norm() <= 1e-12 * (dbig_p.norm() + q_da_dt.norm())
+    assert (u_lorentz - u_canonical).norm() <= 1e-12
 
 
 def test_extra_force_uniform_a_is_zero():
@@ -266,9 +324,7 @@ def test_rest_mass_limit_sequence():
         rest_mass_limit_check(scenario, [1e-3, 1e-2])
 
     # uniform wbar at any charge: zero gradient keeps the deviation at rounding
-    free_model = ForceModel(
-        ModelKind.VACUUM_INTERACTING, UniformField(-1.0), charge=1.0, u_f=ZERO3
-    )
+    free_model = ForceModel(ModelKind.VACUUM_INTERACTING, UniformField(-1.0), charge=1.0)
     state = make_vacuum_state(free_model.field, Vec3(0.6, 0, 0), Vec3(0.2, 0, 0))
     traj = integrate_particle(
         free_model, state, IntegrationParams(step=2e-3, n_steps=500, audit_every=1)

@@ -219,8 +219,8 @@ def test_vectorized_eval_matches_scalar():
         assert np.allclose(g[i], field.grad_wbar(r, times[i]).as_array(), rtol=1e-14)
         assert wt[i] == pytest.approx(field.dwbar_dt(r, times[i]), rel=1e-14, abs=1e-16)
 
-    # wbar_many and vecpot_many repeat the scalar arithmetic bit for bit,
-    # which the least-action oracle's array densities rely on
+    # every *_many method repeats the scalar arithmetic bit for bit, which
+    # the least-action oracle's array densities rely on
     fields = [
         field,
         UniformField(-1.5),
@@ -235,8 +235,12 @@ def test_vectorized_eval_matches_scalar():
     for f in fields:
         w_scalar = [f.wbar(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
         a_scalar = [f.vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        g_scalar = [f.grad_wbar(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        wt_scalar = [f.dwbar_dt(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
         assert np.array_equal(f.wbar_many(pts, times), np.array(w_scalar))
         assert np.array_equal(f.vecpot_many(pts, times), np.array(a_scalar))
+        assert np.array_equal(f.grad_wbar_many(pts, times), np.array(g_scalar))
+        assert np.array_equal(f.dwbar_dt_many(pts, times), np.array(wt_scalar))
 
 
 def test_vectorized_wbar_on_unsoftened_source_raises():
