@@ -30,6 +30,7 @@ from . import conformal as conformal_mod
 from . import strings as strings_mod
 from .errors import (
     ConvergenceError,
+    InvalidSourceError,
     MisalignedScenariosError,
     ParseError,
     PhysicsDomainError,
@@ -62,6 +63,7 @@ from .potentials import (
 from .variational import (
     LagrangianKind,
     LagrangianSpec,
+    check_oracle_coverage,
     euler_lagrange_residual,
     path_from_trajectory,
     uniform_proper_path,
@@ -85,11 +87,21 @@ def _number(raw, name: str, cast=float):
     """raw as a finite float (or int); ValidationError names the config key."""
     try:
         value = cast(raw)
-        if math.isfinite(value):
+        if math.isfinite(value) and not isinstance(raw, bool):
             return value
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(f"{name} must be a finite number, got {raw!r}")
+
+
+def _section(data: dict, key: str) -> dict:
+    """The mapping under key, {} when absent or empty; ValidationError names the key."""
+    raw = data.get(key)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config key '{key}' must be a mapping, got {raw!r}")
+    return raw
 
 
 def _vec(raw, name: str) -> Vec3:
@@ -162,14 +174,13 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         raise ParseError(f"{path} does not contain a mapping")
     data = dict(raw)
     if overrides:
-        integration = dict(data.get("integration", {}))
+        integration = dict(_section(data, "integration"))
         for key in ("step", "n_steps", "rel_tol"):
             if overrides.get(key) is not None:
                 integration[key] = overrides[key]
         data["integration"] = integration
         if overrides.get("out") is not None:
-            data.setdefault("output", {})
-            data["output"] = dict(data["output"], directory=overrides["out"])
+            data["output"] = dict(_section(data, "output"), directory=overrides["out"])
 
     name = data.get("name")
     if not name or not isinstance(name, str):
@@ -188,14 +199,13 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
 def _normalize(data: dict) -> dict:
     """Fill defaults and validate; returns the dict that is hashed and echoed."""
     kind = data["kind"]
-    out = {
-        "name": data["name"],
-        "kind": kind,
-        "output": {"directory": data.get("output", {}).get("directory", "out")},
-    }
+    directory = _section(data, "output").get("directory", "out")
+    if not isinstance(directory, str) or not directory:
+        raise ValidationError("output.directory must be a nonempty string")
+    out = {"name": data["name"], "kind": kind, "output": {"directory": directory}}
     if kind == "particle":
         model = data.get("model")
-        if model not in _MODEL_KINDS:
+        if not isinstance(model, str) or model not in _MODEL_KINDS:
             raise ValidationError(
                 f"config key 'model' must be one of {sorted(_MODEL_KINDS)}, got {model!r}"
             )
@@ -204,16 +214,16 @@ def _normalize(data: dict) -> dict:
         if data.get("rest_mass") is not None:
             out["rest_mass"] = _number(data["rest_mass"], "rest_mass")
         out["field"] = _normalize_field(data.get("field"))
-        initial = data.get("initial", {})
+        initial = _section(data, "initial")
         r0 = _vec(initial.get("r", [0, 0, 0]), "initial.r")
         u0 = _vec(initial.get("u", [0, 0, 0]), "initial.u")
         if u0.norm2() >= 1.0:
             raise ValidationError("initial.u: superluminal initial velocity")
         out["initial"] = {"r": list(r0), "u": list(u0)}
-        out["integration"] = _normalize_integration(data.get("integration"))
+        out["integration"] = _normalize_integration(_section(data, "integration"))
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
-        grid = data.get("grid", {})
+        grid = _section(data, "grid")
         n = _number(grid.get("n", 64), "grid.n", int)
         if n < 8:
             raise ValidationError("grid.n must be >= 8")
@@ -224,7 +234,7 @@ def _normalize(data: dict) -> dict:
         }
         if out["grid"]["sigma_max"] <= out["grid"]["sigma_min"]:
             raise ValidationError("grid.sigma_max must exceed grid.sigma_min")
-        initial = data.get("initial", {})
+        initial = _section(data, "initial")
         ikind = initial.get("kind", "line")
         if ikind not in ("line", "pluck"):
             raise ValidationError("initial.kind must be 'line' or 'pluck'")
@@ -236,12 +246,14 @@ def _normalize(data: dict) -> dict:
             "width": _number(initial.get("width", 0.08), "initial.width"),
             "direction": list(_vec(initial.get("direction", [0, 1, 0]), "initial.direction")),
         }
-        out["integration"] = _normalize_integration(data.get("integration"))
+        if out["initial"]["width"] <= 0:
+            raise ValidationError("initial.width must be positive")
+        out["integration"] = _normalize_integration(_section(data, "integration"))
     else:  # conformal
         problem = data.get("problem", "laplace-harmonic")
         if problem not in ("laplace-harmonic", "manufactured"):
             raise ValidationError("problem must be 'laplace-harmonic' or 'manufactured'")
-        grid = data.get("grid", {})
+        grid = _section(data, "grid")
         out["problem"] = problem
         out["grid"] = {
             "n_sigma": _number(grid.get("n_sigma", 33), "grid.n_sigma", int),
@@ -253,6 +265,8 @@ def _normalize(data: dict) -> dict:
         out["max_iters"] = _number(data.get("max_iters", 40000), "max_iters", int)
         if out["tol"] <= 0:
             raise ValidationError("tol must be positive")
+        if out["max_iters"] < 1:
+            raise ValidationError("max_iters must be >= 1")
     return out
 
 
@@ -289,8 +303,7 @@ def _normalize_field(raw) -> dict:
     return out
 
 
-def _normalize_integration(raw) -> dict:
-    raw = raw or {}
+def _normalize_integration(raw: dict) -> dict:
     out = {
         "step": _number(raw.get("step", 1e-3), "integration.step"),
         "n_steps": _number(raw.get("n_steps", 1000), "integration.n_steps", int),
@@ -385,25 +398,29 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
     return manifest
 
 
+_PARTICLE_ROW = "{}" + ",{:.17g}" * 10
+_LONG_ROWS = "{0},{1:.17g},wbar,{2:.17g}\n{0},{1:.17g},energy,{3:.17g}"
+
+
 def _run_particle(config: ScenarioConfig, out_dir: str):
     model, state, params = build_particle_model(config)
     traj = integrate_particle(model, state, params)
-    invariants = INVARIANTS[model.kind]
-    energy_fn = invariants.get("energy") or invariants["rest_mass"]
+    energy_name = "energy" if "energy" in INVARIANTS[model.kind] else "rest_mass"
+    c = traj.columns()
+    wbar = model.field.wbar_many(c.r, c.t)
+    energy = traj.invariants(names=[energy_name])[energy_name]
+    table = np.column_stack([c.tau, c.t, c.r, c.p, wbar, energy])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise traj.annotate(PhysicsDomainError("non-finite run CSV value"), int(np.argmax(bad)))
+    axis = c.t if traj.time_axis == "lab" else c.tau
     rows = [PARTICLE_HEADER]
+    rows += [_PARTICLE_ROW.format(i, *row) for i, row in enumerate(table.tolist())]
     long_rows = ["step,axis,series,value"]
-    for i, s in enumerate(traj.samples):
-        wbar = model.field.wbar(s.r, s.t)
-        energy = energy_fn(s, model)
-        rows.append(
-            ",".join(
-                [str(i)]
-                + [_fmt(v) for v in (s.tau, s.t, *s.r, *s.p, wbar, energy)]
-            )
-        )
-        axis_val = s.t if traj.time_axis == "lab" else s.tau
-        for series, value in (("wbar", wbar), ("energy", energy)):
-            long_rows.append(f"{i},{_fmt(axis_val)},{series},{_fmt(value)}")
+    long_rows += [
+        _LONG_ROWS.format(i, *row)
+        for i, row in enumerate(zip(axis.tolist(), wbar.tolist(), energy.tolist()))
+    ]
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     long_path = os.path.join(out_dir, f"{config.name}_long.csv")
@@ -444,6 +461,8 @@ def _run_string(config: ScenarioConfig, out_dir: str):
         if i % stride and i != len(traj.samples) - 1:
             continue
         dens = strings_mod.node_energy_density(st, field)
+        if not (np.isfinite(st.r).all() and np.isfinite(st.p).all() and np.isfinite(dens).all()):
+            raise PhysicsDomainError(f"non-finite string CSV value [tau={st.tau:.9g}]")
         for j in range(st.grid.n):
             rows.append(
                 ",".join(
@@ -530,25 +549,20 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
         trajectories.append((model, integrate_particle(model, state, params)))
 
     (ref_model, ref_traj), (_, other_traj) = trajectories
+    a, b = ref_traj.columns(), other_traj.columns()
+    axis_a = a.t if alignment == "by_t" else a.tau
+    axis_b = b.t if alignment == "by_t" else b.tau
     rows = [COMPARE_HEADER]
-    axis_a = np.array(
-        [s.t if alignment == "by_t" else s.tau for s in ref_traj.samples]
-    )
-    r_b = np.array([list(s.r) for s in other_traj.samples])
-    p_b = np.array([list(s.p) for s in other_traj.samples])
-    axis_b = np.array(
-        [s.t if alignment == "by_t" else s.tau for s in other_traj.samples]
-    )
-    for i, s in enumerate(ref_traj.samples):
+    for i, (ra, pa, ua, ta) in enumerate(zip(a.r.tolist(), a.p.tolist(), a.u.tolist(), a.t.tolist())):
         if alignment == "by_t":
-            rb, pb = r_b[i], p_b[i]
+            rb, pb = b.r[i], b.p[i]
         else:
-            rb = np.array([np.interp(axis_a[i], axis_b, r_b[:, k]) for k in range(3)])
-            pb = np.array([np.interp(axis_a[i], axis_b, p_b[:, k]) for k in range(3)])
-        dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(s.r, rb)))
-        pgap = math.sqrt(sum((a - b) ** 2 for a, b in zip(s.p, pb)))
+            rb = np.array([np.interp(axis_a[i], axis_b, b.r[:, k]) for k in range(3)])
+            pb = np.array([np.interp(axis_a[i], axis_b, b.p[:, k]) for k in range(3)])
+        dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(ra, rb)))
+        pgap = math.sqrt(sum((x - y) ** 2 for x, y in zip(pa, pb)))
         fc = interaction_extra_force(
-            ref_model.charge, s.u, ref_model.field, s.r, s.t
+            ref_model.charge, Vec3(*ua), ref_model.field, Vec3(*ra), ta
         ).norm()
         rows.append(
             ",".join([str(i), _fmt(axis_a[i]), _fmt(dist), _fmt(pgap), _fmt(fc)])
@@ -572,13 +586,6 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     if config.kind != "particle":
         raise ValidationError("audit supports particle scenarios only")
     model, state, params = build_particle_model(config)
-    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
-    traj = integrate_particle(model, state, replace(params, time_axis="auto"))
-    if model.kind is ModelKind.CONSTRAINED:
-        path = uniform_proper_path(traj, nodes or min(400, params.n_steps))
-    else:
-        stride = max(1, params.n_steps // nodes) if nodes else 1
-        path = path_from_trajectory(traj, stride=stride)
     spec = LagrangianSpec(
         kind=_AUDIT_KINDS[model.kind],
         field=model.field,
@@ -586,6 +593,14 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
         charge=model.charge,
         u_f=model.source_velocity,
     )
+    check_oracle_coverage(spec)
+    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
+    traj = integrate_particle(model, state, replace(params, time_axis="auto"))
+    if model.kind is ModelKind.CONSTRAINED:
+        path = uniform_proper_path(traj, nodes or min(400, params.n_steps))
+    else:
+        stride = max(1, params.n_steps // nodes) if nodes else 1
+        path = path_from_trajectory(traj, stride=stride)
     residuals = euler_lagrange_residual(spec, path)
     norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
     rows = [AUDIT_HEADER]
@@ -661,42 +676,45 @@ def main(argv: Optional[List[str]] = None) -> int:
         "rel_tol": getattr(args, "tol", None),
     }
 
-    try:
-        if args.command == "run":
-            config = parse_config(args.config, overrides)
-            run_scenario(config, quiet=args.quiet)
-        elif args.command == "compare":
-            configs = [parse_config(c, overrides) for c in args.configs]
-            rows, _ = compare_models(configs, alignment=args.alignment)
-            out_dir = overrides["out"] or configs[0].data["output"]["directory"]
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, "compare.csv")
-            _atomic_write(path, "\n".join(rows) + "\n")
-            if not args.quiet:
-                print(f"wrote {path}")
-        elif args.command == "audit":
-            config = parse_config(args.config, overrides)
-            rows, worst, _ = audit_scenario(config, nodes=args.nodes)
-            out_dir = overrides["out"] or config.data["output"]["directory"]
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{config.name}_audit.csv")
-            _atomic_write(path, "\n".join(rows) + "\n")
-            if not args.quiet:
-                print(f"wrote {path} (max residual {worst:.3e})")
-        else:
-            results = check_battery(quiet=args.quiet)
-            if not all(ok for _, ok, _ in results):
-                return 2
-        return 0
-    except (ParseError, ValidationError, MisalignedScenariosError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except PhysicsDomainError as exc:
-        sys.stderr.write(f"physics abort: {exc}\n")
-        return 2
-    except (ConvergenceError, StepFailureError) as exc:
-        sys.stderr.write(f"no convergence: {exc}\n")
-        return 3
+    # non-finite numbers are caught by explicit checks and exit 2; NumPy's
+    # floating-point warnings would only add stderr lines to that one error
+    with np.errstate(all="ignore"):
+        try:
+            if args.command == "run":
+                config = parse_config(args.config, overrides)
+                run_scenario(config, quiet=args.quiet)
+            elif args.command == "compare":
+                configs = [parse_config(c, overrides) for c in args.configs]
+                rows, _ = compare_models(configs, alignment=args.alignment)
+                out_dir = overrides["out"] or configs[0].data["output"]["directory"]
+                os.makedirs(out_dir, exist_ok=True)
+                path = os.path.join(out_dir, "compare.csv")
+                _atomic_write(path, "\n".join(rows) + "\n")
+                if not args.quiet:
+                    print(f"wrote {path}")
+            elif args.command == "audit":
+                config = parse_config(args.config, overrides)
+                rows, worst, _ = audit_scenario(config, nodes=args.nodes)
+                out_dir = overrides["out"] or config.data["output"]["directory"]
+                os.makedirs(out_dir, exist_ok=True)
+                path = os.path.join(out_dir, f"{config.name}_audit.csv")
+                _atomic_write(path, "\n".join(rows) + "\n")
+                if not args.quiet:
+                    print(f"wrote {path} (max residual {worst:.3e})")
+            else:
+                results = check_battery(quiet=args.quiet)
+                if not all(ok for _, ok, _ in results):
+                    return 2
+            return 0
+        except (ParseError, ValidationError, MisalignedScenariosError, InvalidSourceError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
+        except PhysicsDomainError as exc:
+            sys.stderr.write(f"physics abort: {exc}\n")
+            return 2
+        except (ConvergenceError, StepFailureError) as exc:
+            sys.stderr.write(f"no convergence: {exc}\n")
+            return 3
 
 
 if __name__ == "__main__":

@@ -12,7 +12,15 @@ class VacuumLabError(Exception):
 
 
 class PhysicsDomainError(VacuumLabError):
-    """A state or input left the physical domain of the active model."""
+    """A state or input left the physical domain of the active model.
+
+    Carries ``where`` when the failing item is known: a sigma node index in
+    string code, a row position in the array forms of the invariants.
+    """
+
+    def __init__(self, message="", where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class SuperluminalVelocityError(PhysicsDomainError):
@@ -28,14 +36,7 @@ class NonpositiveMassError(PhysicsDomainError):
 
 
 class EnergyDomainError(PhysicsDomainError):
-    """Argument of an energy square root went nonpositive.
-
-    Carries ``where`` (e.g. a sigma node index) when raised from string code.
-    """
-
-    def __init__(self, message, where=None):
-        super().__init__(message)
-        self.where = where
+    """Argument of an energy square root went nonpositive."""
 
 
 class DegenerateMultiplierError(PhysicsDomainError):

@@ -70,6 +70,16 @@ class Vec3(NamedTuple):
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 
 
+def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise <a, b> of (..., 3) arrays, summed (x + y) + z like ``Vec3.dot``."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def norm2_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise |v|^2 in the order of ``Vec3.norm2``."""
+    return dot_rows(v, v)
+
+
 class MinkowskiEvent(NamedTuple):
     """Spacetime point x = (r, t) of the laboratory frame."""
 

@@ -13,6 +13,12 @@ accumulates tau through dtau = dt (1-u^2)^(1/2), and a proper-time run
 of a vacuum model steps the same law on the source frame's proper time
 x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
+
+A particle `Trajectory` holds columns: the parameter x, shape (n+1,), and
+the stepper's flat state Y, shape (n+1, k).  Each new state is checked at
+the step that made it, without building a state object; the audited
+invariants are evaluated once over the audited rows as arrays; `columns()`,
+`samples` and `final` are derived from x and Y on demand.
 """
 
 from __future__ import annotations
@@ -25,17 +31,20 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
+    DegenerateMultiplierError,
     EnergyDomainError,
     PhysicsDomainError,
     StepFailureError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3, proper_time_factor
+from .geometry import Vec3, ZERO3, norm2_rows, proper_time_factor
 from .particle import (
     INVARIANTS,
     ForceModel,
     ModelKind,
+    ParticleColumns,
     ParticleState,
+    check_state,
     classical_rhs,
     classical_velocity,
     constrained_rhs,
@@ -112,16 +121,115 @@ class ConservationReport(dict):
 
 @dataclass
 class Trajectory:
-    """Ordered particle samples plus the conservation audit."""
+    """One particle run as columns, plus the conservation audit.
 
-    samples: List[ParticleState]
-    report: ConservationReport
-    model_kind: str
+    x, shape (n+1,), is the integration parameter (lab time t, or the proper
+    time of the clock-change axis) and Y, shape (n+1, k), the stepper's flat
+    state per row: (r, P, tau) on the lab axis and (r, P, t, tau) on the
+    proper axis, with P = p + qA for the interacting model and p otherwise;
+    (r, l u tdot, l tdot, tau) for the constrained model.  Row 0 is
+    ``initial``.  The physical columns, ``samples`` and ``final`` are built
+    from x and Y on demand; row 0 always reads ``initial`` itself, whose p
+    and u need not survive a round trip through the flat state.
+    """
+
+    x: np.ndarray
+    Y: np.ndarray
+    initial: ParticleState
+    model: ForceModel
     time_axis: str
+    report: ConservationReport = dc_field(default_factory=ConservationReport)
+
+    def columns(self, rows=slice(None)) -> ParticleColumns:
+        """t, tau, r, u, p (and l tdot) of the selected rows as arrays."""
+        model, x, Y = self.model, self.x[rows], self.Y[rows]
+        r, p = Y[:, 0:3], Y[:, 3:6]
+        lam = None
+        # rows past 0 passed the step check; row 0 is replaced below
+        with np.errstate(all="ignore"):
+            if model.kind is ModelKind.CONSTRAINED:
+                t, tau, lam = x, Y[:, 7], Y[:, 6]
+                u = p / lam[:, None]
+            elif model.kind is ModelKind.CLASSICAL:
+                t, tau = x, Y[:, 6]
+                u = p / np.sqrt(model.rest_mass * model.rest_mass + norm2_rows(p))[:, None]
+            else:
+                t, tau = (x, Y[:, 6]) if self.time_axis == "lab" else (Y[:, 6], Y[:, 7])
+                if model.kind is ModelKind.VACUUM_INTERACTING:
+                    p = p - model.field.vecpot_many(r, t) * model.charge
+                u = p / -model.field.wbar_many(r, t)[:, None]
+        first = np.arange(len(self.x))[rows] == 0
+        if first.any():
+            p, u = p.copy(), u.copy()
+            p[first], u[first] = self.initial.p, self.initial.u
+        return ParticleColumns(t, tau, r, u, p, lam)
+
+    def _states(self, rows) -> List[ParticleState]:
+        c = self.columns(rows)
+        m0 = self.model.rest_mass
+        if c.lam is not None:
+            extras = [{"lambda_tdot": lam, "m0": m0} for lam in c.lam.tolist()]
+        elif self.model.kind is ModelKind.CLASSICAL:
+            extras = [{"m0": m0} for _ in c.t]
+        elif self.time_axis == "proper":
+            extras = [{"tau_rel": x} for x in self.x[rows].tolist()]
+        else:
+            extras = [{} for _ in c.t]
+        return [
+            ParticleState(tau, t, Vec3(*r), Vec3(*u), Vec3(*p), extra)
+            for tau, t, r, u, p, extra in zip(
+                c.tau.tolist(), c.t.tolist(), c.r.tolist(), c.u.tolist(), c.p.tolist(), extras
+            )
+        ]
+
+    @property
+    def samples(self) -> List[ParticleState]:
+        """Every row as a ParticleState, built on demand; samples[0] is ``initial``."""
+        return [self.initial] + self._states(slice(1, None))
 
     @property
     def final(self) -> ParticleState:
-        return self.samples[-1]
+        return self._states(slice(-1, None))[0]
+
+    def annotate(self, exc: PhysicsDomainError, row: int) -> PhysicsDomainError:
+        """exc annotated with the parameter value of a row, as step errors are."""
+        return _annotate(exc, self.time_axis, self.x[row])
+
+    def invariants(self, rows=slice(None), names=None) -> dict:
+        """The model's array INVARIANTS over the selected rows, by name.
+
+        A domain error or a non-finite value raises at the first offending
+        row of any invariant, annotated with that row's parameter value.
+        """
+        table = INVARIANTS[self.model.kind]
+        at = np.arange(len(self.x))[rows]
+        values, failure = {}, None
+        cols = self.columns(rows)
+        with np.errstate(all="ignore"):  # non-finite values are raised below
+            for name in names or table:
+                try:
+                    v = table[name](cols, self.model)
+                except PhysicsDomainError as exc:
+                    if exc.where is None:
+                        raise
+                    k = exc.where
+                else:
+                    bad = ~np.isfinite(v)
+                    if not bad.any():
+                        values[name] = v
+                        continue
+                    k = int(np.argmax(bad))
+                    exc = PhysicsDomainError(f"non-finite {name} {v[k]}")
+                if failure is None or k < failure[0]:
+                    failure = (k, exc)
+        if failure is not None:
+            raise self.annotate(failure[1], at[failure[0]])
+        return values
+
+
+def _annotate(exc: PhysicsDomainError, axis: str, x: float) -> PhysicsDomainError:
+    label = "t" if axis == "lab" else "tau"
+    return type(exc)(f"{exc} [{label}={x:.9g}]")
 
 
 # --- generic steppers on flat tuple states ----------------------------------
@@ -228,22 +336,30 @@ def _pack(model: ForceModel, state: ParticleState, axis: str):
     return (*r, *p, state.t, state.tau)
 
 
-def _unpack(model: ForceModel, y, x, axis: str) -> ParticleState:
-    r = Vec3(y[0], y[1], y[2])
-    p = Vec3(y[3], y[4], y[5])
-    if model.kind is ModelKind.CONSTRAINED:
-        y2 = y[6]
-        return ParticleState(y[7], x, r, p / y2, p, {"lambda_tdot": y2, "m0": model.rest_mass})
-    if model.kind is ModelKind.CLASSICAL:
-        u = classical_velocity(model.rest_mass, p)
-        return ParticleState(y[6], x, r, u, p, {"m0": model.rest_mass})
-    if axis == "lab":
-        t, tau, extra = x, y[6], {}
-    else:
-        t, tau, extra = y[6], y[7], {"tau_rel": x}
-    if model.kind is ModelKind.VACUUM_INTERACTING:
-        p = p - qa_vector(model, r, t)
-    return ParticleState(tau, t, r, vacuum_velocity(model.field.wbar(r, t), p), p, extra)
+def _state_check(model: ForceModel, axis: str) -> Callable:
+    """check(x, y) of a new flat state: what building its ParticleState checks.
+
+    Recovers u as the samples do (and so evaluates the field for the vacuum
+    models), then applies ``check_state``; no state object is built.
+    """
+    kind, field, lab = model.kind, model.field, axis == "lab"
+
+    def check(x, y):
+        r, p = Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5])
+        if kind is ModelKind.CONSTRAINED:
+            if y[6] == 0.0:
+                raise DegenerateMultiplierError("lambda*tdot = 0 gives no velocity")
+            tau, u = y[7], p / y[6]
+        elif kind is ModelKind.CLASSICAL:
+            tau, u = y[6], classical_velocity(model.rest_mass, p)
+        else:
+            t, tau = (x, y[6]) if lab else (y[6], y[7])
+            if kind is ModelKind.VACUUM_INTERACTING:
+                p = p - qa_vector(model, r, t)
+            u = vacuum_velocity(field.wbar(r, t), p)
+        check_state(tau, r, u, p)
+
+    return check
 
 
 def _flat_rhs(model: ForceModel, axis: str) -> Callable:
@@ -292,67 +408,74 @@ def integrate_particle(
     """Advance one particle, auditing its model's conserved quantities.
 
     Deterministic: identical inputs give bit-identical trajectories.
-    Physics-domain errors are re-raised annotated with the parameter value
-    at which the step failed.
+    Every new state is checked where it is made, and physics-domain errors
+    are re-raised annotated with the parameter value at which the step
+    failed.  The invariants are evaluated once, as arrays over the audited
+    rows (every audit_every-th and the last); an invariant error is
+    annotated with its first offending row.
     """
     axis = _axis_for(model, params)
     rhs = _flat_rhs(model, axis)
-    audits = INVARIANTS[model.kind]
+    check = _state_check(model, axis)
     x = initial.t if axis == "lab" else initial.tau
     y = _pack(model, initial, axis)
+    xs, ys, audited = [x], [y], [0]
 
-    report = ConservationReport()
-    samples = [initial]
-    for name, fn in audits.items():
-        report.observe(name, fn(initial, model))
-
-    def guarded(step_fn, *args):
-        try:
-            return step_fn(*args)
-        except PhysicsDomainError as exc:
-            label = "t" if axis == "lab" else "tau"
-            raise type(exc)(f"{exc} [{label}={x:.9g}]") from None
-
-    if params.method == "rk4":
-        h = params.step
-        for i in range(1, params.n_steps + 1):
-            y = guarded(rk4_step, rhs, x, y, h)
-            x += h
-            state = guarded(_unpack, model, y, x, axis)
-            samples.append(state)
-            if i % params.audit_every == 0 or i == params.n_steps:
-                for name, fn in audits.items():
-                    report.observe(name, fn(state, model))
-    else:
-        horizon = params.horizon
-        x_end = x + horizon
-        h = params.step
-        h_min = horizon * 1e-12
-        i = 0
-        while x < x_end - 1e-15 * horizon:
-            h = min(h, x_end - x)
-            accepted, y_new, ratio = guarded(
-                rkf45_step, rhs, x, y, h, params.rel_tol, params.abs_tol
+    def trajectory():
+        traj = Trajectory(np.array(xs), np.array(ys), initial, model, axis)
+        for name, values in traj.invariants(audited).items():
+            traj.report[name] = ConservationStat(
+                float(values[0]), float(np.max(np.abs(values - values[0]))), len(values)
             )
-            if accepted:
-                y = y_new
-                x += h
-                i += 1
-                state = guarded(_unpack, model, y, x, axis)
-                samples.append(state)
-                if i % params.audit_every == 0:
-                    for name, fn in audits.items():
-                        report.observe(name, fn(state, model))
-            if ratio > 0:
-                h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
-            if h < h_min:
-                raise StepFailureError(
-                    f"adaptive step collapsed below {h_min:.3g}", t=x
-                )
-        for name, fn in audits.items():
-            report.observe(name, fn(samples[-1], model))
+        return traj
 
-    return Trajectory(samples, report, model.kind.value, axis)
+    try:
+        if params.method == "rk4":
+            h = params.step
+            for i in range(1, params.n_steps + 1):
+                y = rk4_step(rhs, x, y, h)
+                x += h
+                check(x, y)
+                xs.append(x)
+                ys.append(y)
+                if i % params.audit_every == 0 or i == params.n_steps:
+                    audited.append(i)
+        else:
+            horizon = params.horizon
+            x_end = x + horizon
+            h = params.step
+            h_min = horizon * 1e-12
+            i = 0
+            while x < x_end - 1e-15 * horizon:
+                h = min(h, x_end - x)
+                accepted, y_new, ratio = rkf45_step(
+                    rhs, x, y, h, params.rel_tol, params.abs_tol
+                )
+                if accepted:
+                    y = y_new
+                    x += h
+                    i += 1
+                    check(x, y)
+                    xs.append(x)
+                    ys.append(y)
+                    if i % params.audit_every == 0:
+                        audited.append(i)
+                if ratio > 0:
+                    h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
+                if h < h_min:
+                    raise StepFailureError(
+                        f"adaptive step collapsed below {h_min:.3g}", t=x
+                    )
+            audited.append(i)  # the final row is observed once more
+    # an invariant error on an earlier audited row is raised first, as a
+    # step-by-step audit would; a step error carries the x it was raised at
+    except PhysicsDomainError as exc:
+        trajectory()
+        raise _annotate(exc, axis, x) from None
+    except StepFailureError:
+        trajectory()
+        raise
+    return trajectory()
 
 
 # --- string integration ---------------------------------------------------------
@@ -459,6 +582,8 @@ def relax_elliptic(
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValidationError("max_iters must be >= 1")
     xi = np.array(xi0, dtype=float, copy=True)
     n1, n2, ncomp = xi.shape
     if n1 < 3 or n2 < 3:

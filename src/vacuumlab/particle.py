@@ -21,7 +21,8 @@ multiplier pair, with p the canonical momentum for `vacuum_rhs`.  The
 electromagnetic terms are assembled as q*E, u x (q*B) and -grad<u, q*A>
 so that fields whose vector potential scales like 1/q stay well defined
 for any nonzero charge.  `INVARIANTS` is the one table of audited
-quantities per model.
+quantities per model; its entries evaluate rows of states held as arrays
+(`ParticleColumns`) and repeat the scalar kernels' arithmetic bit for bit.
 
 The interacting Hamiltonian and energy implement the full expressions
 with the <p+qA, qA> cross term.  Note (verified analytically and
@@ -37,15 +38,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateMultiplierError,
     EnergyDomainError,
     NonpositiveMassError,
+    PhysicsDomainError,
     SuperluminalVelocityError,
 )
-from .geometry import EuclideanEvent, Vec3, ZERO3, proper_time_factor
+from .geometry import EuclideanEvent, Vec3, ZERO3, dot_rows, norm2_rows, proper_time_factor
 from .potentials import (
     PotentialField,
     SourceKind,
@@ -77,12 +81,16 @@ class ParticleState:
     extra: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.u.norm2() >= 1.0:
-            raise SuperluminalVelocityError(
-                f"|u| = {self.u.norm():.6g} >= 1 at tau={self.tau:.6g}"
-            )
-        if not (self.r.is_finite() and self.u.is_finite() and self.p.is_finite()):
-            raise ValueError("non-finite particle state")
+        check_state(self.tau, self.r, self.u, self.p)
+
+
+def check_state(tau: float, r, u, p) -> None:
+    """The domain of a particle state: |u| < 1 and finite r, u and p (3-sequences)."""
+    u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    if u2 >= 1.0:
+        raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2):.6g} >= 1 at tau={tau:.6g}")
+    if not all(map(math.isfinite, (*r, *u, *p))):
+        raise PhysicsDomainError("non-finite particle state")
 
 
 @dataclass
@@ -174,15 +182,6 @@ def interacting_energy(wbar: float, p: Vec3, qa: Vec3) -> float:
     return -interacting_hamiltonian(wbar, p, qa)
 
 
-def relative_invariant(wbar: float, p: Vec3, qa: Vec3) -> float:
-    """(wbar^2 - |p+qA|^2)^(1/2): exact invariant of the interacting flow."""
-    big_p = p + qa
-    d2 = wbar * wbar - big_p.norm2()
-    if d2 <= 0.0:
-        raise EnergyDomainError("relative momentum exceeds |wbar|")
-    return math.sqrt(d2)
-
-
 # --- electromagnetic force assembly ----------------------------------------
 
 
@@ -239,12 +238,6 @@ def constrained_rhs(model: ForceModel, r: Vec3, y1: Vec3, y2: float, t: float):
     return qe + mag, qe.dot(u), u
 
 
-def constrained_rest_mass(state: ParticleState) -> float:
-    """l tdot (1 - u^2)^(1/2): constant along constrained trajectories."""
-    y2 = state.extra["lambda_tdot"]
-    return y2 * proper_time_factor(state.u)
-
-
 def vacuum_rhs(model: ForceModel, r: Vec3, big_p: Vec3, t: float):
     """(dP/dt, u) of both vacuum models in the canonical momentum P = p + qA.
 
@@ -272,31 +265,80 @@ def interacting_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
 
 # --- audited invariants -------------------------------------------------------
 
-# name -> fn(state, model) per model kind; integrate_particle audits every
+
+class ParticleColumns(NamedTuple):
+    """Rows of particle states as arrays.
+
+    t and tau have shape (m,), r, u and p shape (m, 3); lam is l tdot (m,)
+    for the constrained model and None otherwise.
+    """
+
+    t: np.ndarray
+    tau: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    lam: Optional[np.ndarray] = None
+
+
+# The array forms repeat the scalar kernels element by element: (x*x + y*y)
+# + z*z for norms and dots, np.sqrt for math.sqrt, and the scalar-order
+# wbar_many / vecpot_many, so a row's value does not depend on which rows are
+# evaluated with it.  A domain violation raises the scalar kernel's error for
+# the first offending row and gives its position as ``where``.
+
+
+def _proper_time_factors(u: np.ndarray) -> np.ndarray:
+    u2 = norm2_rows(u)
+    bad = u2 >= 1.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2[k]):.6g} >= 1", where=k)
+    return np.sqrt(1.0 - u2)
+
+
+def _energy_roots(wbar: np.ndarray, big_p: np.ndarray, label: str) -> np.ndarray:
+    """(wbar^2 - |P|^2)^(1/2) per row, as in vacuum_free_hamiltonian."""
+    d2 = wbar * wbar - norm2_rows(big_p)
+    bad = d2 <= 0.0
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise EnergyDomainError(
+            f"|{label}| = {math.sqrt(norm2_rows(big_p[k])):.6g} exceeds "
+            f"|wbar| = {abs(wbar[k]):.6g}",
+            where=k,
+        )
+    return np.sqrt(d2)
+
+
+def _interacting_hamiltonians(c: ParticleColumns, m: ForceModel) -> np.ndarray:
+    qa = m.field.vecpot_many(c.r, c.t) * m.charge
+    big_p = c.p + qa
+    d = _energy_roots(m.field.wbar_many(c.r, c.t), big_p, "p+qA")
+    return -d - dot_rows(big_p, qa) / d
+
+
+# name -> fn(columns, model) per model kind; integrate_particle audits every
 # entry, and the run CSV's energy column is the 'energy' entry ('rest_mass'
 # for the constrained model).
 INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
     ModelKind.CLASSICAL: {
-        "energy": lambda s, m: math.sqrt(m.rest_mass**2 + s.p.norm2())
-        + m.field.wbar(s.r, s.t),
+        "energy": lambda c, m: np.sqrt(m.rest_mass**2 + norm2_rows(c.p))
+        + m.field.wbar_many(c.r, c.t),
     },
     ModelKind.CONSTRAINED: {
-        "rest_mass": lambda s, m: constrained_rest_mass(s),
+        "rest_mass": lambda c, m: c.lam * _proper_time_factors(c.u),
     },
     ModelKind.VACUUM_FREE: {
-        "hamiltonian": lambda s, m: vacuum_free_hamiltonian(m.field.wbar(s.r, s.t), s.p),
-        "energy": lambda s, m: total_energy(m.field.wbar(s.r, s.t), s.p),
-        "rest_mass": lambda s, m: -m.field.wbar(s.r, s.t) * proper_time_factor(s.u),
+        "hamiltonian": lambda c, m: -_energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
+        "energy": lambda c, m: _energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
+        "rest_mass": lambda c, m: -m.field.wbar_many(c.r, c.t) * _proper_time_factors(c.u),
     },
     ModelKind.VACUUM_INTERACTING: {
-        "hamiltonian": lambda s, m: interacting_hamiltonian(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
-        ),
-        "energy": lambda s, m: interacting_energy(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
-        ),
-        "relative_invariant": lambda s, m: relative_invariant(
-            m.field.wbar(s.r, s.t), s.p, qa_vector(m, s.r, s.t)
+        "hamiltonian": _interacting_hamiltonians,
+        "energy": lambda c, m: -_interacting_hamiltonians(c, m),
+        "relative_invariant": lambda c, m: _energy_roots(
+            m.field.wbar_many(c.r, c.t), c.p + m.field.vecpot_many(c.r, c.t) * m.charge, "p+qA"
         ),
     },
 }
@@ -406,20 +448,17 @@ def rest_mass_limit_check(
     if any(b >= a for a, b in zip(q_sequence, list(q_sequence)[1:])):
         raise ValidationError("q sequence must be strictly decreasing")
 
+    # -wbar (1-u^2)^(1/2) is the vacuum-free rest-mass invariant
+    rest_mass = INVARIANTS[ModelKind.VACUUM_FREE]["rest_mass"]
     deviations = []
     for q in q_sequence:
         model = scenario.model(q=q)
-        state = scenario.initial_state(q=q)
         params = IntegrationParams(
             step=scenario.horizon / scenario.n_steps,
             n_steps=scenario.n_steps,
             audit_every=1,
         )
-        traj = integrate_particle(model, state, params)
-        m0 = -model.field.wbar(state.r, state.t) * proper_time_factor(state.u)
-        dev = 0.0
-        for s in traj.samples:
-            wb = model.field.wbar(s.r, s.t)
-            dev = max(dev, abs(-wb * proper_time_factor(s.u) - m0))
-        deviations.append(dev)
+        traj = integrate_particle(model, scenario.initial_state(q=q), params)
+        values = rest_mass(traj.columns(), model)
+        deviations.append(float(np.max(np.abs(values - values[0]))))
     return RestMassLimitReport(list(q_sequence), deviations)

@@ -90,12 +90,15 @@ class SourceSpec:
 class PotentialField:
     """Interface: scalar potential wbar with exact derivatives plus vector potential.
 
-    grad_vecpot returns the 3x3 Jacobian J[i, j] = dA_i / dr_j.
+    grad_vecpot returns the 3x3 Jacobian J[i, j] = dA_i / dr_j; kind names
+    the field as scenario files do.
     Subclasses overriding the *_many methods get vectorized evaluation in
     string, conformal and least-action code; the defaults loop.  The
     least-action oracle needs wbar_many and vecpot_many to repeat the
     scalar forms' arithmetic exactly, so overrides keep their order.
     """
+
+    kind = "custom"
 
     def wbar(self, r: Vec3, t: float) -> float:
         raise NotImplementedError
@@ -158,6 +161,8 @@ class PotentialField:
 class UniformField(PotentialField):
     """Constant wbar, zero gradients, zero vector potential."""
 
+    kind = "uniform"
+
     def __init__(self, value: float):
         self.value = float(value)
 
@@ -218,6 +223,7 @@ class CoulombField(PotentialField):
         self.background = spec.background
         self.r_f0 = spec.r_f0
         self.u_f = spec.u_f
+        self.kind = spec.kind.value
 
     def _displacement(self, r: Vec3, t: float) -> Vec3:
         # r - (r_f0 + u_f t), written out per component: one Vec3 instead of three
@@ -320,6 +326,8 @@ class CoulombField(PotentialField):
 class LinearField(PotentialField):
     """wbar = w0 + <g, r>: uniform force field (uniform E at fixed test charge)."""
 
+    kind = "linear"
+
     def __init__(self, w0: float, gradient: Vec3):
         self.w0 = float(w0)
         self.gradient = gradient
@@ -365,6 +373,8 @@ class LinearField(PotentialField):
 
 class UniformMagneticField(PotentialField):
     """Constant B via the symmetric gauge A = (1/2) B x r; wbar constant."""
+
+    kind = "uniform-b"
 
     def __init__(self, b: Vec3, wbar0: float = 0.0):
         self.b = b

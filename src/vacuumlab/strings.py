@@ -402,6 +402,10 @@ def plucked_string(
     c = 0.5 * (grid.sigma[0] + grid.sigma[-1]) if center is None else center
     frac = (grid.sigma - grid.sigma[0]) / (grid.sigma[-1] - grid.sigma[0])
     window = np.sin(math.pi * frac) ** 2
-    bump = amplitude * np.exp(-((grid.sigma - c) ** 2) / (2.0 * width**2)) * window
+    try:
+        spread = 2.0 * width**2
+    except OverflowError:  # a pluck this wide is flat
+        spread = math.inf
+    bump = amplitude * np.exp(-((grid.sigma - c) ** 2) / spread) * window
     state.p = np.outer(bump, direction.as_array())
     return state

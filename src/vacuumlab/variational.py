@@ -27,7 +27,7 @@ from .errors import (
     DegenerateLagrangianError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3
+from .geometry import Vec3, ZERO3, dot_rows as _dot, norm2_rows as _norm2
 from .particle import (
     interacting_hamiltonian,
     vacuum_free_hamiltonian,
@@ -102,6 +102,13 @@ class DiscretePath:
         return float(self.s[1] - self.s[0])
 
 
+def _multiplier_channel(c) -> Optional[np.ndarray]:
+    """lambda = l tdot (1 - u^2)^(1/2) per row of particle columns, if they carry l tdot."""
+    if c.lam is None:
+        return None
+    return c.lam * np.sqrt(1.0 - _norm2(c.u))
+
+
 def path_from_trajectory(trajectory, stride: int = 1) -> DiscretePath:
     """Build a path on the trajectory's own (uniform) integration grid.
 
@@ -109,26 +116,9 @@ def path_from_trajectory(trajectory, stride: int = 1) -> DiscretePath:
     always carried as the t channel (for lab runs it coincides with the
     parameter) along with the multiplier channel when present.
     """
-    samples = trajectory.samples[::stride]
-    axis = trajectory.time_axis
-    if axis == "lab":
-        svals = np.array([smp.t for smp in samples])
-        tvals = svals
-    else:
-        svals = np.array(
-            [smp.extra.get("tau_rel", smp.tau) for smp in samples]
-        )
-        tvals = np.array([smp.t for smp in samples])
-    r = np.array([list(smp.r) for smp in samples])
-    lam = None
-    if samples and "lambda_tdot" in samples[0].extra:
-        lam = np.array(
-            [
-                smp.extra["lambda_tdot"] * math.sqrt(1.0 - smp.u.norm2())
-                for smp in samples
-            ]
-        )
-    return DiscretePath(s=svals, r=r, t=tvals, lam=lam)
+    rows = slice(None, None, stride)
+    c = trajectory.columns(rows)
+    return DiscretePath(s=trajectory.x[rows], r=c.r, t=c.t, lam=_multiplier_channel(c))
 
 
 def uniform_proper_path(trajectory, m: int) -> DiscretePath:
@@ -138,15 +128,8 @@ def uniform_proper_path(trajectory, m: int) -> DiscretePath:
     resampling error stays below the O(dtau^2) discretization signal the
     residual oracle measures.
     """
-    samples = trajectory.samples
-    tau_s = np.array([smp.tau for smp in samples])
-    t_s = np.array([smp.t for smp in samples])
-    r_s = np.array([list(smp.r) for smp in samples])
-    lam_s = None
-    if "lambda_tdot" in samples[0].extra:
-        lam_s = np.array(
-            [s.extra["lambda_tdot"] * math.sqrt(1.0 - s.u.norm2()) for s in samples]
-        )
+    c = trajectory.columns()
+    tau_s, t_s, r_s, lam_s = c.tau, c.t, c.r, _multiplier_channel(c)
     grid = np.linspace(tau_s[1], tau_s[-2], m)
     # each target's four-sample stencil and its Lagrange weights
     i0 = np.minimum(np.maximum(np.searchsorted(tau_s, grid) - 2, 0), len(tau_s) - 4)
@@ -180,14 +163,6 @@ def uniform_proper_path(trajectory, m: int) -> DiscretePath:
 # parameter.  Each keeps one fixed operation order, (x*x + y*y) + z*z for
 # squared norms and dots, so a node's value does not depend on how many
 # nodes are evaluated together.
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
-
-
-def _norm2(v: np.ndarray) -> np.ndarray:
-    return _dot(v, v)
 
 
 def _qa(spec: LagrangianSpec, r: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -235,6 +210,23 @@ _DENSITIES = {
     LagrangianKind.VACUUM_FREE_POINT: _vacuum_free_density,
     LagrangianKind.VACUUM_INTERACTING_POINT: _vacuum_interacting_density,
 }
+
+
+# Field kinds whose vector potential is qA = wbar u_f by construction (A = 0
+# with no source velocity, or a Coulomb source): the relation the interacting
+# density and its Legendre check assume.
+_QA_IS_WBAR_UF = ("uniform", "linear", "coulomb-static", "coulomb-comoving")
+
+
+def check_oracle_coverage(spec: LagrangianSpec) -> None:
+    """Refuse an interacting-kind spec in a field the oracle's density does not model."""
+    if spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
+        kind = spec.field.kind
+        if kind not in _QA_IS_WBAR_UF:
+            raise ValidationError(
+                f"the {spec.kind.value} oracle assumes qA = wbar u_f and does not cover "
+                f"field kind '{kind}' (covered: {', '.join(_QA_IS_WBAR_UF)})"
+            )
 
 
 def _velocities(values: np.ndarray, ds: float) -> np.ndarray:
@@ -370,6 +362,7 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
     """
     if spec.kind in (LagrangianKind.STRING_DENSITY, LagrangianKind.CONSTRAINED_POINT):
         raise DegenerateLagrangianError(f"{spec.kind.value} has a degenerate Legendre map")
+    check_oracle_coverage(spec)
     density = _DENSITIES[spec.kind]
     r = path.r[1:-1]
     v = _velocities(path.r, path.ds)[1:-1]
@@ -396,7 +389,7 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
             qa = spec.charge * spec.field.vecpot(ri, ti)
             h_ref = vacuum_free_hamiltonian(wbar, pi - qa)
         elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
-            qa = wbar * spec.u_f
+            qa = spec.u_f * wbar  # Vec3 first: wbar may be a NumPy scalar
             h_ref = interacting_hamiltonian(wbar, pi - qa, qa)
         else:  # classical
             qa = spec.charge * spec.field.vecpot(ri, ti)

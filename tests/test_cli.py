@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from vacuumlab import cli
 from vacuumlab.errors import MisalignedScenariosError, ParseError, ValidationError
@@ -279,6 +286,14 @@ def _always_reject(f, x, y, h, rel_tol, abs_tol):
     return False, y, 10.0
 
 
+def _huge_gradient(data):
+    # the energy overflows at step 1 and is audited first at step 5
+    shipped = yaml.safe_load(open(scenario("classical_uniform_e.yaml")))
+    shipped["field"]["gradient"] = [1e300, 0, 0]
+    shipped["integration"]["n_steps"] = 50
+    data.update({k: v for k, v in shipped.items() if k != "output"})
+
+
 @pytest.mark.parametrize(
     "edit, code, message",
     [
@@ -292,8 +307,10 @@ def _always_reject(f, x, y, h, rel_tol, abs_tol):
         (lambda d: d["integration"].update(step=math.inf), 1, "integration.step"),
         (lambda d: d.update(kind="string", grid={"n": "abc"}), 1, "grid.n"),
         (lambda d: d["integration"].update(method="rk45"), 3, "step collapsed"),
+        (_huge_gradient, 2, "non-finite energy inf [t=0.0025]"),
     ],
-    ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse"],
+    ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
+         "non-finite-energy"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ
@@ -343,6 +360,24 @@ def test_audit_integrates_on_the_models_own_clock(tmp_path):
     assert audits[0] == audits[1]
 
 
+def test_audit_refuses_a_field_the_interacting_oracle_does_not_cover(tmp_path, capsys):
+    # qA = (1/2) B x r is not wbar u_f: the interacting density would be the wrong Lagrangian
+    data = {
+        "name": "interacting-uniform-b",
+        "kind": "particle",
+        "model": "vacuum-interacting",
+        "field": {"kind": "uniform-b", "b": [0, 0, 1], "wbar0": -1.0},
+        "initial": {"r": [0, 0, 0], "u": [0.3, 0, 0]},
+        "integration": {"step": 1e-3, "n_steps": 2000},
+        "output": {"directory": str(tmp_path / "out")},
+    }
+    rc = cli.main(["audit", write_config(tmp_path, data), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "'uniform-b'" in err
+    assert not (tmp_path / "out").exists()
+
+
 SHIPPED_RUNS = [
     ["run", name] for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".yaml")
 ] + [["compare", "compare_classical_uniform.yaml", "compare_uniform_field.yaml"]]
@@ -362,3 +397,97 @@ def test_shipped_scenarios_run_and_rerun_identically(tmp_path, verb, names):
         csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
         outputs.append({f: (out / f).read_bytes() for f in csvs})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+# --- mutated shipped scenarios: the exit-code contract on arbitrary inputs ---------
+
+SHIPPED = {
+    name: yaml.safe_load(open(scenario(name)))
+    for name in sorted(os.listdir(SCENARIOS))
+    if name.endswith(".yaml")
+}
+# mutations never raise a step or sweep count, and never lower the conformal
+# tolerance, so every example stays as cheap as the shipped scenario at --steps 5
+_COUNT_KEYS = {"n_steps", "n", "n_sigma", "n_s", "max_iters"}
+_ENUM_KEYS = {"kind", "model", "method", "time_axis", "problem"}
+_EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0, 0, -1.0]
+_ODD_VALUES = ["abc", "", [1, 2], [], {"a": 1}, {}, None, True, 7, 0.5]
+_WRONG_ENUMS = ["bogus", "RK4", "string", "particle", "vacuum-free", "uniform-b", "proper",
+                "pluck", "manufactured", "rk45"]
+
+
+def _paths(node, path=()):
+    """Every key or list position below the root of a scenario dict."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+def _allowed(key, old, new) -> bool:
+    numeric = isinstance(new, (int, float)) and not isinstance(new, bool)
+    if key in _COUNT_KEYS and numeric and isinstance(old, (int, float)):
+        return not new > old
+    if key == "tol" and numeric and isinstance(old, (int, float)):
+        return not new < old
+    return True
+
+
+@st.composite
+def mutated_scenarios(draw):
+    data = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, old = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["drop", "odd", "extreme", "enum"]))
+        if op == "drop":
+            del parent[key]
+            continue
+        if op == "enum" and key in _ENUM_KEYS:
+            choices = _WRONG_ENUMS
+        else:
+            choices = _EXTREME if op == "extreme" else _ODD_VALUES
+        choices = [v for v in choices if _allowed(key, old, v)]
+        if choices:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(choices)))
+    return data
+
+
+def _csv_values_finite(directory) -> bool:
+    for path in directory.glob("*.csv"):
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                try:
+                    value = float(field)
+                except ValueError:
+                    continue  # a series label
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=mutated_scenarios())
+def test_mutated_scenarios_keep_the_exit_code_contract(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.yaml")
+        with open(path, "w") as fh:
+            yaml.safe_dump(data, fh)
+        out = pathlib.Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["run", path, "--steps", "5", "--quiet", "--out", str(out)])
+        lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+        assert rc in (0, 1, 2, 3)
+        assert len(lines) <= 1, lines
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 0:
+            assert _csv_values_finite(out)

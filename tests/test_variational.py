@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vacuumlab.errors import ActionDomainError, DegenerateLagrangianError
+from vacuumlab.errors import ActionDomainError, DegenerateLagrangianError, ValidationError
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import IntegrationParams, integrate_particle, integrate_string
 from vacuumlab.particle import (
@@ -189,6 +189,20 @@ def test_legendre_degenerate_kinds_raise():
         legendre_transform_check(
             LagrangianSpec(LagrangianKind.CONSTRAINED_POINT, field, m0=1.0), path
         )
+
+
+def test_legendre_interacting_refuses_fields_without_qa_equal_wbar_uf():
+    path = straight_path(v=Vec3(0.2, 0.1, 0.0))
+    path.t = path.s * 1.1
+    spec = LagrangianSpec(
+        LagrangianKind.VACUUM_INTERACTING_POINT, UniformMagneticField(Vec3(0, 0, 1), -1.0)
+    )
+    with pytest.raises(ValidationError, match="'uniform-b'"):
+        legendre_transform_check(spec, path)
+    # A = 0 and u_f = 0: qA = wbar u_f holds with both sides zero
+    for field in (UniformField(-1.0), LinearField(-2.0, Vec3(-0.5, 0.0, 0.0))):
+        spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field)
+        assert legendre_transform_check(spec, path).passed(1e-8)
 
 
 def test_multiplier_consistency_exact_free_path():
