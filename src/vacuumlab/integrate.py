@@ -14,11 +14,9 @@ of a vacuum model steps the same law on the source frame's proper time
 x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 
-A particle `Trajectory` holds columns: the parameter x, shape (n+1,), and
-the stepper's flat state Y, shape (n+1, k).  Each new state is checked at
-the step that made it, without building a state object; the audited
-invariants are evaluated once over the audited rows as arrays; `columns()`,
-`samples` and `final` are derived from x and Y on demand.
+A particle `Trajectory` holds the parameter x and the stepper's flat state
+Y as arrays; its physical columns, `samples` and `final` are derived on
+demand, and its invariants are audited once, as arrays over the audited rows.
 """
 
 from __future__ import annotations
@@ -202,28 +200,24 @@ class Trajectory:
         row of any invariant, annotated with that row's parameter value.
         """
         table = INVARIANTS[self.model.kind]
-        at = np.arange(len(self.x))[rows]
-        values, failure = {}, None
         cols = self.columns(rows)
+        values, failures = {}, []
         with np.errstate(all="ignore"):  # non-finite values are raised below
             for name in names or table:
                 try:
-                    v = table[name](cols, self.model)
+                    values[name] = v = table[name](cols, self.model)
                 except PhysicsDomainError as exc:
                     if exc.where is None:
                         raise
-                    k = exc.where
-                else:
-                    bad = ~np.isfinite(v)
-                    if not bad.any():
-                        values[name] = v
-                        continue
+                    failures.append((exc.where, exc))
+                    continue
+                bad = ~np.isfinite(v)
+                if bad.any():
                     k = int(np.argmax(bad))
-                    exc = PhysicsDomainError(f"non-finite {name} {v[k]}")
-                if failure is None or k < failure[0]:
-                    failure = (k, exc)
-        if failure is not None:
-            raise self.annotate(failure[1], at[failure[0]])
+                    failures.append((k, PhysicsDomainError(f"non-finite {name} {v[k]}")))
+        if failures:
+            k, exc = min(failures, key=lambda f: f[0])  # ties: the first invariant
+            raise self.annotate(exc, np.arange(len(self.x))[rows][k])
         return values
 
 

@@ -290,3 +290,29 @@ def test_non_finite_invariant_raises_at_its_first_audited_row():
         integrate_particle(model, state, params)
     # the energy overflows at step 1; the first audited row after it is step 5
     assert str(err.value) == "non-finite energy inf [t=0.0025]"
+
+
+def test_invariant_errors_raise_at_the_earliest_row(monkeypatch):
+    model, state, params = _case(ModelKind.VACUUM_FREE, "lab", "rk4")
+    traj = integrate_particle(model, state, replace(params, n_steps=4))
+
+    def flagged(k, value):
+        def fn(c, m):
+            out = np.ones(len(c.t))
+            out[k] = value
+            return out
+
+        return fn
+
+    def domain(c, m):
+        raise EnergyDomainError("out of its domain", where=2)
+
+    table = {"early": flagged(1, math.nan), "late": flagged(3, math.inf), "domain": domain}
+    monkeypatch.setitem(integ.INVARIANTS, ModelKind.VACUUM_FREE, table)
+    with pytest.raises(PhysicsDomainError) as err:
+        traj.invariants()
+    assert str(err.value) == f"non-finite early nan [t={traj.x[1]:.9g}]"
+    del table["early"]
+    with pytest.raises(EnergyDomainError) as err:
+        traj.invariants()
+    assert str(err.value) == f"out of its domain [t={traj.x[2]:.9g}]"
