@@ -84,14 +84,18 @@ def _fmt(x: float) -> str:
 
 
 def _number(raw, name: str, cast=float):
-    """raw as a finite float (or int); ValidationError names the config key."""
+    """raw as a finite float, or as an int for cast=int; ValidationError names the key.
+
+    An int key takes any integral value, such as 1.0e+4 or the YAML string '1.0e4'.
+    """
     try:
-        value = cast(raw)
-        if math.isfinite(value) and not isinstance(raw, bool):
-            return value
+        value = float(raw)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValidationError(f"{name} must be a finite number, got {raw!r}")
+        value = math.nan
+    if math.isfinite(value) and not isinstance(raw, bool) and (cast is float or value.is_integer()):
+        return cast(value)
+    kind = "an integer" if cast is int else "a finite number"
+    raise ValidationError(f"{name} must be {kind}, got {raw!r}")
 
 
 def _section(data: dict, key: str) -> dict:
@@ -399,6 +403,8 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
 
 
 _PARTICLE_ROW = "{}" + ",{:.17g}" * 10
+_STRING_ROW = "{}" + ",{:.17g}" * 9
+_CONFORMAL_ROW = "{},{}" + ",{:.17g}" * 6
 _LONG_ROWS = "{0},{1:.17g},wbar,{2:.17g}\n{0},{1:.17g},energy,{3:.17g}"
 
 
@@ -461,24 +467,11 @@ def _run_string(config: ScenarioConfig, out_dir: str):
         if i % stride and i != len(traj.samples) - 1:
             continue
         dens = strings_mod.node_energy_density(st, field)
-        if not (np.isfinite(st.r).all() and np.isfinite(st.p).all() and np.isfinite(dens).all()):
+        tau = np.full(st.grid.n, st.tau)
+        table = np.column_stack([tau, st.grid.sigma, st.r, st.p, dens])
+        if not np.isfinite(table).all():
             raise PhysicsDomainError(f"non-finite string CSV value [tau={st.tau:.9g}]")
-        for j in range(st.grid.n):
-            rows.append(
-                ",".join(
-                    [str(i)]
-                    + [
-                        _fmt(v)
-                        for v in (
-                            st.tau,
-                            st.grid.sigma[j],
-                            *st.r[j],
-                            *st.p[j],
-                            dens[j],
-                        )
-                    ]
-                )
-            )
+        rows += [_STRING_ROW.format(i, *row) for row in table.tolist()]
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     return traj.report.to_dict(), [csv_path]
@@ -508,15 +501,12 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
         "max_gauge_defect": {"initial": solved.max_gauge_defect(), "max_drift": 0.0,
                              "relative_drift": 0.0, "samples": 1},
     }
+    sigma, s = np.meshgrid(solved.sigma, solved.s, indexing="ij")
+    table = np.column_stack([sigma.ravel(), s.ravel(), solved.xi.reshape(-1, 4)])
     rows = ["i,j,sigma,s,xi0,xi1,xi2,xi3"]
-    for i in range(n_sigma):
-        for j in range(n_s):
-            rows.append(
-                ",".join(
-                    [str(i), str(j)]
-                    + [_fmt(v) for v in (solved.sigma[i], solved.s[j], *solved.xi[i, j])]
-                )
-            )
+    rows += [
+        _CONFORMAL_ROW.format(*divmod(k, n_s), *row) for k, row in enumerate(table.tolist())
+    ]
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     return report, [csv_path]

@@ -192,7 +192,10 @@ def _extra_force(q: float, jac, u: Vec3) -> Vec3:
 
 
 def _q_em_terms(field: PotentialField, q: float, u: Vec3, r: Vec3, t: float):
-    """Return (qE, u x qB, F_c) with all terms scaled by the charge."""
+    """Return (qE, u x qB, J): the forces scaled by the charge, and the A-Jacobian.
+
+    Only interacting_rhs adds the extra force F_c, which it builds from J.
+    """
     g = field.grad_wbar(r, t)
     qe = -g - q * field.dvecpot_dt(r, t)
     jac = field.grad_vecpot(r, t)
@@ -202,7 +205,7 @@ def _q_em_terms(field: PotentialField, q: float, u: Vec3, r: Vec3, t: float):
         q * (jac[1, 0] - jac[0, 1]),
     )
     mag = u.cross(q_curl)
-    return qe, mag, _extra_force(q, jac, u)
+    return qe, mag, jac
 
 
 def interaction_extra_force(q: float, u: Vec3, f: PotentialField, r: Vec3, t: float) -> Vec3:
@@ -259,8 +262,8 @@ def vacuum_lorentz_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
 def interacting_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
     """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>."""
     u = vacuum_velocity(model.field.wbar(r, t), p)
-    qe, mag, fc = _q_em_terms(model.field, model.charge, u, r, t)
-    return qe + mag + fc, u
+    qe, mag, jac = _q_em_terms(model.field, model.charge, u, r, t)
+    return qe + mag + _extra_force(model.charge, jac, u), u
 
 
 # --- audited invariants -------------------------------------------------------

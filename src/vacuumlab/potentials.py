@@ -10,7 +10,10 @@ q*A = wbar * u_f (instantaneous relation, no retardation), from which
 
 Each concrete field provides exact first derivatives (gradients checked
 against central differences in the test suite) and, where wave-equation
-residual checking is supported, exact second derivatives as well.
+residual checking is supported, exact second derivatives as well.  A
+built-in field writes wbar, grad(wbar), d(wbar)/dt and A once, on
+components (x, y, z, t) that are floats or 1-D arrays; ``PotentialField``
+derives both the Vec3 forms and the ``*_many`` array forms from them.
 """
 
 from __future__ import annotations
@@ -90,27 +93,60 @@ class SourceSpec:
 class PotentialField:
     """Interface: scalar potential wbar with exact derivatives plus vector potential.
 
-    grad_vecpot returns the 3x3 Jacobian J[i, j] = dA_i / dr_j; kind names
-    the field as scenario files do.
-    Subclasses overriding the *_many methods get vectorized evaluation in
-    string, conformal and least-action code; the defaults loop.  The
-    least-action oracle needs wbar_many and vecpot_many to repeat the
-    scalar forms' arithmetic exactly, so overrides keep their order.
+    A field writes wbar, grad(wbar), d(wbar)/dt and A once each, as the
+    private component methods _wbar, _grad_wbar, _dwbar_dt and _vecpot on
+    (x, y, z, t).  They take floats or equal-length 1-D arrays and return
+    a value or an (x, y, z) triple of values; a constant may stay a float
+    on arrays.  This class builds the Vec3 forms (wbar, grad_wbar, ...) and
+    the (n, 3)-points forms (wbar_many, grad_wbar_many, ...) from them, so
+    each row of an array form equals the scalar form bit for bit, which the
+    least-action oracle's array densities rely on.  grad_vecpot returns the
+    3x3 Jacobian J[i, j] = dA_i / dr_j; kind names the field as scenario
+    files do.
     """
 
     kind = "custom"
 
-    def wbar(self, r: Vec3, t: float) -> float:
+    def _wbar(self, x, y, z, t):
         raise NotImplementedError
+
+    def _grad_wbar(self, x, y, z, t):
+        raise NotImplementedError
+
+    def _dwbar_dt(self, x, y, z, t):
+        raise NotImplementedError
+
+    def _vecpot(self, x, y, z, t):
+        raise NotImplementedError
+
+    def wbar(self, r: Vec3, t: float) -> float:
+        return self._wbar(r.x, r.y, r.z, t)
 
     def grad_wbar(self, r: Vec3, t: float) -> Vec3:
-        raise NotImplementedError
+        return Vec3._make(self._grad_wbar(r.x, r.y, r.z, t))
 
     def dwbar_dt(self, r: Vec3, t: float) -> float:
-        raise NotImplementedError
+        return self._dwbar_dt(r.x, r.y, r.z, t)
 
     def vecpot(self, r: Vec3, t: float) -> Vec3:
-        raise NotImplementedError
+        return Vec3._make(self._vecpot(r.x, r.y, r.z, t))
+
+    # Over arrays of points (n, 3) and times (n,).
+    def wbar_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.empty(len(points))
+        out[...] = self._wbar(points[:, 0], points[:, 1], points[:, 2], times)
+        return out
+
+    def grad_wbar_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return _rows(self._grad_wbar(points[:, 0], points[:, 1], points[:, 2], times), len(points))
+
+    def dwbar_dt_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        out = np.empty(len(points))
+        out[...] = self._dwbar_dt(points[:, 0], points[:, 1], points[:, 2], times)
+        return out
+
+    def vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return _rows(self._vecpot(points[:, 0], points[:, 1], points[:, 2], times), len(points))
 
     def grad_vecpot(self, r: Vec3, t: float) -> np.ndarray:
         raise NotImplementedError
@@ -136,26 +172,28 @@ class PotentialField:
         """Distance to the singular support of an unsoftened point source, else None."""
         return None
 
-    # Vectorized helpers over arrays of points (n, 3) and times (n,).
-    def wbar_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.wbar(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
-        )
 
-    def grad_wbar_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.grad_wbar(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
-        )
+def _rows(components, n: int) -> np.ndarray:
+    """(n, 3) array from an (x, y, z) triple of (n,) arrays or floats."""
+    out = np.empty((n, 3))
+    out[:, 0], out[:, 1], out[:, 2] = components
+    return out
 
-    def dwbar_dt_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.dwbar_dt(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
-        )
 
-    def vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)]
-        )
+def _sqrt(v):
+    """math.sqrt on a float, np.sqrt on an array: the same correctly rounded root."""
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+
+
+def _off_source(den, t):
+    """den unchanged; SingularPointError where it is 0 (an unsoftened source hit)."""
+    if isinstance(den, float):
+        if den == 0.0:
+            raise SingularPointError(_ON_SOURCE.format(t=t))
+    elif not den.all():
+        t = np.asarray(t, dtype=float)[np.argmax(den == 0.0)]
+        raise SingularPointError(_ON_SOURCE.format(t=t))
+    return den
 
 
 class UniformField(PotentialField):
@@ -166,16 +204,16 @@ class UniformField(PotentialField):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def wbar(self, r, t):
+    def _wbar(self, x, y, z, t):
         return self.value
 
-    def grad_wbar(self, r, t):
+    def _grad_wbar(self, x, y, z, t):
         return ZERO3
 
-    def dwbar_dt(self, r, t):
+    def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def vecpot(self, r, t):
+    def _vecpot(self, x, y, z, t):
         return ZERO3
 
     def grad_vecpot(self, r, t):
@@ -190,16 +228,9 @@ class UniformField(PotentialField):
     def wbar_tt(self, r, t):
         return 0.0
 
-    def wbar_many(self, points, times):
-        return np.full(len(points), self.value)
-
+    # Zeros by shape alone: every string right-hand side calls this, and
+    # filling the generic form's three columns costs about 5x as much.
     def grad_wbar_many(self, points, times):
-        return np.zeros((len(points), 3))
-
-    def dwbar_dt_many(self, points, times):
-        return np.zeros(len(points))
-
-    def vecpot_many(self, points, times):
         return np.zeros((len(points), 3))
 
 
@@ -225,34 +256,35 @@ class CoulombField(PotentialField):
         self.u_f = spec.u_f
         self.kind = spec.kind.value
 
-    def _displacement(self, r: Vec3, t: float) -> Vec3:
-        # r - (r_f0 + u_f t), written out per component: one Vec3 instead of three
+    def _offset(self, x, y, z, t):
+        """d = r - (r_f0 + u_f t) and |d|^2 + eps^2, summed in Vec3.norm2's order."""
         f, u = self.r_f0, self.u_f
-        return Vec3(r.x - (f.x + u.x * t), r.y - (f.y + u.y * t), r.z - (f.z + u.z * t))
+        dx = x - (f.x + u.x * t)
+        dy = y - (f.y + u.y * t)
+        dz = z - (f.z + u.z * t)
+        return dx, dy, dz, ((dx * dx + dy * dy) + dz * dz) + self.eps2
 
-    def wbar(self, r, t):
-        d2 = self._displacement(r, t).norm2()
-        try:
-            return self.background - self.k / (FOUR_PI * math.sqrt(d2 + self.eps2))
-        except ZeroDivisionError:
-            raise SingularPointError(_ON_SOURCE.format(t=t)) from None
+    def _wbar(self, x, y, z, t):
+        d2e = self._offset(x, y, z, t)[3]
+        return self.background - self.k / _off_source(FOUR_PI * _sqrt(d2e), t)
 
-    def grad_wbar(self, r, t):
-        d = self._displacement(r, t)
-        d2e = d.norm2() + self.eps2
-        s = d2e * math.sqrt(d2e)  # not ** 1.5: NumPy's power rounds differently
-        try:
-            return d * (self.k / (FOUR_PI * s))
-        except ZeroDivisionError:
-            raise SingularPointError(_ON_SOURCE.format(t=t)) from None
+    def _grad_wbar(self, x, y, z, t):
+        dx, dy, dz, d2e = self._offset(x, y, z, t)
+        s = d2e * _sqrt(d2e)  # not ** 1.5: NumPy's power rounds differently
+        c = self.k / _off_source(FOUR_PI * s, t)
+        return dx * c, dy * c, dz * c
 
-    def dwbar_dt(self, r, t):
-        return -self.grad_wbar(r, t).dot(self.u_f)
+    def _dwbar_dt(self, x, y, z, t):
+        gx, gy, gz = self._grad_wbar(x, y, z, t)
+        u = self.u_f
+        return -((gx * u.x + gy * u.y) + gz * u.z)
 
-    def vecpot(self, r, t):
+    def _vecpot(self, x, y, z, t):
         if self.u_f.norm2() == 0.0:
             return ZERO3
-        return self.u_f * (self.wbar(r, t) / self.q)
+        c = self._wbar(x, y, z, t) / self.q
+        u = self.u_f
+        return u.x * c, u.y * c, u.z * c
 
     def grad_vecpot(self, r, t):
         if self.u_f.norm2() == 0.0:
@@ -266,8 +298,8 @@ class CoulombField(PotentialField):
         return self.u_f * (self.dwbar_dt(r, t) / self.q)
 
     def wbar_hessian(self, r, t):
-        d = self._displacement(r, t).as_array()
-        d2e = float(d @ d) + self.eps2
+        dx, dy, dz, d2e = self._offset(r.x, r.y, r.z, t)
+        d = np.array([dx, dy, dz])
         coef = self.k / FOUR_PI
         return coef * (np.eye(3) * d2e**-1.5 - 3.0 * np.outer(d, d) * d2e**-2.5)
 
@@ -276,51 +308,18 @@ class CoulombField(PotentialField):
         return float(uf @ self.wbar_hessian(r, t) @ uf)
 
     def wbar_laplacian(self, r, t):
-        d2e = self._displacement(r, t).norm2() + self.eps2
+        d2e = self._offset(r.x, r.y, r.z, t)[3]
         return 3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
 
     def rho(self, r, t):
         """Plummer density matching -laplacian(wbar) of the static softened source."""
-        d2e = self._displacement(r, t).norm2() + self.eps2
+        d2e = self._offset(r.x, r.y, r.z, t)[3]
         return -3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
 
     def singular_distance(self, r, t):
         if self.eps2 > 0.0:
             return None
-        return self._displacement(r, t).norm()
-
-    def wbar_many(self, points, times):
-        # (dx*dx + dy*dy) + dz*dz, the order of the scalar norm2
-        d = points - self._source_positions(times)
-        d2 = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]
-        root = np.sqrt(d2 + self.eps2)
-        if self.eps2 == 0.0 and not np.all(root):
-            t = float(np.asarray(times, dtype=float)[np.argmin(root)])
-            raise SingularPointError(_ON_SOURCE.format(t=t))
-        return self.background - self.k / (FOUR_PI * root)
-
-    def grad_wbar_many(self, points, times):
-        # the scalar grad_wbar's operation order, element by element
-        d = points - self._source_positions(times)
-        d2e = ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]) + self.eps2
-        s = d2e * np.sqrt(d2e)
-        return d * (self.k / (FOUR_PI * s))[:, None]
-
-    def dwbar_dt_many(self, points, times):
-        # -((gx*ux + gy*uy) + gz*uz), the order of the scalar dot
-        g = self.grad_wbar_many(points, times)
-        ux, uy, uz = self.u_f
-        return -((g[:, 0] * ux + g[:, 1] * uy) + g[:, 2] * uz)
-
-    def vecpot_many(self, points, times):
-        if self.u_f.norm2() == 0.0:
-            return np.zeros((len(points), 3))
-        return (self.wbar_many(points, times) / self.q)[:, None] * self.u_f.as_array()
-
-    def _source_positions(self, times):
-        return self.r_f0.as_array()[None, :] + np.outer(
-            np.asarray(times, dtype=float), self.u_f.as_array()
-        )
+        return math.sqrt(self._offset(r.x, r.y, r.z, t)[3])
 
 
 class LinearField(PotentialField):
@@ -332,16 +331,17 @@ class LinearField(PotentialField):
         self.w0 = float(w0)
         self.gradient = gradient
 
-    def wbar(self, r, t):
-        return self.w0 + self.gradient.dot(r)
+    def _wbar(self, x, y, z, t):
+        g = self.gradient
+        return self.w0 + ((g.x * x + g.y * y) + g.z * z)
 
-    def grad_wbar(self, r, t):
+    def _grad_wbar(self, x, y, z, t):
         return self.gradient
 
-    def dwbar_dt(self, r, t):
+    def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def vecpot(self, r, t):
+    def _vecpot(self, x, y, z, t):
         return ZERO3
 
     def grad_vecpot(self, r, t):
@@ -356,20 +356,6 @@ class LinearField(PotentialField):
     def wbar_tt(self, r, t):
         return 0.0
 
-    def wbar_many(self, points, times):
-        # w0 + ((gx*x + gy*y) + gz*z), the order of the scalar dot
-        gx, gy, gz = self.gradient
-        return self.w0 + ((points[:, 0] * gx + points[:, 1] * gy) + points[:, 2] * gz)
-
-    def grad_wbar_many(self, points, times):
-        return np.tile(self.gradient.as_array(), (len(points), 1))
-
-    def dwbar_dt_many(self, points, times):
-        return np.zeros(len(points))
-
-    def vecpot_many(self, points, times):
-        return np.zeros((len(points), 3))
-
 
 class UniformMagneticField(PotentialField):
     """Constant B via the symmetric gauge A = (1/2) B x r; wbar constant."""
@@ -380,17 +366,19 @@ class UniformMagneticField(PotentialField):
         self.b = b
         self.wbar0 = float(wbar0)
 
-    def wbar(self, r, t):
+    def _wbar(self, x, y, z, t):
         return self.wbar0
 
-    def grad_wbar(self, r, t):
+    def _grad_wbar(self, x, y, z, t):
         return ZERO3
 
-    def dwbar_dt(self, r, t):
+    def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def vecpot(self, r, t):
-        return self.b.cross(r) * 0.5
+    def _vecpot(self, x, y, z, t):
+        # (b x r) * 0.5, in the order of Vec3.cross
+        bx, by, bz = self.b
+        return (by * z - bz * y) * 0.5, (bz * x - bx * z) * 0.5, (bx * y - by * x) * 0.5
 
     def grad_vecpot(self, r, t):
         bx, by, bz = self.b
@@ -404,18 +392,6 @@ class UniformMagneticField(PotentialField):
 
     def wbar_tt(self, r, t):
         return 0.0
-
-    def wbar_many(self, points, times):
-        return np.full(len(points), self.wbar0)
-
-    def vecpot_many(self, points, times):
-        # (b x r) * 0.5 component by component, as the scalar cross
-        bx, by, bz = self.b
-        x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        return np.stack(
-            [(by * z - bz * y) * 0.5, (bz * x - bx * z) * 0.5, (bx * y - by * x) * 0.5],
-            axis=1,
-        )
 
 
 @dataclass
@@ -458,6 +434,22 @@ class CallableField(PotentialField):
         if self.wbar_tt_fn is None:
             raise NotImplementedError("no wbar_tt supplied")
         return self.wbar_tt_fn(r, t)
+
+    # The callables take Vec3 points, so the array forms loop over the rows.
+    def _each(self, method, points, times):
+        return np.array([method(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)])
+
+    def wbar_many(self, points, times):
+        return self._each(self.wbar, points, times)
+
+    def grad_wbar_many(self, points, times):
+        return self._each(self.grad_wbar, points, times)
+
+    def dwbar_dt_many(self, points, times):
+        return self._each(self.dwbar_dt, points, times)
+
+    def vecpot_many(self, points, times):
+        return self._each(self.vecpot, points, times)
 
 
 def build_potential(spec: SourceSpec, test_charge: float) -> PotentialField:

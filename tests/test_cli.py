@@ -308,9 +308,10 @@ def _huge_gradient(data):
         (lambda d: d.update(kind="string", grid={"n": "abc"}), 1, "grid.n"),
         (lambda d: d["integration"].update(method="rk45"), 3, "step collapsed"),
         (_huge_gradient, 2, "non-finite energy inf [t=0.0025]"),
+        (lambda d: d["integration"].update(n_steps=100.5), 1, "integration.n_steps"),
     ],
     ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
-         "non-finite-energy"],
+         "non-finite-energy", "fractional-steps"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ

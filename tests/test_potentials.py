@@ -248,8 +248,9 @@ def test_vectorized_wbar_on_unsoftened_source_raises():
     pts = np.array([[1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
     with pytest.raises(SingularPointError):
         f.wbar(Vec3(0.4, 0.0, 0.0), 2.0)
-    with pytest.raises(SingularPointError, match="t=2"):
-        f.wbar_many(pts, np.array([0.0, 2.0]))
+    for many in (f.wbar_many, f.grad_wbar_many, f.dwbar_dt_many, f.vecpot_many):
+        with pytest.raises(SingularPointError, match="t=2"):
+            many(pts, np.array([0.0, 2.0]))
 
 
 def test_wbar_negative_on_domain():
