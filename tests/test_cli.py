@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import math
@@ -384,6 +385,60 @@ SHIPPED_RUNS = [
 ] + [["compare", "compare_classical_uniform.yaml", "compare_uniform_field.yaml"]]
 
 
+# sha256 of every CSV of the shipped runs at --steps 20.  A refactor must keep
+# them; they may change only together with a recorded tolerance table of the
+# old and new outputs.
+SHIPPED_DIGESTS = {
+    "run-classical_gyro": {
+        "classical-gyro.csv": "dc7839d4d33771847d177cade5e1648175db30919dfd27c26ebb50e4b40b8493",
+        "classical-gyro_long.csv": "6ce4582c6b7422ab8cb67a1bd07db410e8658401958933b5703f8319414c0414",
+    },
+    "run-classical_uniform_e": {
+        "classical-uniform-e.csv": "2e6b66dd7b15826a462b5d14379f4dc3a48a206801f3dd46c87b759066c450b8",
+        "classical-uniform-e_long.csv": "4ccbf36c15e618aa48d823dc8381e153aba874847580d9c9ee4115d2063e7920",
+    },
+    "run-compare_classical_uniform": {
+        "compare-classical-uniform.csv": "29e0ca8ca57f7c6722252eef66dcd879bb6c1907bf508cb721fc37781c2a6bd5",
+        "compare-classical-uniform_long.csv": "fd9bf2fbc67a2094af7682d9fab584fa399521f590c62d91a17dfe079d554e89",
+    },
+    "run-compare_uniform_field": {
+        "compare-interacting-uniform.csv": "158e15df8aecf11399347a0441bb264be2b678764b5a59826208bf667e369f37",
+        "compare-interacting-uniform_long.csv": "352e803d8de995e636d2fe63826d0c1873fcd90009610196c245a808d0802385",
+    },
+    "run-conformal_laplace": {
+        "conformal-laplace.csv": "c12e26f15e760769df713767148d8a9e837bc8141273330df6521acbf8cd392a",
+    },
+    "run-conformal_manufactured": {
+        "conformal-manufactured.csv": "32877f137042c139425a0bf9cc34f89ee88c8a5a72901ae1dac98e8b2d261f1d",
+    },
+    "run-constrained_uniform_e": {
+        "constrained-uniform-e.csv": "bc6a5e252d979f0015c4148d532971104d07de95c76118435ba471268e43f98f",
+        "constrained-uniform-e_long.csv": "9ccefeef9b64b64a0b90d19959200fd679aa6b24a9181b8f950882d0dd1485b8",
+    },
+    "run-string_pluck": {
+        "string-pluck.csv": "d4e4cc14afc223a4913300f3eb601a35ff6efc96a3817f9fe8154a1b75d19220",
+    },
+    "run-string_static": {
+        "string-static.csv": "daea6f142f077bef14ec514545f39a810811db3a6e0e2dcd310a0f6352ffc2e1",
+    },
+    "run-vacuum_free_coulomb": {
+        "vacuum-free-coulomb.csv": "8ea9feba39089210167c284c2d4c9f812e3545847d72614a35b7d731b9d3286c",
+        "vacuum-free-coulomb_long.csv": "342be628bab209dff84dff6f622e2d40b7d6c39d5370813b2be9701917be3e58",
+    },
+    "run-vacuum_interacting_codrift": {
+        "vacuum-interacting-codrift.csv": "929f33bc1db14a57be6c08fce8f0658a8afd6f28cc06e289d7904507cc4daa91",
+        "vacuum-interacting-codrift_long.csv": "3a912634084651a1417d22a4945223b293ae319dbbb2cc861e47113be8d45581",
+    },
+    "run-vacuum_interacting_generic": {
+        "vacuum-interacting-generic.csv": "da095086cf86de24e0ec94546965c8ab411638ff97a34a53955c62fbcb741afc",
+        "vacuum-interacting-generic_long.csv": "8daf7098c9983a15aa6c348221e86fe00aec97775742a16d5b7ae6bedca61585",
+    },
+    "compare-compare_classical_uniform-compare_uniform_field": {
+        "compare.csv": "e83d998d50122758d9051fe290eaab5fd99bb9df489e0d2872e70bdbea5e19e0",
+    },
+}
+
+
 @pytest.mark.parametrize(
     "verb, names",
     [(c[0], c[1:]) for c in SHIPPED_RUNS],
@@ -398,6 +453,8 @@ def test_shipped_scenarios_run_and_rerun_identically(tmp_path, verb, names):
         csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
         outputs.append({f: (out / f).read_bytes() for f in csvs})
     assert outputs[0] and outputs[0] == outputs[1]
+    digests = {f: hashlib.sha256(data).hexdigest() for f, data in outputs[0].items()}
+    assert digests == SHIPPED_DIGESTS["-".join([verb, *names]).replace(".yaml", "")]
 
 
 # --- mutated shipped scenarios: the exit-code contract on arbitrary inputs ---------
