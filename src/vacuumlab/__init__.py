@@ -30,12 +30,9 @@ from .errors import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     EuclideanEvent,
-    MinkowskiEvent,
     Projector3,
     Vec3,
-    euclidean_inner,
     lab_time_factor,
-    minkowski_inner,
     orthogonal_projector,
     proper_time_factor,
 )

@@ -542,8 +542,10 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
     a, b = ref_traj.columns(), other_traj.columns()
     axis_a = a.t if alignment == "by_t" else a.tau
     axis_b = b.t if alignment == "by_t" else b.tau
+    fx, fy, fz = interaction_extra_force(ref_model.charge, a.u.T, ref_model.field, a.r.T, a.t)
+    fc = np.sqrt((fx * fx + fy * fy) + fz * fz)  # in the order of Vec3.norm
     rows = [COMPARE_HEADER]
-    for i, (ra, pa, ua, ta) in enumerate(zip(a.r.tolist(), a.p.tolist(), a.u.tolist(), a.t.tolist())):
+    for i, (ra, pa) in enumerate(zip(a.r.tolist(), a.p.tolist())):
         if alignment == "by_t":
             rb, pb = b.r[i], b.p[i]
         else:
@@ -551,11 +553,8 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
             pb = np.array([np.interp(axis_a[i], axis_b, b.p[:, k]) for k in range(3)])
         dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(ra, rb)))
         pgap = math.sqrt(sum((x - y) ** 2 for x, y in zip(pa, pb)))
-        fc = interaction_extra_force(
-            ref_model.charge, Vec3(*ua), ref_model.field, Vec3(*ra), ta
-        ).norm()
         rows.append(
-            ",".join([str(i), _fmt(axis_a[i]), _fmt(dist), _fmt(pgap), _fmt(fc)])
+            ",".join([str(i), _fmt(axis_a[i]), _fmt(dist), _fmt(pgap), _fmt(fc[i])])
         )
     return rows, trajectories
 

@@ -1,13 +1,16 @@
-"""Three-vector algebra, spacetime events, time factors and projectors.
+"""Three-vector algebra, rest-frame events, time factors and projectors.
 
-Light-speed units: velocities are dimensionless, the Minkowski inner
-product is <x,x> = t^2 - <r,r>, the Euclidean one on (r, tau) events is
-tau^2 + <r,r>.  Lab velocity u = dr/dt obeys |u| < 1; the proper-time
-velocity rdot = dr/dtau is unbounded and the two clocks are related by
+Light-speed units: velocities are dimensionless.  Lab velocity u = dr/dt
+obeys |u| < 1; the proper-time velocity rdot = dr/dtau is unbounded and
+the two clocks are related by
 
     dtau = dt * (1 - u^2)^(1/2)        dt = dtau * (1 + rdot^2)^(1/2)
 
 which are exact inverses of each other under u = rdot / (1 + rdot^2)^(1/2).
+
+Code written once on components takes floats or equal-length 1-D arrays
+alike; ``root``, ``violated`` and ``domain_error`` are its square root and
+domain guard.
 """
 
 from __future__ import annotations
@@ -80,13 +83,6 @@ def norm2_rows(v: np.ndarray) -> np.ndarray:
     return dot_rows(v, v)
 
 
-class MinkowskiEvent(NamedTuple):
-    """Spacetime point x = (r, t) of the laboratory frame."""
-
-    r: Vec3
-    t: float
-
-
 class EuclideanEvent(NamedTuple):
     """Rest-frame point xi = (r, tau); the time slot carries proper time."""
 
@@ -94,35 +90,46 @@ class EuclideanEvent(NamedTuple):
     tau: float
 
 
-def minkowski_inner(x: MinkowskiEvent, y: MinkowskiEvent) -> float:
-    """<x,y> = t_x t_y - <r_x, r_y>; symmetric and bilinear."""
-    return x.t * y.t - x.r.dot(y.r)
+def root(v):
+    """math.sqrt on a float, np.sqrt on an array: the same correctly rounded root."""
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
 
 
-def euclidean_inner(x: EuclideanEvent, y: EuclideanEvent) -> float:
-    """<xi,eta> = tau_x tau_y + <r_x, r_y> on rest-frame events."""
-    return x.tau * y.tau + x.r.dot(y.r)
+def violated(bad) -> bool:
+    """Whether a domain check fails: bad is a bool on floats, a boolean array on rows."""
+    return bool(bad.any()) if isinstance(bad, np.ndarray) else bool(bad)
 
 
-def proper_time_factor(u: Vec3) -> float:
+def domain_error(error, bad, message: str, *values):
+    """error(message) for the first row where bad holds, formatted with that row's values.
+
+    On arrays the error names the row as ``where``; values may mix arrays and floats.
+    """
+    if isinstance(bad, np.ndarray):
+        k = int(np.argmax(bad))
+        values = [v[k] if isinstance(v, np.ndarray) else v for v in values]
+        return error(message.format(*values), where=k)
+    return error(message.format(*values))
+
+
+def proper_time_factor(u):
     """dtau/dt = (1 - |u|^2)^(1/2) for lab velocity u; in (0, 1].
 
-    Raises SuperluminalVelocityError when |u| >= 1.
+    u is an (x, y, z) triple of floats or of 1-D arrays (a Vec3, or the
+    transpose of an (m, 3) array).  Raises SuperluminalVelocityError when
+    |u| >= 1, for the first such row on arrays.
     """
-    u2 = u.norm2()
-    if u2 >= 1.0:
-        raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2):.6g} >= 1")
-    return math.sqrt(1.0 - u2)
+    x, y, z = u
+    u2 = (x * x + y * y) + z * z
+    bad = u2 >= 1.0
+    if violated(bad):
+        raise domain_error(SuperluminalVelocityError, bad, "|u| = {:.6g} >= 1", root(u2))
+    return root(1.0 - u2)
 
 
 def lab_time_factor(rdot: Vec3) -> float:
     """dt/dtau = (1 + |rdot|^2)^(1/2) for proper-time velocity rdot; >= 1."""
     return math.sqrt(1.0 + rdot.norm2())
-
-
-def lab_velocity(rdot: Vec3) -> Vec3:
-    """Map proper-time velocity dr/dtau to lab velocity dr/dt."""
-    return rdot / lab_time_factor(rdot)
 
 
 class Projector3:

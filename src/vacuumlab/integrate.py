@@ -14,9 +14,14 @@ of a vacuum model steps the same law on the source frame's proper time
 x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 
-A particle `Trajectory` holds the parameter x and the stepper's flat state
-Y as arrays; its physical columns, `samples` and `final` are derived on
-demand, and its invariants are audited once, as arrays over the audited rows.
+A particle run steps the flat state y = (r, P, [t,] tau), or
+(r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
+y straight to the component laws of `particle`.  One decoder reads that
+layout back into (t, tau, r, u, p): on one row of floats it is the check of
+each new state, and on the rows of a `Trajectory`, which holds the
+parameter x and the flat states Y as arrays, it gives the physical columns
+from which `samples`, `final` and the invariants (audited once, as arrays
+over the audited rows) are derived.
 """
 
 from __future__ import annotations
@@ -35,20 +40,19 @@ from .errors import (
     StepFailureError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3, norm2_rows, proper_time_factor
+from .geometry import Vec3, ZERO3, domain_error, proper_time_factor, violated
 from .particle import (
     INVARIANTS,
     ForceModel,
     ModelKind,
     ParticleColumns,
     ParticleState,
+    _velocity,
     check_state,
     classical_rhs,
-    classical_velocity,
     constrained_rhs,
     qa_vector,
     vacuum_rhs,
-    vacuum_velocity,
 )
 
 
@@ -140,25 +144,13 @@ class Trajectory:
 
     def columns(self, rows=slice(None)) -> ParticleColumns:
         """t, tau, r, u, p (and l tdot) of the selected rows as arrays."""
-        model, x, Y = self.model, self.x[rows], self.Y[rows]
-        r, p = Y[:, 0:3], Y[:, 3:6]
-        lam = None
-        # rows past 0 passed the step check; row 0 is replaced below
-        with np.errstate(all="ignore"):
-            if model.kind is ModelKind.CONSTRAINED:
-                t, tau, lam = x, Y[:, 7], Y[:, 6]
-                u = p / lam[:, None]
-            elif model.kind is ModelKind.CLASSICAL:
-                t, tau = x, Y[:, 6]
-                u = p / np.sqrt(model.rest_mass * model.rest_mass + norm2_rows(p))[:, None]
-            else:
-                t, tau = (x, Y[:, 6]) if self.time_axis == "lab" else (Y[:, 6], Y[:, 7])
-                if model.kind is ModelKind.VACUUM_INTERACTING:
-                    p = p - model.field.vecpot_many(r, t) * model.charge
-                u = p / -model.field.wbar_many(r, t)[:, None]
+        decode = _decoder(self.model, self.time_axis)
+        with np.errstate(all="ignore"):  # overflow stays silent, as on floats
+            t, tau, r, u, p, lam = decode(self.x[rows], self.Y[rows].T)
+        r, u, p = (np.column_stack(v) for v in (r, u, p))
+        # row 0 is ``initial`` itself
         first = np.arange(len(self.x))[rows] == 0
         if first.any():
-            p, u = p.copy(), u.copy()
             p[first], u[first] = self.initial.p, self.initial.u
         return ParticleColumns(t, tau, r, u, p, lam)
 
@@ -200,7 +192,12 @@ class Trajectory:
         row of any invariant, annotated with that row's parameter value.
         """
         table = INVARIANTS[self.model.kind]
-        cols = self.columns(rows)
+        try:
+            cols = self.columns(rows)
+        except PhysicsDomainError as exc:  # only row 0 can fail: no step check saw it
+            if exc.where is None:
+                raise
+            raise self.annotate(exc, np.arange(len(self.x))[rows][exc.where]) from None
         values, failures = {}, []
         with np.errstate(all="ignore"):  # non-finite values are raised below
             for name in names or table:
@@ -330,27 +327,41 @@ def _pack(model: ForceModel, state: ParticleState, axis: str):
     return (*r, *p, state.t, state.tau)
 
 
-def _state_check(model: ForceModel, axis: str) -> Callable:
-    """check(x, y) of a new flat state: what building its ParticleState checks.
+def _decoder(model: ForceModel, axis: str) -> Callable:
+    """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of _pack's layout.
 
-    Recovers u as the samples do (and so evaluates the field for the vacuum
-    models), then applies ``check_state``; no state object is built.
+    y is one flat row of floats, or the columns of many rows (Y.T) with x
+    their parameters; r, u and p come back as (x, y, z) triples and l tdot
+    is None except for the constrained model.  u is recovered as the laws
+    recover it, so the vacuum models evaluate the field.
     """
-    kind, field, lab = model.kind, model.field, axis == "lab"
+    kind, lab = model.kind, axis == "lab"
+
+    def decode(x, y):
+        r, p = (y[0], y[1], y[2]), (y[3], y[4], y[5])
+        if kind is ModelKind.CONSTRAINED:
+            lam = y[6]
+            bad = lam == 0.0
+            if violated(bad):
+                message = "lambda*tdot = 0 gives no velocity"
+                raise domain_error(DegenerateMultiplierError, bad, message)
+            return x, y[7], r, (p[0] / lam, p[1] / lam, p[2] / lam), p, lam
+        t, tau = (x, y[6]) if lab else (y[6], y[7])
+        u, p = _velocity(model, r, p, t)
+        return t, tau, r, u, p, None
+
+    return decode
+
+
+def _state_check(model: ForceModel, axis: str) -> Callable:
+    """check(x, y) of a new flat state: the decoder plus ``check_state``.
+
+    No state object is built.
+    """
+    decode = _decoder(model, axis)
 
     def check(x, y):
-        r, p = Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5])
-        if kind is ModelKind.CONSTRAINED:
-            if y[6] == 0.0:
-                raise DegenerateMultiplierError("lambda*tdot = 0 gives no velocity")
-            tau, u = y[7], p / y[6]
-        elif kind is ModelKind.CLASSICAL:
-            tau, u = y[6], classical_velocity(model.rest_mass, p)
-        else:
-            t, tau = (x, y[6]) if lab else (y[6], y[7])
-            if kind is ModelKind.VACUUM_INTERACTING:
-                p = p - qa_vector(model, r, t)
-            u = vacuum_velocity(field.wbar(r, t), p)
+        _, tau, r, u, p, _ = decode(x, y)
         check_state(tau, r, u, p)
 
     return check
@@ -358,11 +369,10 @@ def _state_check(model: ForceModel, axis: str) -> Callable:
 
 def _flat_rhs(model: ForceModel, axis: str) -> Callable:
     if model.kind is ModelKind.CONSTRAINED:
-        law = constrained_rhs
 
         def rhs(t, y):
-            d1, d2, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), y[6], t)
-            return (u.x, u.y, u.z, d1.x, d1.y, d1.z, d2, proper_time_factor(u))
+            (d1x, d1y, d1z), d2, u = constrained_rhs(model, y[0:3], y[3:6], y[6], t)
+            return (*u, d1x, d1y, d1z, d2, proper_time_factor(u))
 
         return rhs
 
@@ -371,24 +381,25 @@ def _flat_rhs(model: ForceModel, axis: str) -> Callable:
     if axis == "lab":
 
         def rhs(t, y):
-            dp, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), t)
-            return (u.x, u.y, u.z, dp.x, dp.y, dp.z, proper_time_factor(u))
+            (dpx, dpy, dpz), u = law(model, y[0:3], y[3:6], t)
+            return (*u, dpx, dpy, dpz, proper_time_factor(u))
 
         return rhs
 
     # the same law on the source frame's proper time x: dt/dx = (1 - |u - u_f|^2)^(-1/2)
-    u_f = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
+    ufx, ufy, ufz = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
 
     def rhs(x, y):
-        dp, u = law(model, Vec3(y[0], y[1], y[2]), Vec3(y[3], y[4], y[5]), y[6])
-        rate = 1.0 / proper_time_factor(u - u_f)
+        (dpx, dpy, dpz), u = law(model, y[0:3], y[3:6], y[6])
+        ux, uy, uz = u
+        rate = 1.0 / proper_time_factor((ux - ufx, uy - ufy, uz - ufz))
         return (
-            u.x * rate,
-            u.y * rate,
-            u.z * rate,
-            dp.x * rate,
-            dp.y * rate,
-            dp.z * rate,
+            ux * rate,
+            uy * rate,
+            uz * rate,
+            dpx * rate,
+            dpy * rate,
+            dpz * rate,
             rate,
             proper_time_factor(u) * rate,
         )

@@ -11,18 +11,21 @@ Four force models share one state type:
 The interacting law is the Euler-Lagrange equation in the canonical
 momentum P = p + qA.  Written for p it is the paper's Lorentz-type force
 qE + q u x B - q grad<u,A>, because that force equals -grad(wbar) - q dA/dt
-along the path; `interacting_rhs` keeps this form, and
-`vacuum_lorentz_rhs` the variant without the extra gradient force, for
-model comparison and as references.  The laws `integrate_particle` steps
-are `classical_rhs`, `constrained_rhs` and `vacuum_rhs` (both vacuum
-models, qA = 0 for vacuum-free): pure functions of (model, r, p, t)
-returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the constrained
-multiplier pair, with p the canonical momentum for `vacuum_rhs`.  The
-electromagnetic terms are assembled as q*E, u x (q*B) and -grad<u, q*A>
-so that fields whose vector potential scales like 1/q stay well defined
-for any nonzero charge.  `INVARIANTS` is the one table of audited
-quantities per model; its entries evaluate rows of states held as arrays
-(`ParticleColumns`) and repeat the scalar kernels' arithmetic bit for bit.
+along the path; `interacting_rhs` keeps this form as a reference.  The laws
+`integrate_particle` steps are `classical_rhs`, `constrained_rhs` and
+`vacuum_rhs` (both vacuum models, qA = 0 for vacuum-free): functions of
+(model, r, p, t) returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the
+constrained multiplier pair, with p the canonical momentum for
+`vacuum_rhs`.  Each law is written once, on components: r, p and the
+returned vectors are (x, y, z) triples whose entries are all floats (one
+particle) or all 1-D arrays (rows of particles), and a row of the array
+form equals the float form bit for bit.  The laws call the fields'
+component methods and use no Vec3.  The electromagnetic terms are
+assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
+potential scales like 1/q stay well defined for any nonzero charge.
+`INVARIANTS` is the one table of audited quantities per model; its entries
+evaluate rows of states held as arrays (`ParticleColumns`) and repeat the
+scalar kernels' arithmetic bit for bit.
 
 The interacting Hamiltonian and energy implement the full expressions
 with the <p+qA, qA> cross term.  Note (verified analytically and
@@ -49,7 +52,17 @@ from .errors import (
     PhysicsDomainError,
     SuperluminalVelocityError,
 )
-from .geometry import EuclideanEvent, Vec3, ZERO3, dot_rows, norm2_rows, proper_time_factor
+from .geometry import (
+    EuclideanEvent,
+    Vec3,
+    ZERO3,
+    domain_error,
+    dot_rows,
+    norm2_rows,
+    proper_time_factor,
+    root,
+    violated,
+)
 from .potentials import (
     PotentialField,
     SourceKind,
@@ -123,15 +136,12 @@ def classical_momentum(m0: float, u: Vec3) -> Vec3:
     return u * (m0 / proper_time_factor(u))
 
 
-def classical_velocity(m0: float, p: Vec3) -> Vec3:
-    """Invert the classical momentum: u = p / (m0^2 + p^2)^(1/2)."""
-    return p / math.sqrt(m0 * m0 + p.norm2())
-
-
-def dynamic_mass(wbar: float) -> float:
-    """m = -wbar; requires wbar < 0."""
-    if wbar >= 0.0:
-        raise NonpositiveMassError(f"wbar = {wbar:.6g} >= 0 gives nonpositive mass")
+def dynamic_mass(wbar):
+    """m = -wbar; requires wbar < 0 (a float, or a 1-D array of rows)."""
+    bad = wbar >= 0.0
+    if violated(bad):
+        message = "wbar = {:.6g} >= 0 gives nonpositive mass"
+        raise domain_error(NonpositiveMassError, bad, message, wbar)
     return -wbar
 
 
@@ -141,15 +151,6 @@ def vacuum_momentum(wbar: float, u: Vec3) -> Vec3:
     if u.norm2() >= 1.0:
         raise SuperluminalVelocityError("|u| >= 1")
     return u * m
-
-
-def vacuum_velocity(wbar: float, p: Vec3) -> Vec3:
-    """u = p / (-wbar), the inverse of the vacuum momentum relation."""
-    m = dynamic_mass(wbar)
-    u = p / m
-    if u.norm2() >= 1.0:
-        raise SuperluminalVelocityError("|p| >= -wbar implies |u| >= 1")
-    return u
 
 
 def vacuum_free_hamiltonian(wbar: float, p: Vec3) -> float:
@@ -182,35 +183,65 @@ def interacting_energy(wbar: float, p: Vec3, qa: Vec3) -> float:
     return -interacting_hamiltonian(wbar, p, qa)
 
 
-# --- electromagnetic force assembly ----------------------------------------
+# --- force laws on components --------------------------------------------------
 
 
-def _extra_force(q: float, jac, u: Vec3) -> Vec3:
-    """F_c = -q (dA)^T u from the A-Jacobian J[i, j] = dA_i / dr_j."""
-    a = jac.T @ u.as_array()
-    return Vec3(-q * a[0], -q * a[1], -q * a[2])
+def _vacuum_velocity(wbar, p):
+    """u = p / (-wbar), the inverse of the vacuum momentum relation."""
+    m = dynamic_mass(wbar)
+    px, py, pz = p
+    ux, uy, uz = px / m, py / m, pz / m
+    bad = (ux * ux + uy * uy) + uz * uz >= 1.0
+    if violated(bad):
+        raise domain_error(SuperluminalVelocityError, bad, "|p| >= -wbar implies |u| >= 1")
+    return ux, uy, uz
 
 
-def _q_em_terms(field: PotentialField, q: float, u: Vec3, r: Vec3, t: float):
-    """Return (qE, u x qB, J): the forces scaled by the charge, and the A-Jacobian.
+def _velocity(model: ForceModel, r, p, t):
+    """(u, p) from the momentum the classical or a vacuum model steps.
 
-    Only interacting_rhs adds the extra force F_c, which it builds from J.
+    Classical: u = p / (m0^2 + p^2)^(1/2).  Vacuum: the stepped momentum
+    is P = p + qA (qA = 0 for vacuum-free), and u = p / (-wbar).
     """
-    g = field.grad_wbar(r, t)
-    qe = -g - q * field.dvecpot_dt(r, t)
-    jac = field.grad_vecpot(r, t)
-    q_curl = Vec3(
-        q * (jac[2, 1] - jac[1, 2]),
-        q * (jac[0, 2] - jac[2, 0]),
-        q * (jac[1, 0] - jac[0, 1]),
+    px, py, pz = p
+    if model.kind is ModelKind.CLASSICAL:
+        m0 = model.rest_mass
+        s = root(m0 * m0 + ((px * px + py * py) + pz * pz))
+        return (px / s, py / s, pz / s), p
+    field, (x, y, z) = model.field, r
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        q = model.charge
+        ax, ay, az = field._vecpot(x, y, z, t)
+        p = px - ax * q, py - ay * q, pz - az * q
+    return _vacuum_velocity(field._wbar(x, y, z, t), p), p
+
+
+def _em_terms(field: PotentialField, q: float, r, u, t):
+    """(qE, u x qB, F_c) at (r, t) for velocity u, with F_c = -q (dA)^T u.
+
+    F_c = -q grad<u, A> with u held fixed is the extra force only the
+    interacting form adds.
+    """
+    x, y, z = r
+    ux, uy, uz = u
+    gx, gy, gz = field._grad_wbar(x, y, z, t)
+    ax, ay, az = field._dvecpot_dt(x, y, z, t)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = field._grad_vecpot(x, y, z, t)
+    cx, cy, cz = q * (j21 - j12), q * (j02 - j20), q * (j10 - j01)
+    return (
+        (-gx - ax * q, -gy - ay * q, -gz - az * q),
+        (uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx),
+        (
+            -q * ((j00 * ux + j10 * uy) + j20 * uz),
+            -q * ((j01 * ux + j11 * uy) + j21 * uz),
+            -q * ((j02 * ux + j12 * uy) + j22 * uz),
+        ),
     )
-    mag = u.cross(q_curl)
-    return qe, mag, jac
 
 
-def interaction_extra_force(q: float, u: Vec3, f: PotentialField, r: Vec3, t: float) -> Vec3:
-    """F_c = -q grad<u, A> with u held fixed under the gradient."""
-    return _extra_force(q, f.grad_vecpot(r, t), u)
+def interaction_extra_force(q: float, u, f: PotentialField, r, t):
+    """F_c = -q grad<u, A> with u held fixed under the gradient, on components."""
+    return _em_terms(f, q, r, u, t)[2]
 
 
 def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
@@ -218,52 +249,42 @@ def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
     return model.charge * model.field.vecpot(r, t)
 
 
-# --- right-hand sides ------------------------------------------------------------
-
-
-def classical_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+def classical_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) for the classical Lorentz force; u recovered from p."""
-    u = classical_velocity(model.rest_mass, p)
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
-    return qe + mag, u
+    u, _ = _velocity(model, r, p, t)
+    (ex, ey, ez), (mx, my, mz), _ = _em_terms(model.field, model.charge, r, u, t)
+    return (ex + mx, ey + my, ez + mz), u
 
 
-def constrained_rhs(model: ForceModel, r: Vec3, y1: Vec3, y2: float, t: float):
+def constrained_rhs(model: ForceModel, r, y1, y2, t):
     """(dy1/dt, dy2/dt, u) for the multiplier model.
 
     y1 = l u tdot and y2 = l tdot (a state keeps them in p and
     extra['lambda_tdot']); u = y1/y2.
     """
-    if y2 <= 0.0:
-        raise DegenerateMultiplierError(f"lambda*tdot = {y2:.6g} <= 0")
-    u = y1 / y2
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
-    return qe + mag, qe.dot(u), u
+    bad = y2 <= 0.0
+    if violated(bad):
+        raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
+    px, py, pz = y1
+    u = ux, uy, uz = px / y2, py / y2, pz / y2
+    (ex, ey, ez), (mx, my, mz), _ = _em_terms(model.field, model.charge, r, u, t)
+    return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
 
 
-def vacuum_rhs(model: ForceModel, r: Vec3, big_p: Vec3, t: float):
+def vacuum_rhs(model: ForceModel, r, big_p, t):
     """(dP/dt, u) of both vacuum models in the canonical momentum P = p + qA.
 
     dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for vacuum-free.
     """
-    field = model.field
-    if model.kind is ModelKind.VACUUM_INTERACTING:
-        big_p = big_p - qa_vector(model, r, t)
-    return -field.grad_wbar(r, t), vacuum_velocity(field.wbar(r, t), big_p)
+    gx, gy, gz = model.field._grad_wbar(*r, t)
+    return (-gx, -gy, -gz), _velocity(model, r, big_p, t)[0]
 
 
-def vacuum_lorentz_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
-    """(dp/dt, u) for the Lorentz-type force without the extra gradient term."""
-    u = vacuum_velocity(model.field.wbar(r, t), p)
-    qe, mag, _ = _q_em_terms(model.field, model.charge, u, r, t)
-    return qe + mag, u
-
-
-def interacting_rhs(model: ForceModel, r: Vec3, p: Vec3, t: float):
+def interacting_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>."""
-    u = vacuum_velocity(model.field.wbar(r, t), p)
-    qe, mag, jac = _q_em_terms(model.field, model.charge, u, r, t)
-    return qe + mag + _extra_force(model.charge, jac, u), u
+    u = _vacuum_velocity(model.field._wbar(*r, t), p)
+    (ex, ey, ez), (mx, my, mz), (fx, fy, fz) = _em_terms(model.field, model.charge, r, u, t)
+    return ((ex + mx) + fx, (ey + my) + fy, (ez + mz) + fz), u
 
 
 # --- audited invariants -------------------------------------------------------
@@ -289,15 +310,6 @@ class ParticleColumns(NamedTuple):
 # wbar_many / vecpot_many, so a row's value does not depend on which rows are
 # evaluated with it.  A domain violation raises the scalar kernel's error for
 # the first offending row and gives its position as ``where``.
-
-
-def _proper_time_factors(u: np.ndarray) -> np.ndarray:
-    u2 = norm2_rows(u)
-    bad = u2 >= 1.0
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2[k]):.6g} >= 1", where=k)
-    return np.sqrt(1.0 - u2)
 
 
 def _energy_roots(wbar: np.ndarray, big_p: np.ndarray, label: str) -> np.ndarray:
@@ -330,12 +342,12 @@ INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
         + m.field.wbar_many(c.r, c.t),
     },
     ModelKind.CONSTRAINED: {
-        "rest_mass": lambda c, m: c.lam * _proper_time_factors(c.u),
+        "rest_mass": lambda c, m: c.lam * proper_time_factor(c.u.T),
     },
     ModelKind.VACUUM_FREE: {
         "hamiltonian": lambda c, m: -_energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
         "energy": lambda c, m: _energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
-        "rest_mass": lambda c, m: -m.field.wbar_many(c.r, c.t) * _proper_time_factors(c.u),
+        "rest_mass": lambda c, m: -m.field.wbar_many(c.r, c.t) * proper_time_factor(c.u.T),
     },
     ModelKind.VACUUM_INTERACTING: {
         "hamiltonian": _interacting_hamiltonians,

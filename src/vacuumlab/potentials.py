@@ -12,8 +12,9 @@ Each concrete field provides exact first derivatives (gradients checked
 against central differences in the test suite) and, where wave-equation
 residual checking is supported, exact second derivatives as well.  A
 built-in field writes wbar, grad(wbar), d(wbar)/dt and A once, on
-components (x, y, z, t) that are floats or 1-D arrays; ``PotentialField``
-derives both the Vec3 forms and the ``*_many`` array forms from them.
+components (x, y, z, t) that are floats or 1-D arrays, and so does the
+A-Jacobian and dA/dt; ``PotentialField`` derives both the Vec3 forms and
+the ``*_many`` array forms from them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     SuperluminalVelocityError,
     ZeroChargeError,
 )
-from .geometry import Vec3, ZERO3
+from .geometry import Vec3, ZERO3, root
 from .tolerances import DEFAULT_SOFTENING, SINGULAR_GUARD
 
 FOUR_PI = 4.0 * math.pi
@@ -93,15 +94,18 @@ class SourceSpec:
 class PotentialField:
     """Interface: scalar potential wbar with exact derivatives plus vector potential.
 
-    A field writes wbar, grad(wbar), d(wbar)/dt and A once each, as the
-    private component methods _wbar, _grad_wbar, _dwbar_dt and _vecpot on
-    (x, y, z, t).  They take floats or equal-length 1-D arrays and return
-    a value or an (x, y, z) triple of values; a constant may stay a float
-    on arrays.  This class builds the Vec3 forms (wbar, grad_wbar, ...) and
-    the (n, 3)-points forms (wbar_many, grad_wbar_many, ...) from them, so
-    each row of an array form equals the scalar form bit for bit, which the
-    least-action oracle's array densities rely on.  grad_vecpot returns the
-    3x3 Jacobian J[i, j] = dA_i / dr_j; kind names the field as scenario
+    A field writes wbar, grad(wbar), d(wbar)/dt, A, the A-Jacobian
+    J[i][j] = dA_i / dr_j and dA/dt once each, as the private component
+    methods _wbar, _grad_wbar, _dwbar_dt, _vecpot, _grad_vecpot and
+    _dvecpot_dt on (x, y, z, t).  They take floats or equal-length 1-D
+    arrays and return a value, an (x, y, z) triple of values or, for the
+    Jacobian, a triple of row triples; a constant may stay a float on
+    arrays.  The particle force laws call them directly.  This class builds
+    the Vec3 forms (wbar, grad_wbar, ..., with grad_vecpot a 3x3 array) and
+    the (n, 3)-points forms (wbar_many, grad_wbar_many, ..., with
+    grad_vecpot_many of shape (n, 3, 3)) from them, so each row of an array
+    form equals the scalar form bit for bit, which the least-action
+    oracle's array densities rely on.  kind names the field as scenario
     files do.
     """
 
@@ -119,6 +123,12 @@ class PotentialField:
     def _vecpot(self, x, y, z, t):
         raise NotImplementedError
 
+    def _grad_vecpot(self, x, y, z, t):
+        raise NotImplementedError
+
+    def _dvecpot_dt(self, x, y, z, t):
+        raise NotImplementedError
+
     def wbar(self, r: Vec3, t: float) -> float:
         return self._wbar(r.x, r.y, r.z, t)
 
@@ -130,6 +140,12 @@ class PotentialField:
 
     def vecpot(self, r: Vec3, t: float) -> Vec3:
         return Vec3._make(self._vecpot(r.x, r.y, r.z, t))
+
+    def grad_vecpot(self, r: Vec3, t: float) -> np.ndarray:
+        return np.array(self._grad_vecpot(r.x, r.y, r.z, t), dtype=float)
+
+    def dvecpot_dt(self, r: Vec3, t: float) -> Vec3:
+        return Vec3._make(self._dvecpot_dt(r.x, r.y, r.z, t))
 
     # Over arrays of points (n, 3) and times (n,).
     def wbar_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -148,11 +164,12 @@ class PotentialField:
     def vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
         return _rows(self._vecpot(points[:, 0], points[:, 1], points[:, 2], times), len(points))
 
-    def grad_vecpot(self, r: Vec3, t: float) -> np.ndarray:
-        raise NotImplementedError
+    def grad_vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        jac = self._grad_vecpot(points[:, 0], points[:, 1], points[:, 2], times)
+        return np.stack([_rows(row, len(points)) for row in jac], axis=1)
 
-    def dvecpot_dt(self, r: Vec3, t: float) -> Vec3:
-        raise NotImplementedError
+    def dvecpot_dt_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
+        return _rows(self._dvecpot_dt(points[:, 0], points[:, 1], points[:, 2], times), len(points))
 
     # Second derivatives: needed only for wave-equation residual checking.
     def wbar_hessian(self, r: Vec3, t: float) -> np.ndarray:
@@ -180,9 +197,7 @@ def _rows(components, n: int) -> np.ndarray:
     return out
 
 
-def _sqrt(v):
-    """math.sqrt on a float, np.sqrt on an array: the same correctly rounded root."""
-    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+_ZERO_JAC = (ZERO3, ZERO3, ZERO3)
 
 
 def _off_source(den, t):
@@ -216,10 +231,10 @@ class UniformField(PotentialField):
     def _vecpot(self, x, y, z, t):
         return ZERO3
 
-    def grad_vecpot(self, r, t):
-        return np.zeros((3, 3))
+    def _grad_vecpot(self, x, y, z, t):
+        return _ZERO_JAC
 
-    def dvecpot_dt(self, r, t):
+    def _dvecpot_dt(self, x, y, z, t):
         return ZERO3
 
     def wbar_hessian(self, r, t):
@@ -254,6 +269,7 @@ class CoulombField(PotentialField):
         self.background = spec.background
         self.r_f0 = spec.r_f0
         self.u_f = spec.u_f
+        self._static = spec.u_f.norm2() == 0.0  # no vector potential
         self.kind = spec.kind.value
 
     def _offset(self, x, y, z, t):
@@ -266,11 +282,11 @@ class CoulombField(PotentialField):
 
     def _wbar(self, x, y, z, t):
         d2e = self._offset(x, y, z, t)[3]
-        return self.background - self.k / _off_source(FOUR_PI * _sqrt(d2e), t)
+        return self.background - self.k / _off_source(FOUR_PI * root(d2e), t)
 
     def _grad_wbar(self, x, y, z, t):
         dx, dy, dz, d2e = self._offset(x, y, z, t)
-        s = d2e * _sqrt(d2e)  # not ** 1.5: NumPy's power rounds differently
+        s = d2e * root(d2e)  # not ** 1.5: NumPy's power rounds differently
         c = self.k / _off_source(FOUR_PI * s, t)
         return dx * c, dy * c, dz * c
 
@@ -280,22 +296,31 @@ class CoulombField(PotentialField):
         return -((gx * u.x + gy * u.y) + gz * u.z)
 
     def _vecpot(self, x, y, z, t):
-        if self.u_f.norm2() == 0.0:
+        if self._static:
             return ZERO3
         c = self._wbar(x, y, z, t) / self.q
         u = self.u_f
         return u.x * c, u.y * c, u.z * c
 
-    def grad_vecpot(self, r, t):
-        if self.u_f.norm2() == 0.0:
-            return np.zeros((3, 3))
-        g = self.grad_wbar(r, t).as_array() / self.q
-        return np.outer(self.u_f.as_array(), g)
+    def _grad_vecpot(self, x, y, z, t):
+        if self._static:
+            return _ZERO_JAC
+        q = self.q
+        gx, gy, gz = self._grad_wbar(x, y, z, t)
+        gx, gy, gz = gx / q, gy / q, gz / q
+        ux, uy, uz = self.u_f
+        return (
+            (ux * gx, ux * gy, ux * gz),
+            (uy * gx, uy * gy, uy * gz),
+            (uz * gx, uz * gy, uz * gz),
+        )
 
-    def dvecpot_dt(self, r, t):
-        if self.u_f.norm2() == 0.0:
+    def _dvecpot_dt(self, x, y, z, t):
+        if self._static:
             return ZERO3
-        return self.u_f * (self.dwbar_dt(r, t) / self.q)
+        c = self._dwbar_dt(x, y, z, t) / self.q
+        u = self.u_f
+        return u.x * c, u.y * c, u.z * c
 
     def wbar_hessian(self, r, t):
         dx, dy, dz, d2e = self._offset(r.x, r.y, r.z, t)
@@ -344,10 +369,10 @@ class LinearField(PotentialField):
     def _vecpot(self, x, y, z, t):
         return ZERO3
 
-    def grad_vecpot(self, r, t):
-        return np.zeros((3, 3))
+    def _grad_vecpot(self, x, y, z, t):
+        return _ZERO_JAC
 
-    def dvecpot_dt(self, r, t):
+    def _dvecpot_dt(self, x, y, z, t):
         return ZERO3
 
     def wbar_hessian(self, r, t):
@@ -380,11 +405,15 @@ class UniformMagneticField(PotentialField):
         bx, by, bz = self.b
         return (by * z - bz * y) * 0.5, (bz * x - bx * z) * 0.5, (bx * y - by * x) * 0.5
 
-    def grad_vecpot(self, r, t):
+    def _grad_vecpot(self, x, y, z, t):
         bx, by, bz = self.b
-        return 0.5 * np.array([[0.0, -bz, by], [bz, 0.0, -bx], [-by, bx, 0.0]])
+        return (
+            (0.0, -bz * 0.5, by * 0.5),
+            (bz * 0.5, 0.0, -bx * 0.5),
+            (-by * 0.5, bx * 0.5, 0.0),
+        )
 
-    def dvecpot_dt(self, r, t):
+    def _dvecpot_dt(self, x, y, z, t):
         return ZERO3
 
     def wbar_hessian(self, r, t):
@@ -407,23 +436,25 @@ class CallableField(PotentialField):
     wbar_hessian_fn: Optional[Callable[[Vec3, float], np.ndarray]] = None
     wbar_tt_fn: Optional[Callable[[Vec3, float], float]] = None
 
-    def wbar(self, r, t):
-        return self.wbar_fn(r, t)
+    # The callables take Vec3 points, so the component methods take floats
+    # only and the array forms loop over the rows.
+    def _wbar(self, x, y, z, t):
+        return self.wbar_fn(Vec3(x, y, z), t)
 
-    def grad_wbar(self, r, t):
-        return self.grad_wbar_fn(r, t)
+    def _grad_wbar(self, x, y, z, t):
+        return self.grad_wbar_fn(Vec3(x, y, z), t)
 
-    def dwbar_dt(self, r, t):
-        return self.dwbar_dt_fn(r, t)
+    def _dwbar_dt(self, x, y, z, t):
+        return self.dwbar_dt_fn(Vec3(x, y, z), t)
 
-    def vecpot(self, r, t):
-        return self.vecpot_fn(r, t)
+    def _vecpot(self, x, y, z, t):
+        return self.vecpot_fn(Vec3(x, y, z), t)
 
-    def grad_vecpot(self, r, t):
-        return self.grad_vecpot_fn(r, t)
+    def _grad_vecpot(self, x, y, z, t):
+        return self.grad_vecpot_fn(Vec3(x, y, z), t)
 
-    def dvecpot_dt(self, r, t):
-        return self.dvecpot_dt_fn(r, t)
+    def _dvecpot_dt(self, x, y, z, t):
+        return self.dvecpot_dt_fn(Vec3(x, y, z), t)
 
     def wbar_hessian(self, r, t):
         if self.wbar_hessian_fn is None:
@@ -435,7 +466,6 @@ class CallableField(PotentialField):
             raise NotImplementedError("no wbar_tt supplied")
         return self.wbar_tt_fn(r, t)
 
-    # The callables take Vec3 points, so the array forms loop over the rows.
     def _each(self, method, points, times):
         return np.array([method(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)])
 
@@ -450,6 +480,12 @@ class CallableField(PotentialField):
 
     def vecpot_many(self, points, times):
         return self._each(self.vecpot, points, times)
+
+    def grad_vecpot_many(self, points, times):
+        return self._each(self.grad_vecpot, points, times)
+
+    def dvecpot_dt_many(self, points, times):
+        return self._each(self.dvecpot_dt, points, times)
 
 
 def build_potential(spec: SourceSpec, test_charge: float) -> PotentialField:

@@ -310,16 +310,16 @@ def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
     vecpot_gradient = np.zeros((n, 3))
     induction = np.zeros((n, 3))
     if q != 0.0:
-        for i in range(1, n - 1):
-            ri = Vec3(*state.r[i])
-            ti = float(state.t[i])
-            jac = field.grad_vecpot(ri, ti)
-            curl = np.array(
-                [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
-            )
-            magnetic[i] = q * np.cross(rdot[i], curl)
-            vecpot_gradient[i] = -q * (jac.T @ rdot[i])
-            induction[i] = -q * beta[i] * field.dvecpot_dt(ri, ti).as_array()
+        inner = slice(1, n - 1)
+        jac = field.grad_vecpot_many(state.r[inner], state.t[inner])
+        curl = np.column_stack(
+            [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
+        )
+        magnetic[inner] = q * np.cross(rdot[inner], curl)
+        vecpot_gradient[inner] = -q * np.einsum("nij,ni->nj", jac, rdot[inner])
+        induction[inner] = (-q * beta[inner])[:, None] * field.dvecpot_dt_many(
+            state.r[inner], state.t[inner]
+        )
 
     # intrinsic vector potential and local momentum (momentum split diagnostics)
     rp = sigma_derivative(state.grid, state.r)
@@ -357,20 +357,6 @@ def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
         p_local=p_local,
     )
     return ChargedStringRhs(dr=dr, dp=dp, terms=terms)
-
-
-def string_electric_field(scenario: ChargedStringScenario, sigma_index: int) -> Vec3:
-    """Effective electric force density at one node: induction + potential + tension."""
-    n = scenario.state.grid.n
-    if not 0 < sigma_index < n - 1:
-        raise ValidationError("electric field is evaluated at interior nodes")
-    rhs = charged_string_rhs(scenario)
-    e = (
-        rhs.terms.induction[sigma_index]
-        + rhs.terms.wbar_gradient[sigma_index]
-        + rhs.terms.tension[sigma_index]
-    )
-    return Vec3(*e)
 
 
 # --- state builders ---------------------------------------------------------------

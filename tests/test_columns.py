@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import vacuumlab.integrate as integ
-from vacuumlab.errors import EnergyDomainError, PhysicsDomainError
+from vacuumlab.errors import EnergyDomainError, PhysicsDomainError, SuperluminalVelocityError
 from vacuumlab.geometry import Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import ConservationReport, IntegrationParams, integrate_particle
 from vacuumlab.particle import (
@@ -21,7 +21,7 @@ from vacuumlab.particle import (
     ForceModel,
     ModelKind,
     ParticleState,
-    classical_velocity,
+    dynamic_mass,
     interacting_energy,
     interacting_hamiltonian,
     make_classical_state,
@@ -30,7 +30,6 @@ from vacuumlab.particle import (
     qa_vector,
     total_energy,
     vacuum_free_hamiltonian,
-    vacuum_velocity,
 )
 from vacuumlab.potentials import (
     LinearField,
@@ -75,6 +74,19 @@ SCALAR_INVARIANTS = {
         ),
     },
 }
+
+
+def classical_velocity(m0, p):
+    """Invert the classical momentum: u = p / (m0^2 + p^2)^(1/2)."""
+    return p / math.sqrt(m0 * m0 + p.norm2())
+
+
+def vacuum_velocity(wbar, p):
+    """u = p / (-wbar), the inverse of the vacuum momentum relation."""
+    u = p / dynamic_mass(wbar)
+    if u.norm2() >= 1.0:
+        raise SuperluminalVelocityError("|p| >= -wbar implies |u| >= 1")
+    return u
 
 
 def _unpack(model, y, x, axis):

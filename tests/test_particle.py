@@ -8,6 +8,7 @@ from vacuumlab.errors import (
     DegenerateMultiplierError,
     EnergyDomainError,
     NonpositiveMassError,
+    PhysicsDomainError,
     SuperluminalVelocityError,
 )
 from vacuumlab.geometry import Vec3, ZERO3
@@ -30,7 +31,6 @@ from vacuumlab.particle import (
     rest_mass_limit_check,
     total_energy,
     vacuum_free_hamiltonian,
-    vacuum_lorentz_rhs,
     vacuum_momentum,
     vacuum_rhs,
 )
@@ -43,6 +43,7 @@ from vacuumlab.potentials import (
     UniformMagneticField,
     build_potential,
 )
+from test_acceptance import vacuum_lorentz_rhs
 
 
 def test_classical_momentum_examples():
@@ -103,7 +104,7 @@ def test_classical_rhs_free_flight_and_push():
     field = UniformField(-1.0)
     model = ForceModel(ModelKind.CLASSICAL, field, charge=1.0, rest_mass=1.0)
     state = make_classical_state(Vec3(0, 0, 0), Vec3(0.3, 0.1, 0), 1.0)
-    dp, dr = classical_rhs(model, state.r, state.p, state.t)
+    dp, dr = map(Vec3._make, classical_rhs(model, state.r, state.p, state.t))
     assert dp.norm() < 1e-15
     assert (dr - state.u).norm() < 1e-15
 
@@ -112,7 +113,7 @@ def test_classical_rhs_free_flight_and_push():
     lin = LinearField(-1.0, Vec3(-q * e0, 0, 0))
     model_e = ForceModel(ModelKind.CLASSICAL, lin, charge=q, rest_mass=1.0)
     rest = make_classical_state(Vec3(0, 0, 0), ZERO3, 1.0)
-    dp, _ = classical_rhs(model_e, rest.r, rest.p, rest.t)
+    dp = Vec3(*classical_rhs(model_e, rest.r, rest.p, rest.t)[0])
     assert (dp - Vec3(q * e0, 0, 0)).norm() < 1e-14
 
 
@@ -121,6 +122,7 @@ def test_constrained_rhs_free_and_invariant():
     model = ForceModel(ModelKind.CONSTRAINED, field, charge=1.0, rest_mass=1.0)
     state = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
     d1, d2, dr = constrained_rhs(model, state.r, state.p, state.extra["lambda_tdot"], state.t)
+    d1 = Vec3(*d1)
     assert d1.norm() < 1e-15 and abs(d2) < 1e-15
     bad = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
     bad.extra["lambda_tdot"] = 0.0
@@ -142,7 +144,7 @@ def test_vacuum_free_rhs_uniform_is_free_flight():
     field = UniformField(-1.5)
     model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0, 0, 0), Vec3(0.2, 0.1, -0.3))
-    dp, dr = vacuum_rhs(model, state.r, state.p, state.t)
+    dp, dr = map(Vec3._make, vacuum_rhs(model, state.r, state.p, state.t))
     assert dp.norm() < 1e-15
     assert (dr - state.u).norm() < 1e-15
 
@@ -177,11 +179,11 @@ def test_interacting_rhs_uniform_a_reduces_to_lorentz_form():
     field = uniform_a_field(Vec3(0.1, -0.2, 0.3))
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.6, 0.2, 0), Vec3(0.1, 0.2, -0.1))
-    dp_full, dr_full = interacting_rhs(model, state.r, state.p, state.t)
+    dp_full, dr_full = map(Vec3._make, interacting_rhs(model, state.r, state.p, state.t))
     dp_lor, dr_lor = vacuum_lorentz_rhs(model, state.r, state.p, state.t)
     assert (dp_full - dp_lor).norm() < 1e-15
     assert (dr_full - dr_lor).norm() < 1e-15
-    fc = interaction_extra_force(1.0, state.u, field, state.r, state.t)
+    fc = Vec3(*interaction_extra_force(1.0, state.u, field, state.r, state.t))
     assert fc.norm() < 1e-15
 
 
@@ -196,7 +198,7 @@ def test_interacting_rhs_at_rest_is_electric_push():
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.3, 0), ZERO3)
-    dp, dr = interacting_rhs(model, state.r, state.p, state.t)
+    dp, dr = map(Vec3._make, interacting_rhs(model, state.r, state.p, state.t))
     g = field.grad_wbar(state.r, state.t)
     qe = -1.0 * g - 1.0 * field.dvecpot_dt(state.r, state.t)
     assert (dp - qe).norm() < 1e-14
@@ -250,8 +252,8 @@ def test_vacuum_rhs_is_the_lorentz_type_force_in_canonical_momentum(name, q, r, 
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=q)
     r, u = Vec3(*r), Vec3(*u)
     p = vacuum_momentum(field.wbar(r, t), u)
-    dp, u_lorentz = interacting_rhs(model, r, p, t)
-    dbig_p, u_canonical = vacuum_rhs(model, r, p + q * field.vecpot(r, t), t)
+    dp, u_lorentz = map(Vec3._make, interacting_rhs(model, r, p, t))
+    dbig_p, u_canonical = map(Vec3._make, vacuum_rhs(model, r, p + q * field.vecpot(r, t), t))
     jac_u = field.grad_vecpot(r, t) @ u.as_array()
     q_da_dt = q * (field.dvecpot_dt(r, t) + Vec3(*jac_u))
     gap = dp - (dbig_p - q_da_dt)
@@ -259,9 +261,82 @@ def test_vacuum_rhs_is_the_lorentz_type_force_in_canonical_momentum(name, q, r, 
     assert (u_lorentz - u_canonical).norm() <= 1e-12
 
 
+BUILT_IN_FIELDS = {
+    "uniform": lambda q: UniformField(-1.5),
+    "linear": lambda q: LinearField(-2.0, Vec3(0.3, -0.1, 0.2)),
+    "uniform-b": lambda q: UniformMagneticField(Vec3(0.1, -0.3, 1.0), -1.0),
+    "coulomb-static": lambda q: build_potential(
+        SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.05, background=-1.0), q
+    ),
+    "coulomb-comoving": IDENTITY_FIELDS["comoving-coulomb"],
+}
+# each law as f(model, r, p, y2, t); the model kind is the key
+COMPONENT_LAWS = {
+    ModelKind.CLASSICAL: lambda m, r, p, y2, t: classical_rhs(m, r, p, t),
+    ModelKind.CONSTRAINED: lambda m, r, p, y2, t: constrained_rhs(m, r, p, y2, t),
+    ModelKind.VACUUM_FREE: lambda m, r, p, y2, t: vacuum_rhs(m, r, p, t),
+    ModelKind.VACUUM_INTERACTING: lambda m, r, p, y2, t: (
+        vacuum_rhs(m, r, p, t),
+        interacting_rhs(m, r, p, t),
+        interaction_extra_force(m.charge, p, m.field, r, t),
+    ),
+}
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+def _law_or_error(law, *args):
+    try:
+        return _leaves(law(*args)), None
+    except PhysicsDomainError as exc:
+        return None, exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(COMPONENT_LAWS, key=lambda k: k.value)),
+    name=st.sampled_from(sorted(BUILT_IN_FIELDS)),
+    q=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+    rows=st.lists(
+        st.tuples(
+            st.tuples(coords, coords, coords),
+            st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+            st.floats(-0.5, 2.0),
+            st.floats(0.0, 2.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_component_laws_on_arrays_equal_the_float_rows(kind, name, q, rows):
+    # the ensemble form of every law: one call on 1-D arrays gives each row's
+    # float result bit for bit, or the first failing row's error named by where
+    field = BUILT_IN_FIELDS[name](q)
+    model = ForceModel(kind, field, charge=q, rest_mass=1.0)
+    law = COMPONENT_LAWS[kind]
+    per_row = [_law_or_error(law, model, r, p, y2, t) for r, p, y2, t in rows]
+    r, p, y2, t = (np.array(c) for c in zip(*rows))
+    with np.errstate(all="ignore"):  # a tiny l tdot overflows silently on floats too
+        leaves, error = _law_or_error(law, model, tuple(r.T), tuple(p.T), y2, t)
+    failed = [k for k, (_, exc) in enumerate(per_row) if exc is not None]
+    if failed:
+        k = failed[0]
+        assert type(error) is type(per_row[k][1]) and error.where == k
+        assert str(error) == str(per_row[k][1])
+        return
+    assert error is None
+    for i, leaf in enumerate(leaves):
+        column = np.array([row_leaves[i] for row_leaves, _ in per_row], dtype=float)
+        assert np.broadcast_to(leaf, column.shape).tobytes() == column.tobytes()
+
+
 def test_extra_force_uniform_a_is_zero():
     field = uniform_a_field(Vec3(0.3, 0.3, -0.1))
-    fc = interaction_extra_force(1.0, Vec3(0.2, -0.4, 0.1), field, Vec3(1, 1, 1), 0.0)
+    fc = Vec3(*interaction_extra_force(1.0, Vec3(0.2, -0.4, 0.1), field, Vec3(1, 1, 1), 0.0))
     assert fc.norm() < 1e-15
 
 
@@ -273,7 +348,7 @@ def test_extra_force_constructed_symmetry_is_zero():
             [[0.0, 0.0, 0.0], [r.y, r.x, 0.0], [0.0, 0.0, 2 * r.z]]
         ),
     )
-    fc = interaction_extra_force(1.3, Vec3(1.0, 0.0, 0.0), field, Vec3(0.4, -0.2, 0.9), 0.0)
+    fc = Vec3(*interaction_extra_force(1.3, Vec3(1.0, 0.0, 0.0), field, Vec3(0.4, -0.2, 0.9), 0.0))
     assert fc.norm() < 1e-15
 
 

@@ -237,10 +237,14 @@ def test_vectorized_eval_matches_scalar():
         a_scalar = [f.vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
         g_scalar = [f.grad_wbar(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
         wt_scalar = [f.dwbar_dt(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        j_scalar = [f.grad_vecpot(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
+        at_scalar = [f.dvecpot_dt(Vec3(*pt), float(tt)) for pt, tt in zip(pts, times)]
         assert np.array_equal(f.wbar_many(pts, times), np.array(w_scalar))
         assert np.array_equal(f.vecpot_many(pts, times), np.array(a_scalar))
         assert np.array_equal(f.grad_wbar_many(pts, times), np.array(g_scalar))
         assert np.array_equal(f.dwbar_dt_many(pts, times), np.array(wt_scalar))
+        assert np.array_equal(f.grad_vecpot_many(pts, times), np.array(j_scalar))
+        assert np.array_equal(f.dvecpot_dt_many(pts, times), np.array(at_scalar))
 
 
 def test_vectorized_wbar_on_unsoftened_source_raises():
@@ -248,7 +252,10 @@ def test_vectorized_wbar_on_unsoftened_source_raises():
     pts = np.array([[1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
     with pytest.raises(SingularPointError):
         f.wbar(Vec3(0.4, 0.0, 0.0), 2.0)
-    for many in (f.wbar_many, f.grad_wbar_many, f.dwbar_dt_many, f.vecpot_many):
+    for many in (
+        f.wbar_many, f.grad_wbar_many, f.dwbar_dt_many, f.vecpot_many,
+        f.grad_vecpot_many, f.dvecpot_dt_many,
+    ):
         with pytest.raises(SingularPointError, match="t=2"):
             many(pts, np.array([0.0, 2.0]))
 

@@ -23,7 +23,6 @@ from vacuumlab.strings import (
     sigma_derivative,
     straight_string,
     string_canonical_rhs,
-    string_electric_field,
     string_hamiltonian,
     string_hamiltonian_alt,
     string_momentum,
@@ -330,41 +329,6 @@ def test_charged_rhs_term_by_term_oracle():
             hm = string_hamiltonian(pert, field)
             num = (hp - hm) / (2e-6) / grid.h
             assert num == pytest.approx(dgrad[j, k], rel=2e-5, abs=1e-7)
-
-
-def test_string_electric_field_examples():
-    state, field = unit_string(n=16)
-    scenario = ChargedStringScenario(state, charge_density=1.0, field=field, u_f=ZERO3)
-    e = string_electric_field(scenario, 8)
-    assert e.norm() < 1e-14
-    # time-dependent vector potential isolates the induction term
-    ind_field = CallableField(
-        wbar_fn=lambda r, t: -1.0,
-        vecpot_fn=lambda r, t: Vec3(0.3 * t, 0.0, 0.0),
-        dvecpot_dt_fn=lambda r, t: Vec3(0.3, 0.0, 0.0),
-    )
-    scen2 = ChargedStringScenario(state, charge_density=2.0, field=ind_field, u_f=ZERO3)
-    e2 = string_electric_field(scen2, 8)
-    assert (e2 - Vec3(-0.6, 0.0, 0.0)).norm() < 1e-12
-    with pytest.raises(ValidationError):
-        string_electric_field(scenario, 0)
-
-
-def test_string_electric_field_recomposition():
-    spec = SourceSpec(
-        SourceKind.COULOMB_COMOVING, 0.8, u_f=Vec3(0.1, 0.0, 0.2),
-        softening=0.3, background=-2.0,
-    )
-    field = build_potential(spec, 1.0)
-    state, grid = smooth_state(n=20, seed=77, amp=0.03)
-    state.r[:, 0] += 0.5
-    scenario = ChargedStringScenario(state, 0.4, field, Vec3(0.1, 0.0, 0.2))
-    rhs = charged_string_rhs(scenario)
-    e = string_electric_field(scenario, 7)
-    expected = (
-        rhs.terms.induction[7] + rhs.terms.wbar_gradient[7] + rhs.terms.tension[7]
-    )
-    assert np.allclose(np.array(list(e)), expected, atol=1e-14)
 
 
 def test_charged_rhs_zero_direction_guard():
