@@ -131,8 +131,9 @@ class Trajectory:
     proper axis, with P = p + qA for the interacting model and p otherwise;
     (r, l u tdot, l tdot, tau) for the constrained model.  Row 0 is
     ``initial``.  The physical columns, ``samples`` and ``final`` are built
-    from x and Y on demand; row 0 always reads ``initial`` itself, whose p
-    and u need not survive a round trip through the flat state.
+    from x and Y on demand by the decoder; row 0 always reads ``initial``
+    itself, whose p and u need not survive a round trip through the flat
+    state.
     """
 
     x: np.ndarray
@@ -144,15 +145,22 @@ class Trajectory:
 
     def columns(self, rows=slice(None)) -> ParticleColumns:
         """t, tau, r, u, p (and l tdot) of the selected rows as arrays."""
+        rows = np.arange(len(self.x))[rows]
+        later = rows > 0  # rows the step check passed; row 0 is ``initial`` itself
         decode = _decoder(self.model, self.time_axis)
         with np.errstate(all="ignore"):  # overflow stays silent, as on floats
-            t, tau, r, u, p, lam = decode(self.x[rows], self.Y[rows].T)
-        r, u, p = (np.column_stack(v) for v in (r, u, p))
-        # row 0 is ``initial`` itself
-        first = np.arange(len(self.x))[rows] == 0
-        if first.any():
-            p[first], u[first] = self.initial.p, self.initial.u
-        return ParticleColumns(t, tau, r, u, p, lam)
+            decoded = decode(self.x[rows[later]], self.Y[rows[later]].T)
+        s = self.initial
+        firsts = (s.t, s.tau, s.r, s.u, s.p, s.extra.get("lambda_tdot"))
+        columns = []
+        for value, first in zip(decoded, firsts):
+            if value is not None:
+                value = np.column_stack(value) if isinstance(value, tuple) else value
+                column = np.empty((len(rows),) + value.shape[1:])
+                column[later], column[~later] = value, first
+                value = column
+            columns.append(value)
+        return ParticleColumns(*columns)
 
     def _states(self, rows) -> List[ParticleState]:
         c = self.columns(rows)
@@ -192,12 +200,7 @@ class Trajectory:
         row of any invariant, annotated with that row's parameter value.
         """
         table = INVARIANTS[self.model.kind]
-        try:
-            cols = self.columns(rows)
-        except PhysicsDomainError as exc:  # only row 0 can fail: no step check saw it
-            if exc.where is None:
-                raise
-            raise self.annotate(exc, np.arange(len(self.x))[rows][exc.where]) from None
+        cols = self.columns(rows)
         values, failures = {}, []
         with np.errstate(all="ignore"):  # non-finite values are raised below
             for name in names or table:

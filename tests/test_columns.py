@@ -35,6 +35,7 @@ from vacuumlab.potentials import (
     LinearField,
     SourceKind,
     SourceSpec,
+    UniformField,
     UniformMagneticField,
     build_potential,
 )
@@ -286,6 +287,18 @@ def test_mid_run_domain_error_keeps_the_step_annotation(kind, field, u0, params)
     label = "t" if params.time_axis != "proper" else "tau"
     # a mid-run step, not the launch
     assert f"[{label}=" in got[1] and f"[{label}=0]" not in got[1]
+
+
+def test_row_zero_is_the_initial_state_not_its_round_trip():
+    # (u m) / m rounds to |u| = 1 here: row 0 decoded from the flat state would
+    # be superluminal, but the launch's own energy is the first error
+    field = UniformField(-2.4444988835171637)
+    model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
+    state = make_vacuum_state(field, ZERO3, Vec3(0.15823800757138404, 0.9874009990676729, 0.0))
+    for axis in ("lab", "proper"):
+        params = IntegrationParams(step=1e-3, n_steps=10, time_axis=axis)
+        with pytest.raises(EnergyDomainError, match=r"exceeds .*=0\]$"):
+            integrate_particle(model, state, params)
 
 
 def test_non_finite_state_is_a_physics_domain_error():
