@@ -91,6 +91,9 @@ class SourceSpec:
         }
 
 
+_ZERO_JAC = (ZERO3, ZERO3, ZERO3)
+
+
 class PotentialField:
     """Interface: scalar potential wbar with exact derivatives plus vector potential.
 
@@ -100,7 +103,8 @@ class PotentialField:
     _dvecpot_dt on (x, y, z, t).  They take floats or equal-length 1-D
     arrays and return a value, an (x, y, z) triple of values or, for the
     Jacobian, a triple of row triples; a constant may stay a float on
-    arrays.  The particle force laws call them directly.  This class builds
+    arrays.  The last three default to zero, for fields without a vector
+    potential.  The particle force laws call them directly.  This class builds
     the Vec3 forms (wbar, grad_wbar, ..., with grad_vecpot a 3x3 array) and
     the (n, 3)-points forms (wbar_many, grad_wbar_many, ..., with
     grad_vecpot_many of shape (n, 3, 3)) from them, so each row of an array
@@ -121,13 +125,13 @@ class PotentialField:
         raise NotImplementedError
 
     def _vecpot(self, x, y, z, t):
-        raise NotImplementedError
+        return ZERO3
 
     def _grad_vecpot(self, x, y, z, t):
-        raise NotImplementedError
+        return _ZERO_JAC
 
     def _dvecpot_dt(self, x, y, z, t):
-        raise NotImplementedError
+        return ZERO3
 
     def wbar(self, r: Vec3, t: float) -> float:
         return self._wbar(r.x, r.y, r.z, t)
@@ -197,9 +201,6 @@ def _rows(components, n: int) -> np.ndarray:
     return out
 
 
-_ZERO_JAC = (ZERO3, ZERO3, ZERO3)
-
-
 def _off_source(den, t):
     """den unchanged; SingularPointError where it is 0 (an unsoftened source hit)."""
     if isinstance(den, float):
@@ -227,15 +228,6 @@ class UniformField(PotentialField):
 
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
-
-    def _vecpot(self, x, y, z, t):
-        return ZERO3
-
-    def _grad_vecpot(self, x, y, z, t):
-        return _ZERO_JAC
-
-    def _dvecpot_dt(self, x, y, z, t):
-        return ZERO3
 
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
@@ -366,15 +358,6 @@ class LinearField(PotentialField):
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def _vecpot(self, x, y, z, t):
-        return ZERO3
-
-    def _grad_vecpot(self, x, y, z, t):
-        return _ZERO_JAC
-
-    def _dvecpot_dt(self, x, y, z, t):
-        return ZERO3
-
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
 
@@ -412,9 +395,6 @@ class UniformMagneticField(PotentialField):
             (bz * 0.5, 0.0, -bx * 0.5),
             (-by * 0.5, bx * 0.5, 0.0),
         )
-
-    def _dvecpot_dt(self, x, y, z, t):
-        return ZERO3
 
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
