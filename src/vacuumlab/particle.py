@@ -316,13 +316,9 @@ def _energy_roots(wbar: np.ndarray, big_p: np.ndarray, label: str) -> np.ndarray
     """(wbar^2 - |P|^2)^(1/2) per row, as in vacuum_free_hamiltonian."""
     d2 = wbar * wbar - norm2_rows(big_p)
     bad = d2 <= 0.0
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise EnergyDomainError(
-            f"|{label}| = {math.sqrt(norm2_rows(big_p[k])):.6g} exceeds "
-            f"|wbar| = {abs(wbar[k]):.6g}",
-            where=k,
-        )
+    if violated(bad):
+        message = f"|{label}| = {{:.6g}} exceeds |wbar| = {{:.6g}}"
+        raise domain_error(EnergyDomainError, bad, message, np.sqrt(norm2_rows(big_p)), abs(wbar))
     return np.sqrt(d2)
 
 
