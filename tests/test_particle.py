@@ -301,7 +301,7 @@ def _law_or_error(law, *args):
         return None, exc
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     law_name=st.sampled_from(sorted(COMPONENT_LAWS)),
     name=st.sampled_from(sorted(BUILT_IN_FIELDS)),
