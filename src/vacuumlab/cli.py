@@ -462,10 +462,9 @@ def _run_string(config: ScenarioConfig, out_dir: str):
     state, field, params = build_string_state(config)
     traj = integrate_string(state, field, params)
     rows = [STRING_HEADER]
-    stride = max(1, params.n_steps // 50)
-    for i, st in enumerate(traj.samples):
-        if i % stride and i != len(traj.samples) - 1:
-            continue
+    last = len(traj.tau) - 1
+    for i in [*range(0, last, max(1, params.n_steps // 50)), last]:
+        st = traj.state(i)
         dens = strings_mod.node_energy_density(st, field)
         tau = np.full(st.grid.n, st.tau)
         table = np.column_stack([tau, st.grid.sigma, st.r, st.p, dens])

@@ -96,20 +96,21 @@ def _wbar_grid(xi: np.ndarray, field: PotentialField) -> np.ndarray:
 def _wbar_grad4(xi: np.ndarray, field: PotentialField) -> np.ndarray:
     pts = xi[..., 0:3].reshape(-1, 3)
     times = xi[..., 3].reshape(-1)
-    g3 = field.grad_wbar_many(pts, times)
-    gt = field.dwbar_dt_many(pts, times)
-    out = np.concatenate([g3, gt[:, None]], axis=1)
-    return out.reshape(xi.shape[:2] + (4,))
+    out = np.empty(xi.shape[:2] + (4,))
+    rows = out.reshape(-1, 4)
+    rows[:, :3] = field.grad_wbar_many(pts, times)
+    rows[:, 3] = field.dwbar_dt_many(pts, times)
+    return out
 
 
 def residual_grid(xi: np.ndarray, h_sigma: float, h_s: float, field: PotentialField) -> np.ndarray:
     """Central-difference residual of the conformal equation at interior nodes."""
     w = _wbar_grid(xi, field)
-    grad4 = _wbar_grad4(xi, field)[1:-1, 1:-1, :]
+    grad4 = _wbar_grad4(xi[1:-1, 1:-1], field)
 
-    mid = xi[1:-1, 1:-1, :]
-    xi_ss = (xi[1:-1, 2:, :] - 2.0 * mid + xi[1:-1, :-2, :]) / (h_s * h_s)
-    xi_gg = (xi[2:, 1:-1, :] - 2.0 * mid + xi[:-2, 1:-1, :]) / (h_sigma * h_sigma)
+    twice_mid = 2.0 * xi[1:-1, 1:-1, :]
+    xi_ss = (xi[1:-1, 2:, :] - twice_mid + xi[1:-1, :-2, :]) / (h_s * h_s)
+    xi_gg = (xi[2:, 1:-1, :] - twice_mid + xi[:-2, 1:-1, :]) / (h_sigma * h_sigma)
     xi_s = (xi[1:-1, 2:, :] - xi[1:-1, :-2, :]) / (2.0 * h_s)
     xi_g = (xi[2:, 1:-1, :] - xi[:-2, 1:-1, :]) / (2.0 * h_sigma)
     w_s = (w[1:-1, 2:] - w[1:-1, :-2]) / (2.0 * h_s)

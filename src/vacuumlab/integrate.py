@@ -22,6 +22,11 @@ each new state, and on the rows of a `Trajectory`, which holds the
 parameter x and the flat states Y as arrays, it gives the physical columns
 from which `samples`, `final` and the invariants (audited once, as arrays
 over the audited rows) are derived.
+
+A string run steps the flat state (r, p, t) of its nodes in the same way: a
+`StringTrajectory` holds tau and the flat states Y as arrays, and its
+`StringState`s are views of the rows, built on demand.  The checkerboard SOR
+solver evaluates the residual twice per sweep.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
+from . import strings
 from .errors import (
     ConvergenceError,
     DegenerateMultiplierError,
-    EnergyDomainError,
     PhysicsDomainError,
     StepFailureError,
     ValidationError,
@@ -491,71 +496,107 @@ def integrate_particle(
 
 @dataclass
 class StringTrajectory:
-    samples: list
-    report: ConservationReport
+    """One string run as columns, plus the conservation audit.
+
+    tau, shape (n+1,), is the proper-time parameter and Y, shape (n+1, 7m),
+    the stepper's flat state (r, p, t) of the m grid nodes per row: r and p
+    row-major, then the t channel.  Row 0 is the initial state.
+    ``state(i)``, ``samples`` and ``final`` are StringState views of the rows,
+    built on demand.
+    """
+
+    tau: np.ndarray
+    Y: np.ndarray
+    grid: strings.StringGrid
+    report: ConservationReport = dc_field(default_factory=ConservationReport)
+
+    def state(self, i: int) -> strings.StringState:
+        """Row i as a StringState whose r, p and t are views of Y."""
+        return _string_view(self.grid, float(self.tau[i]), self.Y[i])
 
     @property
-    def final(self):
-        return self.samples[-1]
+    def samples(self) -> List[strings.StringState]:
+        return [self.state(i) for i in range(len(self.tau))]
+
+    @property
+    def final(self) -> strings.StringState:
+        return self.state(-1)
+
+
+def _string_view(grid, tau: float, y: np.ndarray) -> strings.StringState:
+    m = grid.n
+    r, p = y[: 3 * m].reshape(m, 3), y[3 * m : 6 * m].reshape(m, 3)
+    return strings.StringState(grid, r, p, tau, y[6 * m :])
 
 
 def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
     """Advance a string state under the canonical flow with fixed endpoints.
 
-    Audits the energy functional and the transversality defect.  Aborts
-    with EnergyDomainError (offending node attached) when the integrand
-    domain guard trips.
+    Each RK4 stage evaluates ``strings.string_canonical_rhs`` on a view of
+    the flat state and writes (dr, dp, dt) into one flat rate array, with
+    dt = (1 + |dr|^2)^(1/2) co-integrating the t channel; each new state is
+    written into its row of the trajectory.  Audits the energy functional
+    and the transversality defect every audit_every steps and at the last.
+    A domain error in a stage is annotated with the tau of its step's start
+    (an EnergyDomainError keeps its offending cell as ``where``); a
+    non-finite new state, or a domain error or non-finite value in an
+    audit, with the tau of the row.
     """
-    from . import strings
-
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")
 
-    n = state.grid.n
-    y = np.concatenate([state.r.ravel(), state.p.ravel(), state.t])
-    tau = state.tau
-    h = params.step
-
-    def rebuild(tau_val, yv):
-        r = yv[: 3 * n].reshape(n, 3)
-        p = yv[3 * n : 6 * n].reshape(n, 3)
-        t = yv[6 * n :]
-        return strings.StringState(state.grid, r.copy(), p.copy(), tau_val, t.copy())
+    grid, m, h = state.grid, state.grid.n, params.step
+    traj = StringTrajectory(np.empty(params.n_steps + 1), np.empty((params.n_steps + 1, 7 * m)), grid)
+    traj.tau[0] = tau = state.tau
+    y = traj.Y[0]
+    y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
 
     def rhs(tau_val, yv):
-        st = strings.StringState(
-            state.grid,
-            yv[: 3 * n].reshape(n, 3),
-            yv[3 * n : 6 * n].reshape(n, 3),
-            tau_val,
-            yv[6 * n :],
-        )
-        dr, dp = strings.string_canonical_rhs(st, field)
-        dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
-        return np.concatenate([dr.ravel(), dp.ravel(), dt])
+        dr, dp = strings.string_canonical_rhs(_string_view(grid, tau_val, yv), field)
+        rates = np.empty(7 * m)
+        rates[: 3 * m], rates[3 * m : 6 * m] = dr.ravel(), dp.ravel()
+        np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr), out=rates[6 * m :])
+        return rates
 
-    report = ConservationReport()
-    samples = [rebuild(tau, y)]
-    report.observe("hamiltonian", strings.string_hamiltonian(samples[0], field))
-    report.observe("transversality", strings.transversality_defect(samples[0]))
+    def annotate(exc, at):
+        return type(exc)(f"{exc} [tau={at:.9g}]", where=exc.where)
 
+    def audit(i):
+        row = traj.state(i)
+        try:
+            observed = (
+                ("hamiltonian", strings.string_hamiltonian(row, field)),
+                ("transversality", strings.transversality_defect(row)),
+            )
+            for name, value in observed:
+                if not math.isfinite(value):
+                    raise PhysicsDomainError(f"non-finite {name} {value}")
+        except PhysicsDomainError as exc:
+            raise annotate(exc, row.tau) from None
+        for name, value in observed:
+            traj.report.observe(name, value)
+
+    audit(0)
     for i in range(1, params.n_steps + 1):
         try:
             k1 = rhs(tau, y)
             k2 = rhs(tau + 0.5 * h, y + 0.5 * h * k1)
             k3 = rhs(tau + 0.5 * h, y + 0.5 * h * k2)
             k4 = rhs(tau + h, y + h * k3)
-        except EnergyDomainError as exc:
-            raise EnergyDomainError(f"{exc} [tau={tau:.9g}]", where=exc.where) from None
-        y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        except PhysicsDomainError as exc:
+            raise annotate(exc, tau) from None
+        y = traj.Y[i]
+        np.add(traj.Y[i - 1], (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), out=y)
         tau += h
-        st = rebuild(tau, y)
-        samples.append(st)
+        traj.tau[i] = tau
+        if not np.isfinite(y).all():
+            k = int(np.argmin(np.isfinite(y)))
+            node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
+            raise annotate(PhysicsDomainError(f"non-finite string state at node {node}", where=node), tau)
         if i % params.audit_every == 0 or i == params.n_steps:
-            report.observe("hamiltonian", strings.string_hamiltonian(st, field))
-            report.observe("transversality", strings.transversality_defect(st))
+            audit(i)
 
-    return StringTrajectory(samples, report)
+    return traj
 
 
 # --- elliptic relaxation ----------------------------------------------------------
@@ -583,10 +624,17 @@ def relax_elliptic(
     """Checkerboard SOR sweeps driving max |residual| below tol.
 
     residual_fn maps the full grid (n1, n2, c) to the interior residual
-    (n1-2, n2-2, c).  The local diagonal d(R_ij)/d(xi_ij) is probed
-    numerically per checkerboard color (5-point couplings never connect
-    same-color interior nodes, so one vectorized probe per color and
-    component is exact).  Boundary values are never touched.
+    (n1-2, n2-2, c), a new array on each call.  The local diagonal
+    d(R_ij)/d(xi_ij) is probed numerically per checkerboard color (5-point
+    couplings never connect same-color interior nodes, so one vectorized
+    probe per color and component is exact) at the first sweep and every
+    200th.  Boundary values are never touched.
+
+    A sweep updates each color, all components at once, from a residual of
+    the current grid.  The residual after a sweep gives the convergence
+    test and, the grid being unchanged, also serves as the next sweep's
+    first-color residual and as the base of a diagonal probe.  So a solve
+    evaluates residual_fn once, plus twice per sweep and 2c times per probe.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -601,38 +649,42 @@ def relax_elliptic(
     if omega is None:
         omega = 2.0 / (1.0 + math.sin(math.pi / max(n1 - 1, n2 - 1)))
 
+    # per color, the flat element indices of its nodes' components in the
+    # interior residual and in the full grid
     ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-    masks = [((ii + jj) % 2 == parity) for parity in (0, 1)]
+    colors = []
+    for parity in (0, 1):
+        mask = (ii + jj) % 2 == parity
+        nodes = (np.flatnonzero(mask), (ii * n2 + jj)[mask])
+        colors.append(tuple((k[:, None] * ncomp + np.arange(ncomp)).ravel() for k in nodes))
+    flat = xi.reshape(-1)  # a view: xi is a fresh C-ordered copy
 
     probe = 1e-7 * max(1.0, float(np.max(np.abs(xi))))
-    diagonals = None
 
-    def compute_diagonals(current):
-        base = residual_fn(current)
-        diags = np.zeros_like(base)
-        for parity, mask in enumerate(masks):
+    def color_diagonals(base):
+        """Per color, d(R)/d(xi) at its elements, probed on the current grid whose residual is base."""
+        diagonals = []
+        for inner, full in colors:
+            d = np.empty(len(inner))
             for k in range(ncomp):
-                trial = current.copy()
-                interior = trial[1:-1, 1:-1, k]
-                interior[mask] += probe
-                shifted = residual_fn(trial)
-                d = (shifted[..., k] - base[..., k]) / probe
-                diags[..., k][mask] = d[mask]
-        if np.min(np.abs(diags)) < 1e-300:
+                trial = xi.copy()
+                trial.reshape(-1)[full[k::ncomp]] += probe
+                shifted = residual_fn(trial).reshape(-1)
+                d[k::ncomp] = (shifted[inner[k::ncomp]] - base.reshape(-1)[inner[k::ncomp]]) / probe
+            diagonals.append(d)
+        if min(np.min(np.abs(d)) for d in diagonals) < 1e-300:
             raise ConvergenceError("degenerate relaxation diagonal")
-        return diags
+        return diagonals
 
     history: List[float] = []
     initial_res = None
+    res = residual_fn(xi)
     for iteration in range(1, max_iters + 1):
-        if diagonals is None or iteration % 200 == 0:
-            diagonals = compute_diagonals(xi)
-        for mask in masks:
+        if iteration == 1 or iteration % 200 == 0:
+            diagonals = color_diagonals(res)
+        for (inner, full), diagonal in zip(colors, diagonals):
+            flat[full] -= omega * res.reshape(-1).take(inner) / diagonal
             res = residual_fn(xi)
-            for k in range(ncomp):
-                upd = omega * res[..., k] / diagonals[..., k]
-                xi[1:-1, 1:-1, k][mask] -= upd[mask]
-        res = residual_fn(xi)
         max_res = float(np.max(np.abs(res)))
         history.append(max_res)
         if len(history) > _HISTORY_TAIL:

@@ -20,7 +20,11 @@ string_hamiltonian; the flow implemented here,
                                           - d/dsigma (wbar^2 r' / h)
 
 is the Lagrangian-consistent one (it is the uncharged reduction of the
-charged-string force law).  The alternative functional |wbar r' - p| is
+charged-string force law).  One staggered kernel, computed once per call on
+the node arrays, gives each cell's grad(wbar) part, tension vector and
+velocity half-sum; string_canonical_rhs and charged_string_rhs both build
+their node rows from it, accumulating each cell into its two nodes in the
+order of a sum into zeros.  The alternative functional |wbar r' - p| is
 provided for comparison: under the Euclidean reading with <p, r'> = 0
 it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2, strictly above the
 energy integrand whenever p != 0 - the claimed equivalence of the two
@@ -108,102 +112,104 @@ def sigma_derivative(grid: StringGrid, values: np.ndarray) -> np.ndarray:
     return out
 
 
-# --- staggered cell machinery -------------------------------------------------
+# --- staggered cells ------------------------------------------------------------
 
 
-@dataclass
-class _Cells:
-    w: np.ndarray        # wbar at cell midpoints                (n-1,)
-    grad_w: np.ndarray   # grad wbar at cell midpoints           (n-1, 3)
-    rprime: np.ndarray   # (r_{c+1} - r_c)/h                     (n-1, 3)
-    dr: np.ndarray       # r_{c+1} - r_c                         (n-1, 3)
-    pbar: np.ndarray     # (p_c + p_{c+1})/2                     (n-1, 3)
-    hdens: np.ndarray    # [(w |r'|)^2 - |pbar|^2]^(1/2)         (n-1,)
+def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
+    """The staggered cells of node rows r, p, t on spacing h.
 
-
-def _cells(state: StringState, field: PotentialField, need_grad: bool = True) -> _Cells:
-    h = state.grid.h
-    dr = state.r[1:] - state.r[:-1]
-    mid = 0.5 * (state.r[1:] + state.r[:-1])
-    tmid = 0.5 * (state.t[1:] + state.t[:-1])
+    Returns (w, dr, rprime, pbar, rp2, hdens, mid, tmid): wbar at the cell
+    midpoints mid and times tmid, dr = r_{c+1} - r_c, rprime = dr / h, the
+    averaged momentum pbar, rp2 = |rprime|^2 and the energy root
+    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), all of length n-1.  Raises
+    EnergyDomainError, naming the worst cell, when the root's argument is
+    below the domain guard.
+    """
+    dr = r[1:] - r[:-1]
+    mid = 0.5 * (r[1:] + r[:-1])
+    tmid = 0.5 * (t[1:] + t[:-1])
     w = field.wbar_many(mid, tmid)
     rprime = dr / h
-    pbar = 0.5 * (state.p[1:] + state.p[:-1])
-    g = w * w * np.einsum("ij,ij->i", rprime, rprime) - np.einsum(
-        "ij,ij->i", pbar, pbar
-    )
-    if np.min(g) < ENERGY_DOMAIN_GUARD:
+    pbar = 0.5 * (p[1:] + p[:-1])
+    rp2 = np.einsum("ij,ij->i", rprime, rprime)
+    g = w * w * rp2 - np.einsum("ij,ij->i", pbar, pbar)
+    if g.min() < ENERGY_DOMAIN_GUARD:
         worst = int(np.argmin(g))
         raise EnergyDomainError(
             f"(wbar r')^2 - p^2 = {g[worst]:.3g} at cell {worst}", where=worst
         )
-    grad_w = field.grad_wbar_many(mid, tmid) if need_grad else np.zeros_like(mid)
-    return _Cells(w, grad_w, rprime, dr, pbar, np.sqrt(g))
+    return w, dr, rprime, pbar, rp2, np.sqrt(g), mid, tmid
+
+
+def _flow_cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
+    """Per-cell pieces of the flow: (grad-wbar part, tension vector, velocity half-sum).
+
+    Each is an (n-1, 3) array that both nodes of its cell receive; the
+    tension vector is lost by the cell's left node and gained by its right.
+    """
+    w, dr, _, pbar, rp2, hdens, mid, tmid = _cells(h, field, r, p, t)
+    hcol = hdens[:, None]
+    grad = (0.5 * (w * rp2 / hdens))[:, None] * field.grad_wbar_many(mid, tmid)
+    tension = (w**2)[:, None] * dr / (h * h * hcol)
+    velocity = 0.5 * pbar / hcol
+    return grad, tension, velocity
+
+
+def _inner_rows(cells: np.ndarray, lead=np.add, out=None) -> np.ndarray:
+    """Interior node rows lead(0, cells[j]) + cells[j-1] of a cell piece.
+
+    This is the accumulation of the piece into a zeros array (lead is
+    np.subtract for the tension), in the same order, so signed zeros
+    come out as they would there.
+    """
+    rows = lead(0.0, cells[1:], out=out)
+    rows += cells[:-1]
+    return rows
+
+
+def _node_rows(cells: np.ndarray, lead=np.add) -> np.ndarray:
+    """All node rows of a cell piece; the end nodes receive their one cell."""
+    return np.concatenate([lead(0.0, cells[:1]), _inner_rows(cells, lead), 0.0 + cells[-1:]])
 
 
 def string_hamiltonian(state: StringState, field: PotentialField) -> float:
     """Energy functional: midpoint quadrature of [(wbar r')^2 - p^2]^(1/2)."""
-    cells = _cells(state, field, need_grad=False)
-    return float(state.grid.h * np.sum(cells.hdens))
+    hdens = _cells(state.grid.h, field, state.r, state.p, state.t)[5]
+    return float(state.grid.h * np.sum(hdens))
 
 
 def string_hamiltonian_alt(state: StringState, field: PotentialField) -> float:
     """Alternative functional: quadrature of |wbar r' - p| on the same cells."""
-    cells = _cells(state, field, need_grad=False)
-    diff = cells.w[:, None] * cells.rprime - cells.pbar
+    w, _, rprime, pbar, _, _, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
+    diff = w[:, None] * rprime - pbar
     return float(state.grid.h * np.sum(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
 
 
 def cell_integrands(state: StringState, field: PotentialField) -> dict:
     """Per-cell integrand values of both functionals, for gap diagnostics."""
-    cells = _cells(state, field, need_grad=False)
-    diff = cells.w[:, None] * cells.rprime - cells.pbar
-    wrp2 = cells.w**2 * np.einsum("ij,ij->i", cells.rprime, cells.rprime)
-    p2 = np.einsum("ij,ij->i", cells.pbar, cells.pbar)
-    cross = np.einsum("ij,ij->i", cells.rprime, cells.pbar)
+    w, _, rprime, pbar, _, hdens, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
+    diff = w[:, None] * rprime - pbar
+    wrp2 = w**2 * np.einsum("ij,ij->i", rprime, rprime)
+    p2 = np.einsum("ij,ij->i", pbar, pbar)
+    cross = np.einsum("ij,ij->i", rprime, pbar)
     return {
-        "energy": cells.hdens,
+        "energy": hdens,
         "alt": np.sqrt(np.einsum("ij,ij->i", diff, diff)),
         "wrprime_sq": wrp2,
         "pbar_sq": p2,
-        "transversality": cells.w * cross,
+        "transversality": w * cross,
     }
 
 
 def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray:
     """Energy integrand averaged back to nodes (trajectory CSV column)."""
-    cells = _cells(state, field, need_grad=False)
+    hdens = _cells(state.grid.h, field, state.r, state.p, state.t)[5]
     out = np.zeros(state.grid.n)
-    out[:-1] += 0.5 * cells.hdens
-    out[1:] += 0.5 * cells.hdens
+    out[:-1] += 0.5 * hdens
+    out[1:] += 0.5 * hdens
     out[0] *= 2.0
     out[-1] *= 2.0
     return out
-
-
-def _gradient_parts(state: StringState, field: PotentialField):
-    """Split dp/dtau into the potential-gradient and tension pieces (density form)."""
-    h = state.grid.h
-    cells = _cells(state, field)
-    n = state.grid.n
-
-    rp2 = np.einsum("ij,ij->i", cells.rprime, cells.rprime)
-    wcoef = 0.5 * (cells.w * rp2 / cells.hdens)
-    grad_piece = np.zeros((n, 3))
-    wpart = wcoef[:, None] * cells.grad_w
-    grad_piece[:-1] += wpart
-    grad_piece[1:] += wpart
-
-    tension_piece = np.zeros((n, 3))
-    vec = (cells.w**2)[:, None] * cells.dr / (h * h * cells.hdens[:, None])
-    tension_piece[:-1] -= vec
-    tension_piece[1:] += vec
-
-    velocity = np.zeros((n, 3))
-    cp = 0.5 * cells.pbar / cells.hdens[:, None]
-    velocity[:-1] += cp
-    velocity[1:] += cp
-    return grad_piece, tension_piece, velocity
 
 
 def string_canonical_rhs(state: StringState, field: PotentialField):
@@ -212,11 +218,11 @@ def string_canonical_rhs(state: StringState, field: PotentialField):
     Equals the exact gradient of the discretized energy functional H via
     dr_j = -(1/h) dH/dp_j and dp_j = +(1/h) dH/dr_j (generator -H).
     """
-    grad_piece, tension_piece, velocity = _gradient_parts(state, field)
-    dr = velocity
-    dp = grad_piece + tension_piece
-    dr[0] = dr[-1] = 0.0
-    dp[0] = dp[-1] = 0.0
+    grad, tension, velocity = _flow_cells(state.grid.h, field, state.r, state.p, state.t)
+    dr, dp = np.zeros((2, state.grid.n, 3))
+    _inner_rows(velocity, out=dr[1:-1])
+    _inner_rows(grad, out=dp[1:-1])
+    dp[1:-1] += _inner_rows(tension, np.subtract)
     return dr, dp
 
 
@@ -302,7 +308,9 @@ def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
     u_f = scenario.u_f
     n = state.grid.n
 
-    grad_piece, tension_piece, v = _gradient_parts(state, field)
+    grad, tension, velocity = _flow_cells(state.grid.h, field, state.r, state.p, state.t)
+    grad_piece, tension_piece = _node_rows(grad), _node_rows(tension, np.subtract)
+    v = _node_rows(velocity)
     beta = np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
     rdot = v + np.outer(beta, u_f.as_array())
 
