@@ -546,7 +546,8 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
         raise ValidationError("string integration uses fixed-step rk4")
 
     grid, m, h = state.grid, state.grid.n, params.step
-    traj = StringTrajectory(np.empty(params.n_steps + 1), np.empty((params.n_steps + 1, 7 * m)), grid)
+    rows = params.n_steps + 1
+    traj = StringTrajectory(np.empty(rows), np.empty((rows, 7 * m)), grid)
     traj.tau[0] = tau = state.tau
     y = traj.Y[0]
     y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
@@ -585,14 +586,14 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
             k4 = rhs(tau + h, y + h * k3)
         except PhysicsDomainError as exc:
             raise annotate(exc, tau) from None
-        y = traj.Y[i]
-        np.add(traj.Y[i - 1], (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), out=y)
+        y = np.add(y, (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), out=traj.Y[i])
         tau += h
         traj.tau[i] = tau
         if not np.isfinite(y).all():
             k = int(np.argmin(np.isfinite(y)))
             node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
-            raise annotate(PhysicsDomainError(f"non-finite string state at node {node}", where=node), tau)
+            exc = PhysicsDomainError(f"non-finite string state at node {node}", where=node)
+            raise annotate(exc, tau)
         if i % params.audit_every == 0 or i == params.n_steps:
             audit(i)
 
@@ -656,13 +657,13 @@ def relax_elliptic(
     for parity in (0, 1):
         mask = (ii + jj) % 2 == parity
         nodes = (np.flatnonzero(mask), (ii * n2 + jj)[mask])
-        colors.append(tuple((k[:, None] * ncomp + np.arange(ncomp)).ravel() for k in nodes))
+        colors.append(tuple((idx[:, None] * ncomp + np.arange(ncomp)).ravel() for idx in nodes))
     flat = xi.reshape(-1)  # a view: xi is a fresh C-ordered copy
 
     probe = 1e-7 * max(1.0, float(np.max(np.abs(xi))))
 
     def color_diagonals(base):
-        """Per color, d(R)/d(xi) at its elements, probed on the current grid whose residual is base."""
+        """Per color, d(R)/d(xi) at its elements, probed at the current grid (residual base)."""
         diagonals = []
         for inner, full in colors:
             d = np.empty(len(inner))

@@ -22,7 +22,12 @@ from vacuumlab.conformal import coons_interior, residual_grid, solve_conformal
 from vacuumlab.conformal_cases import harmonic_case, manufactured_case
 from vacuumlab.errors import ConvergenceError, EnergyDomainError, PhysicsDomainError
 from vacuumlab.geometry import Vec3, ZERO3
-from vacuumlab.integrate import ConservationReport, IntegrationParams, integrate_string, relax_elliptic
+from vacuumlab.integrate import (
+    ConservationReport,
+    IntegrationParams,
+    integrate_string,
+    relax_elliptic,
+)
 from vacuumlab.potentials import LinearField, SourceKind, SourceSpec, UniformField, build_potential
 from vacuumlab.strings import (
     ChargedStringScenario,
@@ -114,7 +119,11 @@ def reference_integrate_string(state, field, params):
 
     def rhs(tau_val, yv):
         st = StringState(
-            state.grid, yv[: 3 * n].reshape(n, 3), yv[3 * n : 6 * n].reshape(n, 3), tau_val, yv[6 * n :]
+            state.grid,
+            yv[: 3 * n].reshape(n, 3),
+            yv[3 * n : 6 * n].reshape(n, 3),
+            tau_val,
+            yv[6 * n :],
         )
         dr, dp = reference_rhs(st, field)
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
@@ -260,7 +269,8 @@ def test_non_finite_string_state_raises_at_the_step_that_made_it(monkeypatch):
 
     monkeypatch.setattr(strings, "string_canonical_rhs", poisoned)
     state = _pluck(16)
-    with pytest.raises(PhysicsDomainError, match=r"non-finite string state at node 5 \[tau=0.003\]") as err:
+    message = r"non-finite string state at node 5 \[tau=0.003\]"
+    with pytest.raises(PhysicsDomainError, match=message) as err:
         integrate_string(state, UniformField(-1.0), IntegrationParams(step=1e-3, n_steps=10))
     assert err.value.where == 5
 
@@ -402,7 +412,8 @@ def test_sor_solve_equals_the_three_residual_sweep(case):
     make_case, tol = SOR_CASES[case]
     c = make_case()
     got = relax_elliptic(*_conformal_problem(c, residual_grid), tol)
-    xi, iterations, final, history = reference_relax(*_conformal_problem(c, reference_residual_grid), tol)
+    ref_problem = _conformal_problem(c, reference_residual_grid)
+    xi, iterations, final, history = reference_relax(*ref_problem, tol)
     assert identical(got.xi, xi)
     assert (got.iterations, got.final_residual, got.history) == (iterations, final, history)
     # and the solver entry point returns the same relaxation
@@ -441,7 +452,9 @@ def test_conformal_residual_equals_the_full_grid_gradient_form():
     xi = coons_interior(manufactured_case(9, 9).boundary)
     xi[..., 3] += np.linspace(0.0, 0.5, 9)[:, None]  # the tau slot feeds the time derivative
     field = _comoving_coulomb()
-    assert identical(residual_grid(xi, 0.125, 0.125, field), reference_residual_grid(xi, 0.125, 0.125, field))
+    assert identical(
+        residual_grid(xi, 0.125, 0.125, field), reference_residual_grid(xi, 0.125, 0.125, field)
+    )
 
 
 @pytest.mark.parametrize("max_iters", [None, 250])
