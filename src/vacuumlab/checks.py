@@ -245,16 +245,19 @@ def check_conformal_laplace():
 
 
 def check_alt_hamiltonian_gap():
-    rng = _rng()
-    worst = 0.0
-    for _ in range(50):
-        w = -rng.uniform(0.5, 2.0)
-        rp = np.array([rng.uniform(0.5, 1.5), 0.0, 0.0])
-        p = np.array([0.0, *rng.uniform(-0.3, 0.3, size=2)])
-        lhs = float((w * rp - p) @ (w * rp - p))
-        rhs = float(w * w * (rp @ rp) + p @ p)
-        worst = max(worst, abs(lhs - rhs))
-    return worst < 1e-12, f"identity defect {worst:.2e}"
+    # a transversal pluck: |wbar r' - p|^2 = (wbar r')^2 + p^2 on every cell, so
+    # the alternative integrand lies above the energy; near the fixed ends p^2 is
+    # so small that the two round to the same float
+    grid = strings.StringGrid.uniform(0.0, 1.0, 32)
+    state = strings.plucked_string(grid, Vec3(0, 0, 0), Vec3(1, 0, 0), 0.05, 0.08)
+    cells = strings.cell_integrands(state, LinearField(-2.0, Vec3(0.3, 0.0, 0.0)))
+    alt, energy, p2 = cells["alt"], cells["energy"], cells["pbar_sq"]
+    defect = float(np.max(np.abs(alt**2 - (cells["wrprime_sq"] + p2))))
+    moving = p2 > 1e-8
+    above = bool(np.all(alt >= energy) and np.all(alt[moving] > energy[moving]))
+    gap = float(np.max(alt - energy))
+    detail = f"identity defect {defect:.2e}, alt > energy on {int(moving.sum())} cells"
+    return defect < 1e-12 and above, f"{detail}, max gap {gap:.2e}"
 
 
 def check_determinism():

@@ -37,7 +37,7 @@ from .errors import (
     StepFailureError,
     ValidationError,
 )
-from .geometry import Vec3
+from .geometry import Vec3, norm2_rows
 from .integrate import (
     IntegrationParams,
     integrate_particle,
@@ -77,10 +77,6 @@ AUDIT_HEADER = "node,s,res_x,res_y,res_z,res_norm"
 _MODEL_KINDS = {k.value: k for k in ModelKind}
 _FIELD_KINDS = ("uniform", "coulomb-static", "coulomb-comoving", "linear", "uniform-b")
 _SCENARIO_KINDS = ("particle", "string", "conformal")
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _number(raw, name: str, cast=float):
@@ -402,10 +398,14 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
     return manifest
 
 
-_PARTICLE_ROW = "{}" + ",{:.17g}" * 10
-_STRING_ROW = "{}" + ",{:.17g}" * 9
-_CONFORMAL_ROW = "{},{}" + ",{:.17g}" * 6
-_LONG_ROWS = "{0},{1:.17g},wbar,{2:.17g}\n{0},{1:.17g},energy,{3:.17g}"
+def _csv_rows(header: str, table, index) -> List[str]:
+    """CSV lines: the header, then per row of table its index label and its values.
+
+    table is an (n, k) float array; each value is written with 17 significant
+    digits, so it reads back as the same float.
+    """
+    line = "{}" + ",{:.17g}" * table.shape[1]
+    return [header] + [line.format(i, *row) for i, row in zip(index, table.tolist())]
 
 
 def _run_particle(config: ScenarioConfig, out_dir: str):
@@ -420,13 +420,14 @@ def _run_particle(config: ScenarioConfig, out_dir: str):
     if bad.any():
         raise traj.annotate(PhysicsDomainError("non-finite run CSV value"), int(np.argmax(bad)))
     axis = c.t if traj.time_axis == "lab" else c.tau
-    rows = [PARTICLE_HEADER]
-    rows += [_PARTICLE_ROW.format(i, *row) for i, row in enumerate(table.tolist())]
-    long_rows = ["step,axis,series,value"]
-    long_rows += [
-        _LONG_ROWS.format(i, *row)
-        for i, row in enumerate(zip(axis.tolist(), wbar.tolist(), energy.tolist()))
-    ]
+    rows = _csv_rows(PARTICLE_HEADER, table, range(len(table)))
+    # the long companion: rows (step, axis, series, value), wbar then energy per step
+    steps = _csv_rows("step,axis", axis[:, None], range(len(axis)))[1:]
+    long_rows = _csv_rows(
+        "step,axis,series,value",
+        np.column_stack([wbar, energy]).reshape(-1, 1),
+        [f"{step},{series}" for step in steps for series in ("wbar", "energy")],
+    )
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     long_path = os.path.join(out_dir, f"{config.name}_long.csv")
@@ -461,16 +462,18 @@ def build_string_state(config: ScenarioConfig):
 def _run_string(config: ScenarioConfig, out_dir: str):
     state, field, params = build_string_state(config)
     traj = integrate_string(state, field, params)
-    rows = [STRING_HEADER]
     last = len(traj.tau) - 1
-    for i in [*range(0, last, max(1, params.n_steps // 50)), last]:
+    written = [*range(0, last, max(1, params.n_steps // 50)), last]
+    blocks = []
+    for i in written:
         st = traj.state(i)
         dens = strings_mod.node_energy_density(st, field)
         tau = np.full(st.grid.n, st.tau)
-        table = np.column_stack([tau, st.grid.sigma, st.r, st.p, dens])
-        if not np.isfinite(table).all():
+        blocks.append(np.column_stack([tau, st.grid.sigma, st.r, st.p, dens]))
+        if not np.isfinite(blocks[-1]).all():
             raise PhysicsDomainError(f"non-finite string CSV value [tau={st.tau:.9g}]")
-        rows += [_STRING_ROW.format(i, *row) for row in table.tolist()]
+    index = np.repeat(written, state.grid.n).tolist()
+    rows = _csv_rows(STRING_HEADER, np.concatenate(blocks), index)
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     return traj.report.to_dict(), [csv_path]
@@ -502,10 +505,8 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
     }
     sigma, s = np.meshgrid(solved.sigma, solved.s, indexing="ij")
     table = np.column_stack([sigma.ravel(), s.ravel(), solved.xi.reshape(-1, 4)])
-    rows = ["i,j,sigma,s,xi0,xi1,xi2,xi3"]
-    rows += [
-        _CONFORMAL_ROW.format(*divmod(k, n_s), *row) for k, row in enumerate(table.tolist())
-    ]
+    index = [f"{i},{j}" for i in range(n_sigma) for j in range(n_s)]
+    rows = _csv_rows("i,j,sigma,s,xi0,xi1,xi2,xi3", table, index)
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
     _atomic_write(csv_path, "\n".join(rows) + "\n")
     return report, [csv_path]
@@ -543,19 +544,15 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
     axis_b = b.t if alignment == "by_t" else b.tau
     fx, fy, fz = interaction_extra_force(ref_model.charge, a.u.T, ref_model.field, a.r.T, a.t)
     fc = np.sqrt((fx * fx + fy * fy) + fz * fz)  # in the order of Vec3.norm
-    rows = [COMPARE_HEADER]
-    for i, (ra, pa) in enumerate(zip(a.r.tolist(), a.p.tolist())):
-        if alignment == "by_t":
-            rb, pb = b.r[i], b.p[i]
-        else:
-            rb = np.array([np.interp(axis_a[i], axis_b, b.r[:, k]) for k in range(3)])
-            pb = np.array([np.interp(axis_a[i], axis_b, b.p[:, k]) for k in range(3)])
-        dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(ra, rb)))
-        pgap = math.sqrt(sum((x - y) ** 2 for x, y in zip(pa, pb)))
-        rows.append(
-            ",".join([str(i), _fmt(axis_a[i]), _fmt(dist), _fmt(pgap), _fmt(fc[i])])
-        )
-    return rows, trajectories
+    if alignment == "by_t":
+        rb, pb = b.r, b.p
+    else:
+        rb = np.column_stack([np.interp(axis_a, axis_b, b.r[:, k]) for k in range(3)])
+        pb = np.column_stack([np.interp(axis_a, axis_b, b.p[:, k]) for k in range(3)])
+    dist = np.sqrt(norm2_rows(a.r - rb))
+    pgap = np.sqrt(norm2_rows(a.p - pb))
+    table = np.column_stack([axis_a, dist, pgap, fc])
+    return _csv_rows(COMPARE_HEADER, table, range(len(table))), trajectories
 
 
 # --- audit -------------------------------------------------------------------------
@@ -591,16 +588,8 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
         path = path_from_trajectory(traj, stride=stride)
     residuals = euler_lagrange_residual(spec, path)
     norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
-    rows = [AUDIT_HEADER]
-    for i in range(residuals.shape[0]):
-        rows.append(
-            ",".join(
-                [str(i + 1), _fmt(path.s[i + 1])]
-                + [_fmt(v) for v in residuals[i]]
-                + [_fmt(norms[i])]
-            )
-        )
-    return rows, float(np.max(norms)), traj
+    table = np.column_stack([path.s[1:-1], residuals, norms])
+    return _csv_rows(AUDIT_HEADER, table, range(1, path.m - 1)), float(np.max(norms)), traj
 
 
 # --- self-check battery ---------------------------------------------------------------

@@ -173,7 +173,6 @@ def solve_conformal(
     w: PotentialField,
     tol: float,
     max_iters: int = 20000,
-    omega: Optional[float] = None,
     forcing: Optional[np.ndarray] = None,
     gauge_tol: Optional[float] = None,
 ) -> Tuple[ConformalPatch, RelaxationResult]:
@@ -204,7 +203,7 @@ def solve_conformal(
         def residual_fn(xi):
             return residual_grid(xi, h_sigma, h_s, w)
 
-    result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters, omega=omega)
+    result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
     solved = boundary.copy_with(result.xi)
     if gauge_tol is not None:
         defect = solved.max_gauge_defect()

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -620,7 +620,6 @@ def relax_elliptic(
     xi0: np.ndarray,
     tol: float,
     max_iters: int = 20000,
-    omega: Optional[float] = None,
 ) -> RelaxationResult:
     """Checkerboard SOR sweeps driving max |residual| below tol.
 
@@ -629,7 +628,8 @@ def relax_elliptic(
     d(R_ij)/d(xi_ij) is probed numerically per checkerboard color (5-point
     couplings never connect same-color interior nodes, so one vectorized
     probe per color and component is exact) at the first sweep and every
-    200th.  Boundary values are never touched.
+    200th.  Boundary values are never touched.  The over-relaxation factor
+    is 2 / (1 + sin(pi / (n - 1))) for the longer grid side n.
 
     A sweep updates each color, all components at once, from a residual of
     the current grid.  The residual after a sweep gives the convergence
@@ -647,8 +647,7 @@ def relax_elliptic(
         raise ValidationError("grid too small for interior relaxation")
     if not np.all(np.isfinite(xi)):
         raise ValidationError("initial patch contains non-finite values")
-    if omega is None:
-        omega = 2.0 / (1.0 + math.sin(math.pi / max(n1 - 1, n2 - 1)))
+    omega = 2.0 / (1.0 + math.sin(math.pi / max(n1 - 1, n2 - 1)))
 
     # per color, the flat element indices of its nodes' components in the
     # interior residual and in the full grid

@@ -23,9 +23,15 @@ form equals the float form bit for bit.  The laws call the fields'
 component methods and use no Vec3.  The electromagnetic terms are
 assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
 potential scales like 1/q stay well defined for any nonzero charge.
-`INVARIANTS` is the one table of audited quantities per model; its entries
-evaluate rows of states held as arrays (`ParticleColumns`) and repeat the
-scalar kernels' arithmetic bit for bit.
+
+The invariant kernels (`vacuum_free_hamiltonian`, `total_energy`,
+`interacting_hamiltonian`, `interacting_energy`, `classical_energy`) are
+written once in the same float-or-rows convention: wbar is a float or a 1-D
+array, p and qA are (x, y, z) triples such as a Vec3 or the transpose of an
+(m, 3) array, and a domain error on rows names the first failing row as
+``where``.  `INVARIANTS` is the one table of audited quantities per model;
+its entries call those kernels on rows of states held as arrays
+(`ParticleColumns`).
 
 The interacting Hamiltonian and energy implement the full expressions
 with the <p+qA, qA> cross term.  Note (verified analytically and
@@ -57,8 +63,6 @@ from .geometry import (
     Vec3,
     ZERO3,
     domain_error,
-    dot_rows,
-    norm2_rows,
     proper_time_factor,
     root,
     violated,
@@ -153,34 +157,45 @@ def vacuum_momentum(wbar: float, u: Vec3) -> Vec3:
     return u * m
 
 
-def vacuum_free_hamiltonian(wbar: float, p: Vec3) -> float:
+def _energy_root(wbar, big_p, label: str):
+    """(wbar^2 - |P|^2)^(1/2); EnergyDomainError naming |label| where it is not real."""
+    px, py, pz = big_p
+    n2 = (px * px + py * py) + pz * pz
+    d2 = wbar * wbar - n2
+    bad = d2 <= 0.0
+    if violated(bad):
+        message = f"|{label}| = {{:.6g}} exceeds |wbar| = {{:.6g}}"
+        raise domain_error(EnergyDomainError, bad, message, root(n2), abs(wbar))
+    return root(d2)
+
+
+def vacuum_free_hamiltonian(wbar, p):
     """H = -(wbar^2 - p^2)^(1/2)."""
-    d2 = wbar * wbar - p.norm2()
-    if d2 <= 0.0:
-        raise EnergyDomainError(f"|p| = {p.norm():.6g} exceeds |wbar| = {abs(wbar):.6g}")
-    return -math.sqrt(d2)
+    return -_energy_root(wbar, p, "p")
 
 
-def total_energy(wbar: float, p: Vec3) -> float:
+def total_energy(wbar, p):
     """E = (wbar^2 - p^2)^(1/2); equals -wbar at rest (the dynamic mass)."""
-    return -vacuum_free_hamiltonian(wbar, p)
+    return _energy_root(wbar, p, "p")
 
 
-def interacting_hamiltonian(wbar: float, p: Vec3, qa: Vec3) -> float:
+def interacting_hamiltonian(wbar, p, qa):
     """H = -(wbar^2-|p+qA|^2)^(1/2) - <p+qA,qA> (wbar^2-|p+qA|^2)^(-1/2)."""
-    big_p = p + qa
-    d2 = wbar * wbar - big_p.norm2()
-    if d2 <= 0.0:
-        raise EnergyDomainError(
-            f"|p+qA| = {big_p.norm():.6g} exceeds |wbar| = {abs(wbar):.6g}"
-        )
-    d = math.sqrt(d2)
-    return -d - big_p.dot(qa) / d
+    (px, py, pz), (ax, ay, az) = p, qa
+    bx, by, bz = px + ax, py + ay, pz + az
+    d = _energy_root(wbar, (bx, by, bz), "p+qA")
+    return -d - ((bx * ax + by * ay) + bz * az) / d
 
 
-def interacting_energy(wbar: float, p: Vec3, qa: Vec3) -> float:
+def interacting_energy(wbar, p, qa):
     """E = (wbar^2-|p+qA|^2)^(1/2) + <p+qA,qA> (wbar^2-|p+qA|^2)^(-1/2)."""
     return -interacting_hamiltonian(wbar, p, qa)
+
+
+def classical_energy(m0: float, wbar, p):
+    """E = (m0^2 + p^2)^(1/2) + wbar."""
+    px, py, pz = p
+    return root(m0**2 + ((px * px + py * py) + pz * pz)) + wbar
 
 
 # --- force laws on components --------------------------------------------------
@@ -305,51 +320,38 @@ class ParticleColumns(NamedTuple):
     lam: Optional[np.ndarray] = None
 
 
-# The array forms repeat the scalar kernels element by element: (x*x + y*y)
-# + z*z for norms and dots, np.sqrt for math.sqrt, and the scalar-order
-# wbar_many / vecpot_many, so a row's value does not depend on which rows are
-# evaluated with it.  A domain violation raises the scalar kernel's error for
-# the first offending row and gives its position as ``where``.
+def _wbar_rows(c: ParticleColumns, m: ForceModel) -> np.ndarray:
+    return m.field.wbar_many(c.r, c.t)
 
 
-def _energy_roots(wbar: np.ndarray, big_p: np.ndarray, label: str) -> np.ndarray:
-    """(wbar^2 - |P|^2)^(1/2) per row, as in vacuum_free_hamiltonian."""
-    d2 = wbar * wbar - norm2_rows(big_p)
-    bad = d2 <= 0.0
-    if violated(bad):
-        message = f"|{label}| = {{:.6g}} exceeds |wbar| = {{:.6g}}"
-        raise domain_error(EnergyDomainError, bad, message, np.sqrt(norm2_rows(big_p)), abs(wbar))
-    return np.sqrt(d2)
+def _qa_rows(c: ParticleColumns, m: ForceModel) -> np.ndarray:
+    """qA per row, transposed to an (x, y, z) triple of rows."""
+    return (m.field.vecpot_many(c.r, c.t) * m.charge).T
 
 
-def _interacting_hamiltonians(c: ParticleColumns, m: ForceModel) -> np.ndarray:
-    qa = m.field.vecpot_many(c.r, c.t) * m.charge
-    big_p = c.p + qa
-    d = _energy_roots(m.field.wbar_many(c.r, c.t), big_p, "p+qA")
-    return -d - dot_rows(big_p, qa) / d
-
-
-# name -> fn(columns, model) per model kind; integrate_particle audits every
-# entry, and the run CSV's energy column is the 'energy' entry ('rest_mass'
-# for the constrained model).
+# name -> fn(columns, model) per model kind; each entry is the kernel above on
+# the rows of c, so a row's value equals the kernel's float value bit for bit.
+# integrate_particle audits every entry, and the run CSV's energy column is
+# the 'energy' entry ('rest_mass' for the constrained model).
 INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
     ModelKind.CLASSICAL: {
-        "energy": lambda c, m: np.sqrt(m.rest_mass**2 + norm2_rows(c.p))
-        + m.field.wbar_many(c.r, c.t),
+        "energy": lambda c, m: classical_energy(m.rest_mass, _wbar_rows(c, m), c.p.T),
     },
     ModelKind.CONSTRAINED: {
         "rest_mass": lambda c, m: c.lam * proper_time_factor(c.u.T),
     },
     ModelKind.VACUUM_FREE: {
-        "hamiltonian": lambda c, m: -_energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
-        "energy": lambda c, m: _energy_roots(m.field.wbar_many(c.r, c.t), c.p, "p"),
-        "rest_mass": lambda c, m: -m.field.wbar_many(c.r, c.t) * proper_time_factor(c.u.T),
+        "hamiltonian": lambda c, m: vacuum_free_hamiltonian(_wbar_rows(c, m), c.p.T),
+        "energy": lambda c, m: total_energy(_wbar_rows(c, m), c.p.T),
+        "rest_mass": lambda c, m: -_wbar_rows(c, m) * proper_time_factor(c.u.T),
     },
     ModelKind.VACUUM_INTERACTING: {
-        "hamiltonian": _interacting_hamiltonians,
-        "energy": lambda c, m: -_interacting_hamiltonians(c, m),
-        "relative_invariant": lambda c, m: _energy_roots(
-            m.field.wbar_many(c.r, c.t), c.p + m.field.vecpot_many(c.r, c.t) * m.charge, "p+qA"
+        "hamiltonian": lambda c, m: interacting_hamiltonian(
+            _wbar_rows(c, m), c.p.T, _qa_rows(c, m)
+        ),
+        "energy": lambda c, m: interacting_energy(_wbar_rows(c, m), c.p.T, _qa_rows(c, m)),
+        "relative_invariant": lambda c, m: _energy_root(
+            _wbar_rows(c, m), c.p.T + _qa_rows(c, m), "p+qA"
         ),
     },
 }
@@ -358,20 +360,21 @@ INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
 # --- state constructors ------------------------------------------------------
 
 
-def make_classical_state(r: Vec3, u: Vec3, m0: float, t: float = 0.0) -> ParticleState:
-    return ParticleState(0.0, t, r, u, classical_momentum(m0, u), {"m0": m0})
+def make_classical_state(r: Vec3, u: Vec3, m0: float) -> ParticleState:
+    return ParticleState(0.0, 0.0, r, u, classical_momentum(m0, u), {"m0": m0})
 
 
-def make_constrained_state(r: Vec3, u: Vec3, m0: float, t: float = 0.0) -> ParticleState:
+def make_constrained_state(r: Vec3, u: Vec3, m0: float) -> ParticleState:
     """Initial multiplier set so that l tdot (1-u^2)^(1/2) = m0 at t = 0."""
     gamma = 1.0 / proper_time_factor(u)
     y2 = m0 * gamma
-    return ParticleState(0.0, t, r, u, u * y2, {"lambda_tdot": y2, "m0": m0})
+    return ParticleState(0.0, 0.0, r, u, u * y2, {"lambda_tdot": y2, "m0": m0})
 
 
-def make_vacuum_state(field: PotentialField, r: Vec3, u: Vec3, t: float = 0.0) -> ParticleState:
-    wbar = field.wbar(r, t)
-    return ParticleState(0.0, t, r, u, vacuum_momentum(wbar, u), {})
+def make_vacuum_state(field: PotentialField, r: Vec3, u: Vec3) -> ParticleState:
+    """State at tau = t = 0 with the vacuum momentum p = -wbar u."""
+    wbar = field.wbar(r, 0.0)
+    return ParticleState(0.0, 0.0, r, u, vacuum_momentum(wbar, u), {})
 
 
 # --- two-particle scenario and the q -> 0 limit ------------------------------

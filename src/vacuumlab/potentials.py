@@ -80,16 +80,6 @@ class SourceSpec:
             if self.u_f.norm2() != 0.0:
                 raise InvalidSourceError("static source must have u_f = 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "strength": self.strength,
-            "r_f0": list(self.r_f0),
-            "u_f": list(self.u_f),
-            "softening": self.softening,
-            "background": self.background,
-        }
-
 
 _ZERO_JAC = (ZERO3, ZERO3, ZERO3)
 

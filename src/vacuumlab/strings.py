@@ -384,16 +384,15 @@ def plucked_string(
     amplitude: float,
     width: float,
     direction: Vec3 = Vec3(0.0, 1.0, 0.0),
-    center: Optional[float] = None,
 ) -> StringState:
-    """Straight string with a transverse Gaussian momentum pluck.
+    """Straight string with a transverse Gaussian momentum pluck at mid-string.
 
     The profile is windowed by sin^2 of the normalized position so the
     momentum vanishes smoothly at the fixed ends; a hard cutoff would seed
     a kink whose broadband spectrum the elliptic-in-tau flow amplifies.
     """
     state = straight_string(grid, start, end)
-    c = 0.5 * (grid.sigma[0] + grid.sigma[-1]) if center is None else center
+    c = 0.5 * (grid.sigma[0] + grid.sigma[-1])
     frac = (grid.sigma - grid.sigma[0]) / (grid.sigma[-1] - grid.sigma[0])
     window = np.sin(math.pi * frac) ** 2
     try:

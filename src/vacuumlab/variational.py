@@ -7,15 +7,20 @@ Nothing here shares code with the hand-coded right-hand sides: the
 functional derivatives are finite differences of the action itself, so
 the oracle cross-validates the integrators instead of echoing them.
 
+The Legendre check is the one place the oracle meets `particle`: it takes
+p = dL/dv by finite differences of the array densities and compares
+<p, v> - L with the model's invariant kernels, called once on the node
+arrays.  It reads no force law.
+
 Path channels: every kind uses the node positions r(s); the constrained
 and interacting kinds additionally read a frozen lab-clock channel t(s)
 (and the constrained kind a multiplier channel lambda(s)).  Frozen means
 the channel is data along the path, not varied by the residual operator.
+Every channel must be finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -29,6 +34,7 @@ from .errors import (
 )
 from .geometry import Vec3, ZERO3, dot_rows as _dot, norm2_rows as _norm2
 from .particle import (
+    classical_energy,
     interacting_hamiltonian,
     vacuum_free_hamiltonian,
 )
@@ -65,6 +71,14 @@ class LagrangianSpec:
                 raise ValidationError(f"{self.kind.value} needs m0 > 0")
 
 
+def _finite_channel(values, name: str) -> np.ndarray:
+    """values as a float array; ValidationError naming the channel if any entry is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"path channel {name} has non-finite values")
+    return values
+
+
 @dataclass
 class DiscretePath:
     """Uniform parameter grid with node positions and optional t / lambda channels."""
@@ -75,8 +89,8 @@ class DiscretePath:
     lam: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
+        self.s = _finite_channel(self.s, "s")
+        self.r = _finite_channel(self.r, "r")
         m = self.s.size
         if m < 5:
             raise ValidationError("a discrete path needs at least 5 nodes")
@@ -88,7 +102,7 @@ class DiscretePath:
         for name in ("t", "lam"):
             ch = getattr(self, name)
             if ch is not None:
-                ch = np.asarray(ch, dtype=float)
+                ch = _finite_channel(ch, name)
                 if ch.shape != (m,):
                     raise ValidationError(f"{name} channel must have shape (m,)")
                 setattr(self, name, ch)
@@ -281,12 +295,10 @@ def discrete_action(spec: LagrangianSpec, path) -> float:
     return float(np.add.accumulate(cells)[-1])
 
 
-def euler_lagrange_residual(
-    spec: LagrangianSpec, path, rel_step: float = FD_RELATIVE_STEP
-) -> np.ndarray:
+def euler_lagrange_residual(spec: LagrangianSpec, path) -> np.ndarray:
     """Numeric functional derivative dS/dr at interior nodes, density-normalized.
 
-    Symmetric node perturbations with scale rel_step * path amplitude; only
+    Symmetric node perturbations with scale FD_RELATIVE_STEP * path amplitude; only
     the two cells touching the perturbed node enter its difference
     quotient.  A true solution path returns residuals that vanish at
     second order in the path spacing.
@@ -301,10 +313,10 @@ def euler_lagrange_residual(
     those perturbed cells leaves the Lagrangian's domain.
     """
     if spec.kind is LagrangianKind.STRING_DENSITY:
-        return _string_el_residual(spec, path, rel_step)
+        return _string_el_residual(spec, path)
     t, lam = _point_channels(spec, path)
     m, ds, r = path.m, path.ds, path.r
-    hp = rel_step * max(1.0, float(np.max(np.abs(r))))
+    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(r))))
 
     residuals = np.empty((m - 2, 3))
     for first in (1, 2):
@@ -379,23 +391,17 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
         p[:, k] = (lp - lm) / (2.0 * hv)
     h_num = _dot(p, v) - density(spec, r, v, t, tdot, lam)
 
-    worst = 0.0
-    for i in range(len(v)):
-        ri, pi, ti = Vec3(*r[i]), Vec3(*p[i]), float(t[i])
-        wbar = spec.field.wbar(ri, ti)
-        if spec.kind is LagrangianKind.VACUUM_FREE_POINT:
-            h_ref = vacuum_free_hamiltonian(wbar, pi)
-        elif spec.kind is LagrangianKind.REST_FRAME_POINT:
-            qa = spec.charge * spec.field.vecpot(ri, ti)
-            h_ref = vacuum_free_hamiltonian(wbar, pi - qa)
-        elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
-            qa = spec.u_f * wbar  # Vec3 first: wbar may be a NumPy scalar
-            h_ref = interacting_hamiltonian(wbar, pi - qa, qa)
-        else:  # classical
-            qa = spec.charge * spec.field.vecpot(ri, ti)
-            kin = pi - qa
-            h_ref = math.sqrt(spec.m0**2 + kin.norm2()) + wbar
-        worst = max(worst, abs(h_num[i] - h_ref))
+    wbar = spec.field.wbar_many(r, t)
+    if spec.kind is LagrangianKind.VACUUM_FREE_POINT:
+        h_ref = vacuum_free_hamiltonian(wbar, p.T)
+    elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
+        qa = np.multiply.outer(np.asarray(spec.u_f), wbar)
+        h_ref = interacting_hamiltonian(wbar, p.T - qa, qa)
+    elif spec.kind is LagrangianKind.REST_FRAME_POINT:
+        h_ref = vacuum_free_hamiltonian(wbar, p.T - _qa(spec, r, t).T)
+    else:  # classical
+        h_ref = classical_energy(spec.m0, wbar, p.T - _qa(spec, r, t).T)
+    worst = np.max(np.abs(h_num - h_ref))
     return LegendreReport(spec.kind.value, float(worst), len(v))
 
 
@@ -457,9 +463,9 @@ class StringWorldPath:
     r: np.ndarray
 
     def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
+        self.tau = _finite_channel(self.tau, "tau")
+        self.sigma = _finite_channel(self.sigma, "sigma")
+        self.r = _finite_channel(self.r, "r")
         if self.r.shape != (self.tau.size, self.sigma.size, 3):
             raise ValidationError("r must have shape (n_tau, n_sigma, 3)")
         if self.tau.size < 5 or self.sigma.size < 5:
@@ -500,7 +506,7 @@ def _string_action(spec: LagrangianSpec, path: StringWorldPath) -> float:
     return float(np.sum(lag) * path.d_tau * path.d_sigma)
 
 
-def _string_el_residual(spec: LagrangianSpec, path: StringWorldPath, rel_step: float) -> np.ndarray:
+def _string_el_residual(spec: LagrangianSpec, path: StringWorldPath) -> np.ndarray:
     """dS/dr at interior world-sheet nodes (k, j), density-normalized.
 
     Colouring: node (k, j) is a corner of the four cells (k-1 or k,
@@ -526,7 +532,7 @@ def _string_el_residual(spec: LagrangianSpec, path: StringWorldPath, rel_step: f
     """
     nt, ns = path.tau.size, path.sigma.size
     d_tau, d_sigma = path.d_tau, path.d_sigma
-    hp = rel_step * max(1.0, float(np.max(np.abs(path.r))))
+    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(path.r))))
 
     out = np.empty((nt - 2, ns - 2, 3))
     for k0 in (1, 2):

@@ -242,7 +242,7 @@ def test_full_precision_floats(tmp_path):
         row = fh.readline().strip().split(",")
     # a third of the numbers should round-trip exactly through repr
     val = float(row[2])
-    assert cli._fmt(val) == row[2]
+    assert format(val, ".17g") == row[2]
 
 
 def test_usage_error_exit_code_for_bad_flags():

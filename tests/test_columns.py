@@ -3,7 +3,8 @@
 ``reference_integrate`` is the loop ``integrate_particle`` ran before the
 trajectory kept its flat state as columns: one ``ParticleState`` per step and
 one scalar audit per audited step.  ``SCALAR_INVARIANTS`` is the scalar form
-of ``particle.INVARIANTS``.  The columns must reproduce both bit for bit.
+of ``particle.INVARIANTS``, written here on ``Vec3`` so the reference shares
+no kernel with it.  The columns must reproduce both bit for bit.
 """
 
 import math
@@ -22,14 +23,10 @@ from vacuumlab.particle import (
     ModelKind,
     ParticleState,
     dynamic_mass,
-    interacting_energy,
-    interacting_hamiltonian,
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
     qa_vector,
-    total_energy,
-    vacuum_free_hamiltonian,
 )
 from vacuumlab.potentials import (
     LinearField,
@@ -40,6 +37,32 @@ from vacuumlab.potentials import (
     build_potential,
 )
 from vacuumlab.variational import path_from_trajectory
+
+
+def vacuum_free_hamiltonian(wbar, p):
+    d2 = wbar * wbar - p.norm2()
+    if d2 <= 0.0:
+        raise EnergyDomainError(f"|p| = {p.norm():.6g} exceeds |wbar| = {abs(wbar):.6g}")
+    return -math.sqrt(d2)
+
+
+def total_energy(wbar, p):
+    return -vacuum_free_hamiltonian(wbar, p)
+
+
+def interacting_hamiltonian(wbar, p, qa):
+    big_p = p + qa
+    d2 = wbar * wbar - big_p.norm2()
+    if d2 <= 0.0:
+        raise EnergyDomainError(
+            f"|p+qA| = {big_p.norm():.6g} exceeds |wbar| = {abs(wbar):.6g}"
+        )
+    d = math.sqrt(d2)
+    return -d - big_p.dot(qa) / d
+
+
+def interacting_energy(wbar, p, qa):
+    return -interacting_hamiltonian(wbar, p, qa)
 
 
 def _relative_invariant(wbar, p, qa):

@@ -17,6 +17,7 @@ from vacuumlab.particle import (
     ForceModel,
     ModelKind,
     TwoParticleScenario,
+    classical_energy,
     classical_momentum,
     classical_rhs,
     constrained_rhs,
@@ -285,7 +286,31 @@ COMPONENT_LAWS = {
         ModelKind.VACUUM_INTERACTING,
         lambda m, r, p, y2, t: interaction_extra_force(m.charge, p, m.field, r, t),
     ),
+    # the invariant kernels, with p read as the model's kinetic momentum
+    "classical-energy": (
+        ModelKind.CLASSICAL,
+        lambda m, r, p, y2, t: classical_energy(m.rest_mass, m.field._wbar(*r, t), p),
+    ),
+    "vacuum-free-hamiltonian": (
+        ModelKind.VACUUM_FREE,
+        lambda m, r, p, y2, t: vacuum_free_hamiltonian(m.field._wbar(*r, t), p),
+    ),
+    "total-energy": (
+        ModelKind.VACUUM_FREE, lambda m, r, p, y2, t: total_energy(m.field._wbar(*r, t), p)
+    ),
+    "interacting-hamiltonian": (
+        ModelKind.VACUUM_INTERACTING,
+        lambda m, r, p, y2, t: interacting_hamiltonian(m.field._wbar(*r, t), p, _qa(m, r, t)),
+    ),
+    "interacting-energy": (
+        ModelKind.VACUUM_INTERACTING,
+        lambda m, r, p, y2, t: interacting_energy(m.field._wbar(*r, t), p, _qa(m, r, t)),
+    ),
 }
+
+
+def _qa(model, r, t):
+    return tuple(a * model.charge for a in model.field._vecpot(*r, t))
 
 
 def _leaves(value):
@@ -301,7 +326,8 @@ def _law_or_error(law, *args):
         return None, exc
 
 
-@settings(max_examples=150, deadline=None)
+# about 25 examples per law
+@settings(max_examples=275, deadline=None)
 @given(
     law_name=st.sampled_from(sorted(COMPONENT_LAWS)),
     name=st.sampled_from(sorted(BUILT_IN_FIELDS)),

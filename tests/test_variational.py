@@ -178,6 +178,28 @@ def test_legendre_classical_and_rest_frame():
     assert legendre_transform_check(rest, DiscretePath(s=s, r=r)).passed(1e-8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("channel", ["s", "r", "t", "lam"])
+def test_discrete_path_rejects_non_finite_channels(channel, bad):
+    s = np.linspace(0.0, 1.0, 9)
+    data = {"s": s, "r": np.zeros((9, 3)), "t": s.copy(), "lam": np.ones(9)}
+    data[channel] = data[channel].copy()
+    data[channel].flat[4] = bad
+    with pytest.raises(ValidationError, match=f"channel {channel} has non-finite"):
+        DiscretePath(**data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("channel", ["tau", "sigma", "r"])
+def test_world_path_rejects_non_finite_channels(channel, bad):
+    data = {"tau": np.linspace(0.0, 1.0, 6), "sigma": np.linspace(0.0, 1.0, 7)}
+    data["r"] = np.zeros((6, 7, 3))
+    data[channel] = data[channel].copy()
+    data[channel].flat[3] = bad
+    with pytest.raises(ValidationError, match=f"channel {channel} has non-finite"):
+        StringWorldPath(**data)
+
+
 def test_legendre_degenerate_kinds_raise():
     field = UniformField(-1.0)
     path = straight_path()
@@ -488,6 +510,69 @@ def _interacting_case():
     path = _orbit(field, ModelKind.VACUUM_INTERACTING, Vec3(0.05, 0.37, 0.1), "proper")
     spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field, u_f=u_f)
     return spec, path
+
+
+def _ref_clock_rate(spec, v):
+    if spec.kind is not LagrangianKind.VACUUM_INTERACTING_POINT:
+        return 1.0
+    uf2 = spec.u_f.norm2()
+    if uf2 == 0.0:
+        return math.sqrt(1.0 + v.norm2())
+    b = v.dot(spec.u_f)
+    disc = b * b + (1.0 - uf2) * (1.0 + v.norm2())
+    return (-b + math.sqrt(disc)) / (1.0 - uf2)
+
+
+def _ref_vacuum_free_hamiltonian(wbar, p):
+    return -math.sqrt(wbar * wbar - p.norm2())
+
+
+def _loop_legendre_max_diff(spec, path):
+    """Node by node: max |<p, v> - L - H(r, p)| with p = dL/dv by central differences."""
+    f, ds = spec.field, path.ds
+    t_nodes = path.s if spec.kind is LagrangianKind.CLASSICAL_POINT else path.t
+    worst = 0.0
+    for i in range(1, path.m - 1):
+        r, t = Vec3(*path.r[i]), float(t_nodes[i])
+        v = Vec3(*((path.r[i + 1] - path.r[i - 1]) / (2.0 * ds)))
+        tdot = _ref_clock_rate(spec, v)
+        hv = FD_RELATIVE_STEP * (1.0 + math.sqrt(v.norm2()))
+        p = []
+        for k in range(3):
+            dv = Vec3(*[hv if j == k else 0.0 for j in range(3)])
+            lp = _ref_density(spec, r, v + dv, t, tdot, 0.0)
+            lm = _ref_density(spec, r, v - dv, t, tdot, 0.0)
+            p.append((lp - lm) / (2.0 * hv))
+        p = Vec3(*p)
+        h_num = p.dot(v) - _ref_density(spec, r, v, t, tdot, 0.0)
+        wbar = f.wbar(r, t)
+        if spec.kind is LagrangianKind.VACUUM_FREE_POINT:
+            h_ref = _ref_vacuum_free_hamiltonian(wbar, p)
+        elif spec.kind is LagrangianKind.REST_FRAME_POINT:
+            h_ref = _ref_vacuum_free_hamiltonian(wbar, p - spec.charge * f.vecpot(r, t))
+        elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
+            qa = spec.u_f * wbar
+            big_p = p - qa + qa
+            d = math.sqrt(wbar * wbar - big_p.norm2())
+            h_ref = -d - big_p.dot(qa) / d
+        else:
+            kin = p - spec.charge * f.vecpot(r, t)
+            h_ref = math.sqrt(spec.m0**2 + kin.norm2()) + wbar
+        worst = max(worst, abs(h_num - h_ref))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_gyro_case, _rest_frame_case, _vacuum_free_case, _interacting_case],
+    ids=["classical-gyro", "rest-frame-comoving", "vacuum-free", "interacting"],
+)
+def test_array_legendre_check_matches_node_loop(case):
+    spec, path = case()
+    report = legendre_transform_check(spec, path)
+    assert report.nodes == path.m - 2
+    assert report.max_abs_diff == _loop_legendre_max_diff(spec, path)
+    assert report.passed()
 
 
 @pytest.mark.parametrize(
