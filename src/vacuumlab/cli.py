@@ -419,19 +419,17 @@ def _run_particle(config: ScenarioConfig, out_dir: str):
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise traj.annotate(PhysicsDomainError("non-finite run CSV value"), int(np.argmax(bad)))
-    axis = c.t if traj.time_axis == "lab" else c.tau
-    rows = _csv_rows(PARTICLE_HEADER, table, range(len(table)))
-    # the long companion: rows (step, axis, series, value), wbar then energy per step
-    steps = _csv_rows("step,axis", axis[:, None], range(len(axis)))[1:]
-    long_rows = _csv_rows(
-        "step,axis,series,value",
-        np.column_stack([wbar, energy]).reshape(-1, 1),
-        [f"{step},{series}" for step in steps for series in ("wbar", "energy")],
-    )
     csv_path = os.path.join(out_dir, f"{config.name}.csv")
+    rows = _csv_rows(PARTICLE_HEADER, table, range(len(table)))
     _atomic_write(csv_path, "\n".join(rows) + "\n")
+    # the long companion: rows (step, axis, series, value), wbar then energy per step
+    axis = c.t if traj.time_axis == "lab" else c.tau
+    steps = _csv_rows("step,axis", axis[:, None], range(len(axis)))[1:]
+    index = [f"{step},{series}" for step in steps for series in ("wbar", "energy")]
+    values = np.column_stack([wbar, energy]).reshape(-1, 1)
+    rows = _csv_rows("step,axis,series,value", values, index)
     long_path = os.path.join(out_dir, f"{config.name}_long.csv")
-    _atomic_write(long_path, "\n".join(long_rows) + "\n")
+    _atomic_write(long_path, "\n".join(rows) + "\n")
     return traj.report.to_dict(), [csv_path, long_path]
 
 
