@@ -542,11 +542,10 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
     axis_b = b.t if alignment == "by_t" else b.tau
     fx, fy, fz = interaction_extra_force(ref_model.charge, a.u.T, ref_model.field, a.r.T, a.t)
     fc = np.sqrt((fx * fx + fy * fy) + fz * fz)  # in the order of Vec3.norm
-    if alignment == "by_t":
-        rb, pb = b.r, b.p
-    else:
-        rb = np.column_stack([np.interp(axis_a, axis_b, b.r[:, k]) for k in range(3)])
-        pb = np.column_stack([np.interp(axis_a, axis_b, b.p[:, k]) for k in range(3)])
+    # the other run at the reference's t or tau: its own rows where the grids agree
+    # (np.interp returns fp[j] at xp[j]), interpolated where adaptive grids differ
+    rb = np.column_stack([np.interp(axis_a, axis_b, b.r[:, k]) for k in range(3)])
+    pb = np.column_stack([np.interp(axis_a, axis_b, b.p[:, k]) for k in range(3)])
     dist = np.sqrt(norm2_rows(a.r - rb))
     pgap = np.sqrt(norm2_rows(a.p - pb))
     table = np.column_stack([axis_a, dist, pgap, fc])

@@ -70,10 +70,6 @@ class InvalidSourceError(VacuumLabError):
 class StepFailureError(VacuumLabError):
     """Adaptive integrator could not meet tolerance at the minimum step."""
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
 
 class ConvergenceError(VacuumLabError):
     """Iterative solver exhausted its budget; carries the residual history tail."""

@@ -66,9 +66,6 @@ class Vec3(NamedTuple):
     def as_array(self) -> np.ndarray:
         return np.array(self, dtype=float)
 
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
-
 
 ZERO3 = Vec3(0.0, 0.0, 0.0)
 

@@ -14,6 +14,10 @@ of a vacuum model steps the same law on the source frame's proper time
 x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 
+Particle and string runs share one stepping loop, `_march`: it steps a
+tuple state with `rk4_step` or `rkf45_step`, checks each new state, and
+annotates a physics-domain error with the t or tau of its step.
+
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
 y straight to the component laws of `particle`.  One decoder reads that
@@ -23,9 +27,9 @@ parameter x and the flat states Y as arrays, it gives the physical columns
 from which `samples`, `final` and the invariants (audited once, as arrays
 over the audited rows) are derived.
 
-A string run steps the flat state (r, p, t) of its nodes in the same way: a
-`StringTrajectory` holds tau and the flat states Y as arrays, and its
-`StringState`s are views of the rows, built on demand.  The checkerboard SOR
+A string run steps the flat state (r, p, t) of its nodes as a one-array
+tuple: a `StringTrajectory` holds tau and the flat states Y as arrays, and
+its `StringState`s are views of the rows, built on demand.  The checkerboard SOR
 solver evaluates the residual twice per sweep.
 """
 
@@ -195,8 +199,9 @@ class Trajectory:
         return self._states(slice(-1, None))[0]
 
     def annotate(self, exc: PhysicsDomainError, row: int) -> PhysicsDomainError:
-        """exc annotated with the parameter value of a row, as step errors are."""
-        return _annotate(exc, self.time_axis, self.x[row])
+        """exc annotated with a row's parameter value, as step errors are; ``where`` is the row."""
+        label = "t" if self.time_axis == "lab" else "tau"
+        return _annotate(exc, label, self.x[row], where=int(row))
 
     def invariants(self, rows=slice(None), names=None) -> dict:
         """The model's array INVARIANTS over the selected rows, by name.
@@ -226,9 +231,9 @@ class Trajectory:
         return values
 
 
-def _annotate(exc: PhysicsDomainError, axis: str, x: float) -> PhysicsDomainError:
-    label = "t" if axis == "lab" else "tau"
-    return type(exc)(f"{exc} [{label}={x:.9g}]")
+def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> PhysicsDomainError:
+    """exc with ``[label=x]`` appended; it keeps its ``where`` unless one is given."""
+    return type(exc)(f"{exc} [{label}={x:.9g}]", where=exc.where if where is None else where)
 
 
 # --- generic steppers on flat tuple states ----------------------------------
@@ -307,6 +312,43 @@ def rkf45_step(f, x, y, h, rel_tol, abs_tol):
         tol = abs_tol + rel_tol * abs(y0)
         ratio = max(ratio, abs(a - b) / tol)
     return ratio <= 1.0, y5, ratio
+
+
+def _march(rhs, check, x, y, params: IntegrationParams, label: str):
+    """Yield (x, y) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
+
+    RK4 makes n_steps steps of params.step; RKF45 adapts its step over the
+    horizon and raises StepFailureError when the step collapses.  A
+    physics-domain error is re-raised with ``[label=x]`` appended: the x of
+    its step's start when a stage raised it, the new x when check did.
+    """
+    h = params.step
+    try:
+        if params.method == "rk4":
+            for _ in range(params.n_steps):
+                y = rk4_step(rhs, x, y, h)
+                x += h
+                check(x, y)
+                yield x, y
+            return
+        horizon = params.horizon
+        x_end = x + horizon
+        h_min = horizon * 1e-12
+        while x < x_end - 1e-15 * horizon:
+            h = min(h, x_end - x)
+            accepted, y_new, ratio = rkf45_step(rhs, x, y, h, params.rel_tol, params.abs_tol)
+            if accepted:
+                y = y_new
+                x += h
+                check(x, y)
+                yield x, y
+            if ratio > 0:
+                h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
+            if h < h_min:
+                message = f"adaptive step collapsed below {h_min:.3g} [{label}={x:.9g}]"
+                raise StepFailureError(message)
+    except PhysicsDomainError as exc:
+        raise _annotate(exc, label, x) from None
 
 
 # --- particle integration -----------------------------------------------------
@@ -421,74 +463,41 @@ def integrate_particle(
     """Advance one particle, auditing its model's conserved quantities.
 
     Deterministic: identical inputs give bit-identical trajectories.
-    Every new state is checked where it is made, and physics-domain errors
-    are re-raised annotated with the parameter value at which the step
+    ``_march`` checks every new state where it is made and annotates
+    physics-domain errors with the parameter value at which the step
     failed.  The invariants are evaluated once, as arrays over the audited
-    rows (every audit_every-th and the last); an invariant error is
-    annotated with its first offending row.
+    rows (every audit_every-th and the last, which RKF45 observes once
+    more); an invariant error is annotated with its first offending row.
     """
     axis = _axis_for(model, params)
-    rhs = _flat_rhs(model, axis)
-    check = _state_check(model, axis)
     x = initial.t if axis == "lab" else initial.tau
     y = _pack(model, initial, axis)
-    xs, ys, audited = [x], [y], [0]
+    xs, ys = [x], [y]
 
-    def trajectory():
+    def trajectory(finished):
         traj = Trajectory(np.array(xs), np.array(ys), initial, model, axis)
+        n = len(xs) - 1
+        audited = list(range(0, n + 1, params.audit_every))
+        if finished and (params.method == "rk45" or n % params.audit_every):
+            audited.append(n)
         for name, values in traj.invariants(audited).items():
             traj.report[name] = ConservationStat(
                 float(values[0]), float(np.max(np.abs(values - values[0]))), len(values)
             )
         return traj
 
+    label = "t" if axis == "lab" else "tau"
+    march = _march(_flat_rhs(model, axis), _state_check(model, axis), x, y, params, label)
     try:
-        if params.method == "rk4":
-            h = params.step
-            for i in range(1, params.n_steps + 1):
-                y = rk4_step(rhs, x, y, h)
-                x += h
-                check(x, y)
-                xs.append(x)
-                ys.append(y)
-                if i % params.audit_every == 0 or i == params.n_steps:
-                    audited.append(i)
-        else:
-            horizon = params.horizon
-            x_end = x + horizon
-            h = params.step
-            h_min = horizon * 1e-12
-            i = 0
-            while x < x_end - 1e-15 * horizon:
-                h = min(h, x_end - x)
-                accepted, y_new, ratio = rkf45_step(
-                    rhs, x, y, h, params.rel_tol, params.abs_tol
-                )
-                if accepted:
-                    y = y_new
-                    x += h
-                    i += 1
-                    check(x, y)
-                    xs.append(x)
-                    ys.append(y)
-                    if i % params.audit_every == 0:
-                        audited.append(i)
-                if ratio > 0:
-                    h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
-                if h < h_min:
-                    raise StepFailureError(
-                        f"adaptive step collapsed below {h_min:.3g}", t=x
-                    )
-            audited.append(i)  # the final row is observed once more
+        for x, y in march:
+            xs.append(x)
+            ys.append(y)
     # an invariant error on an earlier audited row is raised first, as a
-    # step-by-step audit would; a step error carries the x it was raised at
-    except PhysicsDomainError as exc:
-        trajectory()
-        raise _annotate(exc, axis, x) from None
-    except StepFailureError:
-        trajectory()
+    # step-by-step audit would
+    except (PhysicsDomainError, StepFailureError):
+        trajectory(False)
         raise
-    return trajectory()
+    return trajectory(True)
 
 
 # --- string integration ---------------------------------------------------------
@@ -532,35 +541,37 @@ def _string_view(grid, tau: float, y: np.ndarray) -> strings.StringState:
 def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
     """Advance a string state under the canonical flow with fixed endpoints.
 
-    Each RK4 stage evaluates ``strings.string_canonical_rhs`` on a view of
-    the flat state and writes (dr, dp, dt) into one flat rate array, with
-    dt = (1 + |dr|^2)^(1/2) co-integrating the t channel; each new state is
-    written into its row of the trajectory.  Audits the energy functional
-    and the transversality defect every audit_every steps and at the last.
-    A domain error in a stage is annotated with the tau of its step's start
-    (an EnergyDomainError keeps its offending cell as ``where``); a
-    non-finite new state, or a domain error or non-finite value in an
-    audit, with the tau of the row.
+    ``_march`` steps the flat state (r, p, t) as a one-array tuple: its rate
+    is ``strings.string_canonical_rhs``'s (dr, dp) on a view of the state,
+    with dt = (1 + |dr|^2)^(1/2) co-integrating the t channel, and each new
+    state is written into its row of the trajectory.  Audits the energy
+    functional and the transversality defect every audit_every steps and at
+    the last.  A domain error in a stage is annotated with the tau of its
+    step's start (an EnergyDomainError keeps its offending cell as
+    ``where``); a non-finite new state, or a domain error or non-finite
+    value in an audit, with the tau of the row.
     """
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")
 
-    grid, m, h = state.grid, state.grid.n, params.step
+    grid, m = state.grid, state.grid.n
     rows = params.n_steps + 1
     traj = StringTrajectory(np.empty(rows), np.empty((rows, 7 * m)), grid)
-    traj.tau[0] = tau = state.tau
+    traj.tau[0] = state.tau
     y = traj.Y[0]
     y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
 
-    def rhs(tau_val, yv):
-        dr, dp = strings.string_canonical_rhs(_string_view(grid, tau_val, yv), field)
-        rates = np.empty(7 * m)
-        rates[: 3 * m], rates[3 * m : 6 * m] = dr.ravel(), dp.ravel()
-        np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr), out=rates[6 * m :])
-        return rates
+    def rhs(tau, y):
+        dr, dp = strings.string_canonical_rhs(_string_view(grid, tau, y[0]), field)
+        dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
+        return (np.concatenate((dr.ravel(), dp.ravel(), dt)),)
 
-    def annotate(exc, at):
-        return type(exc)(f"{exc} [tau={at:.9g}]", where=exc.where)
+    def check(tau, y):
+        finite = np.isfinite(y[0])
+        if not finite.all():
+            k = int(np.argmin(finite))
+            node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
+            raise PhysicsDomainError(f"non-finite string state at node {node}", where=node)
 
     def audit(i):
         row = traj.state(i)
@@ -573,27 +584,13 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
                 if not math.isfinite(value):
                     raise PhysicsDomainError(f"non-finite {name} {value}")
         except PhysicsDomainError as exc:
-            raise annotate(exc, row.tau) from None
+            raise _annotate(exc, "tau", row.tau) from None
         for name, value in observed:
             traj.report.observe(name, value)
 
     audit(0)
-    for i in range(1, params.n_steps + 1):
-        try:
-            k1 = rhs(tau, y)
-            k2 = rhs(tau + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(tau + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(tau + h, y + h * k3)
-        except PhysicsDomainError as exc:
-            raise annotate(exc, tau) from None
-        y = np.add(y, (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), out=traj.Y[i])
-        tau += h
-        traj.tau[i] = tau
-        if not np.isfinite(y).all():
-            k = int(np.argmin(np.isfinite(y)))
-            node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
-            exc = PhysicsDomainError(f"non-finite string state at node {node}", where=node)
-            raise annotate(exc, tau)
+    for i, (tau, (y,)) in enumerate(_march(rhs, check, state.tau, (y,), params, "tau"), 1):
+        traj.tau[i], traj.Y[i] = tau, y
         if i % params.audit_every == 0 or i == params.n_steps:
             audit(i)
 

@@ -144,6 +144,8 @@ def uniform_proper_path(trajectory, m: int) -> DiscretePath:
     """
     c = trajectory.columns()
     tau_s, t_s, r_s, lam_s = c.tau, c.t, c.r, _multiplier_channel(c)
+    if len(tau_s) < 4:
+        raise ValidationError(f"resampling needs at least 4 trajectory rows, got {len(tau_s)}")
     grid = np.linspace(tau_s[1], tau_s[-2], m)
     # each target's four-sample stencil and its Lagrange weights
     i0 = np.minimum(np.maximum(np.searchsorted(tau_s, grid) - 2, 0), len(tau_s) - 4)

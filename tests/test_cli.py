@@ -168,6 +168,23 @@ def test_compare_rejects_mismatched_initials(tmp_path):
         cli.compare_models([cfg_a, cfg_b])
 
 
+def test_compare_by_t_interpolates_differing_adaptive_grids(tmp_path, capsys):
+    # one launch on rk45 in two fields: the adaptive steps differ, 7 and 16 rows
+    ref = yaml.safe_load(open(scenario("compare_uniform_field.yaml")))
+    other = yaml.safe_load(open(scenario("compare_classical_uniform.yaml")))
+    other["field"] = {"kind": "linear", "w0": ref["field"]["strength"], "gradient": [0.5, 0, 0]}
+    for data in (ref, other):
+        data["integration"]["method"] = "rk45"
+    pair = [write_config(tmp_path, ref, "a.yaml"), write_config(tmp_path, other, "b.yaml")]
+    rc = cli.main(["compare", *pair, "--out", str(tmp_path), "--quiet"])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    _, ((_, a), (_, b)) = cli.compare_models([cli.parse_config(p) for p in pair])
+    assert (len(a.x), len(b.x)) == (7, 16)
+    with open(tmp_path / "compare.csv") as fh:
+        aligned = [float(line.split(",")[1]) for line in fh.readlines()[1:]]
+    assert aligned == a.x.tolist()  # one row per reference t
+
+
 def test_audit_verb(tmp_path):
     rc = cli.main(
         [
@@ -472,6 +489,7 @@ _EXTREME = [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0, 
 _ODD_VALUES = ["abc", "", [1, 2], [], {"a": 1}, {}, None, True, 7, 0.5]
 _WRONG_ENUMS = ["bogus", "RK4", "string", "particle", "vacuum-free", "uniform-b", "proper",
                 "pluck", "manufactured", "rk45"]
+COMPARE_PAIR = ("compare_classical_uniform.yaml", "compare_uniform_field.yaml")
 
 
 def _paths(node, path=()):
@@ -494,7 +512,12 @@ def _allowed(key, old, new) -> bool:
 
 @st.composite
 def mutated_scenarios(draw):
-    data = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    """(name, data, adaptive): a shipped scenario, switched to rk45 if adaptive, then mutated."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    data = copy.deepcopy(SHIPPED[name])
+    adaptive = data["kind"] == "particle" and draw(st.booleans())
+    if adaptive:
+        data["integration"]["method"] = "rk45"
     for _ in range(draw(st.integers(1, 3))):
         paths = list(_paths(data))
         if not paths:
@@ -515,7 +538,7 @@ def mutated_scenarios(draw):
         choices = [v for v in choices if _allowed(key, old, v)]
         if choices:
             parent[key] = copy.deepcopy(draw(st.sampled_from(choices)))
-    return data
+    return name, data, adaptive
 
 
 def _csv_values_finite(directory) -> bool:
@@ -531,21 +554,35 @@ def _csv_values_finite(directory) -> bool:
     return True
 
 
+def _keeps_the_contract(argv, out):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([*argv, "--steps", "5", "--quiet", "--out", str(out)])
+    lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert rc in (0, 1, 2, 3)
+    assert len(lines) <= 1, lines
+    assert "Traceback" not in stderr.getvalue()
+    if rc == 0:
+        assert _csv_values_finite(out)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=mutated_scenarios())
-def test_mutated_scenarios_keep_the_exit_code_contract(data):
+@given(mutated=mutated_scenarios())
+def test_mutated_scenarios_keep_the_exit_code_contract(mutated):
+    # run every example and audit the particle ones; compare a member of the pair
+    # with its shipped partner, both on rk45 when the member was switched to it
+    name, data, adaptive = mutated
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.yaml")
-        with open(path, "w") as fh:
-            yaml.safe_dump(data, fh)
-        out = pathlib.Path(tmp) / "out"
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = cli.main(["run", path, "--steps", "5", "--quiet", "--out", str(out)])
-        lines = stderr.getvalue().splitlines() + [str(w.message) for w in caught]
-        assert rc in (0, 1, 2, 3)
-        assert len(lines) <= 1, lines
-        assert "Traceback" not in stderr.getvalue()
-        if rc == 0:
-            assert _csv_values_finite(out)
+        tmp = pathlib.Path(tmp)
+        path = write_config(tmp, data)
+        _keeps_the_contract(["run", path], tmp / "run")
+        if SHIPPED[name]["kind"] == "particle":
+            _keeps_the_contract(["audit", path], tmp / "audit")
+        if name in COMPARE_PAIR:
+            (other,) = set(COMPARE_PAIR) - {name}
+            partner = copy.deepcopy(SHIPPED[other])
+            if adaptive:
+                partner["integration"]["method"] = "rk45"
+            pair = [path if n == name else write_config(tmp, partner, n) for n in COMPARE_PAIR]
+            _keeps_the_contract(["compare", *pair], tmp / "compare")

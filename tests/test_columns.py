@@ -338,6 +338,7 @@ def test_non_finite_invariant_raises_at_its_first_audited_row():
         integrate_particle(model, state, params)
     # the energy overflows at step 1; the first audited row after it is step 5
     assert str(err.value) == "non-finite energy inf [t=0.0025]"
+    assert err.value.where == 5
 
 
 def test_invariant_errors_raise_at_the_earliest_row(monkeypatch):

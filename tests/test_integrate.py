@@ -268,7 +268,7 @@ def test_step_failure_when_no_step_is_accepted(monkeypatch):
 
     monkeypatch.setattr(integ, "rkf45_step", always_reject)
     model, state, period, _ = gyro_setup()
-    with pytest.raises(StepFailureError):
+    with pytest.raises(StepFailureError, match=r"collapsed below .* \[t=0\]$"):
         integ.integrate_particle(
             model,
             state,

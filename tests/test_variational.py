@@ -252,6 +252,13 @@ def test_multiplier_consistency_integrated_uniform_e():
     assert report.max_deviation < 1e-7
     # the unit-norm four-velocity constraint holds along proper-time paths
     assert report.constraint_defect < 1e-8
+    # an adaptive run can end in fewer rows than the four-point stencil needs
+    short = integrate_particle(
+        model, state, IntegrationParams(step=5e-4, n_steps=5, method="rk45")
+    )
+    assert len(short.x) < 4
+    with pytest.raises(ValidationError, match="at least 4 trajectory rows"):
+        uniform_proper_path(short, 5)
 
 
 def test_multiplier_consistency_flags_violation():
