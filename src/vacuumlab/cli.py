@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -128,18 +128,6 @@ class RunManifest:
     conservation: dict
     parameters: dict
     exit_status: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-            "outputs": self.outputs,
-            "conservation": self.conservation,
-            "parameters": self.parameters,
-            "exit_status": self.exit_status,
-        }
 
 
 def _canonical_hash(data: dict) -> str:
@@ -385,16 +373,14 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
         parameters=config.data,
     )
     mpath = os.path.join(out_dir, f"{config.name}.manifest.json")
-    _atomic_write(mpath, json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    _atomic_write(mpath, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     if not quiet:
         print(f"wrote {mpath}")
         for name, stat in conservation.items():
-            if not isinstance(stat, dict) or "relative_drift" not in stat:
-                continue
-            if stat.get("samples") == 1:
-                print(f"  {name}: {stat['initial']:.6g}")
-            else:
+            if "relative_drift" in stat:
                 print(f"  {name}: relative drift {stat['relative_drift']:.3e}")
+            else:
+                print(f"  {name}: {stat['initial']:.6g}")
     return manifest
 
 
@@ -491,16 +477,14 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
         forcing=case.forcing,
     )
     err = float(np.max(np.abs(solved.xi - case.exact.xi)))
-    report = {
-        "iterations": {"initial": float(result.iterations), "max_drift": 0.0,
-                       "relative_drift": 0.0, "samples": 1},
-        "final_residual": {"initial": result.final_residual, "max_drift": 0.0,
-                           "relative_drift": 0.0, "samples": 1},
-        "max_error_vs_exact": {"initial": err, "max_drift": 0.0,
-                               "relative_drift": 0.0, "samples": 1},
-        "max_gauge_defect": {"initial": solved.max_gauge_defect(), "max_drift": 0.0,
-                             "relative_drift": 0.0, "samples": 1},
+    # solver outcomes are single values, not drifts: each is kept as <name>.initial
+    outcomes = {
+        "iterations": float(result.iterations),
+        "final_residual": result.final_residual,
+        "max_error_vs_exact": err,
+        "max_gauge_defect": solved.max_gauge_defect(),
     }
+    report = {name: {"initial": value} for name, value in outcomes.items()}
     sigma, s = np.meshgrid(solved.sigma, solved.s, indexing="ij")
     table = np.column_stack([sigma.ravel(), s.ravel(), solved.xi.reshape(-1, 4)])
     index = [f"{i},{j}" for i in range(n_sigma) for j in range(n_s)]
@@ -568,6 +552,12 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     if config.kind != "particle":
         raise ValidationError("audit supports particle scenarios only")
     model, state, params = build_particle_model(config)
+    if params.method == "rk45" and model.kind is not ModelKind.CONSTRAINED:
+        # only the constrained model resamples adaptive rows onto a uniform path
+        raise ValidationError(
+            f"audit of a {model.kind.value} model needs method rk4: "
+            "rk45 rows are not a uniform path"
+        )
     spec = LagrangianSpec(
         kind=_AUDIT_KINDS[model.kind],
         field=model.field,
@@ -660,7 +650,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif args.command == "compare":
                 configs = [parse_config(c, overrides) for c in args.configs]
                 rows, _ = compare_models(configs, alignment=args.alignment)
-                out_dir = overrides["out"] or configs[0].data["output"]["directory"]
+                out_dir = configs[0].data["output"]["directory"]
                 os.makedirs(out_dir, exist_ok=True)
                 path = os.path.join(out_dir, "compare.csv")
                 _atomic_write(path, "\n".join(rows) + "\n")
@@ -669,7 +659,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             elif args.command == "audit":
                 config = parse_config(args.config, overrides)
                 rows, worst, _ = audit_scenario(config, nodes=args.nodes)
-                out_dir = overrides["out"] or config.data["output"]["directory"]
+                out_dir = config.data["output"]["directory"]
                 os.makedirs(out_dir, exist_ok=True)
                 path = os.path.join(out_dir, f"{config.name}_audit.csv")
                 _atomic_write(path, "\n".join(rows) + "\n")

@@ -466,8 +466,8 @@ def integrate_particle(
     ``_march`` checks every new state where it is made and annotates
     physics-domain errors with the parameter value at which the step
     failed.  The invariants are evaluated once, as arrays over the audited
-    rows (every audit_every-th and the last, which RKF45 observes once
-    more); an invariant error is annotated with its first offending row.
+    rows (every audit_every-th and the last, each once); an invariant error
+    is annotated with its first offending row.
     """
     axis = _axis_for(model, params)
     x = initial.t if axis == "lab" else initial.tau
@@ -478,7 +478,7 @@ def integrate_particle(
         traj = Trajectory(np.array(xs), np.array(ys), initial, model, axis)
         n = len(xs) - 1
         audited = list(range(0, n + 1, params.audit_every))
-        if finished and (params.method == "rk45" or n % params.audit_every):
+        if finished and n % params.audit_every:
             audited.append(n)
         for name, values in traj.invariants(audited).items():
             traj.report[name] = ConservationStat(

@@ -22,13 +22,14 @@ string_hamiltonian; the flow implemented here,
 is the Lagrangian-consistent one (it is the uncharged reduction of the
 charged-string force law).  One staggered kernel, computed once per call on
 the node arrays, gives each cell's grad(wbar) part, tension vector and
-velocity half-sum; string_canonical_rhs and charged_string_rhs both build
-their node rows from it, accumulating each cell into its two nodes in the
-order of a sum into zeros.  The alternative functional |wbar r' - p| is
-provided for comparison: under the Euclidean reading with <p, r'> = 0
-it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2, strictly above the
-energy integrand whenever p != 0 - the claimed equivalence of the two
-forms fails, and the gap is measured, not resolved.
+velocity half-sum; string_canonical_rhs(state, field) and
+charged_string_rhs(state, field, q), which takes the source velocity u_f
+from the field, both build their node rows from it, accumulating each cell
+into its two nodes in the order of a sum into zeros.  The alternative
+functional |wbar r' - p| is provided for comparison: under the Euclidean
+reading with <p, r'> = 0 it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2,
+strictly above the energy integrand whenever p != 0 - the claimed
+equivalence of the two forms fails, and the gap is measured, not resolved.
 """
 
 from __future__ import annotations
@@ -261,16 +262,6 @@ def transversality_defect(state: StringState) -> float:
 
 
 @dataclass
-class ChargedStringScenario:
-    """Charged string (density q) in an external field from a comoving source."""
-
-    state: StringState
-    charge_density: float
-    field: PotentialField
-    u_f: Vec3 = ZERO3
-
-
-@dataclass
 class ChargedStringTerms:
     """Named force contributions per node (zero rows at the fixed ends)."""
 
@@ -282,8 +273,6 @@ class ChargedStringTerms:
     rdot: np.ndarray              # node velocities v + u_f beta
     relative_velocity: np.ndarray
     beta: np.ndarray
-    qa_string: np.ndarray         # intrinsic vector potential (momentum split)
-    p_local: np.ndarray           # P - qa_string
 
 
 @dataclass
@@ -293,19 +282,17 @@ class ChargedStringRhs:
     terms: ChargedStringTerms
 
 
-def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
-    """Full charged-string force law evaluated at the scenario state.
+def charged_string_rhs(state: StringState, field: PotentialField, q: float) -> ChargedStringRhs:
+    """Full force law of a string of charge density q in field.
 
-    The state's momentum array is the generalized momentum P; the
+    The source velocity u_f is the field's own (zero for fields without
+    one).  The state's momentum array is the generalized momentum P; the
     potential-gradient and tension pieces are the staggered-functional
     gradients in P (identical, term by term, to the uncharged flow when
     u_f = 0 and A = 0), and the electromagnetic terms are evaluated
     nodally from the external field.
     """
-    state = scenario.state
-    field = scenario.field
-    q = scenario.charge_density
-    u_f = scenario.u_f
+    u_f = getattr(field, "u_f", ZERO3)
     n = state.grid.n
 
     grad, tension, velocity = _flow_cells(state.grid.h, field, state.r, state.p, state.t)
@@ -329,24 +316,6 @@ def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
             state.r[inner], state.t[inner]
         )
 
-    # intrinsic vector potential and local momentum (momentum split diagnostics)
-    rp = sigma_derivative(state.grid, state.r)
-    rp2 = np.einsum("ij,ij->i", rp, rp)
-    if np.any(rp2 == 0.0):
-        raise ZeroDirectionError("|r'| = 0 at a node")
-    qa_string = np.zeros((n, 3))
-    if u_f.norm2() > 0:
-        w_nodes = field.wbar_many(state.r, state.t)
-        rdot_f = np.outer(beta, u_f.as_array())
-        cross = np.einsum("ij,ij->i", rp, rdot_f)
-        nhat_rdot_f = rdot_f - rp * (cross / rp2)[:, None]
-        vrel = v
-        v2 = np.einsum("ij,ij->i", vrel, vrel)
-        vcross = np.einsum("ij,ij->i", vrel, rp)
-        q2 = rp2 * (1.0 + v2) - vcross**2
-        qa_string = w_nodes[:, None] * rp2[:, None] * nhat_rdot_f / np.sqrt(q2)[:, None]
-    p_local = state.p - qa_string
-
     dp = grad_piece + tension_piece + magnetic + vecpot_gradient + induction
     dr = rdot.copy()
     dr[0] = dr[-1] = 0.0
@@ -361,8 +330,6 @@ def charged_string_rhs(scenario: ChargedStringScenario) -> ChargedStringRhs:
         rdot=rdot,
         relative_velocity=v,
         beta=beta,
-        qa_string=qa_string,
-        p_local=p_local,
     )
     return ChargedStringRhs(dr=dr, dp=dp, terms=terms)
 

@@ -448,12 +448,13 @@ def test_ac11_determinism_and_check_suite(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["run", scenario, "--out", out_a, "--steps", "2000", "--quiet"]) == 0
     assert cli.main(["run", scenario, "--out", out_b, "--steps", "2000", "--quiet"]) == 0
-    csv_a = open(os.path.join(out_a, "vacuum-free-coulomb.csv"), "rb").read()
-    csv_b = open(os.path.join(out_b, "vacuum-free-coulomb.csv"), "rb").read()
     import json
+    import pathlib
 
-    man_a = json.load(open(os.path.join(out_a, "vacuum-free-coulomb.manifest.json")))
-    man_b = json.load(open(os.path.join(out_b, "vacuum-free-coulomb.manifest.json")))
+    csv_a = pathlib.Path(out_a, "vacuum-free-coulomb.csv").read_bytes()
+    csv_b = pathlib.Path(out_b, "vacuum-free-coulomb.csv").read_bytes()
+    man_a = json.loads(pathlib.Path(out_a, "vacuum-free-coulomb.manifest.json").read_text())
+    man_b = json.loads(pathlib.Path(out_b, "vacuum-free-coulomb.manifest.json").read_text())
     t0 = time.perf_counter()
     results = cli.check_battery(quiet=True)
     elapsed = time.perf_counter() - t0

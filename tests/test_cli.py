@@ -17,12 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from vacuumlab import cli
 from vacuumlab.errors import MisalignedScenariosError, ParseError, ValidationError
+from vacuumlab.particle import INVARIANTS, ModelKind
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 
 def scenario(name):
     return os.path.join(SCENARIOS, name)
+
+
+def load_scenario(name):
+    with open(scenario(name)) as fh:
+        return yaml.safe_load(fh)
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -92,7 +98,7 @@ def test_run_writes_csv_and_manifest(tmp_path):
         first = fh.readline().strip().split(",")
     assert header == cli.PARTICLE_HEADER
     assert len(first) == 11
-    manifest = json.load(open(os.path.join(out, "mini.manifest.json")))
+    manifest = json.loads(pathlib.Path(out, "mini.manifest.json").read_text())
     assert manifest["exit_status"] == 0
     assert manifest["config_hash"]
     assert "hamiltonian" in manifest["conservation"]
@@ -103,11 +109,12 @@ def test_rerun_bit_identical(tmp_path):
     path = write_config(tmp_path, minimal_particle(out))
     assert cli.main(["run", path, "--quiet"]) == 0
     csv_path = os.path.join(out, "mini.csv")
-    first = open(csv_path, "rb").read()
-    manifest1 = json.load(open(os.path.join(out, "mini.manifest.json")))
+    manifest_path = pathlib.Path(out, "mini.manifest.json")
+    first = pathlib.Path(csv_path).read_bytes()
+    manifest1 = json.loads(manifest_path.read_text())
     assert cli.main(["run", path, "--quiet"]) == 0
-    second = open(csv_path, "rb").read()
-    manifest2 = json.load(open(os.path.join(out, "mini.manifest.json")))
+    second = pathlib.Path(csv_path).read_bytes()
+    manifest2 = json.loads(manifest_path.read_text())
     assert first == second
     assert manifest1["config_hash"] == manifest2["config_hash"]
 
@@ -125,7 +132,7 @@ def test_run_shipped_string_scenario(tmp_path):
 def test_run_conformal_scenario(tmp_path):
     rc = cli.main(["run", scenario("conformal_laplace.yaml"), "--out", str(tmp_path), "--quiet"])
     assert rc == 0
-    manifest = json.load(open(tmp_path / "conformal-laplace.manifest.json"))
+    manifest = json.loads((tmp_path / "conformal-laplace.manifest.json").read_text())
     assert manifest["conservation"]["max_error_vs_exact"]["initial"] < 1e-7
 
 
@@ -161,7 +168,7 @@ def test_compare_rejects_three_configs(tmp_path, capsys):
 
 def test_compare_rejects_mismatched_initials(tmp_path):
     cfg_a = cli.parse_config(scenario("compare_uniform_field.yaml"))
-    data = yaml.safe_load(open(scenario("compare_classical_uniform.yaml")))
+    data = load_scenario("compare_classical_uniform.yaml")
     data["initial"]["u"] = [0.25, 0.1, 0.0]
     cfg_b = cli.parse_config(write_config(tmp_path, data))
     with pytest.raises(MisalignedScenariosError):
@@ -170,8 +177,8 @@ def test_compare_rejects_mismatched_initials(tmp_path):
 
 def test_compare_by_t_interpolates_differing_adaptive_grids(tmp_path, capsys):
     # one launch on rk45 in two fields: the adaptive steps differ, 7 and 16 rows
-    ref = yaml.safe_load(open(scenario("compare_uniform_field.yaml")))
-    other = yaml.safe_load(open(scenario("compare_classical_uniform.yaml")))
+    ref = load_scenario("compare_uniform_field.yaml")
+    other = load_scenario("compare_classical_uniform.yaml")
     other["field"] = {"kind": "linear", "w0": ref["field"]["strength"], "gradient": [0.5, 0, 0]}
     for data in (ref, other):
         data["integration"]["method"] = "rk45"
@@ -281,7 +288,7 @@ def test_python_dash_m_entry_point():
 
 
 def test_compare_nonuniform_vecpot_fc_column(tmp_path):
-    base = yaml.safe_load(open(scenario("vacuum_interacting_codrift.yaml")))
+    base = load_scenario("vacuum_interacting_codrift.yaml")
     base["integration"]["n_steps"] = 200
     twin = dict(base, name="codrift-classical", model="classical", rest_mass=1.0)
     cfg_a = cli.parse_config(write_config(tmp_path, base, "a.yaml"))
@@ -306,7 +313,7 @@ def _always_reject(f, x, y, h, rel_tol, abs_tol):
 
 def _huge_gradient(data):
     # the energy overflows at step 1 and is audited first at step 5
-    shipped = yaml.safe_load(open(scenario("classical_uniform_e.yaml")))
+    shipped = load_scenario("classical_uniform_e.yaml")
     shipped["field"]["gradient"] = [1e300, 0, 0]
     shipped["integration"]["n_steps"] = 50
     data.update({k: v for k, v in shipped.items() if k != "output"})
@@ -362,13 +369,13 @@ def test_csv_energy_is_the_audited_invariant(tmp_path, name, invariant):
     with open(tmp_path / f"{stem}.csv") as fh:
         fh.readline()
         row0 = fh.readline().strip().split(",")
-    manifest = json.load(open(tmp_path / f"{stem}.manifest.json"))
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
     assert float(row0[-1]) == manifest["conservation"][invariant]["initial"]
 
 
 def test_audit_integrates_on_the_models_own_clock(tmp_path):
     # the vacuum densities assume the proper-time parameter, whatever time_axis says
-    data = yaml.safe_load(open(scenario("vacuum_free_coulomb.yaml")))
+    data = load_scenario("vacuum_free_coulomb.yaml")
     data["integration"]["time_axis"] = "lab"
     lab_copy = write_config(tmp_path, data)
     audits = []
@@ -395,6 +402,26 @@ def test_audit_refuses_a_field_the_interacting_oracle_does_not_cover(tmp_path, c
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "'uniform-b'" in err
     assert not (tmp_path / "out").exists()
+
+
+AUDITED = ["classical_gyro", "classical_uniform_e", "constrained_uniform_e", "vacuum_free_coulomb",
+           "vacuum_interacting_codrift", "vacuum_interacting_generic"]
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_audit_refuses_adaptive_rows_it_cannot_path(tmp_path, capsys, name):
+    # only the constrained model resamples rk45 rows onto a uniform proper-time path
+    data = load_scenario(f"{name}.yaml")
+    data["integration"]["method"] = "rk45"
+    argv = ["audit", write_config(tmp_path, data), "--out", str(tmp_path / "out"), "--steps",
+            "200", "--quiet"]
+    rc, err = cli.main(argv), capsys.readouterr().err
+    if data["model"] == "constrained":
+        assert (rc, err) == (0, "")
+        return
+    message = f"audit of a {data['model']} model needs method rk4: rk45 rows are not a uniform path"
+    assert (rc, err) == (1, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()  # refused before it integrates
 
 
 SHIPPED_RUNS = [
@@ -472,12 +499,29 @@ def test_shipped_scenarios_run_and_rerun_identically(tmp_path, verb, names):
     assert outputs[0] and outputs[0] == outputs[1]
     digests = {f: hashlib.sha256(data).hexdigest() for f, data in outputs[0].items()}
     assert digests == SHIPPED_DIGESTS["-".join([verb, *names]).replace(".yaml", "")]
+    if verb == "run":
+        config = cli.parse_config(scenario(names[0]))
+        manifest = json.loads((out / f"{config.name}.manifest.json").read_text())
+        for value in _benchmark_keys(config, manifest["conservation"]):
+            assert isinstance(value, float) and math.isfinite(value)
+
+
+def _benchmark_keys(config, conservation):
+    """The manifest values the benchmark's gates read, by scenario kind."""
+    if config.kind == "particle":
+        invariants = INVARIANTS[ModelKind(config.data["model"])]
+        return [conservation[name]["relative_drift"] for name in invariants]
+    if config.kind == "string":
+        return [conservation["hamiltonian"]["relative_drift"],
+                conservation["transversality"]["max_drift"]]
+    names = ("final_residual", "iterations", "max_error_vs_exact")
+    return [conservation[name]["initial"] for name in names]
 
 
 # --- mutated shipped scenarios: the exit-code contract on arbitrary inputs ---------
 
 SHIPPED = {
-    name: yaml.safe_load(open(scenario(name)))
+    name: load_scenario(name)
     for name in sorted(os.listdir(SCENARIOS))
     if name.endswith(".yaml")
 }

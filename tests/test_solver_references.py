@@ -30,7 +30,6 @@ from vacuumlab.integrate import (
 )
 from vacuumlab.potentials import LinearField, SourceKind, SourceSpec, UniformField, build_potential
 from vacuumlab.strings import (
-    ChargedStringScenario,
     StringGrid,
     StringState,
     charged_string_rhs,
@@ -221,7 +220,7 @@ def test_string_laws_equal_the_cell_record_assembly(case):
     assert string_hamiltonian(state, field) == reference_hamiltonian(state, field)
 
     grad_piece, tension_piece, velocity = reference_gradient_parts(state, field)
-    terms = charged_string_rhs(ChargedStringScenario(state, 0.0, field, ZERO3)).terms
+    terms = charged_string_rhs(state, field, 0.0).terms
     assert identical(terms.wbar_gradient, grad_piece)
     assert identical(terms.tension, tension_piece)
     assert identical(terms.relative_velocity, velocity)

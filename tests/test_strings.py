@@ -14,7 +14,6 @@ from vacuumlab.potentials import (
     build_potential,
 )
 from vacuumlab.strings import (
-    ChargedStringScenario,
     StringGrid,
     StringState,
     cell_integrands,
@@ -252,8 +251,7 @@ def test_charged_rhs_reduces_to_uncharged():
     state.r[:, 1] += 0.03 * np.sin(math.pi * state.grid.sigma)
     state.p[1:-1, 1] = 0.02
     dr_u, dp_u = string_canonical_rhs(state, field)
-    scenario = ChargedStringScenario(state, charge_density=0.5, field=field, u_f=ZERO3)
-    rhs = charged_string_rhs(scenario)
+    rhs = charged_string_rhs(state, field, 0.5)
     assert np.array_equal(rhs.dr, dr_u)
     assert np.array_equal(rhs.dp, dp_u)
 
@@ -265,8 +263,7 @@ def test_charged_rhs_uniform_vecpot_terms_vanish():
         vecpot_fn=lambda r, t: Vec3(0.2, -0.1, 0.3),
         grad_vecpot_fn=lambda r, t: np.zeros((3, 3)),
     )
-    scenario = ChargedStringScenario(state, charge_density=1.0, field=const_a, u_f=ZERO3)
-    rhs = charged_string_rhs(scenario)
+    rhs = charged_string_rhs(state, const_a, 1.0)
     assert np.max(np.abs(rhs.terms.magnetic)) < 1e-15
     assert np.max(np.abs(rhs.terms.vecpot_gradient)) < 1e-15
 
@@ -283,8 +280,7 @@ def test_charged_rhs_term_by_term_oracle():
     state, grid = smooth_state(n=20, seed=71, amp=0.04)
     state.r[:, 0] += 0.5  # keep away from the source core
     q = 0.6
-    scenario = ChargedStringScenario(state, charge_density=q, field=field, u_f=Vec3(0.1, 0.05, 0.2))
-    rhs = charged_string_rhs(scenario)
+    rhs = charged_string_rhs(state, field, q)
     h = 1e-5
     for i in (3, 9, 16):
         ri = Vec3(*state.r[i])
@@ -334,9 +330,8 @@ def test_charged_rhs_term_by_term_oracle():
 def test_charged_rhs_zero_direction_guard():
     grid = StringGrid.uniform(0.0, 1.0, 8)
     state = StringState(grid, np.zeros((8, 3)), np.zeros((8, 3)))
-    scenario = ChargedStringScenario(state, 1.0, UniformField(-1.0), ZERO3)
     with pytest.raises((ZeroDirectionError, EnergyDomainError)):
-        charged_string_rhs(scenario)
+        charged_string_rhs(state, UniformField(-1.0), 1.0)
 
 
 def test_alt_and_energy_functionals_at_degenerate_boundary():
