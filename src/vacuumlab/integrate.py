@@ -20,12 +20,15 @@ annotates a physics-domain error with the t or tau of its step.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
-y straight to the component laws of `particle`.  One decoder reads that
-layout back into (t, tau, r, u, p): on one row of floats it is the check of
-each new state, and on the rows of a `Trajectory`, which holds the
+y straight to the component laws of `particle`.  The check of a new state
+evaluates the law there, reads u and p from that evaluation, and keeps it
+as the next step's k1, so a step costs one law evaluation per stage and
+the last state's check one more.  One decoder reads the flat layout back
+into (t, tau, r, u, p): on the rows of a `Trajectory`, which holds the
 parameter x and the flat states Y as arrays, it gives the physical columns
 from which `samples`, `final` and the invariants (audited once, as arrays
-over the audited rows) are derived.
+over the audited rows) are derived, and the check decodes with it only
+when the law's evaluation raised.
 
 A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: a `StringTrajectory` holds tau and the flat states Y as arrays, and
@@ -56,12 +59,12 @@ from .particle import (
     ModelKind,
     ParticleColumns,
     ParticleState,
+    _vacuum_law,
     _velocity,
     check_state,
     classical_rhs,
     constrained_rhs,
     qa_vector,
-    vacuum_rhs,
 )
 
 
@@ -383,7 +386,7 @@ def _decoder(model: ForceModel, axis: str) -> Callable:
     y is one flat row of floats, or the columns of many rows (Y.T) with x
     their parameters; r, u and p come back as (x, y, z) triples and l tdot
     is None except for the constrained model.  u is recovered as the laws
-    recover it, so the vacuum models evaluate the field.
+    recover it, so the vacuum models evaluate wbar and A, but no force term.
     """
     kind, lab = model.kind, axis == "lab"
 
@@ -403,57 +406,85 @@ def _decoder(model: ForceModel, axis: str) -> Callable:
     return decode
 
 
-def _state_check(model: ForceModel, axis: str) -> Callable:
-    """check(x, y) of a new flat state: the decoder plus ``check_state``.
-
-    No state object is built.
-    """
-    decode = _decoder(model, axis)
-
-    def check(x, y):
-        _, tau, r, u, p, _ = decode(x, y)
-        check_state(tau, r, u, p)
-
-    return check
-
-
-def _flat_rhs(model: ForceModel, axis: str) -> Callable:
+def _evaluator(model: ForceModel, axis: str) -> Callable:
+    """evaluate(x, y) -> (dy/dx, u, p): the model's law once at one flat state."""
     if model.kind is ModelKind.CONSTRAINED:
 
-        def rhs(t, y):
-            (d1x, d1y, d1z), d2, u = constrained_rhs(model, y[0:3], y[3:6], y[6], t)
-            return (*u, d1x, d1y, d1z, d2, proper_time_factor(u))
+        def evaluate(t, y):
+            p = y[3:6]
+            (d1x, d1y, d1z), d2, u = constrained_rhs(model, y[0:3], p, y[6], t)
+            return (*u, d1x, d1y, d1z, d2, proper_time_factor(u)), u, p
 
-        return rhs
+        return evaluate
 
-    law = classical_rhs if model.kind is ModelKind.CLASSICAL else vacuum_rhs
+    if model.kind is ModelKind.CLASSICAL:
+
+        def evaluate(t, y):
+            p = y[3:6]
+            (dpx, dpy, dpz), u = classical_rhs(model, y[0:3], p, t)
+            return (*u, dpx, dpy, dpz, proper_time_factor(u)), u, p
+
+        return evaluate
 
     if axis == "lab":
 
-        def rhs(t, y):
-            (dpx, dpy, dpz), u = law(model, y[0:3], y[3:6], t)
-            return (*u, dpx, dpy, dpz, proper_time_factor(u))
+        def evaluate(t, y):
+            (dpx, dpy, dpz), u, p = _vacuum_law(model, y[0:3], y[3:6], t)
+            return (*u, dpx, dpy, dpz, proper_time_factor(u)), u, p
 
-        return rhs
+        return evaluate
 
     # the same law on the source frame's proper time x: dt/dx = (1 - |u - u_f|^2)^(-1/2)
     ufx, ufy, ufz = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
+    moving = (ufx, ufy, ufz) != ZERO3
+
+    def evaluate(x, y):
+        (dpx, dpy, dpz), u, p = _vacuum_law(model, y[0:3], y[3:6], y[6])
+        ux, uy, uz = u
+        if moving:
+            rate = 1.0 / proper_time_factor((ux - ufx, uy - ufy, uz - ufz))
+            dtau = proper_time_factor(u) * rate
+        else:  # u - 0.0 == u: dt/dx and dtau/dx share one factor
+            factor = proper_time_factor(u)
+            rate = 1.0 / factor
+            dtau = factor * rate
+        k = (ux * rate, uy * rate, uz * rate, dpx * rate, dpy * rate, dpz * rate, rate, dtau)
+        return k, u, p
+
+    return evaluate
+
+
+def _flat_rhs(model: ForceModel, axis: str) -> Callable:
+    """rhs(x, y) of a particle's flat state, with ``rhs.check(x, y)`` the check of a new state.
+
+    The check evaluates the law at the new state, runs ``check_state`` on
+    the u and p of that evaluation and keeps it: the next step's k1 (or a
+    rejected RKF45 attempt's), asked for the same x and y objects, returns
+    it without evaluating again.  When that evaluation raises, the check
+    decodes the state instead, so an error of the decode half (the mass, u
+    and ``check_state``) is raised by the check with the new x, and an error
+    of the force terms only by the next step's k1, after the row is kept.
+    """
+    evaluate = _evaluator(model, axis)
+    decode = _decoder(model, axis)
+    kept_x = kept_y = kept_k = None
 
     def rhs(x, y):
-        (dpx, dpy, dpz), u = law(model, y[0:3], y[3:6], y[6])
-        ux, uy, uz = u
-        rate = 1.0 / proper_time_factor((ux - ufx, uy - ufy, uz - ufz))
-        return (
-            ux * rate,
-            uy * rate,
-            uz * rate,
-            dpx * rate,
-            dpy * rate,
-            dpz * rate,
-            rate,
-            proper_time_factor(u) * rate,
-        )
+        if y is kept_y and x is kept_x:
+            return kept_k
+        return evaluate(x, y)[0]
 
+    def check(x, y):
+        nonlocal kept_x, kept_y, kept_k
+        try:
+            k, u, p = evaluate(x, y)
+        except PhysicsDomainError:  # the next step's k1 raises it again, unless decoding does first
+            u, p = decode(x, y)[3:5]
+        else:
+            kept_x, kept_y, kept_k = x, y, k
+        check_state(y[-1], y[0:3], u, p)
+
+    rhs.check = check
     return rhs
 
 
@@ -487,7 +518,8 @@ def integrate_particle(
         return traj
 
     label = "t" if axis == "lab" else "tau"
-    march = _march(_flat_rhs(model, axis), _state_check(model, axis), x, y, params, label)
+    rhs = _flat_rhs(model, axis)
+    march = _march(rhs, rhs.check, x, y, params, label)
     try:
         for x, y in march:
             xs.append(x)

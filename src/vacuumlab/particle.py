@@ -16,11 +16,13 @@ along the path; `interacting_rhs` keeps this form as a reference.  The laws
 `vacuum_rhs` (both vacuum models, qA = 0 for vacuum-free): functions of
 (model, r, p, t) returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the
 constrained multiplier pair, with p the canonical momentum for
-`vacuum_rhs`.  Each law is written once, on components: r, p and the
-returned vectors are (x, y, z) triples whose entries are all floats (one
-particle) or all 1-D arrays (rows of particles), and a row of the array
-form equals the float form bit for bit.  The laws call the fields'
-component methods and use no Vec3.  The electromagnetic terms are
+`vacuum_rhs`, which the integrator steps as `_vacuum_law` to read the
+kinetic momentum too.  Each law is written once, on components: r, p and
+the returned vectors are (x, y, z) triples whose entries are all floats
+(one particle) or all 1-D arrays (rows of particles), and a row of the
+array form equals the float form bit for bit.  Each law reads its field
+through one entry point per call (``_potentials`` or ``_lorentz``) and
+uses no Vec3.  The electromagnetic terms are
 assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
 potential scales like 1/q stay well defined for any nonzero charge.
 
@@ -212,11 +214,24 @@ def _vacuum_velocity(wbar, p):
     return ux, uy, uz
 
 
+def _vacuum_split(model: ForceModel, wbar, a, big_p):
+    """(u, p) of a vacuum model from its P = p + qA and the field's wbar and A.
+
+    qA = 0 for vacuum-free (a is not read), and u = p / (-wbar).
+    """
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        q = model.charge
+        (px, py, pz), (ax, ay, az) = big_p, a
+        big_p = px - ax * q, py - ay * q, pz - az * q
+    return _vacuum_velocity(wbar, big_p), big_p
+
+
 def _velocity(model: ForceModel, r, p, t):
     """(u, p) from the momentum the classical or a vacuum model steps.
 
     Classical: u = p / (m0^2 + p^2)^(1/2).  Vacuum: the stepped momentum
-    is P = p + qA (qA = 0 for vacuum-free), and u = p / (-wbar).
+    is P = p + qA (qA = 0 for vacuum-free), and u = p / (-wbar).  Only wbar
+    and A are evaluated, so no error of the force terms is raised here.
     """
     px, py, pz = p
     if model.kind is ModelKind.CLASSICAL:
@@ -224,11 +239,8 @@ def _velocity(model: ForceModel, r, p, t):
         s = root(m0 * m0 + ((px * px + py * py) + pz * pz))
         return (px / s, py / s, pz / s), p
     field, (x, y, z) = model.field, r
-    if model.kind is ModelKind.VACUUM_INTERACTING:
-        q = model.charge
-        ax, ay, az = field._vecpot(x, y, z, t)
-        p = px - ax * q, py - ay * q, pz - az * q
-    return _vacuum_velocity(field._wbar(x, y, z, t), p), p
+    a = field._vecpot(x, y, z, t) if model.kind is ModelKind.VACUUM_INTERACTING else None
+    return _vacuum_split(model, field._wbar(x, y, z, t), a, p)
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):
@@ -239,9 +251,8 @@ def _em_terms(field: PotentialField, q: float, r, u, t):
     """
     x, y, z = r
     ux, uy, uz = u
-    gx, gy, gz = field._grad_wbar(x, y, z, t)
-    ax, ay, az = field._dvecpot_dt(x, y, z, t)
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = field._grad_vecpot(x, y, z, t)
+    (gx, gy, gz), jac, (ax, ay, az) = field._lorentz(x, y, z, t)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
     cx, cy, cz = q * (j21 - j12), q * (j02 - j20), q * (j10 - j01)
     return (
         (-gx - ax * q, -gy - ay * q, -gz - az * q),
@@ -286,13 +297,21 @@ def constrained_rhs(model: ForceModel, r, y1, y2, t):
     return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
 
 
+def _vacuum_law(model: ForceModel, r, big_p, t):
+    """`vacuum_rhs` with the kinetic momentum p = P - qA as a third result."""
+    x, y, z = r
+    wbar, (gx, gy, gz), a = model.field._potentials(x, y, z, t)
+    u, p = _vacuum_split(model, wbar, a, big_p)
+    return (-gx, -gy, -gz), u, p
+
+
 def vacuum_rhs(model: ForceModel, r, big_p, t):
     """(dP/dt, u) of both vacuum models in the canonical momentum P = p + qA.
 
-    dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for vacuum-free.
+    dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for
+    vacuum-free; wbar, its gradient and A come from one field evaluation.
     """
-    gx, gy, gz = model.field._grad_wbar(*r, t)
-    return (-gx, -gy, -gz), _velocity(model, r, big_p, t)[0]
+    return _vacuum_law(model, r, big_p, t)[:2]
 
 
 def interacting_rhs(model: ForceModel, r, p, t):

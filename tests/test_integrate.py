@@ -9,6 +9,7 @@ from vacuumlab.errors import (
     ConvergenceError,
     DegenerateMultiplierError,
     PhysicsDomainError,
+    SuperluminalVelocityError,
     ValidationError,
 )
 from vacuumlab.geometry import Vec3, ZERO3
@@ -27,6 +28,7 @@ from vacuumlab.particle import (
     qa_vector,
 )
 from vacuumlab.potentials import (
+    CoulombField,
     SourceKind,
     SourceSpec,
     UniformField,
@@ -276,6 +278,101 @@ def test_step_failure_when_no_step_is_accepted(monkeypatch):
                 step=period / 20, n_steps=20, method="rk45", audit_every=5
             ),
         )
+
+
+def _comoving_setup():
+    spec = SourceSpec(
+        SourceKind.COULOMB_COMOVING, 1.0, u_f=Vec3(0.12, 0.0, 0.05), softening=1e-3,
+        background=-1.0,
+    )
+    field = build_potential(spec, 1.0)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
+    return model, make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
+
+
+def _count_evaluations(monkeypatch):
+    """(laws, offsets): one entry per stepped vacuum-law call and per scalar CoulombField offset."""
+    laws, offsets = [], []
+    law, offset = integ._vacuum_law, CoulombField._offset
+    monkeypatch.setattr(integ, "_vacuum_law", lambda *a: laws.append(a[3]) or law(*a))
+
+    def counted(self, x, y, z, t):
+        if isinstance(x, float):
+            offsets.append(t)
+        return offset(self, x, y, z, t)
+
+    monkeypatch.setattr(CoulombField, "_offset", counted)
+    return laws, offsets
+
+
+def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
+    # each step's k1 is the evaluation its predecessor's step check made, so n
+    # steps take 4n + 1 evaluations (the +1: the last state's check), and the
+    # comoving field computes one offset for each, plus one for the launch's qA
+    model, state = _comoving_setup()
+    laws, offsets = _count_evaluations(monkeypatch)
+    n = 50
+    traj = integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
+    assert traj.time_axis == "proper"
+    assert len(laws) == 4 * n + 1
+    assert len(offsets) == len(laws) + 1
+
+
+def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
+    model, state = _comoving_setup()
+    laws, _ = _count_evaluations(monkeypatch)
+    attempts, step = [], integ.rkf45_step
+
+    def reject_the_third(f, x, y, h, rel_tol, abs_tol):
+        accepted, y5, ratio = step(f, x, y, h, rel_tol, abs_tol)
+        attempts.append(accepted)
+        if len(attempts) == 3:
+            attempts[-1] = False
+            return False, y5, 2.0
+        return accepted, y5, ratio
+
+    monkeypatch.setattr(integ, "rkf45_step", reject_the_third)
+    params = IntegrationParams(step=1e-4, n_steps=100, method="rk45")
+    integrate_particle(model, state, params)
+    assert attempts[0] and attempts.count(False) == 1
+    # six stages at the launch; later attempts, the rejected one and its retry
+    # included, start from a checked state and evaluate five; one per check
+    assert len(laws) == 6 + 5 * (len(attempts) - 1) + attempts.count(True)
+
+
+def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatch):
+    field = build_potential(SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=1e-3,
+                                       background=-1.0), 1.0)
+    model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
+    state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
+    factors, factor = [], integ.proper_time_factor
+    monkeypatch.setattr(integ, "proper_time_factor", lambda u: factors.append(u) or factor(u))
+    n = 20
+    integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
+    assert len(factors) == 4 * n + 1
+
+
+def test_step_check_leaves_force_term_errors_to_the_next_k1():
+    spec = SourceSpec(SourceKind.COULOMB_COMOVING, 1.0, u_f=Vec3(0.6, 0.0, 0.0),
+                      softening=0.05, background=-1.0)
+    field = build_potential(spec, 1.0)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
+    rhs = integ._flat_rhs(model, "proper")
+    r, t = Vec3(0.5, 0.0, 0.0), 0.3
+
+    def flat(u):
+        big_p = u * -field.wbar(r, t) + qa_vector(model, r, t)
+        return (*r, *big_p, t, 0.0)
+
+    # |u| < 1 but |u - u_f| >= 1: only the clock change fails, so the check
+    # keeps the row and the next step's k1 raises
+    y = flat(Vec3(-0.5, 0.0, 0.0))
+    rhs.check(1.0, y)
+    with pytest.raises(SuperluminalVelocityError, match="1.1 >= 1"):
+        rhs(1.0, y)
+    # |u| >= 1: decoding the state fails, in the check itself
+    with pytest.raises(SuperluminalVelocityError, match="implies"):
+        rhs.check(1.0, flat(Vec3(1.2, 0.0, 0.0)))
 
 
 def test_degenerate_multiplier_raised_by_the_integrated_law():

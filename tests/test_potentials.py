@@ -166,17 +166,17 @@ def test_wave_residual_singular_guard():
         wave_residual(f, None, Vec3(1e-4, 0, 0), 0.0)
 
 
-@pytest.mark.parametrize(
-    "field",
-    [
-        build_potential(SourceSpec(SourceKind.UNIFORM, -1.5), 1.0),
-        coulomb(eps=0.05, background=-1.0),
-        coulomb(strength=0.7, q=0.5, eps=0.08, u_f=Vec3(0.2, -0.1, 0.05), background=-2.0),
-        LinearField(-2.0, Vec3(0.3, -0.1, 0.2)),
-        UniformMagneticField(Vec3(0.1, 0.2, 0.9), -1.0),
-    ],
-    ids=["uniform", "coulomb-static", "coulomb-comoving", "linear", "uniform-b"],
-)
+BUILT_IN = [
+    build_potential(SourceSpec(SourceKind.UNIFORM, -1.5), 1.0),
+    coulomb(eps=0.05, background=-1.0),
+    coulomb(strength=0.7, q=0.5, eps=0.08, u_f=Vec3(0.2, -0.1, 0.05), background=-2.0),
+    LinearField(-2.0, Vec3(0.3, -0.1, 0.2)),
+    UniformMagneticField(Vec3(0.1, 0.2, 0.9), -1.0),
+]
+BUILT_IN_IDS = ["uniform", "coulomb-static", "coulomb-comoving", "linear", "uniform-b"]
+
+
+@pytest.mark.parametrize("field", BUILT_IN, ids=BUILT_IN_IDS)
 def test_analytic_derivatives_match_central_differences(field):
     rng = np.random.default_rng(17)
     h = 1e-5
@@ -247,6 +247,29 @@ def test_vectorized_eval_matches_scalar():
         assert np.array_equal(f.dvecpot_dt_many(pts, times), np.array(at_scalar))
 
 
+def _bits(value):
+    """The bytes of a float, an array or a nested triple of them."""
+    if isinstance(value, tuple):
+        return [_bits(v) for v in value]
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("field", BUILT_IN, ids=BUILT_IN_IDS)
+def test_entry_points_equal_the_single_methods(field):
+    # the force laws read a point through _potentials or _lorentz, which share
+    # one offset between quantities; each must equal its single methods bit
+    # for bit, on floats and on rows
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1.5, 1.5, size=(200, 3))
+    times = rng.uniform(-1.0, 2.0, size=200)
+    points = [(*pt, tt) for pt, tt in zip(pts.tolist(), times.tolist())]
+    for args in points + [(*pts.T, times)]:
+        potentials = field._wbar(*args), field._grad_wbar(*args), field._vecpot(*args)
+        lorentz = field._grad_wbar(*args), field._grad_vecpot(*args), field._dvecpot_dt(*args)
+        assert _bits(field._potentials(*args)) == _bits(potentials)
+        assert _bits(field._lorentz(*args)) == _bits(lorentz)
+
+
 def test_vectorized_wbar_on_unsoftened_source_raises():
     f = coulomb(u_f=Vec3(0.2, 0.0, 0.0))
     pts = np.array([[1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
@@ -258,6 +281,9 @@ def test_vectorized_wbar_on_unsoftened_source_raises():
     ):
         with pytest.raises(SingularPointError, match="t=2"):
             many(pts, np.array([0.0, 2.0]))
+    for entry in (f._potentials, f._lorentz):
+        with pytest.raises(SingularPointError, match="t=2"):
+            entry(*pts.T, np.array([0.0, 2.0]))
 
 
 def test_wbar_negative_on_domain():
