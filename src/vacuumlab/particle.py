@@ -20,9 +20,9 @@ constrained multiplier pair, with p the canonical momentum for
 kinetic momentum too.  Each law is written once, on components: r, p and
 the returned vectors are (x, y, z) triples whose entries are all floats
 (one particle) or all 1-D arrays (rows of particles), and a row of the
-array form equals the float form bit for bit.  Each law reads its field
-through one entry point per call (``_potentials`` or ``_lorentz``) and
-uses no Vec3.  The electromagnetic terms are
+array form equals the float form bit for bit.  The laws call the fields'
+component methods, the vacuum law through the one entry point
+``_potentials``, and use no Vec3.  The electromagnetic terms are
 assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
 potential scales like 1/q stay well defined for any nonzero charge.
 
@@ -251,8 +251,9 @@ def _em_terms(field: PotentialField, q: float, r, u, t):
     """
     x, y, z = r
     ux, uy, uz = u
-    (gx, gy, gz), jac, (ax, ay, az) = field._lorentz(x, y, z, t)
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = jac
+    gx, gy, gz = field._grad_wbar(x, y, z, t)
+    ax, ay, az = field._dvecpot_dt(x, y, z, t)
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = field._grad_vecpot(x, y, z, t)
     cx, cy, cz = q * (j21 - j12), q * (j02 - j20), q * (j10 - j01)
     return (
         (-gx - ax * q, -gy - ay * q, -gz - az * q),

@@ -14,10 +14,10 @@ residual checking is supported, exact second derivatives as well.  A
 built-in field writes wbar, grad(wbar), d(wbar)/dt and A once, on
 components (x, y, z, t) that are floats or 1-D arrays, and so does the
 A-Jacobian and dA/dt; ``PotentialField`` derives both the Vec3 forms and
-the ``*_many`` array forms from them.  The particle force laws read a
-field at a point through one entry point per kind of law (``_potentials``
-for the canonical vacuum law, ``_lorentz`` for the Lorentz force terms),
-which a Coulomb source evaluates from one offset and one square root.
+the ``*_many`` array forms from them.  The canonical vacuum law reads
+wbar, grad(wbar) and A at a point through one entry point,
+``_potentials``, which a Coulomb source evaluates from one offset and one
+square root.
 """
 
 from __future__ import annotations
@@ -97,12 +97,11 @@ class PotentialField:
     arrays and return a value, an (x, y, z) triple of values or, for the
     Jacobian, a triple of row triples; a constant may stay a float on
     arrays.  The last three default to zero, for fields without a vector
-    potential.  The particle force laws read them at a point through one
-    entry point per kind of law: _potentials gives (wbar, grad(wbar), A),
-    what the canonical vacuum law reads, and _lorentz gives (grad(wbar),
-    A-Jacobian, dA/dt), what the Lorentz force terms read.  A field
-    overrides them to share the work of one point; their results equal the
-    single methods' bit for bit.  This class builds
+    potential.  The particle force laws call them directly, except that the
+    canonical vacuum law reads (wbar, grad(wbar), A) at a point through the
+    one entry point _potentials, which a field overrides to share the work
+    of that point; its result equals the single methods' bit for bit.  This
+    class builds
     the Vec3 forms (wbar, grad_wbar, ..., with grad_vecpot a 3x3 array) and
     the (n, 3)-points forms (wbar_many, grad_wbar_many, ..., with
     grad_vecpot_many of shape (n, 3, 3)) from them, so each row of an array
@@ -134,10 +133,6 @@ class PotentialField:
     def _potentials(self, x, y, z, t):
         """(wbar, grad(wbar), A) at one point."""
         return self._wbar(x, y, z, t), self._grad_wbar(x, y, z, t), self._vecpot(x, y, z, t)
-
-    def _lorentz(self, x, y, z, t):
-        """(grad(wbar), A-Jacobian, dA/dt) at one point."""
-        return self._grad_wbar(x, y, z, t), self._grad_vecpot(x, y, z, t), self._dvecpot_dt(x, y, z, t)
 
     def wbar(self, r: Vec3, t: float) -> float:
         return self._wbar(r.x, r.y, r.z, t)
@@ -235,11 +230,6 @@ class UniformField(PotentialField):
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    # The classical and constrained laws read this every stage; the default
-    # would make three calls to return these constants.
-    def _lorentz(self, x, y, z, t):
-        return ZERO3, _ZERO_JAC, ZERO3
-
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
 
@@ -283,10 +273,9 @@ class CoulombField(PotentialField):
         dz = z - (fz + uz * t)
         return dx, dy, dz, ((dx * dx + dy * dy) + dz * dz) + self.eps2
 
-    # Each quantity from the parts it shares with the others, so that
-    # _potentials and _lorentz evaluate one offset: s = (|d|^2 + eps^2)^(1/2),
-    # and s3 = (|d|^2 + eps^2) * s rather than ** 1.5, which NumPy rounds
-    # differently.
+    # wbar, grad(wbar) and A from the parts they share, so that _potentials
+    # evaluates one offset: s = (|d|^2 + eps^2)^(1/2), and s3 = (|d|^2 + eps^2) * s
+    # rather than ** 1.5, which NumPy's power rounds differently.
     def _wbar_of(self, s, t):
         return self.background - self.k / _off_source(FOUR_PI * s, t)
 
@@ -294,29 +283,11 @@ class CoulombField(PotentialField):
         c = self.k / _off_source(FOUR_PI * s3, t)
         return dx * c, dy * c, dz * c
 
-    def _rate_of(self, grad):
-        """d(wbar)/dt = -<grad(wbar), u_f>."""
-        gx, gy, gz = grad
-        ux, uy, uz = self.u_f
-        return -((gx * ux + gy * uy) + gz * uz)
-
     def _along_source(self, value):
         """value * u_f / q: A from wbar, dA/dt from d(wbar)/dt."""
         c = value / self.q
         ux, uy, uz = self.u_f
         return ux * c, uy * c, uz * c
-
-    def _jacobian_of(self, grad):
-        """dA_i/dr_j = u_f,i (grad wbar)_j / q."""
-        q = self.q
-        gx, gy, gz = grad
-        gx, gy, gz = gx / q, gy / q, gz / q
-        ux, uy, uz = self.u_f
-        return (
-            (ux * gx, ux * gy, ux * gz),
-            (uy * gx, uy * gy, uy * gz),
-            (uz * gx, uz * gy, uz * gz),
-        )
 
     def _wbar(self, x, y, z, t):
         return self._wbar_of(root(self._offset(x, y, z, t)[3]), t)
@@ -326,13 +297,25 @@ class CoulombField(PotentialField):
         return self._grad_of(dx, dy, dz, d2e * root(d2e), t)
 
     def _dwbar_dt(self, x, y, z, t):
-        return self._rate_of(self._grad_wbar(x, y, z, t))
+        gx, gy, gz = self._grad_wbar(x, y, z, t)
+        u = self.u_f
+        return -((gx * u.x + gy * u.y) + gz * u.z)
 
     def _vecpot(self, x, y, z, t):
         return ZERO3 if self._static else self._along_source(self._wbar(x, y, z, t))
 
     def _grad_vecpot(self, x, y, z, t):
-        return _ZERO_JAC if self._static else self._jacobian_of(self._grad_wbar(x, y, z, t))
+        if self._static:
+            return _ZERO_JAC
+        q = self.q
+        gx, gy, gz = self._grad_wbar(x, y, z, t)
+        gx, gy, gz = gx / q, gy / q, gz / q
+        ux, uy, uz = self.u_f
+        return (
+            (ux * gx, ux * gy, ux * gz),
+            (uy * gx, uy * gy, uy * gz),
+            (uz * gx, uz * gy, uz * gz),
+        )
 
     def _dvecpot_dt(self, x, y, z, t):
         return ZERO3 if self._static else self._along_source(self._dwbar_dt(x, y, z, t))
@@ -343,12 +326,6 @@ class CoulombField(PotentialField):
         wbar = self._wbar_of(s, t)
         grad = self._grad_of(dx, dy, dz, d2e * s, t)
         return wbar, grad, ZERO3 if self._static else self._along_source(wbar)
-
-    def _lorentz(self, x, y, z, t):
-        grad = self._grad_wbar(x, y, z, t)
-        if self._static:
-            return grad, _ZERO_JAC, ZERO3
-        return grad, self._jacobian_of(grad), self._along_source(self._rate_of(grad))
 
     def wbar_hessian(self, r, t):
         dx, dy, dz, d2e = self._offset(r.x, r.y, r.z, t)
@@ -394,9 +371,6 @@ class LinearField(PotentialField):
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def _lorentz(self, x, y, z, t):
-        return self.gradient, _ZERO_JAC, ZERO3
-
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
 
@@ -434,9 +408,6 @@ class UniformMagneticField(PotentialField):
             (bz * 0.5, 0.0, -bx * 0.5),
             (-by * 0.5, bx * 0.5, 0.0),
         )
-
-    def _lorentz(self, x, y, z, t):
-        return ZERO3, self._grad_vecpot(x, y, z, t), ZERO3
 
     def wbar_hessian(self, r, t):
         return np.zeros((3, 3))
