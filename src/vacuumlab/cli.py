@@ -1,13 +1,16 @@
 """Scenario ingestion, run orchestration, model comparison and reporting.
 
-Scenario files are YAML (one structured file per run).  Every run emits
-plain CSV (exact headers, 17-significant-digit floats) plus a JSON
-manifest carrying the config hash, tool version, echoed defaults and the
-conservation report; manifests are written atomically.  Reruns of the
-same config produce bit-identical CSV and the same config hash.
+Scenario files are YAML (one structured file per run); each mapping's keys
+and defaults are declared once, in one table.  Every run emits plain CSV
+(exact headers, 17-significant-digit floats) plus a JSON manifest carrying
+the config hash, tool version, echoed defaults and the conservation report;
+one writer writes every file atomically.  Reruns of the same config produce
+bit-identical CSV and the same config hash.
 
-Exit codes: 0 success, 1 usage/validation, 2 physics-domain abort,
-3 solver failure (non-convergence or adaptive step collapse).
+Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, or a
+classical or constrained model without a positive rest_mass), 2
+physics-domain abort, 3 solver failure (non-convergence or adaptive step
+collapse).
 """
 
 from __future__ import annotations
@@ -75,8 +78,40 @@ COMPARE_HEADER = "step,align,distance,momentum_gap,fc_magnitude"
 AUDIT_HEADER = "node,s,res_x,res_y,res_z,res_norm"
 
 _MODEL_KINDS = {k.value: k for k in ModelKind}
-_FIELD_KINDS = ("uniform", "coulomb-static", "coulomb-comoving", "linear", "uniform-b")
 _SCENARIO_KINDS = ("particle", "string", "conformal")
+
+# Each mapping's keys with their defaults.  A key takes its default's type: a
+# float, an int, a 3-vector (a tuple here, a list of floats once filled) or a
+# string, which is checked where it is used.
+_ZERO = (0.0, 0.0, 0.0)
+_INTEGRATION = {"step": 1e-3, "n_steps": 1000, "method": "rk4", "rel_tol": 1e-9,
+                "abs_tol": 1e-12, "audit_every": 10, "time_axis": "auto"}
+_PARTICLE_INITIAL = {"r": _ZERO, "u": _ZERO}
+_STRING_GRID = {"n": 64, "sigma_min": 0.0, "sigma_max": 1.0}
+_STRING_INITIAL = {"kind": "line", "start": _ZERO, "end": (1.0, 0.0, 0.0), "amplitude": 0.01,
+                   "width": 0.08, "direction": (0.0, 1.0, 0.0)}
+_CONFORMAL = {"problem": "laplace-harmonic", "tol": 1e-8, "max_iters": 40000}
+_CONFORMAL_GRID = {"n_sigma": 33, "n_s": 33}
+_COULOMB = {"strength": 1.0, "softening": 1e-3, "background": 0.0, "r_f0": _ZERO, "u_f": _ZERO}
+
+
+def _coulomb(f: dict, charge: float) -> PotentialField:
+    spec = SourceSpec(SourceKind(f["kind"]), f["strength"], Vec3(*f["r_f0"]), Vec3(*f["u_f"]),
+                      f["softening"], f["background"])
+    return build_potential(spec, charge)
+
+
+# each field kind: its keys with their defaults, and its constructor (filled keys, charge)
+_FIELDS = {
+    "uniform": ({"strength": -1.0},
+                lambda f, q: build_potential(SourceSpec(SourceKind.UNIFORM, f["strength"]), q)),
+    "coulomb-static": (_COULOMB, _coulomb),
+    "coulomb-comoving": (_COULOMB, _coulomb),
+    "linear": ({"w0": -1.0, "gradient": _ZERO},
+               lambda f, q: LinearField(f["w0"], Vec3(*f["gradient"]))),
+    "uniform-b": ({"b": (0.0, 0.0, 1.0), "wbar0": 0.0},
+                  lambda f, q: UniformMagneticField(Vec3(*f["b"]), f["wbar0"])),
+}
 
 
 def _number(raw, name: str, cast=float):
@@ -94,6 +129,25 @@ def _number(raw, name: str, cast=float):
     raise ValidationError(f"{name} must be {kind}, got {raw!r}")
 
 
+def _fill(raw: dict, defaults: dict, prefix: str) -> dict:
+    """Each key of defaults read from raw (or defaulted) as its default's type.
+
+    A ValidationError names the key as prefix + key.
+    """
+    out = {}
+    for key, default in defaults.items():
+        value, name = raw.get(key, default), prefix + key
+        if isinstance(default, str):
+            out[key] = value
+        elif not isinstance(default, tuple):
+            out[key] = _number(value, name, type(default))
+        elif isinstance(value, (list, tuple)) and len(value) == 3:
+            out[key] = [_number(v, name) for v in value]
+        else:
+            raise ValidationError(f"{name} must be a 3-component list")
+    return out
+
+
 def _section(data: dict, key: str) -> dict:
     """The mapping under key, {} when absent or empty; ValidationError names the key."""
     raw = data.get(key)
@@ -102,12 +156,6 @@ def _section(data: dict, key: str) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError(f"config key '{key}' must be a mapping, got {raw!r}")
     return raw
-
-
-def _vec(raw, name: str) -> Vec3:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
-        raise ValidationError(f"{name} must be a 3-component list")
-    return Vec3(_number(raw[0], name), _number(raw[1], name), _number(raw[2], name))
 
 
 @dataclass
@@ -135,11 +183,14 @@ def _canonical_hash(data: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _write(out_dir: str, filename: str, lines: List[str]) -> str:
+    """Write lines to out_dir/filename atomically (through a .tmp file); returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, filename)
+    with open(path + ".tmp", "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(path + ".tmp", path)
+    return path
 
 
 # --- config parsing -----------------------------------------------------------
@@ -201,56 +252,35 @@ def _normalize(data: dict) -> dict:
         out["charge"] = _number(data.get("charge", 1.0), "charge")
         if data.get("rest_mass") is not None:
             out["rest_mass"] = _number(data["rest_mass"], "rest_mass")
+        if model in ("classical", "constrained") and not out.get("rest_mass", 0.0) > 0:
+            raise ValidationError(
+                f"rest_mass must be positive for a {model} model, got {data.get('rest_mass')!r}"
+            )
         out["field"] = _normalize_field(data.get("field"))
-        initial = _section(data, "initial")
-        r0 = _vec(initial.get("r", [0, 0, 0]), "initial.r")
-        u0 = _vec(initial.get("u", [0, 0, 0]), "initial.u")
-        if u0.norm2() >= 1.0:
+        out["initial"] = _fill(_section(data, "initial"), _PARTICLE_INITIAL, "initial.")
+        if Vec3(*out["initial"]["u"]).norm2() >= 1.0:
             raise ValidationError("initial.u: superluminal initial velocity")
-        out["initial"] = {"r": list(r0), "u": list(u0)}
         out["integration"] = _normalize_integration(_section(data, "integration"))
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
-        grid = _section(data, "grid")
-        n = _number(grid.get("n", 64), "grid.n", int)
-        if n < 8:
+        grid = out["grid"] = _fill(_section(data, "grid"), _STRING_GRID, "grid.")
+        if grid["n"] < 8:
             raise ValidationError("grid.n must be >= 8")
-        out["grid"] = {
-            "n": n,
-            "sigma_min": _number(grid.get("sigma_min", 0.0), "grid.sigma_min"),
-            "sigma_max": _number(grid.get("sigma_max", 1.0), "grid.sigma_max"),
-        }
-        if out["grid"]["sigma_max"] <= out["grid"]["sigma_min"]:
+        if grid["sigma_max"] <= grid["sigma_min"]:
             raise ValidationError("grid.sigma_max must exceed grid.sigma_min")
-        initial = _section(data, "initial")
-        ikind = initial.get("kind", "line")
-        if ikind not in ("line", "pluck"):
+        initial = out["initial"] = _fill(_section(data, "initial"), _STRING_INITIAL, "initial.")
+        if initial["kind"] not in ("line", "pluck"):
             raise ValidationError("initial.kind must be 'line' or 'pluck'")
-        out["initial"] = {
-            "kind": ikind,
-            "start": list(_vec(initial.get("start", [0, 0, 0]), "initial.start")),
-            "end": list(_vec(initial.get("end", [1, 0, 0]), "initial.end")),
-            "amplitude": _number(initial.get("amplitude", 0.01), "initial.amplitude"),
-            "width": _number(initial.get("width", 0.08), "initial.width"),
-            "direction": list(_vec(initial.get("direction", [0, 1, 0]), "initial.direction")),
-        }
-        if out["initial"]["width"] <= 0:
+        if initial["width"] <= 0:
             raise ValidationError("initial.width must be positive")
         out["integration"] = _normalize_integration(_section(data, "integration"))
     else:  # conformal
-        problem = data.get("problem", "laplace-harmonic")
-        if problem not in ("laplace-harmonic", "manufactured"):
+        out.update(_fill(data, _CONFORMAL, ""))
+        if out["problem"] not in ("laplace-harmonic", "manufactured"):
             raise ValidationError("problem must be 'laplace-harmonic' or 'manufactured'")
-        grid = _section(data, "grid")
-        out["problem"] = problem
-        out["grid"] = {
-            "n_sigma": _number(grid.get("n_sigma", 33), "grid.n_sigma", int),
-            "n_s": _number(grid.get("n_s", 33), "grid.n_s", int),
-        }
+        out["grid"] = _fill(_section(data, "grid"), _CONFORMAL_GRID, "grid.")
         if min(out["grid"]["n_sigma"], out["grid"]["n_s"]) < 5:
             raise ValidationError("conformal grids need at least 5 nodes per axis")
-        out["tol"] = _number(data.get("tol", 1e-8), "tol")
-        out["max_iters"] = _number(data.get("max_iters", 40000), "max_iters", int)
         if out["tol"] <= 0:
             raise ValidationError("tol must be positive")
         if out["max_iters"] < 1:
@@ -262,45 +292,28 @@ def _normalize_field(raw) -> dict:
     if not isinstance(raw, dict):
         raise ValidationError("config key 'field' must be a mapping")
     fkind = raw.get("kind")
-    if fkind not in _FIELD_KINDS:
-        raise ValidationError(
-            f"field.kind must be one of {list(_FIELD_KINDS)}, got {fkind!r}"
-        )
-    out = {"kind": fkind}
-    if fkind == "uniform":
-        out["strength"] = _number(raw.get("strength", -1.0), "field.strength")
-        if out["strength"] >= 0:
-            raise ValidationError("field.strength must be negative for a uniform potential")
-    elif fkind in ("coulomb-static", "coulomb-comoving"):
-        out["strength"] = _number(raw.get("strength", 1.0), "field.strength")
-        out["softening"] = _number(raw.get("softening", 1e-3), "field.softening")
-        out["background"] = _number(raw.get("background", 0.0), "field.background")
-        out["r_f0"] = list(_vec(raw.get("r_f0", [0, 0, 0]), "field.r_f0"))
-        u_f = _vec(raw.get("u_f", [0, 0, 0]), "field.u_f")
-        if fkind == "coulomb-static" and u_f.norm2() != 0.0:
+    if not isinstance(fkind, str) or fkind not in _FIELDS:
+        raise ValidationError(f"field.kind must be one of {list(_FIELDS)}, got {fkind!r}")
+    out = {"kind": fkind, **_fill(raw, _FIELDS[fkind][0], "field.")}
+    if fkind == "uniform" and out["strength"] >= 0:
+        raise ValidationError("field.strength must be negative for a uniform potential")
+    if fkind in ("coulomb-static", "coulomb-comoving"):
+        if out["strength"] == 0:
+            raise ValidationError("field.strength must be nonzero for a Coulomb source")
+        if out["softening"] < 0:
+            raise ValidationError("field.softening must be >= 0")
+        if out["background"] > 0:
+            raise ValidationError("field.background must be <= 0 for mass positivity")
+        u_f2 = Vec3(*out["u_f"]).norm2()
+        if fkind == "coulomb-static" and u_f2 != 0.0:
             raise ValidationError("field.u_f must be zero for coulomb-static")
-        if u_f.norm2() >= 1.0:
+        if u_f2 >= 1.0:
             raise ValidationError("field.u_f: superluminal source velocity")
-        out["u_f"] = list(u_f)
-    elif fkind == "linear":
-        out["w0"] = _number(raw.get("w0", -1.0), "field.w0")
-        out["gradient"] = list(_vec(raw.get("gradient", [0, 0, 0]), "field.gradient"))
-    else:  # uniform-b
-        out["b"] = list(_vec(raw.get("b", [0, 0, 1]), "field.b"))
-        out["wbar0"] = _number(raw.get("wbar0", 0.0), "field.wbar0")
     return out
 
 
 def _normalize_integration(raw: dict) -> dict:
-    out = {
-        "step": _number(raw.get("step", 1e-3), "integration.step"),
-        "n_steps": _number(raw.get("n_steps", 1000), "integration.n_steps", int),
-        "method": raw.get("method", "rk4"),
-        "rel_tol": _number(raw.get("rel_tol", 1e-9), "integration.rel_tol"),
-        "abs_tol": _number(raw.get("abs_tol", 1e-12), "integration.abs_tol"),
-        "audit_every": _number(raw.get("audit_every", 10), "integration.audit_every", int),
-        "time_axis": raw.get("time_axis", "auto"),
-    }
+    out = _fill(raw, _INTEGRATION, "integration.")
     IntegrationParams(**out)  # validates
     return out
 
@@ -309,25 +322,7 @@ def _normalize_integration(raw: dict) -> dict:
 
 
 def build_field(fdata: dict, charge: float) -> PotentialField:
-    fkind = fdata["kind"]
-    if fkind == "uniform":
-        spec = SourceSpec(SourceKind.UNIFORM, fdata["strength"])
-        return build_potential(spec, charge)
-    if fkind in ("coulomb-static", "coulomb-comoving"):
-        spec = SourceSpec(
-            kind=SourceKind.COULOMB_STATIC
-            if fkind == "coulomb-static"
-            else SourceKind.COULOMB_COMOVING,
-            strength=fdata["strength"],
-            r_f0=_vec(fdata["r_f0"], "field.r_f0"),
-            u_f=_vec(fdata["u_f"], "field.u_f"),
-            softening=fdata["softening"],
-            background=fdata["background"],
-        )
-        return build_potential(spec, charge)
-    if fkind == "linear":
-        return LinearField(fdata["w0"], _vec(fdata["gradient"], "field.gradient"))
-    return UniformMagneticField(_vec(fdata["b"], "field.b"), fdata["wbar0"])
+    return _FIELDS[fdata["kind"]][1](fdata, charge)
 
 
 def build_particle_model(config: ScenarioConfig):
@@ -336,8 +331,7 @@ def build_particle_model(config: ScenarioConfig):
     charge = data["charge"]
     field = build_field(data["field"], charge)
     model = ForceModel(kind, field, charge=charge, rest_mass=data.get("rest_mass"))
-    r0 = _vec(data["initial"]["r"], "initial.r")
-    u0 = _vec(data["initial"]["u"], "initial.u")
+    r0, u0 = Vec3(*data["initial"]["r"]), Vec3(*data["initial"]["u"])
     if kind is ModelKind.CLASSICAL:
         state = make_classical_state(r0, u0, model.rest_mass)
     elif kind is ModelKind.CONSTRAINED:
@@ -356,7 +350,6 @@ def build_particle_model(config: ScenarioConfig):
 
 def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
     out_dir = config.data["output"]["directory"]
-    os.makedirs(out_dir, exist_ok=True)
     if config.kind == "particle":
         conservation, outputs = _run_particle(config, out_dir)
     elif config.kind == "string":
@@ -372,8 +365,8 @@ def run_scenario(config: ScenarioConfig, quiet: bool = False) -> RunManifest:
         conservation=conservation,
         parameters=config.data,
     )
-    mpath = os.path.join(out_dir, f"{config.name}.manifest.json")
-    _atomic_write(mpath, json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+    mpath = _write(out_dir, f"{config.name}.manifest.json", [text])
     if not quiet:
         print(f"wrote {mpath}")
         for name, stat in conservation.items():
@@ -405,18 +398,16 @@ def _run_particle(config: ScenarioConfig, out_dir: str):
     bad = ~np.isfinite(table).all(axis=1)
     if bad.any():
         raise traj.annotate(PhysicsDomainError("non-finite run CSV value"), int(np.argmax(bad)))
-    csv_path = os.path.join(out_dir, f"{config.name}.csv")
     rows = _csv_rows(PARTICLE_HEADER, table, range(len(table)))
-    _atomic_write(csv_path, "\n".join(rows) + "\n")
-    # the long companion: rows (step, axis, series, value), wbar then energy per step
-    axis = c.t if traj.time_axis == "lab" else c.tau
-    steps = _csv_rows("step,axis", axis[:, None], range(len(axis)))[1:]
-    index = [f"{step},{series}" for step in steps for series in ("wbar", "energy")]
-    values = np.column_stack([wbar, energy]).reshape(-1, 1)
-    rows = _csv_rows("step,axis,series,value", values, index)
-    long_path = os.path.join(out_dir, f"{config.name}_long.csv")
-    _atomic_write(long_path, "\n".join(rows) + "\n")
-    return traj.report.to_dict(), [csv_path, long_path]
+    csv_path = _write(out_dir, f"{config.name}.csv", rows)
+    # the long companion: rows (step, axis, series, value), wbar then energy per step,
+    # cut from the run CSV's cells (step, tau, t, ..., wbar, energy) as they are written
+    axis = 2 if traj.time_axis == "lab" else 1
+    cells = (row.split(",") for row in rows[1:])
+    long_rows = ["step,axis,series,value"] + [
+        f"{c[0]},{c[axis]},{name},{c[k]}" for c in cells for name, k in (("wbar", 9), ("energy", 10))
+    ]
+    return traj.report.to_dict(), [csv_path, _write(out_dir, f"{config.name}_long.csv", long_rows)]
 
 
 def build_string_state(config: ScenarioConfig):
@@ -425,8 +416,7 @@ def build_string_state(config: ScenarioConfig):
         data["grid"]["sigma_min"], data["grid"]["sigma_max"], data["grid"]["n"]
     )
     init = data["initial"]
-    start = _vec(init["start"], "initial.start")
-    end = _vec(init["end"], "initial.end")
+    start, end = Vec3(*init["start"]), Vec3(*init["end"])
     if init["kind"] == "line":
         state = strings_mod.straight_string(grid, start, end)
     else:
@@ -436,7 +426,7 @@ def build_string_state(config: ScenarioConfig):
             end,
             amplitude=init["amplitude"],
             width=init["width"],
-            direction=_vec(init["direction"], "initial.direction"),
+            direction=Vec3(*init["direction"]),
         )
     field = build_field(data["field"], 1.0)
     params = IntegrationParams(**data["integration"])
@@ -458,9 +448,7 @@ def _run_string(config: ScenarioConfig, out_dir: str):
             raise PhysicsDomainError(f"non-finite string CSV value [tau={st.tau:.9g}]")
     index = np.repeat(written, state.grid.n).tolist()
     rows = _csv_rows(STRING_HEADER, np.concatenate(blocks), index)
-    csv_path = os.path.join(out_dir, f"{config.name}.csv")
-    _atomic_write(csv_path, "\n".join(rows) + "\n")
-    return traj.report.to_dict(), [csv_path]
+    return traj.report.to_dict(), [_write(out_dir, f"{config.name}.csv", rows)]
 
 
 def _run_conformal(config: ScenarioConfig, out_dir: str):
@@ -489,9 +477,7 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
     table = np.column_stack([sigma.ravel(), s.ravel(), solved.xi.reshape(-1, 4)])
     index = [f"{i},{j}" for i in range(n_sigma) for j in range(n_s)]
     rows = _csv_rows("i,j,sigma,s,xi0,xi1,xi2,xi3", table, index)
-    csv_path = os.path.join(out_dir, f"{config.name}.csv")
-    _atomic_write(csv_path, "\n".join(rows) + "\n")
-    return report, [csv_path]
+    return report, [_write(out_dir, f"{config.name}.csv", rows)]
 
 
 # --- compare -----------------------------------------------------------------------
@@ -549,6 +535,8 @@ _AUDIT_KINDS = {
 
 def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     """Integrate a particle scenario and measure its discrete action stationarity."""
+    if nodes < 0:
+        raise ValidationError(f"--nodes must be >= 0 (0 = every step), got {nodes}")
     if config.kind != "particle":
         raise ValidationError("audit supports particle scenarios only")
     model, state, params = build_particle_model(config)
@@ -647,24 +635,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.command == "run":
                 config = parse_config(args.config, overrides)
                 run_scenario(config, quiet=args.quiet)
-            elif args.command == "compare":
-                configs = [parse_config(c, overrides) for c in args.configs]
-                rows, _ = compare_models(configs, alignment=args.alignment)
-                out_dir = configs[0].data["output"]["directory"]
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, "compare.csv")
-                _atomic_write(path, "\n".join(rows) + "\n")
+            elif args.command in ("compare", "audit"):
+                if args.command == "compare":
+                    configs = [parse_config(c, overrides) for c in args.configs]
+                    rows, _ = compare_models(configs, alignment=args.alignment)
+                    filename, note = "compare.csv", ""
+                else:
+                    configs = [parse_config(args.config, overrides)]
+                    rows, worst, _ = audit_scenario(configs[0], nodes=args.nodes)
+                    filename = f"{configs[0].name}_audit.csv"
+                    note = f" (max residual {worst:.3e})"
+                path = _write(configs[0].data["output"]["directory"], filename, rows)
                 if not args.quiet:
-                    print(f"wrote {path}")
-            elif args.command == "audit":
-                config = parse_config(args.config, overrides)
-                rows, worst, _ = audit_scenario(config, nodes=args.nodes)
-                out_dir = config.data["output"]["directory"]
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, f"{config.name}_audit.csv")
-                _atomic_write(path, "\n".join(rows) + "\n")
-                if not args.quiet:
-                    print(f"wrote {path} (max residual {worst:.3e})")
+                    print(f"wrote {path}{note}")
             else:
                 results = check_battery(quiet=args.quiet)
                 if not all(ok for _, ok, _ in results):

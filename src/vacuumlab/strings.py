@@ -263,7 +263,11 @@ def transversality_defect(state: StringState) -> float:
 
 @dataclass
 class ChargedStringTerms:
-    """Named force contributions per node (zero rows at the fixed ends)."""
+    """Named force contributions per node.
+
+    Only the three electromagnetic terms are zero at the fixed ends (as are
+    the rate's dr and dp); the others keep their end rows.
+    """
 
     magnetic: np.ndarray          # q rdot x B
     vecpot_gradient: np.ndarray   # -q grad<A, rdot>

@@ -79,6 +79,13 @@ def _finite_channel(values, name: str) -> np.ndarray:
     return values
 
 
+def _uniform_grid(values: np.ndarray, name: str) -> None:
+    """ValidationError naming the grid unless values are uniform and increasing."""
+    d = np.diff(values)
+    if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * max(1.0, abs(float(d[0]))):
+        raise ValidationError(f"{name} must be uniform and increasing")
+
+
 @dataclass
 class DiscretePath:
     """Uniform parameter grid with node positions and optional t / lambda channels."""
@@ -96,9 +103,7 @@ class DiscretePath:
             raise ValidationError("a discrete path needs at least 5 nodes")
         if self.r.shape != (m, 3):
             raise ValidationError("r must have shape (m, 3)")
-        d = np.diff(self.s)
-        if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * max(1.0, abs(float(d[0]))):
-            raise ValidationError("parameter grid must be uniform and increasing")
+        _uniform_grid(self.s, "parameter grid")
         for name in ("t", "lam"):
             ch = getattr(self, name)
             if ch is not None:
@@ -472,6 +477,8 @@ class StringWorldPath:
             raise ValidationError("r must have shape (n_tau, n_sigma, 3)")
         if self.tau.size < 5 or self.sigma.size < 5:
             raise ValidationError("world sheet needs at least 5 nodes per axis")
+        _uniform_grid(self.tau, "tau grid")
+        _uniform_grid(self.sigma, "sigma grid")
 
     @property
     def d_tau(self) -> float:

@@ -353,6 +353,65 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
 
 
 @pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda d: d.update(model="classical"), "rest_mass"),
+        (lambda d: d.update(model="constrained", rest_mass=0.0), "rest_mass"),
+        (lambda d: d.update(model="classical", rest_mass=-1.0), "rest_mass"),
+        (lambda d: d.update(field={"kind": "coulomb-static", "softening": -1e-3}),
+         "field.softening"),
+        (lambda d: d.update(field={"kind": "coulomb-comoving", "background": 0.5}),
+         "field.background"),
+        (lambda d: d.update(field={"kind": "coulomb-static", "strength": 0.0}), "field.strength"),
+    ],
+    ids=["classical-no-mass", "constrained-zero-mass", "classical-negative-mass",
+         "negative-softening", "positive-background", "zero-source-charge"],
+)
+def test_config_values_are_refused_when_parsed(tmp_path, capsys, edit, key):
+    data = minimal_particle(str(tmp_path / "out"))
+    edit(data)
+    path = write_config(tmp_path, data)
+    with pytest.raises(ValidationError, match=key):
+        cli.parse_config(path)
+    assert cli.main(["run", path, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {key} ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["constrained_uniform_e", "vacuum_free_coulomb"])
+def test_audit_refuses_negative_nodes(tmp_path, capsys, name):
+    argv = ["audit", scenario(f"{name}.yaml"), "--nodes", "-5", "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--steps", "5", "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: --nodes must be >= 0")
+
+
+@pytest.mark.parametrize("time_axis", ["lab", "proper"])
+def test_long_companion_cells_equal_the_run_csv_cells(tmp_path, time_axis):
+    data = load_scenario("vacuum_free_coulomb.yaml")
+    data["integration"]["time_axis"] = time_axis
+    out = tmp_path / "out"
+    argv = ["run", write_config(tmp_path, data), "--out", str(out), "--steps", "20", "--quiet"]
+    assert cli.main(argv) == 0
+    name = data["name"]
+    run = (out / f"{name}.csv").read_text().splitlines()
+    long = (out / f"{name}_long.csv").read_text().splitlines()
+    assert run[0].split(",") == ["step", "tau", "t", "rx", "ry", "rz", "px", "py", "pz",
+                                 "wbar", "energy"]
+    assert long[0] == "step,axis,series,value"
+    assert len(long) - 1 == 2 * (len(run) - 1) == 42
+    axis = run[0].split(",").index("t" if time_axis == "lab" else "tau")
+    rows = [row.split(",") for row in run[1:]]
+    assert all(cells[1] != cells[2] for cells in rows[1:])  # so the axis column is told apart
+    for i, cells in enumerate(rows):
+        assert long[1 + 2 * i] == f"{cells[0]},{cells[axis]},wbar,{cells[9]}"
+        assert long[2 + 2 * i] == f"{cells[0]},{cells[axis]},energy,{cells[10]}"
+
+
+@pytest.mark.parametrize(
     "name, invariant",
     [
         ("classical_gyro", "energy"),
@@ -612,17 +671,19 @@ def _keeps_the_contract(argv, out):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(mutated=mutated_scenarios())
-def test_mutated_scenarios_keep_the_exit_code_contract(mutated):
-    # run every example and audit the particle ones; compare a member of the pair
-    # with its shipped partner, both on rk45 when the member was switched to it
+@given(mutated=mutated_scenarios(), nodes=st.sampled_from([None, -5, 0, 3, 7]))
+def test_mutated_scenarios_keep_the_exit_code_contract(mutated, nodes):
+    # run every example and audit the particle ones (with or without --nodes); compare
+    # a member of the pair with its shipped partner, both on rk45 when the member was
+    # switched to it
     name, data, adaptive = mutated
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         path = write_config(tmp, data)
         _keeps_the_contract(["run", path], tmp / "run")
         if SHIPPED[name]["kind"] == "particle":
-            _keeps_the_contract(["audit", path], tmp / "audit")
+            flags = [] if nodes is None else ["--nodes", str(nodes)]
+            _keeps_the_contract(["audit", path, *flags], tmp / "audit")
         if name in COMPARE_PAIR:
             (other,) = set(COMPARE_PAIR) - {name}
             partner = copy.deepcopy(SHIPPED[other])

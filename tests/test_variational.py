@@ -200,6 +200,19 @@ def test_world_path_rejects_non_finite_channels(channel, bad):
         StringWorldPath(**data)
 
 
+@pytest.mark.parametrize(
+    "grid", [[0.0, 0.5, 0.2, 0.7, 0.9, 1.0], [0.0, 0.1, 0.3, 0.4, 0.6, 1.0], np.linspace(1.0, 0.0, 6)],
+    ids=["non-increasing", "non-uniform", "decreasing"],
+)
+@pytest.mark.parametrize("channel", ["tau", "sigma"])
+def test_world_path_rejects_non_uniform_grids(channel, grid):
+    data = {"tau": np.linspace(0.0, 1.0, 6), "sigma": np.linspace(0.0, 1.0, 6)}
+    data[channel] = np.array(grid)
+    data["r"] = np.zeros((6, 6, 3))
+    with pytest.raises(ValidationError, match=f"{channel} grid must be uniform and increasing"):
+        StringWorldPath(**data)
+
+
 def test_legendre_degenerate_kinds_raise():
     field = UniformField(-1.0)
     path = straight_path()
