@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import List, Optional
 
 import numpy as np
@@ -84,8 +84,9 @@ _SCENARIO_KINDS = ("particle", "string", "conformal")
 # float, an int, a 3-vector (a tuple here, a list of floats once filled) or a
 # string, which is checked where it is used.
 _ZERO = (0.0, 0.0, 0.0)
-_INTEGRATION = {"step": 1e-3, "n_steps": 1000, "method": "rk4", "rel_tol": 1e-9,
-                "abs_tol": 1e-12, "audit_every": 10, "time_axis": "auto"}
+# step and n_steps, then IntegrationParams's own defaults in its field order
+_INTEGRATION = {"step": 1e-3, "n_steps": 1000, **{
+    f.name: f.default for f in fields(IntegrationParams) if f.default is not MISSING}}
 _PARTICLE_INITIAL = {"r": _ZERO, "u": _ZERO}
 _STRING_GRID = {"n": 64, "sigma_min": 0.0, "sigma_max": 1.0}
 _STRING_INITIAL = {"kind": "line", "start": _ZERO, "end": (1.0, 0.0, 0.0), "amplitude": 0.01,
@@ -256,6 +257,12 @@ def _normalize(data: dict) -> dict:
             raise ValidationError(
                 f"rest_mass must be positive for a {model} model, got {data.get('rest_mass')!r}"
             )
+        if model == "classical" and not 0.0 < out["rest_mass"] * out["rest_mass"] < math.inf:
+            # the classical law divides by (m0^2 + p^2)^(1/2) and its energy squares m0
+            raise ValidationError(
+                f"rest_mass must have a positive finite square for a classical model, "
+                f"got {data['rest_mass']!r}"
+            )
         out["field"] = _normalize_field(data.get("field"))
         out["initial"] = _fill(_section(data, "initial"), _PARTICLE_INITIAL, "initial.")
         if Vec3(*out["initial"]["u"]).norm2() >= 1.0:
@@ -383,8 +390,8 @@ def _csv_rows(header: str, table, index) -> List[str]:
     table is an (n, k) float array; each value is written with 17 significant
     digits, so it reads back as the same float.
     """
-    line = "{}" + ",{:.17g}" * table.shape[1]
-    return [header] + [line.format(i, *row) for i, row in zip(index, table.tolist())]
+    line = "%s" + ",%.17g" * table.shape[1]
+    return [header] + [line % (i, *row) for i, row in zip(index, table.tolist())]
 
 
 def _run_particle(config: ScenarioConfig, out_dir: str):

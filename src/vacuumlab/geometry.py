@@ -93,8 +93,11 @@ def root(v):
 
 
 def violated(bad) -> bool:
-    """Whether a domain check fails: bad is a bool on floats, a boolean array on rows."""
-    return bool(bad.any()) if isinstance(bad, np.ndarray) else bool(bad)
+    """Whether a domain check fails: bad is a bool on floats, a boolean array on rows.
+
+    A Python bool is answered by identity; np.bool_ and arrays go through ``any``.
+    """
+    return bad is True or (bad is not False and bool(bad.any()))
 
 
 def domain_error(error, bad, message: str, *values):

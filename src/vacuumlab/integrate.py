@@ -30,8 +30,14 @@ from which `samples`, `final` and the invariants (audited once, as arrays
 over the audited rows) are derived, and the check decodes with it only
 when the law's evaluation raised.
 
+The steppers build each stage's state tuple from a list, with h/2 and h/6
+taken once per step; the products and sums are those of the textbook
+tableau, in its order, so the results are the same bits.
+
 A string run steps the flat state (r, p, t) of its nodes as a one-array
-tuple: a `StringTrajectory` holds tau and the flat states Y as arrays, and
+tuple: each stage's rate is one new flat array, which the string flow's
+writer fills with dr and dp from views of the state, and dt into its
+tail.  A `StringTrajectory` holds tau and the flat states Y as arrays, and
 its `StringState`s are views of the rows, built on demand.  The checkerboard SOR
 solver evaluates the residual twice per sweep.
 """
@@ -243,17 +249,14 @@ def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> Phys
 
 
 def rk4_step(f, x, y, h):
+    half, sixth = 0.5 * h, h / 6.0
     k1 = f(x, y)
-    y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-    k2 = f(x + 0.5 * h, y2)
-    y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-    k3 = f(x + 0.5 * h, y3)
-    y4 = tuple(a + h * b for a, b in zip(y, k3))
-    k4 = f(x + h, y4)
-    return tuple(
-        a + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
-        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    )
+    k2 = f(x + half, tuple([a + half * b for a, b in zip(y, k1)]))
+    k3 = f(x + half, tuple([a + half * b for a, b in zip(y, k2)]))
+    k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
+    return tuple([
+        a + sixth * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
 
 
 _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
@@ -262,28 +265,28 @@ _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 def _rkf45_stages(f, x, y, h):
     k1 = f(x, y)
-    k2 = f(x + h / 4.0, tuple(a + h * (b / 4.0) for a, b in zip(y, k1)))
+    k2 = f(x + h / 4.0, tuple([a + h * (b / 4.0) for a, b in zip(y, k1)]))
     k3 = f(
         x + 3.0 * h / 8.0,
-        tuple(a + h * (3.0 * b1 / 32.0 + 9.0 * b2 / 32.0) for a, b1, b2 in zip(y, k1, k2)),
+        tuple([a + h * (3.0 * b1 / 32.0 + 9.0 * b2 / 32.0) for a, b1, b2 in zip(y, k1, k2)]),
     )
     k4 = f(
         x + 12.0 * h / 13.0,
-        tuple(
+        tuple([
             a + h * (1932.0 * b1 - 7200.0 * b2 + 7296.0 * b3) / 2197.0
             for a, b1, b2, b3 in zip(y, k1, k2, k3)
-        ),
+        ]),
     )
     k5 = f(
         x + h,
-        tuple(
+        tuple([
             a + h * (439.0 * b1 / 216.0 - 8.0 * b2 + 3680.0 * b3 / 513.0 - 845.0 * b4 / 4104.0)
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ),
+        ]),
     )
     k6 = f(
         x + h / 2.0,
-        tuple(
+        tuple([
             a
             + h
             * (
@@ -294,7 +297,7 @@ def _rkf45_stages(f, x, y, h):
                 - 11.0 * b5 / 40.0
             )
             for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
-        ),
+        ]),
     )
     return (k1, k2, k3, k4, k5, k6)
 
@@ -302,14 +305,8 @@ def _rkf45_stages(f, x, y, h):
 def rkf45_step(f, x, y, h, rel_tol, abs_tol):
     """One embedded 4(5) attempt: returns (accepted, y5, error_ratio)."""
     ks = _rkf45_stages(f, x, y, h)
-    y5 = tuple(
-        a + h * sum(b * k[i] for b, k in zip(_RKF_B5, ks))
-        for i, a in enumerate(y)
-    )
-    y4 = tuple(
-        a + h * sum(b * k[i] for b, k in zip(_RKF_B4, ks))
-        for i, a in enumerate(y)
-    )
+    y5 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B5, ks)]) for i, a in enumerate(y)])
+    y4 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B4, ks)]) for i, a in enumerate(y)])
     ratio = 0.0
     for a, b, y0 in zip(y5, y4, y):
         tol = abs_tol + rel_tol * abs(y0)
@@ -321,7 +318,8 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
     """Yield (x, y) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
 
     RK4 makes n_steps steps of params.step; RKF45 adapts its step over the
-    horizon and raises StepFailureError when the step collapses.  A
+    horizon (at most 5x per attempt, also when the error estimate is exactly
+    0) and raises StepFailureError when the step collapses.  A
     physics-domain error is re-raised with ``[label=x]`` appended: the x of
     its step's start when a stage raised it, the new x when check did.
     """
@@ -347,6 +345,8 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
                 yield x, y
             if ratio > 0:
                 h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
+            else:  # an exact estimate: the largest growth, the formula's limit at ratio 0
+                h = 5.0 * h
             if h < h_min:
                 message = f"adaptive step collapsed below {h_min:.3g} [{label}={x:.9g}]"
                 raise StepFailureError(message)
@@ -573,10 +573,12 @@ def _string_view(grid, tau: float, y: np.ndarray) -> strings.StringState:
 def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
     """Advance a string state under the canonical flow with fixed endpoints.
 
-    ``_march`` steps the flat state (r, p, t) as a one-array tuple: its rate
-    is ``strings.string_canonical_rhs``'s (dr, dp) on a view of the state,
-    with dt = (1 + |dr|^2)^(1/2) co-integrating the t channel, and each new
-    state is written into its row of the trajectory.  Audits the energy
+    ``_march`` steps the flat state (r, p, t) as a one-array tuple.  Its rate
+    is one new flat array per stage: the canonical flow's writer
+    (``strings._rates``, the law of ``string_canonical_rhs``) fills dr and dp
+    from views of the state, and dt = (1 + |dr|^2)^(1/2), co-integrating the
+    t channel, fills the tail.  Each new state is written into its row of
+    the trajectory.  Audits the energy
     functional and the transversality defect every audit_every steps and at
     the last.  A domain error in a stage is annotated with the tau of its
     step's start (an EnergyDomainError keeps its offending cell as
@@ -593,10 +595,16 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     y = traj.Y[0]
     y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
 
+    h = grid.h
+
     def rhs(tau, y):
-        dr, dp = strings.string_canonical_rhs(_string_view(grid, tau, y[0]), field)
-        dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
-        return (np.concatenate((dr.ravel(), dp.ravel(), dt)),)
+        (y,) = y
+        k = np.empty(7 * m)
+        r, p = y[: 3 * m].reshape(m, 3), y[3 * m : 6 * m].reshape(m, 3)
+        strings._rates(h, field, r, p, y[6 * m :], k[: 6 * m].reshape(2, m, 3))
+        dr = k[: 3 * m].reshape(m, 3)
+        np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr), out=k[6 * m :])
+        return (k,)
 
     def check(tau, y):
         finite = np.isfinite(y[0])

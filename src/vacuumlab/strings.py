@@ -122,24 +122,30 @@ def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.
     Returns (w, dr, rprime, pbar, rp2, hdens, mid, tmid): wbar at the cell
     midpoints mid and times tmid, dr = r_{c+1} - r_c, rprime = dr / h, the
     averaged momentum pbar, rp2 = |rprime|^2 and the energy root
-    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), all of length n-1.  Raises
-    EnergyDomainError, naming the worst cell, when the root's argument is
-    below the domain guard.
+    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), all of length n-1, and w2 = w * w.
+    Raises EnergyDomainError, naming the worst cell, when the root's argument
+    is below the domain guard.  Only arrays allocated here are updated in
+    place, never the one ``wbar_many`` returned.
     """
     dr = r[1:] - r[:-1]
-    mid = 0.5 * (r[1:] + r[:-1])
-    tmid = 0.5 * (t[1:] + t[:-1])
+    mid = r[1:] + r[:-1]
+    mid *= 0.5
+    tmid = t[1:] + t[:-1]
+    tmid *= 0.5
     w = field.wbar_many(mid, tmid)
     rprime = dr / h
-    pbar = 0.5 * (p[1:] + p[:-1])
+    pbar = p[1:] + p[:-1]
+    pbar *= 0.5
     rp2 = np.einsum("ij,ij->i", rprime, rprime)
-    g = w * w * rp2 - np.einsum("ij,ij->i", pbar, pbar)
+    w2 = w * w
+    g = w2 * rp2
+    g -= np.einsum("ij,ij->i", pbar, pbar)
     if g.min() < ENERGY_DOMAIN_GUARD:
         worst = int(np.argmin(g))
         raise EnergyDomainError(
             f"(wbar r')^2 - p^2 = {g[worst]:.3g} at cell {worst}", where=worst
         )
-    return w, dr, rprime, pbar, rp2, np.sqrt(g), mid, tmid
+    return w, dr, rprime, pbar, rp2, np.sqrt(g, out=g), mid, tmid, w2
 
 
 def _flow_cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
@@ -148,12 +154,17 @@ def _flow_cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t
     Each is an (n-1, 3) array that both nodes of its cell receive; the
     tension vector is lost by the cell's left node and gained by its right.
     """
-    w, dr, _, pbar, rp2, hdens, mid, tmid = _cells(h, field, r, p, t)
+    w, dr, _, pbar, rp2, hdens, mid, tmid, w2 = _cells(h, field, r, p, t)
     hcol = hdens[:, None]
-    grad = (0.5 * (w * rp2 / hdens))[:, None] * field.grad_wbar_many(mid, tmid)
-    tension = (w**2)[:, None] * dr / (h * h * hcol)
-    velocity = 0.5 * pbar / hcol
-    return grad, tension, velocity
+    scale = w * rp2
+    scale /= hdens
+    scale *= 0.5
+    grad = scale[:, None] * field.grad_wbar_many(mid, tmid)
+    tension = w2[:, None] * dr
+    tension /= h * h * hcol
+    pbar *= 0.5
+    pbar /= hcol
+    return grad, tension, pbar
 
 
 def _inner_rows(cells: np.ndarray, lead=np.add, out=None) -> np.ndarray:
@@ -181,16 +192,18 @@ def string_hamiltonian(state: StringState, field: PotentialField) -> float:
 
 def string_hamiltonian_alt(state: StringState, field: PotentialField) -> float:
     """Alternative functional: quadrature of |wbar r' - p| on the same cells."""
-    w, _, rprime, pbar, _, _, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
+    w, _, rprime, pbar, _, _, _, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
     diff = w[:, None] * rprime - pbar
     return float(state.grid.h * np.sum(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
 
 
 def cell_integrands(state: StringState, field: PotentialField) -> dict:
     """Per-cell integrand values of both functionals, for gap diagnostics."""
-    w, _, rprime, pbar, _, hdens, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
+    w, _, rprime, pbar, rp2, hdens, _, _, w2 = _cells(
+        state.grid.h, field, state.r, state.p, state.t
+    )
     diff = w[:, None] * rprime - pbar
-    wrp2 = w**2 * np.einsum("ij,ij->i", rprime, rprime)
+    wrp2 = w2 * rp2
     p2 = np.einsum("ij,ij->i", pbar, pbar)
     cross = np.einsum("ij,ij->i", rprime, pbar)
     return {
@@ -213,17 +226,27 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
+def _rates(h: float, field: PotentialField, r, p, t, out: np.ndarray) -> None:
+    """Write (dr/dtau, dp/dtau) of node rows r, p, t on spacing h into out, shape (2, n, 3).
+
+    The end rows are +0.0 (fixed endpoints), as in a sum into zeros.
+    """
+    grad, tension, velocity = _flow_cells(h, field, r, p, t)
+    dr, dp = out
+    dr[0] = dr[-1] = dp[0] = dp[-1] = 0.0
+    _inner_rows(velocity, out=dr[1:-1])
+    _inner_rows(grad, out=dp[1:-1])
+    dp[1:-1] += _inner_rows(tension, np.subtract)
+
+
 def string_canonical_rhs(state: StringState, field: PotentialField):
     """(dr/dtau, dp/dtau) of the canonical flow with fixed endpoints.
 
     Equals the exact gradient of the discretized energy functional H via
     dr_j = -(1/h) dH/dp_j and dp_j = +(1/h) dH/dr_j (generator -H).
     """
-    grad, tension, velocity = _flow_cells(state.grid.h, field, state.r, state.p, state.t)
-    dr, dp = np.zeros((2, state.grid.n, 3))
-    _inner_rows(velocity, out=dr[1:-1])
-    _inner_rows(grad, out=dp[1:-1])
-    dp[1:-1] += _inner_rows(tension, np.subtract)
+    dr, dp = out = np.empty((2, state.grid.n, 3))
+    _rates(state.grid.h, field, state.r, state.p, state.t, out)
     return dr, dp
 
 

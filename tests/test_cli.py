@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -11,12 +12,14 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 from vacuumlab import cli
 from vacuumlab.errors import MisalignedScenariosError, ParseError, ValidationError
+from vacuumlab.integrate import IntegrationParams
 from vacuumlab.particle import INVARIANTS, ModelKind
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -269,6 +272,32 @@ def test_full_precision_floats(tmp_path):
     assert format(val, ".17g") == row[2]
 
 
+def test_csv_rows_equal_the_format_method_row_for_row():
+    tiny = 2.2250738585072014e-308
+    values = [0.0, -0.0, 5e-324, -5e-324, tiny / 3, -tiny, 1e16, 1e17, -1e17, 1e16 + 2.0,
+              123456789012345678.0, 1.7976931348623157e308, -1.7976931348623157e308, 0.1,
+              1.0 / 3.0, math.pi * 1e-5, math.inf, -math.inf, math.nan, 7.0, -2.5]
+    table = np.array(values).reshape(-1, 3)
+    k = table.shape[1]
+    for index in (range(len(table)), [f"{i},{i + 1}" for i in range(len(table))],
+                  np.repeat([0, 5, 9, 12], 2)[: len(table)].tolist()):
+        expected = ["h"] + [("{}" + ",{:.17g}" * k).format(i, *row)
+                            for i, row in zip(index, table.tolist())]
+        assert cli._csv_rows("h", table, index) == expected
+    assert cli._csv_rows("h", table, ["3,4"])[1] == "3,4,0,-0,4.9406564584124654e-324"
+
+
+def test_integration_defaults_are_the_dataclass_defaults(tmp_path):
+    names = [f.name for f in dataclasses.fields(IntegrationParams)]
+    assert list(cli._INTEGRATION) == names
+    defaults = {"step": 1e-3, "n_steps": 1000}
+    assert IntegrationParams(**cli._INTEGRATION) == IntegrationParams(**defaults)
+    data = minimal_particle(str(tmp_path / "out"))
+    del data["integration"]
+    _, _, params = cli.build_particle_model(cli.parse_config(write_config(tmp_path, data)))
+    assert params == IntegrationParams(**defaults)
+
+
 def test_usage_error_exit_code_for_bad_flags():
     with pytest.raises(SystemExit) as err:
         cli.main(["run", "--no-such-flag"])
@@ -363,9 +392,12 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
         (lambda d: d.update(field={"kind": "coulomb-comoving", "background": 0.5}),
          "field.background"),
         (lambda d: d.update(field={"kind": "coulomb-static", "strength": 0.0}), "field.strength"),
+        (lambda d: d.update(model="classical", rest_mass=1e-300), "rest_mass"),
+        (lambda d: d.update(model="classical", rest_mass=1e300), "rest_mass"),
     ],
     ids=["classical-no-mass", "constrained-zero-mass", "classical-negative-mass",
-         "negative-softening", "positive-background", "zero-source-charge"],
+         "negative-softening", "positive-background", "zero-source-charge",
+         "classical-mass-square-underflows", "classical-mass-square-overflows"],
 )
 def test_config_values_are_refused_when_parsed(tmp_path, capsys, edit, key):
     data = minimal_particle(str(tmp_path / "out"))
@@ -614,32 +646,32 @@ def _allowed(key, old, new) -> bool:
 
 @st.composite
 def mutated_scenarios(draw):
-    """(name, data, adaptive): a shipped scenario, switched to rk45 if adaptive, then mutated."""
+    """(name, data, adaptive): a shipped scenario, switched to rk45 if adaptive, then one key mutated.
+
+    One mutation per example leaves the other keys valid, so many examples
+    get past parsing into the run, audit and compare paths.
+    """
     name = draw(st.sampled_from(sorted(SHIPPED)))
     data = copy.deepcopy(SHIPPED[name])
     adaptive = data["kind"] == "particle" and draw(st.booleans())
     if adaptive:
         data["integration"]["method"] = "rk45"
-    for _ in range(draw(st.integers(1, 3))):
-        paths = list(_paths(data))
-        if not paths:
-            break
-        path = draw(st.sampled_from(paths))
-        parent = data
-        for key in path[:-1]:
-            parent = parent[key]
-        key, old = path[-1], parent[path[-1]]
-        op = draw(st.sampled_from(["drop", "odd", "extreme", "enum"]))
-        if op == "drop":
-            del parent[key]
-            continue
-        if op == "enum" and key in _ENUM_KEYS:
-            choices = _WRONG_ENUMS
-        else:
-            choices = _EXTREME if op == "extreme" else _ODD_VALUES
-        choices = [v for v in choices if _allowed(key, old, v)]
-        if choices:
-            parent[key] = copy.deepcopy(draw(st.sampled_from(choices)))
+    path = draw(st.sampled_from(list(_paths(data))))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    key, old = path[-1], parent[path[-1]]
+    op = draw(st.sampled_from(["drop", "odd", "extreme", "enum"]))
+    if op == "drop":
+        del parent[key]
+        return name, data, adaptive
+    if op == "enum" and key in _ENUM_KEYS:
+        choices = _WRONG_ENUMS
+    else:
+        choices = _EXTREME if op == "extreme" else _ODD_VALUES
+    choices = [v for v in choices if _allowed(key, old, v)]
+    if choices:
+        parent[key] = copy.deepcopy(draw(st.sampled_from(choices)))
     return name, data, adaptive
 
 

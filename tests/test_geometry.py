@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from vacuumlab.geometry import (
     lab_time_factor,
     orthogonal_projector,
     proper_time_factor,
+    violated,
 )
 
 
@@ -65,3 +68,32 @@ def test_projector_invariants_random():
         w = Vec3(*rng.normal(size=3))
         w_perp = w - v * (w.dot(v) / v.norm2())
         assert (proj.apply(w_perp) - w_perp).norm() < 1e-12 * max(1.0, w_perp.norm())
+
+
+@pytest.mark.parametrize(
+    "bad, expected",
+    [
+        (True, True),
+        (False, False),
+        (np.True_, True),
+        (np.False_, False),
+        (np.array([False, True, True]), True),
+        (np.zeros(3, dtype=bool), False),
+        (np.array([], dtype=bool), False),
+    ],
+    ids=["true", "false", "np-true", "np-false", "array-true", "array-false", "array-empty"],
+)
+def test_violated_answers_a_bool(bad, expected):
+    got = violated(bad)
+    assert type(got) is bool and got is expected
+
+
+def test_array_guard_names_its_first_failing_row():
+    u = np.array([[0.1, 0.0, 0.0], [0.2, 0.99, 0.3], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(SuperluminalVelocityError) as err:
+        proper_time_factor(u.T)
+    assert err.value.where == 1
+    assert str(err.value) == f"|u| = {math.sqrt((0.2 * 0.2 + 0.99 * 0.99) + 0.3 * 0.3):.6g} >= 1"
+    with pytest.raises(SuperluminalVelocityError) as err:
+        proper_time_factor(Vec3(*u[1]))
+    assert err.value.where is None

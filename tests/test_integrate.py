@@ -340,6 +340,14 @@ def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
     assert len(laws) == 6 + 5 * (len(attempts) - 1) + attempts.count(True)
 
 
+def test_exact_rkf45_estimates_grow_the_step():
+    # a constant rate: both embedded estimates are exact, so every ratio is 0
+    params = IntegrationParams(step=1e-3, n_steps=1000, method="rk45")
+    rows = list(integ._march(lambda x, y: (1.0,), lambda x, y: None, 0.0, (0.0,), params, "t"))
+    assert [x for x, _ in rows] == [0.001, 0.006, 0.031, 0.156, 0.781, 1.0]
+    assert all(y == (x,) for x, y in rows)
+
+
 def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatch):
     field = build_potential(SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=1e-3,
                                        background=-1.0), 1.0)

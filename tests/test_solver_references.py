@@ -6,8 +6,10 @@ per right-hand-side call, with the flow assembled node by node from a cell
 record, and a ``StringState`` copy per step.  ``reference_relax`` is the
 three-residual checkerboard sweep ``relax_elliptic`` ran before it reused the
 residual after a sweep, driven by the conformal residual as it was then
-written (the potential gradient on the full grid).  Both must be reproduced
-bit for bit, signs of zero included.
+written (the potential gradient on the full grid).  ``reference_rk4_step``
+and ``reference_rkf45_step`` are the steppers as they were written with
+generator-built stage tuples.  All must be reproduced bit for bit, signs
+of zero included.
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
+import vacuumlab.integrate as integrate
 import vacuumlab.strings as strings
 from vacuumlab import cli
 from vacuumlab.conformal import coons_interior, residual_grid, solve_conformal
@@ -27,6 +30,8 @@ from vacuumlab.integrate import (
     IntegrationParams,
     integrate_string,
     relax_elliptic,
+    rk4_step,
+    rkf45_step,
 )
 from vacuumlab.potentials import LinearField, SourceKind, SourceSpec, UniformField, build_potential
 from vacuumlab.strings import (
@@ -239,6 +244,125 @@ def test_string_energy_domain_abort_equals_the_reference():
     assert got.value.where == ref.value.where
 
 
+def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch):
+    make_state, make_field, step, _ = STRING_CASES["pluck-comoving-coulomb"]
+    state, field = make_state(), make_field()
+    m, stepper, seen = state.grid.n, integrate.rk4_step, []
+
+    def spy(f, x, y, h):
+        (k,) = f(x, y)
+        row = y[0]
+        at = StringState(state.grid, row[: 3 * m].reshape(m, 3), row[3 * m : 6 * m].reshape(m, 3),
+                         x, row[6 * m :])
+        dr, dp = string_canonical_rhs(at, field)
+        dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
+        assert identical(k, np.concatenate([dr.ravel(), dp.ravel(), dt]))
+        seen.append(x)
+        return stepper(f, x, y, h)
+
+    monkeypatch.setattr(integrate, "rk4_step", spy)
+    traj = integrate_string(state, field, IntegrationParams(step=step, n_steps=6))
+    assert len(seen) == 6 and np.ptp(traj.final.t) > 0
+
+
+# --- the generic steppers as they were --------------------------------------------
+
+
+def reference_rk4_step(f, x, y, h):
+    k1 = f(x, y)
+    y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
+    k2 = f(x + 0.5 * h, y2)
+    y3 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
+    k3 = f(x + 0.5 * h, y3)
+    y4 = tuple(a + h * b for a, b in zip(y, k3))
+    k4 = f(x + h, y4)
+    return tuple(
+        a + (h / 6.0) * (b1 + 2.0 * (b2 + b3) + b4)
+        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+_REF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
+_REF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+
+
+def reference_rkf45_stages(f, x, y, h):
+    k1 = f(x, y)
+    k2 = f(x + h / 4.0, tuple(a + h * (b / 4.0) for a, b in zip(y, k1)))
+    k3 = f(
+        x + 3.0 * h / 8.0,
+        tuple(a + h * (3.0 * b1 / 32.0 + 9.0 * b2 / 32.0) for a, b1, b2 in zip(y, k1, k2)),
+    )
+    k4 = f(
+        x + 12.0 * h / 13.0,
+        tuple(
+            a + h * (1932.0 * b1 - 7200.0 * b2 + 7296.0 * b3) / 2197.0
+            for a, b1, b2, b3 in zip(y, k1, k2, k3)
+        ),
+    )
+    k5 = f(
+        x + h,
+        tuple(
+            a + h * (439.0 * b1 / 216.0 - 8.0 * b2 + 3680.0 * b3 / 513.0 - 845.0 * b4 / 4104.0)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ),
+    )
+    k6 = f(
+        x + h / 2.0,
+        tuple(
+            a + h * (-8.0 * b1 / 27.0 + 2.0 * b2 - 3544.0 * b3 / 2565.0
+                     + 1859.0 * b4 / 4104.0 - 11.0 * b5 / 40.0)
+            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
+        ),
+    )
+    return (k1, k2, k3, k4, k5, k6)
+
+
+def reference_rkf45_step(f, x, y, h, rel_tol, abs_tol):
+    ks = reference_rkf45_stages(f, x, y, h)
+    y5 = tuple(a + h * sum(b * k[i] for b, k in zip(_REF_B5, ks)) for i, a in enumerate(y))
+    y4 = tuple(a + h * sum(b * k[i] for b, k in zip(_REF_B4, ks)) for i, a in enumerate(y))
+    ratio = 0.0
+    for a, b, y0 in zip(y5, y4, y):
+        ratio = max(ratio, abs(a - b) / (abs_tol + rel_tol * abs(y0)))
+    return ratio <= 1.0, y5, ratio
+
+
+def _float_law(x, y):
+    """A nonlinear, coupled rate of an 8-float tuple, with a zero and a signed zero in it."""
+    n = len(y)
+    rates = [math.sin(x + y[i]) * y[(i + 1) % n] - 0.3 * y[i] for i in range(n)]
+    return tuple(rates[:-2]) + (0.0, -0.0 * y[0])
+
+
+def _array_law(x, y):
+    (a,) = y
+    return (np.sin(x + a) * a[::-1] - 0.3 * a,)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_steppers_equal_the_generator_built_references(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        x, h = float(rng.normal()), float(rng.uniform(1e-3, 0.5))
+        rel_tol, abs_tol = 10.0 ** rng.uniform(-10, -2), 10.0 ** rng.uniform(-12, -4)
+        y = tuple(float(v) for v in rng.normal(scale=2.0, size=8))
+        got, ref = rk4_step(_float_law, x, y, h), reference_rk4_step(_float_law, x, y, h)
+        assert got == ref and identical(got, ref)
+        assert all(type(v) is float for v in got)
+        (acc, y5, ratio) = rkf45_step(_float_law, x, y, h, rel_tol, abs_tol)
+        (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(_float_law, x, y, h, rel_tol, abs_tol)
+        assert (acc, y5, ratio) == (ref_acc, ref_y5, ref_ratio) and identical(y5, ref_y5)
+
+        arr = (rng.normal(size=24),)
+        (got,), (ref,) = rk4_step(_array_law, x, arr, h), reference_rk4_step(_array_law, x, arr, h)
+        assert identical(got, ref)
+        # an array state is stepped by RK4 only; its RKF45 stages are still pinned
+        stages = integrate._rkf45_stages(_array_law, x, arr, h)
+        for (k,), (ref_k,) in zip(stages, reference_rkf45_stages(_array_law, x, arr, h)):
+            assert identical(k, ref_k)
+
+
 # --- non-finite string states ----------------------------------------------------
 
 
@@ -257,16 +381,15 @@ def test_non_finite_string_audit_raises_at_its_row():
 
 def test_non_finite_string_state_raises_at_the_step_that_made_it(monkeypatch):
     calls = []
-    law = strings.string_canonical_rhs
+    writer = strings._rates
 
-    def poisoned(state, field):
+    def poisoned(h, field, r, p, t, out):
         calls.append(1)
-        dr, dp = law(state, field)
+        writer(h, field, r, p, t, out)
         if len(calls) == 12:  # the last stage of step 3
-            dp[5, 1] = math.nan
-        return dr, dp
+            out[1, 5, 1] = math.nan
 
-    monkeypatch.setattr(strings, "string_canonical_rhs", poisoned)
+    monkeypatch.setattr(strings, "_rates", poisoned)
     state = _pluck(16)
     message = r"non-finite string state at node 5 \[tau=0.003\]"
     with pytest.raises(PhysicsDomainError, match=message) as err:
