@@ -7,10 +7,10 @@ the config hash, tool version, echoed defaults and the conservation report;
 one writer writes every file atomically.  Reruns of the same config produce
 bit-identical CSV and the same config hash.
 
-Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, or a
-classical or constrained model without a positive rest_mass), 2
-physics-domain abort, 3 solver failure (non-convergence or adaptive step
-collapse).
+Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, a
+classical or constrained model without a positive rest_mass, or a classical
+rest_mass whose square leaves the float range), 2 physics-domain abort, 3
+solver failure (non-convergence or adaptive step collapse).
 """
 
 from __future__ import annotations

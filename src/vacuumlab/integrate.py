@@ -31,8 +31,8 @@ over the audited rows) are derived, and the check decodes with it only
 when the law's evaluation raised.
 
 The steppers build each stage's state tuple from a list, with h/2 and h/6
-taken once per step; the products and sums are those of the textbook
-tableau, in its order, so the results are the same bits.
+taken once per step (``0.5 * h * b`` is ``(0.5 * h) * b``, so every
+product and sum is the tableau's own, in its order).
 
 A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: each stage's rate is one new flat array, which the string flow's
@@ -578,12 +578,12 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     (``strings._rates``, the law of ``string_canonical_rhs``) fills dr and dp
     from views of the state, and dt = (1 + |dr|^2)^(1/2), co-integrating the
     t channel, fills the tail.  Each new state is written into its row of
-    the trajectory.  Audits the energy
-    functional and the transversality defect every audit_every steps and at
-    the last.  A domain error in a stage is annotated with the tau of its
-    step's start (an EnergyDomainError keeps its offending cell as
-    ``where``); a non-finite new state, or a domain error or non-finite
-    value in an audit, with the tau of the row.
+    the trajectory.  Audits the energy functional and the transversality
+    defect every audit_every steps and at the last.  A domain error in a
+    stage is annotated with the tau of its step's start (an
+    EnergyDomainError keeps its offending cell as ``where``); a non-finite
+    new state, or a domain error or non-finite value in an audit, with the
+    tau of the row.
     """
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")

@@ -119,10 +119,10 @@ def sigma_derivative(grid: StringGrid, values: np.ndarray) -> np.ndarray:
 def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
     """The staggered cells of node rows r, p, t on spacing h.
 
-    Returns (w, dr, rprime, pbar, rp2, hdens, mid, tmid): wbar at the cell
-    midpoints mid and times tmid, dr = r_{c+1} - r_c, rprime = dr / h, the
-    averaged momentum pbar, rp2 = |rprime|^2 and the energy root
-    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), all of length n-1, and w2 = w * w.
+    Returns (w, dr, rprime, pbar, rp2, hdens, mid, tmid, w2): wbar at the
+    cell midpoints mid and times tmid, dr = r_{c+1} - r_c, rprime = dr / h,
+    the averaged momentum pbar, rp2 = |rprime|^2, the energy root
+    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2) and w2 = w * w, all of length n-1.
     Raises EnergyDomainError, naming the worst cell, when the root's argument
     is below the domain guard.  Only arrays allocated here are updated in
     place, never the one ``wbar_many`` returned.

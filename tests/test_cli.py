@@ -646,7 +646,7 @@ def _allowed(key, old, new) -> bool:
 
 @st.composite
 def mutated_scenarios(draw):
-    """(name, data, adaptive): a shipped scenario, switched to rk45 if adaptive, then one key mutated.
+    """(name, data, adaptive): a shipped scenario, rk45 if adaptive, with one key mutated.
 
     One mutation per example leaves the other keys valid, so many examples
     get past parsing into the run, audit and compare paths.

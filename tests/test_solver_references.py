@@ -247,6 +247,8 @@ def test_string_energy_domain_abort_equals_the_reference():
 def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch):
     make_state, make_field, step, _ = STRING_CASES["pluck-comoving-coulomb"]
     state, field = make_state(), make_field()
+    # |dr| of order 1 in all three components, so that dt's last bit depends on |dr|^2's
+    state.p[1:-1] += (0.9, 1.2, -0.6)
     m, stepper, seen = state.grid.n, integrate.rk4_step, []
 
     def spy(f, x, y, h):
