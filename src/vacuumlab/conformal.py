@@ -128,16 +128,19 @@ def residual_grid(xi: np.ndarray, h_sigma: float, h_s: float, field: PotentialFi
     )
 
 
+def _check_gauge(patch: ConformalPatch, gauge_tol: Optional[float], label: str) -> None:
+    """Raise GaugeViolationError when gauge_tol is set and the patch's gauge defect exceeds it."""
+    if gauge_tol is not None:
+        defect = patch.max_gauge_defect()
+        if defect > gauge_tol:
+            raise GaugeViolationError(f"{label} gauge defect {defect:.3g} exceeds {gauge_tol:.3g}")
+
+
 def conformal_residual(
     patch: ConformalPatch, w: PotentialField, gauge_tol: Optional[float] = None
 ) -> np.ndarray:
     """Residual 4-vectors at interior nodes; optionally enforce the gauge first."""
-    if gauge_tol is not None:
-        defect = patch.max_gauge_defect()
-        if defect > gauge_tol:
-            raise GaugeViolationError(
-                f"gauge defect {defect:.3g} exceeds tolerance {gauge_tol:.3g}"
-            )
+    _check_gauge(patch, gauge_tol, "patch")
     return residual_grid(patch.xi, patch.h_sigma, patch.h_s, w)
 
 
@@ -195,20 +198,11 @@ def solve_conformal(
         if forcing.shape != expected:
             raise ValidationError(f"forcing must have shape {expected}")
 
-        def residual_fn(xi):
-            return residual_grid(xi, h_sigma, h_s, w) - forcing
-
-    else:
-
-        def residual_fn(xi):
-            return residual_grid(xi, h_sigma, h_s, w)
+    def residual_fn(xi):
+        residual = residual_grid(xi, h_sigma, h_s, w)
+        return residual if forcing is None else residual - forcing
 
     result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
     solved = boundary.copy_with(result.xi)
-    if gauge_tol is not None:
-        defect = solved.max_gauge_defect()
-        if defect > gauge_tol:
-            raise GaugeViolationError(
-                f"solved patch gauge defect {defect:.3g} exceeds {gauge_tol:.3g}"
-            )
+    _check_gauge(solved, gauge_tol, "solved patch")
     return solved, result

@@ -303,14 +303,14 @@ def _rkf45_stages(f, x, y, h):
 
 
 def rkf45_step(f, x, y, h, rel_tol, abs_tol):
-    """One embedded 4(5) attempt: returns (accepted, y5, error_ratio)."""
+    """One embedded 4(5) attempt: (accepted, y5, error_ratio), a NaN error counting as inf."""
     ks = _rkf45_stages(f, x, y, h)
     y5 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B5, ks)]) for i, a in enumerate(y)])
     y4 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B4, ks)]) for i, a in enumerate(y)])
     ratio = 0.0
     for a, b, y0 in zip(y5, y4, y):
-        tol = abs_tol + rel_tol * abs(y0)
-        ratio = max(ratio, abs(a - b) / tol)
+        e = abs(a - b) / (abs_tol + rel_tol * abs(y0))
+        ratio = max(ratio, e if e == e else math.inf)  # so a non-finite estimate is rejected
     return ratio <= 1.0, y5, ratio
 
 
@@ -319,7 +319,10 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
 
     RK4 makes n_steps steps of params.step; RKF45 adapts its step over the
     horizon (at most 5x per attempt, also when the error estimate is exactly
-    0) and raises StepFailureError when the step collapses.  A
+    0) and raises StepFailureError when the step collapses.  A non-finite
+    estimate rejects its attempt and shrinks the step 5x, so a law that is
+    non-finite only at large steps is stepped past at a smaller one, and
+    one that stays non-finite ends in StepFailureError.  A
     physics-domain error is re-raised with ``[label=x]`` appended: the x of
     its step's start when a stage raised it, the new x when check did.
     """
@@ -574,16 +577,16 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     """Advance a string state under the canonical flow with fixed endpoints.
 
     ``_march`` steps the flat state (r, p, t) as a one-array tuple.  Its rate
-    is one new flat array per stage: the canonical flow's writer
-    (``strings._rates``, the law of ``string_canonical_rhs``) fills dr and dp
-    from views of the state, and dt = (1 + |dr|^2)^(1/2), co-integrating the
-    t channel, fills the tail.  Each new state is written into its row of
-    the trajectory.  Audits the energy functional and the transversality
-    defect every audit_every steps and at the last.  A domain error in a
-    stage is annotated with the tau of its step's start (an
-    EnergyDomainError keeps its offending cell as ``where``); a non-finite
-    new state, or a domain error or non-finite value in an audit, with the
-    tau of the row.
+    is one new flat array per stage: the string writer ``strings._rates``,
+    without a source velocity (the uncharged flow, in a comoving field too),
+    fills dr and dp from views of the state, and dt = (1 + |dr|^2)^(1/2),
+    co-integrating the t channel, fills the tail.  Each new state is
+    written into its row of the trajectory.  Audits the energy functional
+    and the transversality defect every audit_every steps and at the last.
+    A domain error in a stage is annotated with the tau of its step's start
+    (an EnergyDomainError keeps its offending cell as ``where``); a
+    non-finite new state, or a domain error or non-finite value in an
+    audit, with the tau of the row.
     """
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")

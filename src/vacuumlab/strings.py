@@ -22,10 +22,12 @@ string_hamiltonian; the flow implemented here,
 is the Lagrangian-consistent one (it is the uncharged reduction of the
 charged-string force law).  One staggered kernel, computed once per call on
 the node arrays, gives each cell's grad(wbar) part, tension vector and
-velocity half-sum; string_canonical_rhs(state, field) and
-charged_string_rhs(state, field, q), which takes the source velocity u_f
-from the field, both build their node rows from it, accumulating each cell
-into its two nodes in the order of a sum into zeros.  The alternative
+velocity half-sum, and one writer, ``_rates``, accumulates each cell into
+its two nodes in the order of a sum into zeros.  string_canonical_rhs(state,
+field) is that writer on a new buffer; charged_string_rhs(state, field, q)
+is the same writer given the charge density q and the field's source
+velocity u_f, which adds u_f beta to dr and the three nodal
+electromagnetic terms to dp.  The alternative
 functional |wbar r' - p| is provided for comparison: under the Euclidean
 reading with <p, r'> = 0 it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2,
 strictly above the energy integrand whenever p != 0 - the claimed
@@ -179,11 +181,6 @@ def _inner_rows(cells: np.ndarray, lead=np.add, out=None) -> np.ndarray:
     return rows
 
 
-def _node_rows(cells: np.ndarray, lead=np.add) -> np.ndarray:
-    """All node rows of a cell piece; the end nodes receive their one cell."""
-    return np.concatenate([lead(0.0, cells[:1]), _inner_rows(cells, lead), 0.0 + cells[-1:]])
-
-
 def string_hamiltonian(state: StringState, field: PotentialField) -> float:
     """Energy functional: midpoint quadrature of [(wbar r')^2 - p^2]^(1/2)."""
     hdens = _cells(state.grid.h, field, state.r, state.p, state.t)[5]
@@ -192,9 +189,7 @@ def string_hamiltonian(state: StringState, field: PotentialField) -> float:
 
 def string_hamiltonian_alt(state: StringState, field: PotentialField) -> float:
     """Alternative functional: quadrature of |wbar r' - p| on the same cells."""
-    w, _, rprime, pbar, _, _, _, _, _ = _cells(state.grid.h, field, state.r, state.p, state.t)
-    diff = w[:, None] * rprime - pbar
-    return float(state.grid.h * np.sum(np.sqrt(np.einsum("ij,ij->i", diff, diff))))
+    return float(state.grid.h * np.sum(cell_integrands(state, field)["alt"]))
 
 
 def cell_integrands(state: StringState, field: PotentialField) -> dict:
@@ -226,17 +221,34 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
-def _rates(h: float, field: PotentialField, r, p, t, out: np.ndarray) -> None:
+def _rates(h: float, field: PotentialField, r, p, t, out: np.ndarray, q=0.0, u_f=None) -> None:
     """Write (dr/dtau, dp/dtau) of node rows r, p, t on spacing h into out, shape (2, n, 3).
 
-    The end rows are +0.0 (fixed endpoints), as in a sum into zeros.
+    Without a source velocity u_f (an array) this is the canonical flow; with
+    one, the law of charge density q: dr = v + u_f beta, beta = (1 + |v|^2)^(1/2),
+    and dp gains q dr x curl A, -q grad<A, dr> and -q beta dA/dt, in that
+    order.  The end rows are +0.0 (fixed endpoints), as in a sum into zeros.
     """
     grad, tension, velocity = _flow_cells(h, field, r, p, t)
     dr, dp = out
     dr[0] = dr[-1] = dp[0] = dp[-1] = 0.0
-    _inner_rows(velocity, out=dr[1:-1])
-    _inner_rows(grad, out=dp[1:-1])
-    dp[1:-1] += _inner_rows(tension, np.subtract)
+    rdot, force = dr[1:-1], dp[1:-1]
+    _inner_rows(velocity, out=rdot)
+    _inner_rows(grad, out=force)
+    force += _inner_rows(tension, np.subtract)
+    if u_f is None:
+        return
+    beta = np.sqrt(1.0 + np.einsum("ij,ij->i", rdot, rdot))
+    rdot += beta[:, None] * u_f
+    if q != 0.0:
+        r, t = r[1:-1], t[1:-1]
+        jac = field.grad_vecpot_many(r, t)
+        curl = np.column_stack(
+            [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
+        )
+        force += q * np.cross(rdot, curl)
+        force -= q * np.einsum("nij,ni->nj", jac, rdot)
+        force -= (q * beta)[:, None] * field.dvecpot_dt_many(r, t)
 
 
 def string_canonical_rhs(state: StringState, field: PotentialField):
@@ -247,6 +259,20 @@ def string_canonical_rhs(state: StringState, field: PotentialField):
     """
     dr, dp = out = np.empty((2, state.grid.n, 3))
     _rates(state.grid.h, field, state.r, state.p, state.t, out)
+    return dr, dp
+
+
+def charged_string_rhs(state: StringState, field: PotentialField, q: float):
+    """(dr/dtau, dp/dtau) of a string of charge density q in field, with fixed endpoints.
+
+    The source velocity u_f is the field's own (zero for fields without
+    one).  The state's momentum array is the generalized momentum P; the
+    potential-gradient and tension pieces are those of the uncharged flow,
+    and the electromagnetic terms are evaluated nodally from the field.
+    """
+    dr, dp = out = np.empty((2, state.grid.n, 3))
+    u_f = getattr(field, "u_f", ZERO3).as_array()
+    _rates(state.grid.h, field, state.r, state.p, state.t, out, q, u_f)
     return dr, dp
 
 
@@ -279,86 +305,6 @@ def transversality_defect(state: StringState) -> float:
     """max over nodes of |<p, r'>| (nodal central derivative)."""
     rp = sigma_derivative(state.grid, state.r)
     return float(np.max(np.abs(np.einsum("ij,ij->i", rp, state.p))))
-
-
-# --- charged string ---------------------------------------------------------------
-
-
-@dataclass
-class ChargedStringTerms:
-    """Named force contributions per node.
-
-    Only the three electromagnetic terms are zero at the fixed ends (as are
-    the rate's dr and dp); the others keep their end rows.
-    """
-
-    magnetic: np.ndarray          # q rdot x B
-    vecpot_gradient: np.ndarray   # -q grad<A, rdot>
-    induction: np.ndarray         # -q dA/dtau
-    wbar_gradient: np.ndarray     # -(Q_f) grad(wbar) piece
-    tension: np.ndarray           # d/dsigma of the projector bracket
-    rdot: np.ndarray              # node velocities v + u_f beta
-    relative_velocity: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
-class ChargedStringRhs:
-    dr: np.ndarray
-    dp: np.ndarray
-    terms: ChargedStringTerms
-
-
-def charged_string_rhs(state: StringState, field: PotentialField, q: float) -> ChargedStringRhs:
-    """Full force law of a string of charge density q in field.
-
-    The source velocity u_f is the field's own (zero for fields without
-    one).  The state's momentum array is the generalized momentum P; the
-    potential-gradient and tension pieces are the staggered-functional
-    gradients in P (identical, term by term, to the uncharged flow when
-    u_f = 0 and A = 0), and the electromagnetic terms are evaluated
-    nodally from the external field.
-    """
-    u_f = getattr(field, "u_f", ZERO3)
-    n = state.grid.n
-
-    grad, tension, velocity = _flow_cells(state.grid.h, field, state.r, state.p, state.t)
-    grad_piece, tension_piece = _node_rows(grad), _node_rows(tension, np.subtract)
-    v = _node_rows(velocity)
-    beta = np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
-    rdot = v + np.outer(beta, u_f.as_array())
-
-    magnetic = np.zeros((n, 3))
-    vecpot_gradient = np.zeros((n, 3))
-    induction = np.zeros((n, 3))
-    if q != 0.0:
-        inner = slice(1, n - 1)
-        jac = field.grad_vecpot_many(state.r[inner], state.t[inner])
-        curl = np.column_stack(
-            [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
-        )
-        magnetic[inner] = q * np.cross(rdot[inner], curl)
-        vecpot_gradient[inner] = -q * np.einsum("nij,ni->nj", jac, rdot[inner])
-        induction[inner] = (-q * beta[inner])[:, None] * field.dvecpot_dt_many(
-            state.r[inner], state.t[inner]
-        )
-
-    dp = grad_piece + tension_piece + magnetic + vecpot_gradient + induction
-    dr = rdot.copy()
-    dr[0] = dr[-1] = 0.0
-    dp[0] = dp[-1] = 0.0
-
-    terms = ChargedStringTerms(
-        magnetic=magnetic,
-        vecpot_gradient=vecpot_gradient,
-        induction=induction,
-        wbar_gradient=grad_piece,
-        tension=tension_piece,
-        rdot=rdot,
-        relative_velocity=v,
-        beta=beta,
-    )
-    return ChargedStringRhs(dr=dr, dp=dp, terms=terms)
 
 
 # --- state builders ---------------------------------------------------------------

@@ -381,6 +381,28 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     assert message in err
 
 
+def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
+    import vacuumlab.integrate as integ
+
+    # every force after the first is NaN: each attempt's estimate is NaN, so
+    # none is accepted and the step collapses, where accepting the NaN state
+    # would end in a domain error (exit 2)
+    calls, law = [], integ._vacuum_law
+
+    def turns_nan(model, r, big_p, t):
+        force, u, p = law(model, r, big_p, t)
+        calls.append(t)
+        return (force if len(calls) == 1 else (math.nan,) * 3), u, p
+
+    monkeypatch.setattr(integ, "_vacuum_law", turns_nan)
+    data = minimal_particle(str(tmp_path / "out"))
+    data["integration"]["method"] = "rk45"
+    assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("no convergence: adaptive step collapsed") and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "edit, key",
     [

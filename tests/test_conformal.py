@@ -47,8 +47,13 @@ def test_gauge_defects_and_violation():
     sigma = np.linspace(0.0, 1.0, 17)
     patch = make_patch(sigma, sigma, lambda sg, ss: np.array([sg**2, 0.0, 0.0, ss]))
     assert patch.max_gauge_defect() > 1.0
-    with pytest.raises(GaugeViolationError):
+    with pytest.raises(GaugeViolationError, match=r"^patch gauge defect .* exceeds 1e-08$"):
         conformal_residual(patch, UniformField(-1.0), gauge_tol=1e-8)
+    loose = 2.0 * patch.max_gauge_defect()
+    assert conformal_residual(patch, UniformField(-1.0), gauge_tol=loose).shape == (15, 15, 4)
+    # the solve checks its solution with the same test
+    with pytest.raises(GaugeViolationError, match=r"^solved patch gauge defect .* exceeds 1e-08$"):
+        solve_conformal(patch, UniformField(-1.0), tol=1e-8, gauge_tol=1e-8)
 
 
 def test_solve_laplace_polynomial_boundary():

@@ -9,6 +9,7 @@ from vacuumlab.errors import (
     ConvergenceError,
     DegenerateMultiplierError,
     PhysicsDomainError,
+    StepFailureError,
     SuperluminalVelocityError,
     ValidationError,
 )
@@ -346,6 +347,43 @@ def test_exact_rkf45_estimates_grow_the_step():
     rows = list(integ._march(lambda x, y: (1.0,), lambda x, y: None, 0.0, (0.0,), params, "t"))
     assert [x for x, _ in rows] == [0.001, 0.006, 0.031, 0.156, 0.781, 1.0]
     assert all(y == (x,) for x, y in rows)
+
+
+def _nan_after_first_call():
+    calls = []
+
+    def law(x, y):
+        calls.append(x)
+        return (1.0 if len(calls) == 1 else math.nan, 0.0)
+
+    return law
+
+
+def test_rkf45_rejects_a_nan_estimate():
+    # max(ratio, nan) keeps ratio: the NaN state would be accepted with ratio 0
+    accepted, y5, ratio = rkf45_step(_nan_after_first_call(), 0.0, (0.0, 0.1), 0.1, 1e-9, 1e-12)
+    assert not accepted and ratio == math.inf
+    assert math.isnan(y5[0])
+
+
+def test_a_law_that_stays_nan_collapses_the_adaptive_step():
+    params = IntegrationParams(step=0.1, n_steps=10, method="rk45")
+    march = integ._march(_nan_after_first_call(), lambda x, y: None, 0.0, (0.0, 0.1), params, "t")
+    with pytest.raises(StepFailureError, match=r"collapsed below .* \[t=0\]$"):
+        next(march)
+
+
+def test_a_law_nan_only_at_large_steps_is_stepped_past_at_a_smaller_one():
+    # dy/dx = -y, outside its domain y >= 0.2: a step of 1 from y = 1 reaches
+    # y = 0.04 in its fifth stage, a step of 0.2 never leaves the domain
+    def law(x, y):
+        return (-y[0] if y[0] >= 0.2 else math.nan,)
+
+    params = IntegrationParams(step=1.0, n_steps=1, method="rk45", rel_tol=1e-4, abs_tol=1e-6)
+    rows = list(integ._march(law, lambda x, y: None, 0.0, (1.0,), params, "t"))
+    assert rows[0][0] == 0.2  # the NaN attempt at h = 1, then h = 0.2 accepted
+    assert rows[-1][0] == 1.0 and all(math.isfinite(y) for _, (y,) in rows)
+    assert rows[-1][1][0] == pytest.approx(math.exp(-1.0), rel=1e-4)
 
 
 def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatch):

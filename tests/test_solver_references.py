@@ -1,6 +1,10 @@
 """The string flow and the SOR solver against the loops they replaced.
 
-``reference_integrate_string`` is the loop ``integrate_string`` ran before
+``reference_charged_rhs`` is the charged-string force law as it was written
+before it became the string writer ``strings._rates`` given a charge and a
+source velocity: each term assembled on its own node rows, and kept by
+name so the finite-difference oracle in ``test_strings.py`` can check
+each one.  ``reference_integrate_string`` is the loop ``integrate_string`` ran before
 the string trajectory kept its flat states as columns: a new ``StringState``
 per right-hand-side call, with the flow assembled node by node from a cell
 record, and a ``StringState`` copy per step.  ``reference_relax`` is the
@@ -33,7 +37,14 @@ from vacuumlab.integrate import (
     rk4_step,
     rkf45_step,
 )
-from vacuumlab.potentials import LinearField, SourceKind, SourceSpec, UniformField, build_potential
+from vacuumlab.potentials import (
+    LinearField,
+    SourceKind,
+    SourceSpec,
+    UniformField,
+    UniformMagneticField,
+    build_potential,
+)
 from vacuumlab.strings import (
     StringGrid,
     StringState,
@@ -103,6 +114,55 @@ def reference_rhs(state, field):
     dr[0] = dr[-1] = 0.0
     dp[0] = dp[-1] = 0.0
     return dr, dp
+
+
+def _reference_node_rows(cells, lead=np.add):
+    """All node rows of a cell piece, as a sum into zeros; the end nodes receive their one cell."""
+    return np.concatenate([lead(0.0, cells[:1]), lead(0.0, cells[1:]) + cells[:-1], 0.0 + cells[-1:]])
+
+
+def reference_charged_rhs(state, field, q):
+    """(dr, dp, terms) of a string of charge density q, the field's u_f, each term by name."""
+    u_f = getattr(field, "u_f", ZERO3)
+    n = state.grid.n
+
+    grad, tension, velocity = strings._flow_cells(state.grid.h, field, state.r, state.p, state.t)
+    grad_piece = _reference_node_rows(grad)
+    tension_piece = _reference_node_rows(tension, np.subtract)
+    v = _reference_node_rows(velocity)
+    beta = np.sqrt(1.0 + np.einsum("ij,ij->i", v, v))
+    rdot = v + np.outer(beta, u_f.as_array())
+
+    magnetic = np.zeros((n, 3))
+    vecpot_gradient = np.zeros((n, 3))
+    induction = np.zeros((n, 3))
+    if q != 0.0:
+        inner = slice(1, n - 1)
+        jac = field.grad_vecpot_many(state.r[inner], state.t[inner])
+        curl = np.column_stack(
+            [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
+        )
+        magnetic[inner] = q * np.cross(rdot[inner], curl)
+        vecpot_gradient[inner] = -q * np.einsum("nij,ni->nj", jac, rdot[inner])
+        induction[inner] = (-q * beta[inner])[:, None] * field.dvecpot_dt_many(
+            state.r[inner], state.t[inner]
+        )
+
+    dp = grad_piece + tension_piece + magnetic + vecpot_gradient + induction
+    dr = rdot.copy()
+    dr[0] = dr[-1] = 0.0
+    dp[0] = dp[-1] = 0.0
+    terms = {
+        "magnetic": magnetic,  # q rdot x B
+        "vecpot_gradient": vecpot_gradient,  # -q grad<A, rdot>
+        "induction": induction,  # -q beta dA/dt
+        "wbar_gradient": grad_piece,
+        "tension": tension_piece,
+        "rdot": rdot,  # v + u_f beta
+        "relative_velocity": v,
+        "beta": beta,
+    }
+    return dr, dp, terms
 
 
 def reference_hamiltonian(state, field):
@@ -225,10 +285,37 @@ def test_string_laws_equal_the_cell_record_assembly(case):
     assert string_hamiltonian(state, field) == reference_hamiltonian(state, field)
 
     grad_piece, tension_piece, velocity = reference_gradient_parts(state, field)
-    terms = charged_string_rhs(state, field, 0.0).terms
-    assert identical(terms.wbar_gradient, grad_piece)
-    assert identical(terms.tension, tension_piece)
-    assert identical(terms.relative_velocity, velocity)
+    terms = reference_charged_rhs(state, field, 0.0)[2]
+    assert identical(terms["wbar_gradient"], grad_piece)
+    assert identical(terms["tension"], tension_piece)
+    assert identical(terms["relative_velocity"], velocity)
+
+
+CHARGED_FIELDS = {
+    "uniform": lambda: UniformField(-1.0),
+    "linear": lambda: LinearField(-2.0, Vec3(0.15, -0.1, 0.05)),
+    "coulomb-static": lambda: build_potential(
+        SourceSpec(SourceKind.COULOMB_STATIC, 0.8, softening=0.3, background=-2.0), 1.0
+    ),
+    "coulomb-comoving": _comoving_coulomb,
+    # A != 0 with u_f = 0
+    "uniform-b": lambda: UniformMagneticField(Vec3(0.2, -0.4, 0.9), -1.0),
+}
+
+
+@pytest.mark.parametrize("q", [0.0, 0.6, -1.3])
+@pytest.mark.parametrize("kind", sorted(CHARGED_FIELDS))
+def test_charged_string_rhs_equals_the_term_split(kind, q):
+    field = CHARGED_FIELDS[kind]()
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        state = _pluck(24, Vec3(0.5, 0.2, -0.1), Vec3(1.5, 0.3, 0.1), 0.01)
+        state.r[1:-1] += 0.02 * rng.normal(size=(22, 3))
+        state.p[1:-1] += 0.05 * rng.normal(size=(22, 3))
+        state.t = rng.uniform(0.0, 0.5, size=24)
+        dr, dp = charged_string_rhs(state, field, q)
+        ref_dr, ref_dp, _ = reference_charged_rhs(state, field, q)
+        assert identical(dr, ref_dr) and identical(dp, ref_dp)
 
 
 def test_string_energy_domain_abort_equals_the_reference():

@@ -27,6 +27,7 @@ from vacuumlab.strings import (
     string_momentum,
     transversality_defect,
 )
+from test_solver_references import identical, reference_charged_rhs
 
 
 def unit_string(n=16, wbar=-1.0):
@@ -251,9 +252,9 @@ def test_charged_rhs_reduces_to_uncharged():
     state.r[:, 1] += 0.03 * np.sin(math.pi * state.grid.sigma)
     state.p[1:-1, 1] = 0.02
     dr_u, dp_u = string_canonical_rhs(state, field)
-    rhs = charged_string_rhs(state, field, 0.5)
-    assert np.array_equal(rhs.dr, dr_u)
-    assert np.array_equal(rhs.dp, dp_u)
+    dr, dp = charged_string_rhs(state, field, 0.5)
+    assert identical(dr, dr_u)
+    assert identical(dp, dp_u)
 
 
 def test_charged_rhs_uniform_vecpot_terms_vanish():
@@ -263,9 +264,13 @@ def test_charged_rhs_uniform_vecpot_terms_vanish():
         vecpot_fn=lambda r, t: Vec3(0.2, -0.1, 0.3),
         grad_vecpot_fn=lambda r, t: np.zeros((3, 3)),
     )
-    rhs = charged_string_rhs(state, const_a, 1.0)
-    assert np.max(np.abs(rhs.terms.magnetic)) < 1e-15
-    assert np.max(np.abs(rhs.terms.vecpot_gradient)) < 1e-15
+    terms = reference_charged_rhs(state, const_a, 1.0)[2]
+    assert np.max(np.abs(terms["magnetic"])) < 1e-15
+    assert np.max(np.abs(terms["vecpot_gradient"])) < 1e-15
+    # so the law is the uncharged flow's
+    dr_u, dp_u = string_canonical_rhs(state, const_a)
+    dr, dp = charged_string_rhs(state, const_a, 1.0)
+    assert identical(dr, dr_u) and identical(dp, dp_u)
 
 
 def test_charged_rhs_term_by_term_oracle():
@@ -280,13 +285,16 @@ def test_charged_rhs_term_by_term_oracle():
     state, grid = smooth_state(n=20, seed=71, amp=0.04)
     state.r[:, 0] += 0.5  # keep away from the source core
     q = 0.6
-    rhs = charged_string_rhs(state, field, q)
+    # the law's terms, each checked below, by the test-side term split whose sum it is
+    ref_dr, ref_dp, terms = reference_charged_rhs(state, field, q)
+    dr, dp = charged_string_rhs(state, field, q)
+    assert identical(dr, ref_dr) and identical(dp, ref_dp)
     h = 1e-5
     for i in (3, 9, 16):
         ri = Vec3(*state.r[i])
         ti = float(state.t[i])
-        rdot = Vec3(*rhs.terms.rdot[i])
-        beta = rhs.terms.beta[i]
+        rdot = Vec3(*terms["rdot"][i])
+        beta = terms["beta"][i]
         # magnetic term against a finite-difference curl
         curl = np.zeros(3)
         for (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -298,7 +306,7 @@ def test_charged_rhs_term_by_term_oracle():
             db_dc = (field.vecpot(ri + Vec3(*ec), ti)[b] - field.vecpot(ri - Vec3(*ec), ti)[b]) / (2 * h)
             curl[a] = dc_db - db_dc
         mag_fd = q * np.cross(np.array(list(rdot)), curl)
-        assert np.allclose(rhs.terms.magnetic[i], mag_fd, rtol=1e-6, atol=1e-9)
+        assert np.allclose(terms["magnetic"][i], mag_fd, rtol=1e-6, atol=1e-9)
         # vector-potential gradient term
         grad_fd = np.zeros(3)
         for k in range(3):
@@ -308,14 +316,14 @@ def test_charged_rhs_term_by_term_oracle():
                 rdot.dot(field.vecpot(ri + Vec3(*e), ti))
                 - rdot.dot(field.vecpot(ri - Vec3(*e), ti))
             ) / (2 * h)
-        assert np.allclose(rhs.terms.vecpot_gradient[i], -q * grad_fd, rtol=1e-6, atol=1e-9)
+        assert np.allclose(terms["vecpot_gradient"][i], -q * grad_fd, rtol=1e-6, atol=1e-9)
         # induction term against a time difference
         at = (field.vecpot(ri, ti + h) - field.vecpot(ri, ti - h)) / (2 * h)
         assert np.allclose(
-            rhs.terms.induction[i], -q * beta * np.array(list(at)), rtol=1e-6, atol=1e-9
+            terms["induction"][i], -q * beta * np.array(list(at)), rtol=1e-6, atol=1e-9
         )
     # Hamiltonian-part terms against the finite-difference functional gradient
-    dgrad = rhs.terms.wbar_gradient + rhs.terms.tension
+    dgrad = terms["wbar_gradient"] + terms["tension"]
     for j in (5, 12):
         for k in range(3):
             pert = state.copy()
