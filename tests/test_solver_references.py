@@ -4,12 +4,13 @@
 before it became the string writer ``strings._rates`` given a charge and a
 source velocity: each term assembled on its own node rows, and kept by
 name so the finite-difference oracle in ``test_strings.py`` can check
-each one.  ``reference_integrate_string`` is the loop ``integrate_string`` ran before
-the string trajectory kept its flat states as columns: a new ``StringState``
-per right-hand-side call, with the flow assembled node by node from a cell
-record, and a ``StringState`` copy per step.  ``reference_relax`` is the
-three-residual checkerboard sweep ``relax_elliptic`` ran before it reused the
-residual after a sweep, driven by the conformal residual as it was then
+each one.  ``reference_integrate_string`` is the loop ``integrate_string``
+ran before the string trajectory kept its flat states as columns: a new
+``StringState`` per right-hand-side call, with the flow assembled node by
+node from a cell record, and a ``StringState`` copy per step.
+``reference_relax`` is the three-residual checkerboard sweep
+``relax_elliptic`` ran before it reused the residual after a sweep,
+driven by the conformal residual as it was then
 written (the potential gradient on the full grid).  ``reference_rk4_step``
 and ``reference_rkf45_step`` are the steppers as they were written with
 generator-built stage tuples.  All must be reproduced bit for bit, signs

@@ -285,7 +285,7 @@ def test_charged_rhs_term_by_term_oracle():
     state, grid = smooth_state(n=20, seed=71, amp=0.04)
     state.r[:, 0] += 0.5  # keep away from the source core
     q = 0.6
-    # the law's terms, each checked below, by the test-side term split whose sum it is
+    # the reference's terms are checked below, and the law is their sum bit for bit
     ref_dr, ref_dp, terms = reference_charged_rhs(state, field, q)
     dr, dp = charged_string_rhs(state, field, q)
     assert identical(dr, ref_dr) and identical(dp, ref_dp)
