@@ -241,7 +241,7 @@ def check_conformal_laplace():
     solved, result = solve_conformal(case.boundary, case.field, tol=1e-10)
     err = float(np.max(np.abs(solved.xi - case.exact.xi)))
     gauge = solved.max_gauge_defect()
-    return err < 1e-8 and gauge < 1e-8, f"err {err:.2e}, gauge {gauge:.2e}, {result.iterations} sweeps"
+    return err < 1e-8 and gauge < 1e-8, f"err {err:.2e}, gauge {gauge:.2e}, {result.iterations} V-cycles"
 
 
 def check_alt_hamiltonian_gap():

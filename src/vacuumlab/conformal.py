@@ -6,11 +6,12 @@ into Euclidean 4-space satisfies the linear second-order equation
     d/ds (wbar xi_s) + d/dsigma (wbar xi_sigma) = (xi_sigma^2 xi_s^2)^(1/2) grad_xi(wbar)
 
 which is elliptic (the induced metric is Euclidean), so it is treated as
-a boundary-value problem: Dirichlet data on all four patch edges,
-relaxed by checkerboard sweeps.  The right-hand side is the full
-4-gradient of the potential with respect to xi, the form the least-action
-derivation produces; the potential is evaluated with the patch's tau
-slot as its time argument (static potentials are unaffected).
+a boundary-value problem: Dirichlet data on all four patch edges, solved
+by FAS multigrid V-cycles on grids that can be halved and by checkerboard
+SOR sweeps (`integrate.relax_elliptic`) on the others.  The right-hand
+side is the full 4-gradient of the potential with respect to xi, the form
+the least-action derivation produces; the potential is evaluated with the
+patch's tau slot as its time argument (static potentials are unaffected).
 
 Gauge identities <xi_sigma, xi_s> = 0 and xi_sigma^2 = xi_s^2 are a
 property of the data, not enforced by the solver; pass gauge_tol to have
@@ -20,12 +21,22 @@ them checked (GaugeViolationError) and use gauge_defects for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from functools import partial
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import GaugeViolationError, ValidationError
-from .integrate import RelaxationResult, relax_elliptic
+from .integrate import (
+    RelaxationResult,
+    _Checkerboard,
+    _checkerboard,
+    _color_diagonals,
+    _color_sweep,
+    _iterate,
+    _relaxation_grid,
+    relax_elliptic,
+)
 from .potentials import PotentialField
 
 
@@ -74,17 +85,6 @@ class ConformalPatch:
     def max_gauge_defect(self) -> float:
         inner, norms = self.gauge_defects()
         return float(max(np.max(np.abs(inner)), np.max(np.abs(norms))))
-
-
-def make_patch(sigma: np.ndarray, s: np.ndarray, fn: Callable[[float, float], np.ndarray]) -> ConformalPatch:
-    """Sample xi(sigma, s) from a callable returning a length-4 array."""
-    sigma = np.asarray(sigma, dtype=float)
-    s = np.asarray(s, dtype=float)
-    xi = np.empty((sigma.size, s.size, 4))
-    for i, sg in enumerate(sigma):
-        for j, ss in enumerate(s):
-            xi[i, j, :] = fn(float(sg), float(ss))
-    return ConformalPatch(sigma, s, xi)
 
 
 def _wbar_grid(xi: np.ndarray, field: PotentialField) -> np.ndarray:
@@ -136,14 +136,6 @@ def _check_gauge(patch: ConformalPatch, gauge_tol: Optional[float], label: str) 
             raise GaugeViolationError(f"{label} gauge defect {defect:.3g} exceeds {gauge_tol:.3g}")
 
 
-def conformal_residual(
-    patch: ConformalPatch, w: PotentialField, gauge_tol: Optional[float] = None
-) -> np.ndarray:
-    """Residual 4-vectors at interior nodes; optionally enforce the gauge first."""
-    _check_gauge(patch, gauge_tol, "patch")
-    return residual_grid(patch.xi, patch.h_sigma, patch.h_s, w)
-
-
 def coons_interior(patch: ConformalPatch) -> np.ndarray:
     """Transfinite (Coons) interpolation of the boundary into the interior."""
     xi = np.array(patch.xi, dtype=float)
@@ -171,6 +163,88 @@ def coons_interior(patch: ConformalPatch) -> np.ndarray:
     return out
 
 
+# The multigrid cycle's constants: a grid is halved while both sides are odd
+# and both halves keep at least _COARSEST nodes, and the coarsest grid gets
+# _COARSEST_SWEEPS SOR sweeps per cycle.
+_COARSEST = 9
+_COARSEST_SWEEPS = 10
+
+
+def _halvable(n1: int, n2: int) -> bool:
+    """Both sides odd, and both halves ((n + 1) / 2 nodes) at least _COARSEST."""
+    return n1 % 2 == 1 and n2 % 2 == 1 and min(n1, n2) + 1 >= 2 * _COARSEST
+
+
+@dataclass
+class _Level:
+    """One grid of the multigrid hierarchy: its steps and its red-black sweep data."""
+
+    h_sigma: float
+    h_s: float
+    board: _Checkerboard
+    diagonals: list
+
+
+def _levels(xi: np.ndarray, h_sigma: float, h_s: float, field: PotentialField, base: np.ndarray):
+    """The hierarchy from the fine grid xi down, each level's diagonals probed at xi's injection.
+
+    base is the fine grid's residual_grid, the base of its probe.
+    """
+    levels = []
+    while True:
+        operator = partial(residual_grid, h_sigma=h_sigma, h_s=h_s, field=field)
+        board = _checkerboard(xi)
+        levels.append(_Level(h_sigma, h_s, board, _color_diagonals(operator, xi, base, board)))
+        if not _halvable(*xi.shape[:2]):
+            return levels
+        xi = xi[::2, ::2].copy()
+        h_sigma, h_s = 2.0 * h_sigma, 2.0 * h_s
+        base = residual_grid(xi, h_sigma, h_s, field)
+
+
+def _full_weighting(res: np.ndarray) -> np.ndarray:
+    """The interior residual of a grid, full-weighted onto the interior of its halved grid."""
+    rows = 0.25 * (res[:-2:2] + res[2::2]) + 0.5 * res[1:-1:2]
+    return 0.25 * (rows[:, :-2:2] + rows[:, 2::2]) + 0.5 * rows[:, 1:-1:2]
+
+
+def _bilinear(coarse: np.ndarray) -> np.ndarray:
+    """A halved grid's values, interpolated bilinearly onto the full grid."""
+    n1, n2, ncomp = coarse.shape
+    fine = np.empty((2 * n1 - 1, 2 * n2 - 1, ncomp))
+    fine[::2, ::2] = coarse
+    fine[1::2, ::2] = 0.5 * (coarse[:-1] + coarse[1:])
+    fine[:, 1::2] = 0.5 * (fine[:, :-2:2] + fine[:, 2::2])
+    return fine
+
+
+def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: PotentialField) -> np.ndarray:
+    """One FAS V-cycle for residual_grid(xi) = rhs on level k, updating xi in place.
+
+    res is residual_grid(xi) - rhs on entry; the same for the updated xi is
+    returned.  Boundary nodes never change.
+    """
+    level = levels[k]
+    colors, diagonals = level.board.colors, level.diagonals
+
+    def defect(grid):
+        return residual_grid(grid, level.h_sigma, level.h_s, field) - rhs
+
+    if k == len(levels) - 1:
+        for _ in range(_COARSEST_SWEEPS):
+            res = _color_sweep(defect, xi, res, colors, diagonals, level.board.omega)
+        return res
+    res = _color_sweep(defect, xi, res, colors, diagonals, 1.0)
+    coarse = levels[k + 1]
+    start = xi[::2, ::2].copy()
+    base = residual_grid(start, coarse.h_sigma, coarse.h_s, field)
+    coarse_rhs = base - _full_weighting(res)
+    grid = start.copy()
+    _v_cycle(levels, k + 1, grid, base - coarse_rhs, coarse_rhs, field)
+    xi[1:-1, 1:-1] += _bilinear(grid - start)[1:-1, 1:-1]
+    return _color_sweep(defect, xi, defect(xi), colors, diagonals, 1.0)
+
+
 def solve_conformal(
     boundary: ConformalPatch,
     w: PotentialField,
@@ -179,13 +253,22 @@ def solve_conformal(
     forcing: Optional[np.ndarray] = None,
     gauge_tol: Optional[float] = None,
 ) -> Tuple[ConformalPatch, RelaxationResult]:
-    """Relax the interior of a patch until max |residual| < tol.
+    """Solve for the interior of a patch until max |residual| < tol.
 
     Only the boundary of `boundary` is honored (the interior is re-seeded
     by transfinite interpolation).  `forcing`, when given, is subtracted
     from the interior residual (manufactured-solution runs).  Raises
     ConvergenceError when the budget is exhausted and GaugeViolationError
     when gauge_tol is set and the solution violates the gauge identities.
+
+    A grid whose sides are both odd with at least 17 nodes is solved by FAS
+    multigrid V-cycles, and the result's iterations count cycles, at most
+    max_iters.  Each cycle makes one red-black Gauss-Seidel sweep on each
+    level before and after its coarse correction, passes the grid down by
+    injection and the residual by full weighting, brings the correction back
+    bilinearly, and makes 10 SOR sweeps on the coarsest grid (the first
+    with a side that cannot be halved).  The convergence test follows each cycle.  Any other grid is
+    relaxed by `relax_elliptic`'s SOR sweeps alone.
     """
     if not np.all(np.isfinite(boundary.xi)):
         raise ValidationError("boundary data contains non-finite values")
@@ -198,11 +281,22 @@ def solve_conformal(
         if forcing.shape != expected:
             raise ValidationError(f"forcing must have shape {expected}")
 
-    def residual_fn(xi):
-        residual = residual_grid(xi, h_sigma, h_s, w)
-        return residual if forcing is None else residual - forcing
+    rhs = 0.0 if forcing is None else forcing  # x - 0.0 is x, bit for bit
+    if _halvable(*xi0.shape[:2]):
+        xi = _relaxation_grid(xi0, tol, max_iters)
+        base = residual_grid(xi, h_sigma, h_s, w)
+        levels = _levels(xi, h_sigma, h_s, w, base)
 
-    result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
+        def cycle(_, res):
+            return _v_cycle(levels, 0, xi, res, rhs, w)
+
+        result = _iterate(cycle, xi, base - rhs, tol, max_iters, "V-cycles")
+    else:
+
+        def residual_fn(xi):
+            return residual_grid(xi, h_sigma, h_s, w) - rhs
+
+        result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
     solved = boundary.copy_with(result.xi)
     _check_gauge(solved, gauge_tol, "solved patch")
     return solved, result

@@ -545,6 +545,10 @@ SHIPPED_RUNS = [
 # them; they may change only together with a recorded tolerance table of the
 # old and new outputs.
 SHIPPED_DIGESTS = {
+    "run-classical_coulomb": {
+        "classical-coulomb.csv": "3bbc3437240cb826ee1b5bd6b761d8f275bab2be376fa7753103ccc0fa80b45d",
+        "classical-coulomb_long.csv": "4fe842d9de102a25939fc18788e65332b607fb4d09523761a8869d4a912609aa",
+    },
     "run-classical_gyro": {
         "classical-gyro.csv": "dc7839d4d33771847d177cade5e1648175db30919dfd27c26ebb50e4b40b8493",
         "classical-gyro_long.csv": "6ce4582c6b7422ab8cb67a1bd07db410e8658401958933b5703f8319414c0414",
@@ -562,10 +566,14 @@ SHIPPED_DIGESTS = {
         "compare-interacting-uniform_long.csv": "352e803d8de995e636d2fe63826d0c1873fcd90009610196c245a808d0802385",
     },
     "run-conformal_laplace": {
-        "conformal-laplace.csv": "c12e26f15e760769df713767148d8a9e837bc8141273330df6521acbf8cd392a",
+        "conformal-laplace.csv": "f88e080b693e0127641421a42607faf32e2d766edb1bd66bf2a7c4fc7837ba5a",
     },
     "run-conformal_manufactured": {
-        "conformal-manufactured.csv": "32877f137042c139425a0bf9cc34f89ee88c8a5a72901ae1dac98e8b2d261f1d",
+        "conformal-manufactured.csv": "ededc2756f7f98791e54e70d9f0f3add3e5d2f7398e123ea864aaa9d7dff8030",
+    },
+    "run-constrained_rk45": {
+        "constrained-rk45.csv": "f60dd65c14af36f8377b91930b783c66ffb09e298e752019720b580004e4f875",
+        "constrained-rk45_long.csv": "b948ffa0ed1b6e4ff6ba5b4158812e1f44c039167f5a27ca1f6d2e98cca386da",
     },
     "run-constrained_uniform_e": {
         "constrained-uniform-e.csv": "bc6a5e252d979f0015c4148d532971104d07de95c76118435ba471268e43f98f",

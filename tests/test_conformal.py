@@ -5,13 +5,32 @@ import pytest
 
 from vacuumlab.conformal import (
     ConformalPatch,
-    conformal_residual,
-    make_patch,
+    _check_gauge,
+    coons_interior,
+    residual_grid,
     solve_conformal,
 )
 from vacuumlab.conformal_cases import harmonic_case, manufactured_case
 from vacuumlab.errors import ConvergenceError, GaugeViolationError, ValidationError
+from vacuumlab.integrate import relax_elliptic
 from vacuumlab.potentials import UniformField
+
+
+def make_patch(sigma, s, fn) -> ConformalPatch:
+    """Sample xi(sigma, s) from a callable returning a length-4 array."""
+    sigma = np.asarray(sigma, dtype=float)
+    s = np.asarray(s, dtype=float)
+    xi = np.empty((sigma.size, s.size, 4))
+    for i, sg in enumerate(sigma):
+        for j, ss in enumerate(s):
+            xi[i, j, :] = fn(float(sg), float(ss))
+    return ConformalPatch(sigma, s, xi)
+
+
+def conformal_residual(patch: ConformalPatch, w, gauge_tol=None) -> np.ndarray:
+    """Residual 4-vectors at interior nodes; optionally enforce the gauge first."""
+    _check_gauge(patch, gauge_tol, "patch")
+    return residual_grid(patch.xi, patch.h_sigma, patch.h_s, w)
 
 
 def test_residual_harmonic_polynomial_is_tiny():
@@ -113,3 +132,48 @@ def test_patch_validation():
         ConformalPatch(np.linspace(0, 1, 5), np.linspace(0, 1, 5), np.zeros((5, 4, 4)))
     with pytest.raises(ValidationError):
         ConformalPatch(np.array([0.0, 0.2, 0.3]), np.linspace(0, 1, 3), np.zeros((3, 3, 4)))
+
+
+@pytest.mark.parametrize("n", [33, 65, 129])
+def test_multigrid_cycles_do_not_grow_with_the_grid(n):
+    # the SOR sweep needed 89, 170 and 324 sweeps here
+    case = manufactured_case(n, n)
+    solved, result = solve_conformal(case.boundary, case.field, tol=1e-9, forcing=case.forcing)
+    assert result.iterations <= 12 and result.final_residual < 1e-9
+    assert len(result.history) == result.iterations
+
+
+def test_multigrid_rectangular_grid_converges_with_its_boundary_kept():
+    case = manufactured_case(33, 17)  # halved once, to 17 x 9
+    solved, result = solve_conformal(case.boundary, case.field, tol=1e-9, forcing=case.forcing)
+    assert result.final_residual < 1e-9
+    assert np.max(np.abs(solved.xi - case.exact.xi)) < 2e-5
+    interior = np.zeros(solved.xi.shape[:2], dtype=bool)
+    interior[1:-1, 1:-1] = True
+    assert np.array_equal(solved.xi[~interior], case.boundary.xi[~interior])
+
+
+@pytest.mark.parametrize("shape", [(34, 34), (33, 34)])
+def test_grids_that_cannot_be_halved_get_the_sor_relaxation(shape):
+    case = manufactured_case(*shape)
+    h_sigma, h_s = case.boundary.h_sigma, case.boundary.h_s
+
+    def residual(xi):
+        return residual_grid(xi, h_sigma, h_s, case.field) - case.forcing
+
+    ref = relax_elliptic(residual, coons_interior(case.boundary), 1e-9)
+    solved, result = solve_conformal(case.boundary, case.field, tol=1e-9, forcing=case.forcing)
+    assert solved.xi.tobytes() == ref.xi.tobytes()
+    assert (result.iterations, result.final_residual, result.history) == (
+        ref.iterations,
+        ref.final_residual,
+        ref.history,
+    )
+
+
+def test_multigrid_cycle_budget_raises_with_its_history():
+    case = manufactured_case(33, 33)
+    with pytest.raises(ConvergenceError, match=r"^no convergence after 3 V-cycles") as err:
+        solve_conformal(case.boundary, case.field, tol=1e-30, max_iters=3, forcing=case.forcing)
+    history = err.value.residual_history
+    assert len(history) == 3 and history[0] > history[1] > history[2] > 0.0

@@ -21,10 +21,7 @@ REFERENCED_ONLY_BY_TESTS = {
     "strings.string_momentum",
     # the alternative functional whose gap to the energy the README reports
     "strings.string_hamiltonian_alt",
-    # samples a patch from a callable, for residual tests on closed-form surfaces
-    "conformal.make_patch",
-    # the residual with the optional gauge check, on a patch rather than an array
-    "conformal.conformal_residual",
+    # conformal.make_patch and conformal.conformal_residual moved into test_conformal.py
     # the oracle group: checks of the hand-coded laws that audit does not report yet
     "variational.discrete_action",
     "variational.legendre_transform_check",

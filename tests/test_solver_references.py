@@ -14,7 +14,8 @@ driven by the conformal residual as it was then
 written (the potential gradient on the full grid).  ``reference_rk4_step``
 and ``reference_rkf45_step`` are the steppers as they were written with
 generator-built stage tuples.  All must be reproduced bit for bit, signs
-of zero included.
+of zero included, except by ``solve_conformal`` on grids it can halve: its
+multigrid solution is held to ``reference_relax``'s within a recorded gap.
 """
 
 import math
@@ -612,25 +613,29 @@ def _conformal_problem(case, residual_grid_fn):
     return residual, coons_interior(case.boundary)
 
 
+# (case, tol, bound on max |xi - SOR xi| of solve_conformal's multigrid
+# solution).  The grids are halvable, so solve_conformal runs V-cycles, not the
+# SOR sweep; the bounds are about ten times the gaps measured when the cycles
+# replaced it (1.74e-12, 1.21e-12, 3.86e-13; see CHANGES.md).
 SOR_CASES = {
-    "manufactured-17": (lambda: manufactured_case(17, 17), 1e-9),
-    "manufactured-33": (lambda: manufactured_case(33, 33), 1e-9),
-    "harmonic-exp-17": (lambda: harmonic_case(17, 17, kind="exp"), 1e-10),
+    "manufactured-17": (lambda: manufactured_case(17, 17), 1e-9, 2e-11),
+    "manufactured-33": (lambda: manufactured_case(33, 33), 1e-9, 2e-11),
+    "harmonic-exp-17": (lambda: harmonic_case(17, 17, kind="exp"), 1e-10, 4e-12),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SOR_CASES))
 def test_sor_solve_equals_the_three_residual_sweep(case):
-    make_case, tol = SOR_CASES[case]
+    make_case, tol, gap = SOR_CASES[case]
     c = make_case()
     got = relax_elliptic(*_conformal_problem(c, residual_grid), tol)
     ref_problem = _conformal_problem(c, reference_residual_grid)
     xi, iterations, final, history = reference_relax(*ref_problem, tol)
     assert identical(got.xi, xi)
     assert (got.iterations, got.final_residual, got.history) == (iterations, final, history)
-    # and the solver entry point returns the same relaxation
+    # and the solver entry point's multigrid solve lands within the recorded gap
     solved, result = solve_conformal(c.boundary, c.field, tol, forcing=c.forcing)
-    assert identical(solved.xi, xi) and result.history == history
+    assert np.max(np.abs(solved.xi - xi)) <= gap and result.final_residual < tol
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-7])
