@@ -218,11 +218,11 @@ def _bilinear(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: PotentialField) -> np.ndarray:
+def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: PotentialField) -> None:
     """One FAS V-cycle for residual_grid(xi) = rhs on level k, updating xi in place.
 
-    res is residual_grid(xi) - rhs on entry; the same for the updated xi is
-    returned.  Boundary nodes never change.
+    res is residual_grid(xi) - rhs on entry; the residual of the updated xi
+    is left to the caller.  Boundary nodes never change.
     """
     level = levels[k]
     colors, diagonals = level.board.colors, level.diagonals
@@ -231,10 +231,12 @@ def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: Potent
         return residual_grid(grid, level.h_sigma, level.h_s, field) - rhs
 
     if k == len(levels) - 1:
-        for _ in range(_COARSEST_SWEEPS):
-            res = _color_sweep(defect, xi, res, colors, diagonals, level.board.omega)
-        return res
-    res = _color_sweep(defect, xi, res, colors, diagonals, 1.0)
+        for sweep in range(_COARSEST_SWEEPS):
+            res = defect(xi) if sweep else res
+            _color_sweep(defect, xi, res, colors, diagonals, level.board.omega)
+        return
+    _color_sweep(defect, xi, res, colors, diagonals, 1.0)
+    res = defect(xi)
     coarse = levels[k + 1]
     start = xi[::2, ::2].copy()
     base = residual_grid(start, coarse.h_sigma, coarse.h_s, field)
@@ -242,7 +244,7 @@ def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: Potent
     grid = start.copy()
     _v_cycle(levels, k + 1, grid, base - coarse_rhs, coarse_rhs, field)
     xi[1:-1, 1:-1] += _bilinear(grid - start)[1:-1, 1:-1]
-    return _color_sweep(defect, xi, defect(xi), colors, diagonals, 1.0)
+    _color_sweep(defect, xi, defect(xi), colors, diagonals, 1.0)
 
 
 def solve_conformal(
@@ -288,7 +290,8 @@ def solve_conformal(
         levels = _levels(xi, h_sigma, h_s, w, base)
 
         def cycle(_, res):
-            return _v_cycle(levels, 0, xi, res, rhs, w)
+            _v_cycle(levels, 0, xi, res, rhs, w)
+            return residual_grid(xi, h_sigma, h_s, w) - rhs
 
         result = _iterate(cycle, xi, base - rhs, tol, max_iters, "V-cycles")
     else:

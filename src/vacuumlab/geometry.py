@@ -9,8 +9,10 @@ the two clocks are related by
 which are exact inverses of each other under u = rdot / (1 + rdot^2)^(1/2).
 
 Code written once on components takes floats or equal-length 1-D arrays
-alike; ``root``, ``violated`` and ``domain_error`` are its square root and
-domain guard.
+alike.  A kernel that takes a square root or tests a domain guard is a
+closure over the two, bound to ``FLOATS`` for the stepper and to ``ROWS``
+(``root`` and ``violated``, on floats or arrays) for everything else;
+``domain_error`` formats a failure of either.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def violated(bad) -> bool:
     return bad is True or (bad is not False and bool(bad.any()))
 
 
+# (sqrt, violated) pairs a kernel written once is bound to
+FLOATS = (math.sqrt, bool)
+ROWS = (root, violated)
+
+
 def domain_error(error, bad, message: str, *values):
     """error(message) for the first row where bad holds, formatted with that row's values.
 
@@ -112,19 +119,27 @@ def domain_error(error, bad, message: str, *values):
     return error(message.format(*values))
 
 
-def proper_time_factor(u):
-    """dtau/dt = (1 - |u|^2)^(1/2) for lab velocity u; in (0, 1].
+def _time_factor(sqrt, violated):
+    """proper_time_factor bound to a square root and a domain test (FLOATS or ROWS)."""
 
-    u is an (x, y, z) triple of floats or of 1-D arrays (a Vec3, or the
-    transpose of an (m, 3) array).  Raises SuperluminalVelocityError when
-    |u| >= 1, for the first such row on arrays.
-    """
-    x, y, z = u
-    u2 = (x * x + y * y) + z * z
-    bad = u2 >= 1.0
-    if violated(bad):
-        raise domain_error(SuperluminalVelocityError, bad, "|u| = {:.6g} >= 1", root(u2))
-    return root(1.0 - u2)
+    def proper_time_factor(u):
+        """dtau/dt = (1 - |u|^2)^(1/2) for lab velocity u; in (0, 1].
+
+        u is an (x, y, z) triple of floats or of 1-D arrays (a Vec3, or the
+        transpose of an (m, 3) array).  Raises SuperluminalVelocityError when
+        |u| >= 1, for the first such row on arrays.
+        """
+        x, y, z = u
+        u2 = (x * x + y * y) + z * z
+        bad = u2 >= 1.0
+        if violated(bad):
+            raise domain_error(SuperluminalVelocityError, bad, "|u| = {:.6g} >= 1", sqrt(u2))
+        return sqrt(1.0 - u2)
+
+    return proper_time_factor
+
+
+proper_time_factor = _time_factor(*ROWS)
 
 
 def lab_time_factor(rdot: Vec3) -> float:

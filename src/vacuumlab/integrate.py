@@ -20,7 +20,8 @@ annotates a physics-domain error with the t or tau of its step.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
-y straight to the component laws of `particle`.  The check of a new state
+y straight to the model's law, bound to floats once per run and composed
+with the axis's clock factors by `_evaluator`.  The check of a new state
 evaluates the law there, reads u and p from that evaluation, and keeps it
 as the next step's k1, so a step costs one law evaluation per stage and
 the last state's check one more.  One decoder reads the flat layout back
@@ -43,7 +44,8 @@ its `StringState`s are views of the rows, built on demand.
 The checkerboard SOR solver evaluates the residual twice per sweep.  Its
 color sweep, diagonal probe and convergence loop are private helpers that
 the conformal solver's multigrid V-cycle reuses as its smoother, its
-coarsest-grid solve and its cycle loop.
+coarsest-grid solve and its cycle loop; the color sweep leaves the
+residual after its last color to the callers that read it.
 """
 
 from __future__ import annotations
@@ -62,18 +64,16 @@ from .errors import (
     StepFailureError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3, domain_error, proper_time_factor, violated
+from .geometry import FLOATS, Vec3, ZERO3, _time_factor, domain_error, violated
 from .particle import (
     INVARIANTS,
     ForceModel,
     ModelKind,
     ParticleColumns,
     ParticleState,
-    _vacuum_law,
     _velocity,
+    bind_law,
     check_state,
-    classical_rhs,
-    constrained_rhs,
     qa_vector,
 )
 
@@ -414,30 +414,25 @@ def _decoder(model: ForceModel, axis: str) -> Callable:
 
 
 def _evaluator(model: ForceModel, axis: str) -> Callable:
-    """evaluate(x, y) -> (dy/dx, u, p): the model's law once at one flat state."""
+    """evaluate(x, y) -> (dy/dx, u, p): the model's float-bound law once at one flat state.
+
+    A stage makes one law call, the law's field calls and one call per clock factor.
+    """
+    law, clock = bind_law(model, FLOATS), _time_factor(*FLOATS)
     if model.kind is ModelKind.CONSTRAINED:
 
         def evaluate(t, y):
             p = y[3:6]
-            (d1x, d1y, d1z), d2, u = constrained_rhs(model, y[0:3], p, y[6], t)
-            return (*u, d1x, d1y, d1z, d2, proper_time_factor(u)), u, p
-
-        return evaluate
-
-    if model.kind is ModelKind.CLASSICAL:
-
-        def evaluate(t, y):
-            p = y[3:6]
-            (dpx, dpy, dpz), u = classical_rhs(model, y[0:3], p, t)
-            return (*u, dpx, dpy, dpz, proper_time_factor(u)), u, p
+            (d1x, d1y, d1z), d2, u = law(y[0:3], p, y[6], t)
+            return (*u, d1x, d1y, d1z, d2, clock(u)), u, p
 
         return evaluate
 
     if axis == "lab":
 
         def evaluate(t, y):
-            (dpx, dpy, dpz), u, p = _vacuum_law(model, y[0:3], y[3:6], t)
-            return (*u, dpx, dpy, dpz, proper_time_factor(u)), u, p
+            (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], t)
+            return (*u, dpx, dpy, dpz, clock(u)), u, p
 
         return evaluate
 
@@ -446,13 +441,13 @@ def _evaluator(model: ForceModel, axis: str) -> Callable:
     moving = (ufx, ufy, ufz) != ZERO3
 
     def evaluate(x, y):
-        (dpx, dpy, dpz), u, p = _vacuum_law(model, y[0:3], y[3:6], y[6])
+        (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], y[6])
         ux, uy, uz = u
         if moving:
-            rate = 1.0 / proper_time_factor((ux - ufx, uy - ufy, uz - ufz))
-            dtau = proper_time_factor(u) * rate
+            rate = 1.0 / clock((ux - ufx, uy - ufy, uz - ufz))
+            dtau = clock(u) * rate
         else:  # u - 0.0 == u: dt/dx and dtau/dx share one factor
-            factor = proper_time_factor(u)
+            factor = clock(u)
             rate = 1.0 / factor
             dtau = factor * rate
         k = (ux * rate, uy * rate, uz * rate, dpx * rate, dpy * rate, dpz * rate, rate, dtau)
@@ -694,7 +689,8 @@ def relax_elliptic(
         nonlocal diagonals
         if iteration == 1 or iteration % 200 == 0:
             diagonals = _color_diagonals(residual_fn, xi, res, board)
-        return _color_sweep(residual_fn, xi, res, board.colors, diagonals, board.omega)
+        _color_sweep(residual_fn, xi, res, board.colors, diagonals, board.omega)
+        return residual_fn(xi)
 
     return _iterate(sweep, xi, residual_fn(xi), tol, max_iters, "sweeps")
 
@@ -758,13 +754,17 @@ def _color_diagonals(residual_fn, xi: np.ndarray, base: np.ndarray, board: _Chec
     return diagonals
 
 
-def _color_sweep(residual_fn, xi: np.ndarray, res: np.ndarray, colors, diagonals, omega: float) -> np.ndarray:
-    """One checkerboard sweep of the C-ordered grid xi in place, from its residual res; the new residual."""
+def _color_sweep(residual_fn, xi: np.ndarray, res: np.ndarray, colors, diagonals, omega: float) -> None:
+    """One checkerboard sweep of the C-ordered grid xi in place, from its residual res.
+
+    Each later color is updated from a new residual of the grid; a caller
+    that reads the residual after the sweep evaluates it itself.
+    """
     flat = xi.reshape(-1)
-    for (inner, full), diagonal in zip(colors, diagonals):
+    for k, ((inner, full), diagonal) in enumerate(zip(colors, diagonals)):
+        if k:
+            res = residual_fn(xi)
         flat[full] -= omega * res.reshape(-1).take(inner) / diagonal
-        res = residual_fn(xi)
-    return res
 
 
 def _iterate(step, xi: np.ndarray, res: np.ndarray, tol: float, max_iters: int, unit: str) -> RelaxationResult:

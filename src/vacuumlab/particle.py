@@ -12,17 +12,17 @@ The interacting law is the Euler-Lagrange equation in the canonical
 momentum P = p + qA.  Written for p it is the paper's Lorentz-type force
 qE + q u x B - q grad<u,A>, because that force equals -grad(wbar) - q dA/dt
 along the path; `interacting_rhs` keeps this form as a reference.  The laws
-`integrate_particle` steps are `classical_rhs`, `constrained_rhs` and
-`vacuum_rhs` (both vacuum models, qA = 0 for vacuum-free): functions of
-(model, r, p, t) returning (dp/dt, u), or (dy1/dt, dy2/dt, u) for the
-constrained multiplier pair, with p the canonical momentum for
-`vacuum_rhs`, which the integrator steps as `_vacuum_law` to read the
-kinetic momentum too.  Each law is written once, on components: r, p and
-the returned vectors are (x, y, z) triples whose entries are all floats
-(one particle) or all 1-D arrays (rows of particles), and a row of the
-array form equals the float form bit for bit.  The laws call the fields'
-component methods, the vacuum law through the one entry point
-``_potentials``, and use no Vec3.  The electromagnetic terms are
+are `classical_rhs`, `constrained_rhs` and `vacuum_rhs` (both vacuum
+models, qA = 0 for vacuum-free): functions of (model, r, p, t) returning
+(dp/dt, u), or (dy1/dt, dy2/dt, u) for the constrained multiplier pair,
+with p the canonical momentum for `vacuum_rhs`.  Each law is written once,
+on components: r, p and the returned vectors are (x, y, z) triples whose
+entries are all floats (one particle) or all 1-D arrays (rows of
+particles), and a row of the array form equals the float form bit for
+bit.  `bind_law` binds a law's one body to ``geometry.FLOATS``, once per
+run for the stepper, or to ``ROWS`` for the public laws.  The laws call the
+fields' component methods, the vacuum law through the one entry point
+``_potentials`` (``_point(binding)``), and use no Vec3.  The electromagnetic terms are
 assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
 potential scales like 1/q stay well defined for any nonzero charge.
 
@@ -47,7 +47,7 @@ audited by the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
@@ -61,7 +61,7 @@ from .errors import (
     SuperluminalVelocityError,
 )
 from .geometry import (
-    EuclideanEvent,
+    ROWS,
     Vec3,
     ZERO3,
     domain_error,
@@ -203,27 +203,74 @@ def classical_energy(m0: float, wbar, p):
 # --- force laws on components --------------------------------------------------
 
 
-def _vacuum_velocity(wbar, p):
-    """u = p / (-wbar), the inverse of the vacuum momentum relation."""
-    m = dynamic_mass(wbar)
-    px, py, pz = p
-    ux, uy, uz = px / m, py / m, pz / m
-    bad = (ux * ux + uy * uy) + uz * uz >= 1.0
-    if violated(bad):
-        raise domain_error(SuperluminalVelocityError, bad, "|p| >= -wbar implies |u| >= 1")
-    return ux, uy, uz
+def _classical_velocity(sqrt):
+    """velocity(m0, p) = p / (m0^2 + p^2)^(1/2), bound to a square root."""
+
+    def velocity(m0, p):
+        px, py, pz = p
+        s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
+        return px / s, py / s, pz / s
+
+    return velocity
 
 
-def _vacuum_split(model: ForceModel, wbar, a, big_p):
-    """(u, p) of a vacuum model from its P = p + qA and the field's wbar and A.
+def _vacuum_law(point, q: float, interacting: bool, violated):
+    """law(r, P, t) -> (-grad(wbar), u, p) of a vacuum model; point(x, y, z, t) gives wbar, grad, A.
 
-    qA = 0 for vacuum-free (a is not read), and u = p / (-wbar).
+    p = P - qA for the interacting model, else P (A is not read), and u = p / (-wbar).
     """
-    if model.kind is ModelKind.VACUUM_INTERACTING:
-        q = model.charge
-        (px, py, pz), (ax, ay, az) = big_p, a
-        big_p = px - ax * q, py - ay * q, pz - az * q
-    return _vacuum_velocity(wbar, big_p), big_p
+
+    def law(r, big_p, t):
+        x, y, z = r
+        wbar, (gx, gy, gz), (ax, ay, az) = point(x, y, z, t)
+        px, py, pz = big_p
+        if interacting:
+            px, py, pz = px - ax * q, py - ay * q, pz - az * q
+        if violated(wbar >= 0.0):
+            dynamic_mass(wbar)  # raises its NonpositiveMassError
+        m = -wbar
+        ux, uy, uz = px / m, py / m, pz / m
+        bad = (ux * ux + uy * uy) + uz * uz >= 1.0
+        if violated(bad):
+            raise domain_error(SuperluminalVelocityError, bad, "|p| >= -wbar implies |u| >= 1")
+        return (-gx, -gy, -gz), (ux, uy, uz), (px, py, pz)
+
+    return law
+
+
+def bind_law(model: ForceModel, binding):
+    """The model's law bound to geometry.FLOATS (the stepper) or ROWS (the public laws).
+
+    law(r, P, t) -> (dP/dt, u, p) with p the kinetic momentum, or
+    law(r, y1, y2, t) -> (dy1/dt, dy2/dt, u) for the constrained model.
+    """
+    sqrt, violated = binding
+    field, q = model.field, model.charge
+    if model.kind is ModelKind.CONSTRAINED:
+
+        def law(r, y1, y2, t):
+            bad = y2 <= 0.0
+            if violated(bad):
+                raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
+            px, py, pz = y1
+            u = ux, uy, uz = px / y2, py / y2, pz / y2
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
+
+        return law
+
+    if model.kind is ModelKind.CLASSICAL:
+        m0, velocity = model.rest_mass, _classical_velocity(sqrt)
+
+        def law(r, p, t):
+            u = velocity(m0, p)
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            return (ex + mx, ey + my, ez + mz), u, p
+
+        return law
+
+    interacting = model.kind is ModelKind.VACUUM_INTERACTING
+    return _vacuum_law(field._point(binding), q, interacting, violated)
 
 
 def _velocity(model: ForceModel, r, p, t):
@@ -233,14 +280,14 @@ def _velocity(model: ForceModel, r, p, t):
     is P = p + qA (qA = 0 for vacuum-free), and u = p / (-wbar).  Only wbar
     and A are evaluated, so no error of the force terms is raised here.
     """
-    px, py, pz = p
     if model.kind is ModelKind.CLASSICAL:
-        m0 = model.rest_mass
-        s = root(m0 * m0 + ((px * px + py * py) + pz * pz))
-        return (px / s, py / s, pz / s), p
-    field, (x, y, z) = model.field, r
-    a = field._vecpot(x, y, z, t) if model.kind is ModelKind.VACUUM_INTERACTING else None
-    return _vacuum_split(model, field._wbar(x, y, z, t), a, p)
+        return _classical_velocity(root)(model.rest_mass, p), p
+    field, interacting = model.field, model.kind is ModelKind.VACUUM_INTERACTING
+
+    def point(x, y, z, t):
+        return field._wbar(x, y, z, t), ZERO3, field._vecpot(x, y, z, t) if interacting else ZERO3
+
+    return _vacuum_law(point, model.charge, interacting, violated)(r, p, t)[1:]
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):
@@ -278,9 +325,7 @@ def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
 
 def classical_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) for the classical Lorentz force; u recovered from p."""
-    u, _ = _velocity(model, r, p, t)
-    (ex, ey, ez), (mx, my, mz), _ = _em_terms(model.field, model.charge, r, u, t)
-    return (ex + mx, ey + my, ez + mz), u
+    return bind_law(model, ROWS)(r, p, t)[:2]
 
 
 def constrained_rhs(model: ForceModel, r, y1, y2, t):
@@ -289,21 +334,7 @@ def constrained_rhs(model: ForceModel, r, y1, y2, t):
     y1 = l u tdot and y2 = l tdot (a state keeps them in p and
     extra['lambda_tdot']); u = y1/y2.
     """
-    bad = y2 <= 0.0
-    if violated(bad):
-        raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
-    px, py, pz = y1
-    u = ux, uy, uz = px / y2, py / y2, pz / y2
-    (ex, ey, ez), (mx, my, mz), _ = _em_terms(model.field, model.charge, r, u, t)
-    return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
-
-
-def _vacuum_law(model: ForceModel, r, big_p, t):
-    """`vacuum_rhs` with the kinetic momentum p = P - qA as a third result."""
-    x, y, z = r
-    wbar, (gx, gy, gz), a = model.field._potentials(x, y, z, t)
-    u, p = _vacuum_split(model, wbar, a, big_p)
-    return (-gx, -gy, -gz), u, p
+    return bind_law(model, ROWS)(r, y1, y2, t)
 
 
 def vacuum_rhs(model: ForceModel, r, big_p, t):
@@ -312,12 +343,12 @@ def vacuum_rhs(model: ForceModel, r, big_p, t):
     dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for
     vacuum-free; wbar, its gradient and A come from one field evaluation.
     """
-    return _vacuum_law(model, r, big_p, t)[:2]
+    return bind_law(model, ROWS)(r, big_p, t)[:2]
 
 
 def interacting_rhs(model: ForceModel, r, p, t):
-    """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>."""
-    u = _vacuum_velocity(model.field._wbar(*r, t), p)
+    """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>; u = p / (-wbar)."""
+    u = _velocity(replace(model, kind=ModelKind.VACUUM_FREE), r, p, t)[0]
     (ex, ey, ez), (mx, my, mz), (fx, fy, fz) = _em_terms(model.field, model.charge, r, u, t)
     return ((ex + mx) + fx, (ey + my) + fy, (ez + mz) + fz), u
 
@@ -443,10 +474,6 @@ class TwoParticleScenario:
         charge = self.q if q is None else q
         fld = build_potential(self.source_spec(), charge)
         return make_vacuum_state(fld, self.r0, self.u0)
-
-    def eta_f(self, state: ParticleState) -> EuclideanEvent:
-        """Relative rest-frame event (r - r_f(t), tau)."""
-        return EuclideanEvent(state.r - (self.r_f0 + self.u_f * state.t), state.tau)
 
 
 @dataclass

@@ -17,7 +17,8 @@ A-Jacobian and dA/dt; ``PotentialField`` derives both the Vec3 forms and
 the ``*_many`` array forms from them.  The canonical vacuum law reads
 wbar, grad(wbar) and A at a point through one entry point,
 ``_potentials``, which a Coulomb source evaluates from one offset and one
-square root.
+square root, written once as a closure bound to floats for the stepper
+(``_point``) and to floats or rows for every other method.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from .errors import (
     SuperluminalVelocityError,
     ZeroChargeError,
 )
-from .geometry import Vec3, ZERO3, root
+from .geometry import FLOATS, ROWS, Vec3, ZERO3
 from .tolerances import DEFAULT_SOFTENING, SINGULAR_GUARD
 
 FOUR_PI = 4.0 * math.pi
-_ON_SOURCE = "unsoftened point source evaluated at its own position (t={t:.9g})"
 
 
 class SourceKind(Enum):
@@ -100,9 +100,10 @@ class PotentialField:
     potential.  The particle force laws call them directly, except that the
     canonical vacuum law reads (wbar, grad(wbar), A) at a point through the
     one entry point _potentials, which a field overrides to share the work
-    of that point; its result equals the single methods' bit for bit.  This
-    class builds
-    the Vec3 forms (wbar, grad_wbar, ..., with grad_vecpot a 3x3 array) and
+    of that point; its result equals the single methods' bit for bit, and
+    _point(binding) is it under a binding of ``geometry`` (FLOATS for the
+    stepper).  This class builds the Vec3 forms (wbar, grad_wbar, ..., with
+    grad_vecpot a 3x3 array) and
     the (n, 3)-points forms (wbar_many, grad_wbar_many, ..., with
     grad_vecpot_many of shape (n, 3, 3)) from them, so each row of an array
     form equals the scalar form bit for bit, which the least-action
@@ -133,6 +134,10 @@ class PotentialField:
     def _potentials(self, x, y, z, t):
         """(wbar, grad(wbar), A) at one point."""
         return self._wbar(x, y, z, t), self._grad_wbar(x, y, z, t), self._vecpot(x, y, z, t)
+
+    def _point(self, binding):
+        """_potentials under a binding (geometry.FLOATS or ROWS)."""
+        return self._potentials
 
     def wbar(self, r: Vec3, t: float) -> float:
         return self._wbar(r.x, r.y, r.z, t)
@@ -202,15 +207,55 @@ def _rows(components, n: int) -> np.ndarray:
     return out
 
 
-def _off_source(den, t):
-    """den unchanged; SingularPointError where it is 0 (an unsoftened source hit)."""
-    if isinstance(den, float):
-        if den == 0.0:
-            raise SingularPointError(_ON_SOURCE.format(t=t))
-    elif not den.all():
+def _on_source(den, t) -> SingularPointError:
+    """The error of a zero den at t (at its first zero row on arrays): an unsoftened source hit."""
+    if isinstance(den, np.ndarray):
         t = np.asarray(t, dtype=float)[np.argmax(den == 0.0)]
-        raise SingularPointError(_ON_SOURCE.format(t=t))
-    return den
+    return SingularPointError(f"unsoftened point source evaluated at its own position (t={t:.9g})")
+
+
+_OFFSET, _WBAR, _WBAR_A, _ALL = range(4)
+
+
+def _coulomb_point(spec: SourceSpec, q: float, sqrt, violated):
+    """point(x, y, z, t, parts=_ALL) of a Coulomb source, bound to a square root and a domain test.
+
+    parts _OFFSET gives (d, |d|^2 + eps^2), d = r - (r_f0 + u_f t) summed in
+    Vec3.norm2's order; _WBAR wbar; _WBAR_A (wbar, None, A); _ALL (wbar,
+    grad(wbar), A), with s3 = (|d|^2 + eps^2) * s since NumPy rounds ** 1.5 apart.
+    """
+    (fx, fy, fz), (ux, uy, uz) = spec.r_f0, spec.u_f
+    eps2, background = spec.softening * spec.softening, spec.background
+    k = abs(q * spec.strength)
+    static = spec.u_f.norm2() == 0.0  # no vector potential
+
+    def point(x, y, z, t, parts=_ALL):
+        dx = x - (fx + ux * t)
+        dy = y - (fy + uy * t)
+        dz = z - (fz + uz * t)
+        d2e = ((dx * dx + dy * dy) + dz * dz) + eps2
+        if parts == _OFFSET:
+            return dx, dy, dz, d2e
+        s = sqrt(d2e)
+        den = FOUR_PI * s
+        if violated(den == 0.0):
+            raise _on_source(den, t)
+        wbar = background - k / den
+        if parts == _WBAR:
+            return wbar
+        grad = None
+        if parts == _ALL:
+            den = FOUR_PI * (d2e * s)
+            if violated(den == 0.0):
+                raise _on_source(den, t)
+            c = k / den
+            grad = dx * c, dy * c, dz * c
+        if static:
+            return wbar, grad, ZERO3
+        c = wbar / q
+        return wbar, grad, (ux * c, uy * c, uz * c)
+
+    return point
 
 
 class UniformField(PotentialField):
@@ -248,53 +293,28 @@ class CoulombField(PotentialField):
     wbar(r, t) = background - k / (4 pi (|d|^2 + eps^2)^(1/2)),
     d = r - r_f0 - u_f t,  k = |q * q_f| > 0  (attractive normalization).
 
-    For a moving source the vector potential is A = wbar * u_f / q.
+    For a moving source the vector potential is A = wbar * u_f / q.  Every
+    method evaluates `_coulomb_point`, bound to ROWS (FLOATS for the stepper).
     """
 
     def __init__(self, spec: SourceSpec, test_charge: float):
         spec.validate()
         if test_charge == 0.0:
             raise ZeroChargeError("Coulomb potential needs a nonzero test charge")
-        self.spec = spec
         self.q = float(test_charge)
         self.k = abs(test_charge * spec.strength)
         self.eps2 = spec.softening * spec.softening
-        self.background = spec.background
-        self.r_f0 = spec.r_f0
         self.u_f = spec.u_f
         self._static = spec.u_f.norm2() == 0.0  # no vector potential
         self.kind = spec.kind.value
-
-    def _offset(self, x, y, z, t):
-        """d = r - (r_f0 + u_f t) and |d|^2 + eps^2, summed in Vec3.norm2's order."""
-        (fx, fy, fz), (ux, uy, uz) = self.r_f0, self.u_f
-        dx = x - (fx + ux * t)
-        dy = y - (fy + uy * t)
-        dz = z - (fz + uz * t)
-        return dx, dy, dz, ((dx * dx + dy * dy) + dz * dz) + self.eps2
-
-    # wbar, grad(wbar) and A from the parts they share, so that _potentials
-    # evaluates one offset: s = (|d|^2 + eps^2)^(1/2), and s3 = (|d|^2 + eps^2) * s
-    # rather than ** 1.5, which NumPy's power rounds differently.
-    def _wbar_of(self, s, t):
-        return self.background - self.k / _off_source(FOUR_PI * s, t)
-
-    def _grad_of(self, dx, dy, dz, s3, t):
-        c = self.k / _off_source(FOUR_PI * s3, t)
-        return dx * c, dy * c, dz * c
-
-    def _along_source(self, value):
-        """value * u_f / q: A from wbar, dA/dt from d(wbar)/dt."""
-        c = value / self.q
-        ux, uy, uz = self.u_f
-        return ux * c, uy * c, uz * c
+        self._kernels = {b: _coulomb_point(spec, self.q, *b) for b in (FLOATS, ROWS)}
+        self._point, self._potentials = self._kernels.__getitem__, self._kernels[ROWS]
 
     def _wbar(self, x, y, z, t):
-        return self._wbar_of(root(self._offset(x, y, z, t)[3]), t)
+        return self._potentials(x, y, z, t, _WBAR)
 
     def _grad_wbar(self, x, y, z, t):
-        dx, dy, dz, d2e = self._offset(x, y, z, t)
-        return self._grad_of(dx, dy, dz, d2e * root(d2e), t)
+        return self._potentials(x, y, z, t)[1]
 
     def _dwbar_dt(self, x, y, z, t):
         gx, gy, gz = self._grad_wbar(x, y, z, t)
@@ -302,7 +322,7 @@ class CoulombField(PotentialField):
         return -((gx * u.x + gy * u.y) + gz * u.z)
 
     def _vecpot(self, x, y, z, t):
-        return ZERO3 if self._static else self._along_source(self._wbar(x, y, z, t))
+        return ZERO3 if self._static else self._potentials(x, y, z, t, _WBAR_A)[2]
 
     def _grad_vecpot(self, x, y, z, t):
         if self._static:
@@ -318,17 +338,14 @@ class CoulombField(PotentialField):
         )
 
     def _dvecpot_dt(self, x, y, z, t):
-        return ZERO3 if self._static else self._along_source(self._dwbar_dt(x, y, z, t))
-
-    def _potentials(self, x, y, z, t):
-        dx, dy, dz, d2e = self._offset(x, y, z, t)
-        s = root(d2e)
-        wbar = self._wbar_of(s, t)
-        grad = self._grad_of(dx, dy, dz, d2e * s, t)
-        return wbar, grad, ZERO3 if self._static else self._along_source(wbar)
+        if self._static:
+            return ZERO3
+        c = self._dwbar_dt(x, y, z, t) / self.q
+        ux, uy, uz = self.u_f
+        return ux * c, uy * c, uz * c
 
     def wbar_hessian(self, r, t):
-        dx, dy, dz, d2e = self._offset(r.x, r.y, r.z, t)
+        dx, dy, dz, d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)
         d = np.array([dx, dy, dz])
         coef = self.k / FOUR_PI
         return coef * (np.eye(3) * d2e**-1.5 - 3.0 * np.outer(d, d) * d2e**-2.5)
@@ -338,18 +355,18 @@ class CoulombField(PotentialField):
         return float(uf @ self.wbar_hessian(r, t) @ uf)
 
     def wbar_laplacian(self, r, t):
-        d2e = self._offset(r.x, r.y, r.z, t)[3]
+        d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)[3]
         return 3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
 
     def rho(self, r, t):
         """Plummer density matching -laplacian(wbar) of the static softened source."""
-        d2e = self._offset(r.x, r.y, r.z, t)[3]
+        d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)[3]
         return -3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
 
     def singular_distance(self, r, t):
         if self.eps2 > 0.0:
             return None
-        return math.sqrt(self._offset(r.x, r.y, r.z, t)[3])
+        return math.sqrt(self._potentials(r.x, r.y, r.z, t, _OFFSET)[3])
 
 
 class LinearField(PotentialField):

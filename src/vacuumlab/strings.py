@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnergyDomainError, ValidationError, ZeroDirectionError
+from .errors import EnergyDomainError, ValidationError
 from .geometry import Vec3, ZERO3
 from .potentials import PotentialField
 from .tolerances import ENERGY_DOMAIN_GUARD
@@ -277,28 +277,6 @@ def charged_string_rhs(state: StringState, field: PotentialField, q: float):
 
 
 # --- nodal kernels --------------------------------------------------------------
-
-
-def string_momentum(r: np.ndarray, rdot: np.ndarray, wbar_values: np.ndarray, grid: StringGrid) -> np.ndarray:
-    """Momentum density p = -wbar r'^2 Nhat rdot / [r'^2(rdot^2+1) - <r',rdot>^2]^(1/2).
-
-    Pointwise evaluation at the nodes; the output is transversal,
-    <p, r'> = 0, up to rounding.
-    """
-    r = np.asarray(r, dtype=float)
-    rdot = np.asarray(rdot, dtype=float)
-    rp = sigma_derivative(grid, r)
-    rp2 = np.einsum("ij,ij->i", rp, rp)
-    if np.any(rp2 == 0.0):
-        raise ZeroDirectionError("|r'| = 0 at a node")
-    cross = np.einsum("ij,ij->i", rp, rdot)
-    rd2 = np.einsum("ij,ij->i", rdot, rdot)
-    q2 = rp2 * (rd2 + 1.0) - cross**2
-    if np.min(q2) <= 0:
-        raise EnergyDomainError("momentum kernel square root went nonpositive")
-    w = np.asarray(wbar_values, dtype=float)
-    num = rp2[:, None] * rdot - rp * cross[:, None]
-    return -w[:, None] * num / np.sqrt(q2)[:, None]
 
 
 def transversality_defect(state: StringState) -> float:

