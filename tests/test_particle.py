@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vacuumlab.integrate as integ
 from vacuumlab.errors import (
     DegenerateMultiplierError,
     EnergyDomainError,
@@ -11,7 +12,6 @@ from vacuumlab.errors import (
     PhysicsDomainError,
     SuperluminalVelocityError,
 )
-import vacuumlab.integrate as integ
 from vacuumlab.geometry import ROWS, EuclideanEvent, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (

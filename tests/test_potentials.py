@@ -9,7 +9,7 @@ from vacuumlab.errors import (
     SuperluminalVelocityError,
     ZeroChargeError,
 )
-from vacuumlab.geometry import Vec3, ZERO3
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3
 from vacuumlab.potentials import (
     CallableField,
     LinearField,
@@ -256,16 +256,20 @@ def _bits(value):
 
 @pytest.mark.parametrize("field", BUILT_IN, ids=BUILT_IN_IDS)
 def test_potentials_entry_point_equals_the_single_methods(field):
-    # the vacuum law reads a point through _potentials, which shares one
-    # offset between quantities; it must equal the single methods bit for
-    # bit, on floats and on rows
+    # the vacuum law reads a point through _point(binding): the stepper's
+    # float binding on one particle, _potentials (the row binding) otherwise;
+    # both share one offset between quantities and must equal the single
+    # methods bit for bit, on floats and on rows
     rng = np.random.default_rng(31)
     pts = rng.uniform(-1.5, 1.5, size=(200, 3))
     times = rng.uniform(-1.0, 2.0, size=200)
     points = [(*pt, tt) for pt, tt in zip(pts.tolist(), times.tolist())]
+    assert field._point(ROWS) == field._potentials
     for args in points + [(*pts.T, times)]:
         potentials = field._wbar(*args), field._grad_wbar(*args), field._vecpot(*args)
         assert _bits(field._potentials(*args)) == _bits(potentials)
+        if isinstance(args[0], float):
+            assert _bits(field._point(FLOATS)(*args)) == _bits(potentials)
 
 
 def test_vectorized_wbar_on_unsoftened_source_raises():
