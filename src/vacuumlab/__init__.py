@@ -29,7 +29,6 @@ from .errors import (  # noqa: F401
     ZeroDirectionError,
 )
 from .geometry import (  # noqa: F401
-    EuclideanEvent,
     Projector3,
     Vec3,
     lab_time_factor,

@@ -1,4 +1,4 @@
-"""Three-vector algebra, rest-frame events, time factors and projectors.
+"""Three-vector algebra, time factors and projectors.
 
 Light-speed units: velocities are dimensionless.  Lab velocity u = dr/dt
 obeys |u| < 1; the proper-time velocity rdot = dr/dtau is unbounded and
@@ -80,13 +80,6 @@ def dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def norm2_rows(v: np.ndarray) -> np.ndarray:
     """Row-wise |v|^2 in the order of ``Vec3.norm2``."""
     return dot_rows(v, v)
-
-
-class EuclideanEvent(NamedTuple):
-    """Rest-frame point xi = (r, tau); the time slot carries proper time."""
-
-    r: Vec3
-    tau: float
 
 
 def root(v):

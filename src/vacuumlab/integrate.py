@@ -15,21 +15,22 @@ x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 
 Particle and string runs share one stepping loop, `_march`: it steps a
-tuple state with `rk4_step` or `rkf45_step`, checks each new state, and
+tuple state with `rk4_step` or `rkf45_step`, checks each new state, hands
+the rate the check evaluated there to the next step as its k1, and
 annotates a physics-domain error with the t or tau of its step.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
 y straight to the model's law, bound to floats once per run and composed
 with the axis's clock factors by `_evaluator`.  The check of a new state
-evaluates the law there, reads u and p from that evaluation, and keeps it
-as the next step's k1, so a step costs one law evaluation per stage and
-the last state's check one more.  One decoder reads the flat layout back
-into (t, tau, r, u, p): on the rows of a `Trajectory`, which holds the
-parameter x and the flat states Y as arrays, it gives the physical columns
-from which `samples`, `final` and the invariants (audited once, as arrays
-over the audited rows) are derived, and the check decodes with it only
-when the law's evaluation raised.
+evaluates the law there, reads u and p from that evaluation, and returns
+its rate as the next step's k1, so a step costs one law evaluation per
+stage and the launch state one more.  One decoder reads the flat layout
+back into (t, tau, r, u, p): on the rows of a `Trajectory`, which holds
+the parameter x and the flat states Y as arrays, it gives the physical
+columns from which `samples`, `final` and the invariants (audited once,
+as arrays over the audited rows) are derived, and the check decodes with
+it only when the law's evaluation raised.
 
 The steppers build each stage's state tuple from a list, with h/2 and h/6
 taken once per step (``0.5 * h * b`` is ``(0.5 * h) * b``, so every
@@ -252,9 +253,9 @@ def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> Phys
 # --- generic steppers on flat tuple states ----------------------------------
 
 
-def rk4_step(f, x, y, h):
+def rk4_step(f, x, y, h, k1):
+    """One classical RK4 step of dy/dx = f(x, y) from y, k1 = f(x, y) evaluated by the caller."""
     half, sixth = 0.5 * h, h / 6.0
-    k1 = f(x, y)
     k2 = f(x + half, tuple([a + half * b for a, b in zip(y, k1)]))
     k3 = f(x + half, tuple([a + half * b for a, b in zip(y, k2)]))
     k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
@@ -267,8 +268,7 @@ _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 
 _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
-def _rkf45_stages(f, x, y, h):
-    k1 = f(x, y)
+def _rkf45_stages(f, x, y, h, k1):
     k2 = f(x + h / 4.0, tuple([a + h * (b / 4.0) for a, b in zip(y, k1)]))
     k3 = f(
         x + 3.0 * h / 8.0,
@@ -306,9 +306,9 @@ def _rkf45_stages(f, x, y, h):
     return (k1, k2, k3, k4, k5, k6)
 
 
-def rkf45_step(f, x, y, h, rel_tol, abs_tol):
-    """One embedded 4(5) attempt: (accepted, y5, error_ratio), a NaN error counting as inf."""
-    ks = _rkf45_stages(f, x, y, h)
+def rkf45_step(f, x, y, h, rel_tol, abs_tol, k1):
+    """One embedded 4(5) attempt from y, k1 = f(x, y): (accepted, y5, error_ratio), a NaN error as inf."""
+    ks = _rkf45_stages(f, x, y, h, k1)
     y5 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B5, ks)]) for i, a in enumerate(y)])
     y4 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B4, ks)]) for i, a in enumerate(y)])
     ratio = 0.0
@@ -321,6 +321,10 @@ def rkf45_step(f, x, y, h, rel_tol, abs_tol):
 def _march(rhs, check, x, y, params: IntegrationParams, label: str):
     """Yield (x, y) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
 
+    check(x, y) returns rhs(x, y) of the new state, or None; the next step
+    takes it as k1 and evaluates rhs itself only for a None (and at the
+    launch), after the row is yielded.  A rejected RKF45 attempt keeps its k1.
+
     RK4 makes n_steps steps of params.step; RKF45 adapts its step over the
     horizon (at most 5x per attempt, also when the error estimate is exactly
     0) and raises StepFailureError when the step collapses.  A non-finite
@@ -330,13 +334,13 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
     physics-domain error is re-raised with ``[label=x]`` appended: the x of
     its step's start when a stage raised it, the new x when check did.
     """
-    h = params.step
+    h, k1 = params.step, None
     try:
         if params.method == "rk4":
             for _ in range(params.n_steps):
-                y = rk4_step(rhs, x, y, h)
+                y = rk4_step(rhs, x, y, h, rhs(x, y) if k1 is None else k1)
                 x += h
-                check(x, y)
+                k1 = check(x, y)
                 yield x, y
             return
         horizon = params.horizon
@@ -344,11 +348,13 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
         h_min = horizon * 1e-12
         while x < x_end - 1e-15 * horizon:
             h = min(h, x_end - x)
-            accepted, y_new, ratio = rkf45_step(rhs, x, y, h, params.rel_tol, params.abs_tol)
+            if k1 is None:
+                k1 = rhs(x, y)
+            accepted, y_new, ratio = rkf45_step(rhs, x, y, h, params.rel_tol, params.abs_tol, k1)
             if accepted:
                 y = y_new
                 x += h
-                check(x, y)
+                k1 = check(x, y)
                 yield x, y
             if ratio > 0:
                 h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
@@ -456,38 +462,31 @@ def _evaluator(model: ForceModel, axis: str) -> Callable:
     return evaluate
 
 
-def _flat_rhs(model: ForceModel, axis: str) -> Callable:
-    """rhs(x, y) of a particle's flat state, with ``rhs.check(x, y)`` the check of a new state.
+def _flat_rhs(model: ForceModel, axis: str):
+    """(rhs, check) of a particle's flat state: its rate, and the check of a new state.
 
     The check evaluates the law at the new state, runs ``check_state`` on
-    the u and p of that evaluation and keeps it: the next step's k1 (or a
-    rejected RKF45 attempt's), asked for the same x and y objects, returns
-    it without evaluating again.  When that evaluation raises, the check
-    decodes the state instead, so an error of the decode half (the mass, u
-    and ``check_state``) is raised by the check with the new x, and an error
-    of the force terms only by the next step's k1, after the row is kept.
+    the u and p of that evaluation and returns its rate, the next step's k1.
+    When that evaluation raises, the check decodes the state instead and
+    returns None, so an error of the decode half (the mass, u and
+    ``check_state``) is raised by the check with the new x, and an error of
+    the force terms only by the next step's k1, after the row is kept.
     """
     evaluate = _evaluator(model, axis)
     decode = _decoder(model, axis)
-    kept_x = kept_y = kept_k = None
 
     def rhs(x, y):
-        if y is kept_y and x is kept_x:
-            return kept_k
         return evaluate(x, y)[0]
 
     def check(x, y):
-        nonlocal kept_x, kept_y, kept_k
         try:
             k, u, p = evaluate(x, y)
         except PhysicsDomainError:  # the next step's k1 raises it again, unless decoding does first
-            u, p = decode(x, y)[3:5]
-        else:
-            kept_x, kept_y, kept_k = x, y, k
+            k, (u, p) = None, decode(x, y)[3:5]
         check_state(y[-1], y[0:3], u, p)
+        return k
 
-    rhs.check = check
-    return rhs
+    return rhs, check
 
 
 def integrate_particle(
@@ -520,8 +519,7 @@ def integrate_particle(
         return traj
 
     label = "t" if axis == "lab" else "tau"
-    rhs = _flat_rhs(model, axis)
-    march = _march(rhs, rhs.check, x, y, params, label)
+    march = _march(*_flat_rhs(model, axis), x, y, params, label)
     try:
         for x, y in march:
             xs.append(x)
@@ -608,7 +606,7 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
         np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr), out=k[6 * m :])
         return (k,)
 
-    def check(tau, y):
+    def check(tau, y):  # evaluates no rate, so each step's k1 is a new one
         finite = np.isfinite(y[0])
         if not finite.all():
             k = int(np.argmin(finite))

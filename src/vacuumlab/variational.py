@@ -250,15 +250,6 @@ def check_oracle_coverage(spec: LagrangianSpec) -> None:
             )
 
 
-def _velocities(values: np.ndarray, ds: float) -> np.ndarray:
-    """Central differences inside, one-sided second order at the ends."""
-    out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * ds)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * ds)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * ds)
-    return out
-
-
 def _clock_nodes(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """Lab-clock value at each node (the parameter itself for the classical kind)."""
     if spec.kind is LagrangianKind.CLASSICAL_POINT:
@@ -384,7 +375,7 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
     check_oracle_coverage(spec)
     density = _DENSITIES[spec.kind]
     r = path.r[1:-1]
-    v = _velocities(path.r, path.ds)[1:-1]
+    v = (path.r[2:] - path.r[:-2]) / (2.0 * path.ds)  # central differences at the interior nodes
     t = _clock_nodes(spec, path)[1:-1]
     tdot = _onshell_clock_rates(spec, v)
     lam = np.zeros(len(v))

@@ -336,7 +336,7 @@ def test_compare_nonuniform_vecpot_fc_column(tmp_path):
     assert fc_vals[100] == pytest.approx(expected, rel=1e-12)
 
 
-def _always_reject(f, x, y, h, rel_tol, abs_tol):
+def _always_reject(f, x, y, h, rel_tol, abs_tol, k1):
     return False, y, 10.0
 
 

@@ -134,7 +134,7 @@ def _unpack(model, y, x, axis):
 def reference_integrate(model, initial, params):
     """(samples, report) of the per-step loop: a state and a scalar audit per step."""
     axis = integ._axis_for(model, params)
-    rhs = integ._flat_rhs(model, axis)
+    rhs, _ = integ._flat_rhs(model, axis)
     audits = SCALAR_INVARIANTS[model.kind]
     x = initial.t if axis == "lab" else initial.tau
     y = integ._pack(model, initial, axis)
@@ -154,7 +154,7 @@ def reference_integrate(model, initial, params):
     if params.method == "rk4":
         h = params.step
         for i in range(1, params.n_steps + 1):
-            y = guarded(integ.rk4_step, rhs, x, y, h)
+            y = guarded(lambda: integ.rk4_step(rhs, x, y, h, rhs(x, y)))
             x += h
             state = guarded(_unpack, model, y, x, axis)
             samples.append(state)
@@ -169,7 +169,7 @@ def reference_integrate(model, initial, params):
         while x < x_end - 1e-15 * horizon:
             h = min(h, x_end - x)
             accepted, y_new, ratio = guarded(
-                integ.rkf45_step, rhs, x, y, h, params.rel_tol, params.abs_tol
+                lambda: integ.rkf45_step(rhs, x, y, h, params.rel_tol, params.abs_tol, rhs(x, y))
             )
             if accepted:
                 y = y_new

@@ -189,7 +189,7 @@ def test_rkf45_step_rejects_oversized_steps():
     def f(t, y):
         return (math.cos(40.0 * t) * 40.0,)
 
-    accepted, _, ratio = rkf45_step(f, 0.0, (0.0,), 0.5, 1e-12, 1e-14)
+    accepted, _, ratio = rkf45_step(f, 0.0, (0.0,), 0.5, 1e-12, 1e-14, f(0.0, (0.0,)))
     assert not accepted and ratio > 1.0
 
 
@@ -199,8 +199,8 @@ def test_adaptive_never_accepts_above_tolerance(monkeypatch):
     ratios = []
     original = integ.rkf45_step
 
-    def spy(f, x, y, h, rel_tol, abs_tol):
-        accepted, y5, ratio = original(f, x, y, h, rel_tol, abs_tol)
+    def spy(f, x, y, h, rel_tol, abs_tol, k1):
+        accepted, y5, ratio = original(f, x, y, h, rel_tol, abs_tol, k1)
         if accepted:
             ratios.append(ratio)
         return accepted, y5, ratio
@@ -267,7 +267,7 @@ def test_step_failure_when_no_step_is_accepted(monkeypatch):
     import vacuumlab.integrate as integ
     from vacuumlab.errors import StepFailureError
 
-    def always_reject(f, x, y, h, rel_tol, abs_tol):
+    def always_reject(f, x, y, h, rel_tol, abs_tol, k1):
         return False, y, 10.0
 
     monkeypatch.setattr(integ, "rkf45_step", always_reject)
@@ -333,26 +333,34 @@ def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
     assert len(offsets) == len(laws) + 1
 
 
-def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
+def _evaluations_with_one_rejection(monkeypatch, rejected):
+    """(laws, attempts) of an RKF45 run whose attempt number ``rejected`` is rejected."""
     model, state = _comoving_setup()
     laws, _ = _count_evaluations(monkeypatch, model.field)
     attempts, step = [], integ.rkf45_step
 
-    def reject_the_third(f, x, y, h, rel_tol, abs_tol):
-        accepted, y5, ratio = step(f, x, y, h, rel_tol, abs_tol)
+    def reject_one(f, x, y, h, rel_tol, abs_tol, k1):
+        accepted, y5, ratio = step(f, x, y, h, rel_tol, abs_tol, k1)
         attempts.append(accepted)
-        if len(attempts) == 3:
+        if len(attempts) == rejected:
             attempts[-1] = False
             return False, y5, 2.0
         return accepted, y5, ratio
 
-    monkeypatch.setattr(integ, "rkf45_step", reject_the_third)
-    params = IntegrationParams(step=1e-4, n_steps=100, method="rk45")
-    integrate_particle(model, state, params)
-    assert attempts[0] and attempts.count(False) == 1
-    # six stages at the launch; later attempts, the rejected one and its retry
-    # included, start from a checked state and evaluate five; one per check
-    assert len(laws) == 6 + 5 * (len(attempts) - 1) + attempts.count(True)
+    monkeypatch.setattr(integ, "rkf45_step", reject_one)
+    integrate_particle(model, state, IntegrationParams(step=1e-4, n_steps=100, method="rk45"))
+    return laws, attempts
+
+
+def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
+    # the first attempt, from the launch state, or the third, from a checked one
+    for rejected in (1, 3):
+        with monkeypatch.context() as patch:
+            laws, attempts = _evaluations_with_one_rejection(patch, rejected)
+        assert attempts.count(False) == 1 and not attempts[rejected - 1]
+        # k1 at the launch; every attempt, the rejected one and its retry
+        # included, evaluates five more stages; one per check of an accepted state
+        assert len(laws) == 1 + 5 * len(attempts) + attempts.count(True)
 
 
 # Python-level calls per law evaluation of each shipped particle scenario,
@@ -420,7 +428,8 @@ def _nan_after_first_call():
 
 def test_rkf45_rejects_a_nan_estimate():
     # max(ratio, nan) keeps ratio: the NaN state would be accepted with ratio 0
-    accepted, y5, ratio = rkf45_step(_nan_after_first_call(), 0.0, (0.0, 0.1), 0.1, 1e-9, 1e-12)
+    law = _nan_after_first_call()
+    accepted, y5, ratio = rkf45_step(law, 0.0, (0.0, 0.1), 0.1, 1e-9, 1e-12, law(0.0, (0.0, 0.1)))
     assert not accepted and ratio == math.inf
     assert math.isnan(y5[0])
 
@@ -467,7 +476,7 @@ def test_step_check_leaves_force_term_errors_to_the_next_k1():
                       softening=0.05, background=-1.0)
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
-    rhs = integ._flat_rhs(model, "proper")
+    rhs, check = integ._flat_rhs(model, "proper")
     r, t = Vec3(0.5, 0.0, 0.0), 0.3
 
     def flat(u):
@@ -475,14 +484,17 @@ def test_step_check_leaves_force_term_errors_to_the_next_k1():
         return (*r, *big_p, t, 0.0)
 
     # |u| < 1 but |u - u_f| >= 1: only the clock change fails, so the check
-    # keeps the row and the next step's k1 raises
+    # keeps the row, hands on no k1, and the next step's k1 raises
     y = flat(Vec3(-0.5, 0.0, 0.0))
-    rhs.check(1.0, y)
+    assert check(1.0, y) is None
     with pytest.raises(SuperluminalVelocityError, match="1.1 >= 1"):
         rhs(1.0, y)
     # |u| >= 1: decoding the state fails, in the check itself
     with pytest.raises(SuperluminalVelocityError, match="implies"):
-        rhs.check(1.0, flat(Vec3(1.2, 0.0, 0.0)))
+        check(1.0, flat(Vec3(1.2, 0.0, 0.0)))
+    # a state inside both domains: the check hands on the rate it evaluated
+    y = flat(Vec3(0.3, 0.0, 0.0))
+    assert check(1.0, y) == rhs(1.0, y)
 
 
 def test_degenerate_multiplier_raised_by_the_integrated_law():
@@ -542,7 +554,7 @@ def test_vacuum_laws_near_the_domain_boundary(
         big_p = big_p + qa_vector(model, r, t)
     for axis, y in (("lab", (*r, *big_p, 0.0)), ("proper", (*r, *big_p, t, 0.0))):
         try:
-            out = integ._flat_rhs(model, axis)(t if axis == "lab" else 0.0, y)
+            out = integ._flat_rhs(model, axis)[0](t if axis == "lab" else 0.0, y)
         except PhysicsDomainError:
             continue
         assert all(math.isfinite(c) for c in out)

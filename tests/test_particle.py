@@ -12,7 +12,7 @@ from vacuumlab.errors import (
     PhysicsDomainError,
     SuperluminalVelocityError,
 )
-from vacuumlab.geometry import ROWS, EuclideanEvent, Vec3, ZERO3, proper_time_factor
+from vacuumlab.geometry import ROWS, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
@@ -493,7 +493,7 @@ def test_rest_mass_limit_sequence():
 
 def eta_f(scenario, state):
     """Relative rest-frame event (r - r_f(t), tau) of a state in a two-particle scenario."""
-    return EuclideanEvent(state.r - (scenario.r_f0 + scenario.u_f * state.t), state.tau)
+    return state.r - (scenario.r_f0 + scenario.u_f * state.t), state.tau
 
 
 def test_eta_f_relative_event():
@@ -504,9 +504,9 @@ def test_eta_f_relative_event():
     state = scenario.initial_state()
     state.t = 2.0
     state.tau = 1.5
-    eta = eta_f(scenario, state)
-    assert eta.tau == 1.5
-    assert (eta.r - (state.r - Vec3(0.1 + 0.4, 0, 0))).norm() < 1e-15
+    r, tau = eta_f(scenario, state)
+    assert tau == 1.5
+    assert (r - (state.r - Vec3(0.1 + 0.4, 0, 0))).norm() < 1e-15
 
 
 def test_model_agreement_scaling_interacting_vs_classical():

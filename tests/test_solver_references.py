@@ -338,22 +338,33 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
     state, field = make_state(), make_field()
     # |dr| of order 1 in all three components, so that dt's last bit depends on |dr|^2's
     state.p[1:-1] += (0.9, 1.2, -0.6)
-    m, stepper, seen = state.grid.n, integrate.rk4_step, []
+    m, stepper, seen, rates = state.grid.n, integrate.rk4_step, [], []
+    writer = strings._rates
 
-    def spy(f, x, y, h):
-        (k,) = f(x, y)
+    def counted(h, field, r, p, t, out):
+        rates.append(r.copy())
+        return writer(h, field, r, p, t, out)
+
+    def spy(f, x, y, h, k1):
+        (k,) = k1
         row = y[0]
         at = StringState(state.grid, row[: 3 * m].reshape(m, 3), row[3 * m : 6 * m].reshape(m, 3),
                          x, row[6 * m :])
         dr, dp = string_canonical_rhs(at, field)
+        rates.pop()  # that reference's writer call, not the run's
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
         assert identical(k, np.concatenate([dr.ravel(), dp.ravel(), dt]))
         seen.append(x)
-        return stepper(f, x, y, h)
+        return stepper(f, x, y, h, k1)
 
     monkeypatch.setattr(integrate, "rk4_step", spy)
+    monkeypatch.setattr(strings, "_rates", counted)
     traj = integrate_string(state, field, IntegrationParams(step=step, n_steps=6))
     assert len(seen) == 6 and np.ptp(traj.final.t) > 0
+    # the string check evaluates no rate: each step evaluates its own k1 and
+    # three more stages, and no rate is taken at the last row
+    assert len(rates) == 4 * 6
+    assert not any(np.array_equal(r, traj.final.r) for r in rates)
 
 
 # --- the generic steppers as they were --------------------------------------------
@@ -438,18 +449,20 @@ def test_steppers_equal_the_generator_built_references(seed):
         x, h = float(rng.normal()), float(rng.uniform(1e-3, 0.5))
         rel_tol, abs_tol = 10.0 ** rng.uniform(-10, -2), 10.0 ** rng.uniform(-12, -4)
         y = tuple(float(v) for v in rng.normal(scale=2.0, size=8))
-        got, ref = rk4_step(_float_law, x, y, h), reference_rk4_step(_float_law, x, y, h)
+        k1 = _float_law(x, y)
+        got, ref = rk4_step(_float_law, x, y, h, k1), reference_rk4_step(_float_law, x, y, h)
         assert got == ref and identical(got, ref)
         assert all(type(v) is float for v in got)
-        (acc, y5, ratio) = rkf45_step(_float_law, x, y, h, rel_tol, abs_tol)
+        (acc, y5, ratio) = rkf45_step(_float_law, x, y, h, rel_tol, abs_tol, k1)
         (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(_float_law, x, y, h, rel_tol, abs_tol)
         assert (acc, y5, ratio) == (ref_acc, ref_y5, ref_ratio) and identical(y5, ref_y5)
 
         arr = (rng.normal(size=24),)
-        (got,), (ref,) = rk4_step(_array_law, x, arr, h), reference_rk4_step(_array_law, x, arr, h)
+        k1 = _array_law(x, arr)
+        (got,), (ref,) = rk4_step(_array_law, x, arr, h, k1), reference_rk4_step(_array_law, x, arr, h)
         assert identical(got, ref)
         # an array state is stepped by RK4 only; its RKF45 stages are still pinned
-        stages = integrate._rkf45_stages(_array_law, x, arr, h)
+        stages = integrate._rkf45_stages(_array_law, x, arr, h, k1)
         for (k,), (ref_k,) in zip(stages, reference_rkf45_stages(_array_law, x, arr, h)):
             assert identical(k, ref_k)
 
