@@ -38,6 +38,7 @@ from .errors import (
     ParseError,
     PhysicsDomainError,
     StepFailureError,
+    SuperluminalVelocityError,
     ValidationError,
 )
 from .geometry import Vec3, norm2_rows
@@ -96,18 +97,21 @@ _CONFORMAL_GRID = {"n_sigma": 33, "n_s": 33}
 _COULOMB = {"strength": 1.0, "softening": 1e-3, "background": 0.0, "r_f0": _ZERO, "u_f": _ZERO}
 
 
-def _coulomb(f: dict, charge: float) -> PotentialField:
-    spec = SourceSpec(SourceKind(f["kind"]), f["strength"], Vec3(*f["r_f0"]), Vec3(*f["u_f"]),
-                      f["softening"], f["background"])
-    return build_potential(spec, charge)
+def _source(f: dict) -> SourceSpec:
+    """The SourceSpec of a filled source field mapping: its keys are the spec's fields."""
+    keys = {k: Vec3(*v) if isinstance(v, list) else v for k, v in f.items() if k != "kind"}
+    return SourceSpec(SourceKind(f["kind"]), **keys)
+
+
+def _source_field(f: dict, charge: float) -> PotentialField:
+    return build_potential(_source(f), charge)
 
 
 # each field kind: its keys with their defaults, and its constructor (filled keys, charge)
 _FIELDS = {
-    "uniform": ({"strength": -1.0},
-                lambda f, q: build_potential(SourceSpec(SourceKind.UNIFORM, f["strength"]), q)),
-    "coulomb-static": (_COULOMB, _coulomb),
-    "coulomb-comoving": (_COULOMB, _coulomb),
+    "uniform": ({"strength": -1.0}, _source_field),
+    "coulomb-static": (_COULOMB, _source_field),
+    "coulomb-comoving": (_COULOMB, _source_field),
     "linear": ({"w0": -1.0, "gradient": _ZERO},
                lambda f, q: LinearField(f["w0"], Vec3(*f["gradient"]))),
     "uniform-b": ({"b": (0.0, 0.0, 1.0), "wbar0": 0.0},
@@ -302,20 +306,11 @@ def _normalize_field(raw) -> dict:
     if not isinstance(fkind, str) or fkind not in _FIELDS:
         raise ValidationError(f"field.kind must be one of {list(_FIELDS)}, got {fkind!r}")
     out = {"kind": fkind, **_fill(raw, _FIELDS[fkind][0], "field.")}
-    if fkind == "uniform" and out["strength"] >= 0:
-        raise ValidationError("field.strength must be negative for a uniform potential")
-    if fkind in ("coulomb-static", "coulomb-comoving"):
-        if out["strength"] == 0:
-            raise ValidationError("field.strength must be nonzero for a Coulomb source")
-        if out["softening"] < 0:
-            raise ValidationError("field.softening must be >= 0")
-        if out["background"] > 0:
-            raise ValidationError("field.background must be <= 0 for mass positivity")
-        u_f2 = Vec3(*out["u_f"]).norm2()
-        if fkind == "coulomb-static" and u_f2 != 0.0:
-            raise ValidationError("field.u_f must be zero for coulomb-static")
-        if u_f2 >= 1.0:
-            raise ValidationError("field.u_f: superluminal source velocity")
+    if _FIELDS[fkind][1] is _source_field:
+        try:
+            _source(out).validate()
+        except (InvalidSourceError, SuperluminalVelocityError) as exc:
+            raise ValidationError(f"field.{exc}") from None
     return out
 
 

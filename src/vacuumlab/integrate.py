@@ -17,7 +17,9 @@ dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 Particle and string runs share one stepping loop, `_march`: it steps a
 tuple state with `rk4_step` or `rkf45_step`, checks each new state, hands
 the rate the check evaluated there to the next step as its k1, and
-annotates a physics-domain error with the t or tau of its step.
+annotates a physics-domain error with the t or tau of its step.  Both
+keep its rows through one audit, `_audited_march`, which audits the launch
+row first and then the invariants once, as arrays over the audited rows.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
@@ -28,9 +30,8 @@ its rate as the next step's k1, so a step costs one law evaluation per
 stage and the launch state one more.  One decoder reads the flat layout
 back into (t, tau, r, u, p): on the rows of a `Trajectory`, which holds
 the parameter x and the flat states Y as arrays, it gives the physical
-columns from which `samples`, `final` and the invariants (audited once,
-as arrays over the audited rows) are derived, and the check decodes with
-it only when the law's evaluation raised.
+columns from which `samples`, `final` and the invariants are derived,
+and the check decodes with it only when the law's evaluation raised.
 
 The steppers build each stage's state tuple from a list, with h/2 and h/6
 taken once per step (``0.5 * h * b`` is ``(0.5 * h) * b``, so every
@@ -92,12 +93,14 @@ class IntegrationParams:
     time_axis: str = "auto"  # auto | lab | proper
 
     def __post_init__(self):
-        if self.step <= 0 or self.n_steps <= 0:
+        if not (self.step > 0 and self.n_steps > 0):  # NaN is not positive either
             raise ValidationError("step and n_steps must be positive")
         if self.method not in ("rk4", "rk45"):
             raise ValidationError(f"unknown method '{self.method}' (rk4 | rk45)")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("tolerances must be positive")
+        if math.inf in (self.step, self.rel_tol, self.abs_tol):
+            raise ValidationError("step and tolerances must be finite")
         if self.audit_every < 1:
             raise ValidationError("audit_every must be >= 1")
         if self.time_axis not in ("auto", "lab", "proper"):
@@ -111,12 +114,8 @@ class IntegrationParams:
 @dataclass
 class ConservationStat:
     initial: float
-    max_drift: float = 0.0
-    samples: int = 0
-
-    def update(self, value: float) -> None:
-        self.max_drift = max(self.max_drift, abs(value - self.initial))
-        self.samples += 1
+    max_drift: float
+    samples: int
 
     @property
     def relative_drift(self) -> float:
@@ -134,11 +133,6 @@ class ConservationStat:
 
 class ConservationReport(dict):
     """Per-invariant drift statistics: name -> ConservationStat."""
-
-    def observe(self, name: str, value: float) -> None:
-        if name not in self:
-            self[name] = ConservationStat(initial=value, samples=0)
-        self[name].update(value)
 
     def to_dict(self) -> dict:
         return {name: stat.to_dict() for name, stat in self.items()}
@@ -367,6 +361,30 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
         raise _annotate(exc, label, x) from None
 
 
+def _audited_march(march, keep, invariants, audit_every: int) -> ConservationReport:
+    """keep(n, x, y) each row n >= 1 of a march; the report of invariants(rows) on its audit.
+
+    invariants(rows) gives each invariant's values over the rows as arrays
+    by name and raises at the first offending row.  The launch row is
+    audited before the first step; when the march fails, the rows reached
+    are audited first, so an earlier invariant error wins.  The audited
+    rows are every audit_every-th and the last, each once.
+    """
+    invariants([0])
+    n = 0
+    try:
+        for n, (x, y) in enumerate(march, 1):
+            keep(n, x, y)
+    except (PhysicsDomainError, StepFailureError):
+        invariants(range(0, n + 1, audit_every))
+        raise
+    rows = list(range(0, n + 1, audit_every)) + ([n] if n % audit_every else [])
+    return ConservationReport({
+        name: ConservationStat(float(v[0]), float(np.max(np.abs(v - v[0]))), len(v))
+        for name, v in invariants(rows).items()
+    })
+
+
 # --- particle integration -----------------------------------------------------
 
 
@@ -497,39 +515,30 @@ def integrate_particle(
     Deterministic: identical inputs give bit-identical trajectories.
     ``_march`` checks every new state where it is made and annotates
     physics-domain errors with the parameter value at which the step
-    failed.  The invariants are evaluated once, as arrays over the audited
-    rows (every audit_every-th and the last, each once); an invariant error
-    is annotated with its first offending row.
+    failed.  ``_audited_march`` keeps the rows and evaluates the array
+    invariants over the audited rows, the launch row first; an invariant
+    error is annotated with its first offending row.
     """
     axis = _axis_for(model, params)
     x = initial.t if axis == "lab" else initial.tau
     y = _pack(model, initial, axis)
     xs, ys = [x], [y]
+    traj = None
 
-    def trajectory(finished):
+    def keep(n, x, y):
+        xs.append(x)
+        ys.append(y)
+
+    def invariants(rows):
+        nonlocal traj  # the last call, over the finished run, leaves the run's trajectory
         traj = Trajectory(np.array(xs), np.array(ys), initial, model, axis)
-        n = len(xs) - 1
-        audited = list(range(0, n + 1, params.audit_every))
-        if finished and n % params.audit_every:
-            audited.append(n)
-        for name, values in traj.invariants(audited).items():
-            traj.report[name] = ConservationStat(
-                float(values[0]), float(np.max(np.abs(values - values[0]))), len(values)
-            )
-        return traj
+        return traj.invariants(rows)
 
     label = "t" if axis == "lab" else "tau"
     march = _march(*_flat_rhs(model, axis), x, y, params, label)
-    try:
-        for x, y in march:
-            xs.append(x)
-            ys.append(y)
-    # an invariant error on an earlier audited row is raised first, as a
-    # step-by-step audit would
-    except (PhysicsDomainError, StepFailureError):
-        trajectory(False)
-        raise
-    return trajectory(True)
+    report = _audited_march(march, keep, invariants, params.audit_every)
+    traj.report = report
+    return traj
 
 
 # --- string integration ---------------------------------------------------------
@@ -578,8 +587,8 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     without a source velocity (the uncharged flow, in a comoving field too),
     fills dr and dp from views of the state, and dt = (1 + |dr|^2)^(1/2),
     co-integrating the t channel, fills the tail.  Each new state is
-    written into its row of the trajectory.  Audits the energy functional
-    and the transversality defect every audit_every steps and at the last.
+    written into its row of the trajectory.  ``_audited_march`` audits the
+    energy functional and the transversality defect, the launch row first.
     A domain error in a stage is annotated with the tau of its step's start
     (an EnergyDomainError keeps its offending cell as ``where``); a
     non-finite new state, or a domain error or non-finite value in an
@@ -613,27 +622,26 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
             node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
             raise PhysicsDomainError(f"non-finite string state at node {node}", where=node)
 
-    def audit(i):
-        row = traj.state(i)
-        try:
-            observed = (
-                ("hamiltonian", strings.string_hamiltonian(row, field)),
-                ("transversality", strings.transversality_defect(row)),
-            )
-            for name, value in observed:
-                if not math.isfinite(value):
-                    raise PhysicsDomainError(f"non-finite {name} {value}")
-        except PhysicsDomainError as exc:
-            raise _annotate(exc, "tau", row.tau) from None
-        for name, value in observed:
-            traj.report.observe(name, value)
+    def keep(i, tau, y):
+        traj.tau[i], traj.Y[i] = tau, y[0]
 
-    audit(0)
-    for i, (tau, (y,)) in enumerate(_march(rhs, check, state.tau, (y,), params, "tau"), 1):
-        traj.tau[i], traj.Y[i] = tau, y
-        if i % params.audit_every == 0 or i == params.n_steps:
-            audit(i)
+    def invariants(rows):
+        # raises at the first offending row, then at the first invariant of that row
+        values = []
+        for i in rows:
+            row = traj.state(i)
+            try:
+                pair = (strings.string_hamiltonian(row, field), strings.transversality_defect(row))
+                for name, value in zip(("hamiltonian", "transversality"), pair):
+                    if not math.isfinite(value):
+                        raise PhysicsDomainError(f"non-finite {name} {value}")
+            except PhysicsDomainError as exc:
+                raise _annotate(exc, "tau", row.tau) from None
+            values.append(pair)
+        return dict(zip(("hamiltonian", "transversality"), np.array(values).T))
 
+    march = _march(rhs, check, state.tau, (y,), params, "tau")
+    traj.report = _audited_march(march, keep, invariants, params.audit_every)
     return traj
 
 

@@ -514,11 +514,7 @@ def rest_mass_limit_check(
     deviations = []
     for q in q_sequence:
         model = scenario.model(q=q)
-        params = IntegrationParams(
-            step=scenario.horizon / scenario.n_steps,
-            n_steps=scenario.n_steps,
-            audit_every=1,
-        )
+        params = IntegrationParams(step=scenario.horizon / scenario.n_steps, n_steps=scenario.n_steps)
         traj = integrate_particle(model, scenario.initial_state(q=q), params)
         values = rest_mass(traj.columns(), model)
         deviations.append(float(np.max(np.abs(values - values[0]))))

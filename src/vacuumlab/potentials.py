@@ -66,22 +66,21 @@ class SourceSpec:
     background: float = 0.0
 
     def validate(self) -> None:
+        """Raise on a broken invariant; each message starts with the key it names."""
+        if self.kind is SourceKind.UNIFORM:
+            if self.strength >= 0:
+                raise InvalidSourceError("strength must be negative for a uniform potential")
+        elif self.strength == 0:
+            raise InvalidSourceError("strength must be nonzero for a Coulomb source")
         if self.softening < 0:
             raise InvalidSourceError("softening must be >= 0")
         if self.background > 0:
             raise InvalidSourceError("background must be <= 0 for mass positivity")
-        if self.kind is SourceKind.UNIFORM:
-            if self.strength >= 0:
-                raise InvalidSourceError("uniform wbar must be negative")
-        else:
-            if self.strength == 0:
-                raise InvalidSourceError("Coulomb source charge must be nonzero")
-        if self.kind is SourceKind.COULOMB_COMOVING:
-            if self.u_f.norm2() >= 1.0:
-                raise SuperluminalVelocityError("source velocity |u_f| must be < 1")
-        elif self.kind is SourceKind.COULOMB_STATIC:
+        if self.kind is SourceKind.COULOMB_STATIC:
             if self.u_f.norm2() != 0.0:
-                raise InvalidSourceError("static source must have u_f = 0")
+                raise InvalidSourceError("u_f must be zero for coulomb-static")
+        elif self.kind is SourceKind.COULOMB_COMOVING and self.u_f.norm2() >= 1.0:
+            raise SuperluminalVelocityError("u_f: superluminal source velocity")
 
 
 _ZERO_JAC = (ZERO3, ZERO3, ZERO3)

@@ -421,10 +421,16 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
         (lambda d: d.update(field={"kind": "coulomb-static", "strength": 0.0}), "field.strength"),
         (lambda d: d.update(model="classical", rest_mass=1e-300), "rest_mass"),
         (lambda d: d.update(model="classical", rest_mass=1e300), "rest_mass"),
+        (lambda d: d.update(field={"kind": "uniform", "strength": 0.0}), "field.strength"),
+        (lambda d: d.update(field={"kind": "coulomb-static", "u_f": [0.1, 0.0, 0.0]}),
+         "field.u_f"),
+        (lambda d: d.update(field={"kind": "coulomb-comoving", "u_f": [1.0, 0.0, 0.0]}),
+         "field.u_f:"),
     ],
     ids=["classical-no-mass", "constrained-zero-mass", "classical-negative-mass",
          "negative-softening", "positive-background", "zero-source-charge",
-         "classical-mass-square-underflows", "classical-mass-square-overflows"],
+         "classical-mass-square-underflows", "classical-mass-square-overflows",
+         "non-negative-uniform-strength", "moving-static-source", "superluminal-source"],
 )
 def test_config_values_are_refused_when_parsed(tmp_path, capsys, edit, key):
     data = minimal_particle(str(tmp_path / "out"))
@@ -542,11 +548,13 @@ def test_audit_refuses_adaptive_rows_it_cannot_path(tmp_path, capsys, name):
 
 
 SHIPPED_RUNS = [
-    ["run", name] for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".yaml")
+    [verb, name]
+    for name in sorted(os.listdir(SCENARIOS)) if name.endswith(".yaml")
+    for verb in ("run", "audit") if verb == "run" or load_scenario(name)["kind"] == "particle"
 ] + [["compare", "compare_classical_uniform.yaml", "compare_uniform_field.yaml"]]
 
 
-# sha256 of every CSV of the shipped runs at --steps 20.  A refactor must keep
+# sha256 of every CSV of the shipped runs and audits at --steps 20.  A refactor must keep
 # them; they may change only together with a recorded tolerance table of the
 # old and new outputs.
 SHIPPED_DIGESTS = {
@@ -605,6 +613,56 @@ SHIPPED_DIGESTS = {
     "compare-compare_classical_uniform-compare_uniform_field": {
         "compare.csv": "e83d998d50122758d9051fe290eaab5fd99bb9df489e0d2872e70bdbea5e19e0",
     },
+    "audit-classical_coulomb": {
+        "classical-coulomb_audit.csv": "269d424459b75de79afd996edd04d64c53ba2a916f6bab0125ec495a3b2872fc",
+    },
+    "audit-classical_gyro": {
+        "classical-gyro_audit.csv": "862a7a877d11c19ba980bb11acf53b909188a41019c493863cd7adedf2081ea5",
+    },
+    "audit-classical_uniform_e": {
+        "classical-uniform-e_audit.csv": "51b8be83e12c4ae43d5ec3375936904a086e25da9dbb924246c8eabae54b4af0",
+    },
+    "audit-compare_classical_uniform": {
+        "compare-classical-uniform_audit.csv": "8a884deb7f3aa592004e9b24ae1a25db4e298b96c4c1103cf3d783f96d2c1adb",
+    },
+    "audit-compare_uniform_field": {
+        "compare-interacting-uniform_audit.csv": "85909fc0eec42249a38e9f095e729906313ec04c14d31f0fa605fe5b99b26347",
+    },
+    "audit-constrained_rk45": {
+        "constrained-rk45_audit.csv": "005a995133c5f450c5a1fcdd2bd075b832f08dba5a75a83d082f33ae62183d0b",
+    },
+    "audit-constrained_uniform_e": {
+        "constrained-uniform-e_audit.csv": "4125e683cc2245885d60e6e578d29ad8189f2ff8405637fef2e714850991ceff",
+    },
+    "audit-vacuum_free_coulomb": {
+        "vacuum-free-coulomb_audit.csv": "4d929084d2ef53d5e5aa3e700f8d8f472487b4a0ce1553ceaac51746702d9dac",
+    },
+    "audit-vacuum_interacting_codrift": {
+        "vacuum-interacting-codrift_audit.csv": "4d929084d2ef53d5e5aa3e700f8d8f472487b4a0ce1553ceaac51746702d9dac",
+    },
+    "audit-vacuum_interacting_generic": {
+        "vacuum-interacting-generic_audit.csv": "0e75644abe5de55f5caf6bc7f6dbdd18b4d3f5d883aff67774a617d1ecda16b3",
+    },
+}
+
+
+# sha256 of each shipped run's manifest `conservation` block (JSON, sorted keys) at
+# --steps 20, held to the same rule as the CSV digests.
+CONSERVATION_DIGESTS = {
+    "classical_coulomb": "029796a78a590ddc3d8f4c7a88fd607a2e9806529d8e72a51da6839977ef1aa1",
+    "classical_gyro": "e3baf77284dd708cb04d75bfc5227c87cbd122cbb8ae6dbc397276f8be4e9fce",
+    "classical_uniform_e": "27ac97cb09a0467c7ff6a40a4e2e5f41ae23b3d30a4780ca1f8e82dd321a81f9",
+    "compare_classical_uniform": "f712da66a27d66a872bf6de7d6c16b015aa1dd2482b4cb4dffe6c6056526207a",
+    "compare_uniform_field": "47c05a84621308b797d9506052a0f0d00fa545be18844758cc663f39a0833d7e",
+    "conformal_laplace": "b3c4e00d6bf4bcbb1c275eb268ae1bbe545e6cb8557da01eaf7e16cfdfc3df44",
+    "conformal_manufactured": "6b857433dff3489680e72a72141f11292aac9a5e0c42ae669e9a68b9328e1181",
+    "constrained_rk45": "fec941bcb0b950725f377109a671b920e948dd49799bed01a0bb4a6cc1c79b81",
+    "constrained_uniform_e": "644b6fc73b1c0076b6856ef070a0e5dc3e23cd2dc5d9ff4c900ef79e89319327",
+    "string_pluck": "fa64f5e0018b26e0b307cfa8c9ec657bda5c31eaf965625a538a8e3f79c9e1c4",
+    "string_static": "2c6d2de49e6ed377a053e133e8311753f40d98b1108249b966dac28832726d1d",
+    "vacuum_free_coulomb": "0f9beb3cf69b5fa1fc2aa61db05d64804ca87e75099acd44a5cb0d77f1871871",
+    "vacuum_interacting_codrift": "3219c339a3d6c208c0601bbca863151c5a3a8be8f39b025e7e67786c64460066",
+    "vacuum_interacting_generic": "a0f68e8785510b5f434247f6bbac40fa9ae80f8e180f44d4de0b2da6d760292c",
 }
 
 
@@ -629,6 +687,8 @@ def test_shipped_scenarios_run_and_rerun_identically(tmp_path, verb, names):
         manifest = json.loads((out / f"{config.name}.manifest.json").read_text())
         for value in _benchmark_keys(config, manifest["conservation"]):
             assert isinstance(value, float) and math.isfinite(value)
+        block = json.dumps(manifest["conservation"], sort_keys=True).encode()
+        assert hashlib.sha256(block).hexdigest() == CONSERVATION_DIGESTS[names[0][: -len(".yaml")]]
 
 
 def _benchmark_keys(config, conservation):

@@ -16,7 +16,12 @@ import pytest
 import vacuumlab.integrate as integ
 from vacuumlab.errors import EnergyDomainError, PhysicsDomainError, SuperluminalVelocityError
 from vacuumlab.geometry import Vec3, ZERO3, proper_time_factor
-from vacuumlab.integrate import ConservationReport, IntegrationParams, integrate_particle
+from vacuumlab.integrate import (
+    ConservationReport,
+    ConservationStat,
+    IntegrationParams,
+    integrate_particle,
+)
 from vacuumlab.particle import (
     INVARIANTS,
     ForceModel,
@@ -131,6 +136,15 @@ def _unpack(model, y, x, axis):
     return ParticleState(tau, t, r, vacuum_velocity(model.field.wbar(r, t), p), p, extra)
 
 
+class DriftReport(ConservationReport):
+    """The reference audit: each invariant's drift, accumulated one audited value at a time."""
+
+    def observe(self, name, value):
+        stat = self.setdefault(name, ConservationStat(value, 0.0, 0))
+        stat.max_drift = max(stat.max_drift, abs(value - stat.initial))
+        stat.samples += 1
+
+
 def reference_integrate(model, initial, params):
     """(samples, report) of the per-step loop: a state and a scalar audit per step."""
     axis = integ._axis_for(model, params)
@@ -139,7 +153,7 @@ def reference_integrate(model, initial, params):
     x = initial.t if axis == "lab" else initial.tau
     y = integ._pack(model, initial, axis)
 
-    report = ConservationReport()
+    report = DriftReport()
     samples = [initial]
     for name, fn in audits.items():
         report.observe(name, fn(initial, model))
@@ -323,6 +337,28 @@ def test_row_zero_is_the_initial_state_not_its_round_trip():
         params = IntegrationParams(step=1e-3, n_steps=10, time_axis=axis)
         with pytest.raises(EnergyDomainError, match=r"exceeds .*=0\]$"):
             integrate_particle(model, state, params)
+
+
+def test_a_launch_the_audit_refuses_takes_no_step(monkeypatch):
+    # |u| < 1 but |u - u_f| = 1.1: the lab-axis law would step on, but the
+    # launch row's interacting energy root is out of its domain
+    spec = SourceSpec(SourceKind.COULOMB_COMOVING, 1.0, u_f=Vec3(0.6, 0.0, 0.0), softening=0.05,
+                      background=-1.0)
+    field = build_potential(spec, 1.0)
+    model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
+    state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(-0.5, 0.0, 0.0))
+    evaluations, bind = [], integ._evaluator
+
+    def counted(model, axis):
+        evaluate = bind(model, axis)
+        return lambda x, y: evaluations.append(x) or evaluate(x, y)
+
+    monkeypatch.setattr(integ, "_evaluator", counted)
+    params = IntegrationParams(step=1e-3, n_steps=10, time_axis="lab")
+    message = r"^\|p\+qA\| = 1.2742 exceeds \|wbar\| = 1.15837 \[t=0\]$"
+    with pytest.raises(EnergyDomainError, match=message):
+        integrate_particle(model, state, params)
+    assert evaluations == []
 
 
 def test_non_finite_state_is_a_physics_domain_error():

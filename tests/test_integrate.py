@@ -223,6 +223,10 @@ def test_integration_params_validation():
         IntegrationParams(step=0.0, n_steps=10)
     with pytest.raises(ValidationError):
         IntegrationParams(step=0.1, n_steps=10, method="euler")
+    for key in ("step", "rel_tol", "abs_tol"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                IntegrationParams(**{"step": 0.1, "n_steps": 10, key: bad})
     with pytest.raises(ValidationError):
         IntegrationParams(step=0.1, n_steps=10, time_axis="weird")
     with pytest.raises(ValidationError):

@@ -33,6 +33,7 @@ from vacuumlab.errors import ConvergenceError, EnergyDomainError, PhysicsDomainE
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import (
     ConservationReport,
+    ConservationStat,
     IntegrationParams,
     integrate_string,
     relax_elliptic,
@@ -171,6 +172,15 @@ def reference_hamiltonian(state, field):
     return float(state.grid.h * np.sum(reference_cells(state, field, need_grad=False)[5]))
 
 
+class DriftReport(ConservationReport):
+    """The reference audit: each invariant's drift, accumulated one audited value at a time."""
+
+    def observe(self, name, value):
+        stat = self.setdefault(name, ConservationStat(value, 0.0, 0))
+        stat.max_drift = max(stat.max_drift, abs(value - stat.initial))
+        stat.samples += 1
+
+
 def reference_integrate_string(state, field, params):
     """(samples, report) of the per-call-state RK4 loop."""
     n = state.grid.n
@@ -195,7 +205,7 @@ def reference_integrate_string(state, field, params):
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
         return np.concatenate([dr.ravel(), dp.ravel(), dt])
 
-    report = ConservationReport()
+    report = DriftReport()
     samples = [rebuild(tau, y)]
     report.observe("hamiltonian", reference_hamiltonian(samples[0], field))
     report.observe("transversality", strings.transversality_defect(samples[0]))
