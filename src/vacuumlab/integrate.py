@@ -19,7 +19,7 @@ tuple state with `rk4_step` or `rkf45_step`, checks each new state, hands
 the rate the check evaluated there to the next step as its k1, and
 annotates a physics-domain error with the t or tau of its step.  Both
 keep its rows through one audit, `_audited_march`, which audits the launch
-row first and then the invariants once, as arrays over the audited rows.
+row first and then the later audited rows once, as arrays.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
@@ -33,9 +33,12 @@ the parameter x and the flat states Y as arrays, it gives the physical
 columns from which `samples`, `final` and the invariants are derived,
 and the check decodes with it only when the law's evaluation raised.
 
-The steppers build each stage's state tuple from a list, with h/2 and h/6
-taken once per step (``0.5 * h * b`` is ``(0.5 * h) * b``, so every
-product and sum is the tableau's own, in its order).
+Each stepper combines a stage's state and rates by a function that
+`_combiner` generates once per stage expression and state length: the
+expression is written once as a module constant, and the function unpacks
+the tuples into locals and evaluates it at every component.  RK4 takes h/2
+and h/6 once per step (``0.5 * h * b`` is ``(0.5 * h) * b``), so every
+product and sum is the tableau's own, in its order.
 
 A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: each stage's rate is one new flat array, which the string flow's
@@ -52,7 +55,10 @@ residual after its last color to the callers that read it.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, List
 
@@ -93,6 +99,8 @@ class IntegrationParams:
     time_axis: str = "auto"  # auto | lab | proper
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.n_steps, self.audit_every)):
+            raise ValidationError("n_steps and audit_every must be integers")
         if not (self.step > 0 and self.n_steps > 0):  # NaN is not positive either
             raise ValidationError("step and n_steps must be positive")
         if self.method not in ("rk4", "rk45"):
@@ -247,15 +255,45 @@ def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> Phys
 # --- generic steppers on flat tuple states ----------------------------------
 
 
+# stage expressions of the steppers' combines, in a, h and the rates b1, b2, ...
+_RK4_STAGE = "a + h * b1"
+_RK4_FINAL = "a + h * (b1 + 2.0 * (b2 + b3) + b4)"
+_RKF_K2 = "a + h * (b1 / 4.0)"
+_RKF_K3 = "a + h * (3.0 * b1 / 32.0 + 9.0 * b2 / 32.0)"
+_RKF_K4 = "a + h * (1932.0 * b1 - 7200.0 * b2 + 7296.0 * b3) / 2197.0"
+_RKF_K5 = "a + h * (439.0 * b1 / 216.0 - 8.0 * b2 + 3680.0 * b3 / 513.0 - 845.0 * b4 / 4104.0)"
+_RKF_K6 = (
+    "a + h * (-8.0 * b1 / 27.0 + 2.0 * b2 - 3544.0 * b3 / 2565.0 + 1859.0 * b4 / 4104.0"
+    " - 11.0 * b5 / 40.0)"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _combiner(expr: str, arity: int) -> Callable:
+    """combine(h, a, b1, ...): the tuple of expr at each of the arity components of a, b1, ...
+
+    expr is one of the module's stage expressions above, never input.  The
+    function is generated once per (expr, arity), as ``collections.namedtuple``
+    generates its methods: it unpacks each tuple into locals and evaluates
+    expr once per component, with the same operands in the same order.
+    """
+    names = ["a"] + [f"b{j}" for j in range(1, 6) if f"b{j}" in expr]
+    lanes = [re.sub(r"\b([ab]\d?)\b", rf"\1_{i}", expr) for i in range(arity)]
+    unpack = "".join(f"    {''.join(f'{n}_{i}, ' for i in range(arity))}= {n}\n" for n in names)
+    source = f"def combine(h, {', '.join(names)}):\n{unpack}    return ({', '.join(lanes)},)\n"
+    namespace = {"__builtins__": {}}
+    exec(source, namespace)
+    return namespace["combine"]
+
+
 def rk4_step(f, x, y, h, k1):
     """One classical RK4 step of dy/dx = f(x, y) from y, k1 = f(x, y) evaluated by the caller."""
-    half, sixth = 0.5 * h, h / 6.0
-    k2 = f(x + half, tuple([a + half * b for a, b in zip(y, k1)]))
-    k3 = f(x + half, tuple([a + half * b for a, b in zip(y, k2)]))
-    k4 = f(x + h, tuple([a + h * b for a, b in zip(y, k3)]))
-    return tuple([
-        a + sixth * (b1 + 2.0 * (b2 + b3) + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ])
+    half, n = 0.5 * h, len(y)
+    stage = _combiner(_RK4_STAGE, n)
+    k2 = f(x + half, stage(half, y, k1))
+    k3 = f(x + half, stage(half, y, k2))
+    k4 = f(x + h, stage(h, y, k3))
+    return _combiner(_RK4_FINAL, n)(h / 6.0, y, k1, k2, k3, k4)
 
 
 _RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
@@ -263,40 +301,12 @@ _RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
 
 
 def _rkf45_stages(f, x, y, h, k1):
-    k2 = f(x + h / 4.0, tuple([a + h * (b / 4.0) for a, b in zip(y, k1)]))
-    k3 = f(
-        x + 3.0 * h / 8.0,
-        tuple([a + h * (3.0 * b1 / 32.0 + 9.0 * b2 / 32.0) for a, b1, b2 in zip(y, k1, k2)]),
-    )
-    k4 = f(
-        x + 12.0 * h / 13.0,
-        tuple([
-            a + h * (1932.0 * b1 - 7200.0 * b2 + 7296.0 * b3) / 2197.0
-            for a, b1, b2, b3 in zip(y, k1, k2, k3)
-        ]),
-    )
-    k5 = f(
-        x + h,
-        tuple([
-            a + h * (439.0 * b1 / 216.0 - 8.0 * b2 + 3680.0 * b3 / 513.0 - 845.0 * b4 / 4104.0)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]),
-    )
-    k6 = f(
-        x + h / 2.0,
-        tuple([
-            a
-            + h
-            * (
-                -8.0 * b1 / 27.0
-                + 2.0 * b2
-                - 3544.0 * b3 / 2565.0
-                + 1859.0 * b4 / 4104.0
-                - 11.0 * b5 / 40.0
-            )
-            for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)
-        ]),
-    )
+    n = len(y)
+    k2 = f(x + h / 4.0, _combiner(_RKF_K2, n)(h, y, k1))
+    k3 = f(x + 3.0 * h / 8.0, _combiner(_RKF_K3, n)(h, y, k1, k2))
+    k4 = f(x + 12.0 * h / 13.0, _combiner(_RKF_K4, n)(h, y, k1, k2, k3))
+    k5 = f(x + h, _combiner(_RKF_K5, n)(h, y, k1, k2, k3, k4))
+    k6 = f(x + h / 2.0, _combiner(_RKF_K6, n)(h, y, k1, k2, k3, k4, k5))
     return (k1, k2, k3, k4, k5, k6)
 
 
@@ -366,23 +376,26 @@ def _audited_march(march, keep, invariants, audit_every: int) -> ConservationRep
 
     invariants(rows) gives each invariant's values over the rows as arrays
     by name and raises at the first offending row.  The launch row is
-    audited before the first step; when the march fails, the rows reached
-    are audited first, so an earlier invariant error wins.  The audited
-    rows are every audit_every-th and the last, each once.
+    audited before the first step, and its values are kept; the audit then
+    evaluates the later rows only, once the march ends.  When the march
+    fails, the rows reached are audited first, so an earlier invariant
+    error wins.  The audited rows are every audit_every-th and the last,
+    each once.
     """
-    invariants([0])
+    launch = invariants([0])
     n = 0
     try:
         for n, (x, y) in enumerate(march, 1):
             keep(n, x, y)
     except (PhysicsDomainError, StepFailureError):
-        invariants(range(0, n + 1, audit_every))
+        invariants(range(audit_every, n + 1, audit_every))
         raise
-    rows = list(range(0, n + 1, audit_every)) + ([n] if n % audit_every else [])
-    return ConservationReport({
-        name: ConservationStat(float(v[0]), float(np.max(np.abs(v - v[0]))), len(v))
-        for name, v in invariants(rows).items()
-    })
+    rows = list(range(audit_every, n + 1, audit_every)) + ([n] if n % audit_every else [])
+    stats = {}
+    for name, v in invariants(rows).items():
+        v = np.concatenate((launch[name], v))
+        stats[name] = ConservationStat(float(v[0]), float(np.max(np.abs(v - v[0]))), len(v))
+    return ConservationReport(stats)
 
 
 # --- particle integration -----------------------------------------------------
@@ -609,10 +622,9 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     def rhs(tau, y):
         (y,) = y
         k = np.empty(7 * m)
-        r, p = y[: 3 * m].reshape(m, 3), y[3 * m : 6 * m].reshape(m, 3)
-        strings._rates(h, field, r, p, y[6 * m :], k[: 6 * m].reshape(2, m, 3))
-        dr = k[: 3 * m].reshape(m, 3)
-        np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr), out=k[6 * m :])
+        (r, p), rates = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3)
+        strings._rates(h, field, r, p, y[6 * m :], rates)
+        np.sqrt(1.0 + np.einsum("ij,ij->i", rates[0], rates[0]), out=k[6 * m :])
         return (k,)
 
     def check(tau, y):  # evaluates no rate, so each step's k1 is a new one

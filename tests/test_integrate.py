@@ -227,6 +227,11 @@ def test_integration_params_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValidationError):
                 IntegrationParams(**{"step": 0.1, "n_steps": 10, key: bad})
+    for method in ("rk4", "rk45"):  # refused when made, not by range() in the march or audit
+        for key, bad in (("n_steps", 10.5), ("audit_every", 2.5), ("n_steps", 10.0), ("audit_every", "2")):
+            with pytest.raises(ValidationError, match="n_steps and audit_every must be integers"):
+                IntegrationParams(**{"step": 0.1, "n_steps": 10, "method": method, key: bad})
+    assert IntegrationParams(step=0.1, n_steps=np.int64(10), audit_every=np.int32(2)).horizon == 1.0
     with pytest.raises(ValidationError):
         IntegrationParams(step=0.1, n_steps=10, time_axis="weird")
     with pytest.raises(ValidationError):

@@ -18,7 +18,9 @@ of zero included, except by ``solve_conformal`` on grids it can halve: its
 multigrid solution is held to ``reference_relax``'s within a recorded gap.
 """
 
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -58,6 +60,9 @@ from vacuumlab.strings import (
     string_hamiltonian,
 )
 from vacuumlab.tolerances import ENERGY_DOMAIN_GUARD
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def identical(a, b):
@@ -441,10 +446,12 @@ def reference_rkf45_step(f, x, y, h, rel_tol, abs_tol):
 
 
 def _float_law(x, y):
-    """A nonlinear, coupled rate of an 8-float tuple, with a zero and a signed zero in it."""
+    """A nonlinear, coupled rate of a float tuple; from three floats on, its last two are 0.0 and -0.0."""
     n = len(y)
     rates = [math.sin(x + y[i]) * y[(i + 1) % n] - 0.3 * y[i] for i in range(n)]
-    return tuple(rates[:-2]) + (0.0, -0.0 * y[0])
+    if n > 2:
+        rates[-2:] = (0.0, -0.0 * y[0])
+    return tuple(rates)
 
 
 def _array_law(x, y):
@@ -452,20 +459,40 @@ def _array_law(x, y):
     return (np.sin(x + a) * a[::-1] - 0.3 * a,)
 
 
+def _linear_law(x, y):
+    """A coupled rate that takes -0.0, inf and nan without raising."""
+    return tuple(x * v - 0.5 * y[i - 1] for i, v in enumerate(y))
+
+
+def same_bits(a, b):
+    """Bit-identical floats: signs of zero count, and a NaN equals only the same NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_float_steps_match(law, x, y, h, rel_tol, abs_tol):
+    k1 = law(x, y)
+    got, ref = rk4_step(law, x, y, h, k1), reference_rk4_step(law, x, y, h)
+    assert same_bits(got, ref) and all(type(v) is float for v in got)
+    for k, ref_k in zip(integrate._rkf45_stages(law, x, y, h, k1), reference_rkf45_stages(law, x, y, h)):
+        assert same_bits(k, ref_k)
+    (acc, y5, ratio) = rkf45_step(law, x, y, h, rel_tol, abs_tol, k1)
+    (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(law, x, y, h, rel_tol, abs_tol)
+    assert same_bits(y5, ref_y5)
+    return (acc, ratio), (ref_acc, ref_ratio)
+
+
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_steppers_equal_the_generator_built_references(seed):
+    # every arity the program steps: 8 and 7 floats (particles on the proper
+    # and the lab axis), 1 float, and the string's one-array tuple
     rng = np.random.default_rng(seed)
     for _ in range(40):
         x, h = float(rng.normal()), float(rng.uniform(1e-3, 0.5))
         rel_tol, abs_tol = 10.0 ** rng.uniform(-10, -2), 10.0 ** rng.uniform(-12, -4)
         y = tuple(float(v) for v in rng.normal(scale=2.0, size=8))
-        k1 = _float_law(x, y)
-        got, ref = rk4_step(_float_law, x, y, h, k1), reference_rk4_step(_float_law, x, y, h)
-        assert got == ref and identical(got, ref)
-        assert all(type(v) is float for v in got)
-        (acc, y5, ratio) = rkf45_step(_float_law, x, y, h, rel_tol, abs_tol, k1)
-        (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(_float_law, x, y, h, rel_tol, abs_tol)
-        assert (acc, y5, ratio) == (ref_acc, ref_y5, ref_ratio) and identical(y5, ref_y5)
+        got, ref = _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
+        assert got == ref
 
         arr = (rng.normal(size=24),)
         k1 = _array_law(x, arr)
@@ -475,6 +502,36 @@ def test_steppers_equal_the_generator_built_references(seed):
         stages = integrate._rkf45_stages(_array_law, x, arr, h, k1)
         for (k,), (ref_k,) in zip(stages, reference_rkf45_stages(_array_law, x, arr, h)):
             assert identical(k, ref_k)
+
+        for n in (7, 1):
+            y = tuple(float(v) for v in rng.normal(scale=2.0, size=n))
+            got, ref = _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
+            assert got == ref
+
+    # -0.0, inf and nan in the state: the same bits, NaNs included (the
+    # error ratio is not compared: a NaN estimate reads inf by design)
+    special = (-0.0, math.inf, math.nan)
+    states = [(v,) for v in special] + [special + tuple(rng.normal(size=n - 3).tolist()) for n in (7, 8)]
+    for y in states:
+        _assert_float_steps_match(_linear_law, float(rng.normal()), y, 0.25, 1e-9, 1e-12)
+
+
+def _shipped_particle(name, **changes):
+    model, state, params = cli.build_particle_model(cli.parse_config(str(SCENARIOS / name)))
+    return model, state, dataclasses.replace(params, **changes)
+
+
+def test_the_combiner_cache_does_not_grow_with_steps():
+    integrate._combiner.cache_clear()
+    proper = _shipped_particle("vacuum_free_coulomb.yaml", n_steps=1000)  # 8 floats
+    integrate.integrate_particle(*proper)
+    assert integrate._combiner.cache_info().currsize == 2  # RK4's stage and final combines
+    lab = _shipped_particle("classical_gyro.yaml", n_steps=1000, method="rk45")  # 7 floats
+    assert len(integrate.integrate_particle(*lab).x) > 10
+    assert integrate._combiner.cache_info().currsize == 2 + 5  # and RKF45's five stages
+    integrate.integrate_particle(*proper)
+    info = integrate._combiner.cache_info()
+    assert (info.currsize, info.misses) == (7, 7)
 
 
 # --- non-finite string states ----------------------------------------------------
