@@ -470,7 +470,7 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _assert_float_steps_match(law, x, y, h, rel_tol, abs_tol):
+def _assert_float_steps_match(law, x, y, h, rel_tol, abs_tol, ratios=True):
     k1 = law(x, y)
     got, ref = rk4_step(law, x, y, h, k1), reference_rk4_step(law, x, y, h)
     assert same_bits(got, ref) and all(type(v) is float for v in got)
@@ -479,7 +479,8 @@ def _assert_float_steps_match(law, x, y, h, rel_tol, abs_tol):
     (acc, y5, ratio) = rkf45_step(law, x, y, h, rel_tol, abs_tol, k1)
     (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(law, x, y, h, rel_tol, abs_tol)
     assert same_bits(y5, ref_y5)
-    return (acc, ratio), (ref_acc, ref_ratio)
+    if ratios:  # a NaN error estimate reads inf by design, where the reference keeps max(ratio, nan)
+        assert (acc, ratio) == (ref_acc, ref_ratio)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 29])
@@ -491,8 +492,7 @@ def test_steppers_equal_the_generator_built_references(seed):
         x, h = float(rng.normal()), float(rng.uniform(1e-3, 0.5))
         rel_tol, abs_tol = 10.0 ** rng.uniform(-10, -2), 10.0 ** rng.uniform(-12, -4)
         y = tuple(float(v) for v in rng.normal(scale=2.0, size=8))
-        got, ref = _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
-        assert got == ref
+        _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
 
         arr = (rng.normal(size=24),)
         k1 = _array_law(x, arr)
@@ -505,15 +505,13 @@ def test_steppers_equal_the_generator_built_references(seed):
 
         for n in (7, 1):
             y = tuple(float(v) for v in rng.normal(scale=2.0, size=n))
-            got, ref = _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
-            assert got == ref
+            _assert_float_steps_match(_float_law, x, y, h, rel_tol, abs_tol)
 
-    # -0.0, inf and nan in the state: the same bits, NaNs included (the
-    # error ratio is not compared: a NaN estimate reads inf by design)
+    # -0.0, inf and nan in the state: the same bits, NaNs included
     special = (-0.0, math.inf, math.nan)
     states = [(v,) for v in special] + [special + tuple(rng.normal(size=n - 3).tolist()) for n in (7, 8)]
     for y in states:
-        _assert_float_steps_match(_linear_law, float(rng.normal()), y, 0.25, 1e-9, 1e-12)
+        _assert_float_steps_match(_linear_law, float(rng.normal()), y, 0.25, 1e-9, 1e-12, ratios=False)
 
 
 def _shipped_particle(name, **changes):
