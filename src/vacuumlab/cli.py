@@ -95,6 +95,13 @@ _STRING_INITIAL = {"kind": "line", "start": _ZERO, "end": (1.0, 0.0, 0.0), "ampl
 _CONFORMAL = {"problem": "laplace-harmonic", "tol": 1e-8, "max_iters": 40000}
 _CONFORMAL_GRID = {"n_sigma": 33, "n_s": 33}
 _COULOMB = {"strength": 1.0, "softening": 1e-3, "background": 0.0, "r_f0": _ZERO, "u_f": _ZERO}
+# the top-level keys of each scenario kind
+_TOP_LEVEL = {
+    "particle": ("name", "kind", "output", "model", "charge", "rest_mass", "field", "initial",
+                 "integration"),
+    "string": ("name", "kind", "output", "field", "grid", "initial", "integration"),
+    "conformal": ("name", "kind", "output", "grid", *_CONFORMAL),
+}
 
 
 def _source(f: dict) -> SourceSpec:
@@ -134,10 +141,18 @@ def _number(raw, name: str, cast=float):
     raise ValidationError(f"{name} must be {kind}, got {raw!r}")
 
 
-def _fill(raw: dict, defaults: dict, prefix: str) -> dict:
+def _known(raw: dict, keys, prefix: str) -> None:
+    """Refuse a key of raw outside keys: nothing would read it."""
+    for key in raw:
+        if key not in keys:
+            raise ValidationError(f"unknown config key '{prefix}{key}'")
+
+
+def _fill(raw: dict, defaults: dict, prefix: str, known=()) -> dict:
     """Each key of defaults read from raw (or defaulted) as its default's type.
 
-    A ValidationError names the key as prefix + key.
+    A ValidationError names the key as prefix + key, for a bad value first,
+    then for a key of raw that is neither in defaults nor in known.
     """
     out = {}
     for key, default in defaults.items():
@@ -150,6 +165,7 @@ def _fill(raw: dict, defaults: dict, prefix: str) -> dict:
             out[key] = [_number(v, name) for v in value]
         else:
             raise ValidationError(f"{name} must be a 3-component list")
+    _known(raw, (*defaults, *known), prefix)
     return out
 
 
@@ -217,15 +233,6 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ParseError(f"{path} does not contain a mapping")
     data = dict(raw)
-    if overrides:
-        integration = dict(_section(data, "integration"))
-        for key in ("step", "n_steps", "rel_tol"):
-            if overrides.get(key) is not None:
-                integration[key] = overrides[key]
-        data["integration"] = integration
-        if overrides.get("out") is not None:
-            data["output"] = dict(_section(data, "output"), directory=overrides["out"])
-
     name = data.get("name")
     if not name or not isinstance(name, str):
         raise ValidationError("config key 'name' must be a nonempty string")
@@ -234,6 +241,16 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         raise ValidationError(
             f"config key 'kind' must be one of {list(_SCENARIO_KINDS)}, got {kind!r}"
         )
+    if overrides:
+        # the step overrides apply to the kinds that integrate; conformal solves ignore them
+        if "integration" in _TOP_LEVEL[kind]:
+            integration = dict(_section(data, "integration"))
+            for key in ("step", "n_steps", "rel_tol"):
+                if overrides.get(key) is not None:
+                    integration[key] = overrides[key]
+            data["integration"] = integration
+        if overrides.get("out") is not None:
+            data["output"] = dict(_section(data, "output"), directory=overrides["out"])
     normalized = _normalize(data)
     # the hash identifies the run content; the output destination is excluded
     hashed = {k: v for k, v in normalized.items() if k != "output"}
@@ -246,6 +263,7 @@ def _normalize(data: dict) -> dict:
     directory = _section(data, "output").get("directory", "out")
     if not isinstance(directory, str) or not directory:
         raise ValidationError("output.directory must be a nonempty string")
+    _known(_section(data, "output"), ("directory",), "output.")
     out = {"name": data["name"], "kind": kind, "output": {"directory": directory}}
     if kind == "particle":
         model = data.get("model")
@@ -286,7 +304,7 @@ def _normalize(data: dict) -> dict:
             raise ValidationError("initial.width must be positive")
         out["integration"] = _normalize_integration(_section(data, "integration"))
     else:  # conformal
-        out.update(_fill(data, _CONFORMAL, ""))
+        out.update(_fill(data, _CONFORMAL, "", _TOP_LEVEL[kind]))
         if out["problem"] not in ("laplace-harmonic", "manufactured"):
             raise ValidationError("problem must be 'laplace-harmonic' or 'manufactured'")
         out["grid"] = _fill(_section(data, "grid"), _CONFORMAL_GRID, "grid.")
@@ -296,6 +314,7 @@ def _normalize(data: dict) -> dict:
             raise ValidationError("tol must be positive")
         if out["max_iters"] < 1:
             raise ValidationError("max_iters must be >= 1")
+    _known(data, _TOP_LEVEL[kind], "")
     return out
 
 
@@ -305,7 +324,7 @@ def _normalize_field(raw) -> dict:
     fkind = raw.get("kind")
     if not isinstance(fkind, str) or fkind not in _FIELDS:
         raise ValidationError(f"field.kind must be one of {list(_FIELDS)}, got {fkind!r}")
-    out = {"kind": fkind, **_fill(raw, _FIELDS[fkind][0], "field.")}
+    out = {"kind": fkind, **_fill(raw, _FIELDS[fkind][0], "field.", ("kind",))}
     if _FIELDS[fkind][1] is _source_field:
         try:
             _source(out).validate()

@@ -596,10 +596,11 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     """Advance a string state under the canonical flow with fixed endpoints.
 
     ``_march`` steps the flat state (r, p, t) as a one-array tuple.  Its rate
-    is one new flat array per stage: the string writer ``strings._rates``,
-    without a source velocity (the uncharged flow, in a comoving field too),
-    fills dr and dp from views of the state, and dt = (1 + |dr|^2)^(1/2),
-    co-integrating the t channel, fills the tail.  Each new state is
+    is the string writer ``strings.bind_rates``, bound once per run without a
+    source velocity (the uncharged flow, in a comoving field too): each stage
+    copies the state into the writer's buffer, which fills dr, dp and
+    dt = (1 + |dr|^2)^(1/2), co-integrating the t channel, and takes a new
+    copy of the rate, so RK4's four stages keep four rates.  Each new state is
     written into its row of the trajectory.  ``_audited_march`` audits the
     energy functional and the transversality defect, the launch row first.
     A domain error in a stage is annotated with the tau of its step's start
@@ -617,15 +618,10 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     y = traj.Y[0]
     y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
 
-    h = grid.h
+    rates = strings.bind_rates(grid.h, field, m)
 
     def rhs(tau, y):
-        (y,) = y
-        k = np.empty(7 * m)
-        (r, p), rates = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3)
-        strings._rates(h, field, r, p, y[6 * m :], rates)
-        np.sqrt(1.0 + np.einsum("ij,ij->i", rates[0], rates[0]), out=k[6 * m :])
-        return (k,)
+        return (rates(y[0]),)
 
     def check(tau, y):  # evaluates no rate, so each step's k1 is a new one
         finite = np.isfinite(y[0])

@@ -20,14 +20,17 @@ string_hamiltonian; the flow implemented here,
                                           - d/dsigma (wbar^2 r' / h)
 
 is the Lagrangian-consistent one (it is the uncharged reduction of the
-charged-string force law).  One staggered kernel, computed once per call on
-the node arrays, gives each cell's grad(wbar) part, tension vector and
-velocity half-sum, and one writer, ``_rates``, accumulates each cell into
-its two nodes in the order of a sum into zeros.  string_canonical_rhs(state,
-field) is that writer on a new buffer; charged_string_rhs(state, field, q)
-is the same writer given the charge density q and the field's source
-velocity u_f, which adds u_f beta to dr and the three nodal
-electromagnetic terms to dp.  The alternative
+charged-string force law).  One staggered kernel, ``_cells``, gives each
+cell's pieces; one writer, ``bind_rates``, turns them into each cell's
+grad(wbar) part, tension vector and velocity half-sum and accumulates each
+cell into its two nodes in the order of a sum into zeros.  The writer is
+bound once per run to the spacing, the field and the node count: its
+buffers, their slices and the kernel's temporaries are made at the bind,
+and a call allocates only the copy of the rate it returns and the field's
+own arrays.  string_canonical_rhs(state, field) binds the writer and calls
+it once; charged_string_rhs(state, field, q) does the same given the charge
+density q and the field's source velocity u_f, which adds u_f beta to dr and
+the three nodal electromagnetic terms to dp.  The alternative
 functional |wbar r' - p| is provided for comparison: under the Euclidean
 reading with <p, r'> = 0 it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2,
 strictly above the energy integrand whenever p != 0 - the claimed
@@ -119,71 +122,59 @@ def sigma_derivative(grid: StringGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
-    """The staggered cells of node rows r, p, t on spacing h.
+    """Bind the staggered cells of node rows r, p, t (n nodes) on spacing h.
 
-    Returns (w, dr, rprime, pbar, rp2, hdens, mid, tmid, w2): wbar at the
-    cell midpoints mid and times tmid, dr = r_{c+1} - r_c, rprime = dr / h,
-    the averaged momentum pbar, rp2 = |rprime|^2, the energy root
-    hdens = [(w |r'|)^2 - |pbar|^2]^(1/2) and w2 = w * w, all of length n-1.
-    Raises EnergyDomainError, naming the worst cell, when the root's argument
-    is below the domain guard.  Only arrays allocated here are updated in
-    place, never the one ``wbar_many`` returned.
+    Returns (evaluate, cells).  cells = (dr, rprime, pbar, rp2, hdens, mid,
+    tmid, w2) are length n-1 arrays allocated here: dr = r_{c+1} - r_c,
+    rprime = dr / h, the averaged momentum pbar, rp2 = |rprime|^2, the
+    energy root hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), the cell midpoints mid
+    and times tmid, and w2 = w * w.  evaluate() fills them from the current
+    values of r, p and t and returns w, wbar at the midpoints.  It raises
+    EnergyDomainError, naming the worst cell, when the root's argument is
+    below the domain guard.  Only these arrays are written in place, never
+    the one ``wbar_many`` returned.
     """
-    dr = r[1:] - r[:-1]
-    mid = r[1:] + r[:-1]
-    mid *= 0.5
-    tmid = t[1:] + t[:-1]
-    tmid *= 0.5
-    w = field.wbar_many(mid, tmid)
-    rprime = dr / h
-    pbar = p[1:] + p[:-1]
-    pbar *= 0.5
-    rp2 = np.einsum("ij,ij->i", rprime, rprime)
-    w2 = w * w
-    g = w2 * rp2
-    g -= np.einsum("ij,ij->i", pbar, pbar)
-    if g.min() < ENERGY_DOMAIN_GUARD:
-        worst = int(np.argmin(g))
-        raise EnergyDomainError(
-            f"(wbar r')^2 - p^2 = {g[worst]:.3g} at cell {worst}", where=worst
-        )
-    return w, dr, rprime, pbar, rp2, np.sqrt(g, out=g), mid, tmid, w2
+    r1, r0, p1, p0, t1, t0 = r[1:], r[:-1], p[1:], p[:-1], t[1:], t[:-1]
+    rows, sums = np.empty((4, len(t0), 3)), np.empty((5, len(t0)))
+    (dr, mid, rprime, pbar), (tmid, rp2, p2, w2, g) = rows, sums
+    # rprime and pbar are adjacent, and so are rp2 and p2: one einsum gives both
+    # row dots, bit for bit as two would
+    pair, dots = rows[2:], sums[1:3]
+
+    def evaluate():
+        np.subtract(r1, r0, out=dr)
+        np.add(r1, r0, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        np.add(t1, t0, out=tmid)
+        np.multiply(tmid, 0.5, out=tmid)
+        w = field.wbar_many(mid, tmid)
+        np.divide(dr, h, out=rprime)
+        np.add(p1, p0, out=pbar)
+        np.multiply(pbar, 0.5, out=pbar)
+        np.einsum("kij,kij->ki", pair, pair, out=dots)
+        np.multiply(w, w, out=w2)
+        np.multiply(w2, rp2, out=g)
+        np.subtract(g, p2, out=g)
+        if g.min() < ENERGY_DOMAIN_GUARD:
+            worst = int(np.argmin(g))
+            raise EnergyDomainError(
+                f"(wbar r')^2 - p^2 = {g[worst]:.3g} at cell {worst}", where=worst
+            )
+        np.sqrt(g, out=g)
+        return w
+
+    return evaluate, (dr, rprime, pbar, rp2, g, mid, tmid, w2)
 
 
-def _flow_cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
-    """Per-cell pieces of the flow: (grad-wbar part, tension vector, velocity half-sum).
-
-    Each is an (n-1, 3) array that both nodes of its cell receive; the
-    tension vector is lost by the cell's left node and gained by its right.
-    """
-    w, dr, _, pbar, rp2, hdens, mid, tmid, w2 = _cells(h, field, r, p, t)
-    hcol = hdens[:, None]
-    scale = w * rp2
-    scale /= hdens
-    scale *= 0.5
-    grad = scale[:, None] * field.grad_wbar_many(mid, tmid)
-    tension = w2[:, None] * dr
-    tension /= h * h * hcol
-    pbar *= 0.5
-    pbar /= hcol
-    return grad, tension, pbar
-
-
-def _inner_rows(cells: np.ndarray, lead=np.add, out=None) -> np.ndarray:
-    """Interior node rows lead(0, cells[j]) + cells[j-1] of a cell piece.
-
-    This is the accumulation of the piece into a zeros array (lead is
-    np.subtract for the tension), in the same order, so signed zeros
-    come out as they would there.
-    """
-    rows = lead(0.0, cells[1:], out=out)
-    rows += cells[:-1]
-    return rows
+def _state_cells(state: StringState, field: PotentialField):
+    """(w, dr, rprime, pbar, rp2, hdens, mid, tmid, w2) of a state's cells, on new arrays."""
+    evaluate, cells = _cells(state.grid.h, field, state.r, state.p, state.t)
+    return (evaluate(), *cells)
 
 
 def string_hamiltonian(state: StringState, field: PotentialField) -> float:
     """Energy functional: midpoint quadrature of [(wbar r')^2 - p^2]^(1/2)."""
-    hdens = _cells(state.grid.h, field, state.r, state.p, state.t)[5]
+    hdens = _state_cells(state, field)[5]
     return float(state.grid.h * np.sum(hdens))
 
 
@@ -194,9 +185,7 @@ def string_hamiltonian_alt(state: StringState, field: PotentialField) -> float:
 
 def cell_integrands(state: StringState, field: PotentialField) -> dict:
     """Per-cell integrand values of both functionals, for gap diagnostics."""
-    w, _, rprime, pbar, rp2, hdens, _, _, w2 = _cells(
-        state.grid.h, field, state.r, state.p, state.t
-    )
+    w, _, rprime, pbar, rp2, hdens, _, _, w2 = _state_cells(state, field)
     diff = w[:, None] * rprime - pbar
     wrp2 = w2 * rp2
     p2 = np.einsum("ij,ij->i", pbar, pbar)
@@ -212,7 +201,7 @@ def cell_integrands(state: StringState, field: PotentialField) -> dict:
 
 def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray:
     """Energy integrand averaged back to nodes (trajectory CSV column)."""
-    hdens = _cells(state.grid.h, field, state.r, state.p, state.t)[5]
+    hdens = _state_cells(state, field)[5]
     out = np.zeros(state.grid.n)
     out[:-1] += 0.5 * hdens
     out[1:] += 0.5 * hdens
@@ -221,34 +210,87 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
-def _rates(h: float, field: PotentialField, r, p, t, out: np.ndarray, q=0.0, u_f=None) -> None:
-    """Write (dr/dtau, dp/dtau) of node rows r, p, t on spacing h into out, shape (2, n, 3).
+def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None):
+    """Bind the flow's writer to spacing h, field and m nodes: rates(y) -> k.
 
-    Without a source velocity u_f (an array) this is the canonical flow; with
-    one, the law of charge density q: dr = v + u_f beta, beta = (1 + |v|^2)^(1/2),
-    and dp gains q dr x curl A, -q grad<A, dr> and -q beta dA/dt, in that
-    order.  The end rows are +0.0 (fixed endpoints), as in a sum into zeros.
+    y is a flat state of 7m floats: the node rows r and p row-major, then the
+    t channel.  k, of the same layout, holds dr/dtau, dp/dtau and the clock
+    rate dt/dtau = (1 + |dr|^2)^(1/2).  Without a source velocity u_f (an
+    array) this is the canonical flow; with one, the law of charge density q:
+    dr = v + u_f beta, beta = (1 + |v|^2)^(1/2), and dp gains q dr x curl A,
+    -q grad<A, dr> and -q beta dA/dt, in that order.  The end rows of dr and
+    dp are +0.0 (fixed endpoints), as in a sum into zeros.
+
+    The binding holds one state buffer and one rate buffer, the views of
+    their cell slices and node rows, and the cells' temporaries.  A call
+    copies y in, writes the rate in the order of a sum of each cell into its
+    two nodes, and returns a copy of the rate buffer, so no call sees
+    another's values.  ``rates.pieces`` are the last call's per-cell
+    (grad-wbar part, tension vector, velocity half-sum): each (m-1, 3) piece
+    is received by both nodes of its cell, the tension lost by the left
+    node and gained by the right.
     """
-    grad, tension, velocity = _flow_cells(h, field, r, p, t)
-    dr, dp = out
-    dr[0] = dr[-1] = dp[0] = dp[-1] = 0.0
-    rdot, force = dr[1:-1], dp[1:-1]
-    _inner_rows(velocity, out=rdot)
-    _inner_rows(grad, out=force)
-    force += _inner_rows(tension, np.subtract)
-    if u_f is None:
-        return
-    beta = np.sqrt(1.0 + np.einsum("ij,ij->i", rdot, rdot))
-    rdot += beta[:, None] * u_f
-    if q != 0.0:
-        r, t = r[1:-1], t[1:-1]
-        jac = field.grad_vecpot_many(r, t)
-        curl = np.column_stack(
-            [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
-        )
-        force += q * np.cross(rdot, curl)
-        force -= q * np.einsum("nij,ni->nj", jac, rdot)
-        force -= (q * beta)[:, None] * field.dvecpot_dt_many(r, t)
+    y, k = np.empty(7 * m), np.zeros(7 * m)
+    (r, p), (dr, dp), dt = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3), k[6 * m :]
+    t = y[6 * m :]
+    inner_r, inner_t, rdot, force = r[1:-1], t[1:-1], dr[1:-1], dp[1:-1]
+    evaluate, (diff, _, velocity, rp2, hdens, mid, tmid, w2) = _cells(h, field, r, p, t)
+    grad, tension = np.empty((m - 1, 3)), np.empty((m - 1, 3))
+    scale, hh, rows = np.empty(m - 1), np.empty((m - 1, 1)), np.empty((m - 2, 3))
+    hcol, scol, w2col, h2 = hdens[:, None], scale[:, None], w2[:, None], h * h
+    v1, v0, g1, g0 = velocity[1:], velocity[:-1], grad[1:], grad[:-1]
+    s1, s0 = tension[1:], tension[:-1]
+
+    def rates(state):
+        y[:] = state
+        w = evaluate()
+        np.multiply(w, rp2, out=scale)
+        np.divide(scale, hdens, out=scale)
+        np.multiply(scale, 0.5, out=scale)
+        np.multiply(scol, field.grad_wbar_many(mid, tmid), out=grad)
+        np.multiply(w2col, diff, out=tension)
+        np.divide(tension, np.multiply(h2, hcol, out=hh), out=tension)
+        np.multiply(velocity, 0.5, out=velocity)
+        np.divide(velocity, hcol, out=velocity)
+        # each interior node row is lead(0, cell[j]) + cell[j-1], lead being
+        # np.subtract for the tension: signed zeros as in a sum into zeros
+        np.add(0.0, v1, out=rdot)
+        np.add(rdot, v0, out=rdot)
+        np.add(0.0, g1, out=force)
+        np.add(force, g0, out=force)
+        np.subtract(0.0, s1, out=rows)
+        np.add(rows, s0, out=rows)
+        np.add(force, rows, out=force)
+        if u_f is not None:
+            beta = np.sqrt(1.0 + np.einsum("ij,ij->i", rdot, rdot))
+            np.add(rdot, beta[:, None] * u_f, out=rdot)
+            if q != 0.0:
+                jac = field.grad_vecpot_many(inner_r, inner_t)
+                curl = np.column_stack([
+                    jac[:, 2, 1] - jac[:, 1, 2],
+                    jac[:, 0, 2] - jac[:, 2, 0],
+                    jac[:, 1, 0] - jac[:, 0, 1],
+                ])
+                np.add(force, q * np.cross(rdot, curl), out=force)
+                np.subtract(force, q * np.einsum("nij,ni->nj", jac, rdot), out=force)
+                dadt = field.dvecpot_dt_many(inner_r, inner_t)
+                np.subtract(force, (q * beta)[:, None] * dadt, out=force)
+        np.einsum("ij,ij->i", dr, dr, out=dt)
+        np.add(dt, 1.0, out=dt)
+        np.sqrt(dt, out=dt)
+        return k.copy()
+
+    rates.pieces = grad, tension, velocity
+    return rates
+
+
+def _rate(state: StringState, field: PotentialField, q: float = 0.0, u_f=None):
+    """(dr/dtau, dp/dtau) of one state: the bound writer, called once."""
+    m = state.grid.n
+    rates = bind_rates(state.grid.h, field, m, q, u_f)
+    k = rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
+    dr, dp = k[: 6 * m].reshape(2, m, 3)
+    return dr, dp
 
 
 def string_canonical_rhs(state: StringState, field: PotentialField):
@@ -257,9 +299,7 @@ def string_canonical_rhs(state: StringState, field: PotentialField):
     Equals the exact gradient of the discretized energy functional H via
     dr_j = -(1/h) dH/dp_j and dp_j = +(1/h) dH/dr_j (generator -H).
     """
-    dr, dp = out = np.empty((2, state.grid.n, 3))
-    _rates(state.grid.h, field, state.r, state.p, state.t, out)
-    return dr, dp
+    return _rate(state, field)
 
 
 def charged_string_rhs(state: StringState, field: PotentialField, q: float):
@@ -270,10 +310,7 @@ def charged_string_rhs(state: StringState, field: PotentialField, q: float):
     potential-gradient and tension pieces are those of the uncharged flow,
     and the electromagnetic terms are evaluated nodally from the field.
     """
-    dr, dp = out = np.empty((2, state.grid.n, 3))
-    u_f = getattr(field, "u_f", ZERO3).as_array()
-    _rates(state.grid.h, field, state.r, state.p, state.t, out, q, u_f)
-    return dr, dp
+    return _rate(state, field, q, getattr(field, "u_f", ZERO3).as_array())
 
 
 # --- nodal kernels --------------------------------------------------------------

@@ -363,9 +363,16 @@ def _huge_gradient(data):
         (lambda d: d["integration"].update(method="rk45"), 3, "step collapsed"),
         (_huge_gradient, 2, "non-finite energy inf [t=0.0025]"),
         (lambda d: d["integration"].update(n_steps=100.5), 1, "integration.n_steps"),
+        # r0 for r_f0: read by nothing, it left the source at the origin, under the particle
+        (
+            lambda d: d.update(field={"kind": "coulomb-static", "softening": 0.0,
+                                      "r0": [0.5, 0, 0]}),
+            1,
+            "unknown config key 'field.r0'",
+        ),
     ],
     ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
-         "non-finite-energy", "fractional-steps"],
+         "non-finite-energy", "fractional-steps", "misspelled-source-key"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ
@@ -379,6 +386,30 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "shipped, edit, key",
+    [
+        ("vacuum_free_coulomb.yaml", lambda d: d.update(bogus=1), "bogus"),
+        ("vacuum_free_coulomb.yaml", lambda d: d["field"].update(r0=[0.5, 0, 0]), "field.r0"),
+        ("vacuum_free_coulomb.yaml", lambda d: d["initial"].update(p=[0, 0, 0]), "initial.p"),
+        ("vacuum_free_coulomb.yaml", lambda d: d["integration"].update(steps=10),
+         "integration.steps"),
+        ("string_pluck.yaml", lambda d: d.update(bogus=1), "bogus"),
+        ("string_pluck.yaml", lambda d: d["grid"].update(nodes=16), "grid.nodes"),
+        ("string_pluck.yaml", lambda d: d["output"].update(dir="x"), "output.dir"),
+        ("conformal_laplace.yaml", lambda d: d.update(n_steps=10), "n_steps"),
+        ("conformal_laplace.yaml", lambda d: d["grid"].update(n=9), "grid.n"),
+    ],
+)
+def test_a_key_nothing_reads_is_refused_by_name(tmp_path, shipped, edit, key):
+    data = load_scenario(shipped)
+    cli.parse_config(write_config(tmp_path, data))
+    edit(data)
+    with pytest.raises(ValidationError) as err:
+        cli.parse_config(write_config(tmp_path, data))
+    assert str(err.value) == f"unknown config key '{key}'"
 
 
 def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):

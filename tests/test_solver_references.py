@@ -1,8 +1,8 @@
 """The string flow and the SOR solver against the loops they replaced.
 
 ``reference_charged_rhs`` is the charged-string force law as it was written
-before it became the string writer ``strings._rates`` given a charge and a
-source velocity: each term assembled on its own node rows, and kept by
+before it became the bound string writer ``strings.bind_rates`` given a
+charge and a source velocity: each term assembled on its own node rows, and kept by
 name so the finite-difference oracle in ``test_strings.py`` can check
 each one.  ``reference_integrate_string`` is the loop ``integrate_string``
 ran before the string trajectory kept its flat states as columns: a new
@@ -134,7 +134,9 @@ def reference_charged_rhs(state, field, q):
     u_f = getattr(field, "u_f", ZERO3)
     n = state.grid.n
 
-    grad, tension, velocity = strings._flow_cells(state.grid.h, field, state.r, state.p, state.t)
+    rates = strings.bind_rates(state.grid.h, field, n)
+    rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
+    grad, tension, velocity = rates.pieces  # the writer's cells at this state
     grad_piece = _reference_node_rows(grad)
     tension_piece = _reference_node_rows(tension, np.subtract)
     v = _reference_node_rows(velocity)
@@ -354,11 +356,16 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
     # |dr| of order 1 in all three components, so that dt's last bit depends on |dr|^2's
     state.p[1:-1] += (0.9, 1.2, -0.6)
     m, stepper, seen, rates = state.grid.n, integrate.rk4_step, [], []
-    writer = strings._rates
+    bind = strings.bind_rates
 
-    def counted(h, field, r, p, t, out):
-        rates.append(r.copy())
-        return writer(h, field, r, p, t, out)
+    def counted_bind(*args):
+        writer = bind(*args)
+
+        def counted(y):
+            rates.append(y[: 3 * m].reshape(m, 3).copy())
+            return writer(y)
+
+        return counted
 
     def spy(f, x, y, h, k1):
         (k,) = k1
@@ -373,13 +380,73 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
         return stepper(f, x, y, h, k1)
 
     monkeypatch.setattr(integrate, "rk4_step", spy)
-    monkeypatch.setattr(strings, "_rates", counted)
+    monkeypatch.setattr(strings, "bind_rates", counted_bind)
     traj = integrate_string(state, field, IntegrationParams(step=step, n_steps=6))
     assert len(seen) == 6 and np.ptp(traj.final.t) > 0
     # the string check evaluates no rate: each step evaluates its own k1 and
     # three more stages, and no rate is taken at the last row
     assert len(rates) == 4 * 6
     assert not any(np.array_equal(r, traj.final.r) for r in rates)
+
+
+def _flat(state):
+    return np.concatenate([state.r.ravel(), state.p.ravel(), state.t])
+
+
+def _reference_rate(state, field, q, u_f):
+    """The flat (dr, dp, dt) rate of the reference laws: uncharged without u_f, else charged."""
+    if u_f is None:
+        dr, dp = reference_rhs(state, field)
+    else:
+        dr, dp, _ = reference_charged_rhs(state, field, q)
+    return np.concatenate([dr.ravel(), dp.ravel(), np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))])
+
+
+@pytest.mark.parametrize("kind", sorted(CHARGED_FIELDS))
+def test_the_bound_writer_keeps_no_state_between_calls(kind):
+    field = CHARGED_FIELDS[kind]()
+    states = []
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        state = _pluck(24, Vec3(0.5, 0.2, -0.1), Vec3(1.5, 0.3, 0.1), 0.01)
+        state.r[1:-1] += 0.02 * rng.normal(size=(22, 3))
+        state.p[1:-1] += 0.05 * rng.normal(size=(22, 3))
+        state.t = rng.uniform(0.0, 0.5, size=24)
+        states.append(state)
+    unphysical = states[1].copy()
+    unphysical.p[5:7] += (0.0, 40.0, 0.0)  # |p| above wbar |r'| about cell 5
+    with pytest.raises(EnergyDomainError) as ref:
+        reference_cells(unphysical, field)
+
+    u_f = getattr(field, "u_f", ZERO3).as_array()
+    for q, source_velocity in ((0.0, None), (-1.3, u_f)):
+        rates = strings.bind_rates(states[0].grid.h, field, 24, q, source_velocity)
+        first = rates(_flat(states[0]))
+        kept = first.copy()
+        later = [rates(_flat(state)) for state in states[1:]]
+        assert identical(first, kept)  # three more calls at other states left it alone
+        for state, rate in zip(states, [first, *later]):
+            assert identical(rate, _reference_rate(state, field, q, source_velocity))
+        with pytest.raises(EnergyDomainError) as err:
+            rates(_flat(unphysical))
+        assert str(err.value) == str(ref.value) and err.value.where == ref.value.where
+        after = rates(_flat(states[2]))
+        assert identical(after, _reference_rate(states[2], field, q, source_velocity))
+
+
+def test_a_string_run_binds_its_writer_once(monkeypatch):
+    binds, bind = [], strings.bind_rates
+
+    def counted(*args):
+        binds.append(args)
+        return bind(*args)
+
+    monkeypatch.setattr(strings, "bind_rates", counted)
+    state, params = _pluck(16), IntegrationParams(step=1e-4, n_steps=1000)
+    assert len(integrate_string(state, UniformField(-1.0), params).tau) == 1001
+    assert len(binds) == 1  # not one per stage, nor per step
+    integrate_string(state, UniformField(-1.0), params)
+    assert len(binds) == 2
 
 
 # --- the generic steppers as they were --------------------------------------------
@@ -550,15 +617,21 @@ def test_non_finite_string_audit_raises_at_its_row():
 
 def test_non_finite_string_state_raises_at_the_step_that_made_it(monkeypatch):
     calls = []
-    writer = strings._rates
+    bind = strings.bind_rates
 
-    def poisoned(h, field, r, p, t, out):
-        calls.append(1)
-        writer(h, field, r, p, t, out)
-        if len(calls) == 12:  # the last stage of step 3
-            out[1, 5, 1] = math.nan
+    def poisoned_bind(h, field, m, *args):
+        writer = bind(h, field, m, *args)
 
-    monkeypatch.setattr(strings, "_rates", poisoned)
+        def poisoned(y):
+            calls.append(1)
+            out = writer(y)
+            if len(calls) == 12:  # the last stage of step 3
+                out[: 6 * m].reshape(2, m, 3)[1, 5, 1] = math.nan
+            return out
+
+        return poisoned
+
+    monkeypatch.setattr(strings, "bind_rates", poisoned_bind)
     state = _pluck(16)
     message = r"non-finite string state at node 5 \[tau=0.003\]"
     with pytest.raises(PhysicsDomainError, match=message) as err:
