@@ -230,6 +230,8 @@ def parse_config(path: str, overrides: Optional[dict] = None) -> ScenarioConfig:
             raw = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed YAML in {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read scenario file {path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path} does not contain a mapping")
     data = dict(raw)
@@ -261,9 +263,14 @@ def _normalize(data: dict) -> dict:
     """Fill defaults and validate; returns the dict that is hashed and echoed."""
     kind = data["kind"]
     directory = _section(data, "output").get("directory", "out")
-    if not isinstance(directory, str) or not directory:
-        raise ValidationError("output.directory must be a nonempty string")
+    if not isinstance(directory, str) or not directory or "\0" in directory:
+        raise ValidationError("output.directory must be a nonempty string without NUL")
     _known(_section(data, "output"), ("directory",), "output.")
+    if any(c in data["name"] for c in "/\\\0"):
+        # the name is the stem of every output file, which must stay in the directory
+        raise ValidationError(
+            f"config key 'name' must not contain '/', '\\' or NUL, got {data['name']!r}"
+        )
     out = {"name": data["name"], "kind": kind, "output": {"directory": directory}}
     if kind == "particle":
         model = data.get("model")
@@ -554,8 +561,8 @@ _AUDIT_KINDS = {
 }
 
 
-def audit_scenario(config: ScenarioConfig, nodes: int = 0):
-    """Integrate a particle scenario and measure its discrete action stationarity."""
+def _audit_path(config: ScenarioConfig, nodes: int = 0):
+    """(spec, path, trajectory): a particle scenario's Lagrangian and its integrated path."""
     if nodes < 0:
         raise ValidationError(f"--nodes must be >= 0 (0 = every step), got {nodes}")
     if config.kind != "particle":
@@ -582,6 +589,12 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     else:
         stride = max(1, params.n_steps // nodes) if nodes else 1
         path = path_from_trajectory(traj, stride=stride)
+    return spec, path, traj
+
+
+def audit_scenario(config: ScenarioConfig, nodes: int = 0):
+    """Integrate a particle scenario and measure its discrete action stationarity."""
+    spec, path, traj = _audit_path(config, nodes)
     residuals = euler_lagrange_residual(spec, path)
     norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
     table = np.column_stack([path.s[1:-1], residuals, norms])
@@ -676,6 +689,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         except (ParseError, ValidationError, MisalignedScenariosError, InvalidSourceError) as exc:
             sys.stderr.write(f"error: {exc}\n")
+            return 1
+        except OSError as exc:
+            # parse_config reports unreadable scenarios itself: this is an output write
+            sys.stderr.write(f"error: cannot write outputs: {exc}\n")
             return 1
         except PhysicsDomainError as exc:
             sys.stderr.write(f"physics abort: {exc}\n")

@@ -225,10 +225,7 @@ def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None
     their cell slices and node rows, and the cells' temporaries.  A call
     copies y in, writes the rate in the order of a sum of each cell into its
     two nodes, and returns a copy of the rate buffer, so no call sees
-    another's values.  ``rates.pieces`` are the last call's per-cell
-    (grad-wbar part, tension vector, velocity half-sum): each (m-1, 3) piece
-    is received by both nodes of its cell, the tension lost by the left
-    node and gained by the right.
+    another's values.
     """
     y, k = np.empty(7 * m), np.zeros(7 * m)
     (r, p), (dr, dp), dt = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3), k[6 * m :]
@@ -280,7 +277,6 @@ def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None
         np.sqrt(dt, out=dt)
         return k.copy()
 
-    rates.pieces = grad, tension, velocity
     return rates
 
 

@@ -1,8 +1,13 @@
 """Discrete least-action engine and Euler-Lagrange residual oracle.
 
 Evaluates the model Lagrangians on discretized paths (trapezoidal
-quadrature, central-difference velocities) and measures stationarity by
-perturbing interior nodes symmetrically and differencing the action.
+quadrature, difference velocities) and string world sheets (four-corner
+midpoint cells), and measures stationarity by perturbing interior nodes
+symmetrically and differencing the action.  One colouring engine does this
+for both: each kind supplies only its discrete Lagrangian (a cell function
+over a block of nodes, the weights of a node's summed cells and the
+normaliser), and the engine perturbs the nodes of one colour at a time,
+2 colours x 2 cells per node on a path and 4 x 4 on a sheet.
 Nothing here shares code with the hand-coded right-hand sides: the
 functional derivatives are finite differences of the action itself, so
 the oracle cross-validates the integrators instead of echoing them.
@@ -21,9 +26,10 @@ Every channel must be finite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -267,69 +273,115 @@ def _point_channels(spec: LagrangianSpec, path: DiscretePath):
     return _clock_nodes(spec, path), lam
 
 
-def _cell_values(spec: LagrangianSpec, ra, rb, ta, tb, la, lb, ds: float) -> np.ndarray:
-    """Trapezoidal discrete Lagrangian of the cells [a, b] given by their end nodes.
+class _Lattice(NamedTuple):
+    """One kind's discrete Lagrangian on a node grid of d axes (d = 1 path, d = 2 sheet).
+
+    The path's nodes r have shape grid + (3,).  cells(nodes, block)
+    evaluates every cell of a block of nodes cut from r by the axis slices
+    block (the point kinds read their t and lambda channels through it).
+    weights multiply a node's summed cells in turn, norm divides its
+    difference quotient, and action(cells) is the action of all the grid's
+    cells, in the kind's own summation order.
+    """
+
+    cells: Callable
+    weights: tuple
+    norm: float
+    action: Callable
+
+
+def _point_lattice(spec: LagrangianSpec, path: DiscretePath) -> _Lattice:
+    """Trapezoidal discrete Lagrangian of the cells [a, b] between neighbouring nodes.
 
     Each cell carries the difference velocity (r_b - r_a)/ds and
     contributes (ds/2)[L(r_a, v) + L(r_b, v)]; this classic discrete
     Lagrangian is variationally consistent at every interior node (no
     spurious boundary gradients), unlike nodal quadrature with one-sided
-    end stencils.
+    end stencils.  The action sums the cells from the left, not in np.sum's
+    pairwise order.
     """
-    density = _DENSITIES[spec.kind]
-    v = (rb - ra) / ds
-    tdot = (tb - ta) / ds
-    return 0.5 * ds * (density(spec, ra, v, ta, tdot, la) + density(spec, rb, v, tb, tdot, lb))
+    t, lam = _point_channels(spec, path)
+    density, ds = _DENSITIES[spec.kind], path.ds
+
+    def cells(r, block):
+        tb, lb = t[block], lam[block]
+        v, tdot = (r[1:] - r[:-1]) / ds, (tb[1:] - tb[:-1]) / ds
+        left = density(spec, r[:-1], v, tb[:-1], tdot, lb[:-1])
+        return 0.5 * ds * (left + density(spec, r[1:], v, tb[1:], tdot, lb[1:]))
+
+    return _Lattice(cells, (), ds, lambda c: np.add.accumulate(c)[-1])
+
+
+def _lattice(spec: LagrangianSpec, path) -> _Lattice:
+    if spec.kind is LagrangianKind.STRING_DENSITY:
+        return _sheet_lattice(spec, path)
+    return _point_lattice(spec, path)
 
 
 def discrete_action(spec: LagrangianSpec, path) -> float:
-    """Trapezoidal discrete-Lagrangian quadrature of the action along the path."""
-    if spec.kind is LagrangianKind.STRING_DENSITY:
-        return _string_action(spec, path)
-    t, lam = _point_channels(spec, path)
-    r = path.r
-    cells = _cell_values(spec, r[:-1], r[1:], t[:-1], t[1:], lam[:-1], lam[1:], path.ds)
-    # summed cell by cell from the left, not in np.sum's pairwise order
-    return float(np.add.accumulate(cells)[-1])
+    """Discrete-Lagrangian quadrature of the action over the path or world sheet."""
+    lat = _lattice(spec, path)
+    return float(lat.action(lat.cells(path.r, (slice(None),) * (path.r.ndim - 1))))
 
 
 def euler_lagrange_residual(spec: LagrangianSpec, path) -> np.ndarray:
     """Numeric functional derivative dS/dr at interior nodes, density-normalized.
 
-    Symmetric node perturbations with scale FD_RELATIVE_STEP * path amplitude; only
-    the two cells touching the perturbed node enter its difference
+    Symmetric node perturbations with scale FD_RELATIVE_STEP * path amplitude;
+    only the cells touching the perturbed node enter its difference
     quotient.  A true solution path returns residuals that vanish at
     second order in the path spacing.
 
-    Colouring: perturbing node j changes only cells j-1 and j, so the
-    nodes of one parity share no cell and are perturbed together, in one
-    component and one sign at a time.  Each node's quotient still reads
-    exactly its own two cell values, summed as cell[j-1] + cell[j], so the
-    2 parities x 3 components x 2 signs array passes give the residual of
-    perturbing one node at a time.  Only the cells next to the perturbed
-    nodes are evaluated, so a domain error is raised exactly when one of
-    those perturbed cells leaves the Lagrangian's domain.
-    """
-    if spec.kind is LagrangianKind.STRING_DENSITY:
-        return _string_el_residual(spec, path)
-    t, lam = _point_channels(spec, path)
-    m, ds, r = path.m, path.ds, path.r
-    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(r))))
+    Colouring: on a grid of d axes a node is a corner of 2^d cells (j-1 and
+    j on a path; (k-1 or k, j-1 or j) on a sheet), and every cell has
+    exactly one corner of each colour, the parities of the node's indices.
+    So all interior nodes of one colour are perturbed together, in one
+    component and one sign at a time, and the cells next to them form one
+    block of the grid that is evaluated as a whole: 2 colours x 2 cells on
+    a path, 4 x 4 on a sheet.  Each node's quotient reads exactly its own
+    cells, summed in index order (cell[j-1] + cell[j]; on a sheet
+    ((lag[k-1, j-1] + lag[k-1, j]) + lag[k, j-1]) + lag[k, j]), so the
+    passes give the residual of perturbing one node at a time, and a domain
+    error is raised exactly when one of the perturbed cells leaves the
+    Lagrangian's domain.
 
-    residuals = np.empty((m - 2, 3))
-    for first in (1, 2):
-        j = np.arange(first, m - 1, 2)
-        prev, nxt = j - 1, j + 1
-        for k in range(3):
-            actions = []
+    On a sheet sampled from the staggered canonical flow the residual is
+    the sigma-averaging mismatch between the flow and the four-corner
+    Lagrangian.  To linear order about a straight string with |r'| = 1 and
+    constant wbar, the flow solves y_tautau = -A D y while this action's
+    stationarity reads A y_tautau + D y = 0, with A = [1, 2, 1]/4 and
+    D = [1, -2, 1]/h^2 along sigma; the transverse residual is therefore
+    wbar (1 - A^2) D y, with leading term -wbar (h^2/2) d^4y/dsigma^4.
+    Its symbol (1 - cos^4(kh/2)) 4 sin^2(kh/2)/h^2 is second order only
+    while kh is small, so the coarse/fine ratio of 4 shows once h
+    resolves the data's shortest sigma scale.
+    """
+    lat, r = _lattice(spec, path), path.r
+    grid = r.shape[:-1]
+    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(r))))
+    # a node's cells, in index order, sit at the even or odd positions of each block axis
+    corners = list(itertools.product((slice(0, None, 2), slice(1, None, 2)), repeat=len(grid)))
+    odd = corners[-1]  # the colour's nodes: odd on every axis
+
+    out = np.empty(tuple(n - 2 for n in grid) + (3,))
+    for colour in itertools.product((1, 2), repeat=len(grid)):
+        # from one node before the colour's first to one after its last interior node
+        block = tuple(slice(s - 1, s + 2 * ((n - 2 - s) // 2) + 2) for s, n in zip(colour, grid))
+        nodes = r[block]
+        for c in range(3):
+            sums = []
             for shift in (hp, -hp):
-                rj = r[j]  # fancy indexing: a copy
-                rj[:, k] = r[j, k] + shift
-                left = _cell_values(spec, r[prev], rj, t[prev], t[j], lam[prev], lam[j], ds)
-                right = _cell_values(spec, rj, r[nxt], t[j], t[nxt], lam[j], lam[nxt], ds)
-                actions.append(left + right)
-            residuals[prev, k] = (actions[0] - actions[1]) / (2.0 * hp) / ds
-    return residuals
+                work = nodes.copy()
+                work[odd + (c,)] = nodes[odd + (c,)] + shift
+                cells = lat.cells(work, block)
+                # started from the first cell, not from 0.0, which would change signs of zero
+                total = sum((cells[corner] for corner in corners[1:]), cells[corners[0]])
+                for weight in lat.weights:
+                    total = total * weight
+                sums.append(total)
+            quotient = (sums[0] - sums[1]) / (2.0 * hp) / lat.norm
+            out[tuple(slice(s - 1, None, 2) for s in colour) + (c,)] = quotient
+    return out
 
 
 # --- Legendre transform check --------------------------------------------------
@@ -501,55 +553,11 @@ def _sheet_cell_lagrangian(spec: LagrangianSpec, r: np.ndarray, d_tau: float, d_
     return -w * np.sqrt(q2)
 
 
-def _string_action(spec: LagrangianSpec, path: StringWorldPath) -> float:
-    lag = _sheet_cell_lagrangian(spec, path.r, path.d_tau, path.d_sigma)
-    return float(np.sum(lag) * path.d_tau * path.d_sigma)
-
-
-def _string_el_residual(spec: LagrangianSpec, path: StringWorldPath) -> np.ndarray:
-    """dS/dr at interior world-sheet nodes (k, j), density-normalized.
-
-    Colouring: node (k, j) is a corner of the four cells (k-1 or k,
-    j-1 or j), and every cell has exactly one corner of each colour
-    (k mod 2, j mod 2).  So all interior nodes of one colour are perturbed
-    together, in one component and one sign at a time, and the cells next
-    to them form one rectangle of the sheet that is evaluated as a whole.
-    Each node's quotient reads its own four cells, summed in the 2 x 2
-    order ((lag[k-1, j-1] + lag[k-1, j]) + lag[k, j-1]) + lag[k, j], so
-    the 4 x 3 x 2 passes give the residual of perturbing one node at a
-    time, and the measure guard sees exactly the perturbed cells.
-
-    On a sheet sampled from the staggered canonical flow the residual is
-    the sigma-averaging mismatch between the flow and this four-corner
-    Lagrangian.  To linear order about a straight string with |r'| = 1 and
-    constant wbar, the flow solves y_tautau = -A D y while this action's
-    stationarity reads A y_tautau + D y = 0, with A = [1, 2, 1]/4 and
-    D = [1, -2, 1]/h^2 along sigma; the transverse residual is therefore
-    wbar (1 - A^2) D y, with leading term -wbar (h^2/2) d^4y/dsigma^4.
-    Its symbol (1 - cos^4(kh/2)) 4 sin^2(kh/2)/h^2 is second order only
-    while kh is small, so the coarse/fine ratio of 4 shows once h
-    resolves the data's shortest sigma scale.
-    """
-    nt, ns = path.tau.size, path.sigma.size
+def _sheet_lattice(spec: LagrangianSpec, path: StringWorldPath) -> _Lattice:
+    """The midpoint cells of a world sheet; the action is np.sum of them times dtau, dsigma."""
     d_tau, d_sigma = path.d_tau, path.d_sigma
-    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(path.r))))
 
-    out = np.empty((nt - 2, ns - 2, 3))
-    for k0 in (1, 2):
-        k_last = k0 + 2 * ((nt - 2 - k0) // 2)
-        for j0 in (1, 2):
-            j_last = j0 + 2 * ((ns - 2 - j0) // 2)
-            # this colour's nodes sit at odd rows and columns of the block
-            block = path.r[k0 - 1 : k_last + 2, j0 - 1 : j_last + 2]
-            for c in range(3):
-                sums = []
-                for shift in (hp, -hp):
-                    work = block.copy()
-                    work[1::2, 1::2, c] = block[1::2, 1::2, c] + shift
-                    lag = _sheet_cell_lagrangian(spec, work, d_tau, d_sigma)
-                    upper = lag[0::2, 0::2] + lag[0::2, 1::2]
-                    four = (upper + lag[1::2, 0::2]) + lag[1::2, 1::2]
-                    sums.append(four * d_tau * d_sigma)
-                quotient = (sums[0] - sums[1]) / (2.0 * hp) / (d_tau * d_sigma)
-                out[k0 - 1 :: 2, j0 - 1 :: 2, c] = quotient
-    return out
+    def cells(r, block):
+        return _sheet_cell_lagrangian(spec, r, d_tau, d_sigma)
+
+    return _Lattice(cells, (d_tau, d_sigma), d_tau * d_sigma, lambda c: np.sum(c) * d_tau * d_sigma)

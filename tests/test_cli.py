@@ -370,9 +370,20 @@ def _huge_gradient(data):
             1,
             "unknown config key 'field.r0'",
         ),
+        # the name is the stem of each output file, so a path in it is refused
+        (lambda d: d.update(name="sub/pluck"), 1, "config key 'name'"),
+        (lambda d: d.update(name="../escaped"), 1, "config key 'name'"),
+        (lambda d: d.update(name="sub\\pluck"), 1, "config key 'name'"),
+        (lambda d: d.update(name="a\0b"), 1, "config key 'name'"),
+        (lambda d: d["output"].update(directory="a\0b"), 1, "output.directory"),
+        # the output directory's path is taken by a regular file
+        (lambda d: pathlib.Path(d["output"]["directory"]).write_text(""), 1,
+         "cannot write outputs"),
     ],
     ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
-         "non-finite-energy", "fractional-steps", "misspelled-source-key"],
+         "non-finite-energy", "fractional-steps", "misspelled-source-key", "name-with-slash",
+         "name-climbing-out", "name-with-backslash", "name-with-nul", "directory-with-nul",
+         "out-is-a-file"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ
@@ -386,6 +397,29 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
     assert message in err
+    assert {p.name for p in tmp_path.iterdir()} <= {"cfg.yaml", "out"}
+
+
+@pytest.mark.parametrize("verb", ["run", "audit"])
+def test_scenario_files_that_cannot_be_read_or_written_exit_1(tmp_path, capsys, verb):
+    (tmp_path / "latin1.yaml").write_bytes(b"name: caf\xe9\n")
+    (tmp_path / "taken").write_text("")
+    inner = tmp_path / "X" / "inner"
+    escaping = minimal_particle(str(inner))
+    escaping["name"] = "../escaped"
+    cases = [
+        ([verb, SCENARIOS], "cannot read scenario file"),  # a directory
+        ([verb, str(tmp_path / "latin1.yaml")], "cannot read scenario file"),
+        ([verb, scenario("classical_gyro.yaml"), "--out", str(tmp_path / "taken")],
+         "cannot write outputs"),
+        ([verb, write_config(tmp_path, escaping), "--out", str(inner)], "config key 'name'"),
+    ]
+    for argv, message in cases:
+        assert cli.main([*argv, "--steps", "5", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err, argv
+    assert not (tmp_path / "X").exists()
+    assert (tmp_path / "taken").read_text() == ""
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
-"""Every public top-level name in src/ has a reference in src/ or bench/, or a reason here.
+"""Every public name in src/ has a reference in src/ or bench/, or a reason here.
 
-A name counts as referenced when any module of the package or of the
-benchmark harness loads a name, reads an attribute or imports a name
-spelled the same.  The package's ``__init__`` re-exports do not count:
-exporting a name does not call it.  Tests do not count either: a name
-only the tests reach is either kept on purpose, with its reason below,
-or dead.  So a new uncalled public name fails here, and so does giving a
-listed name a caller or deleting it without updating the list.
+The public names are each module's top-level names and the methods
+(properties included) of its public classes, listed as ``module.name``
+and ``module.Class.method``.  A name counts as referenced when any module
+of the package or of the benchmark harness loads a name, reads an
+attribute or imports a name spelled the same; so a method counts as
+referenced by any attribute of its spelling.  The package's ``__init__``
+re-exports do not count: exporting a name does not call it.  Tests do not
+count either: a name only the tests reach is either kept on purpose, with
+its reason below, or dead.  So a new uncalled public name fails here, and
+so does giving a listed name a caller or deleting it without updating the
+list.
 """
 
 import ast
@@ -37,13 +41,28 @@ REFERENCED_ONLY_BY_TESTS = {
     "variational.discrete_action",
     "variational.legendre_transform_check",
     "variational.multiplier_consistency",
+    # the successive deviation ratios of the q -> 0 limit; the sweep workload
+    # fits the log-log slope of the deviations instead
+    "particle.RestMassLimitReport.ratios",
+    # the pass/fail verdicts of the oracle group at a tolerance; audit reports
+    # neither check yet (ROADMAP item 3)
+    "variational.LegendreReport.passed",
+    "variational.MultiplierReport.is_constant",
 }
 
 
-def _public_top_level_names(tree):
+def _public_names(tree):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
+            if isinstance(node, ast.ClassDef):
+                # a private class's methods start with its own underscore
+                names += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                ]
         elif isinstance(node, ast.Assign):
             names = [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -76,7 +95,7 @@ def test_public_names_without_a_program_reference_are_the_listed_ones():
         f"{path.stem}.{name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE and path.stem != "__init__"
-        for name in _public_top_level_names(tree)
-        if name not in referenced
+        for name in _public_names(tree)
+        if name.rsplit(".", 1)[-1] not in referenced
     }
     assert unreferenced == REFERENCED_ONLY_BY_TESTS

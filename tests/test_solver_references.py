@@ -91,25 +91,35 @@ def reference_cells(state, field, need_grad=True):
     return w, grad_w, rprime, dr, pbar, np.sqrt(g)
 
 
-def reference_gradient_parts(state, field):
+def reference_cell_pieces(state, field):
+    """(grad-wbar part, tension vector, velocity half-sum) of each cell, each (n-1, 3).
+
+    Both nodes of a cell receive its pieces; the tension is lost by the left
+    node and gained by the right.
+    """
     h = state.grid.h
     w, grad_w, rprime, dr, pbar, hdens = reference_cells(state, field)
-    n = state.grid.n
-
     rp2 = np.einsum("ij,ij->i", rprime, rprime)
     wcoef = 0.5 * (w * rp2 / hdens)
-    grad_piece = np.zeros((n, 3))
     wpart = wcoef[:, None] * grad_w
+    vec = (w**2)[:, None] * dr / (h * h * hdens[:, None])
+    cp = 0.5 * pbar / hdens[:, None]
+    return wpart, vec, cp
+
+
+def reference_gradient_parts(state, field):
+    wpart, vec, cp = reference_cell_pieces(state, field)
+    n = state.grid.n
+
+    grad_piece = np.zeros((n, 3))
     grad_piece[:-1] += wpart
     grad_piece[1:] += wpart
 
     tension_piece = np.zeros((n, 3))
-    vec = (w**2)[:, None] * dr / (h * h * hdens[:, None])
     tension_piece[:-1] -= vec
     tension_piece[1:] += vec
 
     velocity = np.zeros((n, 3))
-    cp = 0.5 * pbar / hdens[:, None]
     velocity[:-1] += cp
     velocity[1:] += cp
     return grad_piece, tension_piece, velocity
@@ -134,9 +144,7 @@ def reference_charged_rhs(state, field, q):
     u_f = getattr(field, "u_f", ZERO3)
     n = state.grid.n
 
-    rates = strings.bind_rates(state.grid.h, field, n)
-    rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
-    grad, tension, velocity = rates.pieces  # the writer's cells at this state
+    grad, tension, velocity = reference_cell_pieces(state, field)
     grad_piece = _reference_node_rows(grad)
     tension_piece = _reference_node_rows(tension, np.subtract)
     v = _reference_node_rows(velocity)

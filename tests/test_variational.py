@@ -632,3 +632,39 @@ def test_colour_batched_sheet_oracle_matches_node_loop():
         assert np.array_equal(
             euler_lagrange_residual(spec, sheet), _loop_sheet_el_residual(spec, sheet)
         )
+
+
+# --- block bounds: each colour's block at every parity of the grid sides ------------
+
+BOUNDS_FIELDS = [UniformField(-1.0), LinearField(-2.0, Vec3(0.3, -0.2, 0.1))]
+POINT_KINDS = [kind for kind in LagrangianKind if kind is not LagrangianKind.STRING_DENSITY]
+
+
+@pytest.mark.parametrize("field", BOUNDS_FIELDS, ids=["uniform", "linear"])
+@pytest.mark.parametrize("m", [5, 6, 7, 8])
+def test_colour_blocks_of_short_paths_match_node_loop(field, m):
+    s = np.linspace(0.0, 0.4, m)
+    r = np.stack([0.5 + 0.3 * s, 0.2 * s + 0.4 * s**2, 0.1 * np.sin(3.0 * s)], axis=1)
+    path = DiscretePath(s=s, r=r, t=1.2 * s + 0.05 * s**2, lam=1.0 + 0.1 * s)
+    for kind in POINT_KINDS:
+        spec = LagrangianSpec(kind, field, m0=1.0, charge=0.7, u_f=Vec3(0.1, 0.0, 0.15))
+        assert np.array_equal(euler_lagrange_residual(spec, path), _loop_el_residual(spec, path))
+        t, lam = _loop_channels(spec, path)
+        loop_action = _loop_cell_action(spec, r, t, lam, path.ds, range(m - 1))
+        assert discrete_action(spec, path) == loop_action
+
+
+@pytest.mark.parametrize("field", BOUNDS_FIELDS, ids=["uniform", "linear"])
+@pytest.mark.parametrize("nt, ns", [(5, 5), (5, 6), (6, 5), (6, 6)])
+def test_colour_blocks_of_small_sheets_match_node_loop(field, nt, ns):
+    tau = np.linspace(0.0, 0.05, nt)
+    sigma = np.linspace(0.0, 1.0, ns)
+    r = np.zeros((nt, ns, 3))
+    r[:, :, 0] = 0.5 + sigma[None, :]
+    r[:, :, 1] = 0.05 * np.outer(np.cos(3.0 * tau), np.sin(math.pi * sigma))
+    r[:, :, 2] = 0.02 * np.outer(tau, sigma)
+    sheet = StringWorldPath(tau, sigma, r)
+    spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, field)
+    res = euler_lagrange_residual(spec, sheet)
+    assert res.shape == (nt - 2, ns - 2, 3)
+    assert np.array_equal(res, _loop_sheet_el_residual(spec, sheet))
