@@ -14,7 +14,6 @@ from .errors import (  # noqa: F401
     DegenerateLagrangianError,
     DegenerateMultiplierError,
     EnergyDomainError,
-    GaugeViolationError,
     InvalidSourceError,
     MisalignedScenariosError,
     NonpositiveMassError,

@@ -92,7 +92,7 @@ def check_field_gradients():
 def check_wave_residuals():
     spec = SourceSpec(SourceKind.COULOMB_STATIC, strength=1.0, softening=0.0)
     field = CoulombField(spec, 1.0)
-    res = wave_residual(field, None, Vec3(0.7, 0.4, -0.3), 0.0)
+    res = wave_residual(field, Vec3(0.7, 0.4, -0.3), 0.0)
     return abs(res) < 1e-8, f"static Coulomb residual {res:.2e}"
 
 

@@ -8,9 +8,10 @@ one writer writes every file atomically.  Reruns of the same config produce
 bit-identical CSV and the same config hash.
 
 Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, a
-classical or constrained model without a positive rest_mass, or a classical
-rest_mass whose square leaves the float range), 2 physics-domain abort, 3
-solver failure (non-convergence or adaptive step collapse).
+classical or constrained model without a positive rest_mass, a classical
+rest_mass whose square leaves the float range, or a grid or step count too
+large to allocate), 2 physics-domain abort, 3 solver failure
+(non-convergence or adaptive step collapse).
 """
 
 from __future__ import annotations
@@ -693,6 +694,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             # parse_config reports unreadable scenarios itself: this is an output write
             sys.stderr.write(f"error: cannot write outputs: {exc}\n")
+            return 1
+        except MemoryError as exc:
+            # a grid or a step count too large to allocate is an input error
+            sys.stderr.write(f"error: input too large: {exc}\n")
             return 1
         except PhysicsDomainError as exc:
             sys.stderr.write(f"physics abort: {exc}\n")

@@ -14,8 +14,7 @@ the least-action derivation produces; the potential is evaluated with the
 patch's tau slot as its time argument (static potentials are unaffected).
 
 Gauge identities <xi_sigma, xi_s> = 0 and xi_sigma^2 = xi_s^2 are a
-property of the data, not enforced by the solver; pass gauge_tol to have
-them checked (GaugeViolationError) and use gauge_defects for reporting.
+property of the data, not enforced by the solver; gauge_defects reports them.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import GaugeViolationError, ValidationError
+from .errors import ValidationError
 from .integrate import (
     RelaxationResult,
     _Checkerboard,
@@ -126,14 +125,6 @@ def residual_grid(xi: np.ndarray, h_sigma: float, h_s: float, field: PotentialFi
         + w_g[..., None] * xi_g
         - measure[..., None] * grad4
     )
-
-
-def _check_gauge(patch: ConformalPatch, gauge_tol: Optional[float], label: str) -> None:
-    """Raise GaugeViolationError when gauge_tol is set and the patch's gauge defect exceeds it."""
-    if gauge_tol is not None:
-        defect = patch.max_gauge_defect()
-        if defect > gauge_tol:
-            raise GaugeViolationError(f"{label} gauge defect {defect:.3g} exceeds {gauge_tol:.3g}")
 
 
 def coons_interior(patch: ConformalPatch) -> np.ndarray:
@@ -253,15 +244,13 @@ def solve_conformal(
     tol: float,
     max_iters: int = 20000,
     forcing: Optional[np.ndarray] = None,
-    gauge_tol: Optional[float] = None,
 ) -> Tuple[ConformalPatch, RelaxationResult]:
     """Solve for the interior of a patch until max |residual| < tol.
 
     Only the boundary of `boundary` is honored (the interior is re-seeded
     by transfinite interpolation).  `forcing`, when given, is subtracted
     from the interior residual (manufactured-solution runs).  Raises
-    ConvergenceError when the budget is exhausted and GaugeViolationError
-    when gauge_tol is set and the solution violates the gauge identities.
+    ConvergenceError when the budget is exhausted.
 
     A grid whose sides are both odd with at least 17 nodes is solved by FAS
     multigrid V-cycles, and the result's iterations count cycles, at most
@@ -300,6 +289,4 @@ def solve_conformal(
             return residual_grid(xi, h_sigma, h_s, w) - rhs
 
         result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
-    solved = boundary.copy_with(result.xi)
-    _check_gauge(solved, gauge_tol, "solved patch")
-    return solved, result
+    return boundary.copy_with(result.xi), result

@@ -2,8 +2,8 @@
 
 Gauge-consistent exact surfaces are built from pairs of holomorphic maps
 f, g of z = sigma + i s: the patch (Re f, Im f, Re g, Im g) satisfies
-<xi', xi_dot> = 0 and xi'^2 = xi_dot^2 identically.  The harmonic cases
-run the uniform-potential (Laplace) limit; the manufactured case drives
+<xi', xi_dot> = 0 and xi'^2 = xi_dot^2 identically.  The harmonic case
+runs the uniform-potential (Laplace) limit; the manufactured case drives
 a linearly varying potential with the analytically derived forcing.
 """
 
@@ -37,37 +37,22 @@ def _patch_from(sigma, s, fn) -> ConformalPatch:
     return ConformalPatch(sigma, s, xi)
 
 
-def harmonic_case(n_sigma: int, n_s: int, wbar: float = -1.0, kind: str = "poly") -> ConformalCase:
-    """Laplace limit: uniform potential, harmonic holomorphic-pair surface.
+def harmonic_case(n_sigma: int, n_s: int) -> ConformalCase:
+    """Laplace limit: wbar = -1, harmonic holomorphic-pair surface (z^2, 0.3 z).
 
-    kind 'poly' is (z^2, 0.3 z): the discrete operator is exact on it, so
-    the solve reproduces the surface and its gauge to solver tolerance.
-    kind 'exp' is (0.25 e^z, 0.3 z): genuine O(h^2) discretization error,
-    used for the error-order study.
+    The discrete operator is exact on the polynomial pair, so the solve
+    reproduces the surface and its gauge to solver tolerance.
     """
     sigma, s = _grid(n_sigma, n_s)
-    if kind == "poly":
 
-        def fn(sg, ss):
-            return (sg**2 - ss**2, 2.0 * sg * ss, 0.3 * sg, 0.3 * ss)
+    def fn(sg, ss):
+        return (sg**2 - ss**2, 2.0 * sg * ss, 0.3 * sg, 0.3 * ss)
 
-    elif kind == "exp":
-
-        def fn(sg, ss):
-            return (
-                0.25 * np.exp(sg) * np.cos(ss),
-                0.25 * np.exp(sg) * np.sin(ss),
-                0.3 * sg,
-                0.3 * ss,
-            )
-
-    else:
-        raise ValueError("kind must be 'poly' or 'exp'")
     exact = _patch_from(sigma, s, fn)
     return ConformalCase(
         boundary=exact.copy_with(exact.xi),
         exact=exact,
-        field=UniformField(wbar),
+        field=UniformField(-1.0),
         forcing=None,
     )
 

@@ -51,10 +51,6 @@ class SingularPointError(PhysicsDomainError):
     """Evaluation requested on the singular support of a point source."""
 
 
-class GaugeViolationError(PhysicsDomainError):
-    """Conformal patch violates the gauge identities beyond tolerance."""
-
-
 class DegenerateLagrangianError(VacuumLabError):
     """Legendre transform requested for a degenerate Lagrangian kind."""
 

@@ -38,7 +38,10 @@ Each stepper combines a stage's state and rates by a function that
 expression is written once as a module constant, and the function unpacks
 the tuples into locals and evaluates it at every component.  RK4 takes h/2
 and h/6 once per step (``0.5 * h * b`` is ``(0.5 * h) * b``), so every
-product and sum is the tableau's own, in its order.
+product and sum is the tableau's own, in its order.  RKF45's fifth- and
+fourth-order solutions are combines too: each sums all six weighted rates,
+zero weights included, left to right from 0, so no builtin ``sum`` (which
+compensates float sums from Python 3.12 on) decides their bits.
 
 A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: each stage's rate is one new flat array, which the string flow's
@@ -176,7 +179,7 @@ class Trajectory:
         with np.errstate(all="ignore"):  # overflow stays silent, as on floats
             decoded = decode(self.x[rows[later]], self.Y[rows[later]].T)
         s = self.initial
-        firsts = (s.t, s.tau, s.r, s.u, s.p, s.extra.get("lambda_tdot"))
+        firsts = (s.t, s.tau, s.r, s.u, s.p, s.lam)
         columns = []
         for value, first in zip(decoded, firsts):
             if value is not None:
@@ -189,19 +192,11 @@ class Trajectory:
 
     def _states(self, rows) -> List[ParticleState]:
         c = self.columns(rows)
-        m0 = self.model.rest_mass
-        if c.lam is not None:
-            extras = [{"lambda_tdot": lam, "m0": m0} for lam in c.lam.tolist()]
-        elif self.model.kind is ModelKind.CLASSICAL:
-            extras = [{"m0": m0} for _ in c.t]
-        elif self.time_axis == "proper":
-            extras = [{"tau_rel": x} for x in self.x[rows].tolist()]
-        else:
-            extras = [{} for _ in c.t]
+        lams = c.lam.tolist() if c.lam is not None else [None] * len(c.t)
         return [
-            ParticleState(tau, t, Vec3(*r), Vec3(*u), Vec3(*p), extra)
-            for tau, t, r, u, p, extra in zip(
-                c.tau.tolist(), c.t.tolist(), c.r.tolist(), c.u.tolist(), c.p.tolist(), extras
+            ParticleState(tau, t, Vec3(*r), Vec3(*u), Vec3(*p), lam)
+            for tau, t, r, u, p, lam in zip(
+                c.tau.tolist(), c.t.tolist(), c.r.tolist(), c.u.tolist(), c.p.tolist(), lams
             )
         ]
 
@@ -266,6 +261,15 @@ _RKF_K6 = (
     "a + h * (-8.0 * b1 / 27.0 + 2.0 * b2 - 3544.0 * b3 / 2565.0 + 1859.0 * b4 / 4104.0"
     " - 11.0 * b5 / 40.0)"
 )
+# the embedded pair's solutions: every rate's term, zero weights included, summed from 0
+_RKF_Y5 = (
+    "a + h * (0 + 16.0 / 135.0 * b1 + 0.0 * b2 + 6656.0 / 12825.0 * b3"
+    " + 28561.0 / 56430.0 * b4 + -9.0 / 50.0 * b5 + 2.0 / 55.0 * b6)"
+)
+_RKF_Y4 = (
+    "a + h * (0 + 25.0 / 216.0 * b1 + 0.0 * b2 + 1408.0 / 2565.0 * b3"
+    " + 2197.0 / 4104.0 * b4 + -1.0 / 5.0 * b5 + 0.0 * b6)"
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,7 +281,7 @@ def _combiner(expr: str, arity: int) -> Callable:
     generates its methods: it unpacks each tuple into locals and evaluates
     expr once per component, with the same operands in the same order.
     """
-    names = ["a"] + [f"b{j}" for j in range(1, 6) if f"b{j}" in expr]
+    names = ["a"] + [f"b{j}" for j in range(1, 7) if f"b{j}" in expr]
     lanes = [re.sub(r"\b([ab]\d?)\b", rf"\1_{i}", expr) for i in range(arity)]
     unpack = "".join(f"    {''.join(f'{n}_{i}, ' for i in range(arity))}= {n}\n" for n in names)
     source = f"def combine(h, {', '.join(names)}):\n{unpack}    return ({', '.join(lanes)},)\n"
@@ -296,10 +300,6 @@ def rk4_step(f, x, y, h, k1):
     return _combiner(_RK4_FINAL, n)(h / 6.0, y, k1, k2, k3, k4)
 
 
-_RKF_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_RKF_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
-
-
 def _rkf45_stages(f, x, y, h, k1):
     n = len(y)
     k2 = f(x + h / 4.0, _combiner(_RKF_K2, n)(h, y, k1))
@@ -312,9 +312,9 @@ def _rkf45_stages(f, x, y, h, k1):
 
 def rkf45_step(f, x, y, h, rel_tol, abs_tol, k1):
     """One embedded 4(5) attempt from y, k1 = f(x, y): (accepted, y5, error_ratio), a NaN error as inf."""
-    ks = _rkf45_stages(f, x, y, h, k1)
-    y5 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B5, ks)]) for i, a in enumerate(y)])
-    y4 = tuple([a + h * sum([b * k[i] for b, k in zip(_RKF_B4, ks)]) for i, a in enumerate(y)])
+    ks, n = _rkf45_stages(f, x, y, h, k1), len(y)
+    y5 = _combiner(_RKF_Y5, n)(h, y, *ks)
+    y4 = _combiner(_RKF_Y4, n)(h, y, *ks)
     ratio = 0.0
     for a, b, y0 in zip(y5, y4, y):
         e = abs(a - b) / (abs_tol + rel_tol * abs(y0))
@@ -416,7 +416,7 @@ def _pack(model: ForceModel, state: ParticleState, axis: str):
     # (r, P, [t,] tau) with P = p + qA for the interacting model, else p
     r, p = state.r, state.p
     if model.kind is ModelKind.CONSTRAINED:
-        return (*r, *p, state.extra["lambda_tdot"], state.tau)
+        return (*r, *p, state.lam, state.tau)
     if model.kind is ModelKind.VACUUM_INTERACTING:
         p = p + qa_vector(model, r, state.t)
     if axis == "lab":

@@ -47,7 +47,7 @@ audited by the integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, NamedTuple, Optional, Sequence
 
@@ -86,18 +86,14 @@ class ModelKind(Enum):
 
 @dataclass
 class ParticleState:
-    """Snapshot (tau, t, r, u, p) plus model-specific extras.
-
-    extra carries 'lambda_tdot' for the constrained model and 'm0' where a
-    rest mass is attached to the state.
-    """
+    """Snapshot (tau, t, r, u, p), and lam = l tdot for the constrained model (else None)."""
 
     tau: float
     t: float
     r: Vec3
     u: Vec3
     p: Vec3
-    extra: dict = dc_field(default_factory=dict)
+    lam: Optional[float] = None
 
     def __post_init__(self):
         check_state(self.tau, self.r, self.u, self.p)
@@ -331,8 +327,8 @@ def classical_rhs(model: ForceModel, r, p, t):
 def constrained_rhs(model: ForceModel, r, y1, y2, t):
     """(dy1/dt, dy2/dt, u) for the multiplier model.
 
-    y1 = l u tdot and y2 = l tdot (a state keeps them in p and
-    extra['lambda_tdot']); u = y1/y2.
+    y1 = l u tdot and y2 = l tdot (a state keeps them in p and lam);
+    u = y1/y2.
     """
     return bind_law(model, ROWS)(r, y1, y2, t)
 
@@ -412,20 +408,20 @@ INVARIANTS: Dict[ModelKind, Dict[str, Callable]] = {
 
 
 def make_classical_state(r: Vec3, u: Vec3, m0: float) -> ParticleState:
-    return ParticleState(0.0, 0.0, r, u, classical_momentum(m0, u), {"m0": m0})
+    return ParticleState(0.0, 0.0, r, u, classical_momentum(m0, u))
 
 
 def make_constrained_state(r: Vec3, u: Vec3, m0: float) -> ParticleState:
     """Initial multiplier set so that l tdot (1-u^2)^(1/2) = m0 at t = 0."""
     gamma = 1.0 / proper_time_factor(u)
     y2 = m0 * gamma
-    return ParticleState(0.0, 0.0, r, u, u * y2, {"lambda_tdot": y2, "m0": m0})
+    return ParticleState(0.0, 0.0, r, u, u * y2, y2)
 
 
 def make_vacuum_state(field: PotentialField, r: Vec3, u: Vec3) -> ParticleState:
     """State at tau = t = 0 with the vacuum momentum p = -wbar u."""
     wbar = field.wbar(r, 0.0)
-    return ParticleState(0.0, 0.0, r, u, vacuum_momentum(wbar, u), {})
+    return ParticleState(0.0, 0.0, r, u, vacuum_momentum(wbar, u))
 
 
 # --- two-particle scenario and the q -> 0 limit ------------------------------

@@ -518,23 +518,16 @@ def magnetic_field(f: PotentialField, r: Vec3, t: float) -> Vec3:
     return Vec3(j[2, 1] - j[1, 2], j[0, 2] - j[2, 0], j[1, 0] - j[0, 1])
 
 
-def wave_residual(w, rho, r: Vec3, t: float) -> float:
-    """d2(wbar)/dt2 - laplacian(wbar) - rho at (r, t).
+def wave_residual(w: PotentialField, r: Vec3, t: float) -> float:
+    """d2(wbar)/dt2 - laplacian(wbar) - rho at (r, t), with rho the field's own density.
 
-    ``w`` must expose exact second derivatives (wbar_tt, wbar_laplacian);
-    ``rho`` may be a callable rho(r, t), a constant, or None (meaning the
-    field's own matching density).  Raises SingularPointError within the
-    guard distance of an unsoftened point source.
+    ``w`` must expose exact second derivatives (wbar_tt, wbar_laplacian).
+    Raises SingularPointError within the guard distance of an unsoftened
+    point source.
     """
-    dist = w.singular_distance(r, t) if hasattr(w, "singular_distance") else None
+    dist = w.singular_distance(r, t)
     if dist is not None and dist < SINGULAR_GUARD:
         raise SingularPointError(
             f"evaluation {dist:.3g} from an unsoftened point source"
         )
-    if rho is None:
-        rho_val = w.rho(r, t) if hasattr(w, "rho") else 0.0
-    elif callable(rho):
-        rho_val = rho(r, t)
-    else:
-        rho_val = float(rho)
-    return w.wbar_tt(r, t) - w.wbar_laplacian(r, t) - rho_val
+    return w.wbar_tt(r, t) - w.wbar_laplacian(r, t) - w.rho(r, t)

@@ -189,13 +189,11 @@ def cell_integrands(state: StringState, field: PotentialField) -> dict:
     diff = w[:, None] * rprime - pbar
     wrp2 = w2 * rp2
     p2 = np.einsum("ij,ij->i", pbar, pbar)
-    cross = np.einsum("ij,ij->i", rprime, pbar)
     return {
         "energy": hdens,
         "alt": np.sqrt(np.einsum("ij,ij->i", diff, diff)),
         "wrprime_sq": wrp2,
         "pbar_sq": p2,
-        "transversality": w * cross,
     }
 
 

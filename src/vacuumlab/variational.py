@@ -393,9 +393,6 @@ class LegendreReport:
     max_abs_diff: float
     nodes: int
 
-    def passed(self, tol: float = 1e-8) -> bool:
-        return self.max_abs_diff < tol
-
 
 def _onshell_clock_rates(spec: LagrangianSpec, v: np.ndarray) -> np.ndarray:
     """Clock rate dt/ds consistent with the kind's own time relation, per node.
@@ -463,9 +460,6 @@ class MultiplierReport:
     values: np.ndarray
     max_deviation: float
     constraint_defect: float
-
-    def is_constant(self, tol: float) -> bool:
-        return self.max_deviation < tol
 
 
 def multiplier_consistency(path: DiscretePath, m0: float) -> MultiplierReport:

@@ -44,7 +44,7 @@ from vacuumlab.strings import (
     string_hamiltonian_alt,
 )
 from vacuumlab.conformal import solve_conformal
-from vacuumlab.conformal_cases import harmonic_case, manufactured_case
+from vacuumlab.conformal_cases import manufactured_case
 from vacuumlab.variational import (
     LagrangianKind,
     LagrangianSpec,
@@ -52,6 +52,7 @@ from vacuumlab.variational import (
     path_from_trajectory,
     uniform_proper_path,
 )
+from test_conformal import exp_harmonic_case
 
 
 def _report(name, passed, detail):
@@ -390,7 +391,7 @@ def test_ac9_conformal_solver_convergence():
 
     lap_errs = []
     for n in (17, 33):
-        case = harmonic_case(n, n, kind="exp")
+        case = exp_harmonic_case(n, n)
         solved, _ = solve_conformal(case.boundary, case.field, tol=1e-11)
         lap_errs.append(float(np.max(np.abs(solved.xi - case.exact.xi))))
     lap_order = math.log(lap_errs[0] / lap_errs[1]) / math.log(2.0)

@@ -348,6 +348,19 @@ def _huge_gradient(data):
     data.update({k: v for k, v in shipped.items() if k != "output"})
 
 
+def _too_large(name, section, key, value):
+    # the shipped scenario with one size whose arrays NumPy refuses at once
+    # (7 PiB), so the case allocates nothing
+    def edit(data):
+        shipped = load_scenario(name)
+        shipped[section][key] = value
+        shipped["output"] = data["output"]
+        data.clear()
+        data.update(shipped)
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, code, message",
     [
@@ -379,11 +392,16 @@ def _huge_gradient(data):
         # the output directory's path is taken by a regular file
         (lambda d: pathlib.Path(d["output"]["directory"]).write_text(""), 1,
          "cannot write outputs"),
+        # sizes too large to allocate
+        (_too_large("string_pluck.yaml", "grid", "n", 1.0e15), 1, "input too large"),
+        (_too_large("conformal_laplace.yaml", "grid", "n_sigma", 1.0e15), 1, "input too large"),
+        (_too_large("string_pluck.yaml", "integration", "n_steps", 10**15), 1, "input too large"),
     ],
     ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
          "non-finite-energy", "fractional-steps", "misspelled-source-key", "name-with-slash",
          "name-climbing-out", "name-with-backslash", "name-with-nul", "directory-with-nul",
-         "out-is-a-file"],
+         "out-is-a-file", "string-grid-too-large", "conformal-grid-too-large",
+         "string-steps-too-large"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ

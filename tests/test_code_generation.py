@@ -6,6 +6,12 @@ module's own.  So no module under ``src/vacuumlab`` names ``exec``,
 ``eval`` or ``compile`` outside that builder, and every call of the builder
 passes, as its expression, a module-level string constant of ``integrate``
 that is assigned once and never rebound.
+
+The generated combines also keep float sums in the order written.  The
+builtin ``sum`` does not: from Python 3.12 on it compensates float sums, so
+its bits depend on the interpreter.  So no module names ``sum`` except
+``variational.euler_lagrange_residual``, whose corner sum adds arrays, which
+NumPy adds element by element in the order given.
 """
 
 import ast
@@ -16,6 +22,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vacuumlab"
 BUILDER_MODULE, BUILDER = "integrate", "_combiner"
 CODEGEN = {"exec", "eval", "compile"}
+SUM_MODULE, SUM_FUNCTION = "variational", "euler_lagrange_residual"
 
 
 def _string_constants(tree):
@@ -44,13 +51,19 @@ def _builder_name(func):
     return None
 
 
+def _nodes_of(tree, name):
+    """ids of every node inside the module-level function name."""
+    return {
+        id(n)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for n in ast.walk(node)
+    }
+
+
 def violations(tree, module):
     """(line, reason) of each way the module's source opens code generation."""
-    inside = set()
-    if module == BUILDER_MODULE:
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == BUILDER:
-                inside = {id(n) for n in ast.walk(node)}
+    inside = _nodes_of(tree, BUILDER) if module == BUILDER_MODULE else set()
     constants = _string_constants(tree)
     found = []
     for node in ast.walk(tree):
@@ -68,6 +81,25 @@ def violations(tree, module):
             elif not (len(args) == 1 and isinstance(args[0], ast.Name) and args[0].id in constants):
                 found.append((node.lineno, f"{BUILDER} called without a module string constant"))
     return found
+
+
+def builtin_sums(tree, module):
+    """Lines that name the builtin sum, outside the oracle's corner sum."""
+    allowed = _nodes_of(tree, SUM_FUNCTION) if module == SUM_MODULE else set()
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (
+            (isinstance(node, ast.Name) and node.id == "sum")
+            or (
+                isinstance(node, ast.Attribute)
+                and node.attr == "sum"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("builtins", "__builtins__")
+            )
+        )
+    ]
 
 
 def _package_modules():
@@ -88,7 +120,7 @@ def test_the_builder_is_called():
     calls = [
         n for n in ast.walk(tree) if isinstance(n, ast.Call) and _builder_name(n.func) == BUILDER
     ]
-    assert len(calls) >= 7  # RK4's stage and final combines, RKF45's five stages
+    assert len(calls) >= 9  # RK4's stage and final combines, RKF45's five stages and two solutions
 
 
 @pytest.mark.parametrize(
@@ -120,3 +152,36 @@ def test_the_walk_passes_the_builder_and_its_constant_calls():
         "pattern = re.compile('x')\n"
     )
     assert violations(ast.parse(source), BUILDER_MODULE) == []
+
+
+def test_no_builtin_sum_outside_the_oracle_corner_sum():
+    found = {}
+    for path in _package_modules():
+        lines = builtin_sums(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+@pytest.mark.parametrize(
+    "source, module",
+    [
+        ("y = a + h * sum([b * k for b, k in pairs])", BUILDER_MODULE),
+        ("total = sum", "cli"),
+        ("import builtins\nbuiltins.sum(values)", "strings"),
+        ("def f(v):\n    return __builtins__.sum(v)", SUM_MODULE),
+        ("def f(cells):\n    return sum(cells)", SUM_MODULE),
+        (f"def {SUM_FUNCTION}(spec, path):\n    return sum(cells)", "particle"),
+    ],
+)
+def test_the_sum_walk_flags_each_builtin_sum(source, module):
+    assert builtin_sums(ast.parse(source), module)
+
+
+def test_the_sum_walk_passes_the_corner_sum_and_array_sums():
+    source = (
+        f"def {SUM_FUNCTION}(spec, path):\n"
+        "    return sum(cells[1:], cells[0])\n"
+        "total = np.sum(values) + values.sum() + math.fsum(values)\n"
+    )
+    assert builtin_sums(ast.parse(source), SUM_MODULE) == []

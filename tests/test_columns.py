@@ -84,7 +84,7 @@ SCALAR_INVARIANTS = {
         + m.field.wbar(s.r, s.t),
     },
     ModelKind.CONSTRAINED: {
-        "rest_mass": lambda s, m: s.extra["lambda_tdot"] * proper_time_factor(s.u),
+        "rest_mass": lambda s, m: s.lam * proper_time_factor(s.u),
     },
     ModelKind.VACUUM_FREE: {
         "hamiltonian": lambda s, m: vacuum_free_hamiltonian(m.field.wbar(s.r, s.t), s.p),
@@ -123,17 +123,14 @@ def _unpack(model, y, x, axis):
     p = Vec3(y[3], y[4], y[5])
     if model.kind is ModelKind.CONSTRAINED:
         y2 = y[6]
-        return ParticleState(y[7], x, r, p / y2, p, {"lambda_tdot": y2, "m0": model.rest_mass})
+        return ParticleState(y[7], x, r, p / y2, p, y2)
     if model.kind is ModelKind.CLASSICAL:
         u = classical_velocity(model.rest_mass, p)
-        return ParticleState(y[6], x, r, u, p, {"m0": model.rest_mass})
-    if axis == "lab":
-        t, tau, extra = x, y[6], {}
-    else:
-        t, tau, extra = y[6], y[7], {"tau_rel": x}
+        return ParticleState(y[6], x, r, u, p)
+    t, tau = (x, y[6]) if axis == "lab" else (y[6], y[7])
     if model.kind is ModelKind.VACUUM_INTERACTING:
         p = p - qa_vector(model, r, t)
-    return ParticleState(tau, t, r, vacuum_velocity(model.field.wbar(r, t), p), p, extra)
+    return ParticleState(tau, t, r, vacuum_velocity(model.field.wbar(r, t), p), p)
 
 
 class DriftReport(ConservationReport):
@@ -280,12 +277,14 @@ def test_columns_reproduce_the_per_step_loop(kind, axis, method):
     # the oracle's path reads the columns as it read the samples
     path = path_from_trajectory(traj, stride=3)
     picked = ref_samples[::3]
-    s_ref = [s.t if traj.time_axis == "lab" else s.extra.get("tau_rel", s.tau) for s in picked]
-    assert np.array_equal(path.s, s_ref)
+    # the loop's parameter: x += h per step from the launch's t (lab) or tau (proper)
+    x_ref = np.add.accumulate([traj.x[0]] + [params.step] * params.n_steps)
+    assert np.array_equal(traj.x, x_ref)
+    assert np.array_equal(path.s, x_ref[::3])
     assert np.array_equal(path.t, [s.t for s in picked])
     assert np.array_equal(path.r, [list(s.r) for s in picked])
     if kind is ModelKind.CONSTRAINED:
-        lam = [s.extra["lambda_tdot"] * math.sqrt(1.0 - s.u.norm2()) for s in picked]
+        lam = [s.lam * math.sqrt(1.0 - s.u.norm2()) for s in picked]
         assert np.array_equal(path.lam, lam)
 
 

@@ -510,7 +510,7 @@ def test_degenerate_multiplier_raised_by_the_integrated_law():
     field = UniformField(-1.0)
     model = ForceModel(ModelKind.CONSTRAINED, field, charge=1.0, rest_mass=1.0)
     state = make_constrained_state(ZERO3, Vec3(0.4, 0, 0), 1.0)
-    state.extra["lambda_tdot"] = 0.0
+    state.lam = 0.0
     with pytest.raises(DegenerateMultiplierError, match=r"\[t=0\]"):
         integrate_particle(model, state, IntegrationParams(step=1e-3, n_steps=5))
 

@@ -124,13 +124,13 @@ def test_constrained_rhs_free_and_invariant():
     field = UniformField(-1.0)
     model = ForceModel(ModelKind.CONSTRAINED, field, charge=1.0, rest_mass=1.0)
     state = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
-    d1, d2, dr = constrained_rhs(model, state.r, state.p, state.extra["lambda_tdot"], state.t)
+    d1, d2, dr = constrained_rhs(model, state.r, state.p, state.lam, state.t)
     d1 = Vec3(*d1)
     assert d1.norm() < 1e-15 and abs(d2) < 1e-15
     bad = make_constrained_state(Vec3(0, 0, 0), Vec3(0.4, 0, 0), 1.0)
-    bad.extra["lambda_tdot"] = 0.0
+    bad.lam = 0.0
     with pytest.raises(DegenerateMultiplierError):
-        constrained_rhs(model, bad.r, bad.p, bad.extra["lambda_tdot"], bad.t)
+        constrained_rhs(model, bad.r, bad.p, bad.lam, bad.t)
 
 
 def test_constrained_invariant_along_uniform_e_trajectory():

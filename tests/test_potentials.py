@@ -120,7 +120,7 @@ def test_wave_residual_harmonic():
         return (3.0 * np.outer(a, a) / d**2 - np.eye(3)) / (FOUR_PI * d**3)
 
     f = CallableField(wbar_fn=w, wbar_hessian_fn=hess, wbar_tt_fn=lambda r, t: 0.0)
-    assert abs(wave_residual(f, 0.0, Vec3(1, 1, 1), 0.0)) < 1e-9
+    assert abs(wave_residual(f, Vec3(1, 1, 1), 0.0)) < 1e-9
 
 
 def test_wave_residual_travelling_profile():
@@ -130,7 +130,7 @@ def test_wave_residual_travelling_profile():
         wbar_hessian_fn=lambda r, t: np.diag([-math.sin(t - r.x), 0.0, 0.0]),
         wbar_tt_fn=lambda r, t: -math.sin(t - r.x),
     )
-    assert abs(wave_residual(f, 0.0, Vec3(0.3, 1.0, -2.0), 0.7)) < 1e-12
+    assert abs(wave_residual(f, Vec3(0.3, 1.0, -2.0), 0.7)) < 1e-12
 
 
 def test_wave_residual_quadratic():
@@ -139,7 +139,7 @@ def test_wave_residual_quadratic():
         wbar_hessian_fn=lambda r, t: np.diag([2.0, 0.0, 0.0]),
         wbar_tt_fn=lambda r, t: 0.0,
     )
-    assert wave_residual(f, 0.0, Vec3(1, 2, 3), 0.0) == pytest.approx(-2.0)
+    assert wave_residual(f, Vec3(1, 2, 3), 0.0) == pytest.approx(-2.0)
 
 
 def test_wave_residual_coulomb_static_offcenter():
@@ -149,7 +149,7 @@ def test_wave_residual_coulomb_static_offcenter():
         r = Vec3(*rng.uniform(-1, 1, size=3))
         if r.norm() <= 0.01:
             continue
-        assert abs(wave_residual(f, None, r, 0.0)) < 1e-8
+        assert abs(wave_residual(f, r, 0.0)) < 1e-8
 
 
 def test_wave_residual_softened_matches_plummer_density():
@@ -157,13 +157,13 @@ def test_wave_residual_softened_matches_plummer_density():
     rng = np.random.default_rng(5)
     for _ in range(20):
         r = Vec3(*rng.uniform(-0.5, 0.5, size=3))
-        assert abs(wave_residual(f, None, r, 0.0)) < 1e-12
+        assert abs(wave_residual(f, r, 0.0)) < 1e-12
 
 
 def test_wave_residual_singular_guard():
     f = coulomb(eps=0.0)
     with pytest.raises(SingularPointError):
-        wave_residual(f, None, Vec3(1e-4, 0, 0), 0.0)
+        wave_residual(f, Vec3(1e-4, 0, 0), 0.0)
 
 
 BUILT_IN = [

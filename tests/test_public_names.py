@@ -44,10 +44,6 @@ REFERENCED_ONLY_BY_TESTS = {
     # the successive deviation ratios of the q -> 0 limit; the sweep workload
     # fits the log-log slope of the deviations instead
     "particle.RestMassLimitReport.ratios",
-    # the pass/fail verdicts of the oracle group at a tolerance; audit reports
-    # neither check yet (ROADMAP item 3)
-    "variational.LegendreReport.passed",
-    "variational.MultiplierReport.is_constant",
 }
 
 

@@ -18,6 +18,7 @@ of zero included, except by ``solve_conformal`` on grids it can halve: its
 multigrid solution is held to ``reference_relax``'s within a recorded gap.
 """
 
+import builtins
 import dataclasses
 import math
 import pathlib
@@ -30,7 +31,7 @@ import vacuumlab.integrate as integrate
 import vacuumlab.strings as strings
 from vacuumlab import cli
 from vacuumlab.conformal import coons_interior, residual_grid, solve_conformal
-from vacuumlab.conformal_cases import harmonic_case, manufactured_case
+from vacuumlab.conformal_cases import manufactured_case
 from vacuumlab.errors import ConvergenceError, EnergyDomainError, PhysicsDomainError
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import (
@@ -60,6 +61,7 @@ from vacuumlab.strings import (
     string_hamiltonian,
 )
 from vacuumlab.tolerances import ENERGY_DOMAIN_GUARD
+from test_conformal import exp_harmonic_case
 
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -510,10 +512,18 @@ def reference_rkf45_stages(f, x, y, h):
     return (k1, k2, k3, k4, k5, k6)
 
 
+def _left_sum(terms):
+    """sum(terms) as Python sums floats before 3.12: from 0, left to right, uncompensated."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def reference_rkf45_step(f, x, y, h, rel_tol, abs_tol):
     ks = reference_rkf45_stages(f, x, y, h)
-    y5 = tuple(a + h * sum(b * k[i] for b, k in zip(_REF_B5, ks)) for i, a in enumerate(y))
-    y4 = tuple(a + h * sum(b * k[i] for b, k in zip(_REF_B4, ks)) for i, a in enumerate(y))
+    y5 = tuple(a + h * _left_sum(b * k[i] for b, k in zip(_REF_B5, ks)) for i, a in enumerate(y))
+    y4 = tuple(a + h * _left_sum(b * k[i] for b, k in zip(_REF_B4, ks)) for i, a in enumerate(y))
     ratio = 0.0
     for a, b, y0 in zip(y5, y4, y):
         ratio = max(ratio, abs(a - b) / (abs_tol + rel_tol * abs(y0)))
@@ -601,10 +611,21 @@ def test_the_combiner_cache_does_not_grow_with_steps():
     assert integrate._combiner.cache_info().currsize == 2  # RK4's stage and final combines
     lab = _shipped_particle("classical_gyro.yaml", n_steps=1000, method="rk45")  # 7 floats
     assert len(integrate.integrate_particle(*lab).x) > 10
-    assert integrate._combiner.cache_info().currsize == 2 + 5  # and RKF45's five stages
+    assert integrate._combiner.cache_info().currsize == 2 + 7  # and RKF45's stages and solutions
     integrate.integrate_particle(*proper)
     info = integrate._combiner.cache_info()
-    assert (info.currsize, info.misses) == (7, 7)
+    assert (info.currsize, info.misses) == (9, 9)
+
+
+def test_rkf45_runs_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # Python 3.12's sum compensates float sums and math.fsum rounds the exact
+    # sum once: a run that summed through the builtin would change bits here
+    model, state, params = _shipped_particle("constrained_rk45.yaml")
+    expected = integrate.integrate_particle(model, state, params)
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    got = integrate.integrate_particle(model, state, params)
+    monkeypatch.undo()
+    assert same_bits(got.x, expected.x) and same_bits(got.Y, expected.Y)
 
 
 # --- non-finite string states ----------------------------------------------------
@@ -779,7 +800,7 @@ def _conformal_problem(case, residual_grid_fn):
 SOR_CASES = {
     "manufactured-17": (lambda: manufactured_case(17, 17), 1e-9, 2e-11),
     "manufactured-33": (lambda: manufactured_case(33, 33), 1e-9, 2e-11),
-    "harmonic-exp-17": (lambda: harmonic_case(17, 17, kind="exp"), 1e-10, 4e-12),
+    "harmonic-exp-17": (lambda: exp_harmonic_case(17, 17), 1e-10, 4e-12),
 }
 
 
@@ -818,7 +839,7 @@ def test_sor_history_across_a_diagonal_refresh_equals_the_reference():
 
 
 def test_conformal_residual_equals_the_full_grid_gradient_form():
-    for case in (manufactured_case(17, 21), harmonic_case(19, 17, kind="exp")):
+    for case in (manufactured_case(17, 21), exp_harmonic_case(19, 17)):
         xi = coons_interior(case.boundary)
         h_sigma, h_s = case.boundary.h_sigma, case.boundary.h_s
         assert identical(
