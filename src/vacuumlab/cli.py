@@ -9,9 +9,10 @@ bit-identical CSV and the same config hash.
 
 Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, a
 classical or constrained model without a positive rest_mass, a classical
-rest_mass whose square leaves the float range, or a grid or step count too
-large to allocate), 2 physics-domain abort, 3 solver failure
-(non-convergence or adaptive step collapse).
+rest_mass whose square leaves the float range, a zero charge in a Coulomb
+field, a string run on a lab time axis, or a grid or step count too large
+to allocate), 2 physics-domain abort, 3 solver failure (non-convergence or
+adaptive step collapse).
 """
 
 from __future__ import annotations
@@ -294,6 +295,8 @@ def _normalize(data: dict) -> dict:
                 f"got {data['rest_mass']!r}"
             )
         out["field"] = _normalize_field(data.get("field"))
+        if out["charge"] == 0.0 and out["field"]["kind"].startswith("coulomb"):
+            raise ValidationError("charge must be nonzero in a Coulomb field, got 0")
         out["initial"] = _fill(_section(data, "initial"), _PARTICLE_INITIAL, "initial.")
         if Vec3(*out["initial"]["u"]).norm2() >= 1.0:
             raise ValidationError("initial.u: superluminal initial velocity")
@@ -465,18 +468,16 @@ def build_string_state(config: ScenarioConfig):
 def _run_string(config: ScenarioConfig, out_dir: str):
     state, field, params = build_string_state(config)
     traj = integrate_string(state, field, params)
-    last = len(traj.tau) - 1
+    last, n = len(traj.tau) - 1, state.grid.n
     written = [*range(0, last, max(1, params.n_steps // 50)), last]
-    blocks = []
-    for i in written:
-        st = traj.state(i)
-        dens = strings_mod.node_energy_density(st, field)
-        tau = np.full(st.grid.n, st.tau)
-        blocks.append(np.column_stack([tau, st.grid.sigma, st.r, st.p, dens]))
-        if not np.isfinite(blocks[-1]).all():
-            raise PhysicsDomainError(f"non-finite string CSV value [tau={st.tau:.9g}]")
-    index = np.repeat(written, state.grid.n).tolist()
-    rows = _csv_rows(STRING_HEADER, np.concatenate(blocks), index)
+    block = traj.state(written)
+    dens = strings_mod.node_energy_density(block, field)
+    table = np.column_stack([np.repeat(block.tau, n), np.tile(state.grid.sigma, len(written)),
+                             block.r.reshape(-1, 3), block.p.reshape(-1, 3), dens.reshape(-1)])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise traj.annotate(PhysicsDomainError("non-finite string CSV value"), written[np.argmax(bad) // n])
+    rows = _csv_rows(STRING_HEADER, table, np.repeat(written, n).tolist())
     return traj.report.to_dict(), [_write(out_dir, f"{config.name}.csv", rows)]
 
 

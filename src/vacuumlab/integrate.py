@@ -19,7 +19,10 @@ tuple state with `rk4_step` or `rkf45_step`, checks each new state, hands
 the rate the check evaluated there to the next step as its k1, and
 annotates a physics-domain error with the t or tau of its step.  Both
 keep its rows through one audit, `_audited_march`, which audits the launch
-row first and then the later audited rows once, as arrays.
+row first and then the later audited rows once, as arrays.  Both audit
+their invariants by one rule, `_invariants`: a table of array kernels over
+the audited rows (the particle model's columns, or one block of string
+states), raising at the first offending row.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
@@ -47,7 +50,8 @@ A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: each stage's rate is one new flat array, which the string flow's
 writer fills with dr and dp from views of the state, and dt into its
 tail.  A `StringTrajectory` holds tau and the flat states Y as arrays, and
-its `StringState`s are views of the rows, built on demand.
+its `StringState`s are views of the rows, built on demand: one row, or a
+block of rows, which the string kernels take whole.
 
 The checkerboard SOR solver evaluates the residual twice per sweep.  Its
 color sweep, diagonal probe and convergence loop are private helpers that
@@ -215,31 +219,40 @@ class Trajectory:
         return _annotate(exc, label, self.x[row], where=int(row))
 
     def invariants(self, rows=slice(None), names=None) -> dict:
-        """The model's array INVARIANTS over the selected rows, by name.
+        """The model's array INVARIANTS over the selected rows, by name, through `_invariants`."""
+        return _invariants(
+            INVARIANTS[self.model.kind], (self.columns(rows), self.model), names,
+            lambda exc, k: self.annotate(exc, np.arange(len(self.x))[rows][k]),
+        )
 
-        A domain error or a non-finite value raises at the first offending
-        row of any invariant, annotated with that row's parameter value.
-        """
-        table = INVARIANTS[self.model.kind]
-        cols = self.columns(rows)
-        values, failures = {}, []
-        with np.errstate(all="ignore"):  # non-finite values are raised below
-            for name in names or table:
-                try:
-                    values[name] = v = table[name](cols, self.model)
-                except PhysicsDomainError as exc:
-                    if exc.where is None:
-                        raise
-                    failures.append((exc.where, exc))
-                    continue
-                bad = ~np.isfinite(v)
-                if bad.any():
-                    k = int(np.argmax(bad))
-                    failures.append((k, PhysicsDomainError(f"non-finite {name} {v[k]}")))
-        if failures:
-            k, exc = min(failures, key=lambda f: f[0])  # ties: the first invariant
-            raise self.annotate(exc, np.arange(len(self.x))[rows][k])
-        return values
+
+def _invariants(table, args, names, annotate) -> dict:
+    """table[name](*args) for each name (all of table's by default): the audit rule of both run kinds.
+
+    Each entry returns its invariant's values over a run's selected rows as
+    an array.  A domain error naming a row as ``where`` or a non-finite value
+    raises at the first offending row of any invariant (ties: the first
+    invariant), through annotate(exc, k) with k its position in the rows; a
+    kernel's domain error hides its non-finite values before that row.
+    """
+    values, failures = {}, []
+    with np.errstate(all="ignore"):  # non-finite values are raised below
+        for name in names or table:
+            try:
+                values[name] = v = table[name](*args)
+            except PhysicsDomainError as exc:
+                if exc.where is None:
+                    raise
+                failures.append((exc.where, exc))
+                continue
+            bad = ~np.isfinite(v)
+            if bad.any():
+                k = int(np.argmax(bad))
+                failures.append((k, PhysicsDomainError(f"non-finite {name} {v[k]}")))
+    if failures:
+        k, exc = min(failures, key=lambda f: f[0])  # ties: the first invariant
+        raise annotate(exc, k)
+    return values
 
 
 def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> PhysicsDomainError:
@@ -565,7 +578,8 @@ class StringTrajectory:
     the stepper's flat state (r, p, t) of the m grid nodes per row: r and p
     row-major, then the t channel.  Row 0 is the initial state.
     ``state(i)``, ``samples`` and ``final`` are StringState views of the rows,
-    built on demand.
+    built on demand; ``state(rows)`` of a sequence of rows is one block, whose
+    r is the (len(rows), m, 3) world sheet of those rows.
     """
 
     tau: np.ndarray
@@ -573,9 +587,11 @@ class StringTrajectory:
     grid: strings.StringGrid
     report: ConservationReport = dc_field(default_factory=ConservationReport)
 
-    def state(self, i: int) -> strings.StringState:
-        """Row i as a StringState whose r, p and t are views of Y."""
-        return _string_view(self.grid, float(self.tau[i]), self.Y[i])
+    def state(self, i) -> strings.StringState:
+        """Row i as a StringState of views of Y; a sequence of rows gives one block, of a copy of them."""
+        y, m = self.Y[i], self.grid.n
+        r, p = (y[..., k * m : (k + 3) * m].reshape(*y.shape[:-1], m, 3) for k in (0, 3))
+        return strings.StringState(self.grid, r, p, self.tau[i], y[..., 6 * m :])
 
     @property
     def samples(self) -> List[strings.StringState]:
@@ -585,11 +601,16 @@ class StringTrajectory:
     def final(self) -> strings.StringState:
         return self.state(-1)
 
+    def annotate(self, exc: PhysicsDomainError, row: int) -> PhysicsDomainError:
+        """exc annotated with a row's tau, as step errors are; ``where`` is the row."""
+        return _annotate(exc, "tau", self.tau[row], where=int(row))
 
-def _string_view(grid, tau: float, y: np.ndarray) -> strings.StringState:
-    m = grid.n
-    r, p = y[: 3 * m].reshape(m, 3), y[3 * m : 6 * m].reshape(m, 3)
-    return strings.StringState(grid, r, p, tau, y[6 * m :])
+
+# the audited string invariants of a block of states, called through the module
+_STRING_INVARIANTS = {
+    "hamiltonian": lambda state, field: strings.string_hamiltonian(state, field),
+    "transversality": lambda state, field: strings.transversality_defect(state),
+}
 
 
 def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
@@ -602,14 +623,18 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     dt = (1 + |dr|^2)^(1/2), co-integrating the t channel, and takes a new
     copy of the rate, so RK4's four stages keep four rates.  Each new state is
     written into its row of the trajectory.  ``_audited_march`` audits the
-    energy functional and the transversality defect, the launch row first.
-    A domain error in a stage is annotated with the tau of its step's start
-    (an EnergyDomainError keeps its offending cell as ``where``); a
-    non-finite new state, or a domain error or non-finite value in an
-    audit, with the tau of the row.
+    energy functional and the transversality defect, the launch row first,
+    each audit one block of rows through ``_invariants``, as a particle
+    run's.  A domain error in a stage is annotated with the tau of its
+    step's start (an EnergyDomainError keeps its offending cell as
+    ``where``); a non-finite new state with the tau of its row; a domain
+    error or non-finite value in an audit with the tau of its row, which is
+    also its ``where``.  The run steps tau, so a lab time axis is refused.
     """
     if params.method != "rk4":
         raise ValidationError("string integration uses fixed-step rk4")
+    if params.time_axis == "lab":
+        raise ValidationError("string integration steps proper time tau: time_axis must be auto or proper")
 
     grid, m = state.grid, state.grid.n
     rows = params.n_steps + 1
@@ -634,19 +659,8 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
         traj.tau[i], traj.Y[i] = tau, y[0]
 
     def invariants(rows):
-        # raises at the first offending row, then at the first invariant of that row
-        values = []
-        for i in rows:
-            row = traj.state(i)
-            try:
-                pair = (strings.string_hamiltonian(row, field), strings.transversality_defect(row))
-                for name, value in zip(("hamiltonian", "transversality"), pair):
-                    if not math.isfinite(value):
-                        raise PhysicsDomainError(f"non-finite {name} {value}")
-            except PhysicsDomainError as exc:
-                raise _annotate(exc, "tau", row.tau) from None
-            values.append(pair)
-        return dict(zip(("hamiltonian", "transversality"), np.array(values).T))
+        block = traj.state(rows)
+        return _invariants(_STRING_INVARIANTS, (block, field), None, lambda exc, k: traj.annotate(exc, rows[k]))
 
     march = _march(rhs, check, state.tau, (y,), params, "tau")
     traj.report = _audited_march(march, keep, invariants, params.audit_every)

@@ -20,7 +20,12 @@ string_hamiltonian; the flow implemented here,
                                           - d/dsigma (wbar^2 r' / h)
 
 is the Lagrangian-consistent one (it is the uncharged reduction of the
-charged-string force law).  One staggered kernel, ``_cells``, gives each
+charged-string force law).  A StringState is one state or a block of
+states (r and p of shape (..., n, 3)), and every kernel below is written
+once for both: the energy functionals, the transversality defect, the
+nodal density and the cell integrands of a block are those of its states,
+bit for bit, computed along the contiguous last axis, and one state gives
+a float.  One staggered kernel, ``_cells``, gives each
 cell's pieces; one writer, ``bind_rates``, turns them into each cell's
 grad(wbar) part, tension vector and velocity half-sum and accumulates each
 cell into its two nodes in the order of a sum into zeros.  The writer is
@@ -45,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EnergyDomainError, ValidationError
+from .errors import EnergyDomainError, PhysicsDomainError, ValidationError
 from .geometry import Vec3, ZERO3
 from .potentials import PotentialField
 from .tolerances import ENERGY_DOMAIN_GUARD
@@ -83,7 +88,11 @@ class StringGrid:
 
 @dataclass
 class StringState:
-    """Positions r(sigma_i), momentum density p(sigma_i), clocks tau and t(sigma_i)."""
+    """Positions r(sigma_i), momentum density p(sigma_i), clocks tau and t(sigma_i).
+
+    One state, or a block of states: r and p have shape (..., n, 3), t shape
+    (..., n), and tau is a float or an array of the block's leading shape.
+    """
 
     grid: StringGrid
     r: np.ndarray
@@ -94,14 +103,13 @@ class StringState:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.p = np.asarray(self.p, dtype=float)
-        n = self.grid.n
-        if self.r.shape != (n, 3) or self.p.shape != (n, 3):
+        if self.r.shape[-2:] != (self.grid.n, 3) or self.p.shape != self.r.shape:
             raise ValidationError("r and p must have shape (n, 3)")
         if self.t is None:
-            self.t = np.zeros(n)
+            self.t = np.zeros(self.r.shape[:-1])
         else:
             self.t = np.asarray(self.t, dtype=float)
-            if self.t.shape != (n,):
+            if self.t.shape != self.r.shape[:-1]:
                 raise ValidationError("t channel must have shape (n,)")
 
     def copy(self) -> "StringState":
@@ -109,12 +117,12 @@ class StringState:
 
 
 def sigma_derivative(grid: StringGrid, values: np.ndarray) -> np.ndarray:
-    """Nodal d/dsigma: central interior, one-sided second order at the ends."""
+    """Nodal d/dsigma of node rows (..., n, k): central interior, one-sided second order at the ends."""
     h = grid.h
     out = np.empty_like(values)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    out[..., 1:-1, :] = (values[..., 2:, :] - values[..., :-2, :]) / (2.0 * h)
+    out[..., 0, :] = (-3.0 * values[..., 0, :] + 4.0 * values[..., 1, :] - values[..., 2, :]) / (2.0 * h)
+    out[..., -1, :] = (3.0 * values[..., -1, :] - 4.0 * values[..., -2, :] + values[..., -3, :]) / (2.0 * h)
     return out
 
 
@@ -122,24 +130,36 @@ def sigma_derivative(grid: StringGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.ndarray):
-    """Bind the staggered cells of node rows r, p, t (n nodes) on spacing h.
+    """Bind the staggered cells of node rows r, p, t (one state or a block) on spacing h.
 
-    Returns (evaluate, cells).  cells = (dr, rprime, pbar, rp2, hdens, mid,
-    tmid, w2) are length n-1 arrays allocated here: dr = r_{c+1} - r_c,
+    r and p have shape (..., n, 3) and t shape (..., n).  Returns (evaluate,
+    cells).  cells = (dr, rprime, pbar, rp2, hdens, mid, tmid, w2) are arrays
+    of shape (..., n-1, 3) or (..., n-1) allocated here: dr = r_{c+1} - r_c,
     rprime = dr / h, the averaged momentum pbar, rp2 = |rprime|^2, the
     energy root hdens = [(w |r'|)^2 - |pbar|^2]^(1/2), the cell midpoints mid
     and times tmid, and w2 = w * w.  evaluate() fills them from the current
-    values of r, p and t and returns w, wbar at the midpoints.  It raises
-    EnergyDomainError, naming the worst cell, when the root's argument is
-    below the domain guard.  Only these arrays are written in place, never
-    the one ``wbar_many`` returned.
+    values of r, p and t and returns w, wbar at the midpoints, flat: the
+    field takes the flat views of mid and tmid made here, so a block costs
+    one field call.  Only these arrays are written in place, never the one
+    ``wbar_many`` returned.
+
+    The root's argument is tested against the domain guard once, over all
+    cells: one state raises EnergyDomainError naming its worst cell as
+    ``where``.  Only when that test or the field call raises does a block
+    evaluate its states one by one; it raises the error of the first state
+    that raises on its own, with ``where`` that state's index in the block.
+    As a NaN cell hides a state's low cells from the test, a NaN anywhere
+    in a block hides the block's.
     """
-    r1, r0, p1, p0, t1, t0 = r[1:], r[:-1], p[1:], p[:-1], t[1:], t[:-1]
-    rows, sums = np.empty((4, len(t0), 3)), np.empty((5, len(t0)))
+    n = t.shape[-1]
+    r1, r0, p1, p0 = r[..., 1:, :], r[..., :-1, :], p[..., 1:, :], p[..., :-1, :]
+    t1, t0 = t[..., 1:], t[..., :-1]
+    rows, sums = np.empty((4, *t0.shape, 3)), np.empty((5, *t0.shape))
     (dr, mid, rprime, pbar), (tmid, rp2, p2, w2, g) = rows, sums
-    # rprime and pbar are adjacent, and so are rp2 and p2: one einsum gives both
-    # row dots, bit for bit as two would
-    pair, dots = rows[2:], sums[1:3]
+    # the field and the products take flat views; rprime and pbar are adjacent,
+    # and so are rp2 and p2: one einsum gives both row dots, bit for bit as two would
+    points, pair, flat = mid.reshape(-1, 3), rows[2:].reshape(2, -1, 3), sums.reshape(5, -1)
+    (times, rp2f, p2f, w2f, gf), dots = flat, flat[1:3]
 
     def evaluate():
         np.subtract(r1, r0, out=dr)
@@ -147,51 +167,63 @@ def _cells(h: float, field: PotentialField, r: np.ndarray, p: np.ndarray, t: np.
         np.multiply(mid, 0.5, out=mid)
         np.add(t1, t0, out=tmid)
         np.multiply(tmid, 0.5, out=tmid)
-        w = field.wbar_many(mid, tmid)
+        w = field.wbar_many(points, times)
         np.divide(dr, h, out=rprime)
         np.add(p1, p0, out=pbar)
         np.multiply(pbar, 0.5, out=pbar)
         np.einsum("kij,kij->ki", pair, pair, out=dots)
-        np.multiply(w, w, out=w2)
-        np.multiply(w2, rp2, out=g)
-        np.subtract(g, p2, out=g)
-        if g.min() < ENERGY_DOMAIN_GUARD:
-            worst = int(np.argmin(g))
-            raise EnergyDomainError(
-                f"(wbar r')^2 - p^2 = {g[worst]:.3g} at cell {worst}", where=worst
-            )
-        np.sqrt(g, out=g)
+        np.multiply(w, w, out=w2f)
+        np.multiply(w2f, rp2f, out=gf)
+        np.subtract(gf, p2f, out=gf)
+        if gf.min(initial=math.inf) < ENERGY_DOMAIN_GUARD:  # an empty block has no cell to test
+            worst = int(np.argmin(gf))
+            raise EnergyDomainError(f"(wbar r')^2 - p^2 = {gf[worst]:.3g} at cell {worst}", where=worst)
+        np.sqrt(gf, out=gf)
         return w
 
-    return evaluate, (dr, rprime, pbar, rp2, g, mid, tmid, w2)
+    cells = (dr, rprime, pbar, rp2, g, mid, tmid, w2)
+    if g.ndim == 1:
+        return evaluate, cells
+
+    def evaluate_block():
+        try:
+            return evaluate()
+        except PhysicsDomainError:
+            for k, state in enumerate(zip(r.reshape(-1, n, 3), p.reshape(-1, n, 3), t.reshape(-1, n))):
+                try:
+                    _cells(h, field, *state)[0]()
+                except PhysicsDomainError as exc:
+                    raise type(exc)(str(exc), where=k) from None
+            raise
+
+    return evaluate_block, cells
 
 
 def _state_cells(state: StringState, field: PotentialField):
-    """(w, dr, rprime, pbar, rp2, hdens, mid, tmid, w2) of a state's cells, on new arrays."""
+    """(w, dr, rprime, pbar, rp2, hdens, mid, tmid, w2) of a state's or a block's cells, on new arrays."""
     evaluate, cells = _cells(state.grid.h, field, state.r, state.p, state.t)
     return (evaluate(), *cells)
 
 
-def string_hamiltonian(state: StringState, field: PotentialField) -> float:
-    """Energy functional: midpoint quadrature of [(wbar r')^2 - p^2]^(1/2)."""
-    hdens = _state_cells(state, field)[5]
-    return float(state.grid.h * np.sum(hdens))
+def string_hamiltonian(state: StringState, field: PotentialField):
+    """Energy functional: midpoint quadrature of [(wbar r')^2 - p^2]^(1/2), per state of a block."""
+    return state.grid.h * np.sum(_state_cells(state, field)[5], axis=-1)
 
 
-def string_hamiltonian_alt(state: StringState, field: PotentialField) -> float:
+def string_hamiltonian_alt(state: StringState, field: PotentialField):
     """Alternative functional: quadrature of |wbar r' - p| on the same cells."""
-    return float(state.grid.h * np.sum(cell_integrands(state, field)["alt"]))
+    return state.grid.h * np.sum(cell_integrands(state, field)["alt"], axis=-1)
 
 
 def cell_integrands(state: StringState, field: PotentialField) -> dict:
     """Per-cell integrand values of both functionals, for gap diagnostics."""
     w, _, rprime, pbar, rp2, hdens, _, _, w2 = _state_cells(state, field)
-    diff = w[:, None] * rprime - pbar
+    diff = w.reshape(w2.shape)[..., None] * rprime - pbar
     wrp2 = w2 * rp2
-    p2 = np.einsum("ij,ij->i", pbar, pbar)
+    p2 = np.einsum("...ij,...ij->...i", pbar, pbar)
     return {
         "energy": hdens,
-        "alt": np.sqrt(np.einsum("ij,ij->i", diff, diff)),
+        "alt": np.sqrt(np.einsum("...ij,...ij->...i", diff, diff)),
         "wrprime_sq": wrp2,
         "pbar_sq": p2,
     }
@@ -200,11 +232,11 @@ def cell_integrands(state: StringState, field: PotentialField) -> dict:
 def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray:
     """Energy integrand averaged back to nodes (trajectory CSV column)."""
     hdens = _state_cells(state, field)[5]
-    out = np.zeros(state.grid.n)
-    out[:-1] += 0.5 * hdens
-    out[1:] += 0.5 * hdens
-    out[0] *= 2.0
-    out[-1] *= 2.0
+    out = np.zeros(state.t.shape)
+    out[..., :-1] += 0.5 * hdens
+    out[..., 1:] += 0.5 * hdens
+    out[..., 0] *= 2.0
+    out[..., -1] *= 2.0
     return out
 
 
@@ -310,10 +342,10 @@ def charged_string_rhs(state: StringState, field: PotentialField, q: float):
 # --- nodal kernels --------------------------------------------------------------
 
 
-def transversality_defect(state: StringState) -> float:
-    """max over nodes of |<p, r'>| (nodal central derivative)."""
+def transversality_defect(state: StringState):
+    """max over nodes of |<p, r'>| (nodal central derivative), per state of a block."""
     rp = sigma_derivative(state.grid, state.r)
-    return float(np.max(np.abs(np.einsum("ij,ij->i", rp, state.p))))
+    return np.max(np.abs(np.einsum("...ij,...ij->...i", rp, state.p)), axis=-1)
 
 
 # --- state builders ---------------------------------------------------------------

@@ -348,9 +348,8 @@ def _huge_gradient(data):
     data.update({k: v for k, v in shipped.items() if k != "output"})
 
 
-def _too_large(name, section, key, value):
-    # the shipped scenario with one size whose arrays NumPy refuses at once
-    # (7 PiB), so the case allocates nothing
+def _shipped_with(name, section, key, value):
+    # the shipped scenario with one key of one section set to value
     def edit(data):
         shipped = load_scenario(name)
         shipped[section][key] = value
@@ -392,16 +391,26 @@ def _too_large(name, section, key, value):
         # the output directory's path is taken by a regular file
         (lambda d: pathlib.Path(d["output"]["directory"]).write_text(""), 1,
          "cannot write outputs"),
-        # sizes too large to allocate
-        (_too_large("string_pluck.yaml", "grid", "n", 1.0e15), 1, "input too large"),
-        (_too_large("conformal_laplace.yaml", "grid", "n_sigma", 1.0e15), 1, "input too large"),
-        (_too_large("string_pluck.yaml", "integration", "n_steps", 10**15), 1, "input too large"),
+        # sizes too large to allocate: NumPy refuses their arrays (7 PiB) at once, so
+        # the cases allocate nothing
+        (_shipped_with("string_pluck.yaml", "grid", "n", 1.0e15), 1, "input too large"),
+        (_shipped_with("conformal_laplace.yaml", "grid", "n_sigma", 1.0e15), 1, "input too large"),
+        (_shipped_with("string_pluck.yaml", "integration", "n_steps", 10**15), 1, "input too large"),
+        # a zero test charge in a Coulomb field is an input error, as strength 0 is
+        (
+            lambda d: d.update(charge=0, field={"kind": "coulomb-static", "softening": 0.1,
+                                                "background": -1.0}),
+            1,
+            "charge must be nonzero",
+        ),
+        # a string run steps its proper time tau: a lab axis would be silently ignored
+        (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
     ],
     ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
          "non-finite-energy", "fractional-steps", "misspelled-source-key", "name-with-slash",
          "name-climbing-out", "name-with-backslash", "name-with-nul", "directory-with-nul",
          "out-is-a-file", "string-grid-too-large", "conformal-grid-too-large",
-         "string-steps-too-large"],
+         "string-steps-too-large", "coulomb-zero-charge", "string-lab-axis"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ

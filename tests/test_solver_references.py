@@ -459,6 +459,26 @@ def test_a_string_run_binds_its_writer_once(monkeypatch):
     assert len(binds) == 2
 
 
+@pytest.mark.parametrize("n_steps", [None, 20, 7])
+def test_a_string_run_binds_its_cells_four_times(tmp_path, monkeypatch, n_steps):
+    # the writer, the launch audit, the block audit of the later rows and the CSV
+    # block: not one per audited or written row
+    binds, bind = [], strings._cells
+
+    def counted(*args):
+        binds.append(args[2].shape)
+        return bind(*args)
+
+    monkeypatch.setattr(strings, "_cells", counted)
+    config = cli.parse_config(str(SCENARIOS / "string_pluck.yaml"),
+                              {"n_steps": n_steps, "out": str(tmp_path)})
+    cli.run_scenario(config, quiet=True)
+    steps, m = config.data["integration"]["n_steps"], config.data["grid"]["n"]
+    audited = len(range(10, steps, 10)) + 1
+    written = len(range(0, steps, max(1, steps // 50))) + 1
+    assert binds == [(m, 3), (1, m, 3), (audited, m, 3), (written, m, 3)]
+
+
 # --- the generic steppers as they were --------------------------------------------
 
 
@@ -642,6 +662,37 @@ def test_non_finite_string_audit_raises_at_its_row():
         integrate_string(
             _overflowing_string(), UniformField(-1.0), IntegrationParams(step=1e-3, n_steps=20)
         )
+
+
+def test_a_string_audit_error_names_its_row(monkeypatch):
+    # an unphysical launch is refused by the launch audit, before any step
+    state = _pluck(16)
+    state.p[7] += (0.0, 40.0, 0.0)
+    with pytest.raises(EnergyDomainError) as own:
+        string_hamiltonian(state, UniformField(-1.0))
+    with pytest.raises(EnergyDomainError) as err:
+        integrate_string(state, UniformField(-1.0), IntegrationParams(step=1e-3, n_steps=10))
+    assert str(err.value) == f"{own.value} [tau=0]" and err.value.where == 0
+    # a later row: the last stage of step 20 kicks node 7's momentum out of the
+    # domain, so step 21's first stage raises, and the audit of rows 10 and 20 wins
+    calls, bind = [], strings.bind_rates
+
+    def kicking_bind(h, field, m, *args):
+        writer = bind(h, field, m, *args)
+
+        def kicking(y):
+            calls.append(1)
+            out = writer(y)
+            if len(calls) == 80:
+                out[3 * m + 3 * 7 + 1] += 6.0 * 40.0 / 1e-3
+            return out
+
+        return kicking
+
+    monkeypatch.setattr(strings, "bind_rates", kicking_bind)
+    with pytest.raises(EnergyDomainError) as err:
+        integrate_string(_pluck(16), UniformField(-1.0), IntegrationParams(step=1e-3, n_steps=30))
+    assert str(err.value).endswith("[tau=0.02]") and err.value.where == 20
 
 
 def test_non_finite_string_state_raises_at_the_step_that_made_it(monkeypatch):

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from vacuumlab.errors import EnergyDomainError, ValidationError, ZeroDirectionError
+from vacuumlab.errors import (
+    EnergyDomainError,
+    SingularPointError,
+    ValidationError,
+    ZeroDirectionError,
+)
 from vacuumlab.geometry import Vec3, ZERO3
 from vacuumlab.integrate import IntegrationParams, integrate_string
 from vacuumlab.potentials import (
@@ -18,6 +23,7 @@ from vacuumlab.strings import (
     StringState,
     cell_integrands,
     charged_string_rhs,
+    node_energy_density,
     plucked_string,
     sigma_derivative,
     straight_string,
@@ -26,7 +32,7 @@ from vacuumlab.strings import (
     string_hamiltonian_alt,
     transversality_defect,
 )
-from test_solver_references import identical, reference_charged_rhs
+from test_solver_references import CHARGED_FIELDS, identical, reference_charged_rhs
 
 
 def unit_string(n=16, wbar=-1.0):
@@ -397,12 +403,10 @@ def test_string_flow_cross_validated_by_worldsheet_action():
         traj = integrate_string(
             state, field, IntegrationParams(step=step, n_steps=64, audit_every=64)
         )
-        samples = traj.samples[::stride]
-        sheet = StringWorldPath(
-            tau=np.array([s.tau for s in samples]),
-            sigma=grid.sigma,
-            r=np.array([s.r for s in samples]),
-        )
+        # the block of the kept rows is the world sheet: r of shape (n_tau, n_sigma, 3)
+        block = traj.state(range(0, 65, stride))
+        assert identical(block.r, np.array([s.r for s in traj.samples[::stride]]))
+        sheet = StringWorldPath(tau=block.tau, sigma=grid.sigma, r=block.r)
         res = euler_lagrange_residual(spec, sheet)
         return float(np.max(np.sqrt(np.einsum("ijk,ijk->ij", res, res))))
 
@@ -412,3 +416,85 @@ def test_string_flow_cross_validated_by_worldsheet_action():
     fine = residual_for(65, 1)    # h_sigma = 1/64, d_tau = 2.5e-4
     assert fine < 1e-2
     assert coarse / fine == pytest.approx(4.0, rel=0.4)
+
+
+# --- block kernels ------------------------------------------------------------------
+
+BLOCK_FIELDS = {
+    **CHARGED_FIELDS,
+    "callable": lambda: CallableField(
+        wbar_fn=lambda r, t: -1.5 - 0.2 * r.x + 0.1 * r.y * r.z + 0.05 * t
+    ),
+}
+
+
+def _random_plucks(rows, n=20, seed=11):
+    """A block of rows random plucks off a straight string, with a varying t channel."""
+    rng = np.random.default_rng(seed)
+    base = plucked_string(StringGrid.uniform(0.0, 1.0, n), Vec3(0.5, 0.2, -0.1),
+                          Vec3(1.5, 0.3, 0.1), 0.01, 0.12)
+    r = base.r + 0.02 * rng.normal(size=(rows, n, 3))
+    p = base.p + 0.05 * rng.normal(size=(rows, n, 3))
+    return StringState(base.grid, r, p, np.arange(rows) * 0.1, rng.uniform(0.0, 0.5, (rows, n)))
+
+
+def _one(block, k):
+    return StringState(block.grid, block.r[k], block.p[k], block.tau[k], block.t[k])
+
+
+def _cell_integrand(key):
+    return lambda state, field: cell_integrands(state, field)[key]
+
+
+BLOCK_KERNELS = {
+    "hamiltonian": string_hamiltonian,
+    "hamiltonian_alt": string_hamiltonian_alt,
+    "transversality": lambda state, field: transversality_defect(state),
+    "node_energy_density": node_energy_density,
+    "sigma_derivative": lambda state, field: sigma_derivative(state.grid, state.r),
+    **{f"cell_{key}": _cell_integrand(key) for key in ("energy", "alt", "wrprime_sq", "pbar_sq")},
+}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("kernel", sorted(BLOCK_KERNELS))
+@pytest.mark.parametrize("kind", sorted(BLOCK_FIELDS))
+def test_a_kernel_on_a_block_equals_it_on_each_state(kind, kernel, rows):
+    field, f = BLOCK_FIELDS[kind](), BLOCK_KERNELS[kernel]
+    block = _random_plucks(rows)
+    single = f(_one(_random_plucks(1), 0), field)  # the shape of one state's result
+    assert isinstance(single, float) or single.ndim  # one state's scalar is a float
+    got = f(block, field)
+    expected = np.array([f(_one(block, k), field) for k in range(rows)]).reshape(
+        (rows, *np.shape(single))
+    )
+    assert got.shape == expected.shape and identical(got, expected)
+
+
+def test_a_block_domain_error_is_its_first_offending_state_s():
+    field = BLOCK_FIELDS["linear"]()
+    block = _random_plucks(7)
+    for k, node in ((5, 12), (3, 6)):
+        block.p[k, node : node + 2] += (0.0, 40.0, 0.0)  # |p| above wbar |r'| about the node
+    with pytest.raises(EnergyDomainError) as own:
+        string_hamiltonian(_one(block, 3), field)
+    for kernel in ("hamiltonian", "hamiltonian_alt", "node_energy_density", "cell_energy"):
+        with pytest.raises(EnergyDomainError) as err:
+            BLOCK_KERNELS[kernel](block, field)
+        assert str(err.value) == str(own.value) and own.value.where in (5, 6)
+        assert err.value.where == 3
+
+
+def test_a_block_field_error_is_its_first_offending_state_s():
+    # an unsoftened source on the midpoint of cell 4 of state 2 (and of cell 9 of state 6)
+    spec = SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.0, background=-1.0)
+    field = build_potential(spec, 1.0)
+    block = _random_plucks(7)
+    for k, cell in ((6, 9), (2, 4)):
+        block.r[k, cell : cell + 2] = [(-0.25, 0.0, 0.0), (0.25, 0.0, 0.0)]
+    with pytest.raises(SingularPointError) as own:
+        string_hamiltonian(_one(block, 2), field)
+    with pytest.raises(SingularPointError) as err:
+        string_hamiltonian(block, field)
+    assert str(err.value) == str(own.value) and own.value.where is None
+    assert err.value.where == 2
