@@ -1,8 +1,10 @@
-"""Time one law evaluation of the particle stepper for each shipped particle scenario.
+"""Time one law evaluation and one RK4 step of the particle stepper for each shipped particle scenario.
 
-This is the force-kernel layer: each case builds the scenario's model as
-`vacuumlab run` does, binds its stage evaluation once, as a run does, and
-times one call at the launch state.  It needs the pytest-benchmark plugin:
+These are the force-kernel and step layers: each case builds the
+scenario's model as `vacuumlab run` does and binds, once, as a run does,
+either its stage evaluation, timed as one call at the launch state, or
+its rate and its generated RK4 step, timed as one step from the launch
+state with the launch rate as k1.  It needs the pytest-benchmark plugin:
 
     PYTHONPATH=src python -m pytest benchmarks/test_stage_kernels.py --benchmark-only
 
@@ -25,12 +27,26 @@ PARTICLE_SCENARIOS = sorted(
 )
 
 
-@pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
-def test_stage_evaluation(benchmark, name):
+def _launch(name):
+    """(model, axis, params, x, y) of a shipped scenario's launch, as `vacuumlab run` builds it."""
     config = cli.parse_config(os.path.join(SCENARIOS, name + ".yaml"))
     model, state, params = cli.build_particle_model(config)
     axis = integ._axis_for(model, params)
+    return model, axis, params, (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
+
+
+@pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
+def test_stage_evaluation(benchmark, name):
+    model, axis, _, x, y = _launch(name)
     evaluate = integ._evaluator(model, axis)
-    x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
     k, _, _ = benchmark(evaluate, x, y)
     assert len(k) == len(y)
+
+
+@pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
+def test_rk4_step(benchmark, name):
+    model, axis, params, x, y = _launch(name)
+    rhs, _ = integ._flat_rhs(model, axis)
+    step = integ._stepper(integ._RK4, len(y))  # bound once, as _march binds it
+    y_new = benchmark(step, rhs, x, y, params.step, rhs(x, y))
+    assert len(y_new) == len(y)

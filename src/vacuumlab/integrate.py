@@ -15,14 +15,15 @@ x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
 dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
 
 Particle and string runs share one stepping loop, `_march`: it steps a
-tuple state with `rk4_step` or `rkf45_step`, checks each new state, hands
-the rate the check evaluated there to the next step as its k1, and
-annotates a physics-domain error with the t or tau of its step.  Both
-keep its rows through one audit, `_audited_march`, which audits the launch
-row first and then the later audited rows once, as arrays.  Both audit
-their invariants by one rule, `_invariants`: a table of array kernels over
-the audited rows (the particle model's columns, or one block of string
-states), raising at the first offending row.
+tuple state with the RK4 step it binds once per run, or with `rkf45_step`,
+checks each new state, hands the rate the check evaluated there to the
+next step as its k1, and annotates a physics-domain error with the t or
+tau of its step.  Both keep its rows through one audit, `_audited_march`,
+which audits the launch row first and then the later audited rows once,
+as arrays.  Both audit their invariants by one rule, `_invariants`: a
+table of array kernels over the audited rows (the particle model's
+columns, or one block of string states), raising at the first offending
+row.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
@@ -36,15 +37,16 @@ the parameter x and the flat states Y as arrays, it gives the physical
 columns from which `samples`, `final` and the invariants are derived,
 and the check decodes with it only when the law's evaluation raised.
 
-Each stepper combines a stage's state and rates by a function that
-`_combiner` generates once per stage expression and state length: the
-expression is written once as a module constant, and the function unpacks
-the tuples into locals and evaluates it at every component.  RK4 takes h/2
-and h/6 once per step (``0.5 * h * b`` is ``(0.5 * h) * b``), so every
-product and sum is the tableau's own, in its order.  RKF45's fifth- and
-fourth-order solutions are combines too: each sums all six weighted rates,
-zero weights included, left to right from 0, so no builtin ``sum`` (which
-compensates float sums from Python 3.12 on) decides their bits.
+Each method's whole step is one function that `_stepper` generates once
+per method and state length: each stage expression is written once as a
+module constant, and the step unpacks the state and each rate into locals
+once and evaluates the stage expressions at every component inline, so a
+step makes no call but its rates'.  RK4 takes h/2 and h/6 once per step
+(``0.5 * h * b`` is ``(0.5 * h) * b``), so every product and sum is the
+tableau's own, in its order.  RKF45's fifth- and fourth-order solutions
+are stage expressions too: each sums all six weighted rates, zero weights
+included, left to right from 0, so no builtin ``sum`` (which compensates
+float sums from Python 3.12 on) decides their bits.
 
 A string run steps the flat state (r, p, t) of its nodes as a one-array
 tuple: each stage's rate is one new flat array, which the string flow's
@@ -63,6 +65,7 @@ residual after its last color to the callers that read it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import re
@@ -263,7 +266,7 @@ def _annotate(exc: PhysicsDomainError, label: str, x: float, where=None) -> Phys
 # --- generic steppers on flat tuple states ----------------------------------
 
 
-# stage expressions of the steppers' combines, in a, h and the rates b1, b2, ...
+# the steps' stage expressions, in the state a, the step h and the rates b1, b2, ...
 _RK4_STAGE = "a + h * b1"
 _RK4_FINAL = "a + h * (b1 + 2.0 * (b2 + b3) + b4)"
 _RKF_K2 = "a + h * (b1 / 4.0)"
@@ -285,49 +288,53 @@ _RKF_Y4 = (
 )
 
 
-@functools.lru_cache(maxsize=None)
-def _combiner(expr: str, arity: int) -> Callable:
-    """combine(h, a, b1, ...): the tuple of expr at each of the arity components of a, b1, ...
+# the methods, as IntegrationParams.method names them
+_RK4 = "rk4"
+_RKF45 = "rk45"
 
-    expr is one of the module's stage expressions above, never input.  The
-    function is generated once per (expr, arity), as ``collections.namedtuple``
-    generates its methods: it unpacks each tuple into locals and evaluates
-    expr once per component, with the same operands in the same order.
+
+@functools.lru_cache(maxsize=None)
+def _stepper(method: str, arity: int) -> Callable:
+    """The whole step of a method on states of arity components, generated once per (method, arity).
+
+    The step is straight-line source, generated as ``collections.namedtuple``
+    generates its methods: it unpacks y and each rate into locals once and
+    builds each stage's state inline, at every component, by the module's
+    stage expressions above (never input), with the same operands in the
+    same order.  RK4's step(f, x, y, h, k1) returns the new state, taking
+    h/2 and h/6 once (``0.5 * h * b`` is ``(0.5 * h) * b``); RKF45's returns
+    the six rates, y5 and y4 of one attempt.
     """
-    names = ["a"] + [f"b{j}" for j in range(1, 7) if f"b{j}" in expr]
-    lanes = [re.sub(r"\b([ab]\d?)\b", rf"\1_{i}", expr) for i in range(arity)]
-    unpack = "".join(f"    {''.join(f'{n}_{i}, ' for i in range(arity))}= {n}\n" for n in names)
-    source = f"def combine(h, {', '.join(names)}):\n{unpack}    return ({', '.join(lanes)},)\n"
+
+    rates = tuple(f"b{j}" for j in range(1, 7))
+
+    def lanes(expr, h="h", named=rates):  # expr at each component, its h and rates b1, b2, ... renamed
+        names = {"a": "a_{i}", "h": h, **{f"b{j}": f"{rate}_{{i}}" for j, rate in enumerate(named, 1)}}
+        lane = re.sub(r"\b(a|h|b\d)\b", lambda m: names[m[1]], expr)
+        return "(" + "".join(lane.format(i=i) + ", " for i in range(arity)) + ")"
+
+    def stage(j, x, expr, h="h", named=rates):
+        return f"    {lanes(f'b{j}')} = f({x}, {lanes(expr, h, named)})\n"
+
+    source = f"def step(f, x, y, h, k1):\n    {lanes('a')} = y\n    {lanes('b1')} = k1\n"
+    if method == _RK4:
+        source += "    half, sixth = 0.5 * h, h / 6.0\n" + stage(2, "x + half", _RK4_STAGE, "half", ["b1"])
+        source += stage(3, "x + half", _RK4_STAGE, "half", ["b2"]) + stage(4, "x + h", _RK4_STAGE, "h", ["b3"])
+        source += f"    return {lanes(_RK4_FINAL, 'sixth')}\n"
+    else:
+        abscissae = ("x + h / 4.0", "x + 3.0 * h / 8.0", "x + 12.0 * h / 13.0", "x + h", "x + h / 2.0")
+        for j, (x, expr) in enumerate(zip(abscissae, (_RKF_K2, _RKF_K3, _RKF_K4, _RKF_K5, _RKF_K6)), 2):
+            source += stage(j, x, expr)
+        ks = ", ".join(map(lanes, rates))
+        source += f"    return ({ks}), {lanes(_RKF_Y5)}, {lanes(_RKF_Y4)}\n"
     namespace = {"__builtins__": {}}
     exec(source, namespace)
-    return namespace["combine"]
-
-
-def rk4_step(f, x, y, h, k1):
-    """One classical RK4 step of dy/dx = f(x, y) from y, k1 = f(x, y) evaluated by the caller."""
-    half, n = 0.5 * h, len(y)
-    stage = _combiner(_RK4_STAGE, n)
-    k2 = f(x + half, stage(half, y, k1))
-    k3 = f(x + half, stage(half, y, k2))
-    k4 = f(x + h, stage(h, y, k3))
-    return _combiner(_RK4_FINAL, n)(h / 6.0, y, k1, k2, k3, k4)
-
-
-def _rkf45_stages(f, x, y, h, k1):
-    n = len(y)
-    k2 = f(x + h / 4.0, _combiner(_RKF_K2, n)(h, y, k1))
-    k3 = f(x + 3.0 * h / 8.0, _combiner(_RKF_K3, n)(h, y, k1, k2))
-    k4 = f(x + 12.0 * h / 13.0, _combiner(_RKF_K4, n)(h, y, k1, k2, k3))
-    k5 = f(x + h, _combiner(_RKF_K5, n)(h, y, k1, k2, k3, k4))
-    k6 = f(x + h / 2.0, _combiner(_RKF_K6, n)(h, y, k1, k2, k3, k4, k5))
-    return (k1, k2, k3, k4, k5, k6)
+    return namespace["step"]
 
 
 def rkf45_step(f, x, y, h, rel_tol, abs_tol, k1):
     """One embedded 4(5) attempt from y, k1 = f(x, y): (accepted, y5, error_ratio), a NaN error as inf."""
-    ks, n = _rkf45_stages(f, x, y, h, k1), len(y)
-    y5 = _combiner(_RKF_Y5, n)(h, y, *ks)
-    y4 = _combiner(_RKF_Y4, n)(h, y, *ks)
+    _, y5, y4 = _stepper(_RKF45, len(y))(f, x, y, h, k1)
     ratio = 0.0
     for a, b, y0 in zip(y5, y4, y):
         e = abs(a - b) / (abs_tol + rel_tol * abs(y0))
@@ -342,20 +349,23 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
     takes it as k1 and evaluates rhs itself only for a None (and at the
     launch), after the row is yielded.  A rejected RKF45 attempt keeps its k1.
 
-    RK4 makes n_steps steps of params.step; RKF45 adapts its step over the
-    horizon (at most 5x per attempt, also when the error estimate is exactly
-    0) and raises StepFailureError when the step collapses.  A non-finite
-    estimate rejects its attempt and shrinks the step 5x, so a law that is
-    non-finite only at large steps is stepped past at a smaller one, and
-    one that stays non-finite ends in StepFailureError.  A
+    RK4 makes n_steps steps of params.step by the generated step it binds
+    before the first, so a step looks nothing up.  RKF45 calls
+    `rkf45_step` through the module once per attempt, adapts its step over
+    the horizon (at most 5x per attempt, also when the error estimate is
+    exactly 0) and raises StepFailureError when the step collapses.  A
+    non-finite estimate rejects its attempt and shrinks the step 5x, so a
+    law that is non-finite only at large steps is stepped past at a smaller
+    one, and one that stays non-finite ends in StepFailureError.  A
     physics-domain error is re-raised with ``[label=x]`` appended: the x of
     its step's start when a stage raised it, the new x when check did.
     """
     h, k1 = params.step, None
     try:
-        if params.method == "rk4":
+        if params.method == _RK4:
+            step = _stepper(_RK4, len(y))
             for _ in range(params.n_steps):
-                y = rk4_step(rhs, x, y, h, rhs(x, y) if k1 is None else k1)
+                y = step(rhs, x, y, h, rhs(x, y) if k1 is None else k1)
                 x += h
                 k1 = check(x, y)
                 yield x, y
@@ -541,9 +551,11 @@ def integrate_particle(
     Deterministic: identical inputs give bit-identical trajectories.
     ``_march`` checks every new state where it is made and annotates
     physics-domain errors with the parameter value at which the step
-    failed.  ``_audited_march`` keeps the rows and evaluates the array
-    invariants over the audited rows, the launch row first; an invariant
-    error is annotated with its first offending row.
+    failed.  ``_audited_march`` keeps the rows, as the stepper's tuples, and
+    evaluates the array invariants over the audited rows, the launch row
+    first, on a trajectory whose Y is read from the tuples in one pass; an
+    invariant error, a field's included, is annotated with its first
+    offending row.
     """
     axis = _axis_for(model, params)
     x = initial.t if axis == "lab" else initial.tau
@@ -557,7 +569,8 @@ def integrate_particle(
 
     def invariants(rows):
         nonlocal traj  # the last call, over the finished run, leaves the run's trajectory
-        traj = Trajectory(np.array(xs), np.array(ys), initial, model, axis)
+        Y = np.fromiter(itertools.chain.from_iterable(ys), float, count=len(ys) * len(y))
+        traj = Trajectory(np.array(xs), Y.reshape(len(ys), len(y)), initial, model, axis)
         return traj.invariants(rows)
 
     label = "t" if axis == "lab" else "tau"

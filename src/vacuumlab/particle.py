@@ -100,11 +100,18 @@ class ParticleState:
 
 
 def check_state(tau: float, r, u, p) -> None:
-    """The domain of a particle state: |u| < 1 and finite r, u and p (3-sequences)."""
-    u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    """The domain of a particle state: |u| < 1, then finite r, u and p (3-sequences of floats).
+
+    Finiteness is one expression: x - x is 0.0 for a finite x and NaN for
+    an infinite or NaN one, so the sum of the nine differences is 0.0
+    exactly when every component is finite.
+    """
+    (rx, ry, rz), (ux, uy, uz), (px, py, pz) = r, u, p
+    u2 = ux * ux + uy * uy + uz * uz
     if u2 >= 1.0:
         raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2):.6g} >= 1 at tau={tau:.6g}")
-    if not all(map(math.isfinite, (*r, *u, *p))):
+    zero = (rx - rx) + (ry - ry) + (rz - rz) + (ux - ux) + (uy - uy) + (uz - uz)
+    if zero + (px - px) + (py - py) + (pz - pz) != 0.0:
         raise PhysicsDomainError("non-finite particle state")
 
 

@@ -36,7 +36,7 @@ from .errors import (
     SuperluminalVelocityError,
     ZeroChargeError,
 )
-from .geometry import FLOATS, ROWS, Vec3, ZERO3
+from .geometry import FLOATS, ROWS, Vec3, ZERO3, domain_error
 from .tolerances import DEFAULT_SOFTENING, SINGULAR_GUARD
 
 FOUR_PI = 4.0 * math.pi
@@ -206,11 +206,8 @@ def _rows(components, n: int) -> np.ndarray:
     return out
 
 
-def _on_source(den, t) -> SingularPointError:
-    """The error of a zero den at t (at its first zero row on arrays): an unsoftened source hit."""
-    if isinstance(den, np.ndarray):
-        t = np.asarray(t, dtype=float)[np.argmax(den == 0.0)]
-    return SingularPointError(f"unsoftened point source evaluated at its own position (t={t:.9g})")
+# an unsoftened source hit, as domain_error formats it: on arrays the first zero row's, as ``where``
+_ON_SOURCE = "unsoftened point source evaluated at its own position (t={:.9g})"
 
 
 _OFFSET, _WBAR, _WBAR_A, _ALL = range(4)
@@ -238,7 +235,7 @@ def _coulomb_point(spec: SourceSpec, q: float, sqrt, violated):
         s = sqrt(d2e)
         den = FOUR_PI * s
         if violated(den == 0.0):
-            raise _on_source(den, t)
+            raise domain_error(SingularPointError, den == 0.0, _ON_SOURCE, t)
         wbar = background - k / den
         if parts == _WBAR:
             return wbar
@@ -246,7 +243,7 @@ def _coulomb_point(spec: SourceSpec, q: float, sqrt, violated):
         if parts == _ALL:
             den = FOUR_PI * (d2e * s)
             if violated(den == 0.0):
-                raise _on_source(den, t)
+                raise domain_error(SingularPointError, den == 0.0, _ON_SOURCE, t)
             c = k / den
             grad = dx * c, dy * c, dz * c
         if static:

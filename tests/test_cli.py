@@ -348,6 +348,14 @@ def _huge_gradient(data):
     data.update({k: v for k, v in shipped.items() if k != "output"})
 
 
+def _string_cell_on_source(data):
+    # the shipped pluck on 8 nodes from x = -3.5 to 3.5: cell 3's midpoint is the
+    # unsoftened source at the origin
+    _shipped_with("string_pluck.yaml", "grid", "n", 8)(data)
+    data["initial"].update(start=[-3.5, 0.0, 0.0], end=[3.5, 0.0, 0.0])
+    data["field"] = {"kind": "coulomb-static", "softening": 0.0, "background": -1.0}
+
+
 def _shipped_with(name, section, key, value):
     # the shipped scenario with one key of one section set to value
     def edit(data):
@@ -368,6 +376,19 @@ def _shipped_with(name, section, key, value):
                                       "background": -1.0}),
             2,
             "point source",
+        ),
+        # the launch audit evaluates the field first and names the launch row
+        (
+            lambda d: d.update(model="classical", rest_mass=1.0,
+                               field={"kind": "coulomb-static", "softening": 0.0,
+                                      "background": -1.0}),
+            2,
+            "physics abort: unsoftened point source evaluated at its own position (t=0) [t=0]\n",
+        ),
+        (
+            _string_cell_on_source,
+            2,
+            "physics abort: unsoftened point source evaluated at its own position (t=0) [tau=0]\n",
         ),
         (lambda d: d.update(field={"kind": "linear", "w0": math.nan}), 1, "field.w0"),
         (lambda d: d["integration"].update(step=math.inf), 1, "integration.step"),
@@ -406,11 +427,12 @@ def _shipped_with(name, section, key, value):
         # a string run steps its proper time tau: a lab axis would be silently ignored
         (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
     ],
-    ids=["singular-source", "nan-w0", "inf-step", "non-integer-grid", "step-collapse",
-         "non-finite-energy", "fractional-steps", "misspelled-source-key", "name-with-slash",
-         "name-climbing-out", "name-with-backslash", "name-with-nul", "directory-with-nul",
-         "out-is-a-file", "string-grid-too-large", "conformal-grid-too-large",
-         "string-steps-too-large", "coulomb-zero-charge", "string-lab-axis"],
+    ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
+         "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
+         "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
+         "name-with-nul", "directory-with-nul", "out-is-a-file", "string-grid-too-large",
+         "conformal-grid-too-large", "string-steps-too-large", "coulomb-zero-charge",
+         "string-lab-axis"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
     import vacuumlab.integrate as integ

@@ -1,13 +1,14 @@
 """Code generation in the package stays closed: one builder, fed only module constants.
 
-``integrate._combiner`` generates the steppers' stage combines from stage
+``integrate._stepper`` generates each method's whole step from stage
 expressions written as text.  That is safe only while the text is the
 module's own.  So no module under ``src/vacuumlab`` names ``exec``,
 ``eval`` or ``compile`` outside that builder, and every call of the builder
-passes, as its expression, a module-level string constant of ``integrate``
-that is assigned once and never rebound.
+passes, as its method, a module-level string constant of ``integrate``
+that is assigned once and never rebound.  The builder composes its source
+from its own literals and the module's stage-expression constants.
 
-The generated combines also keep float sums in the order written.  The
+The generated steps also keep float sums in the order written.  The
 builtin ``sum`` does not: from Python 3.12 on it compensates float sums, so
 its bits depend on the interpreter.  So no module names ``sum`` except
 ``variational.euler_lagrange_residual``, whose corner sum adds arrays, which
@@ -20,7 +21,7 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "vacuumlab"
-BUILDER_MODULE, BUILDER = "integrate", "_combiner"
+BUILDER_MODULE, BUILDER = "integrate", "_stepper"
 CODEGEN = {"exec", "eval", "compile"}
 SUM_MODULE, SUM_FUNCTION = "variational", "euler_lagrange_residual"
 
@@ -75,7 +76,7 @@ def violations(tree, module):
             if isinstance(node.value, ast.Name) and node.value.id in ("builtins", "__builtins__"):
                 found.append((node.lineno, f"{node.value.id}.{node.attr}"))
         elif isinstance(node, ast.Call) and _builder_name(node.func) == BUILDER:
-            args = node.args[:1] + [k.value for k in node.keywords if k.arg == "expr"]
+            args = node.args[:1] + [k.value for k in node.keywords if k.arg == "method"]
             if module != BUILDER_MODULE:
                 found.append((node.lineno, f"{BUILDER} called outside {BUILDER_MODULE}"))
             elif not (len(args) == 1 and isinstance(args[0], ast.Name) and args[0].id in constants):
@@ -120,7 +121,7 @@ def test_the_builder_is_called():
     calls = [
         n for n in ast.walk(tree) if isinstance(n, ast.Call) and _builder_name(n.func) == BUILDER
     ]
-    assert len(calls) >= 9  # RK4's stage and final combines, RKF45's five stages and two solutions
+    assert len(calls) >= 2  # RK4's step, bound by _march, and RKF45's attempt
 
 
 @pytest.mark.parametrize(
@@ -130,11 +131,11 @@ def test_the_builder_is_called():
         ("run = exec", "cli"),
         ("import builtins\nbuiltins.compile('1', 's', 'eval')", "strings"),
         ("def f():\n    return exec('pass')", BUILDER_MODULE),
-        ("def _combiner(expr, arity):\n    pass\n_combiner(input(), 8)", BUILDER_MODULE),
-        ("def _combiner(expr, arity):\n    pass\n_combiner('a + h * b1', 8)", BUILDER_MODULE),
-        ("E = 'a'\nE = input()\ndef _combiner(expr, arity):\n    pass\n_combiner(E, 8)", BUILDER_MODULE),
-        ("E = 'a'\ndef g():\n    global E\n    E = input()\n_combiner(E, 8)", BUILDER_MODULE),
-        ("E = 'a'\nintegrate._combiner(E, 8)", "cli"),
+        ("def _stepper(method, arity):\n    pass\n_stepper(input(), 8)", BUILDER_MODULE),
+        ("def _stepper(method, arity):\n    pass\n_stepper('rk4', 8)", BUILDER_MODULE),
+        ("E = 'a'\nE = input()\ndef _stepper(method, arity):\n    pass\n_stepper(E, 8)", BUILDER_MODULE),
+        ("E = 'a'\ndef g():\n    global E\n    E = input()\n_stepper(E, 8)", BUILDER_MODULE),
+        ("E = 'a'\nintegrate._stepper(E, 8)", "cli"),
     ],
 )
 def test_the_walk_flags_each_opening(source, module):
@@ -143,12 +144,12 @@ def test_the_walk_flags_each_opening(source, module):
 
 def test_the_walk_passes_the_builder_and_its_constant_calls():
     source = (
-        "E = 'a + h * b1'\n"
-        "def _combiner(expr, arity):\n"
+        "E = 'rk4'\n"
+        "def _stepper(method, arity):\n"
         "    namespace = {}\n"
-        "    exec(expr, namespace)\n"
-        "def step(y):\n"
-        "    return _combiner(E, len(y))\n"
+        "    exec(method, namespace)\n"
+        "def march(y):\n"
+        "    return _stepper(E, len(y))\n"
         "pattern = re.compile('x')\n"
     )
     assert violations(ast.parse(source), BUILDER_MODULE) == []

@@ -163,9 +163,9 @@ def reference_integrate(model, initial, params):
             raise type(exc)(f"{exc} [{label}={x:.9g}]") from None
 
     if params.method == "rk4":
-        h = params.step
+        h, step = params.step, integ._stepper(integ._RK4, len(y))
         for i in range(1, params.n_steps + 1):
-            y = guarded(lambda: integ.rk4_step(rhs, x, y, h, rhs(x, y)))
+            y = guarded(lambda: step(rhs, x, y, h, rhs(x, y)))
             x += h
             state = guarded(_unpack, model, y, x, axis)
             samples.append(state)

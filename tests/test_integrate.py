@@ -1,6 +1,8 @@
 import math
 import os
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -415,6 +417,74 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
     assert len(calls) == CALLS_PER_EVALUATION[name], calls
     if name != "classical_coulomb":
         assert not ROW_BINDING_CALLS & set(calls), calls
+
+
+def _frames_outside(run, evaluation):
+    """Counter of the Python frames run() makes outside the calls named evaluation and their callees."""
+    frames, inside = Counter(), 0
+
+    def profile(frame, event, arg):
+        nonlocal inside
+        if event == "call":
+            if inside or frame.f_code.co_name == evaluation:
+                inside += 1
+            else:
+                frames[frame.f_code.co_name] += 1
+        elif event == "return" and inside:
+            inside -= 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+def _frames_per_step(run, evaluation):
+    """Python frames per RK4 step of run(n_steps) outside its evaluations: 10 more steps, over 10."""
+    run(10)  # first-run work (the step's generation, bindings) is not a step's
+    short, long = (_frames_outside(lambda: run(n), evaluation) for n in (20, 30))
+    long.subtract(short)
+    assert all(count % 10 == 0 for count in long.values()), long
+    return sum(long.values()) // 10, +long
+
+
+# Python frames per RK4 step outside its law or writer evaluations: the march's
+# resume, the bound step, the rates the step evaluates (three for a particle,
+# whose check hands the next step its k1; four for a string), the check with
+# check_state (a string's: NumPy's all), and the audit's keep.  12 and 13 when
+# the step was a function that looked up and called four generated combines.
+FRAMES_PER_PARTICLE_STEP = 8
+FRAMES_PER_STRING_STEP = 9
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_EVALUATION))
+def test_a_particle_step_makes_its_budget_of_python_frames(name):
+    from vacuumlab import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
+    model, state, params = cli.build_particle_model(cli.parse_config(path))
+
+    def run(n_steps):
+        params_n = replace(params, method="rk4", n_steps=n_steps, audit_every=10)
+        integrate_particle(model, state, params_n)
+
+    per_step, frames = _frames_per_step(run, "evaluate")
+    assert per_step == FRAMES_PER_PARTICLE_STEP, frames
+
+
+def test_a_string_step_makes_its_budget_of_python_frames():
+    from vacuumlab import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "string_pluck.yaml")
+    state, field, params = cli.build_string_state(cli.parse_config(path))
+
+    def run(n_steps):
+        integ.integrate_string(state, field, replace(params, n_steps=n_steps, audit_every=10))
+
+    per_step, frames = _frames_per_step(run, "rates")  # the bound string writer
+    assert per_step == FRAMES_PER_STRING_STEP, frames
 
 
 def test_exact_rkf45_estimates_grow_the_step():

@@ -19,6 +19,7 @@ from vacuumlab.particle import (
     ModelKind,
     TwoParticleScenario,
     bind_law,
+    check_state,
     classical_energy,
     classical_momentum,
     classical_rhs,
@@ -572,3 +573,47 @@ def test_trajectory_clocks_monotone():
     ts = [s.t for s in traj.samples]
     assert all(b > a for a, b in zip(taus, taus[1:]))
     assert all(b > a for a, b in zip(ts, ts[1:]))
+
+
+def reference_check_state(tau, r, u, p):
+    """check_state as it was written: the superluminal test, then ``math.isfinite`` of each component."""
+    u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    if u2 >= 1.0:
+        raise SuperluminalVelocityError(f"|u| = {math.sqrt(u2):.6g} >= 1 at tau={tau:.6g}")
+    if not all(map(math.isfinite, (*r, *u, *p))):
+        raise PhysicsDomainError("non-finite particle state")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except PhysicsDomainError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# signed zeros, infinities, NaN, the float range's edges and speeds about |u| = 1
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1.7976931348623157e308,
+          1.79e308, -1.79e308, 5e-324, 1.0, -1.0, 0.5, 0.7071067811865476]
+_components = st.sampled_from(_EDGES) | st.floats(allow_nan=True, allow_infinity=True)
+_triples = st.tuples(_components, _components, _components)
+
+
+@given(r=_triples, u=_triples, p=_triples, vec3=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_check_state_raises_exactly_as_the_isfinite_test(r, u, p, vec3):
+    if vec3:
+        r, u, p = Vec3(*r), Vec3(*u), Vec3(*p)
+    assert _outcome(check_state, 0.25, r, u, p) == _outcome(reference_check_state, 0.25, r, u, p)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(9))
+def test_check_state_refuses_each_non_finite_component(bad, slot):
+    values = [0.1, -0.0, 1.7976931348623157e308, 0.2, -0.3, 0.0, -1.7976931348623157e308, 5e-324, 1.0]
+    values[slot] = bad
+    r, u, p = values[0:3], values[3:6], values[6:9]
+    expected = _outcome(reference_check_state, 0.0, r, u, p)
+    assert expected is not None and _outcome(check_state, 0.0, r, u, p) == expected
+    values[slot] = 0.5
+    assert _outcome(check_state, 0.0, values[0:3], values[3:6], values[6:9]) is None

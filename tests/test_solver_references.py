@@ -13,7 +13,8 @@ node from a cell record, and a ``StringState`` copy per step.
 driven by the conformal residual as it was then
 written (the potential gradient on the full grid).  ``reference_rk4_step``
 and ``reference_rkf45_step`` are the steppers as they were written with
-generator-built stage tuples.  All must be reproduced bit for bit, signs
+generator-built stage tuples, against which the generated steps of
+``integrate._stepper`` are held.  All must be reproduced bit for bit, signs
 of zero included, except by ``solve_conformal`` on grids it can halve: its
 multigrid solution is held to ``reference_relax``'s within a recorded gap.
 """
@@ -40,7 +41,6 @@ from vacuumlab.integrate import (
     IntegrationParams,
     integrate_string,
     relax_elliptic,
-    rk4_step,
     rkf45_step,
 )
 from vacuumlab.potentials import (
@@ -365,7 +365,7 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
     state, field = make_state(), make_field()
     # |dr| of order 1 in all three components, so that dt's last bit depends on |dr|^2's
     state.p[1:-1] += (0.9, 1.2, -0.6)
-    m, stepper, seen, rates = state.grid.n, integrate.rk4_step, [], []
+    m, builder, seen, rates = state.grid.n, integrate._stepper, [], []
     bind = strings.bind_rates
 
     def counted_bind(*args):
@@ -387,9 +387,13 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
         assert identical(k, np.concatenate([dr.ravel(), dp.ravel(), dt]))
         seen.append(x)
-        return stepper(f, x, y, h, k1)
+        return builder(integrate._RK4, 1)(f, x, y, h, k1)
 
-    monkeypatch.setattr(integrate, "rk4_step", spy)
+    def spied_builder(method, arity):
+        assert (method, arity) == (integrate._RK4, 1)
+        return spy
+
+    monkeypatch.setattr(integrate, "_stepper", spied_builder)
     monkeypatch.setattr(strings, "bind_rates", counted_bind)
     traj = integrate_string(state, field, IntegrationParams(step=step, n_steps=6))
     assert len(seen) == 6 and np.ptp(traj.final.t) > 0
@@ -575,11 +579,21 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def rk4_step(f, x, y, h, k1):
+    """The program's RK4 step, as ``integrate._march`` binds it."""
+    return integrate._stepper(integrate._RK4, len(y))(f, x, y, h, k1)
+
+
+def rkf45_stages(f, x, y, h, k1):
+    """The six rates of the program's RKF45 attempt."""
+    return integrate._stepper(integrate._RKF45, len(y))(f, x, y, h, k1)[0]
+
+
 def _assert_float_steps_match(law, x, y, h, rel_tol, abs_tol, ratios=True):
     k1 = law(x, y)
     got, ref = rk4_step(law, x, y, h, k1), reference_rk4_step(law, x, y, h)
     assert same_bits(got, ref) and all(type(v) is float for v in got)
-    for k, ref_k in zip(integrate._rkf45_stages(law, x, y, h, k1), reference_rkf45_stages(law, x, y, h)):
+    for k, ref_k in zip(rkf45_stages(law, x, y, h, k1), reference_rkf45_stages(law, x, y, h)):
         assert same_bits(k, ref_k)
     (acc, y5, ratio) = rkf45_step(law, x, y, h, rel_tol, abs_tol, k1)
     (ref_acc, ref_y5, ref_ratio) = reference_rkf45_step(law, x, y, h, rel_tol, abs_tol)
@@ -604,7 +618,7 @@ def test_steppers_equal_the_generator_built_references(seed):
         (got,), (ref,) = rk4_step(_array_law, x, arr, h, k1), reference_rk4_step(_array_law, x, arr, h)
         assert identical(got, ref)
         # an array state is stepped by RK4 only; its RKF45 stages are still pinned
-        stages = integrate._rkf45_stages(_array_law, x, arr, h, k1)
+        stages = rkf45_stages(_array_law, x, arr, h, k1)
         for (k,), (ref_k,) in zip(stages, reference_rkf45_stages(_array_law, x, arr, h)):
             assert identical(k, ref_k)
 
@@ -624,17 +638,18 @@ def _shipped_particle(name, **changes):
     return model, state, dataclasses.replace(params, **changes)
 
 
-def test_the_combiner_cache_does_not_grow_with_steps():
-    integrate._combiner.cache_clear()
+def test_the_stepper_cache_does_not_grow_with_steps():
+    integrate._stepper.cache_clear()
     proper = _shipped_particle("vacuum_free_coulomb.yaml", n_steps=1000)  # 8 floats
     integrate.integrate_particle(*proper)
-    assert integrate._combiner.cache_info().currsize == 2  # RK4's stage and final combines
+    assert integrate._stepper.cache_info().currsize == 1  # RK4 on 8 floats
     lab = _shipped_particle("classical_gyro.yaml", n_steps=1000, method="rk45")  # 7 floats
     assert len(integrate.integrate_particle(*lab).x) > 10
-    assert integrate._combiner.cache_info().currsize == 2 + 7  # and RKF45's stages and solutions
+    assert integrate._stepper.cache_info().currsize == 2  # and RKF45 on 7 floats
     integrate.integrate_particle(*proper)
-    info = integrate._combiner.cache_info()
-    assert (info.currsize, info.misses) == (9, 9)
+    integrate.integrate_particle(*lab)
+    info = integrate._stepper.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
 
 
 def test_rkf45_runs_do_not_depend_on_the_builtin_sum(monkeypatch):

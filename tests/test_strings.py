@@ -496,5 +496,6 @@ def test_a_block_field_error_is_its_first_offending_state_s():
         string_hamiltonian(_one(block, 2), field)
     with pytest.raises(SingularPointError) as err:
         string_hamiltonian(block, field)
-    assert str(err.value) == str(own.value) and own.value.where is None
+    # one state names its first offending cell, as an EnergyDomainError names its worst; a block its state
+    assert str(err.value) == str(own.value) and own.value.where == 4
     assert err.value.where == 2
