@@ -630,11 +630,11 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     """Advance a string state under the canonical flow with fixed endpoints.
 
     ``_march`` steps the flat state (r, p, t) as a one-array tuple.  Its rate
-    is the string writer ``strings.bind_rates``, bound once per run without a
-    source velocity (the uncharged flow, in a comoving field too): each stage
-    copies the state into the writer's buffer, which fills dr, dp and
-    dt = (1 + |dr|^2)^(1/2), co-integrating the t channel, and takes a new
-    copy of the rate, so RK4's four stages keep four rates.  Each new state is
+    is the string writer ``strings.bind_rates``, bound once per run (the
+    uncharged flow, in a comoving field too): each stage copies the state
+    into the writer's buffer, which fills dr, dp and dt = (1 + |dr|^2)^(1/2),
+    co-integrating the t channel, and takes a new copy of the rate, so RK4's
+    four stages keep four rates.  Each new state is
     written into its row of the trajectory.  ``_audited_march`` audits the
     energy functional and the transversality defect, the launch row first,
     each audit one block of rows through ``_invariants``, as a particle

@@ -102,12 +102,11 @@ class PotentialField:
     of that point; its result equals the single methods' bit for bit, and
     _point(binding) is it under a binding of ``geometry`` (FLOATS for the
     stepper).  This class builds the Vec3 forms (wbar, grad_wbar, ..., with
-    grad_vecpot a 3x3 array) and
-    the (n, 3)-points forms (wbar_many, grad_wbar_many, ..., with
-    grad_vecpot_many of shape (n, 3, 3)) from them, so each row of an array
-    form equals the scalar form bit for bit, which the least-action
-    oracle's array densities rely on.  kind names the field as scenario
-    files do.
+    grad_vecpot a 3x3 array) and the (n, 3)-points forms of wbar, grad(wbar),
+    d(wbar)/dt and A (wbar_many, grad_wbar_many, dwbar_dt_many and
+    vecpot_many) from them, so each row of an array form equals the scalar
+    form bit for bit, which the least-action oracle's array densities rely
+    on.  kind names the field as scenario files do.
     """
 
     kind = "custom"
@@ -172,13 +171,6 @@ class PotentialField:
 
     def vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
         return _rows(self._vecpot(points[:, 0], points[:, 1], points[:, 2], times), len(points))
-
-    def grad_vecpot_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        jac = self._grad_vecpot(points[:, 0], points[:, 1], points[:, 2], times)
-        return np.stack([_rows(row, len(points)) for row in jac], axis=1)
-
-    def dvecpot_dt_many(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        return _rows(self._dvecpot_dt(points[:, 0], points[:, 1], points[:, 2], times), len(points))
 
     # Second derivatives: needed only for wave-equation residual checking.
     def wbar_hessian(self, r: Vec3, t: float) -> np.ndarray:
@@ -486,12 +478,6 @@ class CallableField(PotentialField):
 
     def vecpot_many(self, points, times):
         return self._each(self.vecpot, points, times)
-
-    def grad_vecpot_many(self, points, times):
-        return self._each(self.grad_vecpot, points, times)
-
-    def dvecpot_dt_many(self, points, times):
-        return self._each(self.dvecpot_dt, points, times)
 
 
 def build_potential(spec: SourceSpec, test_charge: float) -> PotentialField:

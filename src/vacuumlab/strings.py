@@ -19,8 +19,8 @@ string_hamiltonian; the flow implemented here,
     dr/dtau = + p / h          dp/dtau = (wbar |r'|^2 / h) grad(wbar)
                                           - d/dsigma (wbar^2 r' / h)
 
-is the Lagrangian-consistent one (it is the uncharged reduction of the
-charged-string force law).  A StringState is one state or a block of
+is the Lagrangian-consistent one for an uncharged string (the charged-string
+law is not implemented here).  A StringState is one state or a block of
 states (r and p of shape (..., n, 3)), and every kernel below is written
 once for both: the energy functionals, the transversality defect, the
 nodal density and the cell integrands of a block are those of its states,
@@ -33,13 +33,11 @@ bound once per run to the spacing, the field and the node count: its
 buffers, their slices and the kernel's temporaries are made at the bind,
 and a call allocates only the copy of the rate it returns and the field's
 own arrays.  string_canonical_rhs(state, field) binds the writer and calls
-it once; charged_string_rhs(state, field, q) does the same given the charge
-density q and the field's source velocity u_f, which adds u_f beta to dr and
-the three nodal electromagnetic terms to dp.  The alternative
-functional |wbar r' - p| is provided for comparison: under the Euclidean
-reading with <p, r'> = 0 it satisfies |wbar r' - p|^2 = (wbar r')^2 + p^2,
-strictly above the energy integrand whenever p != 0 - the claimed
-equivalence of the two forms fails, and the gap is measured, not resolved.
+it once.  The alternative functional |wbar r' - p| is provided for
+comparison: under the Euclidean reading with <p, r'> = 0 it satisfies
+|wbar r' - p|^2 = (wbar r')^2 + p^2, strictly above the energy integrand
+whenever p != 0 - the claimed equivalence of the two forms fails, and the
+gap is measured, not resolved.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnergyDomainError, PhysicsDomainError, ValidationError
-from .geometry import Vec3, ZERO3
+from .geometry import Vec3
 from .potentials import PotentialField
 from .tolerances import ENERGY_DOMAIN_GUARD
 
@@ -240,16 +238,13 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
-def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None):
-    """Bind the flow's writer to spacing h, field and m nodes: rates(y) -> k.
+def bind_rates(h: float, field: PotentialField, m: int):
+    """Bind the canonical flow's writer to spacing h, field and m nodes: rates(y) -> k.
 
     y is a flat state of 7m floats: the node rows r and p row-major, then the
     t channel.  k, of the same layout, holds dr/dtau, dp/dtau and the clock
-    rate dt/dtau = (1 + |dr|^2)^(1/2).  Without a source velocity u_f (an
-    array) this is the canonical flow; with one, the law of charge density q:
-    dr = v + u_f beta, beta = (1 + |v|^2)^(1/2), and dp gains q dr x curl A,
-    -q grad<A, dr> and -q beta dA/dt, in that order.  The end rows of dr and
-    dp are +0.0 (fixed endpoints), as in a sum into zeros.
+    rate dt/dtau = (1 + |dr|^2)^(1/2).  The end rows of dr and dp are +0.0
+    (fixed endpoints), as in a sum into zeros.
 
     The binding holds one state buffer and one rate buffer, the views of
     their cell slices and node rows, and the cells' temporaries.  A call
@@ -260,7 +255,7 @@ def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None
     y, k = np.empty(7 * m), np.zeros(7 * m)
     (r, p), (dr, dp), dt = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3), k[6 * m :]
     t = y[6 * m :]
-    inner_r, inner_t, rdot, force = r[1:-1], t[1:-1], dr[1:-1], dp[1:-1]
+    rdot, force = dr[1:-1], dp[1:-1]
     evaluate, (diff, _, velocity, rp2, hdens, mid, tmid, w2) = _cells(h, field, r, p, t)
     grad, tension = np.empty((m - 1, 3)), np.empty((m - 1, 3))
     scale, hh, rows = np.empty(m - 1), np.empty((m - 1, 1)), np.empty((m - 2, 3))
@@ -288,20 +283,6 @@ def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None
         np.subtract(0.0, s1, out=rows)
         np.add(rows, s0, out=rows)
         np.add(force, rows, out=force)
-        if u_f is not None:
-            beta = np.sqrt(1.0 + np.einsum("ij,ij->i", rdot, rdot))
-            np.add(rdot, beta[:, None] * u_f, out=rdot)
-            if q != 0.0:
-                jac = field.grad_vecpot_many(inner_r, inner_t)
-                curl = np.column_stack([
-                    jac[:, 2, 1] - jac[:, 1, 2],
-                    jac[:, 0, 2] - jac[:, 2, 0],
-                    jac[:, 1, 0] - jac[:, 0, 1],
-                ])
-                np.add(force, q * np.cross(rdot, curl), out=force)
-                np.subtract(force, q * np.einsum("nij,ni->nj", jac, rdot), out=force)
-                dadt = field.dvecpot_dt_many(inner_r, inner_t)
-                np.subtract(force, (q * beta)[:, None] * dadt, out=force)
         np.einsum("ij,ij->i", dr, dr, out=dt)
         np.add(dt, 1.0, out=dt)
         np.sqrt(dt, out=dt)
@@ -310,33 +291,17 @@ def bind_rates(h: float, field: PotentialField, m: int, q: float = 0.0, u_f=None
     return rates
 
 
-def _rate(state: StringState, field: PotentialField, q: float = 0.0, u_f=None):
-    """(dr/dtau, dp/dtau) of one state: the bound writer, called once."""
-    m = state.grid.n
-    rates = bind_rates(state.grid.h, field, m, q, u_f)
-    k = rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
-    dr, dp = k[: 6 * m].reshape(2, m, 3)
-    return dr, dp
-
-
 def string_canonical_rhs(state: StringState, field: PotentialField):
-    """(dr/dtau, dp/dtau) of the canonical flow with fixed endpoints.
+    """(dr/dtau, dp/dtau) of the canonical flow with fixed endpoints: the bound writer, called once.
 
     Equals the exact gradient of the discretized energy functional H via
     dr_j = -(1/h) dH/dp_j and dp_j = +(1/h) dH/dr_j (generator -H).
     """
-    return _rate(state, field)
-
-
-def charged_string_rhs(state: StringState, field: PotentialField, q: float):
-    """(dr/dtau, dp/dtau) of a string of charge density q in field, with fixed endpoints.
-
-    The source velocity u_f is the field's own (zero for fields without
-    one).  The state's momentum array is the generalized momentum P; the
-    potential-gradient and tension pieces are those of the uncharged flow,
-    and the electromagnetic terms are evaluated nodally from the field.
-    """
-    return _rate(state, field, q, getattr(field, "u_f", ZERO3).as_array())
+    m = state.grid.n
+    rates = bind_rates(state.grid.h, field, m)
+    k = rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
+    dr, dp = k[: 6 * m].reshape(2, m, 3)
+    return dr, dp
 
 
 # --- nodal kernels --------------------------------------------------------------

