@@ -18,6 +18,7 @@ import pytest
 
 import vacuumlab.integrate as integ
 from vacuumlab import cli
+from vacuumlab.geometry import FLOATS
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 PARTICLE_SCENARIOS = sorted(
@@ -38,7 +39,7 @@ def _launch(name):
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_stage_evaluation(benchmark, name):
     model, axis, _, x, y = _launch(name)
-    evaluate = integ._evaluator(model, axis)
+    evaluate = integ._evaluator(model, axis, FLOATS)
     k, _, _ = benchmark(evaluate, x, y)
     assert len(k) == len(y)
 

@@ -301,6 +301,8 @@ def _normalize(data: dict) -> dict:
         if Vec3(*out["initial"]["u"]).norm2() >= 1.0:
             raise ValidationError("initial.u: superluminal initial velocity")
         out["integration"] = _normalize_integration(_section(data, "integration"))
+        if model in ("classical", "constrained") and out["integration"]["time_axis"] == "proper":
+            raise ValidationError(f"integration.time_axis must be auto or lab for a {model} model")
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
         grid = out["grid"] = _fill(_section(data, "grid"), _STRING_GRID, "grid.")

@@ -27,15 +27,16 @@ row.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
 (r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
-y straight to the model's law, bound to floats once per run and composed
-with the axis's clock factors by `_evaluator`.  The check of a new state
-evaluates the law there, reads u and p from that evaluation, and returns
-its rate as the next step's k1, so a step costs one law evaluation per
-stage and the launch state one more.  One decoder reads the flat layout
-back into (t, tau, r, u, p): on the rows of a `Trajectory`, which holds
-the parameter x and the flat states Y as arrays, it gives the physical
-columns from which `samples`, `final` and the invariants are derived,
-and the check decodes with it only when the law's evaluation raised.
+y straight to the model's law, composed with the axis's clock factors by
+`_evaluator`, the one reader of a particle state.  The stepper binds it to
+floats once per run.  The check of a new state evaluates the law there,
+raises any of its errors, runs ``check_state`` on u and p of that
+evaluation, and returns its rate as the next step's k1, so a step costs one
+law evaluation per stage and the launch state one more, and every kept row
+is a state where the law evaluates.  The decoder binds it to rows: on the
+later rows of a `Trajectory`, which holds the parameter x and the flat
+states Y as arrays, it gives the physical columns (t, tau, r, u, p) from
+which `samples`, `final` and the invariants are derived.
 
 Each method's whole step is one function that `_stepper` generates once
 per method and state length: each stage expression is written once as a
@@ -77,19 +78,17 @@ import numpy as np
 from . import strings
 from .errors import (
     ConvergenceError,
-    DegenerateMultiplierError,
     PhysicsDomainError,
     StepFailureError,
     ValidationError,
 )
-from .geometry import FLOATS, Vec3, ZERO3, _time_factor, domain_error, violated
+from .geometry import FLOATS, ROWS, Vec3, ZERO3, _time_factor
 from .particle import (
     INVARIANTS,
     ForceModel,
     ModelKind,
     ParticleColumns,
     ParticleState,
-    _velocity,
     bind_law,
     check_state,
     qa_vector,
@@ -182,19 +181,20 @@ class Trajectory:
         """t, tau, r, u, p (and l tdot) of the selected rows as arrays."""
         rows = np.arange(len(self.x))[rows]
         later = rows > 0  # rows the step check passed; row 0 is ``initial`` itself
-        decode = _decoder(self.model, self.time_axis)
-        with np.errstate(all="ignore"):  # overflow stays silent, as on floats
-            decoded = decode(self.x[rows[later]], self.Y[rows[later]].T)
         s = self.initial
-        firsts = (s.t, s.tau, s.r, s.u, s.p, s.lam)
+        lam = s.lam if self.model.kind is ModelKind.CONSTRAINED else None
+        decoded = firsts = (s.t, s.tau, s.r, s.u, s.p, lam)
+        if later.any():  # a selection of row 0 alone evaluates no law
+            decode = _decoder(self.model, self.time_axis)
+            with np.errstate(all="ignore"):  # overflow stays silent, as on floats
+                decoded = decode(self.x[rows[later]], tuple(self.Y[rows[later]].T))
         columns = []
         for value, first in zip(decoded, firsts):
-            if value is not None:
-                value = np.column_stack(value) if isinstance(value, tuple) else value
-                column = np.empty((len(rows),) + value.shape[1:])
-                column[later], column[~later] = value, first
-                value = column
-            columns.append(value)
+            column = None
+            if first is not None:  # an (x, y, z) triple of rows transposes to (m, 3)
+                column = np.empty((len(rows),) + np.shape(first))
+                column[later], column[~later] = np.transpose(value), first
+            columns.append(column)
         return ParticleColumns(*columns)
 
     def _states(self, rows) -> List[ParticleState]:
@@ -450,35 +450,33 @@ def _pack(model: ForceModel, state: ParticleState, axis: str):
 def _decoder(model: ForceModel, axis: str) -> Callable:
     """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of _pack's layout.
 
-    y is one flat row of floats, or the columns of many rows (Y.T) with x
-    their parameters; r, u and p come back as (x, y, z) triples and l tdot
-    is None except for the constrained model.  u is recovered as the laws
-    recover it, so the vacuum models evaluate wbar and A, but no force term.
+    y is the tuple of the columns of many rows (Y.T) and x their
+    parameters; r, u and p come back as (x, y, z) triples of rows and l
+    tdot is None except for the constrained model.  u and p are the ones
+    the row-bound `_evaluator` gives, so a row reads the state the step
+    check passed, by the same law.
     """
-    kind, lab = model.kind, axis == "lab"
+    evaluate = _evaluator(model, axis, ROWS)
+    constrained, lab = model.kind is ModelKind.CONSTRAINED, axis == "lab"
 
     def decode(x, y):
-        r, p = (y[0], y[1], y[2]), (y[3], y[4], y[5])
-        if kind is ModelKind.CONSTRAINED:
-            lam = y[6]
-            bad = lam == 0.0
-            if violated(bad):
-                message = "lambda*tdot = 0 gives no velocity"
-                raise domain_error(DegenerateMultiplierError, bad, message)
-            return x, y[7], r, (p[0] / lam, p[1] / lam, p[2] / lam), p, lam
+        _, u, p = evaluate(x, y)
+        if constrained:
+            return x, y[7], y[0:3], u, p, y[6]
         t, tau = (x, y[6]) if lab else (y[6], y[7])
-        u, p = _velocity(model, r, p, t)
-        return t, tau, r, u, p, None
+        return t, tau, y[0:3], u, p, None
 
     return decode
 
 
-def _evaluator(model: ForceModel, axis: str) -> Callable:
-    """evaluate(x, y) -> (dy/dx, u, p): the model's float-bound law once at one flat state.
+def _evaluator(model: ForceModel, axis: str, binding) -> Callable:
+    """evaluate(x, y) -> (dy/dx, u, p): the model's law once at a flat state, under a binding.
 
-    A stage makes one law call, the law's field calls and one call per clock factor.
+    bind_law's binding: geometry.FLOATS for the stepper, on one state of
+    floats, where a stage makes one law call, the law's field calls and one
+    call per clock factor; ROWS for the decoder, on the columns of many rows.
     """
-    law, clock = bind_law(model, FLOATS), _time_factor(*FLOATS)
+    law, clock = bind_law(model, binding), _time_factor(*binding)
     if model.kind is ModelKind.CONSTRAINED:
 
         def evaluate(t, y):
@@ -520,23 +518,17 @@ def _flat_rhs(model: ForceModel, axis: str):
     """(rhs, check) of a particle's flat state: its rate, and the check of a new state.
 
     The check evaluates the law at the new state, runs ``check_state`` on
-    the u and p of that evaluation and returns its rate, the next step's k1.
-    When that evaluation raises, the check decodes the state instead and
-    returns None, so an error of the decode half (the mass, u and
-    ``check_state``) is raised by the check with the new x, and an error of
-    the force terms only by the next step's k1, after the row is kept.
+    the u and p of that evaluation and returns its rate, the next step's k1;
+    so every error of the law at the new state is raised by the check, with
+    the new x, and every kept row is a state where the law evaluates.
     """
-    evaluate = _evaluator(model, axis)
-    decode = _decoder(model, axis)
+    evaluate = _evaluator(model, axis, FLOATS)
 
     def rhs(x, y):
         return evaluate(x, y)[0]
 
     def check(x, y):
-        try:
-            k, u, p = evaluate(x, y)
-        except PhysicsDomainError:  # the next step's k1 raises it again, unless decoding does first
-            k, (u, p) = None, decode(x, y)[3:5]
+        k, u, p = evaluate(x, y)
         check_state(y[-1], y[0:3], u, p)
         return k
 

@@ -20,7 +20,8 @@ on components: r, p and the returned vectors are (x, y, z) triples whose
 entries are all floats (one particle) or all 1-D arrays (rows of
 particles), and a row of the array form equals the float form bit for
 bit.  `bind_law` binds a law's one body to ``geometry.FLOATS``, once per
-run for the stepper, or to ``ROWS`` for the public laws.  The laws call the
+run for the stepper, or to ``ROWS`` for the public laws and the rows of a
+run (`integrate._evaluator` reads both).  The laws call the
 fields' component methods, the vacuum law through the one entry point
 ``_potentials`` (``_point(binding)``), and use no Vec3.  The electromagnetic terms are
 assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
@@ -242,7 +243,7 @@ def _vacuum_law(point, q: float, interacting: bool, violated):
 
 
 def bind_law(model: ForceModel, binding):
-    """The model's law bound to geometry.FLOATS (the stepper) or ROWS (the public laws).
+    """The model's law bound to geometry.FLOATS (the stepper) or ROWS (public laws, a run's rows).
 
     law(r, P, t) -> (dP/dt, u, p) with p the kinetic momentum, or
     law(r, y1, y2, t) -> (dy1/dt, dy2/dt, u) for the constrained model.
@@ -274,23 +275,6 @@ def bind_law(model: ForceModel, binding):
 
     interacting = model.kind is ModelKind.VACUUM_INTERACTING
     return _vacuum_law(field._point(binding), q, interacting, violated)
-
-
-def _velocity(model: ForceModel, r, p, t):
-    """(u, p) from the momentum the classical or a vacuum model steps.
-
-    Classical: u = p / (m0^2 + p^2)^(1/2).  Vacuum: the stepped momentum
-    is P = p + qA (qA = 0 for vacuum-free), and u = p / (-wbar).  Only wbar
-    and A are evaluated, so no error of the force terms is raised here.
-    """
-    if model.kind is ModelKind.CLASSICAL:
-        return _classical_velocity(root)(model.rest_mass, p), p
-    field, interacting = model.field, model.kind is ModelKind.VACUUM_INTERACTING
-
-    def point(x, y, z, t):
-        return field._wbar(x, y, z, t), ZERO3, field._vecpot(x, y, z, t) if interacting else ZERO3
-
-    return _vacuum_law(point, model.charge, interacting, violated)(r, p, t)[1:]
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):
@@ -351,7 +335,7 @@ def vacuum_rhs(model: ForceModel, r, big_p, t):
 
 def interacting_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>; u = p / (-wbar)."""
-    u = _velocity(replace(model, kind=ModelKind.VACUUM_FREE), r, p, t)[0]
+    u = bind_law(replace(model, kind=ModelKind.VACUUM_FREE), ROWS)(r, p, t)[1]
     (ex, ey, ez), (mx, my, mz), (fx, fy, fz) = _em_terms(model.field, model.charge, r, u, t)
     return ((ex + mx) + fx, (ey + my) + fy, (ez + mz) + fz), u
 

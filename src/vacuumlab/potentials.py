@@ -423,7 +423,12 @@ class UniformMagneticField(PotentialField):
 
 @dataclass
 class CallableField(PotentialField):
-    """Ad-hoc analytic field assembled from callables (test/scenario helper)."""
+    """Ad-hoc analytic field assembled from callables of a Vec3 point and a time.
+
+    The component methods call them at a point of floats, and once per row
+    on rows, so the base class's Vec3 and ``*_many`` forms serve this field
+    as they serve the built-in ones.
+    """
 
     wbar_fn: Callable[[Vec3, float], float] = lambda r, t: -1.0
     grad_wbar_fn: Callable[[Vec3, float], Vec3] = lambda r, t: ZERO3
@@ -434,25 +439,25 @@ class CallableField(PotentialField):
     wbar_hessian_fn: Optional[Callable[[Vec3, float], np.ndarray]] = None
     wbar_tt_fn: Optional[Callable[[Vec3, float], float]] = None
 
-    # The callables take Vec3 points, so the component methods take floats
-    # only and the array forms loop over the rows.
+    # The callables take Vec3 points: on rows, each component method calls
+    # its callable once per row and returns the values per component.
     def _wbar(self, x, y, z, t):
-        return self.wbar_fn(Vec3(x, y, z), t)
+        return _per_row(self.wbar_fn, (), x, y, z, t)
 
     def _grad_wbar(self, x, y, z, t):
-        return self.grad_wbar_fn(Vec3(x, y, z), t)
+        return _per_row(self.grad_wbar_fn, (3,), x, y, z, t)
 
     def _dwbar_dt(self, x, y, z, t):
-        return self.dwbar_dt_fn(Vec3(x, y, z), t)
+        return _per_row(self.dwbar_dt_fn, (), x, y, z, t)
 
     def _vecpot(self, x, y, z, t):
-        return self.vecpot_fn(Vec3(x, y, z), t)
+        return _per_row(self.vecpot_fn, (3,), x, y, z, t)
 
     def _grad_vecpot(self, x, y, z, t):
-        return self.grad_vecpot_fn(Vec3(x, y, z), t)
+        return _per_row(self.grad_vecpot_fn, (3, 3), x, y, z, t)
 
     def _dvecpot_dt(self, x, y, z, t):
-        return self.dvecpot_dt_fn(Vec3(x, y, z), t)
+        return _per_row(self.dvecpot_dt_fn, (3,), x, y, z, t)
 
     def wbar_hessian(self, r, t):
         if self.wbar_hessian_fn is None:
@@ -464,20 +469,19 @@ class CallableField(PotentialField):
             raise NotImplementedError("no wbar_tt supplied")
         return self.wbar_tt_fn(r, t)
 
-    def _each(self, method, points, times):
-        return np.array([method(Vec3(*pt), float(tt)) for pt, tt in zip(points, times)])
 
-    def wbar_many(self, points, times):
-        return self._each(self.wbar, points, times)
+def _per_row(fn, shape, x, y, z, t):
+    """fn(Vec3(x, y, z), t) at a point of floats; on rows, fn at each row, as shape's components.
 
-    def grad_wbar_many(self, points, times):
-        return self._each(self.grad_wbar, points, times)
-
-    def dwbar_dt_many(self, points, times):
-        return self._each(self.dwbar_dt, points, times)
-
-    def vecpot_many(self, points, times):
-        return self._each(self.vecpot, points, times)
+    Rows are equal-length 1-D arrays (t may be a float): the values of shape
+    () come back as one array, those of shape (3,) or (3, 3) as arrays of
+    rows on the last axis, so an empty block keeps its shape.
+    """
+    if not isinstance(x, np.ndarray):
+        return fn(Vec3(x, y, z), t)
+    x, y, z, t = (a.tolist() for a in np.broadcast_arrays(x, y, z, t))
+    values = np.array([fn(Vec3(*point), tt) for *point, tt in zip(x, y, z, t)], dtype=float)
+    return np.moveaxis(values.reshape((len(x),) + shape), 0, -1)
 
 
 def build_potential(spec: SourceSpec, test_charge: float) -> PotentialField:

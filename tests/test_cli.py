@@ -18,7 +18,13 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from vacuumlab import cli
-from vacuumlab.errors import MisalignedScenariosError, ParseError, ValidationError
+from vacuumlab.errors import (
+    MisalignedScenariosError,
+    ParseError,
+    SuperluminalVelocityError,
+    ValidationError,
+)
+from vacuumlab.geometry import FLOATS
 from vacuumlab.integrate import IntegrationParams
 from vacuumlab.particle import INVARIANTS, ModelKind
 
@@ -368,9 +374,22 @@ def _shipped_with(name, section, key, value):
     return edit
 
 
+def _lab_model_on_the_proper_axis(data):
+    data.update(model="classical", rest_mass=1.0)
+    data["integration"]["time_axis"] = "proper"
+
+
+# a lab-time model on the proper axis: every verb refuses it when it reads the file
+LAB_MODEL_ON_THE_PROPER_AXIS = [
+    (verb, _lab_model_on_the_proper_axis, 1,
+     "error: integration.time_axis must be auto or lab for a classical model\n")
+    for verb in ("run", "audit", "compare")
+]
+
+
 @pytest.mark.parametrize(
-    "edit, code, message",
-    [
+    "verb, edit, code, message",
+    [("run", *case) for case in [
         (
             lambda d: d.update(field={"kind": "coulomb-static", "softening": 0.0,
                                       "background": -1.0}),
@@ -426,22 +445,24 @@ def _shipped_with(name, section, key, value):
         ),
         # a string run steps its proper time tau: a lab axis would be silently ignored
         (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
-    ],
+    ]] + LAB_MODEL_ON_THE_PROPER_AXIS,
     ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
          "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
          "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
          "name-with-nul", "directory-with-nul", "out-is-a-file", "string-grid-too-large",
          "conformal-grid-too-large", "string-steps-too-large", "coulomb-zero-charge",
-         "string-lab-axis"],
+         "string-lab-axis", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
+         "compare-lab-model-proper-axis"],
 )
-def test_exit_code_contract(tmp_path, capsys, monkeypatch, edit, code, message):
+def test_exit_code_contract(tmp_path, capsys, monkeypatch, verb, edit, code, message):
     import vacuumlab.integrate as integ
 
     # only the rk45 case reaches the adaptive stepper, which then never accepts
     monkeypatch.setattr(integ, "rkf45_step", _always_reject)
     data = minimal_particle(str(tmp_path / "out"))
     edit(data)
-    assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == code
+    configs = [write_config(tmp_path, data)] * (2 if verb == "compare" else 1)
+    assert cli.main([verb, *configs, "--quiet"]) == code
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
@@ -520,6 +541,33 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("no convergence: adaptive step collapsed") and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_a_last_state_whose_force_terms_fail_exits_2(tmp_path, capsys, monkeypatch):
+    import vacuumlab.integrate as integ
+
+    # the clock change of the proper axis is a force term, which fails where
+    # |u - u_f| >= 1 while u is fine: a stubbed float-bound clock fails so at
+    # the last state only (the 4n + 1-th factor), and the check of that state
+    # refuses it with its tau, where the run used to finish on it
+    factors, bind = [], integ._time_factor
+
+    def fails_last(*binding):
+        factor = bind(*binding)
+
+        def clock(u):
+            factors.append(u)
+            if len(factors) == 4 * 50 + 1:
+                raise SuperluminalVelocityError("|u - u_f| = 1.1 >= 1")
+            return factor(u)
+
+        return clock if binding == FLOATS else factor
+
+    monkeypatch.setattr(integ, "_time_factor", fails_last)
+    data = minimal_particle(str(tmp_path / "out"))
+    assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 2
+    assert capsys.readouterr().err == "physics abort: |u - u_f| = 1.1 >= 1 [tau=0.05]\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

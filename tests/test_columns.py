@@ -348,8 +348,8 @@ def test_a_launch_the_audit_refuses_takes_no_step(monkeypatch):
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(-0.5, 0.0, 0.0))
     evaluations, bind = [], integ._evaluator
 
-    def counted(model, axis):
-        evaluate = bind(model, axis)
+    def counted(model, axis, binding):
+        evaluate = bind(model, axis, binding)
         return lambda x, y: evaluations.append(x) or evaluate(x, y)
 
     monkeypatch.setattr(integ, "_evaluator", counted)

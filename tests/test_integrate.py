@@ -17,7 +17,7 @@ from vacuumlab.errors import (
     SuperluminalVelocityError,
     ValidationError,
 )
-from vacuumlab.geometry import ROWS, Vec3, ZERO3
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3
 from vacuumlab.integrate import (
     IntegrationParams,
     integrate_particle,
@@ -306,14 +306,17 @@ def _comoving_setup():
 def _count_evaluations(monkeypatch, field):
     """(laws, offsets): one entry per stepped law call and per scalar offset of the Coulomb field.
 
-    Counts through the binding: the law the run binds, and the field's bound
-    point kernels, each of which computes one offset per call.
+    Counts through the binding: the law the run binds to floats (the rows'
+    decode binds it to ROWS), and the field's bound point kernels, each of
+    which computes one offset per call on floats.
     """
     laws, offsets = [], []
     bind = integ.bind_law
 
     def counted_bind(model, binding):
         law = bind(model, binding)
+        if binding is not FLOATS:
+            return law
         return lambda r, p, t: laws.append(t) or law(r, p, t)
 
     def counted(kernel):
@@ -401,7 +404,7 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
     model, state, params = cli.build_particle_model(cli.parse_config(path))
     axis = integ._axis_for(model, params)
-    evaluate = integ._evaluator(model, axis)
+    evaluate = integ._evaluator(model, axis, FLOATS)
     x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
     calls = []
 
@@ -540,8 +543,10 @@ def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatc
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
     factors, bind = [], integ._time_factor
 
-    def counted(*binding):
+    def counted(*binding):  # the float-bound factor: the rows' decode binds one to ROWS
         factor = bind(*binding)
+        if binding != FLOATS:
+            return factor
         return lambda u: factors.append(u) or factor(u)
 
     monkeypatch.setattr(integ, "_time_factor", counted)
@@ -550,7 +555,7 @@ def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatc
     assert len(factors) == 4 * n + 1
 
 
-def test_step_check_leaves_force_term_errors_to_the_next_k1():
+def test_step_check_raises_every_law_error_at_the_new_state():
     spec = SourceSpec(SourceKind.COULOMB_COMOVING, 1.0, u_f=Vec3(0.6, 0.0, 0.0),
                       softening=0.05, background=-1.0)
     field = build_potential(spec, 1.0)
@@ -562,13 +567,11 @@ def test_step_check_leaves_force_term_errors_to_the_next_k1():
         big_p = u * -field.wbar(r, t) + qa_vector(model, r, t)
         return (*r, *big_p, t, 0.0)
 
-    # |u| < 1 but |u - u_f| >= 1: only the clock change fails, so the check
-    # keeps the row, hands on no k1, and the next step's k1 raises
-    y = flat(Vec3(-0.5, 0.0, 0.0))
-    assert check(1.0, y) is None
+    # |u| < 1 but |u - u_f| >= 1: only the clock change fails, and the check
+    # raises it, so the row is not kept
     with pytest.raises(SuperluminalVelocityError, match="1.1 >= 1"):
-        rhs(1.0, y)
-    # |u| >= 1: decoding the state fails, in the check itself
+        check(1.0, flat(Vec3(-0.5, 0.0, 0.0)))
+    # |u| >= 1: recovering u fails, in the check itself
     with pytest.raises(SuperluminalVelocityError, match="implies"):
         check(1.0, flat(Vec3(1.2, 0.0, 0.0)))
     # a state inside both domains: the check hands on the rate it evaluated

@@ -12,7 +12,7 @@ from vacuumlab.errors import (
     PhysicsDomainError,
     SuperluminalVelocityError,
 )
-from vacuumlab.geometry import ROWS, Vec3, ZERO3, proper_time_factor
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
@@ -390,7 +390,7 @@ def test_component_laws_on_arrays_equal_the_float_rows(law_name, name, q, rows):
     # the stepper's float-bound stage equals the row binding on each row, or
     # raises the same error
     for axis in STAGE_AXES.get(law_name, ()):
-        evaluate = integ._evaluator(model, axis)
+        evaluate = integ._evaluator(model, axis, FLOATS)
         for r, p, y2, t in rows:
             if kind is ModelKind.CONSTRAINED:
                 y = (*r, *p, y2, 0.0)

@@ -10,6 +10,14 @@ from vacuumlab.errors import (
     ZeroChargeError,
 )
 from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3
+from vacuumlab.integrate import IntegrationParams, _evaluator, integrate_particle
+from vacuumlab.particle import (
+    ForceModel,
+    ModelKind,
+    make_classical_state,
+    make_constrained_state,
+    make_vacuum_state,
+)
 from vacuumlab.potentials import (
     CallableField,
     LinearField,
@@ -37,6 +45,27 @@ def coulomb(strength=1.0, q=1.0, eps=0.0, u_f=ZERO3, background=0.0):
     kind = SourceKind.COULOMB_COMOVING if u_f.norm2() > 0 else SourceKind.COULOMB_STATIC
     spec = SourceSpec(kind, strength, u_f=u_f, softening=eps, background=background)
     return build_potential(spec, q)
+
+
+def math_field():
+    """A CallableField whose callables take floats only: math, not NumPy, evaluates them."""
+
+    def s(r, t):
+        return 0.3 * r.x + 0.2 * r.y * t
+
+    def sech2(r, t):
+        return 1.0 / math.cosh(s(r, t)) ** 2
+
+    return CallableField(
+        wbar_fn=lambda r, t: -2.0 + 0.5 * math.tanh(s(r, t)),
+        grad_wbar_fn=lambda r, t: Vec3(0.15 * sech2(r, t), 0.1 * t * sech2(r, t), 0.0),
+        dwbar_dt_fn=lambda r, t: 0.1 * r.y * sech2(r, t),
+        vecpot_fn=lambda r, t: Vec3(0.1 * math.sin(r.y), -0.1 * math.sin(r.x), 0.05 * t),
+        grad_vecpot_fn=lambda r, t: np.array(
+            [[0.0, 0.1 * math.cos(r.y), 0.0], [-0.1 * math.cos(r.x), 0.0, 0.0], [0.0, 0.0, 0.0]]
+        ),
+        dvecpot_dt_fn=lambda r, t: Vec3(0.0, 0.0, 0.05),
+    )
 
 
 def test_uniform_field_example():
@@ -237,6 +266,7 @@ def test_vectorized_eval_matches_scalar():
         LinearField(-2.0, Vec3(0.3, -0.1, 0.2)),
         UniformMagneticField(Vec3(0.1, 0.2, 0.9), -1.0),
         CallableField(vecpot_fn=lambda r, t: Vec3(r.y * t, -r.x, 0.5)),
+        math_field(),
     ]
     pts = rng.uniform(-1.5, 1.5, size=(500, 3))
     times = rng.uniform(-1.0, 2.0, size=500)
@@ -254,6 +284,38 @@ def test_vectorized_eval_matches_scalar():
         jac = f._grad_vecpot(*pts.T, times)
         assert np.array_equal(np.stack([node_rows(row, 500) for row in jac], axis=1), np.array(j_scalar))
         assert np.array_equal(node_rows(f._dvecpot_dt(*pts.T, times), 500), np.array(at_scalar))
+
+    # a CallableField's component methods call its callables once per row, at
+    # one time or at each row's; an empty block keeps each method's shape
+    for f in fields[-2:]:
+        w_scalar = [f.wbar(Vec3(*pt), 0.5) for pt in pts]
+        assert np.array_equal(f._wbar(*pts.T, 0.5), np.array(w_scalar))
+        methods = (f._wbar, f._grad_wbar, f._dwbar_dt, f._vecpot, f._grad_vecpot, f._dvecpot_dt)
+        empty = np.empty(0)
+        shapes = [np.shape(method(empty, empty, empty, empty)) for method in methods]
+        assert shapes == [(0,), (3, 0), (0,), (3, 0), (3, 3, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+def test_every_model_runs_in_a_callable_field(kind):
+    # a run's rows are decoded by the law on rows, which a CallableField of
+    # float-only callables answers one row at a time: each later row's u and p
+    # equal the float-bound law's at that row's flat state
+    field = math_field()
+    model = ForceModel(kind, field, charge=0.8, rest_mass=1.0)
+    r0, u0 = Vec3(0.2, -0.1, 0.3), Vec3(0.1, 0.25, -0.05)
+    if kind is ModelKind.CLASSICAL:
+        state = make_classical_state(r0, u0, 1.0)
+    elif kind is ModelKind.CONSTRAINED:
+        state = make_constrained_state(r0, u0, 1.0)
+    else:
+        state = make_vacuum_state(field, r0, u0)
+    traj = integrate_particle(model, state, IntegrationParams(step=1e-3, n_steps=20, audit_every=5))
+    evaluate = _evaluator(model, traj.time_axis, FLOATS)
+    c = traj.columns()
+    for i in range(1, len(traj.x)):
+        _, u, p = evaluate(float(traj.x[i]), tuple(traj.Y[i].tolist()))
+        assert np.array([u, p]).tobytes() == np.array([c.u[i], c.p[i]]).tobytes()
 
 
 def _bits(value):
