@@ -2,9 +2,9 @@
 
 These are the force-kernel and step layers: each case builds the
 scenario's model as `vacuumlab run` does and binds, once, as a run does,
-either its stage evaluation, timed as one call at the launch state, or
-its rate and its generated RK4 step, timed as one step from the launch
-state with the launch rate as k1.  It needs the pytest-benchmark plugin:
+either its float-bound law (the stage rate), timed as one call at the
+launch state, or its rate and its generated RK4 step, timed as one step
+from the launch state with the launch rate as k1.  It needs the pytest-benchmark plugin:
 
     PYTHONPATH=src python -m pytest benchmarks/test_stage_kernels.py --benchmark-only
 
@@ -39,8 +39,8 @@ def _launch(name):
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_stage_evaluation(benchmark, name):
     model, axis, _, x, y = _launch(name)
-    evaluate = integ._evaluator(model, axis, FLOATS)
-    k, _, _ = benchmark(evaluate, x, y)
+    law = integ.bind_law(model, axis, FLOATS)
+    k, _, _ = benchmark(law, x, y)
     assert len(k) == len(y)
 
 

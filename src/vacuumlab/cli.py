@@ -515,6 +515,15 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
 # --- compare -----------------------------------------------------------------------
 
 
+def _on_axis(params: IntegrationParams, axis: str, verb: str, model: ForceModel):
+    """params on the time axis the verb steps; a scenario that sets the other axis is refused by its key."""
+    if params.time_axis not in ("auto", axis):
+        raise ValidationError(
+            f"integration.time_axis must be auto or {axis} for {verb} of a {model.kind.value} model"
+        )
+    return replace(params, time_axis=axis)
+
+
 def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
     """Integrate two particle scenarios with shared initial kinematics and diff them."""
     if alignment not in ("by_t", "by_tau"):
@@ -526,7 +535,7 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
         if cfg.kind != "particle":
             raise ValidationError("compare supports particle scenarios only")
         model, state, params = build_particle_model(cfg)
-        built.append((cfg, model, state, params))
+        built.append((cfg, model, state, _on_axis(params, "lab", "compare", model)))
     ref, other = built
     if list(other[2].r) != list(ref[2].r) or list(other[2].u) != list(ref[2].u):
         raise MisalignedScenariosError("initial kinematics differ between configs")
@@ -535,7 +544,6 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
 
     trajectories = []
     for cfg, model, state, params in built:
-        params = replace(params, time_axis="lab")
         trajectories.append((model, integrate_particle(model, state, params)))
 
     (ref_model, ref_traj), (_, other_traj) = trajectories
@@ -578,6 +586,9 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
             f"audit of a {model.kind.value} model needs method rk4: "
             "rk45 rows are not a uniform path"
         )
+    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
+    lab = model.kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED)
+    params = _on_axis(params, "lab" if lab else "proper", "audit", model)
     spec = LagrangianSpec(
         kind=_AUDIT_KINDS[model.kind],
         field=model.field,
@@ -586,8 +597,7 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
         u_f=model.source_velocity,
     )
     check_oracle_coverage(spec)
-    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
-    traj = integrate_particle(model, state, replace(params, time_axis="auto"))
+    traj = integrate_particle(model, state, params)
     if model.kind is ModelKind.CONSTRAINED:
         path = uniform_proper_path(traj, nodes or min(400, params.n_steps))
     else:

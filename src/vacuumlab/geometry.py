@@ -112,6 +112,10 @@ def domain_error(error, bad, message: str, *values):
     return error(message.format(*values))
 
 
+# the message of |u| >= 1 where a clock factor (1 - |u|^2)^(1/2) is taken, formatted with |u|
+_SUPERLUMINAL = "|u| = {:.6g} >= 1"
+
+
 def _time_factor(sqrt, violated):
     """proper_time_factor bound to a square root and a domain test (FLOATS or ROWS)."""
 
@@ -126,7 +130,7 @@ def _time_factor(sqrt, violated):
         u2 = (x * x + y * y) + z * z
         bad = u2 >= 1.0
         if violated(bad):
-            raise domain_error(SuperluminalVelocityError, bad, "|u| = {:.6g} >= 1", sqrt(u2))
+            raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
         return sqrt(1.0 - u2)
 
     return proper_time_factor

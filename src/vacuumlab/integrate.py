@@ -26,17 +26,19 @@ columns, or one block of string states), raising at the first offending
 row.
 
 A particle run steps the flat state y = (r, P, [t,] tau), or
-(r, l u tdot, l tdot, tau) for the constrained model, by passing slices of
-y straight to the model's law, composed with the axis's clock factors by
-`_evaluator`, the one reader of a particle state.  The stepper binds it to
-floats once per run.  The check of a new state evaluates the law there,
-raises any of its errors, runs ``check_state`` on u and p of that
-evaluation, and returns its rate as the next step's k1, so a step costs one
-law evaluation per stage and the launch state one more, and every kept row
-is a state where the law evaluates.  The decoder binds it to rows: on the
-later rows of a `Trajectory`, which holds the parameter x and the flat
-states Y as arrays, it gives the physical columns (t, tau, r, u, p) from
-which `samples`, `final` and the invariants are derived.
+(r, l u tdot, l tdot, tau) for the constrained model (``particle._pack``),
+whose rate on the run's axis is the model's law itself,
+``particle.bind_law(model, axis, binding)``: it reads y, takes the clock
+factors from the |u|^2 it has computed, and is the one reader of a
+particle state.  The stepper binds it to floats once per run, so a stage
+is one Python call plus the field's kernels.  The check of a new state
+evaluates the law there, raises any of its errors, runs ``check_state`` on
+u and p of that evaluation, and returns its rate as the next step's k1, so
+a step costs one law evaluation per stage and the launch state one more,
+and every kept row is a state where the law evaluates.  The decoder binds
+it to rows: on the later rows of a `Trajectory`, which holds the parameter
+x and the flat states Y as arrays, it gives the physical columns (t, tau,
+r, u, p) from which `samples`, `final` and the invariants are derived.
 
 Each method's whole step is one function that `_stepper` generates once
 per method and state length: each stage expression is written once as a
@@ -82,16 +84,16 @@ from .errors import (
     StepFailureError,
     ValidationError,
 )
-from .geometry import FLOATS, ROWS, Vec3, ZERO3, _time_factor
+from .geometry import FLOATS, ROWS, Vec3
 from .particle import (
     INVARIANTS,
     ForceModel,
     ModelKind,
     ParticleColumns,
     ParticleState,
+    _pack,
     bind_law,
     check_state,
-    qa_vector,
 )
 
 
@@ -435,32 +437,20 @@ def _axis_for(model: ForceModel, params: IntegrationParams) -> str:
     return "lab"
 
 
-def _pack(model: ForceModel, state: ParticleState, axis: str):
-    # (r, P, [t,] tau) with P = p + qA for the interacting model, else p
-    r, p = state.r, state.p
-    if model.kind is ModelKind.CONSTRAINED:
-        return (*r, *p, state.lam, state.tau)
-    if model.kind is ModelKind.VACUUM_INTERACTING:
-        p = p + qa_vector(model, r, state.t)
-    if axis == "lab":
-        return (*r, *p, state.tau)
-    return (*r, *p, state.t, state.tau)
-
-
 def _decoder(model: ForceModel, axis: str) -> Callable:
     """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of _pack's layout.
 
     y is the tuple of the columns of many rows (Y.T) and x their
     parameters; r, u and p come back as (x, y, z) triples of rows and l
     tdot is None except for the constrained model.  u and p are the ones
-    the row-bound `_evaluator` gives, so a row reads the state the step
-    check passed, by the same law.
+    the law bound to ROWS gives, so a row reads the state the step check
+    passed, by the same law.
     """
-    evaluate = _evaluator(model, axis, ROWS)
+    law = bind_law(model, axis, ROWS)
     constrained, lab = model.kind is ModelKind.CONSTRAINED, axis == "lab"
 
     def decode(x, y):
-        _, u, p = evaluate(x, y)
+        _, u, p = law(x, y)
         if constrained:
             return x, y[7], y[0:3], u, p, y[6]
         t, tau = (x, y[6]) if lab else (y[6], y[7])
@@ -469,66 +459,23 @@ def _decoder(model: ForceModel, axis: str) -> Callable:
     return decode
 
 
-def _evaluator(model: ForceModel, axis: str, binding) -> Callable:
-    """evaluate(x, y) -> (dy/dx, u, p): the model's law once at a flat state, under a binding.
-
-    bind_law's binding: geometry.FLOATS for the stepper, on one state of
-    floats, where a stage makes one law call, the law's field calls and one
-    call per clock factor; ROWS for the decoder, on the columns of many rows.
-    """
-    law, clock = bind_law(model, binding), _time_factor(*binding)
-    if model.kind is ModelKind.CONSTRAINED:
-
-        def evaluate(t, y):
-            p = y[3:6]
-            (d1x, d1y, d1z), d2, u = law(y[0:3], p, y[6], t)
-            return (*u, d1x, d1y, d1z, d2, clock(u)), u, p
-
-        return evaluate
-
-    if axis == "lab":
-
-        def evaluate(t, y):
-            (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], t)
-            return (*u, dpx, dpy, dpz, clock(u)), u, p
-
-        return evaluate
-
-    # the same law on the source frame's proper time x: dt/dx = (1 - |u - u_f|^2)^(-1/2)
-    ufx, ufy, ufz = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
-    moving = (ufx, ufy, ufz) != ZERO3
-
-    def evaluate(x, y):
-        (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], y[6])
-        ux, uy, uz = u
-        if moving:
-            rate = 1.0 / clock((ux - ufx, uy - ufy, uz - ufz))
-            dtau = clock(u) * rate
-        else:  # u - 0.0 == u: dt/dx and dtau/dx share one factor
-            factor = clock(u)
-            rate = 1.0 / factor
-            dtau = factor * rate
-        k = (ux * rate, uy * rate, uz * rate, dpx * rate, dpy * rate, dpz * rate, rate, dtau)
-        return k, u, p
-
-    return evaluate
-
-
 def _flat_rhs(model: ForceModel, axis: str):
     """(rhs, check) of a particle's flat state: its rate, and the check of a new state.
 
-    The check evaluates the law at the new state, runs ``check_state`` on
-    the u and p of that evaluation and returns its rate, the next step's k1;
-    so every error of the law at the new state is raised by the check, with
-    the new x, and every kept row is a state where the law evaluates.
+    Both call the law bound to floats on the axis once; rhs returns only its
+    rate.  The check evaluates the law at the new state, runs
+    ``check_state`` on the u and p of that evaluation and returns its rate,
+    the next step's k1; so every error of the law at the new state is
+    raised by the check, with the new x, and every kept row is a state
+    where the law evaluates.
     """
-    evaluate = _evaluator(model, axis, FLOATS)
+    law = bind_law(model, axis, FLOATS)
 
     def rhs(x, y):
-        return evaluate(x, y)[0]
+        return law(x, y)[0]
 
     def check(x, y):
-        k, u, p = evaluate(x, y)
+        k, u, p = law(x, y)
         check_state(y[-1], y[0:3], u, p)
         return k
 

@@ -16,16 +16,19 @@ are `classical_rhs`, `constrained_rhs` and `vacuum_rhs` (both vacuum
 models, qA = 0 for vacuum-free): functions of (model, r, p, t) returning
 (dp/dt, u), or (dy1/dt, dy2/dt, u) for the constrained multiplier pair,
 with p the canonical momentum for `vacuum_rhs`.  Each law is written once,
-on components: r, p and the returned vectors are (x, y, z) triples whose
-entries are all floats (one particle) or all 1-D arrays (rows of
-particles), and a row of the array form equals the float form bit for
-bit.  `bind_law` binds a law's one body to ``geometry.FLOATS``, once per
-run for the stepper, or to ``ROWS`` for the public laws and the rows of a
-run (`integrate._evaluator` reads both).  The laws call the
-fields' component methods, the vacuum law through the one entry point
-``_potentials`` (``_point(binding)``), and use no Vec3.  The electromagnetic terms are
-assembled as q*E, u x (q*B) and -grad<u, q*A> so that fields whose vector
-potential scales like 1/q stay well defined for any nonzero charge.
+on the flat state that `_pack` lays out, in `bind_law`: one body per model
+(constrained, classical, and both vacuum models) gives a state's whole
+stage rate, clock factors included, with u and p, so a stage is one Python
+call plus the field's kernels.  Its entries are all floats (one particle)
+or all 1-D arrays (rows of particles), and a row of the array form equals
+the float form bit for bit.  `bind_law` binds the body to
+``geometry.FLOATS``, once per run for the stepper, or to ``ROWS`` for the
+rows of a run and the public laws, which call it on a packed lab state.
+The laws call the fields' component methods, the vacuum law through the
+one entry point ``_potentials`` (``_point(binding)``), and use no Vec3.
+The electromagnetic terms are assembled as q*E, u x (q*B) and
+-grad<u, q*A> so that fields whose vector potential scales like 1/q stay
+well defined for any nonzero charge.
 
 The invariant kernels (`vacuum_free_hamiltonian`, `total_energy`,
 `interacting_hamiltonian`, `interacting_energy`, `classical_energy`) are
@@ -65,6 +68,7 @@ from .geometry import (
     ROWS,
     Vec3,
     ZERO3,
+    _SUPERLUMINAL,
     domain_error,
     proper_time_factor,
     root,
@@ -204,77 +208,118 @@ def classical_energy(m0: float, wbar, p):
     return root(m0**2 + ((px * px + py * py) + pz * pz)) + wbar
 
 
-# --- force laws on components --------------------------------------------------
+# --- force laws on the flat state ------------------------------------------------
 
 
-def _classical_velocity(sqrt):
-    """velocity(m0, p) = p / (m0^2 + p^2)^(1/2), bound to a square root."""
+def _pack(model: ForceModel, state: ParticleState, axis: str):
+    """A state's flat form, the one layout every law reads: (r, P, [t,] tau), or (r, l u tdot, l tdot, tau).
 
-    def velocity(m0, p):
-        px, py, pz = p
-        s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
-        return px / s, py / s, pz / s
-
-    return velocity
-
-
-def _vacuum_law(point, q: float, interacting: bool, violated):
-    """law(r, P, t) -> (-grad(wbar), u, p) of a vacuum model; point(x, y, z, t) gives wbar, grad, A.
-
-    p = P - qA for the interacting model, else P (A is not read), and u = p / (-wbar).
+    P = p + qA for the interacting model and p otherwise.  t is a component
+    on the proper axis only; on the lab axis it is the law's parameter x.
+    The constrained model steps y1 = l u tdot and y2 = l tdot, in lab time.
     """
+    r, p = state.r, state.p
+    if model.kind is ModelKind.CONSTRAINED:
+        return (*r, *p, state.lam, state.tau)
+    if model.kind is ModelKind.VACUUM_INTERACTING:
+        p = p + qa_vector(model, r, state.t)
+    if axis == "lab":
+        return (*r, *p, state.tau)
+    return (*r, *p, state.t, state.tau)
 
-    def law(r, big_p, t):
-        x, y, z = r
-        wbar, (gx, gy, gz), (ax, ay, az) = point(x, y, z, t)
-        px, py, pz = big_p
+
+def bind_law(model: ForceModel, axis: Optional[str], binding):
+    """law(x, y) -> (dy/dx, u, p): the model's stage rate at a flat state y of `_pack`'s layout.
+
+    x is the axis's parameter: lab time t, or on the proper axis the source
+    frame's proper time, where dt/dx = (1 - |u - u_f|^2)^(-1/2) scales every
+    rate.  dtau/dt = (1 - |u|^2)^(1/2) is taken from the |u|^2 the law has
+    computed, behind the test |u| < 1 (for the vacuum models the law's own
+    "|p| >= -wbar" test), and dt/dx likewise on |u - u_f|; each raises after
+    the force terms.  p is the kinetic momentum.  The binding is
+    geometry.FLOATS for the stepper, on one state of floats, or ROWS for the
+    decoder and the public laws, on floats or on the columns of many rows.
+    axis None is the public laws': the lab axis with no clock, so dtau/dt
+    (the rate's last entry) is None for the classical and constrained
+    models, and |u| >= 1 is not theirs to refuse.
+    """
+    sqrt, violated = binding
+    field, q, clocked = model.field, model.charge, axis is not None
+    if model.kind is ModelKind.CONSTRAINED:
+
+        def law(t, y):
+            rx, ry, rz, px, py, pz, y2, _ = y
+            bad = y2 <= 0.0
+            if violated(bad):
+                raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
+            u = ux, uy, uz = px / y2, py / y2, pz / y2
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, (rx, ry, rz), u, t)
+            u2 = (ux * ux + uy * uy) + uz * uz
+            bad = clocked and u2 >= 1.0
+            if violated(bad):
+                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
+            d2 = (ex * ux + ey * uy) + ez * uz
+            dtau = sqrt(1.0 - u2) if clocked else None
+            return (ux, uy, uz, ex + mx, ey + my, ez + mz, d2, dtau), u, (px, py, pz)
+
+        return law
+
+    if model.kind is ModelKind.CLASSICAL:
+        m0 = model.rest_mass
+
+        def law(t, y):
+            rx, ry, rz, px, py, pz, _ = y
+            s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
+            u = ux, uy, uz = px / s, py / s, pz / s
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, (rx, ry, rz), u, t)
+            u2 = (ux * ux + uy * uy) + uz * uz
+            bad = clocked and u2 >= 1.0
+            if violated(bad):
+                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
+            dtau = sqrt(1.0 - u2) if clocked else None
+            return (ux, uy, uz, ex + mx, ey + my, ez + mz, dtau), u, (px, py, pz)
+
+        return law
+
+    # the vacuum models: p = P - qA (interacting) or P, u = p / (-wbar), dP/dt = -grad(wbar)
+    point, lab = field._point(binding), axis != "proper"
+    interacting = model.kind is ModelKind.VACUUM_INTERACTING
+    ufx, ufy, ufz = model.source_velocity if interacting else ZERO3
+    moving = (ufx, ufy, ufz) != ZERO3  # else u - u_f is u, and dt/dx is 1 / (dtau/dt)
+
+    def law(x, y):
+        if lab:
+            rx, ry, rz, px, py, pz, _ = y
+            t = x
+        else:
+            rx, ry, rz, px, py, pz, t, _ = y
+        wbar, (gx, gy, gz), (ax, ay, az) = point(rx, ry, rz, t)
         if interacting:
             px, py, pz = px - ax * q, py - ay * q, pz - az * q
         if violated(wbar >= 0.0):
             dynamic_mass(wbar)  # raises its NonpositiveMassError
         m = -wbar
-        ux, uy, uz = px / m, py / m, pz / m
-        bad = (ux * ux + uy * uy) + uz * uz >= 1.0
+        u = ux, uy, uz = px / m, py / m, pz / m
+        u2 = (ux * ux + uy * uy) + uz * uz
+        bad = u2 >= 1.0
         if violated(bad):
             raise domain_error(SuperluminalVelocityError, bad, "|p| >= -wbar implies |u| >= 1")
-        return (-gx, -gy, -gz), (ux, uy, uz), (px, py, pz)
+        dtau = sqrt(1.0 - u2)
+        if lab:
+            return (ux, uy, uz, -gx, -gy, -gz, dtau), u, (px, py, pz)
+        if moving:
+            wx, wy, wz = ux - ufx, uy - ufy, uz - ufz
+            w2 = (wx * wx + wy * wy) + wz * wz
+            bad = w2 >= 1.0
+            if violated(bad):
+                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(w2))
+            rate = 1.0 / sqrt(1.0 - w2)
+        else:
+            rate = 1.0 / dtau
+        k = (ux * rate, uy * rate, uz * rate, -gx * rate, -gy * rate, -gz * rate, rate, dtau * rate)
+        return k, u, (px, py, pz)
 
     return law
-
-
-def bind_law(model: ForceModel, binding):
-    """The model's law bound to geometry.FLOATS (the stepper) or ROWS (public laws, a run's rows).
-
-    law(r, P, t) -> (dP/dt, u, p) with p the kinetic momentum, or
-    law(r, y1, y2, t) -> (dy1/dt, dy2/dt, u) for the constrained model.
-    """
-    sqrt, violated = binding
-    field, q = model.field, model.charge
-    if model.kind is ModelKind.CONSTRAINED:
-
-        def law(r, y1, y2, t):
-            bad = y2 <= 0.0
-            if violated(bad):
-                raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
-            px, py, pz = y1
-            u = ux, uy, uz = px / y2, py / y2, pz / y2
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
-            return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
-
-        return law
-
-    if model.kind is ModelKind.CLASSICAL:
-        m0, velocity = model.rest_mass, _classical_velocity(sqrt)
-
-        def law(r, p, t):
-            u = velocity(m0, p)
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
-            return (ex + mx, ey + my, ez + mz), u, p
-
-        return law
-
-    interacting = model.kind is ModelKind.VACUUM_INTERACTING
-    return _vacuum_law(field._point(binding), q, interacting, violated)
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):
@@ -312,7 +357,8 @@ def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
 
 def classical_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) for the classical Lorentz force; u recovered from p."""
-    return bind_law(model, ROWS)(r, p, t)[:2]
+    k, u, _ = bind_law(model, None, ROWS)(t, (*r, *p, 0.0))
+    return k[3:6], u
 
 
 def constrained_rhs(model: ForceModel, r, y1, y2, t):
@@ -321,7 +367,8 @@ def constrained_rhs(model: ForceModel, r, y1, y2, t):
     y1 = l u tdot and y2 = l tdot (a state keeps them in p and lam);
     u = y1/y2.
     """
-    return bind_law(model, ROWS)(r, y1, y2, t)
+    k, u, _ = bind_law(model, None, ROWS)(t, (*r, *y1, y2, 0.0))
+    return k[3:6], k[6], u
 
 
 def vacuum_rhs(model: ForceModel, r, big_p, t):
@@ -330,12 +377,13 @@ def vacuum_rhs(model: ForceModel, r, big_p, t):
     dP/dt = -grad(wbar) and u = (P - qA)/(-wbar), with qA = 0 for
     vacuum-free; wbar, its gradient and A come from one field evaluation.
     """
-    return bind_law(model, ROWS)(r, big_p, t)[:2]
+    k, u, _ = bind_law(model, None, ROWS)(t, (*r, *big_p, 0.0))
+    return k[3:6], u
 
 
 def interacting_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>; u = p / (-wbar)."""
-    u = bind_law(replace(model, kind=ModelKind.VACUUM_FREE), ROWS)(r, p, t)[1]
+    u = bind_law(replace(model, kind=ModelKind.VACUUM_FREE), None, ROWS)(t, (*r, *p, 0.0))[1]
     (ex, ey, ez), (mx, my, mz), (fx, fy, fz) = _em_terms(model.field, model.charge, r, u, t)
     return ((ex + mx) + fx, (ey + my) + fy, (ez + mz) + fz), u
 

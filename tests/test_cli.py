@@ -385,6 +385,14 @@ LAB_MODEL_ON_THE_PROPER_AXIS = [
      "error: integration.time_axis must be auto or lab for a classical model\n")
     for verb in ("run", "audit", "compare")
 ]
+# a vacuum model on the axis the verb does not step: audit steps its own
+# (proper) clock and compare lab time, and neither overrides the scenario
+VACUUM_MODEL_ON_THE_OTHER_AXIS = [
+    ("audit", lambda d: d["integration"].update(time_axis="lab"), 1,
+     "error: integration.time_axis must be auto or proper for audit of a vacuum-free model\n"),
+    ("compare", lambda d: d["integration"].update(time_axis="proper"), 1,
+     "error: integration.time_axis must be auto or lab for compare of a vacuum-free model\n"),
+]
 
 
 @pytest.mark.parametrize(
@@ -445,14 +453,15 @@ LAB_MODEL_ON_THE_PROPER_AXIS = [
         ),
         # a string run steps its proper time tau: a lab axis would be silently ignored
         (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
-    ]] + LAB_MODEL_ON_THE_PROPER_AXIS,
+    ]] + LAB_MODEL_ON_THE_PROPER_AXIS + VACUUM_MODEL_ON_THE_OTHER_AXIS,
     ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
          "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
          "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
          "name-with-nul", "directory-with-nul", "out-is-a-file", "string-grid-too-large",
          "conformal-grid-too-large", "string-steps-too-large", "coulomb-zero-charge",
          "string-lab-axis", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
-         "compare-lab-model-proper-axis"],
+         "compare-lab-model-proper-axis", "audit-vacuum-model-lab-axis",
+         "compare-vacuum-model-proper-axis"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, verb, edit, code, message):
     import vacuumlab.integrate as integ
@@ -524,13 +533,13 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
     # would end in a domain error (exit 2)
     calls, bind = [], integ.bind_law
 
-    def turns_nan(model, binding):
-        law = bind(model, binding)
+    def turns_nan(model, axis, binding):
+        law = bind(model, axis, binding)
 
-        def nan_law(r, big_p, t):
-            force, u, p = law(r, big_p, t)
-            calls.append(t)
-            return (force if len(calls) == 1 else (math.nan,) * 3), u, p
+        def nan_law(x, y):
+            k, u, p = law(x, y)
+            calls.append(x)
+            return (k if len(calls) == 1 else k[:3] + (math.nan,) * 3 + k[6:]), u, p
 
         return nan_law
 
@@ -547,23 +556,23 @@ def test_a_last_state_whose_force_terms_fail_exits_2(tmp_path, capsys, monkeypat
     import vacuumlab.integrate as integ
 
     # the clock change of the proper axis is a force term, which fails where
-    # |u - u_f| >= 1 while u is fine: a stubbed float-bound clock fails so at
-    # the last state only (the 4n + 1-th factor), and the check of that state
-    # refuses it with its tau, where the run used to finish on it
-    factors, bind = [], integ._time_factor
+    # |u - u_f| >= 1 while u is fine: a stubbed float-bound law fails so at
+    # the last state only (the 4n + 1-th evaluation), and the check of that
+    # state refuses it with its tau, where the run used to finish on it
+    laws, bind = [], integ.bind_law
 
-    def fails_last(*binding):
-        factor = bind(*binding)
+    def fails_last(model, axis, binding):
+        law = bind(model, axis, binding)
 
-        def clock(u):
-            factors.append(u)
-            if len(factors) == 4 * 50 + 1:
+        def stub(x, y):
+            laws.append(x)
+            if len(laws) == 4 * 50 + 1:
                 raise SuperluminalVelocityError("|u - u_f| = 1.1 >= 1")
-            return factor(u)
+            return law(x, y)
 
-        return clock if binding == FLOATS else factor
+        return stub if binding == FLOATS else law
 
-    monkeypatch.setattr(integ, "_time_factor", fails_last)
+    monkeypatch.setattr(integ, "bind_law", fails_last)
     data = minimal_particle(str(tmp_path / "out"))
     assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 2
     assert capsys.readouterr().err == "physics abort: |u - u_f| = 1.1 >= 1 [tau=0.05]\n"
@@ -658,17 +667,20 @@ def test_csv_energy_is_the_audited_invariant(tmp_path, name, invariant):
     assert float(row0[-1]) == manifest["conservation"][invariant]["initial"]
 
 
-def test_audit_integrates_on_the_models_own_clock(tmp_path):
-    # the vacuum densities assume the proper-time parameter, whatever time_axis says
+def test_audit_integrates_on_the_models_own_clock(tmp_path, capsys):
+    # the vacuum densities assume the proper-time parameter: the shipped run
+    # sets it, and a copy that sets the lab axis is refused, not overridden
     data = load_scenario("vacuum_free_coulomb.yaml")
     data["integration"]["time_axis"] = "lab"
     lab_copy = write_config(tmp_path, data)
-    audits = []
+    codes = []
     for path, out in ((scenario("vacuum_free_coulomb.yaml"), "shipped"), (lab_copy, "lab")):
-        rc = cli.main(["audit", path, "--out", str(tmp_path / out), "--steps", "2000", "--quiet"])
-        assert rc == 0
-        audits.append((tmp_path / out / "vacuum-free-coulomb_audit.csv").read_bytes())
-    assert audits[0] == audits[1]
+        codes.append(cli.main(["audit", path, "--out", str(tmp_path / out), "--steps", "2000", "--quiet"]))
+    assert codes == [0, 1]
+    assert (tmp_path / "shipped" / "vacuum-free-coulomb_audit.csv").exists()
+    assert not (tmp_path / "lab").exists()
+    err = capsys.readouterr().err
+    assert err == "error: integration.time_axis must be auto or proper for audit of a vacuum-free model\n"
 
 
 def test_audit_refuses_a_field_the_interacting_oracle_does_not_cover(tmp_path, capsys):

@@ -346,13 +346,13 @@ def test_a_launch_the_audit_refuses_takes_no_step(monkeypatch):
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(-0.5, 0.0, 0.0))
-    evaluations, bind = [], integ._evaluator
+    evaluations, bind = [], integ.bind_law
 
     def counted(model, axis, binding):
-        evaluate = bind(model, axis, binding)
-        return lambda x, y: evaluations.append(x) or evaluate(x, y)
+        law = bind(model, axis, binding)
+        return lambda x, y: evaluations.append(x) or law(x, y)
 
-    monkeypatch.setattr(integ, "_evaluator", counted)
+    monkeypatch.setattr(integ, "bind_law", counted)
     params = IntegrationParams(step=1e-3, n_steps=10, time_axis="lab")
     message = r"^\|p\+qA\| = 1.2742 exceeds \|wbar\| = 1.15837 \[t=0\]$"
     with pytest.raises(EnergyDomainError, match=message):

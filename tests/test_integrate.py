@@ -17,7 +17,7 @@ from vacuumlab.errors import (
     SuperluminalVelocityError,
     ValidationError,
 )
-from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import (
     IntegrationParams,
     integrate_particle,
@@ -313,11 +313,11 @@ def _count_evaluations(monkeypatch, field):
     laws, offsets = [], []
     bind = integ.bind_law
 
-    def counted_bind(model, binding):
-        law = bind(model, binding)
+    def counted_bind(model, axis, binding):
+        law = bind(model, axis, binding)
         if binding is not FLOATS:
             return law
-        return lambda r, p, t: laws.append(t) or law(r, p, t)
+        return lambda x, y: laws.append(x) or law(x, y)
 
     def counted(kernel):
         def point(x, y, z, t, *parts):
@@ -378,21 +378,23 @@ def test_rejected_rkf45_attempt_reuses_its_k1(monkeypatch):
 
 
 # Python-level calls per law evaluation of each shipped particle scenario,
-# the evaluation itself included (21, 17, 11 and 10 for the interacting,
-# vacuum-free, classical and constrained Coulomb-or-uniform runs before the
-# laws were bound once per run).  classical_coulomb's Lorentz terms still
-# read the field's row-bound component methods, whose root and guard it pays.
+# the evaluation itself included: the bound law and the field's kernels it
+# calls (21, 17, 11 and 10 for the interacting, vacuum-free, classical and
+# constrained Coulomb-or-uniform runs before the laws were bound once per
+# run; 5, 4, 8 and 7 while a wrapper composed the law with per-stage clock
+# factor calls).  classical_coulomb's Lorentz terms still read the field's
+# row-bound component methods, whose root and guard it pays.
 CALLS_PER_EVALUATION = {
-    "classical_coulomb": 12,
-    "classical_gyro": 8,
-    "classical_uniform_e": 8,
-    "compare_classical_uniform": 8,
-    "compare_uniform_field": 7,
-    "constrained_rk45": 7,
-    "constrained_uniform_e": 7,
-    "vacuum_free_coulomb": 4,
-    "vacuum_interacting_codrift": 5,
-    "vacuum_interacting_generic": 5,
+    "classical_coulomb": 9,
+    "classical_gyro": 5,
+    "classical_uniform_e": 5,
+    "compare_classical_uniform": 5,
+    "compare_uniform_field": 5,
+    "constrained_rk45": 5,
+    "constrained_uniform_e": 5,
+    "vacuum_free_coulomb": 2,
+    "vacuum_interacting_codrift": 2,
+    "vacuum_interacting_generic": 2,
 }
 ROW_BINDING_CALLS = {"root", "violated", "_off_source"}
 
@@ -404,7 +406,7 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
     model, state, params = cli.build_particle_model(cli.parse_config(path))
     axis = integ._axis_for(model, params)
-    evaluate = integ._evaluator(model, axis, FLOATS)
+    law = integ.bind_law(model, axis, FLOATS)
     x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
     calls = []
 
@@ -414,7 +416,7 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
 
     sys.setprofile(profile)
     try:
-        evaluate(x, y)
+        law(x, y)
     finally:
         sys.setprofile(None)
     assert len(calls) == CALLS_PER_EVALUATION[name], calls
@@ -473,7 +475,7 @@ def test_a_particle_step_makes_its_budget_of_python_frames(name):
         params_n = replace(params, method="rk4", n_steps=n_steps, audit_every=10)
         integrate_particle(model, state, params_n)
 
-    per_step, frames = _frames_per_step(run, "evaluate")
+    per_step, frames = _frames_per_step(run, "law")  # the float-bound law
     assert per_step == FRAMES_PER_PARTICLE_STEP, frames
 
 
@@ -536,23 +538,27 @@ def test_a_law_nan_only_at_large_steps_is_stepped_past_at_a_smaller_one():
     assert rows[-1][1][0] == pytest.approx(math.exp(-1.0), rel=1e-4)
 
 
-def test_vacuum_free_proper_axis_takes_one_time_factor_per_evaluation(monkeypatch):
+def test_vacuum_free_proper_axis_takes_no_float_bound_time_factor():
+    # the law takes dtau/dt and dt/dx from the |u|^2 it has tested: no stage
+    # calls a proper_time_factor on floats (4n + 1 calls when a wrapper did);
+    # the audit's rest mass still calls the row-bound one on arrays
     field = build_potential(SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=1e-3,
                                        background=-1.0), 1.0)
     model = ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
-    factors, bind = [], integ._time_factor
+    factors, code = [], proper_time_factor.__code__  # the code of every bound factor
 
-    def counted(*binding):  # the float-bound factor: the rows' decode binds one to ROWS
-        factor = bind(*binding)
-        if binding != FLOATS:
-            return factor
-        return lambda u: factors.append(u) or factor(u)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            factors.append(isinstance(frame.f_locals["u"][0], float))
 
-    monkeypatch.setattr(integ, "_time_factor", counted)
-    n = 20
-    integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
-    assert len(factors) == 4 * n + 1
+    sys.setprofile(profile)
+    try:
+        integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=20))
+    finally:
+        sys.setprofile(None)
+    assert factors.count(True) == 0
+    assert factors.count(False) > 0  # the probe sees the row-bound factor
 
 
 def test_step_check_raises_every_law_error_at_the_new_state():

@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import vacuumlab.integrate as integ
 from vacuumlab.errors import (
     DegenerateMultiplierError,
     EnergyDomainError,
     NonpositiveMassError,
     PhysicsDomainError,
+    SingularPointError,
     SuperluminalVelocityError,
 )
-from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, proper_time_factor
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, _time_factor, domain_error
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
     TwoParticleScenario,
+    _em_terms,
     bind_law,
     check_state,
     classical_energy,
@@ -32,6 +33,7 @@ from vacuumlab.particle import (
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
+    qa_vector,
     rest_mass_limit_check,
     total_energy,
     vacuum_free_hamiltonian,
@@ -48,6 +50,7 @@ from vacuumlab.potentials import (
     build_potential,
 )
 from test_acceptance import vacuum_lorentz_rhs
+from test_potentials import math_field
 
 
 def test_classical_momentum_examples():
@@ -321,22 +324,100 @@ STAGE_AXES = {
 }
 
 
-def _row_bound_stage(model, axis, x, y):
-    """The stepper's stage on the row binding: the law bound to ROWS and
-    proper_time_factor, composed as the stepper composes them."""
-    law = bind_law(model, ROWS)
+def reference_law(model, binding):
+    """bind_law as it was written before it read the flat state and took the clock factors.
+
+    law(r, P, t) -> (dP/dt, u, p), or law(r, y1, y2, t) -> (dy1/dt, dy2/dt, u)
+    for the constrained model: the classical velocity p / (m0^2 + p^2)^(1/2)
+    and the vacuum law were helpers of their own.
+    """
+    sqrt, violated = binding
+    field, q = model.field, model.charge
     if model.kind is ModelKind.CONSTRAINED:
-        p = y[3:6]
-        d1, d2, u = law(y[0:3], p, y[6], x)
-        return (*u, *d1, d2, proper_time_factor(u)), u, p
+
+        def law(r, y1, y2, t):
+            bad = y2 <= 0.0
+            if violated(bad):
+                raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
+            px, py, pz = y1
+            u = ux, uy, uz = px / y2, py / y2, pz / y2
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
+
+        return law
+
+    if model.kind is ModelKind.CLASSICAL:
+        m0 = model.rest_mass
+
+        def law(r, p, t):
+            px, py, pz = p
+            s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
+            u = px / s, py / s, pz / s
+            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            return (ex + mx, ey + my, ez + mz), u, p
+
+        return law
+
+    point, interacting = field._point(binding), model.kind is ModelKind.VACUUM_INTERACTING
+
+    def law(r, big_p, t):
+        x, y, z = r
+        wbar, (gx, gy, gz), (ax, ay, az) = point(x, y, z, t)
+        px, py, pz = big_p
+        if interacting:
+            px, py, pz = px - ax * q, py - ay * q, pz - az * q
+        if violated(wbar >= 0.0):
+            dynamic_mass(wbar)  # raises its NonpositiveMassError
+        m = -wbar
+        ux, uy, uz = px / m, py / m, pz / m
+        bad = (ux * ux + uy * uy) + uz * uz >= 1.0
+        if violated(bad):
+            raise domain_error(SuperluminalVelocityError, bad, "|p| >= -wbar implies |u| >= 1")
+        return (-gx, -gy, -gz), (ux, uy, uz), (px, py, pz)
+
+    return law
+
+
+def reference_rate(model, axis, binding):
+    """The stage rate as it was composed: reference_law with one proper_time_factor call per clock factor.
+
+    evaluate(x, y) -> (dy/dx, u, p) at a flat state of ``particle._pack``'s layout.
+    """
+    law, clock = reference_law(model, binding), _time_factor(*binding)
+    if model.kind is ModelKind.CONSTRAINED:
+
+        def evaluate(t, y):
+            p = y[3:6]
+            (d1x, d1y, d1z), d2, u = law(y[0:3], p, y[6], t)
+            return (*u, d1x, d1y, d1z, d2, clock(u)), u, p
+
+        return evaluate
+
     if axis == "lab":
-        dp, u, p = law(y[0:3], y[3:6], x)
-        return (*u, *dp, proper_time_factor(u)), u, p
-    dp, u, p = law(y[0:3], y[3:6], y[6])
-    uf = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
-    rate = 1.0 / proper_time_factor(tuple(a - b for a, b in zip(u, uf)))
-    dtau = proper_time_factor(u) * rate
-    return (*(a * rate for a in u), *(a * rate for a in dp), rate, dtau), u, p
+
+        def evaluate(t, y):
+            (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], t)
+            return (*u, dpx, dpy, dpz, clock(u)), u, p
+
+        return evaluate
+
+    ufx, ufy, ufz = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
+    moving = (ufx, ufy, ufz) != ZERO3
+
+    def evaluate(x, y):
+        (dpx, dpy, dpz), u, p = law(y[0:3], y[3:6], y[6])
+        ux, uy, uz = u
+        if moving:
+            rate = 1.0 / clock((ux - ufx, uy - ufy, uz - ufz))
+            dtau = clock(u) * rate
+        else:
+            factor = clock(u)
+            rate = 1.0 / factor
+            dtau = factor * rate
+        k = (ux * rate, uy * rate, uz * rate, dpx * rate, dpy * rate, dpz * rate, rate, dtau)
+        return k, u, p
+
+    return evaluate
 
 
 def _same_outcome(a, b):
@@ -390,14 +471,13 @@ def test_component_laws_on_arrays_equal_the_float_rows(law_name, name, q, rows):
     # the stepper's float-bound stage equals the row binding on each row, or
     # raises the same error
     for axis in STAGE_AXES.get(law_name, ()):
-        evaluate = integ._evaluator(model, axis, FLOATS)
+        law_floats, reference = bind_law(model, axis, FLOATS), reference_rate(model, axis, ROWS)
         for r, p, y2, t in rows:
             if kind is ModelKind.CONSTRAINED:
                 y = (*r, *p, y2, 0.0)
             else:
                 y = (*r, *p, 0.0) if axis == "lab" else (*r, *p, t, 0.0)
-            stage = _law_or_error(evaluate, t, y)
-            _same_outcome(stage, _law_or_error(_row_bound_stage, model, axis, t, y))
+            _same_outcome(_law_or_error(law_floats, t, y), _law_or_error(reference, t, y))
     per_row = [_law_or_error(law, model, r, p, y2, t) for r, p, y2, t in rows]
     r, p, y2, t = (np.array(c) for c in zip(*rows))
     with np.errstate(all="ignore"):  # a tiny l tdot overflows silently on floats too
@@ -412,6 +492,120 @@ def test_component_laws_on_arrays_equal_the_float_rows(law_name, name, q, rows):
     for i, leaf in enumerate(leaves):
         column = np.array([row_leaves[i] for row_leaves, _ in per_row], dtype=float)
         assert np.broadcast_to(leaf, column.shape).tobytes() == column.tobytes()
+
+
+# the fields of the fused-law test, by name, as f(q, w0): w0 sets wbar where a field has a constant term
+LAW_FIELDS = {
+    "uniform": lambda q, w0: UniformField(w0),
+    "linear": lambda q, w0: LinearField(w0, Vec3(0.3, -0.1, 0.2)),
+    "uniform-b": lambda q, w0: UniformMagneticField(Vec3(0.1, -0.3, 1.0), w0),
+    "coulomb-static": lambda q, w0: BUILT_IN_FIELDS["coulomb-static"](q),
+    "coulomb-comoving": lambda q, w0: BUILT_IN_FIELDS["coulomb-comoving"](q),
+    # force terms that fail at r = 0, so that their error and the clock's meet
+    "coulomb-unsoftened": lambda q, w0: build_potential(
+        SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.0, background=-1.0), q
+    ),
+    "callable": lambda q, w0: math_field(),
+}
+LAW_AXES = [(ModelKind.CLASSICAL, "lab"), (ModelKind.CONSTRAINED, "lab"),
+            (ModelKind.VACUUM_FREE, "lab"), (ModelKind.VACUUM_FREE, "proper"),
+            (ModelKind.VACUUM_INTERACTING, "lab"), (ModelKind.VACUUM_INTERACTING, "proper")]
+_ZEROS = st.sampled_from([0.0, -0.0])
+_SPECIALS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300])
+
+
+@st.composite
+def _law_rows(draw, model, axis):
+    """(x, y) of flat states on axis: |u| near 1, with at most one component ±0.0 or non-finite."""
+    field = model.field
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        r = Vec3(*draw(st.tuples(*[st.floats(-1.5, 1.5) | _ZEROS] * 3)))
+        t = draw(st.floats(0.0, 2.0) | _ZEROS)
+        direction = Vec3(*draw(st.tuples(*[st.floats(-1.0, 1.0) | _ZEROS] * 3)))
+        n = direction.norm()
+        scale = draw(st.floats(1.0 - 1e-12, 1.0 + 1e-12) | st.floats(0.0, 1.2))
+        v = direction * (scale / n) if n > 0 else direction  # a speed near 1, or a zero velocity
+        if model.kind is ModelKind.CLASSICAL:  # |u|^2 rounds to 1 from |p| ~ 1e8 m0 on
+            size = draw(st.sampled_from([1e8, 1e9, 1e16]) | st.floats(0.0, 10.0))
+            y = (*r, *(direction * size), 0.0)
+        elif model.kind is ModelKind.CONSTRAINED:
+            y2 = draw(st.floats(-0.5, 2.0) | st.sampled_from([0.0, -0.0, 5e-324]))
+            y = (*r, *(v * y2), y2, 0.0)
+        else:
+            try:
+                big_p = v * -field.wbar(r, t)
+                if model.kind is ModelKind.VACUUM_INTERACTING:
+                    big_p = big_p + qa_vector(model, r, t)
+            except PhysicsDomainError:  # on an unsoftened source: the law raises there too
+                big_p = v
+            y = (*r, *big_p, 0.0) if axis == "lab" else (*r, *big_p, t, 0.0)
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(y) - 1))
+            y = y[:k] + (draw(_SPECIALS),) + y[k + 1:]
+        rows.append((t if axis == "lab" else draw(st.floats(0.0, 2.0)), y))
+    return rows
+
+
+def _bits_or_error(call):
+    """(bytes of each leaf of call(), None), or (None, (type, message, where)) of the error it raises.
+
+    Leaves compare bit for bit, signed zeros included, except that every NaN
+    reads as one NaN: CPython's specialized float operations do not keep the
+    sign of the NaN they propagate.
+    """
+    try:
+        with np.errstate(all="ignore"):  # rows stay as silent as floats
+            leaves = [np.asarray(v, dtype=float) for v in _leaves(call())]
+    except (PhysicsDomainError, ArithmeticError, ValueError) as exc:  # a math callable's too
+        return None, (type(exc), str(exc), getattr(exc, "where", None))
+    return [np.where(np.isnan(v), np.nan, v).tobytes() for v in leaves], None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(LAW_AXES),
+    name=st.sampled_from(sorted(LAW_FIELDS)),
+    q=st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+    w0=st.sampled_from([-1e-300, -5e-324, -0.0, 0.0, 1e-300]) | st.floats(-2.0, -1e-6),
+    data=st.data(),
+)
+def test_the_bound_law_equals_the_reference_rate(case, name, q, w0, data):
+    # each stage rate, u and p, or the same error (type, message and where):
+    # on each state as floats, and on the columns of the block of rows
+    kind, axis = case
+    model = ForceModel(kind, LAW_FIELDS[name](q, w0), charge=q, rest_mass=1.0)
+    rows = data.draw(_law_rows(model, axis))
+    for x, y in rows:
+        expected = _bits_or_error(lambda: reference_rate(model, axis, FLOATS)(x, y))
+        assert _bits_or_error(lambda: bind_law(model, axis, FLOATS)(x, y)) == expected
+    x = np.array([x for x, _ in rows])
+    block = tuple(np.array(column) for column in zip(*(y for _, y in rows)))
+    expected = _bits_or_error(lambda: reference_rate(model, axis, ROWS)(x, block))
+    assert _bits_or_error(lambda: bind_law(model, axis, ROWS)(x, block)) == expected
+    if axis == "proper":
+        return
+    # the public law at the block's lab states is the written law, which takes no clock factor
+    law, r, p, t = reference_law(model, ROWS), block[0:3], block[3:6], x
+    if kind is ModelKind.CONSTRAINED:
+        public = _bits_or_error(lambda: constrained_rhs(model, r, p, block[6], t))
+        written = _bits_or_error(lambda: law(r, p, block[6], t))
+    else:
+        public_law = classical_rhs if kind is ModelKind.CLASSICAL else vacuum_rhs
+        public = _bits_or_error(lambda: public_law(model, r, p, t))
+        written = _bits_or_error(lambda: law(r, p, t)[:2])
+    assert public == written
+
+
+@pytest.mark.parametrize("binding", [FLOATS, ROWS], ids=["floats", "rows"])
+@pytest.mark.parametrize("kind", [ModelKind.CLASSICAL, ModelKind.CONSTRAINED], ids=lambda k: k.value)
+def test_a_force_term_error_is_raised_before_the_clock_error(kind, binding):
+    # |u| >= 1 at the unsoftened source: the field's error, as the reference raises it
+    model = ForceModel(kind, LAW_FIELDS["coulomb-unsoftened"](1.0, -1.0), charge=1.0, rest_mass=1.0)
+    y = (0.0, 0.0, 0.0, 1e16, 0.0, 0.0, *((0.5,) if kind is ModelKind.CONSTRAINED else ()), 0.0)
+    outcome = _bits_or_error(lambda: bind_law(model, "lab", binding)(0.0, y))
+    assert outcome[1][0] is SingularPointError
+    assert outcome == _bits_or_error(lambda: reference_rate(model, "lab", binding)(0.0, y))
 
 
 def test_extra_force_uniform_a_is_zero():

@@ -10,10 +10,11 @@ from vacuumlab.errors import (
     ZeroChargeError,
 )
 from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3
-from vacuumlab.integrate import IntegrationParams, _evaluator, integrate_particle
+from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
+    bind_law,
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
@@ -311,10 +312,10 @@ def test_every_model_runs_in_a_callable_field(kind):
     else:
         state = make_vacuum_state(field, r0, u0)
     traj = integrate_particle(model, state, IntegrationParams(step=1e-3, n_steps=20, audit_every=5))
-    evaluate = _evaluator(model, traj.time_axis, FLOATS)
+    law = bind_law(model, traj.time_axis, FLOATS)
     c = traj.columns()
     for i in range(1, len(traj.x)):
-        _, u, p = evaluate(float(traj.x[i]), tuple(traj.Y[i].tolist()))
+        _, u, p = law(float(traj.x[i]), tuple(traj.Y[i].tolist()))
         assert np.array([u, p]).tobytes() == np.array([c.u[i], c.p[i]]).tobytes()
 
 
