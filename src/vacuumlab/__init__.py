@@ -73,5 +73,5 @@ from .integrate import (  # noqa: F401
     Trajectory,
     integrate_particle,
     integrate_string,
-    relax_elliptic,
 )
+from .conformal import relax_elliptic  # noqa: F401

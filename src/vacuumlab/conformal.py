@@ -8,34 +8,34 @@ into Euclidean 4-space satisfies the linear second-order equation
 which is elliptic (the induced metric is Euclidean), so it is treated as
 a boundary-value problem: Dirichlet data on all four patch edges, solved
 by FAS multigrid V-cycles on grids that can be halved and by checkerboard
-SOR sweeps (`integrate.relax_elliptic`) on the others.  The right-hand
+SOR sweeps (`relax_elliptic`) on the others.  The right-hand
 side is the full 4-gradient of the potential with respect to xi, the form
 the least-action derivation produces; the potential is evaluated with the
 patch's tau slot as its time argument (static potentials are unaffected).
 
 Gauge identities <xi_sigma, xi_s> = 0 and xi_sigma^2 = xi_s^2 are a
 property of the data, not enforced by the solver; gauge_defects reports them.
+
+The module owns its red-black relaxation engine.  One `_Level` describes
+a relaxation grid: its operator (the residual as a function of the full
+grid), its checkerboard colors, the probe step and SOR factor taken from
+its start grid, and its probed diagonals.  `relax_elliptic` relaxes one
+level; the V-cycle holds one level per grid of the hierarchy and uses the
+same color sweep as its smoother and coarsest-grid solve, and the same
+convergence loop, `_iterate`, as its cycle loop.  The color sweep leaves
+the residual after its last color to the callers that read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field as dc_field
 from functools import partial
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
-from .integrate import (
-    RelaxationResult,
-    _Checkerboard,
-    _checkerboard,
-    _color_diagonals,
-    _color_sweep,
-    _iterate,
-    _relaxation_grid,
-    relax_elliptic,
-)
+from .errors import ConvergenceError, ValidationError
 from .potentials import PotentialField
 
 
@@ -154,6 +154,170 @@ def coons_interior(patch: ConformalPatch) -> np.ndarray:
     return out
 
 
+# --- the red-black relaxation engine --------------------------------------------
+
+
+@dataclass
+class RelaxationResult:
+    xi: np.ndarray
+    iterations: int
+    final_residual: float
+    history: List[float] = dc_field(default_factory=list)
+
+
+# sweeps of residual history kept in RelaxationResult and ConvergenceError
+_HISTORY_TAIL = 25
+
+
+def relax_elliptic(
+    residual_fn: Callable[[np.ndarray], np.ndarray],
+    xi0: np.ndarray,
+    tol: float,
+    max_iters: int = 20000,
+) -> RelaxationResult:
+    """Checkerboard SOR sweeps driving max |residual| below tol.
+
+    residual_fn maps the full grid (n1, n2, c) to the interior residual
+    (n1-2, n2-2, c), a new array on each call.  The local diagonal
+    d(R_ij)/d(xi_ij) is probed numerically per checkerboard color (5-point
+    couplings never connect same-color interior nodes, so one vectorized
+    probe per color and component is exact) at the first sweep and every
+    200th.  Boundary values are never touched.  The over-relaxation factor
+    is 2 / (1 + sin(pi / (n - 1))) for the longer grid side n.
+
+    A sweep updates each color, all components at once, from a residual of
+    the current grid.  The residual after a sweep gives the convergence
+    test and, the grid being unchanged, also serves as the next sweep's
+    first-color residual and as the base of a diagonal probe.  So a solve
+    evaluates residual_fn once, plus twice per sweep and 2c times per probe.
+
+    This is the whole solve on a grid the conformal solver cannot halve.
+    """
+    xi = _relaxation_grid(xi0, tol, max_iters)
+    res = residual_fn(xi)
+    level = _level(residual_fn, xi, res)
+
+    def sweep(iteration, res):
+        if iteration % 200 == 0:
+            level.diagonals = _color_diagonals(level, xi, res)
+        _color_sweep(level, residual_fn, xi, res, level.omega)
+        return residual_fn(xi)
+
+    return _iterate(sweep, xi, res, tol, max_iters, "sweeps")
+
+
+def _relaxation_grid(xi0: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """A fresh C-ordered copy of the start grid, once tol, max_iters and the grid are checked."""
+    if tol <= 0:
+        raise ValidationError("tolerance must be positive")
+    if max_iters < 1:
+        raise ValidationError("max_iters must be >= 1")
+    xi = np.array(xi0, dtype=float, copy=True)
+    n1, n2, _ = xi.shape
+    if n1 < 3 or n2 < 3:
+        raise ValidationError("grid too small for interior relaxation")
+    if not np.all(np.isfinite(xi)):
+        raise ValidationError("initial patch contains non-finite values")
+    return xi
+
+
+@dataclass
+class _Level:
+    """One relaxation grid: its operator, its red-black layout and the constants of its start grid.
+
+    operator maps the full grid to its interior residual.  colors holds, per
+    color, the flat element indices of its nodes' components in the interior
+    residual and in the full grid; probe is the diagonal probe's step, omega
+    the SOR factor for the grid's sides, and diagonals the probed d(R)/d(xi)
+    per color.
+    """
+
+    operator: Callable[[np.ndarray], np.ndarray]
+    colors: list
+    probe: float
+    omega: float
+    diagonals: list
+
+
+def _level(operator, xi: np.ndarray, base: np.ndarray) -> _Level:
+    """The level of operator on the grid xi, its diagonals probed at xi (residual base)."""
+    n1, n2, ncomp = xi.shape
+    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
+    colors = []
+    for parity in (0, 1):
+        mask = (ii + jj) % 2 == parity
+        nodes = (np.flatnonzero(mask), (ii * n2 + jj)[mask])
+        colors.append(tuple((idx[:, None] * ncomp + np.arange(ncomp)).ravel() for idx in nodes))
+    probe = 1e-7 * max(1.0, float(np.max(np.abs(xi))))
+    omega = 2.0 / (1.0 + math.sin(math.pi / max(n1 - 1, n2 - 1)))
+    level = _Level(operator, colors, probe, omega, [])
+    level.diagonals = _color_diagonals(level, xi, base)
+    return level
+
+
+def _color_diagonals(level: _Level, xi: np.ndarray, base: np.ndarray) -> list:
+    """Per color, d(R)/d(xi) of the level's operator at its elements, probed at the grid xi (residual base)."""
+    ncomp = xi.shape[2]
+    diagonals = []
+    for inner, full in level.colors:
+        d = np.empty(len(inner))
+        for k in range(ncomp):
+            trial = xi.copy()
+            trial.reshape(-1)[full[k::ncomp]] += level.probe
+            shifted = level.operator(trial).reshape(-1)
+            d[k::ncomp] = (shifted[inner[k::ncomp]] - base.reshape(-1)[inner[k::ncomp]]) / level.probe
+        diagonals.append(d)
+    if min(np.min(np.abs(d)) for d in diagonals) < 1e-300:
+        raise ConvergenceError("degenerate relaxation diagonal")
+    return diagonals
+
+
+def _color_sweep(level: _Level, residual_fn, xi: np.ndarray, res: np.ndarray, omega: float) -> None:
+    """One checkerboard sweep of the level's C-ordered grid xi in place, from its residual res.
+
+    residual_fn is the level's operator, less a right-hand side in a
+    V-cycle.  Each later color is updated from a new residual of the grid; a
+    caller that reads the residual after the sweep evaluates it itself.
+    """
+    flat = xi.reshape(-1)
+    for k, ((inner, full), diagonal) in enumerate(zip(level.colors, level.diagonals)):
+        if k:
+            res = residual_fn(xi)
+        flat[full] -= omega * res.reshape(-1).take(inner) / diagonal
+
+
+def _iterate(step, xi: np.ndarray, res: np.ndarray, tol: float, max_iters: int, unit: str) -> RelaxationResult:
+    """Apply res = step(iteration, res) until max |res| < tol, keeping the history tail.
+
+    Raises ConvergenceError when the residual turns non-finite or grows
+    1e8-fold over the first iteration's, or when max_iters pass without
+    convergence; `unit` names the iterations in that message.
+    """
+    history: List[float] = []
+    initial_res = None
+    for iteration in range(1, max_iters + 1):
+        res = step(iteration, res)
+        max_res = float(np.max(np.abs(res)))
+        history.append(max_res)
+        if len(history) > _HISTORY_TAIL:
+            history.pop(0)
+        if initial_res is None:
+            initial_res = max_res if max_res > 0 else 1.0
+        if not math.isfinite(max_res) or max_res > 1e8 * initial_res:
+            raise ConvergenceError(
+                f"relaxation diverged at iteration {iteration}", residual_history=history
+            )
+        if max_res < tol:
+            return RelaxationResult(xi, iteration, max_res, history)
+    raise ConvergenceError(
+        f"no convergence after {max_iters} {unit} (residual {history[-1]:.3g})",
+        residual_history=history,
+    )
+
+
+# --- multigrid ----------------------------------------------------------------------
+
+
 # The multigrid cycle's constants: a grid is halved while both sides are odd
 # and both halves keep at least _COARSEST nodes, and the coarsest grid gets
 # _COARSEST_SWEEPS SOR sweeps per cycle.
@@ -166,31 +330,19 @@ def _halvable(n1: int, n2: int) -> bool:
     return n1 % 2 == 1 and n2 % 2 == 1 and min(n1, n2) + 1 >= 2 * _COARSEST
 
 
-@dataclass
-class _Level:
-    """One grid of the multigrid hierarchy: its steps and its red-black sweep data."""
-
-    h_sigma: float
-    h_s: float
-    board: _Checkerboard
-    diagonals: list
-
-
-def _levels(xi: np.ndarray, h_sigma: float, h_s: float, field: PotentialField, base: np.ndarray):
+def _levels(operator, xi: np.ndarray, base: np.ndarray) -> List[_Level]:
     """The hierarchy from the fine grid xi down, each level's diagonals probed at xi's injection.
 
-    base is the fine grid's residual_grid, the base of its probe.
+    operator is the fine grid's residual_grid partial and base its residual
+    at xi; each halved grid's operator is the same partial at twice the steps.
     """
-    levels = []
-    while True:
-        operator = partial(residual_grid, h_sigma=h_sigma, h_s=h_s, field=field)
-        board = _checkerboard(xi)
-        levels.append(_Level(h_sigma, h_s, board, _color_diagonals(operator, xi, base, board)))
-        if not _halvable(*xi.shape[:2]):
-            return levels
+    levels = [_level(operator, xi, base)]
+    while _halvable(*xi.shape[:2]):
         xi = xi[::2, ::2].copy()
-        h_sigma, h_s = 2.0 * h_sigma, 2.0 * h_s
-        base = residual_grid(xi, h_sigma, h_s, field)
+        steps = operator.keywords
+        operator = partial(operator, h_sigma=2.0 * steps["h_sigma"], h_s=2.0 * steps["h_s"])
+        levels.append(_level(operator, xi, operator(xi)))
+    return levels
 
 
 def _full_weighting(res: np.ndarray) -> np.ndarray:
@@ -209,33 +361,31 @@ def _bilinear(coarse: np.ndarray) -> np.ndarray:
     return fine
 
 
-def _v_cycle(levels, k: int, xi: np.ndarray, res: np.ndarray, rhs, field: PotentialField) -> None:
-    """One FAS V-cycle for residual_grid(xi) = rhs on level k, updating xi in place.
+def _v_cycle(levels: List[_Level], k: int, xi: np.ndarray, res: np.ndarray, rhs) -> None:
+    """One FAS V-cycle for levels[k].operator(xi) = rhs, updating xi in place.
 
-    res is residual_grid(xi) - rhs on entry; the residual of the updated xi
-    is left to the caller.  Boundary nodes never change.
+    res is the operator's residual of xi less rhs on entry; the residual of
+    the updated xi is left to the caller.  Boundary nodes never change.
     """
     level = levels[k]
-    colors, diagonals = level.board.colors, level.diagonals
 
     def defect(grid):
-        return residual_grid(grid, level.h_sigma, level.h_s, field) - rhs
+        return level.operator(grid) - rhs
 
     if k == len(levels) - 1:
         for sweep in range(_COARSEST_SWEEPS):
             res = defect(xi) if sweep else res
-            _color_sweep(defect, xi, res, colors, diagonals, level.board.omega)
+            _color_sweep(level, defect, xi, res, level.omega)
         return
-    _color_sweep(defect, xi, res, colors, diagonals, 1.0)
+    _color_sweep(level, defect, xi, res, 1.0)
     res = defect(xi)
-    coarse = levels[k + 1]
     start = xi[::2, ::2].copy()
-    base = residual_grid(start, coarse.h_sigma, coarse.h_s, field)
+    base = levels[k + 1].operator(start)
     coarse_rhs = base - _full_weighting(res)
     grid = start.copy()
-    _v_cycle(levels, k + 1, grid, base - coarse_rhs, coarse_rhs, field)
+    _v_cycle(levels, k + 1, grid, base - coarse_rhs, coarse_rhs)
     xi[1:-1, 1:-1] += _bilinear(grid - start)[1:-1, 1:-1]
-    _color_sweep(defect, xi, defect(xi), colors, diagonals, 1.0)
+    _color_sweep(level, defect, xi, defect(xi), 1.0)
 
 
 def solve_conformal(
@@ -264,7 +414,6 @@ def solve_conformal(
     if not np.all(np.isfinite(boundary.xi)):
         raise ValidationError("boundary data contains non-finite values")
     xi0 = coons_interior(boundary)
-    h_sigma, h_s = boundary.h_sigma, boundary.h_s
 
     if forcing is not None:
         forcing = np.asarray(forcing, dtype=float)
@@ -273,20 +422,21 @@ def solve_conformal(
             raise ValidationError(f"forcing must have shape {expected}")
 
     rhs = 0.0 if forcing is None else forcing  # x - 0.0 is x, bit for bit
+    operator = partial(residual_grid, h_sigma=boundary.h_sigma, h_s=boundary.h_s, field=w)
+
+    def residual_fn(xi):
+        return operator(xi) - rhs
+
     if _halvable(*xi0.shape[:2]):
         xi = _relaxation_grid(xi0, tol, max_iters)
-        base = residual_grid(xi, h_sigma, h_s, w)
-        levels = _levels(xi, h_sigma, h_s, w, base)
+        base = operator(xi)
+        levels = _levels(operator, xi, base)
 
         def cycle(_, res):
-            _v_cycle(levels, 0, xi, res, rhs, w)
-            return residual_grid(xi, h_sigma, h_s, w) - rhs
+            _v_cycle(levels, 0, xi, res, rhs)
+            return residual_fn(xi)
 
         result = _iterate(cycle, xi, base - rhs, tol, max_iters, "V-cycles")
     else:
-
-        def residual_fn(xi):
-            return residual_grid(xi, h_sigma, h_s, w) - rhs
-
         result = relax_elliptic(residual_fn, xi0, tol, max_iters=max_iters)
     return boundary.copy_with(result.xi), result

@@ -12,7 +12,8 @@ Code written once on components takes floats or equal-length 1-D arrays
 alike.  A kernel that takes a square root or tests a domain guard is a
 closure over the two, bound to ``FLOATS`` for the stepper and to ``ROWS``
 (``root`` and ``violated``, on floats or arrays) for everything else;
-``domain_error`` formats a failure of either.
+``domain_error`` formats a failure of either.  ``proper_time_factor``,
+which the stepper never calls, takes ``root`` and ``violated`` directly.
 """
 
 from __future__ import annotations
@@ -116,27 +117,19 @@ def domain_error(error, bad, message: str, *values):
 _SUPERLUMINAL = "|u| = {:.6g} >= 1"
 
 
-def _time_factor(sqrt, violated):
-    """proper_time_factor bound to a square root and a domain test (FLOATS or ROWS)."""
+def proper_time_factor(u):
+    """dtau/dt = (1 - |u|^2)^(1/2) for lab velocity u; in (0, 1].
 
-    def proper_time_factor(u):
-        """dtau/dt = (1 - |u|^2)^(1/2) for lab velocity u; in (0, 1].
-
-        u is an (x, y, z) triple of floats or of 1-D arrays (a Vec3, or the
-        transpose of an (m, 3) array).  Raises SuperluminalVelocityError when
-        |u| >= 1, for the first such row on arrays.
-        """
-        x, y, z = u
-        u2 = (x * x + y * y) + z * z
-        bad = u2 >= 1.0
-        if violated(bad):
-            raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
-        return sqrt(1.0 - u2)
-
-    return proper_time_factor
-
-
-proper_time_factor = _time_factor(*ROWS)
+    u is an (x, y, z) triple of floats or of 1-D arrays (a Vec3, or the
+    transpose of an (m, 3) array).  Raises SuperluminalVelocityError when
+    |u| >= 1, for the first such row on arrays.
+    """
+    x, y, z = u
+    u2 = (x * x + y * y) + z * z
+    bad = u2 >= 1.0
+    if violated(bad):
+        raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, root(u2))
+    return root(1.0 - u2)
 
 
 def lab_time_factor(rdot: Vec3) -> float:

@@ -1,4 +1,4 @@
-"""Time steppers, conservation auditing, and the elliptic relaxation engine.
+"""Time steppers and conservation auditing.
 
 Fixed-step RK4 is the default (uniform error behavior keeps drift
 attribution simple); an embedded RKF45 pair is available for stiff
@@ -57,12 +57,6 @@ writer fills with dr and dp from views of the state, and dt into its
 tail.  A `StringTrajectory` holds tau and the flat states Y as arrays, and
 its `StringState`s are views of the rows, built on demand: one row, or a
 block of rows, which the string kernels take whole.
-
-The checkerboard SOR solver evaluates the residual twice per sweep.  Its
-color sweep, diagonal probe and convergence loop are private helpers that
-the conformal solver's multigrid V-cycle reuses as its smoother, its
-coarsest-grid solve and its cycle loop; the color sweep leaves the
-residual after its last color to the callers that read it.
 """
 
 from __future__ import annotations
@@ -78,12 +72,9 @@ from typing import Callable, List
 import numpy as np
 
 from . import strings
-from .errors import (
-    ConvergenceError,
-    PhysicsDomainError,
-    StepFailureError,
-    ValidationError,
-)
+# bench/tracing.py (INTEGRATE_SPANS) and its contract test look relax_elliptic up here
+from .conformal import relax_elliptic  # noqa: F401
+from .errors import PhysicsDomainError, StepFailureError, ValidationError
 from .geometry import FLOATS, ROWS, Vec3
 from .particle import (
     INVARIANTS,
@@ -617,160 +608,3 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     march = _march(rhs, check, state.tau, (y,), params, "tau")
     traj.report = _audited_march(march, keep, invariants, params.audit_every)
     return traj
-
-
-# --- elliptic relaxation ----------------------------------------------------------
-
-
-@dataclass
-class RelaxationResult:
-    xi: np.ndarray
-    iterations: int
-    final_residual: float
-    history: List[float] = dc_field(default_factory=list)
-
-
-# sweeps of residual history kept in RelaxationResult and ConvergenceError
-_HISTORY_TAIL = 25
-
-
-def relax_elliptic(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    xi0: np.ndarray,
-    tol: float,
-    max_iters: int = 20000,
-) -> RelaxationResult:
-    """Checkerboard SOR sweeps driving max |residual| below tol.
-
-    residual_fn maps the full grid (n1, n2, c) to the interior residual
-    (n1-2, n2-2, c), a new array on each call.  The local diagonal
-    d(R_ij)/d(xi_ij) is probed numerically per checkerboard color (5-point
-    couplings never connect same-color interior nodes, so one vectorized
-    probe per color and component is exact) at the first sweep and every
-    200th.  Boundary values are never touched.  The over-relaxation factor
-    is 2 / (1 + sin(pi / (n - 1))) for the longer grid side n.
-
-    A sweep updates each color, all components at once, from a residual of
-    the current grid.  The residual after a sweep gives the convergence
-    test and, the grid being unchanged, also serves as the next sweep's
-    first-color residual and as the base of a diagonal probe.  So a solve
-    evaluates residual_fn once, plus twice per sweep and 2c times per probe.
-
-    This is the whole solve on a grid the conformal solver cannot halve;
-    its color sweep, diagonal probe and convergence loop are the private
-    helpers below, which the multigrid cycle of `conformal.solve_conformal`
-    also uses.
-    """
-    xi = _relaxation_grid(xi0, tol, max_iters)
-    board = _checkerboard(xi)
-    diagonals = None
-
-    def sweep(iteration, res):
-        nonlocal diagonals
-        if iteration == 1 or iteration % 200 == 0:
-            diagonals = _color_diagonals(residual_fn, xi, res, board)
-        _color_sweep(residual_fn, xi, res, board.colors, diagonals, board.omega)
-        return residual_fn(xi)
-
-    return _iterate(sweep, xi, residual_fn(xi), tol, max_iters, "sweeps")
-
-
-def _relaxation_grid(xi0: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    """A fresh C-ordered copy of the start grid, once tol, max_iters and the grid are checked."""
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-    xi = np.array(xi0, dtype=float, copy=True)
-    n1, n2, _ = xi.shape
-    if n1 < 3 or n2 < 3:
-        raise ValidationError("grid too small for interior relaxation")
-    if not np.all(np.isfinite(xi)):
-        raise ValidationError("initial patch contains non-finite values")
-    return xi
-
-
-@dataclass
-class _Checkerboard:
-    """A grid's red-black layout and the constants a solve takes from its start grid.
-
-    colors holds, per color, the flat element indices of its nodes'
-    components in the interior residual and in the full grid; probe is the
-    diagonal probe's step and omega the SOR factor for the grid's sides.
-    """
-
-    colors: list
-    probe: float
-    omega: float
-
-
-def _checkerboard(xi: np.ndarray) -> _Checkerboard:
-    n1, n2, ncomp = xi.shape
-    ii, jj = np.meshgrid(np.arange(1, n1 - 1), np.arange(1, n2 - 1), indexing="ij")
-    colors = []
-    for parity in (0, 1):
-        mask = (ii + jj) % 2 == parity
-        nodes = (np.flatnonzero(mask), (ii * n2 + jj)[mask])
-        colors.append(tuple((idx[:, None] * ncomp + np.arange(ncomp)).ravel() for idx in nodes))
-    probe = 1e-7 * max(1.0, float(np.max(np.abs(xi))))
-    omega = 2.0 / (1.0 + math.sin(math.pi / max(n1 - 1, n2 - 1)))
-    return _Checkerboard(colors, probe, omega)
-
-
-def _color_diagonals(residual_fn, xi: np.ndarray, base: np.ndarray, board: _Checkerboard) -> list:
-    """Per color, d(R)/d(xi) at its elements, probed at the grid xi (residual base)."""
-    ncomp = xi.shape[2]
-    diagonals = []
-    for inner, full in board.colors:
-        d = np.empty(len(inner))
-        for k in range(ncomp):
-            trial = xi.copy()
-            trial.reshape(-1)[full[k::ncomp]] += board.probe
-            shifted = residual_fn(trial).reshape(-1)
-            d[k::ncomp] = (shifted[inner[k::ncomp]] - base.reshape(-1)[inner[k::ncomp]]) / board.probe
-        diagonals.append(d)
-    if min(np.min(np.abs(d)) for d in diagonals) < 1e-300:
-        raise ConvergenceError("degenerate relaxation diagonal")
-    return diagonals
-
-
-def _color_sweep(residual_fn, xi: np.ndarray, res: np.ndarray, colors, diagonals, omega: float) -> None:
-    """One checkerboard sweep of the C-ordered grid xi in place, from its residual res.
-
-    Each later color is updated from a new residual of the grid; a caller
-    that reads the residual after the sweep evaluates it itself.
-    """
-    flat = xi.reshape(-1)
-    for k, ((inner, full), diagonal) in enumerate(zip(colors, diagonals)):
-        if k:
-            res = residual_fn(xi)
-        flat[full] -= omega * res.reshape(-1).take(inner) / diagonal
-
-
-def _iterate(step, xi: np.ndarray, res: np.ndarray, tol: float, max_iters: int, unit: str) -> RelaxationResult:
-    """Apply res = step(iteration, res) until max |res| < tol, keeping the history tail.
-
-    Raises ConvergenceError when the residual turns non-finite or grows
-    1e8-fold over the first iteration's, or when max_iters pass without
-    convergence; `unit` names the iterations in that message.
-    """
-    history: List[float] = []
-    initial_res = None
-    for iteration in range(1, max_iters + 1):
-        res = step(iteration, res)
-        max_res = float(np.max(np.abs(res)))
-        history.append(max_res)
-        if len(history) > _HISTORY_TAIL:
-            history.pop(0)
-        if initial_res is None:
-            initial_res = max_res if max_res > 0 else 1.0
-        if not math.isfinite(max_res) or max_res > 1e8 * initial_res:
-            raise ConvergenceError(
-                f"relaxation diverged at iteration {iteration}", residual_history=history
-            )
-        if max_res < tol:
-            return RelaxationResult(xi, iteration, max_res, history)
-    raise ConvergenceError(
-        f"no convergence after {max_iters} {unit} (residual {history[-1]:.3g})",
-        residual_history=history,
-    )

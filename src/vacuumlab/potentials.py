@@ -263,12 +263,6 @@ class UniformField(PotentialField):
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def wbar_hessian(self, r, t):
-        return np.zeros((3, 3))
-
-    def wbar_tt(self, r, t):
-        return 0.0
-
     # Zeros by shape alone: every string right-hand side calls this, and
     # filling the generic form's three columns costs about 5x as much.
     def grad_wbar_many(self, points, times):
@@ -376,12 +370,6 @@ class LinearField(PotentialField):
     def _dwbar_dt(self, x, y, z, t):
         return 0.0
 
-    def wbar_hessian(self, r, t):
-        return np.zeros((3, 3))
-
-    def wbar_tt(self, r, t):
-        return 0.0
-
 
 class UniformMagneticField(PotentialField):
     """Constant B via the symmetric gauge A = (1/2) B x r; wbar constant."""
@@ -413,12 +401,6 @@ class UniformMagneticField(PotentialField):
             (bz * 0.5, 0.0, -bx * 0.5),
             (-by * 0.5, bx * 0.5, 0.0),
         )
-
-    def wbar_hessian(self, r, t):
-        return np.zeros((3, 3))
-
-    def wbar_tt(self, r, t):
-        return 0.0
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from vacuumlab.conformal import (
     ConformalPatch,
     coons_interior,
+    relax_elliptic,
     residual_grid,
     solve_conformal,
 )
@@ -18,7 +19,6 @@ from vacuumlab.conformal_cases import (
     manufactured_case,
 )
 from vacuumlab.errors import ConvergenceError, ValidationError
-from vacuumlab.integrate import relax_elliptic
 from vacuumlab.potentials import UniformField
 
 

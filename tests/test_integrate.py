@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vacuumlab.integrate as integ
+from vacuumlab.conformal import relax_elliptic
 from vacuumlab.errors import (
     ConvergenceError,
     DegenerateMultiplierError,
@@ -21,7 +22,6 @@ from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import (
     IntegrationParams,
     integrate_particle,
-    relax_elliptic,
     rkf45_step,
 )
 from vacuumlab.particle import (

@@ -12,7 +12,7 @@ from vacuumlab.errors import (
     SingularPointError,
     SuperluminalVelocityError,
 )
-from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, _time_factor, domain_error
+from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, domain_error, proper_time_factor
 from vacuumlab.integrate import IntegrationParams, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
@@ -383,7 +383,7 @@ def reference_rate(model, axis, binding):
 
     evaluate(x, y) -> (dy/dx, u, p) at a flat state of ``particle._pack``'s layout.
     """
-    law, clock = reference_law(model, binding), _time_factor(*binding)
+    law, clock = reference_law(model, binding), proper_time_factor
     if model.kind is ModelKind.CONSTRAINED:
 
         def evaluate(t, y):

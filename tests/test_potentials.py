@@ -203,6 +203,17 @@ def test_wave_residual_singular_guard():
         wave_residual(f, Vec3(1e-4, 0, 0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [UniformField(-1.5), LinearField(-2.0, Vec3(0.3, -0.1, 0.2)), UniformMagneticField(Vec3(0.1, 0.2, 0.9))],
+    ids=["uniform", "linear", "uniform-b"],
+)
+def test_wave_residual_needs_second_derivatives(field):
+    # only Coulomb fields (and callables that supply them) carry second derivatives
+    with pytest.raises(NotImplementedError, match=f"^{type(field).__name__} has no second derivatives$"):
+        wave_residual(field, Vec3(0.3, 1.0, -2.0), 0.0)
+
+
 BUILT_IN = [
     build_potential(SourceSpec(SourceKind.UNIFORM, -1.5), 1.0),
     coulomb(eps=0.05, background=-1.0),

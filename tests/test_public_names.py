@@ -11,6 +11,9 @@ count either: a name only the tests reach is either kept on purpose, with
 its reason below, or dead.  So a new uncalled public name fails here, and
 so does giving a listed name a caller or deleting it without updating the
 list.
+
+The same walk lists the private names that one module of the package
+imports from another; a new one fails here until it is listed.
 """
 
 import ast
@@ -98,3 +101,28 @@ def test_public_names_without_a_program_reference_are_the_listed_ones():
         if name.rsplit(".", 1)[-1] not in referenced
     }
     assert unreferenced == REFERENCED_ONLY_BY_TESTS
+
+
+# the underscore names one package module imports from another, as "importer <- source._name";
+# the fields' component protocol (field._point, ...) is attribute access, documented in potentials
+CROSS_MODULE_PRIVATE_IMPORTS = {
+    "integrate <- particle._pack",
+    "particle <- geometry._SUPERLUMINAL",
+}
+
+
+def _private_imports(path, tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield f"{path.stem} <- {node.module or 'vacuumlab'}.{alias.name}"
+
+
+def test_modules_import_only_the_listed_private_names_from_each_other():
+    imports = {
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in _private_imports(path, ast.parse(path.read_text(), str(path)))
+    }
+    assert imports == CROSS_MODULE_PRIVATE_IMPORTS

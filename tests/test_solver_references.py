@@ -33,7 +33,7 @@ import yaml
 import vacuumlab.integrate as integrate
 import vacuumlab.strings as strings
 from vacuumlab import cli
-from vacuumlab.conformal import coons_interior, residual_grid, solve_conformal
+from vacuumlab.conformal import coons_interior, relax_elliptic, residual_grid, solve_conformal
 from vacuumlab.conformal_cases import manufactured_case
 from vacuumlab.errors import ConvergenceError, EnergyDomainError, PhysicsDomainError
 from vacuumlab.geometry import Vec3, ZERO3
@@ -42,7 +42,6 @@ from vacuumlab.integrate import (
     ConservationStat,
     IntegrationParams,
     integrate_string,
-    relax_elliptic,
     rkf45_step,
 )
 from vacuumlab.potentials import (
