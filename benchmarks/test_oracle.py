@@ -37,7 +37,7 @@ PARTICLE_SCENARIOS = sorted(
 
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_particle_audit_path(benchmark, name):
-    spec, path, _ = cli._audit_path(cli.parse_config(os.path.join(SCENARIOS, name + ".yaml")))
+    spec, path = cli._audit_path(cli.parse_config(os.path.join(SCENARIOS, name + ".yaml")))
     residuals = benchmark(euler_lagrange_residual, spec, path)
     assert residuals.shape == (path.m - 2, 3)
 

@@ -25,15 +25,8 @@ from .errors import (  # noqa: F401
     VacuumLabError,
     ValidationError,
     ZeroChargeError,
-    ZeroDirectionError,
 )
-from .geometry import (  # noqa: F401
-    Projector3,
-    Vec3,
-    lab_time_factor,
-    orthogonal_projector,
-    proper_time_factor,
-)
+from .geometry import Vec3, proper_time_factor  # noqa: F401
 from .potentials import (  # noqa: F401
     CallableField,
     CoulombField,

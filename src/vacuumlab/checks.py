@@ -13,7 +13,7 @@ import numpy as np
 
 from .conformal import solve_conformal
 from .conformal_cases import harmonic_case
-from .geometry import Vec3, lab_time_factor, orthogonal_projector, proper_time_factor
+from .geometry import Vec3
 from .integrate import IntegrationParams, integrate_particle, integrate_string
 from .particle import (
     ForceModel,
@@ -38,31 +38,6 @@ from . import strings
 
 def _rng():
     return np.random.default_rng(20240817)
-
-
-def check_projector_identities():
-    rng = _rng()
-    worst = 0.0
-    for _ in range(200):
-        v = Vec3(*rng.normal(size=3))
-        if v.norm() < 1e-6:
-            continue
-        proj = orthogonal_projector(v)
-        worst = max(worst, float(np.max(np.abs(proj.m - proj.m.T))))
-        worst = max(worst, float(np.max(np.abs(proj.m @ proj.m - proj.m))))
-        worst = max(worst, abs(proj.trace() - 2.0))
-        worst = max(worst, proj.apply(v).norm() / max(v.norm(), 1.0))
-    return worst < 1e-12, f"max defect {worst:.2e}"
-
-
-def check_clock_reciprocity():
-    rng = _rng()
-    worst = 0.0
-    for _ in range(1000):
-        rdot = Vec3(*rng.normal(scale=2.0, size=3))
-        u = rdot / lab_time_factor(rdot)
-        worst = max(worst, abs(lab_time_factor(rdot) * proper_time_factor(u) - 1.0))
-    return worst < 1e-12, f"max defect {worst:.2e}"
 
 
 def check_field_gradients():
@@ -268,8 +243,6 @@ def check_determinism():
 
 
 _ALL = [
-    ("projector-identities", check_projector_identities),
-    ("clock-reciprocity", check_clock_reciprocity),
     ("field-gradient-fd", check_field_gradients),
     ("wave-residual-static-coulomb", check_wave_residuals),
     ("gyro-orbit-closure", check_gyro_orbit),

@@ -574,7 +574,7 @@ _AUDIT_KINDS = {
 
 
 def _audit_path(config: ScenarioConfig, nodes: int = 0):
-    """(spec, path, trajectory): a particle scenario's Lagrangian and its integrated path."""
+    """(spec, path): a particle scenario's Lagrangian and its integrated path."""
     if nodes < 0:
         raise ValidationError(f"--nodes must be >= 0 (0 = every step), got {nodes}")
     if config.kind != "particle":
@@ -603,16 +603,19 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
     else:
         stride = max(1, params.n_steps // nodes) if nodes else 1
         path = path_from_trajectory(traj, stride=stride)
-    return spec, path, traj
+    return spec, path
 
 
 def audit_scenario(config: ScenarioConfig, nodes: int = 0):
-    """Integrate a particle scenario and measure its discrete action stationarity."""
-    spec, path, traj = _audit_path(config, nodes)
+    """(rows, worst): a particle scenario's audit CSV rows and its largest residual norm.
+
+    Integrates the scenario and measures its discrete action stationarity.
+    """
+    spec, path = _audit_path(config, nodes)
     residuals = euler_lagrange_residual(spec, path)
     norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
     table = np.column_stack([path.s[1:-1], residuals, norms])
-    return _csv_rows(AUDIT_HEADER, table, range(1, path.m - 1)), float(np.max(norms)), traj
+    return _csv_rows(AUDIT_HEADER, table, range(1, path.m - 1)), float(np.max(norms))
 
 
 # --- self-check battery ---------------------------------------------------------------
@@ -690,7 +693,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     filename, note = "compare.csv", ""
                 else:
                     configs = [parse_config(args.config, overrides)]
-                    rows, worst, _ = audit_scenario(configs[0], nodes=args.nodes)
+                    rows, worst = audit_scenario(configs[0], nodes=args.nodes)
                     filename = f"{configs[0].name}_audit.csv"
                     note = f" (max residual {worst:.3e})"
                 path = _write(configs[0].data["output"]["directory"], filename, rows)

@@ -36,6 +36,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .geometry import check_uniform_axis
 from .potentials import PotentialField
 
 
@@ -53,12 +54,10 @@ class ConformalPatch:
         self.xi = np.asarray(self.xi, dtype=float)
         if self.xi.shape != (self.sigma.size, self.s.size, 4):
             raise ValidationError("xi must have shape (n_sigma, n_s, 4)")
-        for axis in (self.sigma, self.s):
-            d = np.diff(axis)
-            if axis.size < 3 or np.any(d <= 0):
-                raise ValidationError("patch axes must be increasing with >= 3 nodes")
-            if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, abs(float(d[0]))):
-                raise ValidationError("patch axes must be uniform")
+        for axis, name in ((self.sigma, "patch sigma axis"), (self.s, "patch s axis")):
+            if axis.size < 3:
+                raise ValidationError(f"{name} needs at least 3 nodes")
+            check_uniform_axis(axis, name)
 
     @property
     def h_sigma(self) -> float:

@@ -27,10 +27,6 @@ class SuperluminalVelocityError(PhysicsDomainError):
     """|u| >= 1 in light-speed units."""
 
 
-class ZeroDirectionError(PhysicsDomainError):
-    """A projector or momentum kernel was asked to divide by a zero direction."""
-
-
 class NonpositiveMassError(PhysicsDomainError):
     """Dynamic mass -wbar would be <= 0 (wbar >= 0)."""
 

@@ -1,4 +1,4 @@
-"""Three-vector algebra, time factors and projectors.
+"""Three-vector algebra, the proper-time factor and the uniform-axis rule.
 
 Light-speed units: velocities are dimensionless.  Lab velocity u = dr/dt
 obeys |u| < 1; the proper-time velocity rdot = dr/dtau is unbounded and
@@ -14,6 +14,10 @@ closure over the two, bound to ``FLOATS`` for the stepper and to ``ROWS``
 (``root`` and ``violated``, on floats or arrays) for everything else;
 ``domain_error`` formats a failure of either.  ``proper_time_factor``,
 which the stepper never calls, takes ``root`` and ``violated`` directly.
+
+``check_uniform_axis`` is the one rule for the uniform grids of the string,
+the conformal patch and the oracle's paths; each keeps its own minimum
+node count, the one its stencil needs.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SuperluminalVelocityError, ZeroDirectionError
+from .errors import SuperluminalVelocityError, ValidationError
 
 
 class Vec3(NamedTuple):
@@ -52,13 +56,6 @@ class Vec3(NamedTuple):
 
     def dot(self, other) -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other) -> "Vec3":
-        return Vec3(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
 
     def norm2(self) -> float:
         return self.x * self.x + self.y * self.y + self.z * self.z
@@ -132,35 +129,16 @@ def proper_time_factor(u):
     return root(1.0 - u2)
 
 
-def lab_time_factor(rdot: Vec3) -> float:
-    """dt/dtau = (1 + |rdot|^2)^(1/2) for proper-time velocity rdot; >= 1."""
-    return math.sqrt(1.0 + rdot.norm2())
+def check_uniform_axis(values: np.ndarray, name: str) -> None:
+    """ValidationError naming the axis unless it is strictly increasing and uniform.
 
-
-class Projector3:
-    """Symmetric idempotent rank-2 operator removing the component along one direction."""
-
-    def __init__(self, m: np.ndarray):
-        self.m = np.asarray(m, dtype=float)
-        if self.m.shape != (3, 3):
-            raise ValueError("Projector3 expects a 3x3 matrix")
-
-    def apply(self, v: Vec3) -> Vec3:
-        w = self.m @ v.as_array()
-        return Vec3(w[0], w[1], w[2])
-
-    def trace(self) -> float:
-        return float(np.trace(self.m))
-
-
-def orthogonal_projector(v: Vec3) -> Projector3:
-    """P = 1 - v (x) v / |v|^2: kernel along v, identity on the plane normal to v.
-
-    Raises ZeroDirectionError for |v| = 0; degenerate directions signal
-    modeling mistakes upstream (the momentum kernels divide by |v|^2).
+    Uniform: every spacing is within 1e-12 max(1, max |node|) of the first.
+    Rounding moves a node by ulps of its own size, so the bound scales with
+    the nodes, not the spacing: an axis built by linspace, or by x += h over
+    any number of steps, passes at any offset.  A non-finite node fails.
+    The caller checks its own minimum node count (at least 2) first.
     """
-    n2 = v.norm2()
-    if n2 == 0.0:
-        raise ZeroDirectionError("projector direction has zero norm")
-    a = v.as_array()
-    return Projector3(np.eye(3) - np.outer(a, a) / n2)
+    d = np.diff(values)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    if not (np.all(d > 0) and np.max(np.abs(d - d[0])) <= 1e-12 * scale):
+        raise ValidationError(f"{name} must be uniform and increasing")

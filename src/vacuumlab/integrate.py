@@ -520,7 +520,7 @@ class StringTrajectory:
     tau, shape (n+1,), is the proper-time parameter and Y, shape (n+1, 7m),
     the stepper's flat state (r, p, t) of the m grid nodes per row: r and p
     row-major, then the t channel.  Row 0 is the initial state.
-    ``state(i)``, ``samples`` and ``final`` are StringState views of the rows,
+    ``state(i)`` and ``samples`` are StringState views of the rows,
     built on demand; ``state(rows)`` of a sequence of rows is one block, whose
     r is the (len(rows), m, 3) world sheet of those rows.
     """
@@ -539,10 +539,6 @@ class StringTrajectory:
     @property
     def samples(self) -> List[strings.StringState]:
         return [self.state(i) for i in range(len(self.tau))]
-
-    @property
-    def final(self) -> strings.StringState:
-        return self.state(-1)
 
     def annotate(self, exc: PhysicsDomainError, row: int) -> PhysicsDomainError:
         """exc annotated with a row's tau, as step errors are; ``where`` is the row."""

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EnergyDomainError, PhysicsDomainError, ValidationError
-from .geometry import Vec3
+from .geometry import Vec3, check_uniform_axis
 from .potentials import PotentialField
 from .tolerances import ENERGY_DOMAIN_GUARD
 
@@ -65,11 +65,7 @@ class StringGrid:
         object.__setattr__(self, "sigma", sig)
         if sig.ndim != 1 or sig.size < 8:
             raise ValidationError("string grid needs at least 8 nodes")
-        d = np.diff(sig)
-        if np.any(d <= 0):
-            raise ValidationError("sigma grid must be strictly increasing")
-        if np.max(np.abs(d - d[0])) > 1e-12 * max(1.0, abs(float(d[0]))):
-            raise ValidationError("sigma grid must be uniform")
+        check_uniform_axis(sig, "sigma grid")
 
     @property
     def n(self) -> int:

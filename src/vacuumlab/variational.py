@@ -38,7 +38,7 @@ from .errors import (
     DegenerateLagrangianError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3, dot_rows as _dot, norm2_rows as _norm2
+from .geometry import Vec3, ZERO3, check_uniform_axis, dot_rows as _dot, norm2_rows as _norm2
 from .particle import (
     classical_energy,
     interacting_hamiltonian,
@@ -85,13 +85,6 @@ def _finite_channel(values, name: str) -> np.ndarray:
     return values
 
 
-def _uniform_grid(values: np.ndarray, name: str) -> None:
-    """ValidationError naming the grid unless values are uniform and increasing."""
-    d = np.diff(values)
-    if np.any(d <= 0) or np.max(np.abs(d - d[0])) > 1e-9 * max(1.0, abs(float(d[0]))):
-        raise ValidationError(f"{name} must be uniform and increasing")
-
-
 @dataclass
 class DiscretePath:
     """Uniform parameter grid with node positions and optional t / lambda channels."""
@@ -109,7 +102,7 @@ class DiscretePath:
             raise ValidationError("a discrete path needs at least 5 nodes")
         if self.r.shape != (m, 3):
             raise ValidationError("r must have shape (m, 3)")
-        _uniform_grid(self.s, "parameter grid")
+        check_uniform_axis(self.s, "parameter grid")
         for name in ("t", "lam"):
             ch = getattr(self, name)
             if ch is not None:
@@ -514,8 +507,8 @@ class StringWorldPath:
             raise ValidationError("r must have shape (n_tau, n_sigma, 3)")
         if self.tau.size < 5 or self.sigma.size < 5:
             raise ValidationError("world sheet needs at least 5 nodes per axis")
-        _uniform_grid(self.tau, "tau grid")
-        _uniform_grid(self.sigma, "sigma grid")
+        check_uniform_axis(self.tau, "tau grid")
+        check_uniform_axis(self.sigma, "sigma grid")
 
     @property
     def d_tau(self) -> float:

@@ -501,6 +501,43 @@ def test_scenario_files_that_cannot_be_read_or_written_exit_1(tmp_path, capsys, 
     assert (tmp_path / "taken").read_text() == ""
 
 
+# the `vacuumlab check` battery in its order; removing or renaming a check changes this list
+BATTERY = [
+    "field-gradient-fd", "wave-residual-static-coulomb", "gyro-orbit-closure",
+    "extra-force-fd-oracle", "vacuum-free-energy-drift", "interacting-hamiltonian-drift",
+    "constrained-vs-classical", "string-static-equilibrium", "string-pluck-drift",
+    "string-gradient-fd", "conformal-laplace-17", "alt-hamiltonian-gap", "determinism",
+]
+
+
+def test_check_quiet_passes_the_pinned_battery_silently(capsys):
+    from vacuumlab import checks
+
+    assert [name for name, _ in checks._ALL] == BATTERY
+    assert cli.main(["check", "--quiet"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def _raises():
+    raise ArithmeticError("no number")
+
+
+@pytest.mark.parametrize(
+    "bad, line",
+    [(lambda: (False, "defect 1.0"), "FAIL  bad: defect 1.0"),
+     (_raises, "FAIL  bad: raised ArithmeticError: no number")],
+    ids=["fails", "raises"],
+)
+def test_a_failing_check_exits_2(capsys, monkeypatch, bad, line):
+    from vacuumlab import checks
+
+    monkeypatch.setattr(checks, "_ALL", [("good", lambda: (True, "fine")), ("bad", bad)])
+    assert cli.main(["check"]) == 2
+    assert capsys.readouterr() == (f"PASS  good: fine\n{line}\n", "")
+    assert cli.main(["check", "--quiet"]) == 2
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize(
     "shipped, edit, key",
     [

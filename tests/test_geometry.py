@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from vacuumlab.errors import SuperluminalVelocityError, ZeroDirectionError
-from vacuumlab.geometry import (
-    Vec3,
-    lab_time_factor,
-    orthogonal_projector,
-    proper_time_factor,
-    violated,
-)
+from vacuumlab.conformal import ConformalPatch
+from vacuumlab.errors import SuperluminalVelocityError, ValidationError
+from vacuumlab.geometry import Vec3, check_uniform_axis, proper_time_factor, violated
+from vacuumlab.strings import StringGrid
+from vacuumlab.variational import DiscretePath
 
 
 def test_proper_time_factor_examples():
@@ -20,54 +17,46 @@ def test_proper_time_factor_examples():
         proper_time_factor(Vec3(1.0, 0, 0))
 
 
-def test_lab_time_factor_examples():
-    assert lab_time_factor(Vec3(0, 0, 0)) == 1.0
-    assert lab_time_factor(Vec3(0.75, 0, 0)) == pytest.approx(1.25, abs=1e-15)
-    rdot = Vec3(2, 1, 2)
-    u = rdot / lab_time_factor(rdot)  # the lab velocity dr/dt
-    assert lab_time_factor(rdot) * proper_time_factor(u) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_clock_reciprocity_random():
+    # dt/dtau = (1 + |rdot|^2)^(1/2) is the reciprocal of dtau/dt at u = rdot dtau/dt
     rng = np.random.default_rng(11)
     for _ in range(1000):
         rdot = Vec3(*rng.normal(scale=3.0, size=3))
-        u = rdot / lab_time_factor(rdot)
-        assert abs(lab_time_factor(rdot) * proper_time_factor(u) - 1.0) < 1e-12
+        dt_dtau = math.sqrt(1.0 + rdot.norm2())
+        assert abs(dt_dtau * proper_time_factor(rdot / dt_dtau) - 1.0) < 1e-12
 
 
-def test_projector_examples():
-    p = orthogonal_projector(Vec3(1, 0, 0))
-    assert np.allclose(p.m, np.diag([0.0, 1.0, 1.0]))
-    v = Vec3(1, 1, 0)
-    assert orthogonal_projector(v).apply(v).norm() < 1e-15
-    q = orthogonal_projector(Vec3(3, 4, 0))
-    w = q.apply(Vec3(0, 0, 5))
-    assert (w - Vec3(0, 0, 5)).norm() < 1e-15
+# each type behind the uniform-axis rule, built on an axis of 16 nodes
+AXIS_OWNERS = {
+    "string-grid": StringGrid,
+    "conformal-patch": lambda axis: ConformalPatch(axis, [0.0, 0.5, 1.0], np.zeros((16, 3, 4))),
+    "discrete-path": lambda axis: DiscretePath(axis, np.zeros((16, 3))),
+}
 
 
-def test_projector_zero_direction():
-    with pytest.raises(ZeroDirectionError):
-        orthogonal_projector(Vec3(0, 0, 0))
+@pytest.mark.parametrize("owner", sorted(AXIS_OWNERS))
+def test_one_uniform_axis_rule_bounds_each_grid_type(owner):
+    build = AXIS_OWNERS[owner]
+    axis = np.linspace(0.0, 1.0, 16)
+    inside, outside = axis.copy(), axis.copy()
+    inside[8] += 0.5e-12  # two spacings move by the shift; the first stays
+    outside[8] += 2e-12
+    build(inside)
+    with pytest.raises(ValidationError, match="must be uniform and increasing"):
+        build(outside)
 
 
-def test_projector_invariants_random():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        v = Vec3(*rng.normal(size=3))
-        if v.norm() < 1e-8:
-            continue
-        proj = orthogonal_projector(v)
-        m = proj.m
-        assert np.max(np.abs(m - m.T)) < 1e-12
-        assert np.max(np.abs(m @ m - m)) < 1e-12
-        assert abs(proj.trace() - 2.0) < 1e-12
-        eig = np.linalg.eigvalsh(m)
-        assert np.all(np.minimum(np.abs(eig), np.abs(eig - 1.0)) < 1e-9)
-        # fixed on the orthogonal complement
-        w = Vec3(*rng.normal(size=3))
-        w_perp = w - v * (w.dot(v) / v.norm2())
-        assert (proj.apply(w_perp) - w_perp).norm() < 1e-12 * max(1.0, w_perp.norm())
+def test_the_uniform_axis_bound_scales_with_the_nodes():
+    # 1e5 steps x += 0.37 move one spacing by 2.6e-12 of the step, but by far
+    # less than 1e-12 of the largest node
+    x, axis = 0.0, [0.0]
+    for _ in range(100_000):
+        x += 0.37
+        axis.append(x)
+    check_uniform_axis(np.array(axis), "t axis")
+    check_uniform_axis(np.linspace(1e5, 1e5 + 1.0, 64), "offset axis")
+    with pytest.raises(ValidationError, match="nan axis must be uniform and increasing"):
+        check_uniform_axis(np.array([0.0, 1.0, float("nan"), 3.0]), "nan axis")
 
 
 @pytest.mark.parametrize(

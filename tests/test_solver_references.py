@@ -294,11 +294,11 @@ def test_string_trajectory_equals_the_per_call_state_loop(case):
     assert identical(traj.tau, [s.tau for s in ref_samples])
     assert traj.report.to_dict() == ref_report.to_dict()
     if case == "pluck-comoving-coulomb":
-        assert np.ptp(traj.final.t) > 0  # the t channel varies along the string
+        assert np.ptp(traj.state(-1).t) > 0  # the t channel varies along the string
     # the on-demand states are views of the rows
     samples = traj.samples
     assert len(samples) == n_steps + 1
-    for got, ref in ((samples[5], ref_samples[5]), (traj.final, ref_samples[-1])):
+    for got, ref in ((samples[5], ref_samples[5]), (traj.state(-1), ref_samples[-1])):
         assert got.tau == ref.tau
         assert identical(got.r, ref.r) and identical(got.p, ref.p) and identical(got.t, ref.t)
     assert np.shares_memory(traj.state(3).r, traj.Y)
@@ -410,11 +410,11 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
     monkeypatch.setattr(integrate, "_stepper", spied_builder)
     monkeypatch.setattr(strings, "bind_rates", counted_bind)
     traj = integrate_string(state, field, IntegrationParams(step=step, n_steps=6))
-    assert len(seen) == 6 and np.ptp(traj.final.t) > 0
+    assert len(seen) == 6 and np.ptp(traj.state(-1).t) > 0
     # the string check evaluates no rate: each step evaluates its own k1 and
     # three more stages, and no rate is taken at the last row
     assert len(rates) == 4 * 6
-    assert not any(np.array_equal(r, traj.final.r) for r in rates)
+    assert not any(np.array_equal(r, traj.state(-1).r) for r in rates)
 
 
 def _flat(state):
