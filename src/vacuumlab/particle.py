@@ -253,7 +253,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
             if violated(bad):
                 raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
             u = ux, uy, uz = px / y2, py / y2, pz / y2
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, (rx, ry, rz), u, t)
+            (ex, ey, ez), (mx, my, mz) = _em_terms(field, q, (rx, ry, rz), u, t)
             u2 = (ux * ux + uy * uy) + uz * uz
             bad = clocked and u2 >= 1.0
             if violated(bad):
@@ -271,7 +271,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
             rx, ry, rz, px, py, pz, _ = y
             s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
             u = ux, uy, uz = px / s, py / s, pz / s
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, (rx, ry, rz), u, t)
+            (ex, ey, ez), (mx, my, mz) = _em_terms(field, q, (rx, ry, rz), u, t)
             u2 = (ux * ux + uy * uy) + uz * uz
             bad = clocked and u2 >= 1.0
             if violated(bad):
@@ -323,11 +323,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):
-    """(qE, u x qB, F_c) at (r, t) for velocity u, with F_c = -q (dA)^T u.
-
-    F_c = -q grad<u, A> with u held fixed is the extra force only the
-    interacting form adds.
-    """
+    """(qE, u x qB) at (r, t) for velocity u."""
     x, y, z = r
     ux, uy, uz = u
     gx, gy, gz = field._grad_wbar(x, y, z, t)
@@ -337,17 +333,22 @@ def _em_terms(field: PotentialField, q: float, r, u, t):
     return (
         (-gx - ax * q, -gy - ay * q, -gz - az * q),
         (uy * cz - uz * cy, uz * cx - ux * cz, ux * cy - uy * cx),
-        (
-            -q * ((j00 * ux + j10 * uy) + j20 * uz),
-            -q * ((j01 * ux + j11 * uy) + j21 * uz),
-            -q * ((j02 * ux + j12 * uy) + j22 * uz),
-        ),
     )
 
 
 def interaction_extra_force(q: float, u, f: PotentialField, r, t):
-    """F_c = -q grad<u, A> with u held fixed under the gradient, on components."""
-    return _em_terms(f, q, r, u, t)[2]
+    """F_c = -q grad<u, A> = -q (dA)^T u with u held fixed under the gradient, on components.
+
+    It is the extra force only the interacting form adds.
+    """
+    x, y, z = r
+    ux, uy, uz = u
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = f._grad_vecpot(x, y, z, t)
+    return (
+        -q * ((j00 * ux + j10 * uy) + j20 * uz),
+        -q * ((j01 * ux + j11 * uy) + j21 * uz),
+        -q * ((j02 * ux + j12 * uy) + j22 * uz),
+    )
 
 
 def qa_vector(model: ForceModel, r: Vec3, t: float) -> Vec3:
@@ -384,7 +385,8 @@ def vacuum_rhs(model: ForceModel, r, big_p, t):
 def interacting_rhs(model: ForceModel, r, p, t):
     """(dp/dt, u) with the full force qE + q u x B - q grad<u,A>; u = p / (-wbar)."""
     u = bind_law(replace(model, kind=ModelKind.VACUUM_FREE), None, ROWS)(t, (*r, *p, 0.0))[1]
-    (ex, ey, ez), (mx, my, mz), (fx, fy, fz) = _em_terms(model.field, model.charge, r, u, t)
+    (ex, ey, ez), (mx, my, mz) = _em_terms(model.field, model.charge, r, u, t)
+    fx, fy, fz = interaction_extra_force(model.charge, u, model.field, r, t)
     return ((ex + mx) + fx, (ey + my) + fy, (ez + mz) + fz), u
 
 

@@ -10,7 +10,9 @@ q*A = wbar * u_f (instantaneous relation, no retardation), from which
 
 Each concrete field provides exact first derivatives (gradients checked
 against central differences in the test suite) and, where wave-equation
-residual checking is supported, exact second derivatives as well.  A
+residual checking is supported, exact second derivatives as well:
+``wave_residual`` compares d2(wbar)/dt2 minus the trace of the Hessian
+with the field's own density ``rho``, the one closed form it reads.  A
 built-in field writes wbar, grad(wbar), d(wbar)/dt and A once, on
 components (x, y, z, t) that are floats or 1-D arrays, and so does the
 A-Jacobian and dA/dt; ``PotentialField`` derives both the Vec3 forms and
@@ -37,9 +39,14 @@ from .errors import (
     ZeroChargeError,
 )
 from .geometry import FLOATS, ROWS, Vec3, ZERO3, domain_error
-from .tolerances import DEFAULT_SOFTENING, SINGULAR_GUARD
 
 FOUR_PI = 4.0 * math.pi
+
+# Default softening length for Coulomb-type potentials
+DEFAULT_SOFTENING = 1e-3
+
+# Guard distance around an unsoftened point source (SingularPointError)
+SINGULAR_GUARD = 1e-3
 
 
 class SourceKind(Enum):
@@ -179,16 +186,9 @@ class PotentialField:
     def wbar_tt(self, r: Vec3, t: float) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no second derivatives")
 
-    def wbar_laplacian(self, r: Vec3, t: float) -> float:
-        return float(np.trace(self.wbar_hessian(r, t)))
-
     def rho(self, r: Vec3, t: float) -> float:
         """Charge density consistent with the static wave equation; 0 by default."""
         return 0.0
-
-    def singular_distance(self, r: Vec3, t: float) -> Optional[float]:
-        """Distance to the singular support of an unsoftened point source, else None."""
-        return None
 
 
 def _rows(components, n: int) -> np.ndarray:
@@ -327,7 +327,12 @@ class CoulombField(PotentialField):
         return ux * c, uy * c, uz * c
 
     def wbar_hessian(self, r, t):
+        """Raises SingularPointError within SINGULAR_GUARD of an unsoftened source."""
         dx, dy, dz, d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)
+        if self.eps2 == 0.0 and math.sqrt(d2e) < SINGULAR_GUARD:
+            raise SingularPointError(
+                f"evaluation {math.sqrt(d2e):.3g} from an unsoftened point source"
+            )
         d = np.array([dx, dy, dz])
         coef = self.k / FOUR_PI
         return coef * (np.eye(3) * d2e**-1.5 - 3.0 * np.outer(d, d) * d2e**-2.5)
@@ -336,19 +341,10 @@ class CoulombField(PotentialField):
         uf = self.u_f.as_array()
         return float(uf @ self.wbar_hessian(r, t) @ uf)
 
-    def wbar_laplacian(self, r, t):
-        d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)[3]
-        return 3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
-
     def rho(self, r, t):
         """Plummer density matching -laplacian(wbar) of the static softened source."""
         d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)[3]
         return -3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
-
-    def singular_distance(self, r, t):
-        if self.eps2 > 0.0:
-            return None
-        return math.sqrt(self._potentials(r.x, r.y, r.z, t, _OFFSET)[3])
 
 
 class LinearField(PotentialField):
@@ -488,15 +484,10 @@ def magnetic_field(f: PotentialField, r: Vec3, t: float) -> Vec3:
 
 
 def wave_residual(w: PotentialField, r: Vec3, t: float) -> float:
-    """d2(wbar)/dt2 - laplacian(wbar) - rho at (r, t), with rho the field's own density.
+    """d2(wbar)/dt2 - trace(Hessian of wbar) - rho at (r, t), with rho the field's own density.
 
-    ``w`` must expose exact second derivatives (wbar_tt, wbar_laplacian).
-    Raises SingularPointError within the guard distance of an unsoftened
-    point source.
+    ``w`` must expose exact second derivatives (wbar_tt, wbar_hessian); a
+    Coulomb source's Hessian raises SingularPointError within the guard
+    distance of an unsoftened point source.
     """
-    dist = w.singular_distance(r, t)
-    if dist is not None and dist < SINGULAR_GUARD:
-        raise SingularPointError(
-            f"evaluation {dist:.3g} from an unsoftened point source"
-        )
-    return w.wbar_tt(r, t) - w.wbar_laplacian(r, t) - w.rho(r, t)
+    return w.wbar_tt(r, t) - float(np.trace(w.wbar_hessian(r, t))) - w.rho(r, t)

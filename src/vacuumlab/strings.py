@@ -51,7 +51,9 @@ import numpy as np
 from .errors import EnergyDomainError, PhysicsDomainError, ValidationError
 from .geometry import Vec3, check_uniform_axis
 from .potentials import PotentialField
-from .tolerances import ENERGY_DOMAIN_GUARD
+
+# Energy-domain guard: abort when (wbar*r')^2 - p^2 < this
+ENERGY_DOMAIN_GUARD = 1e-10
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,9 @@ from .particle import (
     vacuum_free_hamiltonian,
 )
 from .potentials import PotentialField
-from .tolerances import FD_RELATIVE_STEP
+
+# Relative perturbation scale for finite-difference functional derivatives
+FD_RELATIVE_STEP = 1e-6
 
 
 class LagrangianKind(Enum):

@@ -341,7 +341,7 @@ def reference_law(model, binding):
                 raise domain_error(DegenerateMultiplierError, bad, "lambda*tdot = {:.6g} <= 0", y2)
             px, py, pz = y1
             u = ux, uy, uz = px / y2, py / y2, pz / y2
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            (ex, ey, ez), (mx, my, mz) = _em_terms(field, q, r, u, t)
             return (ex + mx, ey + my, ez + mz), (ex * ux + ey * uy) + ez * uz, u
 
         return law
@@ -353,7 +353,7 @@ def reference_law(model, binding):
             px, py, pz = p
             s = sqrt(m0 * m0 + ((px * px + py * py) + pz * pz))
             u = px / s, py / s, pz / s
-            (ex, ey, ez), (mx, my, mz), _ = _em_terms(field, q, r, u, t)
+            (ex, ey, ez), (mx, my, mz) = _em_terms(field, q, r, u, t)
             return (ex + mx, ey + my, ez + mz), u, p
 
         return law

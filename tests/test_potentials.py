@@ -214,6 +214,42 @@ def test_wave_residual_needs_second_derivatives(field):
         wave_residual(field, Vec3(0.3, 1.0, -2.0), 0.0)
 
 
+SECOND_DERIVATIVE_SOURCES = {
+    "static-unsoftened": coulomb(eps=0.0),
+    "static-softened": coulomb(eps=0.05, background=-1.0),
+    "comoving-unsoftened": coulomb(strength=0.7, q=0.5, eps=0.0, u_f=Vec3(0.2, -0.1, 0.05)),
+    "comoving-softened": coulomb(strength=0.7, q=0.5, eps=0.05, u_f=Vec3(0.2, -0.1, 0.05), background=-2.0),
+}
+
+
+def second_derivative_points(field):
+    """(r, t) pairs at least 0.2 from the source, plus one inside a softened source's core."""
+    rng = np.random.default_rng(23)
+    points = []
+    while len(points) < 20:
+        r, t = Vec3(*rng.uniform(-1.0, 1.0, size=3)), float(rng.uniform(0.0, 1.0))
+        if (r - t * field.u_f).norm() > 0.2:
+            points.append((r, t))
+    if field.eps2 > 0.0:
+        points.append((Vec3(0.03, 0.02, -0.01), 0.0))
+    return points
+
+
+@pytest.mark.parametrize("field", SECOND_DERIVATIVE_SOURCES.values(), ids=SECOND_DERIVATIVE_SOURCES.keys())
+def test_coulomb_second_derivatives_match_central_differences(field):
+    # all nine Hessian entries against differences of grad(wbar); wbar_tt against wbar's in t
+    h, ht = 1e-5, 5e-4
+    for r, t in second_derivative_points(field):
+        hess = field.wbar_hessian(r, t)
+        scale = np.abs(hess).max()
+        for k in range(3):
+            e = Vec3(*np.eye(3)[k]) * h
+            column = (field.grad_wbar(r + e, t) - field.grad_wbar(r - e, t)) * (0.5 / h)
+            assert np.abs(column.as_array() - hess[:, k]).max() < 1e-6 * scale
+        num = (field.wbar(r, t + ht) - 2.0 * field.wbar(r, t) + field.wbar(r, t - ht)) / ht**2
+        assert abs(num - field.wbar_tt(r, t)) < 1e-6 * scale
+
+
 BUILT_IN = [
     build_potential(SourceSpec(SourceKind.UNIFORM, -1.5), 1.0),
     coulomb(eps=0.05, background=-1.0),

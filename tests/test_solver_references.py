@@ -53,6 +53,7 @@ from vacuumlab.potentials import (
     build_potential,
 )
 from vacuumlab.strings import (
+    ENERGY_DOMAIN_GUARD,
     StringGrid,
     StringState,
     plucked_string,
@@ -60,7 +61,6 @@ from vacuumlab.strings import (
     string_canonical_rhs,
     string_hamiltonian,
 )
-from vacuumlab.tolerances import ENERGY_DOMAIN_GUARD
 from test_conformal import exp_harmonic_case
 from test_potentials import node_rows
 

@@ -13,7 +13,6 @@ from vacuumlab.particle import (
     make_constrained_state,
     make_vacuum_state,
 )
-from vacuumlab.tolerances import FD_RELATIVE_STEP
 from vacuumlab.potentials import (
     LinearField,
     SourceKind,
@@ -24,6 +23,7 @@ from vacuumlab.potentials import (
 )
 from vacuumlab.strings import StringGrid, plucked_string
 from vacuumlab.variational import (
+    FD_RELATIVE_STEP,
     DiscretePath,
     LagrangianKind,
     LagrangianSpec,
