@@ -37,7 +37,7 @@ def _launch(name):
     """(model, axis, params, x, y) of a shipped scenario's launch, as `vacuumlab run` builds it."""
     config = cli.parse_config(os.path.join(SCENARIOS, name + ".yaml"))
     model, state, params = cli.build_particle_model(config)
-    axis = integ._axis_for(model, params)
+    axis = integ.axis_for(model.kind, params.time_axis)
     return model, axis, params, (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
 
 

@@ -5,14 +5,21 @@ and defaults are declared once, in one table.  Every run emits plain CSV
 (exact headers, 17-significant-digit floats) plus a JSON manifest carrying
 the config hash, tool version, echoed defaults and the conservation report;
 one writer writes every file atomically.  Reruns of the same config produce
-bit-identical CSV and the same config hash.
+bit-identical CSV and the same config hash.  A key nothing reads is
+refused by name: rest_mass on a vacuum model, and a pluck's shape keys on a
+line string, among them.
 
-Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, a
-classical or constrained model without a positive rest_mass, a classical
-rest_mass whose square leaves the float range, a zero charge in a Coulomb
-field, a string run on a lab time axis, or a grid or step count too large
-to allocate), 2 physics-domain abort, 3 solver failure (non-convergence or
-adaptive step collapse).
+The clock a particle run steps is `integrate.axis_for`'s to decide: the
+parser asks it when it reads a scenario, so every verb refuses a classical
+or constrained model on proper time, and `audit` and `compare` ask it for
+their own clock, so each refuses a scenario that sets the other one.
+
+Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, an
+audit path of fewer than 5 nodes, a classical or constrained model without
+a positive rest_mass, a classical rest_mass whose square leaves the float
+range, a zero charge in a Coulomb field, a string run on a lab time axis,
+or a grid or step count too large to allocate), 2 physics-domain abort,
+3 solver failure (non-convergence or adaptive step collapse).
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .errors import (
 from .geometry import Vec3, norm2_rows
 from .integrate import (
     IntegrationParams,
+    axis_for,
     integrate_particle,
     integrate_string,
 )
@@ -97,10 +105,9 @@ _STRING_INITIAL = {"kind": "line", "start": _ZERO, "end": (1.0, 0.0, 0.0), "ampl
 _CONFORMAL = {"problem": "laplace-harmonic", "tol": 1e-8, "max_iters": 40000}
 _CONFORMAL_GRID = {"n_sigma": 33, "n_s": 33}
 _COULOMB = {"strength": 1.0, "softening": 1e-3, "background": 0.0, "r_f0": _ZERO, "u_f": _ZERO}
-# the top-level keys of each scenario kind
+# the top-level keys of each scenario kind; a classical or constrained particle adds rest_mass
 _TOP_LEVEL = {
-    "particle": ("name", "kind", "output", "model", "charge", "rest_mass", "field", "initial",
-                 "integration"),
+    "particle": ("name", "kind", "output", "model", "charge", "field", "initial", "integration"),
     "string": ("name", "kind", "output", "field", "grid", "initial", "integration"),
     "conformal": ("name", "kind", "output", "grid", *_CONFORMAL),
 }
@@ -274,6 +281,7 @@ def _normalize(data: dict) -> dict:
             f"config key 'name' must not contain '/', '\\' or NUL, got {data['name']!r}"
         )
     out = {"name": data["name"], "kind": kind, "output": {"directory": directory}}
+    keys = _TOP_LEVEL[kind]
     if kind == "particle":
         model = data.get("model")
         if not isinstance(model, str) or model not in _MODEL_KINDS:
@@ -282,12 +290,14 @@ def _normalize(data: dict) -> dict:
             )
         out["model"] = model
         out["charge"] = _number(data.get("charge", 1.0), "charge")
-        if data.get("rest_mass") is not None:
-            out["rest_mass"] = _number(data["rest_mass"], "rest_mass")
-        if model in ("classical", "constrained") and not out.get("rest_mass", 0.0) > 0:
-            raise ValidationError(
-                f"rest_mass must be positive for a {model} model, got {data.get('rest_mass')!r}"
-            )
+        if model in ("classical", "constrained"):
+            keys += ("rest_mass",)  # a vacuum model's mass is -wbar: nothing reads rest_mass
+            if data.get("rest_mass") is not None:
+                out["rest_mass"] = _number(data["rest_mass"], "rest_mass")
+            if not out.get("rest_mass", 0.0) > 0:
+                raise ValidationError(
+                    f"rest_mass must be positive for a {model} model, got {data.get('rest_mass')!r}"
+                )
         if model == "classical" and not 0.0 < out["rest_mass"] * out["rest_mass"] < math.inf:
             # the classical law divides by (m0^2 + p^2)^(1/2) and its energy squares m0
             raise ValidationError(
@@ -301,8 +311,7 @@ def _normalize(data: dict) -> dict:
         if Vec3(*out["initial"]["u"]).norm2() >= 1.0:
             raise ValidationError("initial.u: superluminal initial velocity")
         out["integration"] = _normalize_integration(_section(data, "integration"))
-        if model in ("classical", "constrained") and out["integration"]["time_axis"] == "proper":
-            raise ValidationError(f"integration.time_axis must be auto or lab for a {model} model")
+        axis_for(_MODEL_KINDS[model], out["integration"]["time_axis"])  # refused when read
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
         grid = out["grid"] = _fill(_section(data, "grid"), _STRING_GRID, "grid.")
@@ -313,6 +322,8 @@ def _normalize(data: dict) -> dict:
         initial = out["initial"] = _fill(_section(data, "initial"), _STRING_INITIAL, "initial.")
         if initial["kind"] not in ("line", "pluck"):
             raise ValidationError("initial.kind must be 'line' or 'pluck'")
+        if initial["kind"] == "line":  # the pluck's keys are echoed with their defaults, unread
+            _known(_section(data, "initial"), ("kind", "start", "end"), "initial.")
         if initial["width"] <= 0:
             raise ValidationError("initial.width must be positive")
         out["integration"] = _normalize_integration(_section(data, "integration"))
@@ -327,7 +338,7 @@ def _normalize(data: dict) -> dict:
             raise ValidationError("tol must be positive")
         if out["max_iters"] < 1:
             raise ValidationError("max_iters must be >= 1")
-    _known(data, _TOP_LEVEL[kind], "")
+    _known(data, keys, "")
     return out
 
 
@@ -515,15 +526,6 @@ def _run_conformal(config: ScenarioConfig, out_dir: str):
 # --- compare -----------------------------------------------------------------------
 
 
-def _on_axis(params: IntegrationParams, axis: str, verb: str, model: ForceModel):
-    """params on the time axis the verb steps; a scenario that sets the other axis is refused by its key."""
-    if params.time_axis not in ("auto", axis):
-        raise ValidationError(
-            f"integration.time_axis must be auto or {axis} for {verb} of a {model.kind.value} model"
-        )
-    return replace(params, time_axis=axis)
-
-
 def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
     """Integrate two particle scenarios with shared initial kinematics and diff them."""
     if alignment not in ("by_t", "by_tau"):
@@ -535,7 +537,8 @@ def compare_models(configs: List[ScenarioConfig], alignment: str = "by_t"):
         if cfg.kind != "particle":
             raise ValidationError("compare supports particle scenarios only")
         model, state, params = build_particle_model(cfg)
-        built.append((cfg, model, state, _on_axis(params, "lab", "compare", model)))
+        params = replace(params, time_axis=axis_for(model.kind, params.time_axis, "compare"))
+        built.append((cfg, model, state, params))
     ref, other = built
     if list(other[2].r) != list(ref[2].r) or list(other[2].u) != list(ref[2].u):
         raise MisalignedScenariosError("initial kinematics differ between configs")
@@ -586,9 +589,15 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
             f"audit of a {model.kind.value} model needs method rk4: "
             "rk45 rows are not a uniform path"
         )
-    # the oracle's densities assume the model's own clock (tau or tau_rel for vacuum models)
-    lab = model.kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED)
-    params = _on_axis(params, "lab" if lab else "proper", "audit", model)
+    params = replace(params, time_axis=axis_for(model.kind, params.time_axis, "audit"))
+    if model.kind is ModelKind.CONSTRAINED:
+        m = nodes or min(400, params.n_steps)
+    else:
+        stride = max(1, params.n_steps // nodes) if nodes else 1
+        m = len(range(0, params.n_steps + 1, stride))
+    if m < 5:
+        raise ValidationError(f"audit needs at least 5 path nodes; --nodes {nodes} and "
+                              f"integration.n_steps {params.n_steps} give {m}")
     spec = LagrangianSpec(
         kind=_AUDIT_KINDS[model.kind],
         field=model.field,
@@ -599,11 +608,8 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
     check_oracle_coverage(spec)
     traj = integrate_particle(model, state, params)
     if model.kind is ModelKind.CONSTRAINED:
-        path = uniform_proper_path(traj, nodes or min(400, params.n_steps))
-    else:
-        stride = max(1, params.n_steps // nodes) if nodes else 1
-        path = path_from_trajectory(traj, stride=stride)
-    return spec, path
+        return spec, uniform_proper_path(traj, m)
+    return spec, path_from_trajectory(traj, stride=stride)
 
 
 def audit_scenario(config: ScenarioConfig, nodes: int = 0):

@@ -12,7 +12,9 @@ inputs.  Both clocks are always co-integrated: a lab-time run
 accumulates tau through dtau = dt (1-u^2)^(1/2), and a proper-time run
 of a vacuum model steps the same law on the source frame's proper time
 x, accumulating t through dt = dx (1-|u-u_f|^2)^(-1/2) and tau through
-dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).
+dtau = dt (1-u^2)^(1/2) (u_f = 0, so x = tau, for vacuum-free).  Which
+clock a particle run steps is decided in one place, `axis_for`, for a run,
+an audit and a compare alike.
 
 Particle and string runs share one stepping loop, `_march`: it steps a
 tuple state with the RK4 step it binds once per run, or with `rkf45_step`,
@@ -417,15 +419,24 @@ def _audited_march(march, keep, invariants, audit_every: int) -> ConservationRep
 # --- particle integration -----------------------------------------------------
 
 
-def _axis_for(model: ForceModel, params: IntegrationParams) -> str:
-    if params.time_axis != "auto":
-        axis = params.time_axis
-        if axis == "proper" and model.kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED):
-            raise ValidationError(f"{model.kind.value} model integrates in lab time")
-        return axis
-    if model.kind in (ModelKind.VACUUM_FREE, ModelKind.VACUUM_INTERACTING):
-        return "proper"
-    return "lab"
+def axis_for(kind: ModelKind, requested: str, verb: str = "") -> str:
+    """The clock ("lab" or "proper") a `kind` model's particle run steps for time_axis `requested`.
+
+    auto is the model's own clock: lab time for the classical and
+    constrained models, the source frame's proper time for the vacuum
+    models.  A run ("") steps the clock requested; an audit steps the
+    model's own clock, whose time the oracle's densities assume, and a
+    compare steps lab time.  A classical or constrained model is refused
+    the proper clock, and an audit or compare the other clock, by the key.
+    """
+    own = "lab" if kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED) else "proper"
+    if own == "lab" and requested == "proper":
+        raise ValidationError(f"integration.time_axis must be auto or lab for a {kind.value} model")
+    axis = {"": own if requested == "auto" else requested, "audit": own, "compare": "lab"}[verb]
+    if requested not in ("auto", axis):
+        raise ValidationError(f"integration.time_axis must be auto or {axis} for {verb} of a "
+                              f"{kind.value} model")
+    return axis
 
 
 def _decoder(model: ForceModel, axis: str) -> Callable:
@@ -442,10 +453,8 @@ def _decoder(model: ForceModel, axis: str) -> Callable:
 
     def decode(x, y):
         _, u, p = law(x, y)
-        if constrained:
-            return x, y[7], y[0:3], u, p, y[6]
-        t, tau = (x, y[6]) if lab else (y[6], y[7])
-        return t, tau, y[0:3], u, p, None
+        # tau is the last component of every layout; t is x on the lab axis and y[6] off it
+        return (x if lab else y[6]), y[-1], y[0:3], u, p, (y[6] if constrained else None)
 
     return decode
 
@@ -487,8 +496,8 @@ def integrate_particle(
     invariant error, a field's included, is annotated with its first
     offending row.
     """
-    axis = _axis_for(model, params)
-    x = initial.t if axis == "lab" else initial.tau
+    axis = axis_for(model.kind, params.time_axis)
+    x, label = (initial.t, "t") if axis == "lab" else (initial.tau, "tau")
     y = _pack(model, initial, axis)
     xs, ys = [x], [y]
     traj = None
@@ -503,7 +512,6 @@ def integrate_particle(
         traj = Trajectory(np.array(xs), Y.reshape(len(ys), len(y)), initial, model, axis)
         return traj.invariants(rows)
 
-    label = "t" if axis == "lab" else "tau"
     march = _march(*_flat_rhs(model, axis), x, y, params, label)
     report = _audited_march(march, keep, invariants, params.audit_every)
     traj.report = report

@@ -488,6 +488,9 @@ def wave_residual(w: PotentialField, r: Vec3, t: float) -> float:
 
     ``w`` must expose exact second derivatives (wbar_tt, wbar_hessian); a
     Coulomb source's Hessian raises SingularPointError within the guard
-    distance of an unsoftened point source.
+    distance of an unsoftened point source.  A static Coulomb source reads
+    0; a comoving one reads u_f.H.u_f (H the Hessian), not 0, because its
+    field is the static one carried along un-retarded, whose wbar_tt is
+    u_f.H.u_f while trace(H) = -rho still holds.
     """
     return w.wbar_tt(r, t) - float(np.trace(w.wbar_hessian(r, t))) - w.rho(r, t)

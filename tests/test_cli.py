@@ -546,6 +546,12 @@ def test_a_failing_check_exits_2(capsys, monkeypatch, bad, line):
         ("vacuum_free_coulomb.yaml", lambda d: d["initial"].update(p=[0, 0, 0]), "initial.p"),
         ("vacuum_free_coulomb.yaml", lambda d: d["integration"].update(steps=10),
          "integration.steps"),
+        # a vacuum model's mass is -wbar, and a line reads no pluck shape
+        ("vacuum_free_coulomb.yaml", lambda d: d.update(rest_mass=1.0), "rest_mass"),
+        ("string_static.yaml", lambda d: d["initial"].update(amplitude=0.02), "initial.amplitude"),
+        ("string_static.yaml", lambda d: d["initial"].update(width=0.1), "initial.width"),
+        ("string_static.yaml", lambda d: d["initial"].update(direction=[0, 0, 1]),
+         "initial.direction"),
         ("string_pluck.yaml", lambda d: d.update(bogus=1), "bogus"),
         ("string_pluck.yaml", lambda d: d["grid"].update(nodes=16), "grid.nodes"),
         ("string_pluck.yaml", lambda d: d["output"].update(dir="x"), "output.dir"),
@@ -653,13 +659,24 @@ def test_config_values_are_refused_when_parsed(tmp_path, capsys, edit, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "nodes, steps, message",
+    [
+        ("-5", "5", "--nodes must be >= 0"),
+        ("3", "50", "audit needs at least 5 path nodes; --nodes 3 and integration.n_steps 50 give "),
+        ("0", "2", "audit needs at least 5 path nodes; --nodes 0 and integration.n_steps 2 give "),
+    ],
+    ids=["negative-nodes", "too-few-nodes", "too-few-steps"],
+)
 @pytest.mark.parametrize("name", ["constrained_uniform_e", "vacuum_free_coulomb"])
-def test_audit_refuses_negative_nodes(tmp_path, capsys, name):
-    argv = ["audit", scenario(f"{name}.yaml"), "--nodes", "-5", "--out", str(tmp_path / "out")]
-    assert cli.main([*argv, "--steps", "5", "--quiet"]) == 1
+def test_audit_refuses_negative_or_too_few_nodes(tmp_path, capsys, monkeypatch, name, nodes, steps, message):
+    # a path too short for the oracle is refused by its flag and key, before integrating
+    monkeypatch.setattr(cli, "integrate_particle", None)
+    argv = ["audit", scenario(f"{name}.yaml"), "--nodes", nodes, "--out", str(tmp_path / "out")]
+    assert cli.main([*argv, "--steps", steps, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert err.startswith("error: --nodes must be >= 0")
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("time_axis", ["lab", "proper"])

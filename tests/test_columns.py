@@ -144,7 +144,7 @@ class DriftReport(ConservationReport):
 
 def reference_integrate(model, initial, params):
     """(samples, report) of the per-step loop: a state and a scalar audit per step."""
-    axis = integ._axis_for(model, params)
+    axis = integ.axis_for(model.kind, params.time_axis)
     rhs, _ = integ._flat_rhs(model, axis)
     audits = SCALAR_INVARIANTS[model.kind]
     x = initial.t if axis == "lab" else initial.tau

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
 import vacuumlab.integrate as integ
@@ -244,6 +245,52 @@ def test_integration_params_validation():
         integrate_particle(model, make_classical_state(ZERO3, ZERO3, 1.0), params)
 
 
+LAB_ONLY = "integration.time_axis must be auto or lab for a {kind} model"
+AUDIT_ON_OWN = "integration.time_axis must be auto or proper for audit of a {kind} model"
+COMPARE_ON_LAB = "integration.time_axis must be auto or lab for compare of a {kind} model"
+# the model's own clock and the verb -> the clock stepped, or the refusal, for a
+# requested time_axis of auto, lab and proper
+CLOCK_RULE = {
+    ("lab", ""): ("lab", "lab", LAB_ONLY),
+    ("lab", "audit"): ("lab", "lab", LAB_ONLY),
+    ("lab", "compare"): ("lab", "lab", LAB_ONLY),
+    ("proper", ""): ("proper", "lab", "proper"),
+    ("proper", "audit"): ("proper", AUDIT_ON_OWN, "proper"),
+    ("proper", "compare"): ("lab", "lab", COMPARE_ON_LAB),
+}
+OWN_CLOCK = {ModelKind.CLASSICAL: "lab", ModelKind.CONSTRAINED: "lab",
+             ModelKind.VACUUM_FREE: "proper", ModelKind.VACUUM_INTERACTING: "proper"}
+
+
+@pytest.mark.parametrize("requested", ["auto", "lab", "proper"])
+@pytest.mark.parametrize("verb", ["", "audit", "compare"])
+@pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+def test_axis_for_follows_the_clock_table(kind, verb, requested):
+    expected = CLOCK_RULE[OWN_CLOCK[kind], verb][("auto", "lab", "proper").index(requested)]
+    if expected in ("lab", "proper"):
+        assert integ.axis_for(kind, requested, verb) == expected
+    else:
+        with pytest.raises(ValidationError) as err:
+            integ.axis_for(kind, requested, verb)
+        assert str(err.value) == expected.format(kind=kind.value)
+
+
+def test_integrate_particle_refuses_a_lab_model_on_proper_time_as_the_cli_does(tmp_path):
+    from vacuumlab import cli
+
+    model = ForceModel(ModelKind.CLASSICAL, UniformField(-1.0), charge=1.0, rest_mass=1.0)
+    params = IntegrationParams(step=0.1, n_steps=10, time_axis="proper")
+    with pytest.raises(ValidationError) as api:
+        integrate_particle(model, make_classical_state(ZERO3, ZERO3, 1.0), params)
+    scenario = {"name": "lab-on-proper", "kind": "particle", "model": "classical",
+                "rest_mass": 1.0, "field": {"kind": "uniform"}, "integration": {"time_axis": "proper"}}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(scenario))
+    with pytest.raises(ValidationError) as parsed:
+        cli.parse_config(str(path))
+    assert str(api.value) == str(parsed.value) == LAB_ONLY.format(kind="classical")
+
+
 def test_relax_elliptic_contract():
     # discrete Laplace problem: residual of a harmonic target
     n = 17
@@ -405,7 +452,7 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
 
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
     model, state, params = cli.build_particle_model(cli.parse_config(path))
-    axis = integ._axis_for(model, params)
+    axis = integ.axis_for(model.kind, params.time_axis)
     law = integ.bind_law(model, axis, FLOATS)
     x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
     calls = []

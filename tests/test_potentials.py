@@ -250,6 +250,17 @@ def test_coulomb_second_derivatives_match_central_differences(field):
         assert abs(num - field.wbar_tt(r, t)) < 1e-6 * scale
 
 
+@pytest.mark.parametrize("name", ["comoving-unsoftened", "comoving-softened"])
+def test_wave_residual_of_a_moving_source_is_its_boost_term(name):
+    # the comoving field is the static one un-retarded at r - u_f t: wbar_tt = u_f.H.u_f, and
+    # trace(H) = -rho as for the static source, so the residual is u_f.H.u_f, not 0
+    field = SECOND_DERIVATIVE_SOURCES[name]
+    u = field.u_f.as_array()
+    for r, t in [(Vec3(0.5, 0.3, -0.2), 0.0), *second_derivative_points(field)]:
+        boost = float(u @ field.wbar_hessian(r, t) @ u)
+        assert wave_residual(field, r, t) == pytest.approx(boost, rel=1e-12, abs=0.0)
+
+
 BUILT_IN = [
     build_potential(SourceSpec(SourceKind.UNIFORM, -1.5), 1.0),
     coulomb(eps=0.05, background=-1.0),
