@@ -22,7 +22,7 @@ import os
 import pytest
 
 import vacuumlab.integrate as integ
-from vacuumlab import cli
+from vacuumlab import cli, particle
 from vacuumlab.geometry import FLOATS
 
 SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -38,13 +38,13 @@ def _launch(name):
     config = cli.parse_config(os.path.join(SCENARIOS, name + ".yaml"))
     model, state, params = cli.build_particle_model(config)
     axis = integ.axis_for(model.kind, params.time_axis)
-    return model, axis, params, (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
+    return (model, axis, params, *particle.pack(model, state, axis))
 
 
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_stage_evaluation(benchmark, name):
     model, axis, _, x, y = _launch(name)
-    law = integ.bind_law(model, axis, FLOATS)
+    law = particle.bind_law(model, axis, FLOATS)
     k, _, _ = benchmark(law, x, y)
     assert len(k) == len(y)
 
@@ -52,7 +52,7 @@ def test_stage_evaluation(benchmark, name):
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_rk4_step(benchmark, name):
     model, axis, params, x, y = _launch(name)
-    rhs, _ = integ._flat_rhs(model, axis)
+    rhs, _ = particle.bind_step(model, axis)
     step = integ._stepper(integ._RK4, len(y))  # bound once, as _march binds it
     y_new = benchmark(step, rhs, x, y, params.step, rhs(x, y))
     assert len(y_new) == len(y)

@@ -14,8 +14,6 @@ collects it.
 
 import os
 
-import numpy as np
-
 import vacuumlab.integrate as integ
 from vacuumlab import cli, strings
 
@@ -29,8 +27,8 @@ def _pluck():
 def test_string_writer_stage(benchmark):
     state, field, _ = _pluck()
     m = state.grid.n
-    rates = strings.bind_rates(state.grid.h, field, m)
-    k = benchmark(rates, np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
+    rates = strings.bind_rates(state.grid, field)
+    k = benchmark(rates, strings.flat(state))
     assert k.shape == (7 * m,)
 
 

@@ -608,6 +608,11 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
     check_oracle_coverage(spec)
     traj = integrate_particle(model, state, params)
     if model.kind is ModelKind.CONSTRAINED:
+        # the resampling's cubic stencil needs 4 rows, and an rk45 run keeps only those it accepts
+        if len(traj.x) < 4:
+            raise ValidationError(f"audit of an {params.method} run needs at least 4 accepted rows; "
+                                  f"integration.step {params.step} and n_steps {params.n_steps} "
+                                  f"gave {len(traj.x)}")
         return spec, uniform_proper_path(traj, m)
     return spec, path_from_trajectory(traj, stride=stride)
 

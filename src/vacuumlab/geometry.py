@@ -111,7 +111,7 @@ def domain_error(error, bad, message: str, *values):
 
 
 # the message of |u| >= 1 where a clock factor (1 - |u|^2)^(1/2) is taken, formatted with |u|
-_SUPERLUMINAL = "|u| = {:.6g} >= 1"
+SUPERLUMINAL = "|u| = {:.6g} >= 1"
 
 
 def proper_time_factor(u):
@@ -125,7 +125,7 @@ def proper_time_factor(u):
     u2 = (x * x + y * y) + z * z
     bad = u2 >= 1.0
     if violated(bad):
-        raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, root(u2))
+        raise domain_error(SuperluminalVelocityError, bad, SUPERLUMINAL, root(u2))
     return root(1.0 - u2)
 
 

@@ -27,20 +27,17 @@ table of array kernels over the audited rows (the particle model's
 columns, or one block of string states), raising at the first offending
 row.
 
-A particle run steps the flat state y = (r, P, [t,] tau), or
-(r, l u tdot, l tdot, tau) for the constrained model (``particle._pack``),
-whose rate on the run's axis is the model's law itself,
-``particle.bind_law(model, axis, binding)``: it reads y, takes the clock
-factors from the |u|^2 it has computed, and is the one reader of a
-particle state.  The stepper binds it to floats once per run, so a stage
-is one Python call plus the field's kernels.  The check of a new state
-evaluates the law there, raises any of its errors, runs ``check_state`` on
-u and p of that evaluation, and returns its rate as the next step's k1, so
-a step costs one law evaluation per stage and the launch state one more,
-and every kept row is a state where the law evaluates.  The decoder binds
-it to rows: on the later rows of a `Trajectory`, which holds the parameter
-x and the flat states Y as arrays, it gives the physical columns (t, tau,
-r, u, p) from which `samples`, `final` and the invariants are derived.
+The flat states are not this module's: each is laid out, checked and read
+by the module that defines it, and this module steps and audits the
+tuples they give without indexing one.  A particle run takes its launch
+parameter and flat state from ``particle.pack``, its rate and the check of
+a new state from ``particle.bind_step`` (the model's law bound to floats
+once per run, so a stage is one Python call plus the field's kernels, and
+every kept row is a state where the law evaluates), and the physical
+columns (t, tau, r, u, p) of the later rows of a `Trajectory`, which holds
+the parameter x and the flat states Y as arrays, from
+``particle.bind_rows``; `samples`, `final` and the invariants are derived
+from those columns.
 
 Each method's whole step is one function that `_stepper` generates once
 per method and state length: each stage expression is written once as a
@@ -53,12 +50,12 @@ are stage expressions too: each sums all six weighted rates, zero weights
 included, left to right from 0, so no builtin ``sum`` (which compensates
 float sums from Python 3.12 on) decides their bits.
 
-A string run steps the flat state (r, p, t) of its nodes as a one-array
-tuple: each stage's rate is one new flat array, which the string flow's
-writer fills with dr and dp from views of the state, and dt into its
-tail.  A `StringTrajectory` holds tau and the flat states Y as arrays, and
-its `StringState`s are views of the rows, built on demand: one row, or a
-block of rows, which the string kernels take whole.
+A string run steps the flat state (r, p, t) of its nodes, ``strings.flat``,
+as a one-array tuple, by the rate and check of ``strings.bind_step``: each
+stage's rate is one new flat array.  A `StringTrajectory` holds tau and
+the flat states Y as arrays, and its `StringState`s are ``strings.view``s
+of the rows, built on demand: one row, or a block of rows, which the
+string kernels take whole.
 """
 
 from __future__ import annotations
@@ -73,21 +70,12 @@ from typing import Callable, List
 
 import numpy as np
 
-from . import strings
+from . import particle, strings
 # bench/tracing.py (INTEGRATE_SPANS) and its contract test look relax_elliptic up here
 from .conformal import relax_elliptic  # noqa: F401
 from .errors import PhysicsDomainError, StepFailureError, ValidationError
-from .geometry import FLOATS, ROWS, Vec3
-from .particle import (
-    INVARIANTS,
-    ForceModel,
-    ModelKind,
-    ParticleColumns,
-    ParticleState,
-    _pack,
-    bind_law,
-    check_state,
-)
+from .geometry import Vec3
+from .particle import INVARIANTS, ForceModel, ModelKind, ParticleColumns, ParticleState
 
 
 @dataclass
@@ -156,11 +144,9 @@ class Trajectory:
 
     x, shape (n+1,), is the integration parameter (lab time t, or the proper
     time of the clock-change axis) and Y, shape (n+1, k), the stepper's flat
-    state per row: (r, P, tau) on the lab axis and (r, P, t, tau) on the
-    proper axis, with P = p + qA for the interacting model and p otherwise;
-    (r, l u tdot, l tdot, tau) for the constrained model.  Row 0 is
-    ``initial``.  The physical columns, ``samples`` and ``final`` are built
-    from x and Y on demand by the decoder; row 0 always reads ``initial``
+    state per row, of ``particle.pack``'s layout.  Row 0 is ``initial``.
+    The physical columns, ``samples`` and ``final`` are built from x and Y
+    on demand by ``particle.bind_rows``; row 0 always reads ``initial``
     itself, whose p and u need not survive a round trip through the flat
     state.
     """
@@ -180,7 +166,7 @@ class Trajectory:
         lam = s.lam if self.model.kind is ModelKind.CONSTRAINED else None
         decoded = firsts = (s.t, s.tau, s.r, s.u, s.p, lam)
         if later.any():  # a selection of row 0 alone evaluates no law
-            decode = _decoder(self.model, self.time_axis)
+            decode = particle.bind_rows(self.model, self.time_axis)
             with np.errstate(all="ignore"):  # overflow stays silent, as on floats
                 decoded = decode(self.x[rows[later]], tuple(self.Y[rows[later]].T))
         columns = []
@@ -340,9 +326,12 @@ def rkf45_step(f, x, y, h, rel_tol, abs_tol, k1):
 def _march(rhs, check, x, y, params: IntegrationParams, label: str):
     """Yield (x, y) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
 
-    check(x, y) returns rhs(x, y) of the new state, or None; the next step
-    takes it as k1 and evaluates rhs itself only for a None (and at the
-    launch), after the row is yielded.  A rejected RKF45 attempt keeps its k1.
+    y is a tuple state, which the march never indexes: rhs(x, y) returns
+    the rate tuple of the same length, and check(x, y) raises at a new
+    state outside its owner's domain and returns rhs(x, y) there, or None.
+    The next step takes that as k1 and evaluates rhs itself only for a None
+    (and at the launch), after the row is yielded.  A rejected RKF45
+    attempt keeps its k1.
 
     RK4 makes n_steps steps of params.step by the generated step it binds
     before the first, so a step looks nothing up.  RKF45 calls
@@ -439,67 +428,28 @@ def axis_for(kind: ModelKind, requested: str, verb: str = "") -> str:
     return axis
 
 
-def _decoder(model: ForceModel, axis: str) -> Callable:
-    """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of _pack's layout.
-
-    y is the tuple of the columns of many rows (Y.T) and x their
-    parameters; r, u and p come back as (x, y, z) triples of rows and l
-    tdot is None except for the constrained model.  u and p are the ones
-    the law bound to ROWS gives, so a row reads the state the step check
-    passed, by the same law.
-    """
-    law = bind_law(model, axis, ROWS)
-    constrained, lab = model.kind is ModelKind.CONSTRAINED, axis == "lab"
-
-    def decode(x, y):
-        _, u, p = law(x, y)
-        # tau is the last component of every layout; t is x on the lab axis and y[6] off it
-        return (x if lab else y[6]), y[-1], y[0:3], u, p, (y[6] if constrained else None)
-
-    return decode
-
-
-def _flat_rhs(model: ForceModel, axis: str):
-    """(rhs, check) of a particle's flat state: its rate, and the check of a new state.
-
-    Both call the law bound to floats on the axis once; rhs returns only its
-    rate.  The check evaluates the law at the new state, runs
-    ``check_state`` on the u and p of that evaluation and returns its rate,
-    the next step's k1; so every error of the law at the new state is
-    raised by the check, with the new x, and every kept row is a state
-    where the law evaluates.
-    """
-    law = bind_law(model, axis, FLOATS)
-
-    def rhs(x, y):
-        return law(x, y)[0]
-
-    def check(x, y):
-        k, u, p = law(x, y)
-        check_state(y[-1], y[0:3], u, p)
-        return k
-
-    return rhs, check
-
-
 def integrate_particle(
     model: ForceModel, initial: ParticleState, params: IntegrationParams
 ) -> Trajectory:
     """Advance one particle, auditing its model's conserved quantities.
 
     Deterministic: identical inputs give bit-identical trajectories.
-    ``_march`` checks every new state where it is made and annotates
-    physics-domain errors with the parameter value at which the step
-    failed.  ``_audited_march`` keeps the rows, as the stepper's tuples, and
-    evaluates the array invariants over the audited rows, the launch row
-    first, on a trajectory whose Y is read from the tuples in one pass; an
-    invariant error, a field's included, is annotated with its first
-    offending row.
+    ``particle.pack`` gives the launch's parameter and flat state, and
+    ``particle.bind_step`` the rate and the check that ``_march`` steps
+    them with; ``_march`` checks every new state where it is made and
+    annotates physics-domain errors with the parameter value at which the
+    step failed.  ``_audited_march`` keeps the rows, as the stepper's
+    tuples, and evaluates the array invariants over the audited rows, the
+    launch row first, on a trajectory whose Y is read from the tuples in one
+    pass; an invariant error, a field's included, is annotated with its
+    first offending row.  An RK4 run knows its row count, so it allocates Y
+    before the launch audit, and a step count too large to keep is refused
+    before the first step; an RKF45 run's Y is allocated at each audit.
     """
     axis = axis_for(model.kind, params.time_axis)
-    x, label = (initial.t, "t") if axis == "lab" else (initial.tau, "tau")
-    y = _pack(model, initial, axis)
-    xs, ys = [x], [y]
+    x, y = particle.pack(model, initial, axis)
+    xs, ys, size = [x], [y], len(y)
+    Y = np.empty((params.n_steps + 1, size)) if params.method == _RK4 else None
     traj = None
 
     def keep(n, x, y):
@@ -508,11 +458,15 @@ def integrate_particle(
 
     def invariants(rows):
         nonlocal traj  # the last call, over the finished run, leaves the run's trajectory
-        Y = np.fromiter(itertools.chain.from_iterable(ys), float, count=len(ys) * len(y))
-        traj = Trajectory(np.array(xs), Y.reshape(len(ys), len(y)), initial, model, axis)
+        n = len(ys)
+        kept = np.fromiter(itertools.chain.from_iterable(ys), float, count=n * size).reshape(n, size)
+        if Y is not None:
+            Y[:n] = kept
+            kept = Y[:n]
+        traj = Trajectory(np.array(xs), kept, initial, model, axis)
         return traj.invariants(rows)
 
-    march = _march(*_flat_rhs(model, axis), x, y, params, label)
+    march = _march(*particle.bind_step(model, axis), x, y, params, "t" if axis == "lab" else "tau")
     report = _audited_march(march, keep, invariants, params.audit_every)
     traj.report = report
     return traj
@@ -526,9 +480,9 @@ class StringTrajectory:
     """One string run as columns, plus the conservation audit.
 
     tau, shape (n+1,), is the proper-time parameter and Y, shape (n+1, 7m),
-    the stepper's flat state (r, p, t) of the m grid nodes per row: r and p
-    row-major, then the t channel.  Row 0 is the initial state.
-    ``state(i)`` and ``samples`` are StringState views of the rows,
+    the stepper's flat state (r, p, t) of the m grid nodes per row, of
+    ``strings.flat``'s layout.  Row 0 is the initial state.  ``state(i)``
+    and ``samples`` are StringState views of the rows (``strings.view``),
     built on demand; ``state(rows)`` of a sequence of rows is one block, whose
     r is the (len(rows), m, 3) world sheet of those rows.
     """
@@ -540,9 +494,7 @@ class StringTrajectory:
 
     def state(self, i) -> strings.StringState:
         """Row i as a StringState of views of Y; a sequence of rows gives one block, of a copy of them."""
-        y, m = self.Y[i], self.grid.n
-        r, p = (y[..., k * m : (k + 3) * m].reshape(*y.shape[:-1], m, 3) for k in (0, 3))
-        return strings.StringState(self.grid, r, p, self.tau[i], y[..., 6 * m :])
+        return strings.view(self.grid, self.Y[i], self.tau[i])
 
     @property
     def samples(self) -> List[strings.StringState]:
@@ -563,9 +515,10 @@ _STRING_INVARIANTS = {
 def integrate_string(state, field, params: IntegrationParams) -> StringTrajectory:
     """Advance a string state under the canonical flow with fixed endpoints.
 
-    ``_march`` steps the flat state (r, p, t) as a one-array tuple.  Its rate
-    is the string writer ``strings.bind_rates``, bound once per run (the
-    uncharged flow, in a comoving field too): each stage copies the state
+    ``_march`` steps the flat state (r, p, t) as a one-array tuple, by the
+    rate and the check of ``strings.bind_step``.  The rate is the string
+    writer ``strings.bind_rates``, bound once per run (the uncharged flow,
+    in a comoving field too): each stage copies the state
     into the writer's buffer, which fills dr, dp and dt = (1 + |dr|^2)^(1/2),
     co-integrating the t channel, and takes a new copy of the rate, so RK4's
     four stages keep four rates.  Each new state is
@@ -583,24 +536,9 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     if params.time_axis == "lab":
         raise ValidationError("string integration steps proper time tau: time_axis must be auto or proper")
 
-    grid, m = state.grid, state.grid.n
-    rows = params.n_steps + 1
-    traj = StringTrajectory(np.empty(rows), np.empty((rows, 7 * m)), grid)
-    traj.tau[0] = state.tau
-    y = traj.Y[0]
-    y[: 3 * m], y[3 * m : 6 * m], y[6 * m :] = state.r.ravel(), state.p.ravel(), state.t
-
-    rates = strings.bind_rates(grid.h, field, m)
-
-    def rhs(tau, y):
-        return (rates(y[0]),)
-
-    def check(tau, y):  # evaluates no rate, so each step's k1 is a new one
-        finite = np.isfinite(y[0])
-        if not finite.all():
-            k = int(np.argmin(finite))
-            node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
-            raise PhysicsDomainError(f"non-finite string state at node {node}", where=node)
+    rows, y = params.n_steps + 1, strings.flat(state)
+    traj = StringTrajectory(np.empty(rows), np.empty((rows, y.size)), state.grid)
+    traj.tau[0], traj.Y[0] = state.tau, y
 
     def keep(i, tau, y):
         traj.tau[i], traj.Y[i] = tau, y[0]
@@ -609,6 +547,6 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
         block = traj.state(rows)
         return _invariants(_STRING_INVARIANTS, (block, field), None, lambda exc, k: traj.annotate(exc, rows[k]))
 
-    march = _march(rhs, check, state.tau, (y,), params, "tau")
+    march = _march(*strings.bind_step(state.grid, field), state.tau, (y,), params, "tau")
     traj.report = _audited_march(march, keep, invariants, params.audit_every)
     return traj

@@ -16,7 +16,7 @@ are `classical_rhs`, `constrained_rhs` and `vacuum_rhs` (both vacuum
 models, qA = 0 for vacuum-free): functions of (model, r, p, t) returning
 (dp/dt, u), or (dy1/dt, dy2/dt, u) for the constrained multiplier pair,
 with p the canonical momentum for `vacuum_rhs`.  Each law is written once,
-on the flat state that `_pack` lays out, in `bind_law`: one body per model
+on the flat state that `pack` lays out, in `bind_law`: one body per model
 (constrained, classical, and both vacuum models) gives a state's whole
 stage rate, clock factors included, with u and p, so a stage is one Python
 call plus the field's kernels.  Its entries are all floats (one particle)
@@ -24,6 +24,10 @@ or all 1-D arrays (rows of particles), and a row of the array form equals
 the float form bit for bit.  `bind_law` binds the body to
 ``geometry.FLOATS``, once per run for the stepper, or to ``ROWS`` for the
 rows of a run and the public laws, which call it on a packed lab state.
+This module is the one owner of the flat state: `pack` lays out a launch
+with its parameter, `bind_step` gives the stepper the rate and the check
+of a new state, and `bind_rows` reads rows back as columns, so the
+integrator steps and audits the tuples without indexing one.
 The laws call the fields' component methods, the vacuum law through the
 one entry point ``_potentials`` (``_point(binding)``), and use no Vec3.
 The electromagnetic terms are assembled as q*E, u x (q*B) and
@@ -65,10 +69,11 @@ from .errors import (
     SuperluminalVelocityError,
 )
 from .geometry import (
+    FLOATS,
     ROWS,
+    SUPERLUMINAL,
     Vec3,
     ZERO3,
-    _SUPERLUMINAL,
     domain_error,
     proper_time_factor,
     root,
@@ -211,25 +216,28 @@ def classical_energy(m0: float, wbar, p):
 # --- force laws on the flat state ------------------------------------------------
 
 
-def _pack(model: ForceModel, state: ParticleState, axis: str):
-    """A state's flat form, the one layout every law reads: (r, P, [t,] tau), or (r, l u tdot, l tdot, tau).
+def pack(model: ForceModel, state: ParticleState, axis: str):
+    """(x, y): a state's parameter on the axis and its flat form, the one layout every law reads.
 
-    P = p + qA for the interacting model and p otherwise.  t is a component
-    on the proper axis only; on the lab axis it is the law's parameter x.
-    The constrained model steps y1 = l u tdot and y2 = l tdot, in lab time.
+    x is t on the lab axis and tau on the proper axis.  y is (r, P, [t,]
+    tau), or (r, l u tdot, l tdot, tau) for the constrained model, which
+    steps y1 = l u tdot and y2 = l tdot in lab time.  P = p + qA for the
+    interacting model and p otherwise.  t is a component on the proper axis
+    only; on the lab axis it is the law's parameter x.  tau is the last
+    component of every layout.
     """
-    r, p = state.r, state.p
+    x, r, p = (state.t if axis == "lab" else state.tau), state.r, state.p
     if model.kind is ModelKind.CONSTRAINED:
-        return (*r, *p, state.lam, state.tau)
+        return x, (*r, *p, state.lam, state.tau)
     if model.kind is ModelKind.VACUUM_INTERACTING:
         p = p + qa_vector(model, r, state.t)
     if axis == "lab":
-        return (*r, *p, state.tau)
-    return (*r, *p, state.t, state.tau)
+        return x, (*r, *p, state.tau)
+    return x, (*r, *p, state.t, state.tau)
 
 
 def bind_law(model: ForceModel, axis: Optional[str], binding):
-    """law(x, y) -> (dy/dx, u, p): the model's stage rate at a flat state y of `_pack`'s layout.
+    """law(x, y) -> (dy/dx, u, p): the model's stage rate at a flat state y of `pack`'s layout.
 
     x is the axis's parameter: lab time t, or on the proper axis the source
     frame's proper time, where dt/dx = (1 - |u - u_f|^2)^(-1/2) scales every
@@ -257,7 +265,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
             u2 = (ux * ux + uy * uy) + uz * uz
             bad = clocked and u2 >= 1.0
             if violated(bad):
-                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
+                raise domain_error(SuperluminalVelocityError, bad, SUPERLUMINAL, sqrt(u2))
             d2 = (ex * ux + ey * uy) + ez * uz
             dtau = sqrt(1.0 - u2) if clocked else None
             return (ux, uy, uz, ex + mx, ey + my, ez + mz, d2, dtau), u, (px, py, pz)
@@ -275,7 +283,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
             u2 = (ux * ux + uy * uy) + uz * uz
             bad = clocked and u2 >= 1.0
             if violated(bad):
-                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(u2))
+                raise domain_error(SuperluminalVelocityError, bad, SUPERLUMINAL, sqrt(u2))
             dtau = sqrt(1.0 - u2) if clocked else None
             return (ux, uy, uz, ex + mx, ey + my, ez + mz, dtau), u, (px, py, pz)
 
@@ -312,7 +320,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
             w2 = (wx * wx + wy * wy) + wz * wz
             bad = w2 >= 1.0
             if violated(bad):
-                raise domain_error(SuperluminalVelocityError, bad, _SUPERLUMINAL, sqrt(w2))
+                raise domain_error(SuperluminalVelocityError, bad, SUPERLUMINAL, sqrt(w2))
             rate = 1.0 / sqrt(1.0 - w2)
         else:
             rate = 1.0 / dtau
@@ -320,6 +328,49 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
         return k, u, (px, py, pz)
 
     return law
+
+
+def bind_step(model: ForceModel, axis: str):
+    """(rhs, check) of a particle's flat state: its rate, and the check of a new state.
+
+    Both call the law bound to floats on the axis once; rhs returns only its
+    rate.  The check evaluates the law at the new state, runs
+    ``check_state`` on the u and p of that evaluation and returns its rate,
+    the next step's k1; so every error of the law at the new state is
+    raised by the check, with the new x, and every kept row is a state
+    where the law evaluates.
+    """
+    law = bind_law(model, axis, FLOATS)
+
+    def rhs(x, y):
+        return law(x, y)[0]
+
+    def check(x, y):
+        k, u, p = law(x, y)
+        check_state(y[-1], y[0:3], u, p)
+        return k
+
+    return rhs, check
+
+
+def bind_rows(model: ForceModel, axis: str) -> Callable:
+    """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of `pack`'s layout.
+
+    y is the tuple of the columns of many rows (Y.T) and x their
+    parameters; r, u and p come back as (x, y, z) triples of rows and l
+    tdot is None except for the constrained model.  u and p are the ones
+    the law bound to ROWS gives, so a row reads the state the step check
+    passed, by the same law.
+    """
+    law = bind_law(model, axis, ROWS)
+    constrained, lab = model.kind is ModelKind.CONSTRAINED, axis == "lab"
+
+    def decode(x, y):
+        _, u, p = law(x, y)
+        # tau is the last component of every layout; t is x on the lab axis and y[6] off it
+        return (x if lab else y[6]), y[-1], y[0:3], u, p, (y[6] if constrained else None)
+
+    return decode
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):

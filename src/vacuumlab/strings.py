@@ -29,12 +29,16 @@ a float.  One staggered kernel, ``_cells``, gives each
 cell's pieces; one writer, ``bind_rates``, turns them into each cell's
 grad(wbar) part, tension vector and velocity half-sum and accumulates each
 cell into its two nodes in the order of a sum into zeros.  The writer is
-bound once per run to the spacing, the field and the node count: its
-buffers, their slices and the kernel's temporaries are made at the bind,
-and a call allocates only the copy of the rate it returns and the field's
-own arrays.  string_canonical_rhs(state, field) binds the writer and calls
-it once.  The alternative functional |wbar r' - p| is provided for
-comparison: under the Euclidean reading with <p, r'> = 0 it satisfies
+bound once per run to the grid and the field: its buffers, their slices
+and the kernel's temporaries are made at the bind, and a call allocates
+only the copy of the rate it returns and the field's own arrays.
+string_canonical_rhs(state, field) binds the writer and calls it once.
+This module is the one owner of the flat (r, p, t) state a string run
+steps: `flat` packs a state or a block, `view` reads one back as a
+StringState of views, and `bind_step` gives the stepper the writer as its
+rate and the check of a new state.  The alternative functional
+|wbar r' - p| is provided for comparison: under the Euclidean reading
+with <p, r'> = 0 it satisfies
 |wbar r' - p|^2 = (wbar r')^2 + p^2, strictly above the energy integrand
 whenever p != 0 - the claimed equivalence of the two forms fails, and the
 gap is measured, not resolved.
@@ -236,13 +240,29 @@ def node_energy_density(state: StringState, field: PotentialField) -> np.ndarray
     return out
 
 
-def bind_rates(h: float, field: PotentialField, m: int):
-    """Bind the canonical flow's writer to spacing h, field and m nodes: rates(y) -> k.
+def flat(state: StringState) -> np.ndarray:
+    """The flat (r, p, t) layout of a state, or of a block: (..., 7n) floats, r and p row-major, then t."""
+    lead = state.t.shape[:-1]
+    return np.concatenate([state.r.reshape(*lead, -1), state.p.reshape(*lead, -1), state.t], axis=-1)
 
-    y is a flat state of 7m floats: the node rows r and p row-major, then the
-    t channel.  k, of the same layout, holds dr/dtau, dp/dtau and the clock
-    rate dt/dtau = (1 + |dr|^2)^(1/2).  The end rows of dr and dp are +0.0
-    (fixed endpoints), as in a sum into zeros.
+
+def view(grid: StringGrid, y: np.ndarray, tau) -> StringState:
+    """The StringState at tau of flat states y of `flat`'s layout, one (7n,) or a block (..., 7n).
+
+    r, p and t are views of y; tau is a float or an array of the block's leading shape.
+    """
+    m = grid.n
+    r, p = (y[..., k * m : (k + 3) * m].reshape(*y.shape[:-1], m, 3) for k in (0, 3))
+    return StringState(grid, r, p, tau, y[..., 6 * m :])
+
+
+def bind_rates(grid: StringGrid, field: PotentialField):
+    """Bind the canonical flow's writer to the grid and the field: rates(y) -> k.
+
+    y is a flat state of `flat`'s layout.  k, of the same layout, holds
+    dr/dtau, dp/dtau and the clock rate dt/dtau = (1 + |dr|^2)^(1/2).  The
+    end rows of dr and dp are +0.0 (fixed endpoints), as in a sum into
+    zeros.
 
     The binding holds one state buffer and one rate buffer, the views of
     their cell slices and node rows, and the cells' temporaries.  A call
@@ -250,9 +270,10 @@ def bind_rates(h: float, field: PotentialField, m: int):
     two nodes, and returns a copy of the rate buffer, so no call sees
     another's values.
     """
+    h, m = grid.h, grid.n
     y, k = np.empty(7 * m), np.zeros(7 * m)
-    (r, p), (dr, dp), dt = y[: 6 * m].reshape(2, m, 3), k[: 6 * m].reshape(2, m, 3), k[6 * m :]
-    t = y[6 * m :]
+    held, rate = view(grid, y, 0.0), view(grid, k, 0.0)  # the buffers' node rows and t channels
+    r, p, t, dr, dp, dt = held.r, held.p, held.t, rate.r, rate.p, rate.t
     rdot, force = dr[1:-1], dp[1:-1]
     evaluate, (diff, _, velocity, rp2, hdens, mid, tmid, w2) = _cells(h, field, r, p, t)
     grad, tension = np.empty((m - 1, 3)), np.empty((m - 1, 3))
@@ -289,17 +310,37 @@ def bind_rates(h: float, field: PotentialField, m: int):
     return rates
 
 
+def bind_step(grid: StringGrid, field: PotentialField):
+    """(rhs, check) of a string run's flat state, a one-array tuple: its rate, and the check of a new state.
+
+    rhs is the writer ``bind_rates`` bound once.  The check evaluates no
+    rate, so each step's k1 is a new one; it raises PhysicsDomainError at
+    the first non-finite component of a new state, naming its node as
+    ``where``.
+    """
+    rates, m = bind_rates(grid, field), grid.n
+
+    def rhs(tau, y):
+        return (rates(y[0]),)
+
+    def check(tau, y):
+        finite = np.isfinite(y[0])
+        if not finite.all():
+            k = int(np.argmin(finite))
+            node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
+            raise PhysicsDomainError(f"non-finite string state at node {node}", where=node)
+
+    return rhs, check
+
+
 def string_canonical_rhs(state: StringState, field: PotentialField):
     """(dr/dtau, dp/dtau) of the canonical flow with fixed endpoints: the bound writer, called once.
 
     Equals the exact gradient of the discretized energy functional H via
     dr_j = -(1/h) dH/dp_j and dp_j = +(1/h) dH/dr_j (generator -H).
     """
-    m = state.grid.n
-    rates = bind_rates(state.grid.h, field, m)
-    k = rates(np.concatenate([state.r.ravel(), state.p.ravel(), state.t]))
-    dr, dp = k[: 6 * m].reshape(2, m, 3)
-    return dr, dp
+    rate = view(state.grid, bind_rates(state.grid, field)(flat(state)), state.tau)
+    return rate.r, rate.p
 
 
 # --- nodal kernels --------------------------------------------------------------

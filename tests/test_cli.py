@@ -385,6 +385,14 @@ LAB_MODEL_ON_THE_PROPER_AXIS = [
      "error: integration.time_axis must be auto or lab for a classical model\n")
     for verb in ("run", "audit", "compare")
 ]
+# a particle step count too large to keep: every verb refuses the run's rows before
+# the first step, which the contract's stepper refuses to take; the vacuum-free state
+# has 8 components on its own proper axis and 7 on the lab axis compare steps
+PARTICLE_STEPS_TOO_LARGE = [
+    (verb, lambda d: d["integration"].update(n_steps=10**15), 1,
+     f"for an array with shape (1000000000000001, {k})")
+    for verb, k in (("run", 8), ("audit", 8), ("compare", 7))
+]
 # a vacuum model on the axis the verb does not step: audit steps its own
 # (proper) clock and compare lab time, and neither overrides the scenario
 VACUUM_MODEL_ON_THE_OTHER_AXIS = [
@@ -453,13 +461,14 @@ VACUUM_MODEL_ON_THE_OTHER_AXIS = [
         ),
         # a string run steps its proper time tau: a lab axis would be silently ignored
         (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
-    ]] + LAB_MODEL_ON_THE_PROPER_AXIS + VACUUM_MODEL_ON_THE_OTHER_AXIS,
+    ]] + PARTICLE_STEPS_TOO_LARGE + LAB_MODEL_ON_THE_PROPER_AXIS + VACUUM_MODEL_ON_THE_OTHER_AXIS,
     ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
          "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
          "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
          "name-with-nul", "directory-with-nul", "out-is-a-file", "string-grid-too-large",
          "conformal-grid-too-large", "string-steps-too-large", "coulomb-zero-charge",
-         "string-lab-axis", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
+         "string-lab-axis", "run-particle-steps-too-large", "audit-particle-steps-too-large",
+         "compare-particle-steps-too-large", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
          "compare-lab-model-proper-axis", "audit-vacuum-model-lab-axis",
          "compare-vacuum-model-proper-axis"],
 )
@@ -468,6 +477,14 @@ def test_exit_code_contract(tmp_path, capsys, monkeypatch, verb, edit, code, mes
 
     # only the rk45 case reaches the adaptive stepper, which then never accepts
     monkeypatch.setattr(integ, "rkf45_step", _always_reject)
+    march = integ._march
+
+    def bounded_march(rhs, check, x, y, params, label):  # a missing refusal fails, not hangs
+        if params.n_steps >= 10**15:
+            pytest.fail(f"a run of {params.n_steps} steps was stepped")
+        return march(rhs, check, x, y, params, label)
+
+    monkeypatch.setattr(integ, "_march", bounded_march)
     data = minimal_particle(str(tmp_path / "out"))
     edit(data)
     configs = [write_config(tmp_path, data)] * (2 if verb == "compare" else 1)
@@ -569,12 +586,12 @@ def test_a_key_nothing_reads_is_refused_by_name(tmp_path, shipped, edit, key):
 
 
 def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
-    import vacuumlab.integrate as integ
+    from vacuumlab import particle
 
     # every force after the first is NaN: each attempt's estimate is NaN, so
     # none is accepted and the step collapses, where accepting the NaN state
     # would end in a domain error (exit 2)
-    calls, bind = [], integ.bind_law
+    calls, bind = [], particle.bind_law
 
     def turns_nan(model, axis, binding):
         law = bind(model, axis, binding)
@@ -586,7 +603,7 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
 
         return nan_law
 
-    monkeypatch.setattr(integ, "bind_law", turns_nan)
+    monkeypatch.setattr(particle, "bind_law", turns_nan)
     data = minimal_particle(str(tmp_path / "out"))
     data["integration"]["method"] = "rk45"
     assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 3
@@ -596,13 +613,13 @@ def test_a_law_that_turns_nan_exits_3_on_rk45(tmp_path, capsys, monkeypatch):
 
 
 def test_a_last_state_whose_force_terms_fail_exits_2(tmp_path, capsys, monkeypatch):
-    import vacuumlab.integrate as integ
+    from vacuumlab import particle
 
     # the clock change of the proper axis is a force term, which fails where
     # |u - u_f| >= 1 while u is fine: a stubbed float-bound law fails so at
     # the last state only (the 4n + 1-th evaluation), and the check of that
     # state refuses it with its tau, where the run used to finish on it
-    laws, bind = [], integ.bind_law
+    laws, bind = [], particle.bind_law
 
     def fails_last(model, axis, binding):
         law = bind(model, axis, binding)
@@ -615,7 +632,7 @@ def test_a_last_state_whose_force_terms_fail_exits_2(tmp_path, capsys, monkeypat
 
         return stub if binding == FLOATS else law
 
-    monkeypatch.setattr(integ, "bind_law", fails_last)
+    monkeypatch.setattr(particle, "bind_law", fails_last)
     data = minimal_particle(str(tmp_path / "out"))
     assert cli.main(["run", write_config(tmp_path, data), "--quiet"]) == 2
     assert capsys.readouterr().err == "physics abort: |u - u_f| = 1.1 >= 1 [tau=0.05]\n"
@@ -677,6 +694,25 @@ def test_audit_refuses_negative_or_too_few_nodes(tmp_path, capsys, monkeypatch, 
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        # the adaptive steps of the shipped run grow, so 5 steps' horizon takes 2 accepted steps
+        ("constrained_rk45", ["--steps", "5"],
+         "audit of an rk45 run needs at least 4 accepted rows; integration.step 0.0005 and n_steps 5 gave 3"),
+        ("constrained_uniform_e", ["--steps", "2", "--nodes", "10"],
+         "audit of an rk4 run needs at least 4 accepted rows; integration.step 0.0005 and n_steps 2 gave 3"),
+    ],
+    ids=["rk45", "rk4-with-nodes"],
+)
+def test_audit_refuses_a_constrained_run_too_short_to_resample(tmp_path, capsys, name, argv, message):
+    # the real steppers decide the row count, which the cubic resampling needs 4 of
+    out = tmp_path / "out"
+    assert cli.main(["audit", scenario(f"{name}.yaml"), *argv, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("time_axis", ["lab", "proper"])

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import vacuumlab.integrate as integ
+import vacuumlab.particle as particle
 from vacuumlab.errors import EnergyDomainError, PhysicsDomainError, SuperluminalVelocityError
 from vacuumlab.geometry import Vec3, ZERO3, proper_time_factor
 from vacuumlab.integrate import (
@@ -145,10 +146,9 @@ class DriftReport(ConservationReport):
 def reference_integrate(model, initial, params):
     """(samples, report) of the per-step loop: a state and a scalar audit per step."""
     axis = integ.axis_for(model.kind, params.time_axis)
-    rhs, _ = integ._flat_rhs(model, axis)
+    rhs, _ = particle.bind_step(model, axis)
     audits = SCALAR_INVARIANTS[model.kind]
-    x = initial.t if axis == "lab" else initial.tau
-    y = integ._pack(model, initial, axis)
+    x, y = particle.pack(model, initial, axis)
 
     report = DriftReport()
     samples = [initial]
@@ -346,13 +346,13 @@ def test_a_launch_the_audit_refuses_takes_no_step(monkeypatch):
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
     state = make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(-0.5, 0.0, 0.0))
-    evaluations, bind = [], integ.bind_law
+    evaluations, bind = [], particle.bind_law
 
     def counted(model, axis, binding):
         law = bind(model, axis, binding)
         return lambda x, y: evaluations.append(x) or law(x, y)
 
-    monkeypatch.setattr(integ, "bind_law", counted)
+    monkeypatch.setattr(particle, "bind_law", counted)
     params = IntegrationParams(step=1e-3, n_steps=10, time_axis="lab")
     message = r"^\|p\+qA\| = 1.2742 exceeds \|wbar\| = 1.15837 \[t=0\]$"
     with pytest.raises(EnergyDomainError, match=message):

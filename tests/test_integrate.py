@@ -10,6 +10,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import vacuumlab.integrate as integ
+import vacuumlab.particle as particle
 from vacuumlab.conformal import relax_elliptic
 from vacuumlab.errors import (
     ConvergenceError,
@@ -358,7 +359,7 @@ def _count_evaluations(monkeypatch, field):
     which computes one offset per call on floats.
     """
     laws, offsets = [], []
-    bind = integ.bind_law
+    bind = particle.bind_law
 
     def counted_bind(model, axis, binding):
         law = bind(model, axis, binding)
@@ -375,7 +376,7 @@ def _count_evaluations(monkeypatch, field):
         return point
 
     kernels = {b: counted(k) for b, k in field._kernels.items()}
-    monkeypatch.setattr(integ, "bind_law", counted_bind)
+    monkeypatch.setattr(particle, "bind_law", counted_bind)
     monkeypatch.setattr(field, "_point", kernels.__getitem__)
     monkeypatch.setattr(field, "_potentials", kernels[ROWS])
     return laws, offsets
@@ -453,8 +454,8 @@ def test_a_law_evaluation_makes_its_budget_of_python_calls(name):
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
     model, state, params = cli.build_particle_model(cli.parse_config(path))
     axis = integ.axis_for(model.kind, params.time_axis)
-    law = integ.bind_law(model, axis, FLOATS)
-    x, y = (state.t if axis == "lab" else state.tau), integ._pack(model, state, axis)
+    law = particle.bind_law(model, axis, FLOATS)
+    x, y = particle.pack(model, state, axis)
     calls = []
 
     def profile(frame, event, arg):
@@ -613,7 +614,7 @@ def test_step_check_raises_every_law_error_at_the_new_state():
                       softening=0.05, background=-1.0)
     field = build_potential(spec, 1.0)
     model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
-    rhs, check = integ._flat_rhs(model, "proper")
+    rhs, check = particle.bind_step(model, "proper")
     r, t = Vec3(0.5, 0.0, 0.0), 0.3
 
     def flat(u):
@@ -689,7 +690,7 @@ def test_vacuum_laws_near_the_domain_boundary(
         big_p = big_p + qa_vector(model, r, t)
     for axis, y in (("lab", (*r, *big_p, 0.0)), ("proper", (*r, *big_p, t, 0.0))):
         try:
-            out = integ._flat_rhs(model, axis)[0](t if axis == "lab" else 0.0, y)
+            out = particle.bind_step(model, axis)[0](t if axis == "lab" else 0.0, y)
         except PhysicsDomainError:
             continue
         assert all(math.isfinite(c) for c in out)

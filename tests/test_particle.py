@@ -1,9 +1,12 @@
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vacuumlab import cli
 from vacuumlab.errors import (
     DegenerateMultiplierError,
     EnergyDomainError,
@@ -13,13 +16,14 @@ from vacuumlab.errors import (
     SuperluminalVelocityError,
 )
 from vacuumlab.geometry import FLOATS, ROWS, Vec3, ZERO3, domain_error, proper_time_factor
-from vacuumlab.integrate import IntegrationParams, integrate_particle
+from vacuumlab.integrate import IntegrationParams, axis_for, integrate_particle
 from vacuumlab.particle import (
     ForceModel,
     ModelKind,
     TwoParticleScenario,
     _em_terms,
     bind_law,
+    bind_rows,
     check_state,
     classical_energy,
     classical_momentum,
@@ -33,6 +37,7 @@ from vacuumlab.particle import (
     make_classical_state,
     make_constrained_state,
     make_vacuum_state,
+    pack,
     qa_vector,
     rest_mass_limit_check,
     total_energy,
@@ -51,6 +56,7 @@ from vacuumlab.potentials import (
 )
 from test_acceptance import vacuum_lorentz_rhs
 from test_potentials import math_field
+from test_solver_references import identical
 
 
 def test_classical_momentum_examples():
@@ -811,3 +817,32 @@ def test_check_state_refuses_each_non_finite_component(bad, slot):
     assert expected is not None and _outcome(check_state, 0.0, r, u, p) == expected
     values[slot] = 0.5
     assert _outcome(check_state, 0.0, values[0:3], values[3:6], values[6:9]) is None
+
+
+SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _particle_launches():
+    """(scenario, axis): each shipped particle scenario on lab time and on its model's own clock."""
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        config = cli.parse_config(str(path))
+        if config.kind == "particle":
+            kind = cli.build_particle_model(config)[0].kind
+            yield from ((path.stem, axis) for axis in sorted({"lab", axis_for(kind, "auto")}))
+
+
+@pytest.mark.parametrize("name, axis", list(_particle_launches()))
+def test_bind_rows_reads_the_packed_launch_back_bit_for_bit(name, axis):
+    model, state, _ = cli.build_particle_model(cli.parse_config(str(SCENARIOS / f"{name}.yaml")))
+    # no law reads tau, so a launch tau apart from t tells the two parameters apart
+    state = dataclasses.replace(state, tau=0.375)
+    x, y = pack(model, state, axis)
+    assert identical(x, state.t if axis == "lab" else state.tau)
+    t, tau, r, u, p, lam = bind_rows(model, axis)(np.array([x]), tuple(np.array([c]) for c in y))
+    assert identical(t, [state.t]) and identical(tau, [state.tau])
+    for got, want in ((r, state.r), (u, state.u), (p, state.p)):
+        assert identical(np.ravel(got), want)
+    if model.kind is ModelKind.CONSTRAINED:
+        assert identical(lam, [state.lam])
+    else:
+        assert lam is None

@@ -160,10 +160,7 @@ def test_public_names_without_a_program_reference_are_the_listed_ones():
 
 # the underscore names one package module imports from another, as "importer <- source._name";
 # the fields' component protocol (field._point, ...) is attribute access, documented in potentials
-CROSS_MODULE_PRIVATE_IMPORTS = {
-    "integrate <- particle._pack",
-    "particle <- geometry._SUPERLUMINAL",
-}
+CROSS_MODULE_PRIVATE_IMPORTS = set()
 
 
 def _private_imports(path, tree):

@@ -55,7 +55,6 @@ from vacuumlab.potentials import (
 from vacuumlab.strings import (
     ENERGY_DOMAIN_GUARD,
     StringGrid,
-    StringState,
     plucked_string,
     straight_string,
     string_canonical_rhs,
@@ -201,25 +200,15 @@ class DriftReport(ConservationReport):
 
 def reference_integrate_string(state, field, params):
     """(samples, report) of the per-call-state RK4 loop."""
-    n = state.grid.n
     y = np.concatenate([state.r.ravel(), state.p.ravel(), state.t])
     tau = state.tau
     h = params.step
 
     def rebuild(tau_val, yv):
-        r = yv[: 3 * n].reshape(n, 3)
-        p = yv[3 * n : 6 * n].reshape(n, 3)
-        return StringState(state.grid, r.copy(), p.copy(), tau_val, yv[6 * n :].copy())
+        return strings.view(state.grid, yv.copy(), tau_val)
 
     def rhs(tau_val, yv):
-        st = StringState(
-            state.grid,
-            yv[: 3 * n].reshape(n, 3),
-            yv[3 * n : 6 * n].reshape(n, 3),
-            tau_val,
-            yv[6 * n :],
-        )
-        dr, dp = reference_rhs(st, field)
+        dr, dp = reference_rhs(strings.view(state.grid, yv, tau_val), field)
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
         return np.concatenate([dr.ravel(), dp.ravel(), dt])
 
@@ -379,24 +368,21 @@ def test_string_stage_rate_is_the_canonical_flow_and_its_dt_channel(monkeypatch)
     state, field = make_state(), make_field()
     # |dr| of order 1 in all three components, so that dt's last bit depends on |dr|^2's
     state.p[1:-1] += (0.9, 1.2, -0.6)
-    m, builder, seen, rates = state.grid.n, integrate._stepper, [], []
+    builder, seen, rates = integrate._stepper, [], []
     bind = strings.bind_rates
 
     def counted_bind(*args):
         writer = bind(*args)
 
         def counted(y):
-            rates.append(y[: 3 * m].reshape(m, 3).copy())
+            rates.append(strings.view(state.grid, y, 0.0).r.copy())
             return writer(y)
 
         return counted
 
     def spy(f, x, y, h, k1):
         (k,) = k1
-        row = y[0]
-        at = StringState(state.grid, row[: 3 * m].reshape(m, 3), row[3 * m : 6 * m].reshape(m, 3),
-                         x, row[6 * m :])
-        dr, dp = string_canonical_rhs(at, field)
+        dr, dp = string_canonical_rhs(strings.view(state.grid, y[0], x), field)
         rates.pop()  # that reference's writer call, not the run's
         dt = np.sqrt(1.0 + np.einsum("ij,ij->i", dr, dr))
         assert identical(k, np.concatenate([dr.ravel(), dp.ravel(), dt]))
@@ -443,7 +429,7 @@ def test_the_bound_writer_keeps_no_state_between_calls(kind):
     with pytest.raises(EnergyDomainError) as ref:
         reference_cells(unphysical, field)
 
-    rates = strings.bind_rates(states[0].grid.h, field, 24)
+    rates = strings.bind_rates(states[0].grid, field)
     first = rates(_flat(states[0]))
     kept = first.copy()
     later = [rates(_flat(state)) for state in states[1:]]
@@ -701,8 +687,8 @@ def test_a_string_audit_error_names_its_row(monkeypatch):
     # domain, so step 21's first stage raises, and the audit of rows 10 and 20 wins
     calls, bind = [], strings.bind_rates
 
-    def kicking_bind(h, field, m, *args):
-        writer = bind(h, field, m, *args)
+    def kicking_bind(grid, field):
+        writer, m = bind(grid, field), grid.n
 
         def kicking(y):
             calls.append(1)
@@ -723,8 +709,8 @@ def test_non_finite_string_state_raises_at_the_step_that_made_it(monkeypatch):
     calls = []
     bind = strings.bind_rates
 
-    def poisoned_bind(h, field, m, *args):
-        writer = bind(h, field, m, *args)
+    def poisoned_bind(grid, field):
+        writer, m = bind(grid, field), grid.n
 
         def poisoned(y):
             calls.append(1)

@@ -17,6 +17,7 @@ from vacuumlab.strings import (
     StringGrid,
     StringState,
     cell_integrands,
+    flat,
     node_energy_density,
     plucked_string,
     sigma_derivative,
@@ -25,6 +26,7 @@ from vacuumlab.strings import (
     string_hamiltonian,
     string_hamiltonian_alt,
     transversality_defect,
+    view,
 )
 from test_solver_references import STRING_FIELDS, identical, reference_charged_rhs
 
@@ -491,3 +493,27 @@ def test_a_block_field_error_is_its_first_offending_state_s():
     # one state names its first offending cell, as an EnergyDomainError names its worst; a block its state
     assert str(err.value) == str(own.value) and own.value.where == 4
     assert err.value.where == 2
+
+
+def _same_state(a, b):
+    return all(identical(getattr(a, name), getattr(b, name)) for name in ("r", "p", "t", "tau"))
+
+
+@pytest.mark.parametrize("block", [False, True], ids=["one-state", "block"])
+def test_view_reads_back_what_flat_packs_bit_for_bit(block):
+    states = _random_plucks(3)
+    states.p[:, 0] = -0.0  # signs of zero survive the round trip
+    state = states if block else _one(states, 1)
+    y = flat(state)
+    assert y.shape == (*state.t.shape[:-1], 7 * state.grid.n)
+    back = view(state.grid, y, state.tau)
+    assert _same_state(back, state)
+    assert all(np.shares_memory(part, y) for part in (back.r, back.p, back.t))
+
+
+def test_a_string_trajectory_is_flat_rows_read_through_view():
+    state = plucked_string(StringGrid.uniform(0.0, 1.0, 12), ZERO3, Vec3(1, 0, 0), 0.01, 0.12)
+    traj = integrate_string(state, UniformField(-1.0), IntegrationParams(step=1e-3, n_steps=6))
+    assert identical(traj.Y[0], flat(state))
+    for rows in (4, [0, 3, 6], slice(None)):
+        assert _same_state(traj.state(rows), view(traj.grid, traj.Y[rows], traj.tau[rows]))
