@@ -1,10 +1,12 @@
-"""Time one law evaluation and one RK4 step of the particle stepper for each shipped particle scenario.
+"""Time one law evaluation, one RK4 step and one row read of each shipped particle scenario.
 
-These are the force-kernel and step layers: each case builds the
-scenario's model as `vacuumlab run` does and binds, once, as a run does,
-either its float-bound law (the stage rate), timed as one call at the
-launch state, or its rate and its generated RK4 step, timed as one step
-from the launch state with the launch rate as k1.  It needs the pytest-benchmark plugin:
+These are the force-kernel, step and row-read layers: each case builds
+the scenario's model as `vacuumlab run` does and binds, once, as a run
+does, either its float-bound law (the stage rate), timed as one call at
+the launch state, or its rate and its generated RK4 step, timed as one
+step from the launch state with the launch rate as k1.  The row read is
+the columns and the invariants of the scenario's finished run, as the
+CLI reads them after integrating.  It needs the pytest-benchmark plugin:
 
     PYTHONPATH=src python -m pytest benchmarks/test_stage_kernels.py --benchmark-only
 
@@ -56,3 +58,15 @@ def test_rk4_step(benchmark, name):
     step = integ._stepper(integ._RK4, len(y))  # bound once, as _march binds it
     y_new = benchmark(step, rhs, x, y, params.step, rhs(x, y))
     assert len(y_new) == len(y)
+
+
+@pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
+def test_row_read(benchmark, name):
+    config = cli.parse_config(os.path.join(SCENARIOS, name + ".yaml"))
+    traj = integ.integrate_particle(*cli.build_particle_model(config))
+
+    def read():
+        return traj.columns(), traj.invariants()
+
+    columns, invariants = benchmark(read)
+    assert len(columns.t) == len(traj.x) and set(invariants) == set(particle.INVARIANTS[traj.model.kind])

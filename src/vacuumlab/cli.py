@@ -18,8 +18,10 @@ Exit codes: 0 success, 1 usage/validation (such as a negative --nodes, an
 audit path of fewer than 5 nodes, a classical or constrained model without
 a positive rest_mass, a classical rest_mass whose square leaves the float
 range, a zero charge in a Coulomb field, a string run on a lab time axis,
-or a grid or step count too large to allocate), 2 physics-domain abort,
-3 solver failure (non-convergence or adaptive step collapse).
+a pluck whose width squares to zero, an rk45 step below its adaptive
+step's floor, or a grid or step count too large to allocate), 2
+physics-domain abort, 3 solver failure (non-convergence or adaptive step
+collapse).
 """
 
 from __future__ import annotations
@@ -326,6 +328,11 @@ def _normalize(data: dict) -> dict:
             _known(_section(data, "initial"), ("kind", "start", "end"), "initial.")
         if initial["width"] <= 0:
             raise ValidationError("initial.width must be positive")
+        if initial["kind"] == "pluck" and not initial["width"] * initial["width"] > 0:
+            # the pluck's Gaussian divides by 2 width^2
+            raise ValidationError(
+                f"initial.width must have a positive square for a pluck, got {initial['width']!r}"
+            )
         out["integration"] = _normalize_integration(_section(data, "integration"))
     else:  # conformal
         out.update(_fill(data, _CONFORMAL, "", _TOP_LEVEL[kind]))

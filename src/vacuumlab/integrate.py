@@ -19,13 +19,13 @@ an audit and a compare alike.
 Particle and string runs share one stepping loop, `_march`: it steps a
 tuple state with the RK4 step it binds once per run, or with `rkf45_step`,
 checks each new state, hands the rate the check evaluated there to the
-next step as its k1, and annotates a physics-domain error with the t or
-tau of its step.  Both keep its rows through one audit, `_audited_march`,
-which audits the launch row first and then the later audited rows once,
-as arrays.  Both audit their invariants by one rule, `_invariants`: a
-table of array kernels over the audited rows (the particle model's
-columns, or one block of string states), raising at the first offending
-row.
+next step as its k1, yields with each row what the check keeps of it, and
+annotates a physics-domain error with the t or tau of its step.  Both keep
+its rows through one audit, `_audited_march`, which audits the launch row
+first and then the later audited rows once, as arrays.  Both audit their
+invariants by one rule, `_invariants`: a table of array kernels over the
+audited rows (the particle model's columns, or one block of string
+states), raising at the first offending row.
 
 The flat states are not this module's: each is laid out, checked and read
 by the module that defines it, and this module steps and audits the
@@ -33,10 +33,11 @@ tuples they give without indexing one.  A particle run takes its launch
 parameter and flat state from ``particle.pack``, its rate and the check of
 a new state from ``particle.bind_step`` (the model's law bound to floats
 once per run, so a stage is one Python call plus the field's kernels, and
-every kept row is a state where the law evaluates), and the physical
-columns (t, tau, r, u, p) of the later rows of a `Trajectory`, which holds
-the parameter x and the flat states Y as arrays, from
-``particle.bind_rows``; `samples`, `final` and the invariants are derived
+every kept row is a state where the law evaluates).  The check keeps the
+u and p its evaluation computed, so a `Trajectory` holds the parameter x,
+the flat states Y and those u and p, UP, as arrays, and its physical
+columns (t, tau, r, u, p) are read from them by ``particle.bind_rows``,
+which evaluates no law; `samples`, `final` and the invariants are derived
 from those columns.
 
 Each method's whole step is one function that `_stepper` generates once
@@ -105,10 +106,20 @@ class IntegrationParams:
             raise ValidationError("audit_every must be >= 1")
         if self.time_axis not in ("auto", "lab", "proper"):
             raise ValidationError("time_axis must be auto, lab or proper")
+        if self.method == "rk45" and self.step < self.min_step:
+            raise ValidationError(
+                f"integration.step {self.step:.9g} lies below rk45's smallest step "
+                f"{self.min_step:.9g}, 1e-12 of the horizon of integration.n_steps {self.n_steps}"
+            )
 
     @property
     def horizon(self) -> float:
         return self.step * self.n_steps
+
+    @property
+    def min_step(self) -> float:
+        """RKF45's smallest step: an adaptive step below it has collapsed."""
+        return self.horizon * 1e-12
 
 
 @dataclass
@@ -143,16 +154,17 @@ class Trajectory:
     """One particle run as columns, plus the conservation audit.
 
     x, shape (n+1,), is the integration parameter (lab time t, or the proper
-    time of the clock-change axis) and Y, shape (n+1, k), the stepper's flat
-    state per row, of ``particle.pack``'s layout.  Row 0 is ``initial``.
-    The physical columns, ``samples`` and ``final`` are built from x and Y
-    on demand by ``particle.bind_rows``; row 0 always reads ``initial``
-    itself, whose p and u need not survive a round trip through the flat
-    state.
+    time of the clock-change axis), Y, shape (n+1, k), the stepper's flat
+    state per row, of ``particle.pack``'s layout, and UP, shape (n+1, 6),
+    the u and p of each row: the launch's own at row 0, which is
+    ``initial``, and those its step check computed at every later row.  The
+    physical columns, ``samples`` and ``final`` are read from them on demand
+    by ``particle.bind_rows``.
     """
 
     x: np.ndarray
     Y: np.ndarray
+    UP: np.ndarray
     initial: ParticleState
     model: ForceModel
     time_axis: str
@@ -160,23 +172,8 @@ class Trajectory:
 
     def columns(self, rows=slice(None)) -> ParticleColumns:
         """t, tau, r, u, p (and l tdot) of the selected rows as arrays."""
-        rows = np.arange(len(self.x))[rows]
-        later = rows > 0  # rows the step check passed; row 0 is ``initial`` itself
-        s = self.initial
-        lam = s.lam if self.model.kind is ModelKind.CONSTRAINED else None
-        decoded = firsts = (s.t, s.tau, s.r, s.u, s.p, lam)
-        if later.any():  # a selection of row 0 alone evaluates no law
-            decode = particle.bind_rows(self.model, self.time_axis)
-            with np.errstate(all="ignore"):  # overflow stays silent, as on floats
-                decoded = decode(self.x[rows[later]], tuple(self.Y[rows[later]].T))
-        columns = []
-        for value, first in zip(decoded, firsts):
-            column = None
-            if first is not None:  # an (x, y, z) triple of rows transposes to (m, 3)
-                column = np.empty((len(rows),) + np.shape(first))
-                column[later], column[~later] = np.transpose(value), first
-            columns.append(column)
-        return ParticleColumns(*columns)
+        read = particle.bind_rows(self.model, self.time_axis)
+        return ParticleColumns(*read(self.x[rows], self.Y[rows], self.UP[rows]))
 
     def _states(self, rows) -> List[ParticleState]:
         c = self.columns(rows)
@@ -324,14 +321,15 @@ def rkf45_step(f, x, y, h, rel_tol, abs_tol, k1):
 
 
 def _march(rhs, check, x, y, params: IntegrationParams, label: str):
-    """Yield (x, y) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
+    """Yield (x, y, kept) of each new state of dy/dx = rhs(x, y), once check(x, y) has passed.
 
     y is a tuple state, which the march never indexes: rhs(x, y) returns
     the rate tuple of the same length, and check(x, y) raises at a new
-    state outside its owner's domain and returns rhs(x, y) there, or None.
-    The next step takes that as k1 and evaluates rhs itself only for a None
-    (and at the launch), after the row is yielded.  A rejected RKF45
-    attempt keeps its k1.
+    state outside its owner's domain and returns (k1, kept) there: k1 is
+    rhs(x, y), or None, and kept is what the run keeps of the state beside
+    it, yielded with the row.  The next step takes k1 and evaluates rhs
+    itself only for a None (and at the launch), after the row is yielded.
+    A rejected RKF45 attempt keeps its k1.
 
     RK4 makes n_steps steps of params.step by the generated step it binds
     before the first, so a step looks nothing up.  RKF45 calls
@@ -351,12 +349,12 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
             for _ in range(params.n_steps):
                 y = step(rhs, x, y, h, rhs(x, y) if k1 is None else k1)
                 x += h
-                k1 = check(x, y)
-                yield x, y
+                k1, kept = check(x, y)
+                yield x, y, kept
             return
         horizon = params.horizon
         x_end = x + horizon
-        h_min = horizon * 1e-12
+        h_min = params.min_step
         while x < x_end - 1e-15 * horizon:
             h = min(h, x_end - x)
             if k1 is None:
@@ -365,8 +363,8 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
             if accepted:
                 y = y_new
                 x += h
-                k1 = check(x, y)
-                yield x, y
+                k1, kept = check(x, y)
+                yield x, y, kept
             if ratio > 0:
                 h = min(max(0.9 * h * ratio ** -0.2, 0.2 * h), 5.0 * h)
             else:  # an exact estimate: the largest growth, the formula's limit at ratio 0
@@ -379,7 +377,7 @@ def _march(rhs, check, x, y, params: IntegrationParams, label: str):
 
 
 def _audited_march(march, keep, invariants, audit_every: int) -> ConservationReport:
-    """keep(n, x, y) each row n >= 1 of a march; the report of invariants(rows) on its audit.
+    """keep(n, x, y, kept) each row n >= 1 of a march; the report of invariants(rows) on its audit.
 
     invariants(rows) gives each invariant's values over the rows as arrays
     by name and raises at the first offending row.  The launch row is
@@ -392,8 +390,8 @@ def _audited_march(march, keep, invariants, audit_every: int) -> ConservationRep
     launch = invariants([0])
     n = 0
     try:
-        for n, (x, y) in enumerate(march, 1):
-            keep(n, x, y)
+        for n, (x, y, kept) in enumerate(march, 1):
+            keep(n, x, y, kept)
     except (PhysicsDomainError, StepFailureError):
         invariants(range(audit_every, n + 1, audit_every))
         raise
@@ -439,31 +437,37 @@ def integrate_particle(
     them with; ``_march`` checks every new state where it is made and
     annotates physics-domain errors with the parameter value at which the
     step failed.  ``_audited_march`` keeps the rows, as the stepper's
-    tuples, and evaluates the array invariants over the audited rows, the
-    launch row first, on a trajectory whose Y is read from the tuples in one
-    pass; an invariant error, a field's included, is annotated with its
-    first offending row.  An RK4 run knows its row count, so it allocates Y
-    before the launch audit, and a step count too large to keep is refused
-    before the first step; an RKF45 run's Y is allocated at each audit.
+    tuples, with the u and p the check computed at each (the launch's own
+    at row 0), and evaluates the array invariants over the audited rows,
+    the launch row first, on a trajectory whose Y and UP are read from the
+    tuples in one pass each; an invariant error, a field's included, is
+    annotated with its first offending row.  An RK4 run knows its row
+    count, so it allocates Y and UP before the launch audit, and a step
+    count too large to keep is refused before the first step; an RKF45
+    run's are allocated at each audit.
     """
     axis = axis_for(model.kind, params.time_axis)
     x, y = particle.pack(model, initial, axis)
-    xs, ys, size = [x], [y], len(y)
-    Y = np.empty((params.n_steps + 1, size)) if params.method == _RK4 else None
-    traj = None
+    xs, ys, ups = [x], [y], [(*initial.u, *initial.p)]
+    allocated = params.n_steps + 1 if params.method == _RK4 else 0  # an RKF45 run's count is unknown
+    Y, UP, traj = np.empty((allocated, len(y))), np.empty((allocated, 6)), None
 
-    def keep(n, x, y):
+    def keep(n, x, y, up):
         xs.append(x)
         ys.append(y)
+        ups.append(up)
+
+    def read(kept, out):  # the kept tuples as an (n, width) array, in out when it holds them
+        n, width = len(kept), len(kept[0])
+        rows = np.fromiter(itertools.chain.from_iterable(kept), float, count=n * width).reshape(n, width)
+        if len(out) < n:
+            return rows
+        out[:n] = rows
+        return out[:n]
 
     def invariants(rows):
         nonlocal traj  # the last call, over the finished run, leaves the run's trajectory
-        n = len(ys)
-        kept = np.fromiter(itertools.chain.from_iterable(ys), float, count=n * size).reshape(n, size)
-        if Y is not None:
-            Y[:n] = kept
-            kept = Y[:n]
-        traj = Trajectory(np.array(xs), kept, initial, model, axis)
+        traj = Trajectory(np.array(xs), read(ys, Y), read(ups, UP), initial, model, axis)
         return traj.invariants(rows)
 
     march = _march(*particle.bind_step(model, axis), x, y, params, "t" if axis == "lab" else "tau")
@@ -540,7 +544,7 @@ def integrate_string(state, field, params: IntegrationParams) -> StringTrajector
     traj = StringTrajectory(np.empty(rows), np.empty((rows, y.size)), state.grid)
     traj.tau[0], traj.Y[0] = state.tau, y
 
-    def keep(i, tau, y):
+    def keep(i, tau, y, _):
         traj.tau[i], traj.Y[i] = tau, y[0]
 
     def invariants(rows):

@@ -23,11 +23,12 @@ call plus the field's kernels.  Its entries are all floats (one particle)
 or all 1-D arrays (rows of particles), and a row of the array form equals
 the float form bit for bit.  `bind_law` binds the body to
 ``geometry.FLOATS``, once per run for the stepper, or to ``ROWS`` for the
-rows of a run and the public laws, which call it on a packed lab state.
+public laws, which call it on a packed lab state.
 This module is the one owner of the flat state: `pack` lays out a launch
 with its parameter, `bind_step` gives the stepper the rate and the check
-of a new state, and `bind_rows` reads rows back as columns, so the
-integrator steps and audits the tuples without indexing one.
+of a new state, which keeps the u and p its evaluation computed, and
+`bind_rows` reads kept rows back as columns without evaluating the law,
+so the integrator steps and audits the tuples without indexing one.
 The laws call the fields' component methods, the vacuum law through the
 one entry point ``_potentials`` (``_point(binding)``), and use no Vec3.
 The electromagnetic terms are assembled as q*E, u x (q*B) and
@@ -246,7 +247,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
     "|p| >= -wbar" test), and dt/dx likewise on |u - u_f|; each raises after
     the force terms.  p is the kinetic momentum.  The binding is
     geometry.FLOATS for the stepper, on one state of floats, or ROWS for the
-    decoder and the public laws, on floats or on the columns of many rows.
+    public laws, on floats or on the columns of many rows.
     axis None is the public laws': the lab axis with no clock, so dtau/dt
     (the rate's last entry) is None for the classical and constrained
     models, and |u| >= 1 is not theirs to refuse.
@@ -335,10 +336,11 @@ def bind_step(model: ForceModel, axis: str):
 
     Both call the law bound to floats on the axis once; rhs returns only its
     rate.  The check evaluates the law at the new state, runs
-    ``check_state`` on the u and p of that evaluation and returns its rate,
-    the next step's k1; so every error of the law at the new state is
-    raised by the check, with the new x, and every kept row is a state
-    where the law evaluates.
+    ``check_state`` on the u and p of that evaluation and returns (k, u +
+    p): its rate, the next step's k1, and the u and p the run keeps with
+    the row.  So every error of the law at the new state is raised by the
+    check, with the new x, and every kept row is a state where the law
+    evaluates, kept with that evaluation's u and p.
     """
     law = bind_law(model, axis, FLOATS)
 
@@ -348,29 +350,28 @@ def bind_step(model: ForceModel, axis: str):
     def check(x, y):
         k, u, p = law(x, y)
         check_state(y[-1], y[0:3], u, p)
-        return k
+        return k, u + p
 
     return rhs, check
 
 
 def bind_rows(model: ForceModel, axis: str) -> Callable:
-    """decode(x, y) -> (t, tau, r, u, p, l tdot) of flat states, the one reader of `pack`'s layout.
+    """read(x, Y, UP) -> (t, tau, r, u, p, l tdot) of kept rows, the one reader of `pack`'s layout.
 
-    y is the tuple of the columns of many rows (Y.T) and x their
-    parameters; r, u and p come back as (x, y, z) triples of rows and l
-    tdot is None except for the constrained model.  u and p are the ones
-    the law bound to ROWS gives, so a row reads the state the step check
-    passed, by the same law.
+    x holds the rows' parameters, Y their flat states and UP, shape (m, 6),
+    the u and p kept with each (those the step check computed, or a
+    launch's own); r, u and p come back as (m, 3) arrays and l tdot is None
+    except for the constrained model.  The reader only indexes the layout:
+    it evaluates no law.
     """
-    law = bind_law(model, axis, ROWS)
     constrained, lab = model.kind is ModelKind.CONSTRAINED, axis == "lab"
 
-    def decode(x, y):
-        _, u, p = law(x, y)
-        # tau is the last component of every layout; t is x on the lab axis and y[6] off it
-        return (x if lab else y[6]), y[-1], y[0:3], u, p, (y[6] if constrained else None)
+    def read(x, Y, UP):
+        # tau is the last component of every layout; t is x on the lab axis and Y[:, 6] off it
+        t, lam = (x if lab else Y[:, 6]), (Y[:, 6] if constrained else None)
+        return t, Y[:, -1], Y[:, 0:3], UP[:, 0:3], UP[:, 3:6], lam
 
-    return decode
+    return read
 
 
 def _em_terms(field: PotentialField, q: float, r, u, t):

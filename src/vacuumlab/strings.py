@@ -314,9 +314,9 @@ def bind_step(grid: StringGrid, field: PotentialField):
     """(rhs, check) of a string run's flat state, a one-array tuple: its rate, and the check of a new state.
 
     rhs is the writer ``bind_rates`` bound once.  The check evaluates no
-    rate, so each step's k1 is a new one; it raises PhysicsDomainError at
-    the first non-finite component of a new state, naming its node as
-    ``where``.
+    rate and keeps nothing beside the state, so it returns (None, None) and
+    each step's k1 is a new one; it raises PhysicsDomainError at the first
+    non-finite component of a new state, naming its node as ``where``.
     """
     rates, m = bind_rates(grid, field), grid.n
 
@@ -329,6 +329,7 @@ def bind_step(grid: StringGrid, field: PotentialField):
             k = int(np.argmin(finite))
             node = k - 6 * m if k >= 6 * m else k % (3 * m) // 3
             raise PhysicsDomainError(f"non-finite string state at node {node}", where=node)
+        return None, None
 
     return rhs, check
 

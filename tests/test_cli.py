@@ -374,6 +374,16 @@ def _shipped_with(name, section, key, value):
     return edit
 
 
+def _pluck_of_width_1e_300_on(n):
+    # a width whose square underflows: the Gaussian reads 0/0 at the middle node of an
+    # odd grid (a physics abort) and exp(-inf) = 0 at every node of an even one (p = 0)
+    def edit(data):
+        _shipped_with("string_pluck.yaml", "grid", "n", n)(data)
+        data["initial"]["width"] = 1.0e-300
+
+    return edit
+
+
 def _lab_model_on_the_proper_axis(data):
     data.update(model="classical", rest_mass=1.0)
     data["integration"]["time_axis"] = "proper"
@@ -392,6 +402,14 @@ PARTICLE_STEPS_TOO_LARGE = [
     (verb, lambda d: d["integration"].update(n_steps=10**15), 1,
      f"for an array with shape (1000000000000001, {k})")
     for verb, k in (("run", 8), ("audit", 8), ("compare", 7))
+]
+# an rk45 step below the adaptive step's floor, 1e-12 of the horizon: every verb
+# refuses it when it reads the file, before the first step (which collapsed at once)
+RK45_STEP_BELOW_ITS_FLOOR = [
+    (verb, lambda d: d["integration"].update(method="rk45", n_steps=10**15), 1,
+     "error: integration.step 0.001 lies below rk45's smallest step 1, 1e-12 of the horizon "
+     "of integration.n_steps 1000000000000000\n")
+    for verb in ("run", "audit", "compare")
 ]
 # a vacuum model on the axis the verb does not step: audit steps its own
 # (proper) clock and compare lab time, and neither overrides the scenario
@@ -461,14 +479,20 @@ VACUUM_MODEL_ON_THE_OTHER_AXIS = [
         ),
         # a string run steps its proper time tau: a lab axis would be silently ignored
         (_shipped_with("string_pluck.yaml", "integration", "time_axis", "lab"), 1, "time_axis"),
-    ]] + PARTICLE_STEPS_TOO_LARGE + LAB_MODEL_ON_THE_PROPER_AXIS + VACUUM_MODEL_ON_THE_OTHER_AXIS,
+        *[(_pluck_of_width_1e_300_on(n), 1,
+           "error: initial.width must have a positive square for a pluck, got 1e-300\n")
+          for n in (9, 64)],
+    ]] + PARTICLE_STEPS_TOO_LARGE + RK45_STEP_BELOW_ITS_FLOOR + LAB_MODEL_ON_THE_PROPER_AXIS
+    + VACUUM_MODEL_ON_THE_OTHER_AXIS,
     ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
          "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
          "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
          "name-with-nul", "directory-with-nul", "out-is-a-file", "string-grid-too-large",
          "conformal-grid-too-large", "string-steps-too-large", "coulomb-zero-charge",
-         "string-lab-axis", "run-particle-steps-too-large", "audit-particle-steps-too-large",
-         "compare-particle-steps-too-large", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
+         "string-lab-axis", "pluck-width-square-underflows-odd-grid",
+         "pluck-width-square-underflows-even-grid", "run-particle-steps-too-large", "audit-particle-steps-too-large",
+         "compare-particle-steps-too-large", "run-rk45-step-below-floor", "audit-rk45-step-below-floor",
+         "compare-rk45-step-below-floor", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
          "compare-lab-model-proper-axis", "audit-vacuum-model-lab-axis",
          "compare-vacuum-model-proper-axis"],
 )

@@ -351,19 +351,21 @@ def _comoving_setup():
     return model, make_vacuum_state(field, Vec3(0.5, 0.0, 0.0), Vec3(0.0, 0.3, 0.0))
 
 
-def _count_evaluations(monkeypatch, field):
-    """(laws, offsets): one entry per stepped law call and per scalar offset of the Coulomb field.
+def _count_evaluations(monkeypatch, field=None):
+    """(laws, offsets, row_laws): one entry per stepped law call, per scalar offset, per row binding.
 
-    Counts through the binding: the law the run binds to floats (the rows'
-    decode binds it to ROWS), and the field's bound point kernels, each of
-    which computes one offset per call on floats.
+    Counts through the binding: the law the run binds to floats, each
+    binding of the law to ROWS (which only the public laws make), and, for
+    a Coulomb field given, the field's bound point kernels, each of which
+    computes one offset per call on floats.
     """
-    laws, offsets = [], []
+    laws, offsets, row_laws = [], [], []
     bind = particle.bind_law
 
     def counted_bind(model, axis, binding):
         law = bind(model, axis, binding)
         if binding is not FLOATS:
+            row_laws.append(model.kind)
             return law
         return lambda x, y: laws.append(x) or law(x, y)
 
@@ -375,11 +377,12 @@ def _count_evaluations(monkeypatch, field):
 
         return point
 
-    kernels = {b: counted(k) for b, k in field._kernels.items()}
     monkeypatch.setattr(particle, "bind_law", counted_bind)
-    monkeypatch.setattr(field, "_point", kernels.__getitem__)
-    monkeypatch.setattr(field, "_potentials", kernels[ROWS])
-    return laws, offsets
+    if field is not None:
+        kernels = {b: counted(k) for b, k in field._kernels.items()}
+        monkeypatch.setattr(field, "_point", kernels.__getitem__)
+        monkeypatch.setattr(field, "_potentials", kernels[ROWS])
+    return laws, offsets, row_laws
 
 
 def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
@@ -387,18 +390,22 @@ def test_rk4_makes_one_law_evaluation_per_stage(monkeypatch):
     # steps take 4n + 1 evaluations (the +1: the last state's check), and the
     # comoving field computes one offset for each, plus one for the launch's qA
     model, state = _comoving_setup()
-    laws, offsets = _count_evaluations(monkeypatch, model.field)
+    laws, offsets, row_laws = _count_evaluations(monkeypatch, model.field)
     n = 50
     traj = integrate_particle(model, state, IntegrationParams(step=2e-4, n_steps=n))
     assert traj.time_axis == "proper"
     assert len(laws) == 4 * n + 1
     assert len(offsets) == len(laws) + 1
+    # the rows keep the u and p their checks computed: neither the run's audit
+    # nor a read of its columns, invariants or samples evaluates the law again
+    traj.columns(), traj.invariants(), traj.samples
+    assert len(laws) == 4 * n + 1 and row_laws == []
 
 
 def _evaluations_with_one_rejection(monkeypatch, rejected):
     """(laws, attempts) of an RKF45 run whose attempt number ``rejected`` is rejected."""
     model, state = _comoving_setup()
-    laws, _ = _count_evaluations(monkeypatch, model.field)
+    laws, _, _ = _count_evaluations(monkeypatch, model.field)
     attempts, step = [], integ.rkf45_step
 
     def reject_one(f, x, y, h, rel_tol, abs_tol, k1):
@@ -445,6 +452,16 @@ CALLS_PER_EVALUATION = {
     "vacuum_interacting_generic": 2,
 }
 ROW_BINDING_CALLS = {"root", "violated", "_off_source"}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_EVALUATION))
+def test_a_shipped_run_binds_no_law_to_rows(monkeypatch, tmp_path, name):
+    from vacuumlab import cli
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".yaml")
+    _, _, row_laws = _count_evaluations(monkeypatch)
+    cli.run_scenario(cli.parse_config(path, {"n_steps": 50, "out": str(tmp_path)}), quiet=True)
+    assert row_laws == []
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_EVALUATION))
@@ -543,9 +560,9 @@ def test_a_string_step_makes_its_budget_of_python_frames():
 def test_exact_rkf45_estimates_grow_the_step():
     # a constant rate: both embedded estimates are exact, so every ratio is 0
     params = IntegrationParams(step=1e-3, n_steps=1000, method="rk45")
-    rows = list(integ._march(lambda x, y: (1.0,), lambda x, y: None, 0.0, (0.0,), params, "t"))
-    assert [x for x, _ in rows] == [0.001, 0.006, 0.031, 0.156, 0.781, 1.0]
-    assert all(y == (x,) for x, y in rows)
+    rows = list(integ._march(lambda x, y: (1.0,), lambda x, y: (None, x), 0.0, (0.0,), params, "t"))
+    assert [x for x, _, _ in rows] == [0.001, 0.006, 0.031, 0.156, 0.781, 1.0]
+    assert all(y == (x,) and kept == x for x, y, kept in rows)  # each row with what its check kept
 
 
 def _nan_after_first_call():
@@ -568,7 +585,7 @@ def test_rkf45_rejects_a_nan_estimate():
 
 def test_a_law_that_stays_nan_collapses_the_adaptive_step():
     params = IntegrationParams(step=0.1, n_steps=10, method="rk45")
-    march = integ._march(_nan_after_first_call(), lambda x, y: None, 0.0, (0.0, 0.1), params, "t")
+    march = integ._march(_nan_after_first_call(), lambda x, y: (None, None), 0.0, (0.0, 0.1), params, "t")
     with pytest.raises(StepFailureError, match=r"collapsed below .* \[t=0\]$"):
         next(march)
 
@@ -580,9 +597,9 @@ def test_a_law_nan_only_at_large_steps_is_stepped_past_at_a_smaller_one():
         return (-y[0] if y[0] >= 0.2 else math.nan,)
 
     params = IntegrationParams(step=1.0, n_steps=1, method="rk45", rel_tol=1e-4, abs_tol=1e-6)
-    rows = list(integ._march(law, lambda x, y: None, 0.0, (1.0,), params, "t"))
+    rows = list(integ._march(law, lambda x, y: (None, None), 0.0, (1.0,), params, "t"))
     assert rows[0][0] == 0.2  # the NaN attempt at h = 1, then h = 0.2 accepted
-    assert rows[-1][0] == 1.0 and all(math.isfinite(y) for _, (y,) in rows)
+    assert rows[-1][0] == 1.0 and all(math.isfinite(y) for _, (y,), _ in rows)
     assert rows[-1][1][0] == pytest.approx(math.exp(-1.0), rel=1e-4)
 
 
@@ -629,8 +646,10 @@ def test_step_check_raises_every_law_error_at_the_new_state():
     with pytest.raises(SuperluminalVelocityError, match="implies"):
         check(1.0, flat(Vec3(1.2, 0.0, 0.0)))
     # a state inside both domains: the check hands on the rate it evaluated
+    # and keeps that evaluation's u and p
     y = flat(Vec3(0.3, 0.0, 0.0))
-    assert check(1.0, y) == rhs(1.0, y)
+    _, u, p = particle.bind_law(model, "proper", FLOATS)(1.0, y)
+    assert check(1.0, y) == (rhs(1.0, y), u + p)
 
 
 def test_degenerate_multiplier_raised_by_the_integrated_law():

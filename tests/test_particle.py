@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vacuumlab.particle as particle
 from vacuumlab import cli
 from vacuumlab.errors import (
     DegenerateMultiplierError,
@@ -832,17 +833,34 @@ def _particle_launches():
 
 
 @pytest.mark.parametrize("name, axis", list(_particle_launches()))
-def test_bind_rows_reads_the_packed_launch_back_bit_for_bit(name, axis):
+def test_bind_rows_reads_the_packed_launch_back_bit_for_bit(monkeypatch, name, axis):
     model, state, _ = cli.build_particle_model(cli.parse_config(str(SCENARIOS / f"{name}.yaml")))
     # no law reads tau, so a launch tau apart from t tells the two parameters apart
     state = dataclasses.replace(state, tau=0.375)
     x, y = pack(model, state, axis)
     assert identical(x, state.t if axis == "lab" else state.tau)
-    t, tau, r, u, p, lam = bind_rows(model, axis)(np.array([x]), tuple(np.array([c]) for c in y))
+    read = bind_rows(model, axis)
+    monkeypatch.setattr(particle, "bind_law", None)  # the reader evaluates no law
+    t, tau, r, u, p, lam = read(np.array([x]), np.array([y]), np.array([(*state.u, *state.p)]))
     assert identical(t, [state.t]) and identical(tau, [state.tau])
     for got, want in ((r, state.r), (u, state.u), (p, state.p)):
-        assert identical(np.ravel(got), want)
+        assert got.shape == (1, 3) and identical(got[0], want)
     if model.kind is ModelKind.CONSTRAINED:
         assert identical(lam, [state.lam])
     else:
         assert lam is None
+
+
+@pytest.mark.parametrize("name, axis", list(_particle_launches()))
+def test_kept_rows_read_the_law_bound_to_rows_bit_for_bit(name, axis):
+    # the u and p a run keeps are its step checks' float evaluations: at every
+    # later row they equal the law bound to rows there, signs of zero included,
+    # and row 0 reads the launch's own
+    config = cli.parse_config(str(SCENARIOS / f"{name}.yaml"), {"n_steps": 200})
+    model, state, params = cli.build_particle_model(config)
+    traj = integrate_particle(model, state, dataclasses.replace(params, time_axis=axis))
+    c = traj.columns()
+    assert identical(c.u[0], state.u) and identical(c.p[0], state.p)
+    with np.errstate(all="ignore"):
+        _, u, p = bind_law(model, axis, ROWS)(traj.x[1:], tuple(traj.Y[1:].T))
+    assert len(c.u) > 1 and identical(c.u[1:], np.transpose(u)) and identical(c.p[1:], np.transpose(p))
