@@ -3,16 +3,19 @@
 For each shipped scenario it runs ``vacuumlab run`` and ``vacuumlab audit``,
 then ``vacuumlab compare`` on the matched uniform-field pair and
 ``vacuumlab check``, each in a fresh output directory.  Per command it prints
-the exit code and the stderr line, then the sha256 of each CSV written (the
-manifests hold a timestamp and are skipped); for ``check`` it prints the
-sha256 of its stdout.  Two trees whose printouts are equal produce the same
-CSVs, exit codes, error lines and self-check report.
+the exit code and the stderr line, then the sha256 of each CSV written, and
+of each manifest's ``conservation`` block (JSON with sorted keys, as the
+tests pin it at a few steps); the rest of a manifest holds a timestamp and
+is skipped.  For ``check`` it prints the sha256 of its stdout.  Two trees
+whose printouts are equal produce the same CSVs, full-length conservation
+reports, exit codes, error lines and self-check report.
 
 Run from the repository root: ``python benchmarks/outputs.py``; diff the
 printouts of two checkouts to compare their outputs.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -39,12 +42,15 @@ def sha256(data: bytes) -> str:
 
 
 def report(label, args):
-    """Print one command's exit code, stderr and CSV digests."""
+    """Print one command's exit code, stderr, CSV digests and conservation-block digests."""
     with tempfile.TemporaryDirectory() as out_dir:
         code, err, _ = vacuumlab(args, out_dir)
         print(f"{label}: exit {code} {err!r}")
         for path in sorted(pathlib.Path(out_dir).glob("*.csv")):
             print(f"  {sha256(path.read_bytes())}  {path.name}")
+        for path in sorted(pathlib.Path(out_dir).glob("*.manifest.json")):
+            block = json.loads(path.read_text())["conservation"]
+            print(f"  {sha256(json.dumps(block, sort_keys=True).encode())}  {path.name}:conservation")
 
 
 def main():

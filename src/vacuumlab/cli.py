@@ -19,9 +19,11 @@ audit path of fewer than 5 nodes, a classical or constrained model without
 a positive rest_mass, a classical rest_mass whose square leaves the float
 range, a zero charge in a Coulomb field, a string run on a lab time axis,
 a pluck whose width squares to zero, an rk45 step below its adaptive
-step's floor, or a grid or step count too large to allocate), 2
-physics-domain abort, 3 solver failure (non-convergence or adaptive step
-collapse).
+step's floor, a vacuum-interacting model in a field kind where qA is not
+wbar u_f, or a grid or step count too large to allocate), 2
+physics-domain abort (among them a non-finite value in a run CSV or an
+audit residual, named by its row or node), 3 solver failure
+(non-convergence or adaptive step collapse).
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .particle import (
     make_vacuum_state,
 )
 from .potentials import (
+    QA_IS_WBAR_UF,
     LinearField,
     PotentialField,
     SourceKind,
@@ -79,7 +82,6 @@ from .potentials import (
 from .variational import (
     LagrangianKind,
     LagrangianSpec,
-    check_oracle_coverage,
     euler_lagrange_residual,
     path_from_trajectory,
     uniform_proper_path,
@@ -314,6 +316,12 @@ def _normalize(data: dict) -> dict:
             raise ValidationError("initial.u: superluminal initial velocity")
         out["integration"] = _normalize_integration(_section(data, "integration"))
         axis_for(_MODEL_KINDS[model], out["integration"]["time_axis"])  # refused when read
+        if model == "vacuum-interacting" and out["field"]["kind"] not in QA_IS_WBAR_UF:
+            # elsewhere its force depends on the gauge of A (README, model notes)
+            raise ValidationError(
+                f"field.kind '{out['field']['kind']}' is not covered by the vacuum-interacting "
+                f"model, which assumes qA = wbar u_f (covered: {', '.join(QA_IS_WBAR_UF)})"
+            )
     elif kind == "string":
         out["field"] = _normalize_field(data.get("field"))
         grid = out["grid"] = _fill(_section(data, "grid"), _STRING_GRID, "grid.")
@@ -612,7 +620,6 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
         charge=model.charge,
         u_f=model.source_velocity,
     )
-    check_oracle_coverage(spec)
     traj = integrate_particle(model, state, params)
     if model.kind is ModelKind.CONSTRAINED:
         # the resampling's cubic stencil needs 4 rows, and an rk45 run keeps only those it accepts
@@ -633,6 +640,11 @@ def audit_scenario(config: ScenarioConfig, nodes: int = 0):
     residuals = euler_lagrange_residual(spec, path)
     norms = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
     table = np.column_stack([path.s[1:-1], residuals, norms])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():  # a non-finite residual measures nothing: a domain abort, as in the run CSV
+        node = int(np.argmax(bad)) + 1
+        raise PhysicsDomainError(f"non-finite audit residual at node {node} [s={path.s[node]:.9g}]",
+                                 where=node)
     return _csv_rows(AUDIT_HEADER, table, range(1, path.m - 1)), float(np.max(norms))
 
 

@@ -37,8 +37,8 @@ every kept row is a state where the law evaluates).  The check keeps the
 u and p its evaluation computed, so a `Trajectory` holds the parameter x,
 the flat states Y and those u and p, UP, as arrays, and its physical
 columns (t, tau, r, u, p) are read from them by ``particle.bind_rows``,
-which evaluates no law; `samples`, `final` and the invariants are derived
-from those columns.
+which evaluates no law; `samples` and the invariants are derived from
+those columns.
 
 Each method's whole step is one function that `_stepper` generates once
 per method and state length: each stage expression is written once as a
@@ -158,7 +158,7 @@ class Trajectory:
     state per row, of ``particle.pack``'s layout, and UP, shape (n+1, 6),
     the u and p of each row: the launch's own at row 0, which is
     ``initial``, and those its step check computed at every later row.  The
-    physical columns, ``samples`` and ``final`` are read from them on demand
+    physical columns and ``samples`` are read from them on demand
     by ``particle.bind_rows``.
     """
 
@@ -189,10 +189,6 @@ class Trajectory:
     def samples(self) -> List[ParticleState]:
         """Every row as a ParticleState, built on demand; samples[0] is ``initial``."""
         return [self.initial] + self._states(slice(1, None))
-
-    @property
-    def final(self) -> ParticleState:
-        return self._states(slice(-1, None))[0]
 
     def annotate(self, exc: PhysicsDomainError, row: int) -> PhysicsDomainError:
         """exc annotated with a row's parameter value, as step errors are; ``where`` is the row."""

@@ -16,11 +16,14 @@ with the field's own density ``rho``, the one closed form it reads.  A
 built-in field writes wbar, grad(wbar), d(wbar)/dt and A once, on
 components (x, y, z, t) that are floats or 1-D arrays, and so does the
 A-Jacobian and dA/dt; ``PotentialField`` derives both the Vec3 forms and
-the ``*_many`` array forms from them.  The canonical vacuum law reads
-wbar, grad(wbar) and A at a point through one entry point,
-``_potentials``, which a Coulomb source evaluates from one offset and one
-square root, written once as a closure bound to floats for the stepper
-(``_point``) and to floats or rows for every other method.
+the ``*_many`` array forms from them, and defaults d(wbar)/dt and the
+three A terms to zero, so a static field writes none of them.  The
+canonical vacuum law reads wbar, grad(wbar) and A at a point through one
+entry point, ``_potentials``.  A Coulomb source evaluates that one result,
+(wbar, grad(wbar), A), from one offset and one square root on every call:
+a closure written once, bound to floats for the stepper (``_point``) and
+to floats or rows for every other method, which index it.  Its Hessian
+and ``rho`` take the same offset themselves.
 """
 
 from __future__ import annotations
@@ -93,6 +96,13 @@ class SourceSpec:
 _ZERO_JAC = (ZERO3, ZERO3, ZERO3)
 
 
+# Field kinds whose vector potential is qA = wbar u_f by construction (A = 0
+# with no source velocity, or a Coulomb source).  Only there is the
+# vacuum-interacting force gauge-free, and its oracle density and Legendre
+# check assume it.
+QA_IS_WBAR_UF = ("uniform", "linear", "coulomb-static", "coulomb-comoving")
+
+
 class PotentialField:
     """Interface: scalar potential wbar with exact derivatives plus vector potential.
 
@@ -102,11 +112,12 @@ class PotentialField:
     _dvecpot_dt on (x, y, z, t).  They take floats or equal-length 1-D
     arrays and return a value, an (x, y, z) triple of values or, for the
     Jacobian, a triple of row triples; a constant may stay a float on
-    arrays.  The last three default to zero, for fields without a vector
-    potential.  The particle force laws call them directly, except that the
-    canonical vacuum law reads (wbar, grad(wbar), A) at a point through the
-    one entry point _potentials, which a field overrides to share the work
-    of that point; its result equals the single methods' bit for bit, and
+    arrays.  The last four default to zero: d(wbar)/dt for static fields,
+    and the A terms for fields without a vector potential.  The particle
+    force laws call them directly, except that the canonical vacuum law
+    reads (wbar, grad(wbar), A) at a point through the one entry point
+    _potentials, which a field overrides to share the work of that point;
+    its result equals the single methods' bit for bit, and
     _point(binding) is it under a binding of ``geometry`` (FLOATS for the
     stepper).  This class builds the Vec3 forms (wbar, grad_wbar, ..., with
     grad_vecpot a 3x3 array) and the (n, 3)-points forms of wbar, grad(wbar),
@@ -125,7 +136,7 @@ class PotentialField:
         raise NotImplementedError
 
     def _dwbar_dt(self, x, y, z, t):
-        raise NotImplementedError
+        return 0.0
 
     def _vecpot(self, x, y, z, t):
         return ZERO3
@@ -202,42 +213,30 @@ def _rows(components, n: int) -> np.ndarray:
 _ON_SOURCE = "unsoftened point source evaluated at its own position (t={:.9g})"
 
 
-_OFFSET, _WBAR, _WBAR_A, _ALL = range(4)
+def _coulomb_point(field: "CoulombField", sqrt, violated):
+    """point(x, y, z, t) -> (wbar, grad(wbar), A) of a Coulomb source, on every call.
 
-
-def _coulomb_point(spec: SourceSpec, q: float, sqrt, violated):
-    """point(x, y, z, t, parts=_ALL) of a Coulomb source, bound to a square root and a domain test.
-
-    parts _OFFSET gives (d, |d|^2 + eps^2), d = r - (r_f0 + u_f t) summed in
-    Vec3.norm2's order; _WBAR wbar; _WBAR_A (wbar, None, A); _ALL (wbar,
-    grad(wbar), A), with s3 = (|d|^2 + eps^2) * s since NumPy rounds ** 1.5 apart.
+    The closure is bound to a square root and a domain test, and reads the
+    constants the field derived.  d = r - (r_f0 + u_f t) is summed in
+    Vec3.norm2's order, and s3 = (|d|^2 + eps^2) * s since NumPy rounds
+    ** 1.5 apart; s3 is 0 wherever s is, so its one test guards both
+    divisions.
     """
-    (fx, fy, fz), (ux, uy, uz) = spec.r_f0, spec.u_f
-    eps2, background = spec.softening * spec.softening, spec.background
-    k = abs(q * spec.strength)
-    static = spec.u_f.norm2() == 0.0  # no vector potential
+    (fx, fy, fz), (ux, uy, uz) = field.r_f0, field.u_f
+    q, k, eps2, background, static = field.q, field.k, field.eps2, field.background, field._static
 
-    def point(x, y, z, t, parts=_ALL):
+    def point(x, y, z, t):
         dx = x - (fx + ux * t)
         dy = y - (fy + uy * t)
         dz = z - (fz + uz * t)
         d2e = ((dx * dx + dy * dy) + dz * dz) + eps2
-        if parts == _OFFSET:
-            return dx, dy, dz, d2e
         s = sqrt(d2e)
-        den = FOUR_PI * s
+        den = FOUR_PI * (d2e * s)
         if violated(den == 0.0):
             raise domain_error(SingularPointError, den == 0.0, _ON_SOURCE, t)
-        wbar = background - k / den
-        if parts == _WBAR:
-            return wbar
-        grad = None
-        if parts == _ALL:
-            den = FOUR_PI * (d2e * s)
-            if violated(den == 0.0):
-                raise domain_error(SingularPointError, den == 0.0, _ON_SOURCE, t)
-            c = k / den
-            grad = dx * c, dy * c, dz * c
+        wbar = background - k / (FOUR_PI * s)
+        c = k / den
+        grad = dx * c, dy * c, dz * c
         if static:
             return wbar, grad, ZERO3
         c = wbar / q
@@ -260,9 +259,6 @@ class UniformField(PotentialField):
     def _grad_wbar(self, x, y, z, t):
         return ZERO3
 
-    def _dwbar_dt(self, x, y, z, t):
-        return 0.0
-
     # Zeros by shape alone: every string right-hand side calls this, and
     # filling the generic form's three columns costs about 5x as much.
     def grad_wbar_many(self, points, times):
@@ -275,8 +271,12 @@ class CoulombField(PotentialField):
     wbar(r, t) = background - k / (4 pi (|d|^2 + eps^2)^(1/2)),
     d = r - r_f0 - u_f t,  k = |q * q_f| > 0  (attractive normalization).
 
-    For a moving source the vector potential is A = wbar * u_f / q.  Every
-    method evaluates `_coulomb_point`, bound to ROWS (FLOATS for the stepper).
+    For a moving source the vector potential is A = wbar * u_f / q.  The
+    source's constants are derived here once; every first-derivative method
+    indexes the one result (wbar, grad(wbar), A) of `_coulomb_point`, bound
+    to ROWS (FLOATS for the stepper), and a static source's A terms are
+    zero without evaluating it.  The Hessian and rho take their own offset
+    d, in the kernel's order, so they equal its bits.
     """
 
     def __init__(self, spec: SourceSpec, test_charge: float):
@@ -284,16 +284,16 @@ class CoulombField(PotentialField):
         if test_charge == 0.0:
             raise ZeroChargeError("Coulomb potential needs a nonzero test charge")
         self.q = float(test_charge)
-        self.k = abs(test_charge * spec.strength)
+        self.k = abs(self.q * spec.strength)
         self.eps2 = spec.softening * spec.softening
-        self.u_f = spec.u_f
+        self.r_f0, self.u_f, self.background = spec.r_f0, spec.u_f, spec.background
         self._static = spec.u_f.norm2() == 0.0  # no vector potential
         self.kind = spec.kind.value
-        self._kernels = {b: _coulomb_point(spec, self.q, *b) for b in (FLOATS, ROWS)}
+        self._kernels = {b: _coulomb_point(self, *b) for b in (FLOATS, ROWS)}
         self._point, self._potentials = self._kernels.__getitem__, self._kernels[ROWS]
 
     def _wbar(self, x, y, z, t):
-        return self._potentials(x, y, z, t, _WBAR)
+        return self._potentials(x, y, z, t)[0]
 
     def _grad_wbar(self, x, y, z, t):
         return self._potentials(x, y, z, t)[1]
@@ -304,7 +304,7 @@ class CoulombField(PotentialField):
         return -((gx * u.x + gy * u.y) + gz * u.z)
 
     def _vecpot(self, x, y, z, t):
-        return ZERO3 if self._static else self._potentials(x, y, z, t, _WBAR_A)[2]
+        return ZERO3 if self._static else self._potentials(x, y, z, t)[2]
 
     def _grad_vecpot(self, x, y, z, t):
         if self._static:
@@ -326,14 +326,19 @@ class CoulombField(PotentialField):
         ux, uy, uz = self.u_f
         return ux * c, uy * c, uz * c
 
+    def _offset(self, r, t):
+        """(d, |d|^2 + eps^2) at (r, t), d = r - (r_f0 + u_f t), in the kernel's order."""
+        d = r - (self.r_f0 + self.u_f * t)
+        return d, d.norm2() + self.eps2
+
     def wbar_hessian(self, r, t):
         """Raises SingularPointError within SINGULAR_GUARD of an unsoftened source."""
-        dx, dy, dz, d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)
+        d, d2e = self._offset(r, t)
         if self.eps2 == 0.0 and math.sqrt(d2e) < SINGULAR_GUARD:
             raise SingularPointError(
                 f"evaluation {math.sqrt(d2e):.3g} from an unsoftened point source"
             )
-        d = np.array([dx, dy, dz])
+        d = d.as_array()
         coef = self.k / FOUR_PI
         return coef * (np.eye(3) * d2e**-1.5 - 3.0 * np.outer(d, d) * d2e**-2.5)
 
@@ -343,7 +348,7 @@ class CoulombField(PotentialField):
 
     def rho(self, r, t):
         """Plummer density matching -laplacian(wbar) of the static softened source."""
-        d2e = self._potentials(r.x, r.y, r.z, t, _OFFSET)[3]
+        d2e = self._offset(r, t)[1]
         return -3.0 * self.k * self.eps2 / (FOUR_PI * d2e**2.5)
 
 
@@ -363,9 +368,6 @@ class LinearField(PotentialField):
     def _grad_wbar(self, x, y, z, t):
         return self.gradient
 
-    def _dwbar_dt(self, x, y, z, t):
-        return 0.0
-
 
 class UniformMagneticField(PotentialField):
     """Constant B via the symmetric gauge A = (1/2) B x r; wbar constant."""
@@ -381,9 +383,6 @@ class UniformMagneticField(PotentialField):
 
     def _grad_wbar(self, x, y, z, t):
         return ZERO3
-
-    def _dwbar_dt(self, x, y, z, t):
-        return 0.0
 
     def _vecpot(self, x, y, z, t):
         # (b x r) * 0.5, in the order of Vec3.cross

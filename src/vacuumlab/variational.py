@@ -44,7 +44,7 @@ from .particle import (
     interacting_hamiltonian,
     vacuum_free_hamiltonian,
 )
-from .potentials import PotentialField
+from .potentials import QA_IS_WBAR_UF, PotentialField
 
 # Relative perturbation scale for finite-difference functional derivatives
 FD_RELATIVE_STEP = 1e-6
@@ -234,20 +234,14 @@ _DENSITIES = {
 }
 
 
-# Field kinds whose vector potential is qA = wbar u_f by construction (A = 0
-# with no source velocity, or a Coulomb source): the relation the interacting
-# density and its Legendre check assume.
-_QA_IS_WBAR_UF = ("uniform", "linear", "coulomb-static", "coulomb-comoving")
-
-
 def check_oracle_coverage(spec: LagrangianSpec) -> None:
     """Refuse an interacting-kind spec in a field the oracle's density does not model."""
     if spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
         kind = spec.field.kind
-        if kind not in _QA_IS_WBAR_UF:
+        if kind not in QA_IS_WBAR_UF:
             raise ValidationError(
                 f"the {spec.kind.value} oracle assumes qA = wbar u_f and does not cover "
-                f"field kind '{kind}' (covered: {', '.join(_QA_IS_WBAR_UF)})"
+                f"field kind '{kind}' (covered: {', '.join(QA_IS_WBAR_UF)})"
             )
 
 

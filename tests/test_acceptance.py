@@ -330,14 +330,14 @@ def test_ac7_gyro_orbit_oracle():
     radius_err = max(
         abs((s.r - center).norm() - radius) for s in traj.samples
     ) / radius
-    period_err = (traj.final.r - state.r).norm() / (2.0 * math.pi * radius)
+    period_err = (traj.samples[-1].r - state.r).norm() / (2.0 * math.pi * radius)
 
     errors, steps = [], []
     for n in (100, 200, 400, 800):
         t = integrate_particle(
             model, state, IntegrationParams(step=period / n, n_steps=n, audit_every=n)
         )
-        errors.append((t.final.r - state.r).norm())
+        errors.append((t.samples[-1].r - state.r).norm())
         steps.append(period / n)
     order = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     _report(

@@ -421,6 +421,31 @@ VACUUM_MODEL_ON_THE_OTHER_AXIS = [
 ]
 
 
+def _far_launch(data):
+    # the run is finite, but the oracle perturbs by 1e-6 max|r| = 1e194, whose
+    # difference velocity squares to inf: every residual is NaN
+    data["initial"].update(r=[1.0e200, 0, 0], u=[0.1, 0, 0])
+    data["integration"]["n_steps"] = 20
+
+
+def _interacting_in_uniform_b(data):
+    data.update(model="vacuum-interacting", field={"kind": "uniform-b", "b": [0, 0, 1], "wbar0": -1})
+    data["initial"]["u"] = [0.3, 0, 0]
+
+
+# a non-finite audit residual is a physics abort naming its node, as a run CSV's value is
+NON_FINITE_AUDIT = [
+    ("audit", _far_launch, 2, "physics abort: non-finite audit residual at node 1 [s=0.001]\n"),
+]
+# the interacting force is gauge-dependent outside qA = wbar u_f: every verb refuses
+# such a field when it reads the file (audit's refusal has its own test)
+INTERACTING_OUTSIDE_ITS_FIELDS = [
+    (verb, _interacting_in_uniform_b, 1,
+     "error: field.kind 'uniform-b' is not covered by the vacuum-interacting model")
+    for verb in ("run", "compare")
+]
+
+
 @pytest.mark.parametrize(
     "verb, edit, code, message",
     [("run", *case) for case in [
@@ -483,7 +508,7 @@ VACUUM_MODEL_ON_THE_OTHER_AXIS = [
            "error: initial.width must have a positive square for a pluck, got 1e-300\n")
           for n in (9, 64)],
     ]] + PARTICLE_STEPS_TOO_LARGE + RK45_STEP_BELOW_ITS_FLOOR + LAB_MODEL_ON_THE_PROPER_AXIS
-    + VACUUM_MODEL_ON_THE_OTHER_AXIS,
+    + VACUUM_MODEL_ON_THE_OTHER_AXIS + NON_FINITE_AUDIT + INTERACTING_OUTSIDE_ITS_FIELDS,
     ids=["singular-source", "classical-on-source", "string-cell-on-source", "nan-w0", "inf-step",
          "non-integer-grid", "step-collapse", "non-finite-energy", "fractional-steps",
          "misspelled-source-key", "name-with-slash", "name-climbing-out", "name-with-backslash",
@@ -494,7 +519,8 @@ VACUUM_MODEL_ON_THE_OTHER_AXIS = [
          "compare-particle-steps-too-large", "run-rk45-step-below-floor", "audit-rk45-step-below-floor",
          "compare-rk45-step-below-floor", "run-lab-model-proper-axis", "audit-lab-model-proper-axis",
          "compare-lab-model-proper-axis", "audit-vacuum-model-lab-axis",
-         "compare-vacuum-model-proper-axis"],
+         "compare-vacuum-model-proper-axis", "audit-non-finite-residual",
+         "run-interacting-in-uniform-b", "compare-interacting-in-uniform-b"],
 )
 def test_exit_code_contract(tmp_path, capsys, monkeypatch, verb, edit, code, message):
     import vacuumlab.integrate as integ

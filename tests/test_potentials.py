@@ -417,6 +417,18 @@ def test_vectorized_wbar_on_unsoftened_source_raises():
         f._potentials(*pts.T, np.array([0.0, 2.0]))
 
 
+def test_wbar_raises_where_the_gradient_denominator_underflows():
+    # within about 1e-108 of an unsoftened source |d|^2 |d| underflows to 0; wbar
+    # alone is finite there (about -1e108), but the kernel's one singular test
+    # guards its whole result, so wbar raises as the stepper's point does
+    f = coulomb()
+    with pytest.raises(SingularPointError, match="t=0"):
+        f.wbar(Vec3(1e-110, 0.0, 0.0), 0.0)
+    with pytest.raises(SingularPointError, match="t=0") as caught:
+        f.wbar_many(np.array([[1.0, 0.0, 0.0], [1e-110, 0.0, 0.0]]), np.zeros(2))
+    assert caught.value.where == 1
+
+
 def test_wbar_negative_on_domain():
     f = coulomb(eps=0.05, background=-1.0)
     rng = np.random.default_rng(29)

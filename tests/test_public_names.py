@@ -67,7 +67,9 @@ REFERENCED_ONLY_BY_TESTS = {
     # deleted, since only the battery or the tests reached them: geometry.Projector3,
     # orthogonal_projector, lab_time_factor and Vec3.cross, whose checks verified only
     # their own identities; errors.ZeroDirectionError, which only the projector raised;
-    # integrate.StringTrajectory.final, where the tests read traj.state(-1)
+    # integrate.StringTrajectory.final, where the tests read traj.state(-1); and
+    # integrate.Trajectory.final, where the battery's gyro check reads the last row's
+    # columns and the tests read traj.samples[-1]
 }
 
 # names that only the `vacuumlab check` battery calls, each verifying physics that a run uses
@@ -77,8 +79,6 @@ REACHED_ONLY_BY_CHECK = {
     # the string flow in one call: the static equilibrium and the energy gradient of
     # the writer that every string run binds
     "strings.string_canonical_rhs",
-    # the gyro orbit's closure, read from the last row of a particle run
-    "integrate.Trajectory.final",
     # <u, A> of the extra-force oracle, a finite difference of the interacting law's term
     "geometry.Vec3.dot",
 }
