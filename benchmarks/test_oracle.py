@@ -5,7 +5,8 @@ builds its path as `vacuumlab audit` does (every step a node; the
 constrained model resampled onto a uniform proper-time grid), then times
 one `euler_lagrange_residual` call on that path.  The sheet case runs the
 shipped string pluck and times the string-density oracle on every 16th
-tau row of it.  It needs the pytest-benchmark plugin:
+tau row of it, taken as one block of rows on the string's sigma axis.  It
+needs the pytest-benchmark plugin:
 
     PYTHONPATH=src python -m pytest benchmarks/test_oracle.py --benchmark-only
 
@@ -15,15 +16,14 @@ collects it.
 
 import os
 
-import numpy as np
 import pytest
 
 from vacuumlab import cli
 from vacuumlab.integrate import integrate_string
 from vacuumlab.variational import (
+    DiscretePath,
     LagrangianKind,
     LagrangianSpec,
-    StringWorldPath,
     euler_lagrange_residual,
 )
 
@@ -47,11 +47,8 @@ def test_string_world_sheet(benchmark):
     state, field, params = cli.build_string_state(config)
     traj = integrate_string(state, field, params)
     rows = range(0, len(traj.tau), 16)
-    sheet = StringWorldPath(
-        tau=np.asarray(traj.tau)[rows],
-        sigma=state.grid.sigma,
-        r=np.array([traj.state(i).r for i in rows]),
-    )
+    block = traj.state(rows)  # one block of rows: a world sheet is a path of strings
+    sheet = DiscretePath(block.tau, block.r, sigma=state.grid.sigma)
     spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, field)
     residuals = benchmark(euler_lagrange_residual, spec, sheet)
     assert residuals.shape == (len(rows) - 2, state.grid.n - 2, 3)

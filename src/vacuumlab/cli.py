@@ -618,7 +618,6 @@ def _audit_path(config: ScenarioConfig, nodes: int = 0):
         field=model.field,
         m0=model.rest_mass,
         charge=model.charge,
-        u_f=model.source_velocity,
     )
     traj = integrate_particle(model, state, params)
     if model.kind is ModelKind.CONSTRAINED:

@@ -3,12 +3,14 @@
 Evaluates the model Lagrangians on discretized paths (trapezoidal
 quadrature, difference velocities) and string world sheets (four-corner
 midpoint cells), and measures stationarity by perturbing interior nodes
-symmetrically and differencing the action.  One colouring engine does this
-for both: each kind supplies only its discrete Lagrangian (a cell function
-over a block of nodes, the weights of a node's summed cells and the
-normaliser), and the engine perturbs the nodes of one colour at a time,
-2 colours x 2 cells per node on a path and 4 x 4 on a sheet.
-Nothing here shares code with the hand-coded right-hand sides: the
+symmetrically and differencing the action.  Both are one path type,
+`DiscretePath`: a world sheet is a path of strings, its nodes r(s, sigma)
+on a uniform sigma axis beside the uniform parameter grid s.  One
+colouring engine does this for both: each kind supplies only its discrete
+Lagrangian (a cell function over a block of nodes, the weights of a node's
+summed cells and the normaliser), and the engine perturbs the nodes of one
+colour at a time, 2 colours x 2 cells per node on a path and 4 x 4 on a
+sheet.  Nothing here shares code with the hand-coded right-hand sides: the
 functional derivatives are finite differences of the action itself, so
 the oracle cross-validates the integrators instead of echoing them.
 
@@ -21,7 +23,8 @@ Path channels: every kind uses the node positions r(s); the constrained
 and interacting kinds additionally read a frozen lab-clock channel t(s)
 (and the constrained kind a multiplier channel lambda(s)).  Frozen means
 the channel is data along the path, not varied by the residual operator.
-Every channel must be finite.
+A sheet carries neither.  Every channel must be finite.  A spec reads
+the source velocity u_f from its field, as the force models do.
 """
 
 from __future__ import annotations
@@ -71,47 +74,54 @@ class LagrangianSpec:
     field: PotentialField
     m0: Optional[float] = None
     charge: float = 1.0
-    u_f: Vec3 = ZERO3
 
     def __post_init__(self):
         if self.kind in (LagrangianKind.CLASSICAL_POINT, LagrangianKind.CONSTRAINED_POINT):
             if self.m0 is None or self.m0 <= 0:
                 raise ValidationError(f"{self.kind.value} needs m0 > 0")
 
-
-def _finite_channel(values, name: str) -> np.ndarray:
-    """values as a float array; ValidationError naming the channel if any entry is not finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"path channel {name} has non-finite values")
-    return values
+    @property
+    def u_f(self) -> Vec3:
+        """Velocity of the field's source; zero for fields without one."""
+        return getattr(self.field, "u_f", ZERO3)
 
 
 @dataclass
 class DiscretePath:
-    """Uniform parameter grid with node positions and optional t / lambda channels."""
+    """Node positions r on a uniform parameter grid s: a point path or a world sheet.
+
+    A point path has r of shape (m, 3) and optional t / lambda channels.  A
+    world sheet is a path of strings: r of shape (m, n_sigma, 3) on a
+    uniform sigma axis of at least 5 nodes, with no t or lambda channel.
+    """
 
     s: np.ndarray
     r: np.ndarray
     t: Optional[np.ndarray] = None
     lam: Optional[np.ndarray] = None
+    sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.s = _finite_channel(self.s, "s")
-        self.r = _finite_channel(self.r, "r")
-        m = self.s.size
-        if m < 5:
-            raise ValidationError("a discrete path needs at least 5 nodes")
-        if self.r.shape != (m, 3):
-            raise ValidationError("r must have shape (m, 3)")
+        for name in ("s", "r", "t", "lam", "sigma"):  # each given channel as a finite float array
+            values = getattr(self, name)
+            if values is not None:
+                values = np.asarray(values, dtype=float)
+                if not np.all(np.isfinite(values)):
+                    raise ValidationError(f"path channel {name} has non-finite values")
+                setattr(self, name, values)
+        m, sheet = self.s.size, self.sigma is not None
+        if m < 5 or (sheet and self.sigma.size < 5):
+            raise ValidationError("a discrete path needs at least 5 nodes per axis")
+        if sheet and (self.t is not None or self.lam is not None):
+            raise ValidationError("a world sheet carries no t or lam channel")
+        if self.r.shape != (m,) + ((self.sigma.size,) if sheet else ()) + (3,):
+            raise ValidationError("r must have shape (m, 3), or (m, n_sigma, 3) on a sigma axis")
         check_uniform_axis(self.s, "parameter grid")
+        if sheet:
+            check_uniform_axis(self.sigma, "sigma grid")
         for name in ("t", "lam"):
-            ch = getattr(self, name)
-            if ch is not None:
-                ch = _finite_channel(ch, name)
-                if ch.shape != (m,):
-                    raise ValidationError(f"{name} channel must have shape (m,)")
-                setattr(self, name, ch)
+            if getattr(self, name) is not None and getattr(self, name).shape != (m,):
+                raise ValidationError(f"{name} channel must have shape (m,)")
 
     @property
     def m(self) -> int:
@@ -120,6 +130,10 @@ class DiscretePath:
     @property
     def ds(self) -> float:
         return float(self.s[1] - self.s[0])
+
+    @property
+    def dsigma(self) -> float:
+        return float(self.sigma[1] - self.sigma[0])
 
 
 def _multiplier_channel(c) -> Optional[np.ndarray]:
@@ -236,13 +250,11 @@ _DENSITIES = {
 
 def check_oracle_coverage(spec: LagrangianSpec) -> None:
     """Refuse an interacting-kind spec in a field the oracle's density does not model."""
-    if spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
-        kind = spec.field.kind
-        if kind not in QA_IS_WBAR_UF:
-            raise ValidationError(
-                f"the {spec.kind.value} oracle assumes qA = wbar u_f and does not cover "
-                f"field kind '{kind}' (covered: {', '.join(QA_IS_WBAR_UF)})"
-            )
+    if spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT and spec.field.kind not in QA_IS_WBAR_UF:
+        raise ValidationError(
+            f"the {spec.kind.value} oracle assumes qA = wbar u_f and does not cover "
+            f"field kind '{spec.field.kind}' (covered: {', '.join(QA_IS_WBAR_UF)})"
+        )
 
 
 def _clock_nodes(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
@@ -301,25 +313,36 @@ def _point_lattice(spec: LagrangianSpec, path: DiscretePath) -> _Lattice:
     return _Lattice(cells, (), ds, lambda c: np.add.accumulate(c)[-1])
 
 
-def _lattice(spec: LagrangianSpec, path) -> _Lattice:
-    if spec.kind is LagrangianKind.STRING_DENSITY:
+def _check_path_kind(spec: LagrangianSpec, path: DiscretePath) -> bool:
+    """Whether the path is a sheet; ValidationError unless it is one exactly for the string density."""
+    if (path.sigma is None) == (spec.kind is LagrangianKind.STRING_DENSITY):
+        raise ValidationError(f"the {spec.kind.value} kind does not apply to a "
+                              f"{'point path' if path.sigma is None else 'world sheet'}")
+    return path.sigma is not None
+
+
+def _lattice(spec: LagrangianSpec, path: DiscretePath) -> _Lattice:
+    if _check_path_kind(spec, path):
         return _sheet_lattice(spec, path)
     return _point_lattice(spec, path)
 
 
-def discrete_action(spec: LagrangianSpec, path) -> float:
+def discrete_action(spec: LagrangianSpec, path: DiscretePath) -> float:
     """Discrete-Lagrangian quadrature of the action over the path or world sheet."""
     lat = _lattice(spec, path)
     return float(lat.action(lat.cells(path.r, (slice(None),) * (path.r.ndim - 1))))
 
 
-def euler_lagrange_residual(spec: LagrangianSpec, path) -> np.ndarray:
+def euler_lagrange_residual(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
     """Numeric functional derivative dS/dr at interior nodes, density-normalized.
 
-    Symmetric node perturbations with scale FD_RELATIVE_STEP * path amplitude;
-    only the cells touching the perturbed node enter its difference
-    quotient.  A true solution path returns residuals that vanish at
-    second order in the path spacing.
+    Symmetric node perturbations of size hp = FD_RELATIVE_STEP *
+    max(1, max |r - r_0|, 1e-4 max |r|), the maxima over every node and
+    component and r_0 the first node: the step scales with the path's
+    extent, not with where the path sits, and the 1e-4 floor keeps a node's
+    round-off below about 2e-6 of the step.  Only the cells touching the
+    perturbed node enter its difference quotient.  A true solution path
+    returns residuals that vanish at second order in the path spacing.
 
     Colouring: on a grid of d axes a node is a corner of 2^d cells (j-1 and
     j on a path; (k-1 or k, j-1 or j) on a sheet), and every cell has
@@ -347,7 +370,8 @@ def euler_lagrange_residual(spec: LagrangianSpec, path) -> np.ndarray:
     """
     lat, r = _lattice(spec, path), path.r
     grid = r.shape[:-1]
-    hp = FD_RELATIVE_STEP * max(1.0, float(np.max(np.abs(r))))
+    extent = float(np.max(np.abs(r - r.reshape(-1, 3)[0])))
+    hp = FD_RELATIVE_STEP * max(1.0, extent, 1e-4 * float(np.max(np.abs(r))))
     # a node's cells, in index order, sit at the even or odd positions of each block axis
     corners = list(itertools.product((slice(0, None, 2), slice(1, None, 2)), repeat=len(grid)))
     odd = corners[-1]  # the colour's nodes: odd on every axis
@@ -394,8 +418,6 @@ def _onshell_clock_rates(spec: LagrangianSpec, v: np.ndarray) -> np.ndarray:
     if spec.kind is not LagrangianKind.VACUUM_INTERACTING_POINT:
         return np.ones(len(v))
     uf2 = spec.u_f.norm2()
-    if uf2 == 0.0:
-        return np.sqrt(1.0 + _norm2(v))
     b = _dot(v, np.asarray(spec.u_f))
     disc = b * b + (1.0 - uf2) * (1.0 + _norm2(v))
     return (-b + np.sqrt(disc)) / (1.0 - uf2)
@@ -408,6 +430,7 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
     singular (the string density, and the constrained kind whose
     multiplier term is homogeneous of degree one in the four-velocity).
     """
+    _check_path_kind(spec, path)
     if spec.kind in (LagrangianKind.STRING_DENSITY, LagrangianKind.CONSTRAINED_POINT):
         raise DegenerateLagrangianError(f"{spec.kind.value} has a degenerate Legendre map")
     check_oracle_coverage(spec)
@@ -487,35 +510,7 @@ def multiplier_consistency(path: DiscretePath, m0: float) -> MultiplierReport:
 # --- string world-sheet action -----------------------------------------------------
 
 
-@dataclass
-class StringWorldPath:
-    """World-sheet samples r(tau_k, sigma_j) on uniform grids."""
-
-    tau: np.ndarray
-    sigma: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        self.tau = _finite_channel(self.tau, "tau")
-        self.sigma = _finite_channel(self.sigma, "sigma")
-        self.r = _finite_channel(self.r, "r")
-        if self.r.shape != (self.tau.size, self.sigma.size, 3):
-            raise ValidationError("r must have shape (n_tau, n_sigma, 3)")
-        if self.tau.size < 5 or self.sigma.size < 5:
-            raise ValidationError("world sheet needs at least 5 nodes per axis")
-        check_uniform_axis(self.tau, "tau grid")
-        check_uniform_axis(self.sigma, "sigma grid")
-
-    @property
-    def d_tau(self) -> float:
-        return float(self.tau[1] - self.tau[0])
-
-    @property
-    def d_sigma(self) -> float:
-        return float(self.sigma[1] - self.sigma[0])
-
-
-def _sheet_cell_lagrangian(spec: LagrangianSpec, r: np.ndarray, d_tau: float, d_sigma: float) -> np.ndarray:
+def _sheet_cell_lagrangian(spec: LagrangianSpec, r: np.ndarray, ds: float, dsigma: float) -> np.ndarray:
     """Midpoint discrete Lagrangian density per world-sheet cell.
 
     Each cell averages its four corners for the position and takes edge
@@ -523,8 +518,8 @@ def _sheet_cell_lagrangian(spec: LagrangianSpec, r: np.ndarray, d_tau: float, d_
     Lagrangian this is variationally consistent at every interior node.
     """
     mid = 0.25 * (r[1:, 1:] + r[1:, :-1] + r[:-1, 1:] + r[:-1, :-1])
-    rdot = 0.5 * ((r[1:, 1:] + r[1:, :-1]) - (r[:-1, 1:] + r[:-1, :-1])) / d_tau
-    rprime = 0.5 * ((r[1:, 1:] + r[:-1, 1:]) - (r[1:, :-1] + r[:-1, :-1])) / d_sigma
+    rdot = 0.5 * ((r[1:, 1:] + r[1:, :-1]) - (r[:-1, 1:] + r[:-1, :-1])) / ds
+    rprime = 0.5 * ((r[1:, 1:] + r[:-1, 1:]) - (r[1:, :-1] + r[:-1, :-1])) / dsigma
     pts = mid.reshape(-1, 3)
     w = spec.field.wbar_many(pts, np.zeros(len(pts))).reshape(mid.shape[:2])
     rp2 = np.einsum("ijk,ijk->ij", rprime, rprime)
@@ -536,11 +531,11 @@ def _sheet_cell_lagrangian(spec: LagrangianSpec, r: np.ndarray, d_tau: float, d_
     return -w * np.sqrt(q2)
 
 
-def _sheet_lattice(spec: LagrangianSpec, path: StringWorldPath) -> _Lattice:
-    """The midpoint cells of a world sheet; the action is np.sum of them times dtau, dsigma."""
-    d_tau, d_sigma = path.d_tau, path.d_sigma
+def _sheet_lattice(spec: LagrangianSpec, path: DiscretePath) -> _Lattice:
+    """The midpoint cells of a world sheet; the action is np.sum of them times ds, dsigma."""
+    ds, dsigma = path.ds, path.dsigma
 
     def cells(r, block):
-        return _sheet_cell_lagrangian(spec, r, d_tau, d_sigma)
+        return _sheet_cell_lagrangian(spec, r, ds, dsigma)
 
-    return _Lattice(cells, (d_tau, d_sigma), d_tau * d_sigma, lambda c: np.sum(c) * d_tau * d_sigma)
+    return _Lattice(cells, (ds, dsigma), ds * dsigma, lambda c: np.sum(c) * ds * dsigma)

@@ -295,7 +295,7 @@ def test_ac6_variational_cross_validation():
         IntegrationParams(step=2.5e-4, n_steps=8000, audit_every=8000,
                           time_axis="proper"),
     )
-    spec_i = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field_i, u_f=u_f)
+    spec_i = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field_i)
     results["interacting"] = [
         _worst(euler_lagrange_residual(spec_i, path_from_trajectory(t_int, stride=s)))
         for s in (64, 32)

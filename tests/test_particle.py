@@ -201,6 +201,34 @@ def test_interacting_rhs_uniform_a_reduces_to_lorentz_form():
     assert fc.norm() < 1e-15
 
 
+def test_the_interacting_force_depends_on_the_gauge_of_a_field_without_a_source():
+    # README model note "Gauge dependence of the interacting force": one B = z,
+    # two gauges, two orbits from the same launch (wbar = -1, u = (0.3, 0, 0)),
+    # so every verb refuses vacuum-interacting outside potentials.QA_IS_WBAR_UF
+    symmetric = UniformMagneticField(Vec3(0, 0, 1.0), -1.0)  # A = B x r / 2
+    landau = CallableField(
+        wbar_fn=lambda r, t: -1.0,
+        vecpot_fn=lambda r, t: Vec3(-r.y, 0.0, 0.0),
+        grad_vecpot_fn=lambda r, t: np.array([[0.0, -1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    )
+    params = IntegrationParams(step=1e-3, n_steps=6283, audit_every=6283, time_axis="lab")
+    orbits = []
+    for field in (symmetric, landau):
+        model = ForceModel(ModelKind.VACUUM_INTERACTING, field, charge=1.0)
+        orbits.append(integrate_particle(model, make_vacuum_state(field, ZERO3, Vec3(0.3, 0, 0)),
+                                         params).columns())
+    circle, line = orbits
+    # symmetric gauge: a circle of radius 0.6 about (0, -0.6, 0) at omega = 0.5, half the
+    # Lorentz force's; at t = 6.283 the particle is half way round, at (5.6e-5, -1.2, 0)
+    wt = 0.5 * circle.t
+    exact = np.stack([0.6 * np.sin(wt), -0.6 + 0.6 * np.cos(wt), 0.0 * wt], axis=1)
+    assert np.max(np.abs(circle.r - exact)) < 1e-11
+    assert np.allclose(circle.r[-1], [5.559e-5, -1.2, 0.0], rtol=0.0, atol=1e-7)
+    # Landau gauge A = (-y, 0, 0) of the same B: a straight line, y stays 0
+    assert not line.r[:, 1:].any()
+    assert line.r[-1, 0] == pytest.approx(0.3 * 6.283, rel=1e-12)
+
+
 def test_interacting_rhs_at_rest_is_electric_push():
     spec = SourceSpec(
         SourceKind.COULOMB_COMOVING,

@@ -58,9 +58,7 @@ REFERENCED_ONLY_BY_TESTS = {
     "variational.discrete_action",
     "variational.legendre_transform_check",
     "variational.multiplier_consistency",
-    # the sheet oracle's world path: the tests build it from a string run's rows, and
-    # only _sheet_lattice's parameter annotation names it until `audit` takes string runs
-    "variational.StringWorldPath",
+    # variational.StringWorldPath went: a world sheet is a DiscretePath on a sigma axis
     # the successive deviation ratios of the q -> 0 limit; the sweep workload
     # fits the log-log slope of the deviations instead
     "particle.RestMassLimitReport.ratios",

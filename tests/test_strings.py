@@ -381,9 +381,9 @@ def test_string_flow_cross_validated_by_worldsheet_action():
     # measure the independent discrete-action stationarity; refining both
     # grids by two shrinks the residual by about four
     from vacuumlab.variational import (
+        DiscretePath,
         LagrangianKind,
         LagrangianSpec,
-        StringWorldPath,
         euler_lagrange_residual,
     )
 
@@ -397,10 +397,11 @@ def test_string_flow_cross_validated_by_worldsheet_action():
         traj = integrate_string(
             state, field, IntegrationParams(step=step, n_steps=64, audit_every=64)
         )
-        # the block of the kept rows is the world sheet: r of shape (n_tau, n_sigma, 3)
+        # the block of the kept rows is the world sheet, a path of strings: r of
+        # shape (n_tau, n_sigma, 3)
         block = traj.state(range(0, 65, stride))
         assert identical(block.r, np.array([s.r for s in traj.samples[::stride]]))
-        sheet = StringWorldPath(tau=block.tau, sigma=grid.sigma, r=block.r)
+        sheet = DiscretePath(block.tau, block.r, sigma=grid.sigma)
         res = euler_lagrange_residual(spec, sheet)
         return float(np.max(np.sqrt(np.einsum("ijk,ijk->ij", res, res))))
 

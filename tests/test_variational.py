@@ -27,7 +27,6 @@ from vacuumlab.variational import (
     DiscretePath,
     LagrangianKind,
     LagrangianSpec,
-    StringWorldPath,
     _sheet_cell_lagrangian,
     discrete_action,
     euler_lagrange_residual,
@@ -155,14 +154,17 @@ def test_legendre_interacting_reduces_and_matches():
     s = np.linspace(0.0, 0.6, 121)
     r = np.stack([0.5 + 0.2 * s, 0.1 * np.sin(s), 0.05 * s], axis=1)
     t = s * 1.2  # frozen lab-clock channel
-    spec = LagrangianSpec(
-        LagrangianKind.VACUUM_INTERACTING_POINT, field, u_f=Vec3(0.15, 0.0, 0.1)
-    )
+    spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field)
+    assert spec.u_f == Vec3(0.15, 0.0, 0.1)  # read from the field
     report = legendre_transform_check(spec, DiscretePath(s=s, r=r, t=t))
     assert report.max_abs_diff < 1e-8
-    # u_f = 0 reduces to the free kind
-    spec0 = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field, u_f=ZERO3)
-    free = LagrangianSpec(LagrangianKind.VACUUM_FREE_POINT, field)
+    # u_f = 0 reduces to the free kind: a static source moves at u_f = 0
+    static = build_potential(
+        SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.1, background=-1.5), 1.0
+    )
+    spec0 = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, static)
+    assert spec0.u_f == ZERO3
+    free = LagrangianSpec(LagrangianKind.VACUUM_FREE_POINT, static)
     path = DiscretePath(s=s, r=r, t=t)
     assert discrete_action(spec0, path) == pytest.approx(
         discrete_action(free, path), rel=1e-12
@@ -179,39 +181,80 @@ def test_legendre_classical_and_rest_frame():
     assert legendre_transform_check(rest, DiscretePath(s=s, r=r)).max_abs_diff < 1e-8
 
 
+def path_data(sheet, m=9, n=7):
+    """DiscretePath arguments: a point path with t and lam channels, or a sheet of n-node strings."""
+    s = np.linspace(0.0, 1.0, m)
+    if sheet:
+        return {"s": s, "r": np.zeros((m, n, 3)), "sigma": np.linspace(0.0, 1.0, n)}
+    return {"s": s, "r": np.zeros((m, 3)), "t": s.copy(), "lam": np.ones(m)}
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("channel", ["s", "r", "t", "lam"])
+@pytest.mark.parametrize("channel", ["s", "r", "t", "lam", "sheet-s", "sheet-r", "sigma"])
 def test_discrete_path_rejects_non_finite_channels(channel, bad):
-    s = np.linspace(0.0, 1.0, 9)
-    data = {"s": s, "r": np.zeros((9, 3)), "t": s.copy(), "lam": np.ones(9)}
+    data = path_data(sheet=channel.startswith("sheet-") or channel == "sigma")
+    channel = channel.removeprefix("sheet-")
     data[channel] = data[channel].copy()
     data[channel].flat[4] = bad
     with pytest.raises(ValidationError, match=f"channel {channel} has non-finite"):
         DiscretePath(**data)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("channel", ["tau", "sigma", "r"])
-def test_world_path_rejects_non_finite_channels(channel, bad):
-    data = {"tau": np.linspace(0.0, 1.0, 6), "sigma": np.linspace(0.0, 1.0, 7)}
-    data["r"] = np.zeros((6, 7, 3))
-    data[channel] = data[channel].copy()
-    data[channel].flat[3] = bad
-    with pytest.raises(ValidationError, match=f"channel {channel} has non-finite"):
-        StringWorldPath(**data)
-
-
 @pytest.mark.parametrize(
     "grid", [[0.0, 0.5, 0.2, 0.7, 0.9, 1.0], [0.0, 0.1, 0.3, 0.4, 0.6, 1.0], np.linspace(1.0, 0.0, 6)],
     ids=["non-increasing", "non-uniform", "decreasing"],
 )
-@pytest.mark.parametrize("channel", ["tau", "sigma"])
-def test_world_path_rejects_non_uniform_grids(channel, grid):
-    data = {"tau": np.linspace(0.0, 1.0, 6), "sigma": np.linspace(0.0, 1.0, 6)}
+@pytest.mark.parametrize("channel, name", [("s", "parameter"), ("sigma", "sigma")])
+def test_sheet_rejects_non_uniform_axes(channel, name, grid):
+    data = path_data(sheet=True, m=6, n=6)
     data[channel] = np.array(grid)
-    data["r"] = np.zeros((6, 6, 3))
-    with pytest.raises(ValidationError, match=f"{channel} grid must be uniform and increasing"):
-        StringWorldPath(**data)
+    with pytest.raises(ValidationError, match=f"{name} grid must be uniform and increasing"):
+        DiscretePath(**data)
+
+
+@pytest.mark.parametrize("channel", ["t", "lam"])
+def test_a_sheet_carries_no_clock_or_multiplier_channel(channel):
+    data = path_data(sheet=True)
+    data[channel] = np.ones(9)
+    with pytest.raises(ValidationError, match="a world sheet carries no t or lam channel"):
+        DiscretePath(**data)
+
+
+@pytest.mark.parametrize(
+    "n, shape, message",
+    [
+        (4, (9, 4, 3), "at least 5 nodes per axis"),
+        (7, (9, 3), "r must have shape"),
+        (7, (9, 6, 3), "r must have shape"),
+    ],
+    ids=["short-strings", "point-r", "wrong-n-sigma"],
+)
+def test_a_sheet_needs_5_sigma_nodes_and_r_on_them(n, shape, message):
+    data = path_data(sheet=True, n=n)
+    data["r"] = np.zeros(shape)
+    with pytest.raises(ValidationError, match=message):
+        DiscretePath(**data)
+
+
+@pytest.mark.parametrize(
+    "entry", [euler_lagrange_residual, discrete_action, legendre_transform_check],
+    ids=["residual", "action", "legendre"],
+)
+@pytest.mark.parametrize(
+    "kind, sheet",
+    [
+        (LagrangianKind.STRING_DENSITY, False),
+        (LagrangianKind.VACUUM_FREE_POINT, True),
+        (LagrangianKind.CLASSICAL_POINT, True),
+    ],
+    ids=["string-on-a-point-path", "vacuum-free-on-a-sheet", "classical-on-a-sheet"],
+)
+def test_a_spec_refuses_a_path_of_the_other_shape(entry, kind, sheet):
+    spec = LagrangianSpec(kind, UniformField(-1.0), m0=1.0)
+    path = DiscretePath(**path_data(sheet))
+    shape = "world sheet" if sheet else "point path"
+    with pytest.raises(ValidationError, match=f"the {kind.value} kind does not apply to a {shape}"):
+        entry(spec, path)
 
 
 def test_legendre_degenerate_kinds_raise():
@@ -219,7 +262,7 @@ def test_legendre_degenerate_kinds_raise():
     path = straight_path()
     with pytest.raises(DegenerateLagrangianError):
         legendre_transform_check(
-            LagrangianSpec(LagrangianKind.STRING_DENSITY, field), path
+            LagrangianSpec(LagrangianKind.STRING_DENSITY, field), DiscretePath(**path_data(sheet=True))
         )
     with pytest.raises(DegenerateLagrangianError):
         legendre_transform_check(
@@ -299,7 +342,7 @@ def test_string_action_and_sigma_relabeling_invariance():
             ss = sigma + warp * np.sin(math.pi * sigma) * (sigma[-1] - sigma)
             r[k, :, 0] = ss
             r[k, :, 1] = 0.02 * np.sin(math.pi * sigma) * math.cos(tk)
-        return StringWorldPath(tau, sigma, r)
+        return DiscretePath(tau, r, sigma=sigma)
 
     a_uniform = discrete_action(spec, sheet(0.0))
     a_warped = discrete_action(spec, sheet(0.15))
@@ -317,7 +360,7 @@ def test_string_el_residual_static_straight_sheet():
     sigma = np.linspace(0.0, 1.0, ns)
     r = np.zeros((nt, ns, 3))
     r[:, :, 0] = sigma[None, :]
-    res = euler_lagrange_residual(spec, StringWorldPath(tau, sigma, r))
+    res = euler_lagrange_residual(spec, DiscretePath(tau, r, sigma=sigma))
     assert np.max(np.abs(res)) < 1e-8
 
 
@@ -403,10 +446,21 @@ def _loop_channels(spec, path):
     return t, lam
 
 
+def _loop_step(r, rel_step):
+    """The perturbation rel_step * max(1, max |r - r_0|, 1e-4 max |r|), r_0 the first node."""
+    extent, size = 0.0, 0.0
+    first = r.reshape(-1, 3)[0]
+    for node in r.reshape(-1, 3):
+        for c in range(3):
+            extent = max(extent, abs(node[c] - first[c]))
+            size = max(size, abs(node[c]))
+    return rel_step * max(1.0, float(extent), 1e-4 * float(size))
+
+
 def _loop_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
     m, ds = path.m, path.ds
     t, lam = _loop_channels(spec, path)
-    hp = rel_step * max(1.0, float(np.max(np.abs(path.r))))
+    hp = _loop_step(path.r, rel_step)
     r_work = path.r.copy()
     residuals = np.zeros((m - 2, 3))
     for j in range(1, m - 1):
@@ -422,16 +476,16 @@ def _loop_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
 
 
 def _loop_sheet_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
-    nt, ns = path.tau.size, path.sigma.size
-    d_tau, d_sigma = path.d_tau, path.d_sigma
-    hp = rel_step * max(1.0, float(np.max(np.abs(path.r))))
+    nt, ns = path.s.size, path.sigma.size
+    ds, dsigma = path.ds, path.dsigma
+    hp = _loop_step(path.r, rel_step)
     work = path.r.copy()
 
     def cells_sum(k, j):
         # in index order from the first cell: np.sum would start from 0.0
         block = work[k - 1 : k + 2, j - 1 : j + 2]
-        lag = _sheet_cell_lagrangian(spec, block, d_tau, d_sigma)
-        return float(((lag[0, 0] + lag[0, 1]) + lag[1, 0]) + lag[1, 1]) * d_tau * d_sigma
+        lag = _sheet_cell_lagrangian(spec, block, ds, dsigma)
+        return float(((lag[0, 0] + lag[0, 1]) + lag[1, 0]) + lag[1, 1]) * ds * dsigma
 
     out = np.zeros((nt - 2, ns - 2, 3))
     for k in range(1, nt - 1):
@@ -443,7 +497,7 @@ def _loop_sheet_el_residual(spec, path, rel_step=FD_RELATIVE_STEP):
                 work[k, j, c] = orig - hp
                 sm = cells_sum(k, j)
                 work[k, j, c] = orig
-                out[k - 1, j - 1, c] = (sp - sm) / (2.0 * hp) / (d_tau * d_sigma)
+                out[k - 1, j - 1, c] = (sp - sm) / (2.0 * hp) / (ds * dsigma)
     return out
 
 
@@ -532,7 +586,7 @@ def _interacting_case():
     u_f = Vec3(0.1, 0.0, 0.15)
     field = _soft_coulomb(u_f)
     path = _orbit(field, ModelKind.VACUUM_INTERACTING, Vec3(0.05, 0.37, 0.1), "proper")
-    spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field, u_f=u_f)
+    spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field)
     return spec, path
 
 
@@ -586,6 +640,27 @@ def _loop_legendre_max_diff(spec, path):
     return worst
 
 
+def test_the_residual_does_not_depend_on_where_the_path_sits():
+    # a vacuum-free orbit, source and launch translated together by 1,000 along x:
+    # the same physics, so the same residual within round-off (1.37x here); a step
+    # scaled by max |r| rather than by the path's extent read about 7e5 times more
+    def worst(shift):
+        field = build_potential(
+            SourceSpec(SourceKind.COULOMB_STATIC, 1.0, r_f0=shift, softening=0.05, background=-1.0),
+            1.0,
+        )
+        traj = integrate_particle(
+            ForceModel(ModelKind.VACUUM_FREE, field, charge=1.0),
+            make_vacuum_state(field, Vec3(0.5, 0, 0) + shift, Vec3(0, 0.37, 0)),
+            IntegrationParams(step=1e-3, n_steps=500, audit_every=500, time_axis="proper"),
+        )
+        spec = LagrangianSpec(LagrangianKind.VACUUM_FREE_POINT, field)
+        residual = euler_lagrange_residual(spec, path_from_trajectory(traj))
+        return np.max(np.linalg.norm(residual, axis=1))
+
+    assert worst(Vec3(1000.0, 0.0, 0.0)) <= 1.5 * worst(ZERO3)
+
+
 @pytest.mark.parametrize(
     "case",
     [_gyro_case, _rest_frame_case, _vacuum_free_case, _interacting_case],
@@ -626,10 +701,8 @@ def test_colour_batched_sheet_oracle_matches_node_loop():
         state, field, IntegrationParams(step=2.5e-4, n_steps=64, audit_every=64)
     )
     samples = traj.samples[::2]
-    sheet = StringWorldPath(
-        tau=np.array([s.tau for s in samples]),
-        sigma=grid.sigma,
-        r=np.array([s.r for s in samples]),
+    sheet = DiscretePath(
+        np.array([s.tau for s in samples]), np.array([s.r for s in samples]), sigma=grid.sigma
     )
     for fld in (field, LinearField(-2.0, Vec3(0.3, -0.2, 0.1))):
         spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, fld)
@@ -644,14 +717,18 @@ BOUNDS_FIELDS = [UniformField(-1.0), LinearField(-2.0, Vec3(0.3, -0.2, 0.1))]
 POINT_KINDS = [kind for kind in LagrangianKind if kind is not LagrangianKind.STRING_DENSITY]
 
 
-@pytest.mark.parametrize("field", BOUNDS_FIELDS, ids=["uniform", "linear"])
+# the comoving source gives the interacting kind its u_f; the other two fields have none
+@pytest.mark.parametrize(
+    "field", BOUNDS_FIELDS + [_soft_coulomb(Vec3(0.1, 0.0, 0.15))],
+    ids=["uniform", "linear", "coulomb-comoving"],
+)
 @pytest.mark.parametrize("m", [5, 6, 7, 8])
 def test_colour_blocks_of_short_paths_match_node_loop(field, m):
     s = np.linspace(0.0, 0.4, m)
     r = np.stack([0.5 + 0.3 * s, 0.2 * s + 0.4 * s**2, 0.1 * np.sin(3.0 * s)], axis=1)
     path = DiscretePath(s=s, r=r, t=1.2 * s + 0.05 * s**2, lam=1.0 + 0.1 * s)
     for kind in POINT_KINDS:
-        spec = LagrangianSpec(kind, field, m0=1.0, charge=0.7, u_f=Vec3(0.1, 0.0, 0.15))
+        spec = LagrangianSpec(kind, field, m0=1.0, charge=0.7)
         assert np.array_equal(euler_lagrange_residual(spec, path), _loop_el_residual(spec, path))
         t, lam = _loop_channels(spec, path)
         loop_action = _loop_cell_action(spec, r, t, lam, path.ds, range(m - 1))
@@ -672,7 +749,7 @@ def test_signs_of_zero_in_the_residual_match_node_loop(kind):
     s = np.linspace(0.0, 0.6, 7)
     r = np.stack([(s - s[3]) ** 2, -1.0 - 0.1 * s, -0.5 - 0.2 * s**2], axis=1)
     path = DiscretePath(s=s, r=r, t=1.2 * s)
-    spec = LagrangianSpec(kind, LinearField(-0.0, ZERO3), u_f=Vec3(0.1, 0.0, 0.15))
+    spec = LagrangianSpec(kind, LinearField(-0.0, ZERO3))
     res = euler_lagrange_residual(spec, path)
     assert np.signbit(res[2, 0]) and not res.any()
     assert identical(res, _loop_el_residual(spec, path))
@@ -686,7 +763,7 @@ def test_signs_of_zero_in_the_sheet_residual_match_node_loop():
     r = np.zeros((6, 7, 3))
     r[:, :, 1] = -1.0 - sigma[None, :]
     r[:, :, 2] = -0.5 - 0.1 * tau[:, None] - 0.05 * sigma[None, :] ** 2
-    sheet = StringWorldPath(tau, sigma, r)
+    sheet = DiscretePath(tau, r, sigma=sigma)
     spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, LinearField(-0.0, ZERO3))
     res = euler_lagrange_residual(spec, sheet)
     assert np.signbit(res[..., 0]).all() and not res.any()
@@ -702,7 +779,7 @@ def test_colour_blocks_of_small_sheets_match_node_loop(field, nt, ns):
     r[:, :, 0] = 0.5 + sigma[None, :]
     r[:, :, 1] = 0.05 * np.outer(np.cos(3.0 * tau), np.sin(math.pi * sigma))
     r[:, :, 2] = 0.02 * np.outer(tau, sigma)
-    sheet = StringWorldPath(tau, sigma, r)
+    sheet = DiscretePath(tau, r, sigma=sigma)
     spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, field)
     res = euler_lagrange_residual(spec, sheet)
     assert res.shape == (nt - 2, ns - 2, 3)
