@@ -6,7 +6,9 @@ does, either its float-bound law (the stage rate), timed as one call at
 the launch state, or its rate and its generated RK4 step, timed as one
 step from the launch state with the launch rate as k1.  The row read is
 the columns and the invariants of the scenario's finished run, as the
-CLI reads them after integrating.  It needs the pytest-benchmark plugin:
+CLI reads them after integrating.  One more pair times the classical law
+of `classical_coulomb` with its source at rest and moving, a combination
+no shipped scenario runs.  It needs the pytest-benchmark plugin:
 
     PYTHONPATH=src python -m pytest benchmarks/test_stage_kernels.py --benchmark-only
 
@@ -22,6 +24,7 @@ and make a claim below a microsecond from ``timeit`` minima instead.
 import os
 
 import pytest
+import yaml
 
 import vacuumlab.integrate as integ
 from vacuumlab import cli, particle
@@ -35,9 +38,9 @@ PARTICLE_SCENARIOS = sorted(
 )
 
 
-def _launch(name):
-    """(model, axis, params, x, y) of a shipped scenario's launch, as `vacuumlab run` builds it."""
-    config = cli.parse_config(os.path.join(SCENARIOS, name + ".yaml"))
+def _launch(name, directory=SCENARIOS):
+    """(model, axis, params, x, y) of a scenario's launch, as `vacuumlab run` builds it."""
+    config = cli.parse_config(os.path.join(directory, name + ".yaml"))
     model, state, params = cli.build_particle_model(config)
     axis = integ.axis_for(model.kind, params.time_axis)
     return (model, axis, params, *particle.pack(model, state, axis))
@@ -46,6 +49,27 @@ def _launch(name):
 @pytest.mark.parametrize("name", PARTICLE_SCENARIOS)
 def test_stage_evaluation(benchmark, name):
     model, axis, _, x, y = _launch(name)
+    law = particle.bind_law(model, axis, FLOATS)
+    k, _, _ = benchmark(law, x, y)
+    assert len(k) == len(y)
+
+
+# The classical_coulomb launch with its source at rest and moving: a classical law in a
+# moving source evaluates the Coulomb kernel three times per stage, a static one once.
+SOURCE_MOTION = {
+    "coulomb-static": {},
+    "coulomb-comoving": {"kind": "coulomb-comoving", "u_f": [0.1, 0.0, 0.05]},
+}
+
+
+@pytest.mark.parametrize("source", sorted(SOURCE_MOTION))
+def test_classical_stage_by_source_motion(benchmark, tmp_path, source):
+    with open(os.path.join(SCENARIOS, "classical_coulomb.yaml")) as fh:
+        data = yaml.safe_load(fh)
+    data["field"].update(SOURCE_MOTION[source])
+    (tmp_path / f"{source}.yaml").write_text(yaml.safe_dump(data))
+    model, axis, _, x, y = _launch(source, str(tmp_path))
+    assert model.field.kind == source
     law = particle.bind_law(model, axis, FLOATS)
     k, _, _ = benchmark(law, x, y)
     assert len(k) == len(y)

@@ -137,13 +137,8 @@ class ForceModel:
 
     def __post_init__(self):
         if self.kind in (ModelKind.CLASSICAL, ModelKind.CONSTRAINED):
-            if self.rest_mass is None or self.rest_mass <= 0:
-                raise NonpositiveMassError(f"{self.kind.value} model needs m0 > 0")
-
-    @property
-    def source_velocity(self) -> Vec3:
-        """Velocity of the field's source; zero for fields without one."""
-        return getattr(self.field, "u_f", ZERO3)
+            if self.rest_mass is None or not 0 < self.rest_mass < math.inf:
+                raise NonpositiveMassError(f"{self.kind.value} model needs a finite m0 > 0")
 
 
 # --- momentum / mass / energy kernels -------------------------------------
@@ -293,7 +288,7 @@ def bind_law(model: ForceModel, axis: Optional[str], binding):
     # the vacuum models: p = P - qA (interacting) or P, u = p / (-wbar), dP/dt = -grad(wbar)
     point, lab = field._point(binding), axis != "proper"
     interacting = model.kind is ModelKind.VACUUM_INTERACTING
-    ufx, ufy, ufz = model.source_velocity if interacting else ZERO3
+    ufx, ufy, ufz = model.field.u_f if interacting else ZERO3
     moving = (ufx, ufy, ufz) != ZERO3  # else u - u_f is u, and dt/dx is 1 / (dtau/dt)
 
     def law(x, y):

@@ -98,9 +98,12 @@ _ZERO_JAC = (ZERO3, ZERO3, ZERO3)
 
 # Field kinds whose vector potential is qA = wbar u_f by construction (A = 0
 # with no source velocity, or a Coulomb source).  Only there is the
-# vacuum-interacting force gauge-free, and its oracle density and Legendre
-# check assume it.
+# vacuum-interacting force gauge-free; cli refuses that model elsewhere, and
+# variational.LagrangianSpec its oracle density.
 QA_IS_WBAR_UF = ("uniform", "linear", "coulomb-static", "coulomb-comoving")
+# Field kinds whose wbar does not depend on t: the string density, whose world
+# sheet carries no clock, covers only these (variational.LagrangianSpec).
+WBAR_IS_STATIC = ("uniform", "linear", "coulomb-static", "uniform-b")
 
 
 class PotentialField:
@@ -128,6 +131,7 @@ class PotentialField:
     """
 
     kind = "custom"
+    u_f = ZERO3  # the velocity of the field's source, zero without one (CoulombField sets its own)
 
     def _wbar(self, x, y, z, t):
         raise NotImplementedError

@@ -23,8 +23,13 @@ Path channels: every kind uses the node positions r(s); the constrained
 and interacting kinds additionally read a frozen lab-clock channel t(s)
 (and the constrained kind a multiplier channel lambda(s)).  Frozen means
 the channel is data along the path, not varied by the residual operator.
-A sheet carries neither.  Every channel must be finite.  A spec reads
-the source velocity u_f from its field, as the force models do.
+A sheet carries neither.  Every channel must be finite.  The densities
+read the source velocity u_f from the field, as the force laws do.
+
+Coverage is one rule, checked when a LagrangianSpec is made: the
+interacting density holds only where qA = wbar u_f, and the string
+density, whose sheet has no clock, only where wbar does not depend on t.
+A spec in any other field is refused, so every entry point refuses it.
 """
 
 from __future__ import annotations
@@ -41,13 +46,13 @@ from .errors import (
     DegenerateLagrangianError,
     ValidationError,
 )
-from .geometry import Vec3, ZERO3, check_uniform_axis, dot_rows as _dot, norm2_rows as _norm2
+from .geometry import check_uniform_axis, dot_rows as _dot, norm2_rows as _norm2
 from .particle import (
     classical_energy,
     interacting_hamiltonian,
     vacuum_free_hamiltonian,
 )
-from .potentials import QA_IS_WBAR_UF, PotentialField
+from .potentials import QA_IS_WBAR_UF, WBAR_IS_STATIC, PotentialField
 
 # Relative perturbation scale for finite-difference functional derivatives
 FD_RELATIVE_STEP = 1e-6
@@ -67,9 +72,23 @@ _NEEDS_T = {
     LagrangianKind.VACUUM_INTERACTING_POINT,
 }
 
+# The kinds whose density models only some fields: what it assumes, and the field kinds
+# where that holds.  The interacting density reads A as wbar u_f; a sheet has no clock.
+_COVERAGE = {LagrangianKind.VACUUM_INTERACTING_POINT: ("qA = wbar u_f", QA_IS_WBAR_UF),
+             LagrangianKind.STRING_DENSITY: ("a static wbar", WBAR_IS_STATIC)}
+
 
 @dataclass
 class LagrangianSpec:
+    """A kind's Lagrangian in a field, refused when made unless its density models the field.
+
+    The classical and constrained kinds need a finite m0 > 0.  The
+    interacting kind covers the fields of potentials.QA_IS_WBAR_UF and the
+    string density those of potentials.WBAR_IS_STATIC; any other field,
+    a CallableField included, raises ValidationError here, so no entry
+    point measures a Lagrangian the field does not have.
+    """
+
     kind: LagrangianKind
     field: PotentialField
     m0: Optional[float] = None
@@ -77,13 +96,12 @@ class LagrangianSpec:
 
     def __post_init__(self):
         if self.kind in (LagrangianKind.CLASSICAL_POINT, LagrangianKind.CONSTRAINED_POINT):
-            if self.m0 is None or self.m0 <= 0:
-                raise ValidationError(f"{self.kind.value} needs m0 > 0")
-
-    @property
-    def u_f(self) -> Vec3:
-        """Velocity of the field's source; zero for fields without one."""
-        return getattr(self.field, "u_f", ZERO3)
+            if self.m0 is None or not 0 < self.m0 < np.inf:
+                raise ValidationError(f"{self.kind.value} needs a finite m0 > 0")
+        assumes, covered = _COVERAGE.get(self.kind, ("", None))
+        if covered is not None and self.field.kind not in covered:
+            raise ValidationError(f"the {self.kind.value} oracle assumes {assumes} and does not cover "
+                                  f"field kind '{self.field.kind}' (covered: {', '.join(covered)})")
 
 
 @dataclass
@@ -235,7 +253,7 @@ def _vacuum_free_density(spec, r, v, t, tdot, lam):
 
 
 def _vacuum_interacting_density(spec, r, v, t, tdot, lam):
-    rel = v - np.asarray(spec.u_f) * tdot[:, None]
+    rel = v - np.asarray(spec.field.u_f) * tdot[:, None]
     return -spec.field.wbar_many(r, t) * np.sqrt(1.0 + _norm2(rel))
 
 
@@ -248,30 +266,17 @@ _DENSITIES = {
 }
 
 
-def check_oracle_coverage(spec: LagrangianSpec) -> None:
-    """Refuse an interacting-kind spec in a field the oracle's density does not model."""
-    if spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT and spec.field.kind not in QA_IS_WBAR_UF:
-        raise ValidationError(
-            f"the {spec.kind.value} oracle assumes qA = wbar u_f and does not cover "
-            f"field kind '{spec.field.kind}' (covered: {', '.join(QA_IS_WBAR_UF)})"
-        )
-
-
-def _clock_nodes(spec: LagrangianSpec, path: DiscretePath) -> np.ndarray:
-    """Lab-clock value at each node (the parameter itself for the classical kind)."""
-    if spec.kind is LagrangianKind.CLASSICAL_POINT:
-        return path.s
-    if path.t is not None:
-        return path.t
-    return np.zeros(path.m)
-
-
 def _point_channels(spec: LagrangianSpec, path: DiscretePath):
-    """(t, lam) node channels of a point-kind path."""
+    """(t, lam) node channels of a point-kind path, zero where the path has none.
+
+    t is the lab clock: the parameter itself for the classical kind, and
+    the path's t channel, which the constrained and interacting kinds need.
+    """
     if spec.kind in _NEEDS_T and path.t is None:
         raise ValidationError(f"{spec.kind.value} path needs a t channel")
-    lam = path.lam if path.lam is not None else np.zeros(path.m)
-    return _clock_nodes(spec, path), lam
+    zeros = np.zeros(path.m)
+    t = path.s if spec.kind is LagrangianKind.CLASSICAL_POINT else zeros if path.t is None else path.t
+    return t, zeros if path.lam is None else path.lam
 
 
 class _Lattice(NamedTuple):
@@ -417,8 +422,8 @@ def _onshell_clock_rates(spec: LagrangianSpec, v: np.ndarray) -> np.ndarray:
     """
     if spec.kind is not LagrangianKind.VACUUM_INTERACTING_POINT:
         return np.ones(len(v))
-    uf2 = spec.u_f.norm2()
-    b = _dot(v, np.asarray(spec.u_f))
+    uf2 = spec.field.u_f.norm2()
+    b = _dot(v, np.asarray(spec.field.u_f))
     disc = b * b + (1.0 - uf2) * (1.0 + _norm2(v))
     return (-b + np.sqrt(disc)) / (1.0 - uf2)
 
@@ -433,11 +438,10 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
     _check_path_kind(spec, path)
     if spec.kind in (LagrangianKind.STRING_DENSITY, LagrangianKind.CONSTRAINED_POINT):
         raise DegenerateLagrangianError(f"{spec.kind.value} has a degenerate Legendre map")
-    check_oracle_coverage(spec)
     density = _DENSITIES[spec.kind]
     r = path.r[1:-1]
     v = (path.r[2:] - path.r[:-2]) / (2.0 * path.ds)  # central differences at the interior nodes
-    t = _clock_nodes(spec, path)[1:-1]
+    t = _point_channels(spec, path)[0][1:-1]
     tdot = _onshell_clock_rates(spec, v)
     lam = np.zeros(len(v))
     hv = FD_RELATIVE_STEP * (1.0 + np.sqrt(_norm2(v)))
@@ -454,7 +458,7 @@ def legendre_transform_check(spec: LagrangianSpec, path: DiscretePath) -> Legend
     if spec.kind is LagrangianKind.VACUUM_FREE_POINT:
         h_ref = vacuum_free_hamiltonian(wbar, p.T)
     elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
-        qa = np.multiply.outer(np.asarray(spec.u_f), wbar)
+        qa = np.multiply.outer(np.asarray(spec.field.u_f), wbar)
         h_ref = interacting_hamiltonian(wbar, p.T - qa, qa)
     elif spec.kind is LagrangianKind.REST_FRAME_POINT:
         h_ref = vacuum_free_hamiltonian(wbar, p.T - _qa(spec, r, t).T)

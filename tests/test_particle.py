@@ -70,6 +70,13 @@ def test_classical_momentum_examples():
         classical_momentum(1.0, Vec3(1.0, 0, 0))
 
 
+@pytest.mark.parametrize("m0", [None, 0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("kind", [ModelKind.CLASSICAL, ModelKind.CONSTRAINED])
+def test_a_massive_model_needs_a_finite_positive_rest_mass(kind, m0):
+    with pytest.raises(NonpositiveMassError, match=f"{kind.value} model needs a finite m0 > 0"):
+        ForceModel(kind, UniformField(-1.0), rest_mass=m0)
+
+
 def test_dynamic_mass_examples():
     assert dynamic_mass(-2.0) == 2.0
     with pytest.raises(NonpositiveMassError):
@@ -436,7 +443,7 @@ def reference_rate(model, axis, binding):
 
         return evaluate
 
-    ufx, ufy, ufz = model.source_velocity if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
+    ufx, ufy, ufz = model.field.u_f if model.kind is ModelKind.VACUUM_INTERACTING else ZERO3
     moving = (ufx, ufy, ufz) != ZERO3
 
     def evaluate(x, y):

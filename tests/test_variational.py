@@ -14,6 +14,9 @@ from vacuumlab.particle import (
     make_vacuum_state,
 )
 from vacuumlab.potentials import (
+    QA_IS_WBAR_UF,
+    WBAR_IS_STATIC,
+    CallableField,
     LinearField,
     SourceKind,
     SourceSpec,
@@ -36,6 +39,13 @@ from vacuumlab.variational import (
     uniform_proper_path,
 )
 from test_solver_references import identical
+
+
+def _moving_source(u_f=Vec3(0.3, 0.0, 0.0)):
+    """A softened Coulomb source at r_f0 = (0.5, 0.6, 0) moving at u_f: its wbar depends on t."""
+    kind = SourceKind.COULOMB_COMOVING if u_f.norm2() > 0 else SourceKind.COULOMB_STATIC
+    spec = SourceSpec(kind, 0.5, r_f0=Vec3(0.5, 0.6, 0.0), u_f=u_f, softening=0.1, background=-1.0)
+    return build_potential(spec, 1.0)
 
 
 def straight_path(m=41, v=ZERO3, r0=ZERO3, horizon=1.0):
@@ -155,7 +165,7 @@ def test_legendre_interacting_reduces_and_matches():
     r = np.stack([0.5 + 0.2 * s, 0.1 * np.sin(s), 0.05 * s], axis=1)
     t = s * 1.2  # frozen lab-clock channel
     spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field)
-    assert spec.u_f == Vec3(0.15, 0.0, 0.1)  # read from the field
+    assert spec.field.u_f == Vec3(0.15, 0.0, 0.1)  # read from the field
     report = legendre_transform_check(spec, DiscretePath(s=s, r=r, t=t))
     assert report.max_abs_diff < 1e-8
     # u_f = 0 reduces to the free kind: a static source moves at u_f = 0
@@ -163,7 +173,7 @@ def test_legendre_interacting_reduces_and_matches():
         SourceSpec(SourceKind.COULOMB_STATIC, 1.0, softening=0.1, background=-1.5), 1.0
     )
     spec0 = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, static)
-    assert spec0.u_f == ZERO3
+    assert spec0.field.u_f == ZERO3
     free = LagrangianSpec(LagrangianKind.VACUUM_FREE_POINT, static)
     path = DiscretePath(s=s, r=r, t=t)
     assert discrete_action(spec0, path) == pytest.approx(
@@ -273,15 +283,69 @@ def test_legendre_degenerate_kinds_raise():
 def test_legendre_interacting_refuses_fields_without_qa_equal_wbar_uf():
     path = straight_path(v=Vec3(0.2, 0.1, 0.0))
     path.t = path.s * 1.1
-    spec = LagrangianSpec(
-        LagrangianKind.VACUUM_INTERACTING_POINT, UniformMagneticField(Vec3(0, 0, 1), -1.0)
-    )
+    # refused when the spec is made, so the Legendre check never runs
     with pytest.raises(ValidationError, match="'uniform-b'"):
-        legendre_transform_check(spec, path)
+        LagrangianSpec(
+            LagrangianKind.VACUUM_INTERACTING_POINT, UniformMagneticField(Vec3(0, 0, 1), -1.0)
+        )
     # A = 0 and u_f = 0: qA = wbar u_f holds with both sides zero
     for field in (UniformField(-1.0), LinearField(-2.0, Vec3(-0.5, 0.0, 0.0))):
         spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, field)
         assert legendre_transform_check(spec, path).max_abs_diff < 1e-8
+
+
+@pytest.mark.parametrize(
+    "kind, field, covered",
+    [
+        (LagrangianKind.VACUUM_INTERACTING_POINT, UniformMagneticField(Vec3(0, 0, 1), -1.0),
+         QA_IS_WBAR_UF),
+        (LagrangianKind.VACUUM_INTERACTING_POINT, CallableField(), QA_IS_WBAR_UF),
+        (LagrangianKind.STRING_DENSITY, _moving_source(), WBAR_IS_STATIC),
+        (LagrangianKind.STRING_DENSITY, CallableField(), WBAR_IS_STATIC),
+    ],
+    ids=["interacting-in-uniform-b", "interacting-in-callable", "string-in-coulomb-comoving",
+         "string-in-callable"],
+)
+def test_a_spec_refuses_a_field_its_density_does_not_model(kind, field, covered):
+    # the interacting density would read A as wbar u_f, and the clockless sheet wbar at t = 0:
+    # refused when made, so no entry point returns a number for it
+    message = f"the {kind.value} oracle assumes .* does not cover field kind '{field.kind}' " \
+              f"\\(covered: {', '.join(covered)}\\)"
+    with pytest.raises(ValidationError, match=message):
+        LagrangianSpec(kind, field)
+
+
+def test_the_string_density_covers_every_field_whose_wbar_is_static():
+    static = [UniformField(-1.0), LinearField(-2.0, Vec3(-0.5, 0.0, 0.0)),
+              UniformMagneticField(Vec3(0, 0, 1), -1.0), _moving_source(ZERO3)]
+    assert sorted(field.kind for field in static) == sorted(WBAR_IS_STATIC)
+    point = Vec3(0.1, 0.2, -0.3)
+    assert all(field.dwbar_dt(point, 0.7) == 0.0 for field in static)
+    assert _moving_source().dwbar_dt(point, 0.7) != 0.0
+    # a straight string along x, drifting in y
+    s, sigma = np.linspace(0.0, 0.1, 9), np.linspace(-0.2, 0.2, 7)
+    r = np.zeros((9, 7, 3))
+    r[..., 0], r[..., 1] = sigma, 0.1 * s[:, None]
+    sheet = DiscretePath(s=s, r=r, sigma=sigma)
+    for field in static:
+        spec = LagrangianSpec(LagrangianKind.STRING_DENSITY, field)
+        assert np.isfinite(discrete_action(spec, sheet))
+        assert np.all(np.isfinite(euler_lagrange_residual(spec, sheet)))
+
+
+def test_legendre_refuses_an_interacting_path_without_t_as_the_residual_does():
+    spec = LagrangianSpec(LagrangianKind.VACUUM_INTERACTING_POINT, _moving_source())
+    path = straight_path(41, v=Vec3(0.2, 0.1, 0.0), r0=Vec3(0.5, 0.6, 0.0))
+    for entry in (euler_lagrange_residual, discrete_action, legendre_transform_check):
+        with pytest.raises(ValidationError, match="vacuum-interacting-point path needs a t channel"):
+            entry(spec, path)
+
+
+@pytest.mark.parametrize("m0", [None, 0.0, -1.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("kind", [LagrangianKind.CLASSICAL_POINT, LagrangianKind.CONSTRAINED_POINT])
+def test_a_massive_kind_needs_a_finite_positive_m0(kind, m0):
+    with pytest.raises(ValidationError, match=f"{kind.value} needs a finite m0 > 0"):
+        LagrangianSpec(kind, UniformField(-1.0), m0=m0)
 
 
 def test_multiplier_consistency_exact_free_path():
@@ -422,7 +486,7 @@ def _ref_density(spec, r, v, t, tdot, lam):
         return -f.wbar(r, t) * math.sqrt(1.0 + v.norm2()) + qa.dot(v)
     if kind is LagrangianKind.VACUUM_FREE_POINT:
         return -f.wbar(r, t) * math.sqrt(1.0 + v.norm2())
-    rel = v - spec.u_f * tdot
+    rel = v - spec.field.u_f * tdot
     return -f.wbar(r, t) * math.sqrt(1.0 + rel.norm2())
 
 
@@ -593,10 +657,10 @@ def _interacting_case():
 def _ref_clock_rate(spec, v):
     if spec.kind is not LagrangianKind.VACUUM_INTERACTING_POINT:
         return 1.0
-    uf2 = spec.u_f.norm2()
+    uf2 = spec.field.u_f.norm2()
     if uf2 == 0.0:
         return math.sqrt(1.0 + v.norm2())
-    b = v.dot(spec.u_f)
+    b = v.dot(spec.field.u_f)
     disc = b * b + (1.0 - uf2) * (1.0 + v.norm2())
     return (-b + math.sqrt(disc)) / (1.0 - uf2)
 
@@ -629,7 +693,7 @@ def _loop_legendre_max_diff(spec, path):
         elif spec.kind is LagrangianKind.REST_FRAME_POINT:
             h_ref = _ref_vacuum_free_hamiltonian(wbar, p - spec.charge * f.vecpot(r, t))
         elif spec.kind is LagrangianKind.VACUUM_INTERACTING_POINT:
-            qa = spec.u_f * wbar
+            qa = spec.field.u_f * wbar
             big_p = p - qa + qa
             d = math.sqrt(wbar * wbar - big_p.norm2())
             h_ref = -d - big_p.dot(qa) / d
